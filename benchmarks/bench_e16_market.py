@@ -44,13 +44,13 @@ headline fingerprint byte-for-byte — the crash/recovery axis itself
 is E17's (``bench_e17_faults.py``).
 
 With ``--exec processes`` the headline run executes on the
-process-per-shard backend of :func:`repro.market.open_market` (one
-worker per coordinator shard, seal-verification partitioned by shard
-ownership): the benchmark runs the headline on *both* backends,
-asserts the reports are byte-identical — same fingerprint, same
-render — and gates the wall-clock speedup when the host has the cores
-to show it (>= 2x at 4 shards on >= 4 cores, >= 1.3x at 2 shards on
->= 2 cores).
+``processes`` backend of :func:`repro.market.open_market` (the same
+coordinator, its seal verification on a pool of one worker process
+per shard): the benchmark runs the headline on *both* backends, each
+from cold crypto caches, asserts the reports are byte-identical —
+same fingerprint, same render — and gates the wall-clock speedup when
+the host has the cores to show it (>= 2x at 4 shards on >= 4 cores,
+>= 1.3x at 2 shards on >= 2 cores).
 
 The report contains simulation quantities only (chain ticks, counts,
 fingerprints), so it is byte-identical across hosts, runs, ``--jobs``
@@ -79,6 +79,7 @@ from dataclasses import replace
 from functools import partial
 
 from repro.analysis.tables import render_table
+from repro.crypto import fastexp, schnorr
 from repro.market import MarketConfig, MarketReport, open_market
 from repro.workloads.market import MarketProfile, MarketWorkload
 
@@ -88,6 +89,17 @@ SHARD_SWEEP = [1, 2, 4]
 _SWEEP_BASE = MarketProfile(
     deals=400, chains=4, accounts=24, initial_balance=1_800, seed=7
 )
+
+
+def _cold_start() -> None:
+    """Drop the crypto caches so a timed run inherits nothing.
+
+    Two backends timed back to back in one process would otherwise
+    hand the second run the first's ``fastexp`` account tables and
+    ``schnorr`` verdict cache.
+    """
+    fastexp.clear_caches()
+    schnorr.clear_verification_caches()
 
 
 def run_market(
@@ -509,6 +521,7 @@ def main(argv: list[str]) -> int:
         or chaos_plan is not None or args.seal_policy != "fifo"
         else None
     )
+    _cold_start()
     run = run_market(profile, config, exec_backend=args.exec_backend)
     speedup = None
     if args.exec_backend == "processes":
@@ -523,6 +536,7 @@ def main(argv: list[str]) -> int:
             or args.seal_policy != "fifo"
             else None
         )
+        _cold_start()
         inline_report, inline_wall = run_market(profile, baseline_config)
         if inline_report.render() != run[0].render():
             print("FAIL: processes report differs from inline")

@@ -5,9 +5,9 @@ becomes a :class:`~repro.sim.network.ChaosBus` (drop / duplicate /
 delay / reorder per transmission, plus at-least-once ack/resend
 delivery with per-sender dedup windows), the replication delta network
 rides a :class:`~repro.sim.faults.MessageStorm` with reliable
-shipping, and the ``processes`` backend supervises its workers —
-heartbeats, stall detection, restart from replay with a state-digest
-proof.  E18 measures what that hardening buys:
+shipping, and the ``processes`` backend's verify pool survives losing
+a worker (its batches are verified in the parent instead).  E18
+measures what that hardening buys:
 
 * a **chaos sweep** over fault intensity × replication factor: for
   each point a seeded :class:`~repro.sim.chaos.ChaosPlan` (all four
@@ -20,8 +20,9 @@ proof.  E18 measures what that hardening buys:
   factor 3, a seeded crash/recover schedule *and* a mid-deal
   ``WorkerKill`` on the ``processes`` backend, the market must still
   commit at least 1,000 deals with zero conservation / exactly-once
-  violations, every hazard class must actually fire, and the killed
-  worker's restart must be digest-verified by the supervisor.
+  violations, every hazard class must actually fire, and the pool
+  must lose the killed worker, verify its batches in the parent, and
+  still return the report bytes of the run with no pool at all.
 
 Every column is a deterministic seeded simulation quantity: the chaos
 schedule is a pure function of (seed, transmission index), so CI
@@ -38,7 +39,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 from repro.analysis.tables import render_table
 from repro.market import MarketConfig, MarketReport, open_market
@@ -212,29 +213,35 @@ def _gate_config(profile: MarketProfile) -> MarketConfig:
 
 
 def gate_run(
-    quick: bool = False, supervised: bool = True
+    quick: bool = False, pooled: bool = True
 ) -> tuple[MarketReport, ProcessBackend | None]:
     """The acceptance run: seeded chaos + crashes + a mid-deal worker kill.
 
-    Supervised (the CLI and the shape checks), it runs on the
+    Pooled (the CLI and the shape checks), it runs on the
     ``processes`` backend when workers can be forked: the kill then
-    actually fells a worker and the supervisor must recover it.  With
-    ``supervised=False`` — or when fork is unavailable — it runs
+    actually fells a verify worker and the pool must carry on without
+    it.  With ``pooled=False`` — or when fork is unavailable — it runs
     inline, where worker faults are inert by construction, and the
     backend comes back ``None``.  Report bytes are identical either
-    way; ``make_report`` always takes the inline path so ``run_all``
+    way (``check_gate`` holds the pooled run to that);
+    ``make_report`` always takes the inline path so ``run_all``
     output is byte-identical whatever the job count (pool workers are
     daemonic and cannot fork).
     """
     profile = _gate_profile(quick)
     config = _gate_config(profile)
-    if not supervised or not ProcessBackend._can_fork():
+    if not pooled or not ProcessBackend._can_fork():
         return open_market(MarketWorkload(profile), config).run(), None
-    backend = ProcessBackend(heartbeat_interval=0.2, stall_timeout=60.0)
+    backend = ProcessBackend()
     report = open_market(
         MarketWorkload(profile), config, backend=backend
     ).run()
     return report, backend
+
+
+@cache
+def _unpooled_render(quick: bool) -> str:
+    return gate_run(quick=quick, pooled=False)[0].render()
 
 
 def check_gate(
@@ -265,18 +272,12 @@ def check_gate(
     if report.faults_injected == 0:
         failures.append("no replica crash fired (schedule is empty)")
     if backend is not None:
-        stats = backend.stats
-        if stats["kills_detected"] == 0:
-            failures.append("worker kill was never detected")
-        if stats["restarts"] == 0:
-            failures.append("killed worker was never restarted")
-        if stats["restarts_verified"] != stats["restarts"]:
-            failures.append(
-                f"{stats['restarts'] - stats['restarts_verified']} restarts "
-                "not digest-verified"
-            )
-        if stats["degraded"]:
-            failures.append("backend degraded to inline")
+        if backend.stats["workers_lost"] < 1:
+            failures.append("the killed worker was never lost")
+        if backend.stats["inline_batches"] < 1:
+            failures.append("no batch of the lost worker was verified inline")
+        if _unpooled_render(quick) != report.render():
+            failures.append("pooled report differs from the unpooled run")
     return failures
 
 
@@ -289,7 +290,7 @@ def gate_table(
         report, backend = gate_run(quick=quick)
     failures = check_gate(report, backend, quick=quick)
     bus = dict(report.bus_stats)
-    supervisor = backend.stats if backend is not None else {}
+    pool = backend.stats if backend is not None else {}
     rows = [
         ["deals committed", report.committed],
         ["chaos msgs dropped", bus.get("chaos_dropped", 0)],
@@ -301,9 +302,8 @@ def gate_table(
         ["replica crashes injected", report.faults_injected],
         ["failovers", report.failovers],
         ["recoveries", report.recoveries],
-        ["worker kills detected", supervisor.get("kills_detected", 0)],
-        ["worker restarts", supervisor.get("restarts", 0)],
-        ["restarts digest-verified", supervisor.get("restarts_verified", 0)],
+        ["verify workers lost", pool.get("workers_lost", 0)],
+        ["batches verified inline", pool.get("inline_batches", 0)],
         ["availability", f"{report.availability:.3%}"],
         ["invariant violations", len(report.invariant_violations)],
         ["fingerprint", report.fingerprint()],
@@ -318,7 +318,7 @@ def gate_table(
 
 
 def make_report(jobs: int | None = None, quick: bool = False) -> str:
-    report, backend = gate_run(quick=quick, supervised=False)
+    report, backend = gate_run(quick=quick, pooled=False)
     return (
         gate_table(quick=quick, report=report, backend=backend)
         + "\n"
@@ -345,8 +345,8 @@ def main(argv: list[str]) -> int:
           f"{report.committed} commits under {bus.get('chaos_dropped', 0)} "
           f"drops / {bus.get('chaos_duplicated', 0)} dups / "
           f"{bus.get('chaos_reordered', 0)} reorders, "
-          f"{bus.get('resends', 0)} resends, every worker restart "
-          "digest-verified, 0 invariant violations")
+          f"{bus.get('resends', 0)} resends, a verify worker lost "
+          "without a byte of difference, 0 invariant violations")
     return 0
 
 

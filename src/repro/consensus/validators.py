@@ -214,12 +214,11 @@ class VerifyAggregator:
         # Pluggable verification: when set, ``verify_many`` receives
         # each flush chunk as ``[(key, owner, items), ...]`` and must
         # return one verdict per batch in order.  The ``processes``
-        # execution backend plugs a partitioned verifier in here (each
-        # worker genuinely verifies only the batches it owns and
-        # exchanges the rest as SealVerdict messages); ``None`` means
-        # the merged :func:`schnorr_batch_verify_many` check, and both
-        # produce identical verdicts (the merged check succeeds iff
-        # every batch is individually valid, and its per-batch
+        # execution backend plugs its verify pool in here (each batch
+        # is checked by its owner shard's worker process); ``None``
+        # means the merged :func:`schnorr_batch_verify_many` check, and
+        # both produce identical verdicts (the merged check succeeds
+        # iff every batch is individually valid, and its per-batch
         # fallback *is* individual validity).
         self.verify_many = None
         self.stats = {

@@ -38,8 +38,9 @@ space.  This package is the runtime for that regime:
   and commit log live in that shard's
   :class:`~repro.market.runtime.ShardRuntime`, reached only through
   typed message envelopes.  :func:`open_market` is the entry point and
-  picks the execution backend (``inline`` or one supervised worker
-  process per shard).
+  picks the execution backend (``inline``, or ``processes``: the same
+  coordinator with its signature checks on one worker process per
+  shard).
 * :mod:`repro.market.fees` — block-space economics: every mempool
   sells its slots through a pluggable sealing policy (FIFO /
   first-price priority / EIP-1559-style base fee), deals co-sign a

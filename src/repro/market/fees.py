@@ -64,6 +64,14 @@ EXEMPT_PHASES = frozenset({
     "market/escrow-approve",
 })
 
+#: The market's base-fee controller: every chain starts at the floor,
+#: and the fee moves by at most 12.5% per block around half-full blocks
+#: (the EIP-1559 constants).
+BASE_FEE_INITIAL = 1.0
+BASE_FEE_FLOOR = 1.0
+BASE_FEE_ADJUST = 0.125
+BASE_FEE_TARGET = 0.5
+
 
 class FeeLedger:
     """Market-wide fee record: bids in, charges and evictions out.
@@ -181,10 +189,10 @@ class BaseFeePolicy(SealPolicy):
     def __init__(
         self,
         fees: FeeLedger,
-        initial: float = 1.0,
-        floor: float = 1.0,
-        adjust: float = 0.125,
-        target_fullness: float = 0.5,
+        initial: float = BASE_FEE_INITIAL,
+        floor: float = BASE_FEE_FLOOR,
+        adjust: float = BASE_FEE_ADJUST,
+        target_fullness: float = BASE_FEE_TARGET,
     ):
         if floor <= 0 or initial < floor:
             raise MarketError("base fee needs initial >= floor > 0")
@@ -255,13 +263,7 @@ def make_seal_policy(config, fees: FeeLedger) -> SealPolicy | None:
     if policy == "first_price":
         return FirstPricePolicy(fees)
     if policy == "base_fee":
-        return BaseFeePolicy(
-            fees,
-            initial=config.base_fee_initial,
-            floor=config.base_fee_floor,
-            adjust=config.base_fee_adjust,
-            target_fullness=config.base_fee_target,
-        )
+        return BaseFeePolicy(fees)
     raise MarketError(
         f"unknown seal policy {policy!r} (expected one of {SEAL_POLICIES})"
     )

@@ -4,9 +4,8 @@ The market coordinator and its per-shard
 :class:`~repro.market.runtime.ShardRuntime`\\ s communicate *only*
 through the frozen payload types below, wrapped in the uniform
 :class:`~repro.sim.network.Envelope` (sender, shard, tick, payload)
-and carried by a :class:`~repro.sim.network.LocalBus` (inline
-backend) or replayed identically inside every worker of the
-``processes`` backend.  Each type names one protocol edge:
+and carried by a :class:`~repro.sim.network.LocalBus`.  Each type
+names one protocol edge:
 
 * :class:`SubmitOrder` — coordinator → home shard: register a signed
   deal order on the shard's commit log (the runtime builds the
@@ -21,10 +20,10 @@ backend) or replayed identically inside every worker of the
 * :class:`DealDecided` — coordinator → asset shard: the home commit
   log decided; claim (commit/abort) the deal's book escrows on one
   chain.
-* :class:`SealBatch` / :class:`SealVerdict` — shard → verify service
-  and back: one sealed block's merged order-signature batch, keyed
-  ``(chain_id, seq)`` so the ``processes`` backend can partition the
-  actual verification work across workers and exchange verdicts.
+* :class:`SealBatch` — shard → verify service: one sealed block's
+  merged order-signature batch, keyed ``(chain_id, seq)``; the
+  ``processes`` backend routes the actual check to the owner shard's
+  verify worker.
 * :class:`BlockReceipts` — shard → coordinator: one sealed block's
   receipts, which the coordinator's phase engine routes to deal state
   machines.
@@ -34,9 +33,6 @@ backend) or replayed identically inside every worker of the
   replication :class:`~repro.sim.network.SynchronousNetwork`, not the
   bus, but share the Envelope wrapper so network fault stats cover
   them uniformly).
-* :class:`TelemetrySpan` — worker 0 → parent process: the run's
-  telemetry export, shipped once at quiescence by the ``processes``
-  backend (inline runs never serialize telemetry).
 
 **At-least-once delivery.**  Under a chaotic bus
 (:class:`~repro.sim.network.ChaosBus`) every envelope carries a
@@ -50,9 +46,8 @@ already admitted — making replayed, duplicated, and reordered
 delivery indistinguishable from exact delivery at the state level.
 ``msg_id == 0`` (the plain bus) bypasses the window entirely.
 
-Every type is a frozen dataclass of picklable fields; nothing here
-imports the runtime, so the vocabulary is dependency-free and safe to
-unpickle in a bare worker process.
+Every type is a frozen dataclass; nothing here imports the runtime,
+so the vocabulary is dependency-free.
 """
 
 from __future__ import annotations
@@ -70,11 +65,9 @@ __all__ = [
     "VoteFanout",
     "DealDecided",
     "SealBatch",
-    "SealVerdict",
     "BlockReceipts",
     "DeltaShipment",
     "DeltaAck",
-    "TelemetrySpan",
 ]
 
 
@@ -177,23 +170,13 @@ class SealBatch:
     """One sealed block's merged order-signature batch.
 
     ``items`` are ``(public_key, message, signature)`` triples; the
-    ``(chain_id, seq)`` key is assigned per chain in seal order, so
-    every execution backend agrees on which worker owns the batch and
-    which verdict belongs to it.
+    ``(chain_id, seq)`` key is assigned per chain in seal order and
+    names the batch's owner shard and its pending verdict callback.
     """
 
     chain_id: str
     seq: int
     items: tuple
-
-
-@dataclass(frozen=True)
-class SealVerdict:
-    """The verify service's answer to one :class:`SealBatch`."""
-
-    chain_id: str
-    seq: int
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -221,11 +204,3 @@ class DeltaAck:
     follower: str
     chain_id: str
     seq: int
-
-
-@dataclass(frozen=True)
-class TelemetrySpan:
-    """A telemetry export shipped across the process boundary."""
-
-    kind: str
-    payload: object

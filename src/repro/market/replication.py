@@ -55,6 +55,10 @@ from repro.market.messages import DeltaAck, DeltaShipment
 from repro.sim.network import Envelope, SynchronousNetwork
 from repro.sim.rng import DeterministicRng
 
+# Resends of one watched shipment before the leader gives up on it
+# (counted in ``deltas_abandoned``).
+_RESEND_LIMIT = 6
+
 # Replica endpoint names are "s<shard>/r<index>" on the replication
 # network; fault schedules target them by this name.
 def replica_name(shard: int, index: int) -> str:
@@ -204,6 +208,7 @@ class ReplicationLayer:
         }
         if reliable:
             self.counters["deltas_resent"] = 0
+            self.counters["deltas_abandoned"] = 0
 
         shard_chains: dict[int, list[str]] = {}
         for chain_id, shard in scheduler.chain_shard.items():
@@ -324,10 +329,13 @@ class ReplicationLayer:
             or replica is None
             or not replica.alive
             or group.leader is None
-            or attempt >= 6
         ):
-            # Satisfied, moot (dead follower / leaderless shard), or
-            # out of patience — finish()'s anti-entropy backstops.
+            # Satisfied, or moot (dead follower / leaderless shard).
+            self._ship_watch.pop(key, None)
+            return
+        if attempt >= _RESEND_LIMIT:
+            # Out of patience — finish()'s anti-entropy backstops.
+            self.counters["deltas_abandoned"] += 1
             self._ship_watch.pop(key, None)
             return
         leader = group.leader_replica()

@@ -18,40 +18,27 @@ into an explicit, message-passing architecture:
 * :class:`VerifyService` — the verification plane: per-seal signature
   batches travel as ``SealBatch`` messages keyed ``(chain_id, seq)``
   into the shared :class:`~repro.consensus.validators.VerifyAggregator`.
-* :class:`ExecutionBackend` — the seam the message API buys.
+* :class:`ExecutionBackend` — where the run executes.
   :class:`InlineBackend` runs everything in-process (byte-identical
-  to the historical scheduler).  :class:`ProcessBackend` hosts the
-  verification work of each shard in its own worker process.
+  to the historical scheduler).  :class:`ProcessBackend` runs the same
+  single coordinator and moves only the signature checks — ~90% of a
+  run's wall-clock, all behind ``VerifyAggregator.verify_many`` — to
+  a pool of one forked worker per shard; a worker that dies or hangs
+  is dropped and its batches are verified in the parent, so no market
+  state ever lives outside this process.
 
-**The barrier protocol.**  Messages are exchanged on simulated time:
-all messages for tick *t* are delivered before any runtime advances
-past *t*.  Inline, the bus delivers synchronously, so the barrier is
-trivially satisfied.  In the ``processes`` backend every worker
-replays the same deterministic simulation — identical event heap,
-identical messages, identical randomness — and the barrier is the
-verdict exchange: worker *w* genuinely verifies only the seal batches
-of chains owned by shard *w* (the expensive part of a market run) and
-publishes ``SealVerdict``\\ s; a worker that reaches a foreign batch
-at tick *t* blocks until the owner's verdict for *t* arrives.  No
-worker can pass a seal boundary before every shard's verification for
-that boundary is done, which is exactly the barrier — and because a
-merged Schnorr batch check succeeds iff every batch in it is
-individually valid (soundness error 2⁻⁶⁴, and the failure path falls
-back to per-batch isolation in both modes), the partitioned verdicts
-equal the merged ones and every worker's run — report, fingerprint,
-trace — is byte-identical to the inline run.  The backend proves it
-per run: all workers' fingerprints must agree.
+Messages are exchanged on simulated time over a synchronous bus: all
+messages for tick *t* are delivered before any runtime advances past
+*t*, on either backend.
 
 **Chaos hardening.**  With a :class:`~repro.sim.chaos.ChaosPlan` in
 the config the bus becomes a :class:`~repro.sim.network.ChaosBus`
 (seeded drop/duplicate/delay/reorder plus ack/resend at-least-once
 delivery), every handler below guards itself with a
-:class:`~repro.market.messages.DedupWindow`, the replication layer
-ships deltas reliably under a :class:`~repro.sim.faults.MessageStorm`,
-and the ``processes`` backend supervises its workers — heartbeats,
-stall detection, restart with a state-digest proof, and graceful
-degradation to inline execution.  Chaos off constructs the plain bus
-and schedules nothing extra, so default runs stay byte-identical.
+:class:`~repro.market.messages.DedupWindow`, and the replication layer
+ships deltas reliably under a :class:`~repro.sim.faults.MessageStorm`.
+Chaos off constructs the plain bus and schedules nothing extra, so
+default runs stay byte-identical.
 
 The public entry point is :func:`repro.market.open_market`.
 """
@@ -61,9 +48,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import threading
-import time
-from dataclasses import dataclass, field, replace
+import signal
+from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.analysis.tables import render_table
@@ -98,9 +84,7 @@ from repro.market.messages import (
     DedupWindow,
     Envelope,
     SealBatch,
-    SealVerdict,
     SubmitOrder,
-    TelemetrySpan,
     VoteFanout,
 )
 from repro.market.order import SignedDealOrder, shard_of_deal
@@ -118,9 +102,18 @@ _ABORT_RETRY_LIMIT = 5
 COORDINATOR_ENDPOINT = "coordinator"
 VERIFY_ENDPOINT = "verify"
 
-# Exit code a WorkerKill-felled worker dies with, so the supervisor can
-# tell an injected kill from an organic crash.
-_WORKER_KILL_EXIT = 73
+# Byzantine tolerance of each shard's CBC (3f+1 validators).
+_CBC_F = 1
+# Block batches one VerifyAggregator flush folds into a single
+# multi-exponentiation.
+_VERIFY_MAX_BLOCKS = 8
+# Δ of the dedicated replication network (delta shipping + acks), and
+# the detection delay before a crashed leader's shard fails over.
+_REPLICATION_DELTA = 0.4
+_FAILOVER_TIMEOUT = 2.0
+# Wall-clock seconds a verify-pool worker may sit on one request
+# before the pool declares it hung.
+_STALL_TIMEOUT = 30.0
 
 
 def shard_endpoint(shard: int) -> str:
@@ -196,7 +189,6 @@ class MarketConfig:
     block_interval: float = 1.0
     patience: float = 60.0
     max_txs_per_block: int = 512
-    horizon: float | None = None
     max_events: int = 20_000_000
     # Re-check every conservation invariant after every block (O(state)
     # per block — for tests, not for 5000-deal runs).
@@ -206,16 +198,13 @@ class MarketConfig:
     # block intervals from registration to the vote block, so Δ must
     # comfortably exceed that plus any mempool backlog.
     timelock_delta: float = 8.0
-    # Byzantine tolerance of the market's shared CBC (3f+1 validators).
-    cbc_f: int = 1
     # Cross-block verify aggregation: merge the order-signature batches
     # of every block sealing at one boundary into a single
-    # multi-exponentiation (up to verify_max_blocks block batches per
-    # flush).  Wall-clock only — verdicts land at the same simulated
-    # instant, so decisions and reports are byte identical; the off
-    # switch exists for the equivalence tests that prove exactly that.
+    # multi-exponentiation.  Wall-clock only — verdicts land at the
+    # same simulated instant, so decisions and reports are byte
+    # identical; the off switch exists for the equivalence tests that
+    # prove exactly that.
     verify_aggregation: bool = True
-    verify_max_blocks: int = 8
     # Replication (repro.market.replication): each shard becomes a
     # replica group of this size.  The layer is only constructed when
     # factor > 1 or a fault plan is supplied, so the default market
@@ -225,10 +214,6 @@ class MarketConfig:
     # replication network, ReplicaCrash/ReplicaRecover process faults
     # install on the replication layer.
     fault_plan: object | None = None
-    # Δ of the dedicated replication network (delta shipping + acks).
-    replication_delta: float = 0.4
-    # Detection delay before a crashed leader's shard fails over.
-    failover_timeout: float = 2.0
     # A repro.sim.chaos.ChaosPlan, or None.  An active market policy
     # swaps the plain LocalBus for a ChaosBus (seeded chaos +
     # at-least-once delivery); an active replication policy storms the
@@ -240,12 +225,8 @@ class MarketConfig:
     # zero fee machinery constructed (make_seal_policy returns None),
     # so default reports are byte-identical to a build without fees;
     # "first_price" seals highest-bid-first; "base_fee" runs the
-    # EIP-1559-style per-chain controller below.
+    # EIP-1559-style per-chain controller.
     seal_policy: str = "fifo"
-    base_fee_initial: float = 1.0
-    base_fee_floor: float = 1.0
-    base_fee_adjust: float = 0.125
-    base_fee_target: float = 0.5
     # Heterogeneous block space: {shard: max_txs_per_block} overrides.
     # Chains of a listed shard seal at that cap; every other chain
     # keeps the global max_txs_per_block.  None means homogeneous.
@@ -780,8 +761,7 @@ class MarketCoordinator:
     ``commit_logs`` — over all shards; writes go through the bus.
     """
 
-    def __init__(self, workload, config: MarketConfig | None = None,
-                 verifier=None):
+    def __init__(self, workload, config: MarketConfig | None = None):
         self.workload = workload
         self.config = config or MarketConfig()
         self.telemetry = self.config.telemetry
@@ -826,19 +806,17 @@ class MarketCoordinator:
                 schedule=lambda callback: self.simulator.schedule_at(
                     self.simulator.now, callback, label="market/verify-flush"
                 ),
-                max_blocks=self.config.verify_max_blocks,
+                max_blocks=_VERIFY_MAX_BLOCKS,
             )
             if self.config.verify_aggregation
             else None
         )
         if self.verify_aggregator is not None:
             self.verify_aggregator.telemetry = self.telemetry
-        # The execution backend's verifier (None inline): when present
-        # it takes over the actual batch checks — partitioned across
-        # worker processes — while keys and verdict routing stay here.
-        self.verifier = verifier
-        if self.verify_aggregator is not None and verifier is not None:
-            self.verify_aggregator.verify_many = verifier.verify_many
+        # The processes backend's verify pool (None inline): it takes
+        # over the actual batch checks while keys and verdict routing
+        # stay here.
+        self.verifier = None
         # Protocol-safety breaches observed directly by the drivers
         # (e.g. a stale proof accepted) — merged into the report's
         # invariant violations.
@@ -928,8 +906,8 @@ class MarketCoordinator:
             self.replication = ReplicationLayer(
                 self,
                 factor=self.config.replication_factor,
-                delta=self.config.replication_delta,
-                failover_timeout=self.config.failover_timeout,
+                delta=_REPLICATION_DELTA,
+                failover_timeout=_FAILOVER_TIMEOUT,
                 reliable=replication_chaos,
                 ack_timeout=chaos.ack_timeout if replication_chaos else 2.0,
                 backoff_cap=chaos.backoff_cap if replication_chaos else 16.0,
@@ -953,11 +931,10 @@ class MarketCoordinator:
                 plan.install(self.replication.network)
                 plan.install_processes(self.replication)
         if plan is not None and getattr(plan, "faults", ()):
-            # Worker-level faults (WorkerKill) are scheduled on *every*
-            # coordinator's simulator — inline and all SPMD workers
-            # alike, keeping the event heaps identical across backends
-            # — but only act in the worker whose index matches.
-            plan.install_workers(_WorkerFaultHost(self))
+            # Worker-level faults (WorkerKill) are scheduled whatever
+            # the backend, keeping the event heap identical inline and
+            # pooled; kill_worker is inert without a pool.
+            plan.install_workers(self)
         # Telemetry attaches last so the BlockTap's chain subscriptions
         # run after the runtimes' own (observer order is registration
         # order — the tap reads what the phase engine already routed).
@@ -1013,11 +990,6 @@ class MarketCoordinator:
         message = envelope.payload
         if isinstance(message, BlockReceipts):
             self._handle_block_receipts(message)
-        elif isinstance(message, TelemetrySpan):
-            # The processes backend ships worker telemetry this way;
-            # inline runs never post one.
-            if self.telemetry is not None:
-                self.telemetry.absorb(message.payload)
         else:  # pragma: no cover - vocabulary is closed
             raise MarketError(
                 f"coordinator: unknown message {type(message).__name__}"
@@ -1088,30 +1060,17 @@ class MarketCoordinator:
                 lambda order=order: self._admit(order),
                 label="market/arrival",
             )
-        self.simulator.run(
-            until=self.config.horizon, max_events=self.config.max_events
-        )
+        self.simulator.run(max_events=self.config.max_events)
         if self.replication is not None:
             self.replication.finish(self.simulator.now)
         if self.telemetry is not None:
             self.telemetry.finalize(self)
         return self._report()
 
-    def state_digest(self) -> str:
-        """A compact hash of every chain's committed state.
-
-        The ``processes`` supervisor uses this as its recovery proof:
-        a restarted worker must converge to the same digest as its
-        healthy peers before its run is accepted.
-        """
-        digest = tagged_hash(
-            "repro/market/state-digest",
-            b"".join(
-                self.chains[chain_id].state_hash()
-                for chain_id in sorted(self.chains)
-            ),
-        )
-        return digest.hex()[:32]
+    def kill_worker(self, worker: int, mode: str) -> None:
+        """``WorkerKill``'s target: fell one verify-pool worker."""
+        if self.verifier is not None:
+            self.verifier.kill_worker(worker, mode)
 
     def _admit(self, order: SignedDealOrder) -> None:
         spec = order.spec
@@ -1211,7 +1170,7 @@ class MarketCoordinator:
         if cbc is None:
             suffix = "" if shard == 0 else f"-s{shard}"
             validators = ValidatorSet.generate(
-                self.config.cbc_f,
+                _CBC_F,
                 seed=f"market-cbc{suffix}/{self.workload.seed}",
             )
             cbc = CertifiedBlockchain(
@@ -1681,38 +1640,6 @@ class MarketCoordinator:
 # ----------------------------------------------------------------------
 # Execution backends
 # ----------------------------------------------------------------------
-class _WorkerFaultHost:
-    """The adapter :meth:`FaultPlan.install_workers` aims worker faults at.
-
-    Every coordinator — inline and all SPMD workers alike — schedules
-    the same worker-fault events, keeping the event heaps identical
-    across backends; a fault only *acts* inside the worker whose index
-    matches, and never inside a restarted replacement (replacements run
-    with worker faults suppressed so recovery can complete).
-    """
-
-    def __init__(self, market: "MarketCoordinator"):
-        self.market = market
-
-    @property
-    def simulator(self) -> Simulator:
-        return self.market.simulator
-
-    def fires_worker_faults(self, worker: int) -> bool:
-        verifier = self.market.verifier
-        if verifier is None:
-            return False
-        if getattr(verifier, "suppress_worker_faults", False):
-            return False
-        return getattr(verifier, "index", None) == worker
-
-    def kill_worker(self, mode: str) -> None:
-        if mode == "hang":
-            while True:  # pragma: no cover - supervisor terminates us
-                time.sleep(3600.0)
-        os._exit(_WORKER_KILL_EXIT)
-
-
 class ExecutionBackend:
     """Where a market run's work actually executes."""
 
@@ -1731,229 +1658,143 @@ class InlineBackend(ExecutionBackend):
         return handle.market.run()
 
 
-class _PartitionedVerifier:
-    """One worker's slice of the market's signature verification.
+def _pool_worker(conn, parent_ends) -> None:
+    """One verify worker: batch lists in, verdict lists out, until EOF."""
+    # The fork copied the parent's pipe ends; EOF — the pool closing,
+    # or the parent dying — only arrives once no copy is left open.
+    for end in parent_ends:
+        end.close()
+    try:
+        while True:
+            conn.send(schnorr_batch_verify_many(conn.recv()))
+    except (EOFError, OSError):
+        pass
 
-    Plugged into the shared :class:`VerifyAggregator` as its
-    ``verify_many`` hook: for each flush chunk the worker genuinely
-    batch-verifies only the seal batches whose chains its shard owns
-    (one merged multi-exponentiation over its own subset — merged-ok
-    iff every batch individually valid, so the per-batch verdicts
-    match the inline merged check), publishes those verdicts as
-    ``SealVerdict`` messages up the pipe, and blocks for the foreign
-    verdicts the other workers own.  Blocking *is* the simulated-time
-    barrier: nobody advances past a seal boundary until every shard's
-    verification for it has landed.
+
+class _VerifyPool:
+    """One forked verify worker per shard, behind ``verify_many``.
+
+    Plugged into the coordinator's :class:`VerifyAggregator` (and the
+    :class:`VerifyService`'s unaggregated path) as the verifier: each
+    flush chunk is split by owner shard, every owner's batches go to
+    that shard's worker in one request, and the verdicts come back in
+    chunk order.  All requests of a chunk are sent before any reply is
+    awaited, so the workers check their slices concurrently.
+
+    The parent holds all market state, so a worker is disposable: one
+    that died (pipe EOF / broken pipe) or sat on a request longer than
+    ``_STALL_TIMEOUT`` is killed and dropped (``workers_lost``), and
+    its batches — the request in flight included — are verified in the
+    parent from then on (``inline_batches``).  Verdicts are the same
+    either way, so a lost worker costs wall-clock and nothing else.
     """
 
-    def __init__(self, index: int, conn, preload=None,
-                 suppress_worker_faults: bool = False):
-        self.index = index
-        self.conn = conn
-        self._foreign: dict[tuple[str, int], bool] = {}
-        self.stats = {"own_batches": 0, "foreign_batches": 0, "pairs_verified": 0}
-        # Supervision plumbing: ``waiting`` tells the heartbeat thread
-        # (and through it the supervisor) that a frozen event counter
-        # means "blocked on a foreign verdict", not "hung".  A restarted
-        # worker replays the run from scratch with the verdicts already
-        # relayed before the failure preloaded, so it never waits for a
-        # barrier the other workers have long passed.
-        self.waiting = False
-        self.suppress_worker_faults = suppress_worker_faults
-        for verdict in preload or ():
-            self._foreign[(verdict.chain_id, verdict.seq)] = verdict.ok
+    def __init__(self, workers: int, stats: dict):
+        self.stats = stats
+        context = multiprocessing.get_context("fork")
+        self._workers: dict[int, tuple] = {}  # shard -> (pipe, process)
+        for shard in range(workers):
+            conn, child_conn = context.Pipe()
+            parent_ends = [conn] + [end for end, _ in self._workers.values()]
+            proc = context.Process(
+                target=_pool_worker, args=(child_conn, parent_ends),
+                name=f"market-verify-{shard}", daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            self._workers[shard] = (conn, proc)
 
     def verify_many(self, keyed: list) -> list:
-        own = [(key, items) for key, owner, items in keyed if owner == self.index]
-        local: dict[tuple[str, int], bool] = {}
-        if own:
-            verdicts = schnorr_batch_verify_many([items for _, items in own])
-            for (key, items), ok in zip(own, verdicts):
-                local[key] = ok
-                self.stats["own_batches"] += 1
-                self.stats["pairs_verified"] += len(items)
-                self.conn.send(("verdict", SealVerdict(key[0], key[1], ok)))
-        out = []
-        for key, owner, items in keyed:
-            if owner == self.index:
-                out.append(local[key])
-            else:
-                self.stats["foreign_batches"] += 1
-                out.append(self._await(key))
-        return out
+        """Verdicts for ``[(key, owner, items), ...]``, in order."""
+        slices: dict[int, tuple[list, list]] = {}  # owner -> positions, batches
+        for position, (_, owner, items) in enumerate(keyed):
+            positions, batches = slices.setdefault(owner, ([], []))
+            positions.append(position)
+            batches.append(items)
+        for owner, (_, batches) in slices.items():
+            self._send(owner, batches)
+        verdicts: list = [None] * len(keyed)
+        for owner, (positions, batches) in slices.items():
+            answer = self._recv(owner)
+            if answer is None:
+                self.stats["inline_batches"] += len(batches)
+                answer = schnorr_batch_verify_many(batches)
+            for position, ok in zip(positions, answer):
+                verdicts[position] = ok
+        return verdicts
 
     def verify_one(self, key, owner: int, items: list) -> bool:
         """The non-aggregated path: one batch, same ownership rule."""
         return self.verify_many([(key, owner, items)])[0]
 
-    def _await(self, key: tuple[str, int]) -> bool:
-        self.waiting = True
+    def _send(self, owner: int, batches: list) -> None:
+        # A worker has at most this one request in flight and requests
+        # are a few KB (17 KB at most over a full E16), far below the
+        # socket buffer, so a hung worker cannot block the send: its
+        # stall shows at the reply.
+        if owner in self._workers:
+            try:
+                self._workers[owner][0].send(batches)
+            except OSError:
+                self._lose(owner)
+
+    def _recv(self, owner: int) -> list | None:
+        """The owner's reply, or ``None`` when it has no live worker."""
+        if owner not in self._workers:
+            return None
+        conn = self._workers[owner][0]
         try:
-            while key not in self._foreign:
-                message = self.conn.recv()
-                if message[0] == "verdict":
-                    verdict: SealVerdict = message[1]
-                    self._foreign[(verdict.chain_id, verdict.seq)] = verdict.ok
-        finally:
-            self.waiting = False
-        return self._foreign.pop(key)
+            if conn.poll(_STALL_TIMEOUT):
+                return conn.recv()
+        except (EOFError, OSError):
+            pass
+        self._lose(owner)
+        return None
 
+    def _lose(self, owner: int) -> None:
+        self._stop(owner)
+        self.stats["workers_lost"] += 1
 
-class _LockedConn:
-    """A pipe end whose ``send`` is serialized across threads.
+    def _stop(self, owner: int) -> None:
+        conn, proc = self._workers.pop(owner)
+        conn.close()
+        proc.kill()  # SIGKILL also ends a SIGSTOP-hung worker
+        proc.join()
 
-    The worker's main thread (verdicts, report, done) and its
-    heartbeat daemon share one pipe to the supervisor; ``Connection``
-    sends are not atomic across threads, so both go through one lock.
-    ``recv`` stays main-thread-only and needs no lock.
-    """
-
-    def __init__(self, conn):
-        self._conn = conn
-        self._lock = threading.Lock()
-
-    def send(self, message) -> None:
-        with self._lock:
-            self._conn.send(message)
-
-    def recv(self):
-        return self._conn.recv()
+    def kill_worker(self, worker: int, mode: str) -> None:
+        """``WorkerKill``: SIGKILL (``"kill"``) or SIGSTOP (``"hang"``)."""
+        if worker in self._workers:
+            os.kill(
+                self._workers[worker][1].pid,
+                signal.SIGSTOP if mode == "hang" else signal.SIGKILL,
+            )
 
     def close(self) -> None:
-        self._conn.close()
-
-
-def _heartbeat_loop(conn, index: int, market, verifier, interval: float) -> None:
-    """Beat until the pipe dies: (events processed, blocked-on-barrier)."""
-    while True:
-        try:
-            conn.send((
-                "heartbeat",
-                index,
-                market.simulator.events_processed,
-                verifier.waiting,
-            ))
-        except (BrokenPipeError, OSError):  # worker done or parent gone
-            return
-        time.sleep(interval)
-
-
-def _worker_run(index: int, workload, config, conn, options=None) -> None:
-    """One shard worker: replay the full market, own one verify slice."""
-    options = options or {}
-    try:
-        if index > 0 and config is not None and config.telemetry is not None:
-            # Only worker 0's telemetry ships home; the others skip the
-            # (byte-neutral) tracing work entirely.
-            config = replace(config, telemetry=None)
-        conn = _LockedConn(conn)
-        verifier = _PartitionedVerifier(
-            index,
-            conn,
-            preload=options.get("preload_verdicts"),
-            suppress_worker_faults=options.get("suppress_worker_faults", False),
-        )
-        market = MarketCoordinator(workload, config, verifier=verifier)
-        interval = options.get("heartbeat_interval", 0.0)
-        if interval > 0:
-            threading.Thread(
-                target=_heartbeat_loop,
-                args=(conn, index, market, verifier, interval),
-                name=f"market-heartbeat-{index}",
-                daemon=True,
-            ).start()
-        report = market.run()
-        if index == 0:
-            conn.send(("report", report))
-            if market.telemetry is not None:
-                conn.send((
-                    "telemetry",
-                    Envelope(
-                        sender=shard_endpoint(0),
-                        shard=0,
-                        tick=market.simulator.now,
-                        payload=TelemetrySpan(
-                            kind="run-export",
-                            payload=market.telemetry.export_payload(),
-                        ),
-                    ),
-                ))
-        conn.send(("done", index, report.fingerprint(), market.state_digest()))
-    except BaseException:  # noqa: BLE001 - ship the traceback to the parent
-        import traceback
-
-        try:
-            conn.send(("error", index, traceback.format_exc()))
-        except OSError:  # pragma: no cover - parent already gone
-            pass
-    finally:
-        conn.close()
-
-
-class _WorkerSlot:
-    """The supervisor's bookkeeping for one worker index."""
-
-    def __init__(self, index: int, conn, proc):
-        self.index = index
-        self.conn = conn
-        self.proc = proc
-        self.restarts = 0
-        self.restarted = False
-        self.done = False
-        self.progress = -1
-        self.last_change = time.monotonic()
-        self.waiting = False
+        for owner in list(self._workers):
+            self._stop(owner)
 
 
 class ProcessBackend(ExecutionBackend):
-    """One supervised worker process per shard, verdicts per barrier.
+    """The inline market with its signature checks on a worker pool.
 
-    Every worker replays the same deterministic simulation; the
-    expensive part — seal-batch signature verification, ~90% of a
-    sharded E16's wall-clock — is partitioned by shard ownership and
-    the verdicts relayed through the parent, so M shards put M cores
-    on the verification plane while every byte of every worker's run
-    stays identical (the backend cross-checks all workers'
-    fingerprints before returning).  Falls back to the inline
-    execution (byte-identical by construction) when workers cannot be
-    forked — inside a daemonic pool worker such as ``run_all.py
-    --jobs``, or on platforms without ``fork``.
-
-    **Supervision.**  Workers heartbeat (events processed,
-    blocked-on-barrier) every ``heartbeat_interval`` seconds.  The
-    supervisor detects a killed worker by pipe EOF (exit code 73 =
-    injected kill, anything else = crash) and a hung one by a frozen
-    event counter past ``stall_timeout`` (workers legitimately blocked
-    awaiting a foreign verdict are exempt).  A failed worker is
-    restarted with worker faults suppressed and the full verdict log
-    relayed so far preloaded — passed as process *arguments*, never
-    over the pipe, so a restart can never deadlock on a full pipe —
-    and replays the run from scratch; its final report fingerprint
-    *and* chain-state digest must match its healthy peers
-    (``restarts_verified`` counts the proof).  After ``max_restarts``
-    failures of one slot the backend degrades gracefully: it tears the
-    workers down and runs the whole market inline.  ``stats`` carries
-    the observable accounting (detections, restarts, proofs,
-    heartbeats, degradations); the report itself stays
-    backend-invariant.
+    One :class:`MarketCoordinator` runs in this process — same event
+    heap, same messages, same report as inline — and the expensive
+    part, seal-batch signature verification (~90% of a sharded E16's
+    wall-clock), goes to a :class:`_VerifyPool` of one forked worker
+    per shard through the ``VerifyAggregator.verify_many`` hook.  A
+    merged Schnorr check succeeds iff every batch in it is valid, and
+    its failure path isolates per batch, so per-owner verdicts equal
+    the merged ones and the report is byte-identical to inline.
+    ``stats`` counts lost workers and the batches verified in the
+    parent in their stead.  Falls back to plain inline execution when
+    workers cannot be forked — inside a daemonic pool worker such as
+    ``run_all.py --jobs``, or on platforms without ``fork``.
     """
 
     name = "processes"
 
-    def __init__(self, heartbeat_interval: float = 0.5,
-                 stall_timeout: float = 30.0, max_restarts: int = 2):
-        self.heartbeat_interval = heartbeat_interval
-        self.stall_timeout = stall_timeout
-        self.max_restarts = max_restarts
-        self.stats = {
-            "kills_detected": 0,
-            "hangs_detected": 0,
-            "crashes_detected": 0,
-            "restarts": 0,
-            "restarts_verified": 0,
-            "heartbeats": 0,
-            "degraded": 0,
-        }
+    def __init__(self):
+        self.stats = {"workers_lost": 0, "inline_batches": 0}
 
     @staticmethod
     def _can_fork() -> bool:
@@ -1962,172 +1803,18 @@ class ProcessBackend(ExecutionBackend):
             and not multiprocessing.current_process().daemon
         )
 
-    def _spawn(self, context, index: int, workload, config, options):
-        parent_conn, child_conn = context.Pipe()
-        proc = context.Process(
-            target=_worker_run,
-            args=(index, workload, config, child_conn, options),
-            name=f"market-shard-{index}",
-        )
-        proc.start()
-        child_conn.close()
-        return parent_conn, proc
-
     def execute(self, handle: "MarketHandle") -> MarketReport:
-        workload, config = handle.workload, handle.config
+        market = handle.market
         if not self._can_fork():
-            return MarketCoordinator(workload, config).run()
-        workers = int(getattr(workload, "shards", 1) or 1)
-        context = multiprocessing.get_context("fork")
-        options = {"heartbeat_interval": self.heartbeat_interval}
-        slots: dict[int, _WorkerSlot] = {}
-        for index in range(workers):
-            conn, proc = self._spawn(context, index, workload, config, options)
-            slots[index] = _WorkerSlot(index, conn, proc)
+            return market.run()
+        pool = _VerifyPool(market.shards, self.stats)
+        market.verifier = pool
+        if market.verify_aggregator is not None:
+            market.verify_aggregator.verify_many = pool.verify_many
         try:
-            (report, telemetry_export, fingerprints, digests, errors,
-             degrade) = self._supervise(context, workload, config, slots)
+            return market.run()
         finally:
-            for slot in slots.values():
-                try:
-                    slot.conn.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
-                if slot.proc.is_alive():
-                    slot.proc.terminate()
-                slot.proc.join()
-        if errors:
-            raise MarketError(
-                "market worker failed:\n" + "\n".join(errors)
-            )
-        if degrade:
-            self.stats["degraded"] += 1
-            return MarketCoordinator(workload, config).run()
-        if report is None or len(fingerprints) != workers:
-            raise MarketError(
-                f"market workers exited early: {len(fingerprints)}/{workers} "
-                "fingerprints received"
-            )
-        if len(set(fingerprints.values())) != 1:
-            raise MarketError(
-                f"market workers diverged: fingerprints {sorted(fingerprints.items())}"
-            )
-        if len(set(digests.values())) != 1:
-            raise MarketError(
-                f"market workers diverged: state digests {sorted(digests.items())}"
-            )
-        for slot in slots.values():
-            if slot.restarted:
-                # Digest agreement above is the recovery proof.
-                self.stats["restarts_verified"] += 1
-        if (
-            config is not None
-            and config.telemetry is not None
-            and telemetry_export is not None
-        ):
-            config.telemetry.absorb(telemetry_export.payload.payload)
-        return report
-
-    def _supervise(self, context, workload, config, slots):
-        """Pump the verdict exchange, watching worker health, until done.
-
-        Each ``SealVerdict`` a worker publishes is appended to the
-        verdict log and forwarded to every other running worker;
-        report/telemetry/fingerprint/digest messages are collected.
-        Worker death (EOF) and stalls (frozen heartbeats) trigger a
-        restart with the log preloaded; repeated failure of one slot
-        requests degradation.  A deterministic worker error aborts.
-        """
-        verdict_log: list = []
-        report = None
-        telemetry_export = None
-        fingerprints: dict[int, str] = {}
-        digests: dict[int, str] = {}
-        errors: list[str] = []
-        degrade = False
-
-        def restart(slot: _WorkerSlot, detected: str) -> None:
-            nonlocal degrade
-            self.stats[detected] += 1
-            if slot.proc.is_alive():
-                slot.proc.terminate()
-            slot.proc.join()
-            try:
-                slot.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            if slot.restarts >= self.max_restarts:
-                degrade = True
-                return
-            slot.restarts += 1
-            slot.restarted = True
-            self.stats["restarts"] += 1
-            slot.conn, slot.proc = self._spawn(
-                context, slot.index, workload, config,
-                {
-                    "heartbeat_interval": self.heartbeat_interval,
-                    "suppress_worker_faults": True,
-                    "preload_verdicts": tuple(verdict_log),
-                },
-            )
-            slot.progress = -1
-            slot.waiting = False
-            slot.last_change = time.monotonic()
-
-        while (not degrade and not errors
-               and any(not slot.done for slot in slots.values())):
-            live = {
-                slot.conn: slot for slot in slots.values() if not slot.done
-            }
-            ready = multiprocessing.connection.wait(
-                list(live), timeout=self.heartbeat_interval or 0.05
-            )
-            for conn in ready:
-                slot = live[conn]
-                if slot.conn is not conn:  # replaced by a restart above
-                    continue
-                try:
-                    message = conn.recv()
-                except EOFError:
-                    slot.proc.join()
-                    restart(slot, "kills_detected"
-                            if slot.proc.exitcode == _WORKER_KILL_EXIT
-                            else "crashes_detected")
-                    continue
-                kind = message[0]
-                if kind == "verdict":
-                    verdict_log.append(message[1])
-                    for other in slots.values():
-                        if other is slot or other.done:
-                            continue
-                        try:
-                            other.conn.send(message)
-                        except (BrokenPipeError, OSError):
-                            pass  # death is handled on its own EOF
-                elif kind == "heartbeat":
-                    self.stats["heartbeats"] += 1
-                    slot.waiting = message[3]
-                    if message[2] != slot.progress:
-                        slot.progress = message[2]
-                        slot.last_change = time.monotonic()
-                elif kind == "report":
-                    report = message[1]
-                elif kind == "telemetry":
-                    telemetry_export = message[1]
-                elif kind == "done":
-                    fingerprints[message[1]] = message[2]
-                    digests[message[1]] = message[3]
-                    slot.done = True
-                elif kind == "error":
-                    errors.append(message[2])
-            if self.stall_timeout > 0:
-                now = time.monotonic()
-                for slot in slots.values():
-                    if slot.done or slot.waiting:
-                        continue
-                    if now - slot.last_change > self.stall_timeout:
-                        restart(slot, "hangs_detected")
-        return report, telemetry_export, fingerprints, digests, errors, degrade
+            pool.close()
 
 
 _BACKENDS = {
@@ -2142,23 +1829,15 @@ class MarketHandle:
     The public surface of :func:`open_market`: ``run()`` executes the
     workload once (memoized), ``report()`` returns the same
     :class:`MarketReport`, ``backend`` names the execution backend.
-    With the inline backend the underlying :class:`MarketCoordinator`
-    is built eagerly and exposed as ``.market``, so tests and tools
-    can inject faults or inspect chains before running; the
-    ``processes`` backend owns its coordinators inside the workers and
-    leaves ``.market`` as ``None``.
+    The underlying :class:`MarketCoordinator` is built eagerly and
+    exposed as ``.market`` on every backend, so tests and tools can
+    inject faults or inspect chains before running.
     """
 
     def __init__(self, workload, config: MarketConfig | None,
                  backend: ExecutionBackend):
-        self.workload = workload
-        self.config = config
         self.backend = backend
-        self.market: MarketCoordinator | None = (
-            MarketCoordinator(workload, config)
-            if backend.name == InlineBackend.name
-            else None
-        )
+        self.market = MarketCoordinator(workload, config)
         self._report: MarketReport | None = None
 
     def run(self) -> MarketReport:
@@ -2185,8 +1864,8 @@ def open_market(
         report = open_market(MarketWorkload(profile)).run()
 
     ``backend`` is ``"inline"`` (default: everything in-process),
-    ``"processes"`` (one supervised worker per shard; same bytes, more
-    cores), or an :class:`ExecutionBackend` instance.
+    ``"processes"`` (signature checks on one forked worker per shard;
+    same bytes), or an :class:`ExecutionBackend` instance.
     """
     if isinstance(backend, str):
         try:

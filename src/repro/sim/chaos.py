@@ -30,7 +30,7 @@ class ChaosPolicy:
     the reordering hold (short, so reordered envelopes land behind
     nearby traffic rather than far in the future).  ``per_type`` maps
     payload type *names* to override policies, so one plane can, say,
-    drop telemetry spans aggressively while only delaying votes.
+    drop block receipts aggressively while only delaying votes.
     """
 
     drop_rate: float = 0.0
@@ -75,8 +75,7 @@ class ChaosPlan:
     """One chaos policy per message plane, plus delivery knobs.
 
     ``market`` drives the :class:`~repro.sim.network.ChaosBus` under
-    the shard-runtime ops plane (telemetry spans included — they ride
-    the same bus); ``replication`` parameterizes the
+    the shard-runtime ops plane; ``replication`` parameterizes the
     :class:`~repro.sim.faults.MessageStorm` installed on the delta
     network and switches the replication layer into reliable
     (ack/resend) shipping.  ``ack_timeout``/``backoff_cap`` tune the

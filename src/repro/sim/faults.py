@@ -255,16 +255,15 @@ class MessageStorm:
 class WorkerKill:
     """Kill (or hang) one worker of the ``processes`` backend mid-run.
 
-    Worker level: the fault is scheduled on *every* coordinator's
-    simulator — inline and all SPMD workers alike, so the event heaps
-    stay identical across backends — but it only *acts* in the worker
-    whose index matches, via the host's ``kill_worker``.  ``mode
-    "kill"`` exits the process hard (``os._exit``); ``"hang"`` spins
-    it forever, exercising the supervisor's stall detector instead of
-    its EOF path.  Counters stay zero in the surviving processes (the
-    victim's memory dies with it); the supervisor's ``kills_detected``
-    / ``restarts`` stats carry the observable accounting, keeping the
-    report itself backend-invariant.
+    Worker level: the fault is scheduled on the coordinator's
+    simulator whatever the backend — so the event heap is identical
+    inline and pooled — and acts through the host's ``kill_worker``,
+    which is inert when there is no such worker (every inline run).
+    ``mode "kill"`` SIGKILLs the verify-pool worker; ``"hang"``
+    SIGSTOPs it, exercising the pool's stall timeout instead of its
+    EOF path.  ``kills`` counts firings of the schedule, not deaths,
+    so the report stays backend-invariant; the backend's
+    ``workers_lost`` / ``inline_batches`` stats say what the kill did.
     """
 
     worker: int
@@ -273,12 +272,10 @@ class WorkerKill:
     kills_fired: int = 0
 
     def install_worker(self, host) -> None:
-        """Schedule the (conditional) kill on the host's simulator."""
+        """Schedule the kill on the host's simulator."""
         def fire() -> None:
-            if not host.fires_worker_faults(self.worker):
-                return
             self.kills_fired += 1
-            host.kill_worker(self.mode)
+            host.kill_worker(self.worker, self.mode)
 
         host.simulator.schedule_at(self.at_time, fire, label="fault/worker-kill")
 
@@ -412,9 +409,9 @@ class FaultPlan:
     def install_workers(self, host) -> None:
         """Install every worker-level fault on ``host``.
 
-        The host must expose ``simulator``, ``fires_worker_faults``
-        and ``kill_worker`` (the market coordinator's worker-fault
-        host does).  Other faults are skipped.
+        The host must expose ``simulator`` and ``kill_worker(worker,
+        mode)`` (the market coordinator does).  Other faults are
+        skipped.
         """
         for fault in self.faults:
             if hasattr(fault, "install_worker"):

@@ -49,9 +49,6 @@ class Envelope:
     plane a message belongs to, and a payload-typed consumer can
     ``isinstance`` its way through any plane's traffic.
 
-    Envelopes are plain frozen dataclasses so they pickle across the
-    process boundary of the ``processes`` execution backend unchanged.
-
     ``msg_id`` is the at-least-once delivery tag: a per-(sender,
     recipient) monotonic sequence number stamped by :class:`ChaosBus`.
     ``msg_id == 0`` marks exact-transport traffic (the plain

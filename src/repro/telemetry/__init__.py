@@ -112,49 +112,6 @@ class Telemetry:
         self.meta["end_time"] = now
 
     # ------------------------------------------------------------------
-    # Process-boundary shipping (the market's ``processes`` backend)
-    # ------------------------------------------------------------------
-    def export_payload(self) -> dict:
-        """Everything a worker's run recorded, as picklable state.
-
-        The ``processes`` execution backend attaches a Telemetry only
-        inside worker 0; at quiescence the worker ships this payload
-        back (wrapped in a ``TelemetrySpan`` envelope) and the parent
-        :meth:`absorb`\\ s it into the run's real Telemetry instance.
-        Tracer, metrics and tap are plain containers of plain data, so
-        the export is the objects themselves — no re-encoding.
-        """
-        return {
-            "tracer": self.tracer,
-            "metrics": self.metrics,
-            "tap": self.tap,
-            "meta": self.meta,
-            "root": self._root,
-            "phase": self._phase,
-            "phases_seen": self._phases_seen,
-            "trace_key": self._trace_key,
-        }
-
-    def absorb(self, payload: dict) -> None:
-        """Adopt a worker run's exported state as this instance's own."""
-        if self._attached:
-            raise RuntimeError(
-                "a Telemetry instance records exactly one run; "
-                "cannot absorb a worker export into an attached instance"
-            )
-        self._attached = True
-        self.tracer = payload["tracer"]
-        self.metrics = payload["metrics"]
-        self.tap = payload["tap"]
-        self.meta = payload["meta"]
-        self._root = payload["root"]
-        self._phase = payload["phase"]
-        self._phases_seen = payload["phases_seen"]
-        self._trace_key = payload["trace_key"]
-        end = self.meta.get("end_time", 0.0)
-        self._now = lambda: end
-
-    # ------------------------------------------------------------------
     # Deal lifecycle (scheduler + protocol drivers)
     # ------------------------------------------------------------------
     def deal_admitted(self, run, at: float) -> None:

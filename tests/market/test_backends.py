@@ -1,14 +1,14 @@
 """Backend equivalence: ``processes`` is byte-identical to ``inline``.
 
 The contract of :func:`repro.market.open_market` is that the execution
-backend is invisible in the results: one worker process per shard (the
-SPMD replay with partitioned seal verification) must produce the same
-report bytes and the same fingerprint as the single-process run, for
-any market the inline backend can run.  These tests sweep the matrix
-the ISSUE names — shards {1, 2, 4} x protocol mix x replication factor
-{1, 3} x a seeded crash schedule — plus the facade's edge cases
-(unknown backend names, handle memoization) and the supervisor's
-recovery paths (injected worker kills and hangs, degradation).
+backend is invisible in the results: the one coordinator with its
+signature checks on a pool of one worker process per shard must
+produce the same report bytes and the same fingerprint as the
+single-process run, for any market the inline backend can run.  These
+tests sweep the matrix the ISSUE names — shards {1, 2, 4} x protocol
+mix x replication factor {1, 3} x a seeded crash schedule — plus the
+facade's edge cases (unknown backend names, handle memoization) and
+the pool's worker-loss paths (injected worker kills and hangs).
 """
 
 import multiprocessing
@@ -21,11 +21,13 @@ from repro.market import (
     MarketConfig,
     MarketCoordinator,
     open_market,
+    runtime,
 )
 from repro.market.runtime import ProcessBackend
 from repro.sim.faults import FaultPlan, ReplicaCrash, WorkerKill
 from repro.sim.network import DropMessage, Envelope, LocalBus
 from repro.sim.simulator import Simulator
+from repro.telemetry import Telemetry
 from repro.workloads.market import MarketProfile, MarketWorkload
 
 PROTOCOL_MIX = (("unanimity", 1.0), ("timelock", 1.0), ("cbc", 1.0))
@@ -79,7 +81,8 @@ def test_processes_backend_matches_inline(shards, replication, crash):
         workload, _config(replication, crash), backend="processes"
     )
     assert procs_handle.backend.name == "processes"
-    assert procs_handle.market is None  # workers own their coordinators
+    # One coordinator, in this process, on either backend.
+    assert isinstance(procs_handle.market, MarketCoordinator)
     procs = procs_handle.run()
 
     assert procs.fingerprint() == inline.fingerprint()
@@ -111,73 +114,48 @@ def test_deal_scheduler_shim_is_gone():
 
 
 # ----------------------------------------------------------------------
-# Supervisor recovery: kills, hangs, graceful degradation (PR 9)
+# Verify-pool worker loss: kills and hangs
 # ----------------------------------------------------------------------
-def _kill_config(mode: str = "kill") -> MarketConfig:
-    # Fresh plan per run: fault counters are mutated where the fault
-    # fires, and forked workers inherit whatever the parent's plan
-    # already recorded.
+def _kill_config(mode: str) -> MarketConfig:
+    # Fresh plan per run: the fault counts its firings.
     plan = FaultPlan().add(WorkerKill(worker=1, at_time=8.0, mode=mode))
     return MarketConfig(fault_plan=plan)
 
 
 @needs_fork
-def test_supervisor_recovers_killed_worker_and_matches_inline():
-    inline = open_market(MarketWorkload(_profile(2)), _kill_config()).run()
-    # Inline: the kill is scheduled but never acts (no worker index),
-    # so the baseline is the clean run.
+@pytest.mark.parametrize("mode", ["kill", "hang"])
+def test_pool_survives_lost_worker_and_matches_inline(mode, monkeypatch):
+    # A SIGSTOPped worker never closes its pipe: only the stall
+    # timeout can catch it, so shrink it from its 30 s.
+    monkeypatch.setattr(runtime, "_STALL_TIMEOUT", 0.6)
+    # Inline the kill is scheduled but has no worker to act on, so the
+    # baseline is the clean run.
+    inline = open_market(MarketWorkload(_profile(2)), _kill_config(mode)).run()
     assert not inline.invariant_violations
 
-    backend = ProcessBackend(heartbeat_interval=0.1, stall_timeout=60.0)
+    backend = ProcessBackend()
     procs = open_market(
-        MarketWorkload(_profile(2)), _kill_config(), backend=backend
+        MarketWorkload(_profile(2)), _kill_config(mode), backend=backend
     ).run()
-    assert backend.stats["kills_detected"] == 1
-    assert backend.stats["restarts"] == 1
-    assert backend.stats["restarts_verified"] == 1
-    assert backend.stats["degraded"] == 0
-    # The restarted worker replayed from scratch (faults suppressed,
-    # verdict log preloaded) and proved itself: same bytes as inline.
+    # The parent never lost state: the dead worker's batches — the one
+    # in flight included — were verified here instead.
+    assert backend.stats["workers_lost"] == 1
+    assert backend.stats["inline_batches"] > 0
     assert procs.fingerprint() == inline.fingerprint()
     assert procs.render() == inline.render()
 
 
 @needs_fork
-def test_supervisor_detects_hung_worker_by_frozen_heartbeats():
-    inline = open_market(MarketWorkload(_profile(2)), _kill_config("hang")).run()
+def test_processes_backend_records_telemetry_in_the_parent():
+    def traced_spans(backend: str) -> int:
+        telemetry = Telemetry()
+        open_market(
+            MarketWorkload(_profile(2)), MarketConfig(telemetry=telemetry),
+            backend=backend,
+        ).run()
+        return sum(1 for span in telemetry.tracer.spans if span.name == "deal")
 
-    backend = ProcessBackend(heartbeat_interval=0.05, stall_timeout=0.6)
-    procs = open_market(
-        MarketWorkload(_profile(2)), _kill_config("hang"), backend=backend
-    ).run()
-    # A hung worker never closes its pipe: only the stall detector
-    # (event counter frozen past stall_timeout) can catch it.
-    assert backend.stats["hangs_detected"] == 1
-    assert backend.stats["kills_detected"] == 0
-    assert backend.stats["restarts"] == 1
-    assert backend.stats["restarts_verified"] == 1
-    assert backend.stats["heartbeats"] > 0
-    assert procs.fingerprint() == inline.fingerprint()
-    assert procs.render() == inline.render()
-
-
-@needs_fork
-def test_supervisor_degrades_to_inline_after_repeated_failures():
-    inline = open_market(MarketWorkload(_profile(2)), _kill_config()).run()
-
-    backend = ProcessBackend(heartbeat_interval=0.1, stall_timeout=60.0,
-                             max_restarts=0)
-    procs = open_market(
-        MarketWorkload(_profile(2)), _kill_config(), backend=backend
-    ).run()
-    # max_restarts=0: the first detected kill exhausts the budget, the
-    # backend tears the workers down and the whole market runs inline
-    # in the parent — same bytes, one core.
-    assert backend.stats["kills_detected"] == 1
-    assert backend.stats["restarts"] == 0
-    assert backend.stats["degraded"] == 1
-    assert procs.fingerprint() == inline.fingerprint()
-    assert procs.render() == inline.render()
+    assert traced_spans("processes") == traced_spans("inline") == 40
 
 
 # ----------------------------------------------------------------------

@@ -200,3 +200,19 @@ def test_delta_replay_heals_gaps_from_the_group_log():
     # Replaying the entire stream afterwards is pure no-op.
     for seq, delta in enumerate(log, start=1):
         assert group.apply_delta(replica, chain_id, seq, delta) == "duplicate"
+
+
+def test_unreachable_followers_exhaust_resends_loudly():
+    # Every delta and every resend dropped: the leader gives up on
+    # each chain's last watched shipment at the resend limit and says
+    # so; finish()'s anti-entropy still converges the followers.
+    plan = ChaosPlan(replication=ChaosPolicy(drop_rate=1.0))
+    _, report = _run(
+        MarketProfile.sharded_smoke(seed=29), chaos=plan, replication_factor=2
+    )
+    stats = dict(report.replication_stats)
+    assert stats["acks_received"] == 0
+    assert stats["deltas_abandoned"] == 4  # one per chain
+    assert stats["deltas_resent"] >= 6 * stats["deltas_abandoned"]
+    assert stats["deltas_replayed"] == stats["deltas_logged"]
+    assert report.invariant_violations == ()

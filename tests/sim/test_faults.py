@@ -282,59 +282,57 @@ def test_message_storm_schedule_is_seed_deterministic():
 
 
 # ----------------------------------------------------------------------
-# WorkerKill: supervised-backend faults (PR 9)
+# WorkerKill: verify-pool worker faults
 # ----------------------------------------------------------------------
 class _FakeWorkerHost:
-    """Minimal install_workers host: records (conditional) kills."""
+    """Minimal install_workers host: records kills of workers it has."""
 
-    def __init__(self, simulator, worker=None):
+    def __init__(self, simulator, workers=0):
         self.simulator = simulator
-        self.worker = worker  # None models the inline coordinator
+        self.workers = workers  # 0 models the inline coordinator
         self.kills = []
 
-    def fires_worker_faults(self, worker):
-        return self.worker is not None and self.worker == worker
-
-    def kill_worker(self, mode):
-        self.kills.append((mode, self.simulator.now))
+    def kill_worker(self, worker, mode):
+        if worker < self.workers:
+            self.kills.append((worker, mode, self.simulator.now))
 
 
 def test_worker_kill_fires_only_in_the_matching_worker():
     from repro.sim.faults import FaultPlan, WorkerKill
 
     sim = Simulator()
-    inline = _FakeWorkerHost(sim, worker=None)
-    wrong = _FakeWorkerHost(sim, worker=0)
-    victim = _FakeWorkerHost(sim, worker=1)
+    inline = _FakeWorkerHost(sim, workers=0)
+    small = _FakeWorkerHost(sim, workers=1)
+    pooled = _FakeWorkerHost(sim, workers=2)
     fault = WorkerKill(worker=1, at_time=5.0)
     plan = FaultPlan().add(fault)
-    for host in (inline, wrong, victim):
+    for host in (inline, small, pooled):
         plan.install_workers(host)
     sim.run()
-    # The fault is scheduled on *every* simulator (identical event
-    # heaps across backends) but acts only where the index matches.
+    # The fault is scheduled on every host (identical event heaps
+    # across backends) but acts only where worker 1 exists.
     assert inline.kills == []
-    assert wrong.kills == []
-    assert victim.kills == [("kill", 5.0)]
-    assert fault.kills_fired == 1
-    assert fault.counters() == {"kills": 1}
+    assert small.kills == []
+    assert pooled.kills == [(1, "kill", 5.0)]
+    # ``kills`` counts firings of the schedule, host by host.
+    assert fault.counters() == {"kills": 3}
 
 
 def test_worker_kill_hang_mode_passes_through():
     from repro.sim.faults import WorkerKill
 
     sim = Simulator()
-    host = _FakeWorkerHost(sim, worker=0)
+    host = _FakeWorkerHost(sim, workers=1)
     WorkerKill(worker=0, at_time=3.0, mode="hang").install_worker(host)
     sim.run()
-    assert host.kills == [("hang", 3.0)]
+    assert host.kills == [(0, "hang", 3.0)]
 
 
 def test_fault_plan_stats_name_storm_and_worker_targets():
     from repro.sim.faults import FaultPlan, MessageStorm, WorkerKill
 
     sim, net = make_net()
-    host = _FakeWorkerHost(sim, worker=2)
+    host = _FakeWorkerHost(sim, workers=3)
     plan = FaultPlan()
     plan.add(MessageStorm(drop_rate=0.5, seed=1))
     plan.add(MessageStorm(drop_rate=1.0, endpoint="s0/r1"))
