@@ -1,21 +1,25 @@
 """E18 — chaos sweep: the market under hostile message planes.
 
-PR 9 hardens every message plane against seeded chaos: the ops bus
+Every message plane is hardened against seeded chaos: the ops bus
 becomes a :class:`~repro.sim.network.ChaosBus` (drop / duplicate /
 delay / reorder per transmission, plus at-least-once ack/resend
-delivery with per-sender dedup windows), the replication delta network
-rides a :class:`~repro.sim.faults.MessageStorm` with reliable
-shipping, and the ``processes`` backend's verify pool survives losing
-a worker (its batches are verified in the parent instead).  E18
-measures what that hardening buys:
+delivery with duplicates suppressed in the transport), the replication
+delta network rides a :class:`~repro.sim.faults.MessageStorm` with
+acknowledged shipping — both planes on the one
+:class:`~repro.sim.network.Retransmitter` and the one
+:meth:`~repro.sim.chaos.ChaosPolicy.roll` — and the ``processes``
+backend's verify pool survives losing a worker (its batches are
+verified in the parent instead).  E18 measures what that hardening
+buys:
 
 * a **chaos sweep** over fault intensity × replication factor: for
   each point a seeded :class:`~repro.sim.chaos.ChaosPlan` (all four
   hazards at the intensity, both planes) runs against the sharded
   market and the table reports committed deals, abort rate, commit
   latency, availability, the chaos counters (drops / dups / reorders
-  actually fired), at-least-once resends, suppressed duplicates, and
-  invariant violations;
+  actually fired), at-least-once resends on the bus, suppressed
+  duplicates, delta shipments resent and abandoned on the replication
+  plane, and invariant violations;
 * a **chaos conformance gate**: at intensity >= 10% with replication
   factor 3, a seeded crash/recover schedule *and* a mid-deal
   ``WorkerKill`` on the ``processes`` backend, the market must still
@@ -124,6 +128,7 @@ def chaos_point(point: tuple[float, int], profile: MarketProfile) -> dict:
     )
     report = open_market(MarketWorkload(profile), config).run()
     bus = dict(report.bus_stats)
+    replication = dict(report.replication_stats)
     return {
         "intensity": intensity,
         "factor": factor,
@@ -138,6 +143,8 @@ def chaos_point(point: tuple[float, int], profile: MarketProfile) -> dict:
         "chaos_reordered": bus.get("chaos_reordered", 0),
         "resends": bus.get("resends", 0),
         "dup_suppressed": bus.get("dup_suppressed", 0),
+        "deltas_resent": replication.get("deltas_resent", 0),
+        "deltas_abandoned": replication.get("deltas_abandoned", 0),
         "violations": len(report.invariant_violations),
     }
 
@@ -173,6 +180,8 @@ def chaos_table(jobs: int | None = None, quick: bool = False) -> str:
             r["chaos_reordered"],
             r["resends"],
             r["dup_suppressed"],
+            r["deltas_resent"],
+            r["deltas_abandoned"],
             r["violations"],
         ]
         for r in records
@@ -180,7 +189,7 @@ def chaos_table(jobs: int | None = None, quick: bool = False) -> str:
     return render_table(
         ["chaos", "r", "committed", "abort rate", "p50", "p99",
          "availability", "dropped", "duped", "reordered", "resends",
-         "suppressed", "violations"],
+         "suppressed", "deltas resent", "deltas abandoned", "violations"],
         rows,
         title=f"E18 — chaos sweep ({profile.deals} deals, "
               f"{profile.shards} shards, fault intensity × replication)",
@@ -290,6 +299,7 @@ def gate_table(
         report, backend = gate_run(quick=quick)
     failures = check_gate(report, backend, quick=quick)
     bus = dict(report.bus_stats)
+    replication = dict(report.replication_stats)
     pool = backend.stats if backend is not None else {}
     rows = [
         ["deals committed", report.committed],
@@ -299,6 +309,8 @@ def gate_table(
         ["chaos msgs reordered", bus.get("chaos_reordered", 0)],
         ["at-least-once resends", bus.get("resends", 0)],
         ["duplicates suppressed", bus.get("dup_suppressed", 0)],
+        ["delta shipments resent", replication.get("deltas_resent", 0)],
+        ["delta shipments abandoned", replication.get("deltas_abandoned", 0)],
         ["replica crashes injected", report.faults_injected],
         ["failovers", report.failovers],
         ["recoveries", report.recoveries],

@@ -34,17 +34,14 @@ names one protocol edge:
   bus, but share the Envelope wrapper so network fault stats cover
   them uniformly).
 
-**At-least-once delivery.**  Under a chaotic bus
-(:class:`~repro.sim.network.ChaosBus`) every envelope carries a
-per-(sender, recipient) monotonic ``msg_id`` (a sender sequence
-number), the transport acks each delivery with a
-:class:`~repro.sim.network.BusAck`, and unacked envelopes are resent
-on a capped exponential backoff.  At-least-once means handlers *will*
-see duplicates; each handler guards itself with a
-:class:`DedupWindow`, which suppresses any (sender, msg_id) it has
-already admitted — making replayed, duplicated, and reordered
-delivery indistinguishable from exact delivery at the state level.
-``msg_id == 0`` (the plain bus) bypasses the window entirely.
+**At-least-once delivery** is the transport's job, not the payloads':
+under a chaotic bus (:class:`~repro.sim.network.ChaosBus`) every
+envelope carries a per-(sender, recipient) ``msg_id``, is resent until
+a :class:`~repro.sim.network.BusAck` comes back, and is handed to its
+recipient exactly once.  Delta shipments use the same
+:class:`~repro.sim.network.Retransmitter`, with :class:`DeltaAck` as
+the acknowledgement and the follower's sequence-gated apply as the
+duplicate filter.  ``msg_id == 0`` (the plain bus) is exact transport.
 
 Every type is a frozen dataclass; nothing here imports the runtime,
 so the vocabulary is dependency-free.
@@ -59,7 +56,6 @@ from repro.sim.network import BusAck, Envelope
 __all__ = [
     "Envelope",
     "BusAck",
-    "DedupWindow",
     "SubmitOrder",
     "CrossShardEscrowOp",
     "VoteFanout",
@@ -69,57 +65,6 @@ __all__ = [
     "DeltaShipment",
     "DeltaAck",
 ]
-
-
-class DedupWindow:
-    """Suppress duplicate reliable envelopes at one endpoint.
-
-    Tracks, per sender, a contiguous *floor* (every ``msg_id`` at or
-    below it has been admitted) plus the sparse set of admitted ids
-    above it.  Because :class:`~repro.sim.network.ChaosBus` stamps
-    ``msg_id`` per (sender, recipient) pair, the ids arriving at one
-    endpoint from one sender are gap-free once delivery settles, so
-    the floor advances and the set stays small.  A *permanently*
-    missing low id (possible only if the transport gave up resending —
-    the ChaosBus never does) would pin the floor below the gap and let
-    ``_seen`` grow with one entry per later id until the gap fills;
-    that growth is bounded by the sender's in-flight window under
-    at-least-once delivery, and the regression tests document the
-    stuck-floor behaviour explicitly.  ``stats`` (optional)
-    is a counter dict whose ``"dup_suppressed"`` key is bumped on
-    every suppression — the market passes the bus's own stats dict so
-    suppression shows up next to the chaos counters.
-    """
-
-    def __init__(self, stats: dict | None = None):
-        self._floor: dict[str, int] = {}
-        self._seen: dict[str, set[int]] = {}
-        self._stats = stats
-
-    def duplicate(self, envelope: Envelope) -> bool:
-        """Admit ``envelope`` once; True if it was already admitted."""
-        msg_id = envelope.msg_id
-        if not msg_id:
-            return False
-        sender = envelope.sender
-        floor = self._floor.get(sender, 0)
-        seen = self._seen.setdefault(sender, set())
-        if msg_id <= floor or msg_id in seen:
-            if self._stats is not None:
-                # ``.get``: only the ChaosBus pre-seeds this key, but a
-                # window can sit over a plain LocalBus (whose stats
-                # dict has no chaos keys) and still see a nonzero
-                # msg_id — e.g. replayed or test-injected envelopes.
-                self._stats["dup_suppressed"] = (
-                    self._stats.get("dup_suppressed", 0) + 1
-                )
-            return True
-        seen.add(msg_id)
-        while floor + 1 in seen:
-            floor += 1
-            seen.discard(floor)
-        self._floor[sender] = floor
-        return False
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,8 @@ from dataclasses import dataclass, field
 
 from repro.chain.ledger import Chain, StateDelta, digest_state
 from repro.market.messages import DeltaAck, DeltaShipment
-from repro.sim.network import Envelope, SynchronousNetwork
+from repro.sim.faults import MessageStorm
+from repro.sim.network import Envelope, Retransmitter, SynchronousNetwork
 from repro.sim.rng import DeterministicRng
 
 # Resends of one watched shipment before the leader gives up on it
@@ -113,8 +114,6 @@ class ShardReplicaGroup:
     election_pending: bool = False
     down_since: float | None = None
     downtime: float = 0.0
-    # follower name -> {chain_id: highest acked seq} (leader's view).
-    acked: dict[str, dict[str, int]] = field(default_factory=dict)
     # Backref to the owning ReplicationLayer (set at construction).
     layer: object | None = None
 
@@ -158,9 +157,7 @@ class ReplicationLayer:
         factor: int,
         delta: float = 0.4,
         failover_timeout: float = 2.0,
-        reliable: bool = False,
-        ack_timeout: float = 2.0,
-        backoff_cap: float = 16.0,
+        chaos=None,
     ):
         if factor < 1:
             raise ValueError("replication factor must be >= 1")
@@ -168,16 +165,6 @@ class ReplicationLayer:
         self.simulator = scheduler.simulator
         self.factor = factor
         self.failover_timeout = failover_timeout
-        # Reliable shipping (chaos runs only): the leader watches its
-        # highest shipped seq per (follower, chain) and resends on a
-        # capped exponential backoff until acked.  Off by default — the
-        # watch timers are simulator events, and a chaos-free run must
-        # schedule nothing beyond the PR 6 baseline.
-        self.reliable = reliable
-        self.ack_timeout = ack_timeout
-        self.backoff_cap = backoff_cap
-        # (follower name, chain_id) -> [watched seq, attempt, timer]
-        self._ship_watch: dict[tuple[str, str], list] = {}
         # Telemetry hook: crash/recover/failover spans and delta-ship
         # events ride the run's tracer.  Observational only.
         self.telemetry = getattr(scheduler, "telemetry", None)
@@ -188,6 +175,27 @@ class ReplicationLayer:
             delta,
             rng=DeterministicRng(f"market-replication/{scheduler.workload.seed}"),
         )
+        # Acknowledged shipping (an active replication chaos policy
+        # only): the policy storms the delta network, and the leader
+        # resends its highest shipped seq per (follower, chain) until
+        # acked or out of patience.  The first timeout is never shorter
+        # than the network's round trip, so an ack merely in flight
+        # triggers no resend.  Absent by default — the timers are
+        # simulator events, and a chaos-free run must schedule none.
+        self.resender: Retransmitter | None = None
+        # (follower name, chain_id) -> highest seq shipped to it
+        self._shipped: dict[tuple[str, str], int] = {}
+        if chaos is not None and chaos.replication_active:
+            self.resender = Retransmitter(
+                self.simulator,
+                max(chaos.ack_timeout, 2 * self.network.delta),
+                chaos.backoff_cap,
+                limit=_RESEND_LIMIT,
+            )
+            MessageStorm(
+                policy=chaos.replication,
+                seed=f"{scheduler.workload.seed}/{chaos.seed}",
+            ).install(self.network)
         self.groups: dict[int, ShardReplicaGroup] = {}
         self.replicas: dict[str, Replica] = {}
         self.violations: list[str] = []
@@ -206,9 +214,8 @@ class ReplicationLayer:
             "hash_mismatches": 0,
             "dropped_while_dead": 0,
         }
-        if reliable:
+        if self.resender is not None:
             self.counters["deltas_resent"] = 0
-            self.counters["deltas_abandoned"] = 0
 
         shard_chains: dict[int, list[str]] = {}
         for chain_id, shard in scheduler.chain_shard.items():
@@ -266,97 +273,67 @@ class ReplicationLayer:
             for replica in group.replicas:
                 if replica is leader or not replica.alive:
                     continue
-                # Delta shipments ride the same typed Envelope as every
-                # other market plane (sim.network.Envelope), so the
-                # network's filter/drop/delay stats and the fault
-                # injectors treat them uniformly.
-                self.network.send(
-                    leader.name,
-                    replica.name,
-                    Envelope(
-                        sender=leader.name,
-                        shard=shard,
-                        tick=self.simulator.now,
-                        payload=DeltaShipment(
-                            chain_id=chain.chain_id, seq=seq, delta=delta
-                        ),
-                    ),
-                )
+                self._ship(group, replica.name, chain.chain_id, seq)
                 self.counters["deltas_shipped"] += 1
                 if self.telemetry is not None:
                     self.telemetry.delta_shipped(shard, chain.chain_id, seq)
-                if self.reliable:
-                    self._watch_shipment(group, replica.name, chain.chain_id, seq)
         # With no live leader nothing ships: followers heal from the
         # group log at failover/recovery time (anti-entropy).
 
-    # ------------------------------------------------------------------
-    # Reliable shipping (chaos runs): watch, resend, back off
-    # ------------------------------------------------------------------
-    def _watch_shipment(
-        self, group: ShardReplicaGroup, follower: str, chain_id: str, seq: int
-    ) -> None:
-        """Watch the highest shipped seq to one follower until acked.
+    def _send(self, sender: str, recipient: str, payload) -> None:
+        """Put one replication message on the delta network.
 
-        A newer shipment supersedes the watch (the follower's gap-heal
-        replays anything older from the log, so only the newest seq
-        needs the resend guarantee).
+        Shipments and acks ride the same typed Envelope as every other
+        market plane (sim.network.Envelope), so the network's
+        filter/drop/delay stats and the fault injectors treat them
+        uniformly.
         """
-        key = (follower, chain_id)
-        watch = self._ship_watch.get(key)
-        if watch is not None and watch[2] is not None:
-            watch[2].cancel()
-        entry = [seq, 0, None]
-        self._ship_watch[key] = entry
-        entry[2] = self.simulator.schedule(
-            self.ack_timeout,
-            lambda: self._check_shipment(group, key),
-            label=f"replication/resend-{follower}",
-        )
-
-    def _check_shipment(
-        self, group: ShardReplicaGroup, key: tuple[str, str]
-    ) -> None:
-        entry = self._ship_watch.get(key)
-        if entry is None:
-            return
-        follower, chain_id = key
-        seq, attempt, _ = entry
-        replica = self.replicas.get(follower)
-        acked = group.acked.get(follower, {}).get(chain_id, 0)
-        if (
-            acked >= seq
-            or replica is None
-            or not replica.alive
-            or group.leader is None
-        ):
-            # Satisfied, or moot (dead follower / leaderless shard).
-            self._ship_watch.pop(key, None)
-            return
-        if attempt >= _RESEND_LIMIT:
-            # Out of patience — finish()'s anti-entropy backstops.
-            self.counters["deltas_abandoned"] += 1
-            self._ship_watch.pop(key, None)
-            return
-        leader = group.leader_replica()
-        delta = group.logs[chain_id][seq - 1]
         self.network.send(
-            leader.name,
-            follower,
+            sender,
+            recipient,
             Envelope(
-                sender=leader.name,
-                shard=group.shard,
+                sender=sender,
+                shard=self.replicas[sender].shard,
                 tick=self.simulator.now,
-                payload=DeltaShipment(chain_id=chain_id, seq=seq, delta=delta),
+                payload=payload,
             ),
         )
-        self.counters["deltas_resent"] += 1
-        entry[1] = attempt + 1
-        entry[2] = self.simulator.schedule(
-            min(self.ack_timeout * (2.0 ** entry[1]), self.backoff_cap),
-            lambda: self._check_shipment(group, key),
-            label=f"replication/resend-{follower}",
-        )
+
+    def _ship(
+        self, group: ShardReplicaGroup, follower: str, chain_id: str, seq: int
+    ) -> None:
+        """Ship delta ``seq`` to one follower — until acked, under chaos.
+
+        A newer shipment supersedes the resend guarantee of an older
+        one (the follower's gap-heal replays anything older from the
+        log, so only the newest seq needs it).
+        """
+        key = (follower, chain_id)
+        self._shipped[key] = seq
+
+        def transmit(attempt: int) -> None:
+            leader = group.leader_replica()
+            if attempt:
+                replica = self.replicas[follower]
+                if leader is None or leader is replica or not replica.alive:
+                    # Moot: leaderless shard, dead follower, or the
+                    # follower now leads (failover caught it up).
+                    self.resender.ack(key)
+                    return
+                self.counters["deltas_resent"] += 1
+            self._send(
+                leader.name,
+                follower,
+                DeltaShipment(
+                    chain_id=chain_id, seq=seq, delta=group.logs[chain_id][seq - 1]
+                ),
+            )
+
+        if self.resender is None:
+            transmit(0)
+        else:
+            # Abandoned at the limit, finish()'s anti-entropy backstops.
+            self.resender.send(key, transmit, f"replication/resend-{follower}")
 
     def _apply_to(
         self, replica: Replica, chain_id: str, seq: int, delta: StateDelta
@@ -414,43 +391,30 @@ class ReplicationLayer:
         payload = message.payload
         if isinstance(payload, Envelope):
             payload = payload.payload
-        if isinstance(payload, DeltaAck):
-            group = self.groups[replica.shard]
-            high = group.acked.setdefault(payload.follower, {})
-            high[payload.chain_id] = max(
-                high.get(payload.chain_id, 0), payload.seq
-            )
-            self.counters["acks_received"] += 1
-            if self.reliable:
-                key = (payload.follower, payload.chain_id)
-                watch = self._ship_watch.get(key)
-                if watch is not None and payload.seq >= watch[0]:
-                    if watch[2] is not None:
-                        watch[2].cancel()
-                    self._ship_watch.pop(key, None)
-            return
-        chain_id, seq, delta = payload.chain_id, payload.seq, payload.delta
         if not replica.alive:
-            # A shipment racing a crash: the dead process sees nothing.
+            # A shipment or ack racing a crash: the dead process sees
+            # nothing.
             self.counters["dropped_while_dead"] += 1
             return
-        self._apply_shipment(replica, chain_id, seq, delta)
+        if isinstance(payload, DeltaAck):
+            self.counters["acks_received"] += 1
+            key = (payload.follower, payload.chain_id)
+            if self.resender is not None and payload.seq >= self._shipped[key]:
+                self.resender.ack(key)
+            return
+        chain_id = payload.chain_id
+        self._apply_shipment(replica, chain_id, payload.seq, payload.delta)
         # Acknowledge on simulated time so the leader's view of
         # replication lag is an observable quantity.
         target = self.groups[replica.shard].leader
         if target is not None and target != replica.name:
-            self.network.send(
+            self._send(
                 replica.name,
                 target,
-                Envelope(
-                    sender=replica.name,
-                    shard=replica.shard,
-                    tick=self.simulator.now,
-                    payload=DeltaAck(
-                        follower=replica.name,
-                        chain_id=chain_id,
-                        seq=replica.applied.get(chain_id, 0),
-                    ),
+                DeltaAck(
+                    follower=replica.name,
+                    chain_id=chain_id,
+                    seq=replica.applied.get(chain_id, 0),
                 ),
             )
 
@@ -626,4 +590,6 @@ class ReplicationLayer:
         """The layer's counters (deterministic simulation quantities)."""
         stats = dict(self.counters)
         stats["replication_factor"] = self.factor
+        if self.resender is not None:
+            stats["deltas_abandoned"] = self.resender.abandoned
         return stats

@@ -31,14 +31,14 @@ Messages are exchanged on simulated time over a synchronous bus: all
 messages for tick *t* are delivered before any runtime advances past
 *t*, on either backend.
 
-**Chaos hardening.**  With a :class:`~repro.sim.chaos.ChaosPlan` in
-the config the bus becomes a :class:`~repro.sim.network.ChaosBus`
-(seeded drop/duplicate/delay/reorder plus ack/resend at-least-once
-delivery), every handler below guards itself with a
-:class:`~repro.market.messages.DedupWindow`, and the replication layer
-ships deltas reliably under a :class:`~repro.sim.faults.MessageStorm`.
-Chaos off constructs the plain bus and schedules nothing extra, so
-default runs stay byte-identical.
+**Chaos hardening.**  A :class:`~repro.sim.chaos.ChaosPlan` in the
+config is handed whole to the two message planes: the bus becomes a
+:class:`~repro.sim.network.ChaosBus`, the replication layer storms its
+delta network, and both heal losses with the one
+:class:`~repro.sim.network.Retransmitter`.  Exactly-once is the
+transport's job — no handler below ever sees a duplicate.  Chaos off
+constructs the plain bus and schedules nothing extra, so default runs
+stay byte-identical.
 
 The public entry point is :func:`repro.market.open_market`.
 """
@@ -81,7 +81,6 @@ from repro.market.messages import (
     BlockReceipts,
     CrossShardEscrowOp,
     DealDecided,
-    DedupWindow,
     Envelope,
     SealBatch,
     SubmitOrder,
@@ -90,7 +89,6 @@ from repro.market.messages import (
 from repro.market.order import SignedDealOrder, shard_of_deal
 from repro.market.protocols import CbcDealDriver, DealDriver, TimelockDealDriver
 from repro.market.replication import ReplicationLayer
-from repro.sim.faults import MessageStorm
 from repro.sim.network import ChaosBus, LocalBus
 from repro.sim.simulator import Simulator
 
@@ -217,8 +215,8 @@ class MarketConfig:
     # A repro.sim.chaos.ChaosPlan, or None.  An active market policy
     # swaps the plain LocalBus for a ChaosBus (seeded chaos +
     # at-least-once delivery); an active replication policy storms the
-    # delta network and switches the layer to reliable shipping.  None
-    # (or an all-zero plan) constructs the exact chaos-free objects.
+    # delta network and makes delta shipping acknowledged.  None (or
+    # an all-zero plan) constructs the exact chaos-free objects.
     chaos: object | None = None
     # Block-space economics (repro.market.fees): how every mempool
     # sells its block slots.  "fifo" keeps the historical drain with
@@ -523,7 +521,6 @@ class VerifyService:
         self.market = market
         self._seq: dict[str, int] = {}
         self._settles: dict[tuple[str, int], object] = {}
-        self._dedup = DedupWindow(stats=market.bus.stats)
         market.bus.register(VERIFY_ENDPOINT, self._on_envelope)
 
     def submit(self, chain_id: str, items: list, settle) -> None:
@@ -541,8 +538,6 @@ class VerifyService:
         )
 
     def _on_envelope(self, envelope: Envelope) -> None:
-        if self._dedup.duplicate(envelope):
-            return
         batch: SealBatch = envelope.payload
         key = (batch.chain_id, batch.seq)
         settle = self._settles.pop(key, None)
@@ -586,7 +581,6 @@ class ShardRuntime:
         self.commit_log: MarketCommitLog | None = None
         self.cbc: CertifiedBlockchain | None = None
         self.replica_group = None  # set by the ReplicationLayer
-        self.dedup = DedupWindow(stats=market.bus.stats)
 
     # ------------------------------------------------------------------
     # Construction (driven by the coordinator, in global chain order so
@@ -677,8 +671,6 @@ class ShardRuntime:
 
     def handle(self, envelope: Envelope) -> None:
         """Dispatch one coordinator envelope to the owning machinery."""
-        if self.dedup.duplicate(envelope):
-            return
         self._dispatch(envelope.payload, 0)
 
     def _dispatch(self, message, deferrals: int) -> None:
@@ -854,15 +846,10 @@ class MarketCoordinator:
         chaos = self.config.chaos
         if chaos is not None and chaos.market_active:
             self.bus = ChaosBus(
-                self.simulator,
-                chaos.market,
-                seed=f"{workload.seed}/{chaos.seed}",
-                ack_timeout=chaos.ack_timeout,
-                backoff_cap=chaos.backoff_cap,
+                self.simulator, chaos, seed=f"{workload.seed}/{chaos.seed}"
             )
         else:
             self.bus = LocalBus(self.simulator)
-        self._dedup = DedupWindow(stats=self.bus.stats)
         self.bus.register(COORDINATOR_ENDPOINT, self._on_envelope)
         self.verify_service = VerifyService(self)
         self.runtimes: dict[int, ShardRuntime] = {}
@@ -899,7 +886,6 @@ class MarketCoordinator:
         # runtime to that.
         self.replication: ReplicationLayer | None = None
         plan = self.config.fault_plan
-        replication_chaos = chaos is not None and chaos.replication_active
         if self.config.replication_factor > 1 or (
             plan is not None and getattr(plan, "faults", ())
         ):
@@ -908,25 +894,12 @@ class MarketCoordinator:
                 factor=self.config.replication_factor,
                 delta=_REPLICATION_DELTA,
                 failover_timeout=_FAILOVER_TIMEOUT,
-                reliable=replication_chaos,
-                ack_timeout=chaos.ack_timeout if replication_chaos else 2.0,
-                backoff_cap=chaos.backoff_cap if replication_chaos else 16.0,
+                # An active replication policy storms the delta network
+                # and makes shipping acknowledged (resent until acked).
+                chaos=chaos,
             )
             for shard, group in self.replication.groups.items():
                 self.runtimes[shard].replica_group = group
-            if replication_chaos:
-                # Storm the delta network from the plan's replication
-                # policy; the layer's reliable shipping (above) and the
-                # follower's seq-idempotent apply absorb it.
-                policy = chaos.replication
-                MessageStorm(
-                    drop_rate=policy.drop_rate,
-                    dup_rate=policy.dup_rate,
-                    delay_rate=policy.delay_rate,
-                    delay_min=policy.delay_min,
-                    delay_max=policy.delay_max,
-                    seed=f"{workload.seed}/{chaos.seed}",
-                ).install(self.replication.network)
             if plan is not None:
                 plan.install(self.replication.network)
                 plan.install_processes(self.replication)
@@ -985,8 +958,6 @@ class MarketCoordinator:
 
     def _on_envelope(self, envelope: Envelope) -> None:
         """Inbound shard traffic: sealed-block receipts."""
-        if self._dedup.duplicate(envelope):
-            return
         message = envelope.payload
         if isinstance(message, BlockReceipts):
             self._handle_block_receipts(message)

@@ -1,24 +1,40 @@
-"""Chaos policies: seeded fault schedules for the message planes.
+"""The hazard vocabulary of the message planes, and its one seeded roll.
 
 A :class:`ChaosPolicy` is a bag of per-hazard rates (drop, duplicate,
-delay, reorder) with optional per-payload-type overrides; a
-:class:`ChaosPlan` groups one policy per message plane — the market
-ops bus and the replication delta network — plus the seed and the
-at-least-once retransmission knobs.
+delay, reorder) with optional per-payload-type overrides, and
+:meth:`ChaosPolicy.roll` is the only place a transmission's fate is
+drawn: :class:`repro.sim.network.ChaosBus` calls it per transmission
+on the ops bus, :class:`repro.sim.faults.MessageStorm` per message on
+the replication delta network.  A :class:`ChaosPlan` groups one policy
+per plane plus the seed and the two retransmission knobs.
 
-Everything here is frozen data: the *mechanics* live in
-:class:`repro.sim.network.ChaosBus` (market plane) and
-:class:`repro.sim.faults.MessageStorm` (replication plane).  A plan
-with no active policy is treated exactly like no plan at all — the
-market constructs its plain :class:`~repro.sim.network.LocalBus` and
-stays byte-identical to a chaos-free build.
+Everything here is frozen data.  A plan with no active policy is
+treated exactly like no plan at all — the market constructs its plain
+:class:`~repro.sim.network.LocalBus` and stays byte-identical to a
+chaos-free build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-__all__ = ["ChaosPolicy", "ChaosPlan"]
+__all__ = ["ChaosPolicy", "ChaosPlan", "Hazards"]
+
+
+class Hazards(NamedTuple):
+    """One transmission's fate, as drawn by :meth:`ChaosPolicy.roll`.
+
+    ``delay``/``reorder`` are holds in ticks (``None``: did not fire);
+    ``twin_gap`` is how far a duplicate's second copy trails the
+    original.  ``drop`` wins over everything else.
+    """
+
+    drop: bool
+    duplicate: bool
+    delay: float | None
+    reorder: float | None
+    twin_gap: float
 
 
 @dataclass(frozen=True)
@@ -51,6 +67,38 @@ class ChaosPolicy:
                     return policy
         return self
 
+    def roll(self, stream) -> Hazards:
+        """Draw one transmission's hazards from a seeded ``stream``.
+
+        Always seven draws in a fixed order, whichever hazards fire —
+        so a plane's chaos schedule is a pure function of (seed,
+        transmission index).
+        """
+        r_drop = stream.random()
+        r_dup = stream.random()
+        r_delay = stream.random()
+        u_delay = stream.random()
+        r_reorder = stream.random()
+        u_reorder = stream.random()
+        u_dup = stream.random()
+        return Hazards(
+            drop=r_drop < self.drop_rate,
+            duplicate=r_dup < self.dup_rate,
+            delay=(
+                self.delay_min + u_delay * (self.delay_max - self.delay_min)
+                if r_delay < self.delay_rate
+                else None
+            ),
+            # A short hold re-enters the simulator behind other traffic
+            # at nearby instants — the reordering hazard.
+            reorder=(
+                u_reorder * self.reorder_max
+                if r_reorder < self.reorder_rate
+                else None
+            ),
+            twin_gap=u_dup * self.reorder_max,
+        )
+
     @property
     def active(self) -> bool:
         """Whether any hazard can ever fire under this policy."""
@@ -75,11 +123,12 @@ class ChaosPlan:
     """One chaos policy per message plane, plus delivery knobs.
 
     ``market`` drives the :class:`~repro.sim.network.ChaosBus` under
-    the shard-runtime ops plane; ``replication`` parameterizes the
-    :class:`~repro.sim.faults.MessageStorm` installed on the delta
-    network and switches the replication layer into reliable
-    (ack/resend) shipping.  ``ack_timeout``/``backoff_cap`` tune the
-    capped exponential backoff both planes use.
+    the shard-runtime ops plane; ``replication`` is the policy of the
+    :class:`~repro.sim.faults.MessageStorm` on the delta network and
+    switches the replication layer to acknowledged (resent) shipping.
+    ``ack_timeout``/``backoff_cap`` parameterize each plane's
+    :class:`~repro.sim.network.Retransmitter`; the delta plane never
+    times out faster than its network's round trip.
     """
 
     market: ChaosPolicy | None = None

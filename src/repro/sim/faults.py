@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sim.chaos import ChaosPolicy
 from repro.sim.network import DropMessage, DuplicateMessage, Message, Network
 from repro.sim.rng import DeterministicRng
 
@@ -184,24 +185,22 @@ class TargetedDelay:
 class MessageStorm:
     """Seeded lossy weather over a network: drop, duplicate, delay.
 
-    The chaos hazard for the *replication* plane (the market-ops plane
-    gets the richer :class:`~repro.sim.network.ChaosBus`): each message
-    in the ``[start, end)`` window rolls an independent seeded draw —
-    drop wins over duplicate wins over delay, so one message suffers
-    one hazard.  Duplicates are requested by raising
+    The chaos hazard of the *replication* plane.  Each message in the
+    ``[start, end)`` window takes one
+    :meth:`~repro.sim.chaos.ChaosPolicy.roll` of ``policy`` — the same
+    fixed-draw roll :class:`~repro.sim.network.ChaosBus` takes per
+    transmission — and the FIFO network applies what it can: drop wins
+    over duplicate wins over delay, so one message suffers one hazard,
+    and the reorder hold has no meaning on an ordered channel.
+    Duplicates are requested by raising
     :class:`~repro.sim.network.DuplicateMessage`, which the network
-    delivers as a second FIFO-clamped copy; the replication layer's
-    sequence-numbered apply must absorb it.  ``endpoint`` narrows the
-    storm to messages touching one endpoint; ``None`` storms all
-    traffic.  Draw count per message is fixed, so the schedule is a
-    pure function of (seed, message index).
+    delivers as a second FIFO-clamped copy right behind the original;
+    the replication layer's sequence-numbered apply must absorb it.
+    ``endpoint`` narrows the storm to messages touching one endpoint;
+    ``None`` storms all traffic.
     """
 
-    drop_rate: float = 0.0
-    dup_rate: float = 0.0
-    delay_rate: float = 0.0
-    delay_min: float = 0.1
-    delay_max: float = 0.8
+    policy: ChaosPolicy
     endpoint: str | None = None
     start: float = 0.0
     end: float = float("inf")
@@ -224,20 +223,16 @@ class MessageStorm:
                 message.recipient,
             ):
                 return None
-            r_drop = stream.random()
-            r_dup = stream.random()
-            r_delay = stream.random()
-            u_delay = stream.random()
-            hold = self.delay_min + u_delay * (self.delay_max - self.delay_min)
-            if r_drop < self.drop_rate:
+            hazards = self.policy.roll(stream)
+            if hazards.drop:
                 self.dropped += 1
                 raise DropMessage
-            if r_dup < self.dup_rate:
+            if hazards.duplicate:
                 self.duplicated += 1
-                raise DuplicateMessage(hold)
-            if r_delay < self.delay_rate:
+                raise DuplicateMessage
+            if hazards.delay is not None:
                 self.delayed += 1
-                return hold
+                return hazards.delay
             return None
 
         network.add_filter(fn)

@@ -10,15 +10,25 @@ network decides *when* a sent message is delivered:
   (GST) and within Δ after it — the model the CBC protocol (§6)
   tolerates.
 
-Fault injectors (see :mod:`repro.sim.faults`) can drop or delay
-messages for specific endpoints to model crashes, offline windows,
-and denial-of-service attacks.
+Fault injectors (see :mod:`repro.sim.faults`) can drop, delay or
+duplicate messages for specific endpoints to model crashes, offline
+windows, and denial-of-service attacks.
+
+The market's in-process message plane lives here too: :class:`LocalBus`
+delivers typed :class:`Envelope`\\ s synchronously, and
+:class:`ChaosBus` adds seeded hazards (:meth:`repro.sim.chaos.ChaosPolicy.roll`)
+and at-least-once delivery.  The two halves of that delivery are
+defined here and nowhere else: a sending :class:`Retransmitter`, which
+the replication plane (:mod:`repro.market.replication`) uses as well,
+and — because at-least-once means duplicates — a receiving
+:class:`DedupWindow`.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Hashable
 
 from repro.errors import NetworkError
 from repro.sim.rng import DeterministicRng
@@ -72,7 +82,7 @@ class BusAck:
     handlers).  ``origin`` names the acking recipient, ``msg_id`` the
     sequence number being acknowledged.  Acks themselves ride the
     chaotic channel: a lost ack is healed by the sender's resend, whose
-    duplicate delivery is re-acked.
+    duplicate delivery is suppressed and re-acked.
     """
 
     origin: str
@@ -145,7 +155,7 @@ class Network:
         """Send ``payload``; delivery is scheduled per the timing model."""
         message = Message(sender, recipient, payload, self.simulator.now)
         delay = self.latency(message)
-        duplicate_delay: float | None = None
+        duplicated = False
         try:
             for fn in self._filters:
                 extra = fn(message)
@@ -157,18 +167,19 @@ class Network:
             self._dropped += 1
             self._filter_dropped += 1
             return
-        except DuplicateMessage as dup:
+        except DuplicateMessage:
             self._filter_duplicated += 1
-            duplicate_delay = delay + dup.extra_delay
+            duplicated = True
         # FIFO per ordered pair (a TCP-like channel): a later send is
         # never delivered before an earlier one.  The clamp can only
         # push delivery later, and never past the Δ bound, because the
         # earlier message already respected it at an earlier send time.
         self._schedule_delivery(message, delay)
-        if duplicate_delay is not None:
+        if duplicated:
             # The duplicated copy rides the same FIFO channel, so it
-            # lands *after* the original — idempotent apply absorbs it.
-            self._schedule_delivery(message, duplicate_delay)
+            # lands right *after* the original — idempotent apply
+            # absorbs it.
+            self._schedule_delivery(message, delay)
 
     def _schedule_delivery(self, message: Message, delay: float) -> None:
         pair = (message.sender, message.recipient)
@@ -205,14 +216,115 @@ class DropMessage(Exception):
 class DuplicateMessage(Exception):
     """Raised by a delivery filter to deliver the message *twice*.
 
-    The second copy is delivered ``extra_delay`` ticks after the
-    original's delivery time (FIFO-clamped, so it never overtakes it).
-    Fault injectors raise this to exercise idempotent apply paths.
+    The second copy is FIFO-clamped right behind the original.  Fault
+    injectors raise this to exercise idempotent apply paths.
     """
 
-    def __init__(self, extra_delay: float = 0.0):
-        super().__init__(extra_delay)
-        self.extra_delay = extra_delay
+
+class Retransmitter:
+    """Transmit, and retransmit on capped exponential backoff until acked.
+
+    :meth:`send` performs the first transmission itself, so an ack
+    arriving *inside* it (a synchronous bus, no hazard fired) finds the
+    key registered and no timer is ever armed.  ``transmit`` gets the
+    attempt number (0 first, n for the n-th retransmission) and may
+    :meth:`ack` its own key to stop a resend that has become moot.
+    Sending a still-unacked key *supersedes* it: the old timer is
+    cancelled and the backoff restarts.  With ``limit`` set, a key
+    whose ``limit``-th retransmission also times out is dropped and
+    counted once in :attr:`abandoned`; otherwise it is retried forever.
+    """
+
+    def __init__(
+        self,
+        simulator: Simulator,
+        ack_timeout: float,
+        backoff_cap: float,
+        limit: int | None = None,
+    ):
+        self.simulator = simulator
+        self.ack_timeout = ack_timeout
+        self.backoff_cap = backoff_cap
+        self.limit = limit
+        self.abandoned = 0
+        # key -> [transmit, label, attempt, timer]
+        self._unacked: dict[Hashable, list] = {}
+
+    def __len__(self) -> int:
+        """Keys sent but not yet acknowledged (or abandoned)."""
+        return len(self._unacked)
+
+    def send(self, key: Hashable, transmit: Callable[[int], None], label: str) -> None:
+        """Transmit now, and again on every timeout until ``ack(key)``."""
+        self.ack(key)
+        entry = [transmit, label, 0, None]
+        self._unacked[key] = entry
+        transmit(0)
+        self._arm(key, entry)
+
+    def ack(self, key: Hashable) -> bool:
+        """Stop retransmitting ``key``; False if it was not outstanding."""
+        entry = self._unacked.pop(key, None)
+        if entry is None:
+            return False
+        if entry[3] is not None:
+            entry[3].cancel()
+        return True
+
+    def _arm(self, key: Hashable, entry: list) -> None:
+        if self._unacked.get(key) is not entry:
+            return  # acknowledged (or superseded) inside the transmission
+        delay = min(self.ack_timeout * 2.0 ** entry[2], self.backoff_cap)
+        entry[3] = self.simulator.schedule(
+            delay, lambda: self._timeout(key, entry), label=entry[1]
+        )
+
+    def _timeout(self, key: Hashable, entry: list) -> None:
+        if self.limit is not None and entry[2] >= self.limit:
+            del self._unacked[key]
+            self.abandoned += 1
+            return
+        entry[2] += 1
+        entry[0](entry[2])
+        self._arm(key, entry)
+
+
+class DedupWindow:
+    """Admit each (sender, msg_id) once at one receiving endpoint.
+
+    Tracks, per sender, a contiguous *floor* (every ``msg_id`` at or
+    below it has been admitted) plus the sparse set of admitted ids
+    above it.  Because :class:`ChaosBus` stamps ``msg_id`` per
+    (sender, recipient) pair, the ids arriving at one endpoint from
+    one sender are gap-free once delivery settles, so the floor
+    advances and the set stays small.  A *permanently*
+    missing low id (possible only if the transport gave up resending —
+    the ChaosBus never does) would pin the floor below the gap and let
+    ``_seen`` grow with one entry per later id until the gap fills;
+    that growth is bounded by the sender's in-flight window under
+    at-least-once delivery, and the regression tests document the
+    stuck-floor behaviour explicitly.  ``msg_id == 0`` marks
+    exact-transport traffic and is never a duplicate.
+    """
+
+    def __init__(self):
+        self._floor: dict[str, int] = {}
+        self._seen: dict[str, set[int]] = {}
+
+    def duplicate(self, sender: str, msg_id: int) -> bool:
+        """Admit ``(sender, msg_id)`` once; True if already admitted."""
+        if not msg_id:
+            return False
+        floor = self._floor.get(sender, 0)
+        seen = self._seen.setdefault(sender, set())
+        if msg_id <= floor or msg_id in seen:
+            return True
+        seen.add(msg_id)
+        while floor + 1 in seen:
+            floor += 1
+            seen.discard(floor)
+        self._floor[sender] = floor
+        return False
 
 
 class LocalBus:
@@ -305,43 +417,34 @@ class ChaosBus(LocalBus):
     """A :class:`LocalBus` with seeded chaos and at-least-once delivery.
 
     Every ``post`` stamps the envelope with a per-(sender, recipient)
-    monotonic ``msg_id`` and registers it as pending.  Each physical
-    transmission then rolls the plane's :class:`~repro.sim.chaos.ChaosPolicy`
-    hazards on the dedicated ``chaos/bus`` stream — drop (the copy
-    vanishes), duplicate (a second copy is dispatched), delay and
-    reorder (the copy is held and re-enters via the simulator, landing
-    behind same-instant traffic).  Reliability sits on top: a delivered
-    reliable envelope is acked with a :class:`BusAck` back to its
-    sender (the ack rides the same chaotic channel and is intercepted
-    by the bus, never reaching endpoint handlers); an unacked envelope
-    is retransmitted on a capped exponential backoff timer.  Duplicate
-    deliveries are re-acked, so a lost ack heals, and recipients are
-    expected to suppress them with a :class:`~repro.market.messages.DedupWindow`.
+    monotonic ``msg_id`` and sends it through the bus's
+    :class:`Retransmitter`.  Each physical
+    transmission rolls the plan's market policy on the dedicated
+    ``chaos/bus`` stream: drop (the copy vanishes), duplicate (a second
+    copy is dispatched), delay and reorder (the copy is held and
+    re-enters via the simulator, behind same-instant traffic).  A
+    delivered envelope is acked with a :class:`BusAck` that rides the
+    same chaotic channel and is intercepted by the bus.  One
+    :class:`DedupWindow` per recipient admits each
+    (sender, msg_id) once, so no handler sees a duplicate — a
+    suppressed copy is counted and *still* re-acked, which is what
+    heals a lost ack.
 
-    Determinism: all hazard draws come from one labelled stream with a
-    fixed number of draws per transmission, so a given (seed, policy,
-    workload) triple replays the identical chaos schedule in any
-    process layout.  A pending envelope whose recipient turns out to be
-    unregistered is abandoned (retrying a void endpoint forever would
-    keep the event loop alive); everything else is retried until acked.
+    Determinism: a fixed number of draws per transmission from one
+    labelled stream, so a (seed, policy, workload) triple replays the
+    identical chaos schedule in any process layout.  An envelope whose
+    recipient turns out to be unregistered is abandoned (retrying a
+    void endpoint forever would keep the event loop alive); everything
+    else is retried until acked.
     """
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        policy,
-        seed: int | str = 0,
-        ack_timeout: float = 2.0,
-        backoff_cap: float = 16.0,
-    ):
+    def __init__(self, simulator: Simulator, plan, seed: int | str = 0):
         super().__init__(simulator)
-        self.policy = policy
-        self.rng = DeterministicRng(f"chaos-bus/{seed}")
-        self.ack_timeout = ack_timeout
-        self.backoff_cap = backoff_cap
+        self.policy = plan.market
+        self._stream = DeterministicRng(f"chaos-bus/{seed}").stream("chaos/bus")
+        self._resender = Retransmitter(simulator, plan.ack_timeout, plan.backoff_cap)
         self._next_seq: dict[tuple[str, str], int] = {}
-        # (sender, recipient, msg_id) -> [recipient, envelope, attempt, timer]
-        self._pending: dict[tuple[str, str, int], list] = {}
+        self._windows: defaultdict[str, DedupWindow] = defaultdict(DedupWindow)
         self.stats.update(
             {
                 "chaos_dropped": 0,
@@ -357,7 +460,7 @@ class ChaosBus(LocalBus):
     @property
     def in_flight(self) -> int:
         """Reliable envelopes posted but not yet acknowledged."""
-        return len(self._pending)
+        return len(self._resender)
 
     def post(self, sender: str, recipient: str, shard: int, payload: object) -> None:
         """Reliably deliver ``payload`` (at-least-once, acked)."""
@@ -371,44 +474,33 @@ class ChaosBus(LocalBus):
             payload=payload,
             msg_id=seq,
         )
+
+        def transmit(attempt: int) -> None:
+            if attempt:
+                self.stats["resends"] += 1
+            self._transmit(recipient, envelope)
+
+        # The zero-chaos path is acked inside the first transmission,
+        # so it arms no timer and schedules no events.
         key = (sender, recipient, seq)
-        self._pending[key] = [recipient, envelope, 0, None]
-        self._transmit(recipient, envelope)
-        if key in self._pending:
-            # Not acked synchronously (the copy was dropped, held, or
-            # the ack was) — arm the resend timer.  The zero-chaos
-            # path never reaches here, so it schedules no events.
-            self._arm(key)
+        self._resender.send(key, transmit, f"bus-retry->{recipient}")
 
     def _transmit(self, recipient: str, envelope: Envelope) -> None:
         """One physical transmission attempt: roll hazards, dispatch."""
-        policy = self.policy.for_payload(envelope.payload)
-        stream = self.rng.stream("chaos/bus")
-        # Fixed draw count per transmission keeps the chaos schedule a
-        # pure function of (seed, transmission index), independent of
-        # which hazards fire.
-        r_drop = stream.random()
-        r_dup = stream.random()
-        r_delay = stream.random()
-        u_delay = stream.random()
-        r_reorder = stream.random()
-        u_reorder = stream.random()
-        u_dup = stream.random()
-        if r_drop < policy.drop_rate:
+        hazards = self.policy.for_payload(envelope.payload).roll(self._stream)
+        if hazards.drop:
             self.stats["chaos_dropped"] += 1
             return
         hold = 0.0
-        if r_delay < policy.delay_rate:
-            hold += policy.delay_min + u_delay * (policy.delay_max - policy.delay_min)
+        if hazards.delay is not None:
+            hold += hazards.delay
             self.stats["chaos_delayed"] += 1
-        if r_reorder < policy.reorder_rate:
-            # A short hold re-enters the simulator behind other traffic
-            # at nearby instants — the reordering hazard.
-            hold += u_reorder * policy.reorder_max
+        if hazards.reorder is not None:
+            hold += hazards.reorder
             self.stats["chaos_reordered"] += 1
-        if r_dup < policy.dup_rate:
+        if hazards.duplicate:
             self.stats["chaos_duplicated"] += 1
-            self._dispatch(recipient, envelope, hold + u_dup * policy.reorder_max)
+            self._dispatch(recipient, envelope, hold + hazards.twin_gap)
         self._dispatch(recipient, envelope, hold)
 
     def _dispatch(self, recipient: str, envelope: Envelope, hold: float) -> None:
@@ -424,24 +516,19 @@ class ChaosBus(LocalBus):
     def _deliver(self, recipient: str, envelope: Envelope) -> None:
         payload = envelope.payload
         if isinstance(payload, BusAck):
-            entry = self._pending.pop((recipient, payload.origin, payload.msg_id), None)
-            if entry is not None:
-                if entry[3] is not None:
-                    entry[3].cancel()
+            if self._resender.ack((recipient, payload.origin, payload.msg_id)):
                 self.stats["acks_delivered"] += 1
             return
         handler = self._handlers.get(recipient)
         if handler is None:
             self.stats["dropped"] += 1
-            if envelope.msg_id:
-                entry = self._pending.pop(
-                    (envelope.sender, recipient, envelope.msg_id), None
-                )
-                if entry is not None and entry[3] is not None:
-                    entry[3].cancel()
+            self._resender.ack((envelope.sender, recipient, envelope.msg_id))
             return
         self.stats["delivered"] += 1
-        handler(envelope)
+        if self._windows[recipient].duplicate(envelope.sender, envelope.msg_id):
+            self.stats["dup_suppressed"] += 1
+        else:
+            handler(envelope)
         if envelope.msg_id:
             ack = Envelope(
                 sender=recipient,
@@ -450,26 +537,6 @@ class ChaosBus(LocalBus):
                 payload=BusAck(origin=recipient, msg_id=envelope.msg_id),
             )
             self._transmit(envelope.sender, ack)
-
-    def _arm(self, key: tuple[str, str, int]) -> None:
-        entry = self._pending.get(key)
-        if entry is None:
-            return
-        delay = min(self.ack_timeout * (2.0 ** entry[2]), self.backoff_cap)
-        entry[3] = self.simulator.schedule(
-            delay, lambda: self._retry(key), label=f"bus-retry->{entry[0]}"
-        )
-
-    def _retry(self, key: tuple[str, str, int]) -> None:
-        entry = self._pending.get(key)
-        if entry is None:
-            return
-        entry[2] += 1
-        entry[3] = None
-        self.stats["resends"] += 1
-        self._transmit(entry[0], entry[1])
-        if key in self._pending:
-            self._arm(key)
 
 
 class SynchronousNetwork(Network):

@@ -34,6 +34,7 @@ from market_test_utils import HandWorkload, on_shard, run_hand, two_party_swap
 from repro.chain.tx import Transaction
 from repro.consensus.bft import DealStatus, StatusCertificate
 from repro.core.proofs import StatusProof
+from repro.market.messages import DeltaAck
 from repro.market.replication import replica_name
 from repro.market import DealPhase, MarketConfig, MarketCoordinator
 from repro.sim.faults import FaultPlan, ReplicaCrash, ReplicaRecover
@@ -371,6 +372,43 @@ def test_factor_one_outage_queues_orders_until_recovery():
     assert report.invariant_violations == ()
     mempool = scheduler.mempools[scheduler.shard_home_chain[0]]
     assert mempool.stats.get("seals_deferred", 0) >= 1
+
+
+# ----------------------------------------------------------------------
+# An ack racing a leader crash
+# ----------------------------------------------------------------------
+def test_ack_in_flight_to_a_crashed_leader_is_not_recorded():
+    def orders(wl):
+        return [two_party_swap(wl, index=0, arrival=0.2)]
+
+    scheduler = MarketCoordinator(
+        HandWorkload(orders, shards=1), _config(replication_factor=2)
+    )
+    layer = scheduler.replication
+    leader = replica_name(0, 0)
+    crashed = []
+
+    def crash_leader_under_the_first_ack(message):
+        # Process-level crash the instant the follower sends its first
+        # ack: the ack is already past the (send-time) fault filters,
+        # so it lands in the dead leader's handler.
+        if isinstance(message.payload.payload, DeltaAck) and not crashed:
+            crashed.append(message.sender)
+            layer.crash_replica(leader)
+        return None
+
+    layer.network.add_filter(crash_leader_under_the_first_ack)
+    report = scheduler.run()
+    assert crashed == [replica_name(0, 1)]
+    stats = dict(report.replication_stats)
+    # The dead process saw nothing: no ack counted — the arrival is
+    # accounted as lost to the crash.
+    assert stats["acks_received"] == 0
+    assert stats["dropped_while_dead"] >= 1
+    # The follower took over and the market carried on.
+    assert report.failovers == 1
+    assert report.committed == 1
+    assert report.invariant_violations == ()
 
 
 # ----------------------------------------------------------------------

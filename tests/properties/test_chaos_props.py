@@ -202,6 +202,26 @@ def test_delta_replay_heals_gaps_from_the_group_log():
         assert group.apply_delta(replica, chain_id, seq, delta) == "duplicate"
 
 
+def test_acks_merely_in_flight_trigger_no_resends():
+    # A drop-free delta plane (duplicates only) with the aggressive
+    # 0.25-tick ack timeout: the first resend timer is never shorter
+    # than the delta network's 2Δ round trip, so no shipment is resent
+    # just because its ack has not landed yet.
+    plan = ChaosPlan(
+        replication=ChaosPolicy(dup_rate=0.3), ack_timeout=0.25, backoff_cap=2.0
+    )
+    _, report = _run(
+        MarketProfile.sharded_smoke(seed=29), chaos=plan, replication_factor=3
+    )
+    stats = dict(report.replication_stats)
+    assert dict(report.network_stats)["filter_duplicated"] > 0
+    assert stats["deltas_shipped"] > 0
+    assert stats["acks_received"] >= stats["deltas_shipped"]
+    assert stats["deltas_resent"] == 0
+    assert stats["deltas_abandoned"] == 0
+    assert report.invariant_violations == ()
+
+
 def test_unreachable_followers_exhaust_resends_loudly():
     # Every delta and every resend dropped: the leader gives up on
     # each chain's last watched shipment at the resend limit and says

@@ -1,5 +1,6 @@
 """Unit tests for fault injection."""
 
+from repro.sim.chaos import ChaosPolicy
 from repro.sim.faults import (
     CrashFault,
     FaultPlan,
@@ -222,7 +223,9 @@ def test_message_storm_counters_cover_every_hazard():
     sim, net = make_net(delta=1.0)
     received = []
     net.register("b", lambda message: received.append(sim.now))
-    storm = MessageStorm(drop_rate=0.3, dup_rate=0.3, delay_rate=0.3, seed=4)
+    storm = MessageStorm(
+        policy=ChaosPolicy(drop_rate=0.3, dup_rate=0.3, delay_rate=0.3), seed=4
+    )
     storm.install(net)
     for index in range(200):
         net.send("a", "b", index)
@@ -247,7 +250,8 @@ def test_message_storm_respects_window_and_endpoint():
     net.register("victim", lambda message: received.append("victim"))
     net.register("bystander", lambda message: received.append("bystander"))
     storm = MessageStorm(
-        drop_rate=1.0, endpoint="victim", start=5.0, end=10.0, seed=0
+        policy=ChaosPolicy(drop_rate=1.0), endpoint="victim",
+        start=5.0, end=10.0, seed=0,
     )
     storm.install(net)
     net.send("a", "victim", "before-window")       # t=0: clean
@@ -270,7 +274,8 @@ def test_message_storm_schedule_is_seed_deterministic():
         net.register("b", lambda message: arrivals.append(
             (message.payload, sim.now)))
         storm = MessageStorm(
-            drop_rate=0.2, dup_rate=0.2, delay_rate=0.2, seed=seed
+            policy=ChaosPolicy(drop_rate=0.2, dup_rate=0.2, delay_rate=0.2),
+            seed=seed,
         )
         storm.install(net)
         for index in range(100):
@@ -334,8 +339,8 @@ def test_fault_plan_stats_name_storm_and_worker_targets():
     sim, net = make_net()
     host = _FakeWorkerHost(sim, workers=3)
     plan = FaultPlan()
-    plan.add(MessageStorm(drop_rate=0.5, seed=1))
-    plan.add(MessageStorm(drop_rate=1.0, endpoint="s0/r1"))
+    plan.add(MessageStorm(policy=ChaosPolicy(drop_rate=0.5), seed=1))
+    plan.add(MessageStorm(policy=ChaosPolicy(drop_rate=1.0), endpoint="s0/r1"))
     plan.add(WorkerKill(worker=2, at_time=1.0))
     plan.install(net)
     plan.install_workers(host)
