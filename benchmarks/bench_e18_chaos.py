@@ -47,7 +47,7 @@ from functools import cache, partial
 
 from repro.analysis.tables import render_table
 from repro.market import MarketConfig, MarketReport, open_market
-from repro.market.runtime import ProcessBackend
+from repro.market.backends import ProcessBackend
 from repro.sim.chaos import ChaosPlan
 from repro.sim.faults import FaultPlan, ReplicaCrash, WorkerKill
 from repro.sim.rng import DeterministicRng

@@ -37,10 +37,12 @@ space.  This package is the runtime for that regime:
   percentiles, and abort rates — while every shard's chains, mempools
   and commit log live in that shard's
   :class:`~repro.market.runtime.ShardRuntime`, reached only through
-  typed message envelopes.  :func:`open_market` is the entry point and
-  picks the execution backend (``inline``, or ``processes``: the same
-  coordinator with its signature checks on one worker process per
-  shard).
+  typed message envelopes; :mod:`repro.market.report` holds the
+  :class:`MarketReport` a run returns.
+* :mod:`repro.market.backends` — :func:`open_market` is the entry
+  point and picks the execution backend (``inline``, or ``processes``:
+  the same coordinator with its signature checks on one worker process
+  per shard).
 * :mod:`repro.market.fees` — block-space economics: every mempool
   sells its slots through a pluggable sealing policy (FIFO /
   first-price priority / EIP-1559-style base fee), deals co-sign a
@@ -57,6 +59,7 @@ Everything is deterministic given the workload seed; see
 ``benchmarks/bench_e16_market.py`` and ``examples/market_storm.py``.
 """
 
+from repro.market.backends import MarketHandle, open_market
 from repro.market.book import MarketEscrowBook
 from repro.market.commitlog import MarketCommitLog
 from repro.market.fees import (
@@ -73,14 +76,9 @@ from repro.market.order import (
     shard_of_deal,
     sign_order,
 )
-from repro.market.runtime import (
-    DealPhase,
-    MarketConfig,
-    MarketCoordinator,
-    MarketHandle,
-    MarketReport,
-    open_market,
-)
+from repro.market.protocols import DealPhase
+from repro.market.report import MarketReport
+from repro.market.runtime import MarketConfig, MarketCoordinator
 
 __all__ = [
     "open_market",

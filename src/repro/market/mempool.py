@@ -16,15 +16,15 @@ Sealing is where order signatures are paid for, at block granularity:
 * a block's new orders merge all their signatures into **one** batched
   Schnorr check; only if that merged check fails does the mempool fall
   back to per-order ``batch_verify_quorum`` to isolate the forgeries;
-* when the market wires a shared
-  :class:`~repro.consensus.validators.VerifyAggregator`, the per-seal
-  batch is enqueued there and the verdict arrives in a flush later in
-  the same simulated instant; when several order-carrying mempools
-  seal at one boundary — in the sharded market every shard's home
-  chain clears its own order flow, and all mempools seal on the same
-  half-grid — their batches fold into a single multi-exponentiation.
-  Either way every verdict, receipt, and report byte is identical to
-  inline verification.
+* the per-seal batch then goes to the mempool's ``verify`` callable —
+  the market binds it to its shared
+  :class:`~repro.consensus.validators.VerifyAggregator`, so the verdict
+  arrives in a flush later in the same simulated instant; when several
+  order-carrying mempools seal at one boundary — in the sharded market
+  every shard's home chain clears its own order flow, and all mempools
+  seal on the same half-grid — their batches fold into a single
+  multi-exponentiation.  Every verdict, receipt, and report byte is
+  identical to verifying each block on the spot.
 
 Steps of a cleared deal flow to the chain; steps of a rejected deal
 are dropped and counted.  The shared :class:`OrderLedger` makes a deal
@@ -58,7 +58,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.chain.tx import Transaction
 from repro.consensus.validators import batch_verify_quorum, quorum_structure_ok
-from repro.crypto.schnorr import batch_verify as schnorr_batch_verify
 from repro.errors import MarketError, ReproError
 from repro.market.order import SignedDealOrder, order_message
 
@@ -91,11 +90,10 @@ class StepMempool:
         chain: "Chain",
         wallet: "Wallet",
         ledger: OrderLedger,
+        verify: Callable[[list, Callable[[bool], None]], None],
         max_txs_per_block: int = 512,
         on_order_rejected: Callable[[bytes], None] | None = None,
-        aggregator=None,
         telemetry=None,
-        verify_service=None,
         policy=None,
         on_step_evicted: Callable[[bytes], None] | None = None,
     ):
@@ -104,20 +102,15 @@ class StepMempool:
         self.chain = chain
         self.wallet = wallet
         self.ledger = ledger
+        # ``verify(items, settle)`` checks one sealed block's merged
+        # signature batch and calls ``settle(ok)`` within this same
+        # simulated instant.  The market binds it to the shared
+        # VerifyAggregator, which merges the batch with every other
+        # block sealing at the same boundary (one multi-exp for the
+        # whole market instant).
+        self.verify = verify
         self.max_txs_per_block = max_txs_per_block
         self.on_order_rejected = on_order_rejected
-        # A shared VerifyAggregator merges this mempool's per-seal
-        # signature batch with every other block sealing at the same
-        # boundary (one multi-exp for the whole market instant); with
-        # no aggregator, seals verify synchronously.
-        self.aggregator = aggregator
-        # The market runtime routes per-seal batches through its
-        # VerifyService instead (a SealBatch message keyed
-        # (chain_id, seq), so the processes backend can partition the
-        # verification work); when set it supersedes ``aggregator``,
-        # which the service itself may still feed.  Standalone
-        # mempools (tests, single-chain tools) keep the direct paths.
-        self.verify_service = verify_service
         # Telemetry hook (repro.telemetry.Telemetry or None): seals
         # report their occupancy and leftover depth; strictly
         # observational, one attribute check when off.
@@ -247,12 +240,11 @@ class StepMempool:
         """Verify every order newly referenced in this seal batch.
 
         Structural rejections happen immediately; the block's merged
-        Schnorr batch goes through the shared :class:`VerifyAggregator`
-        when one is wired (so every block sealing at this boundary
-        shares a single multi-exponentiation) and synchronously
-        otherwise.  Either way the verdict lands — and the sealed
-        steps flow to the chain — at this same simulated instant,
-        strictly before the next block executes.
+        Schnorr batch goes to ``self.verify`` (the market's shared
+        :class:`VerifyAggregator`, so every block sealing at this
+        boundary shares a single multi-exponentiation).  The verdict
+        lands — and the sealed steps flow to the chain — at this same
+        simulated instant, strictly before the next block executes.
         """
         sound: list[tuple[SignedDealOrder, tuple, bytes]] = []
         for order in orders:
@@ -288,12 +280,7 @@ class StepMempool:
                     )
             self._dispatch(batch)
 
-        if self.verify_service is not None:
-            self.verify_service.submit(self.chain.chain_id, merged, settle)
-        elif self.aggregator is None:
-            settle(schnorr_batch_verify(merged))
-        else:
-            self.aggregator.enqueue(merged, settle)
+        self.verify(merged, settle)
 
     def _expected_keys(self, order: SignedDealOrder):
         try:

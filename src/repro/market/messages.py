@@ -20,10 +20,6 @@ names one protocol edge:
 * :class:`DealDecided` — coordinator → asset shard: the home commit
   log decided; claim (commit/abort) the deal's book escrows on one
   chain.
-* :class:`SealBatch` — shard → verify service: one sealed block's
-  merged order-signature batch, keyed ``(chain_id, seq)``; the
-  ``processes`` backend routes the actual check to the owner shard's
-  verify worker.
 * :class:`BlockReceipts` — shard → coordinator: one sealed block's
   receipts, which the coordinator's phase engine routes to deal state
   machines.
@@ -43,6 +39,11 @@ recipient exactly once.  Delta shipments use the same
 the acknowledgement and the follower's sequence-gated apply as the
 duplicate filter.  ``msg_id == 0`` (the plain bus) is exact transport.
 
+A sealed block's signature check is *not* on this list: it is contract
+work of the chain that seals the block (paper §7), so a mempool hands
+its batch straight to the market's ``VerifyAggregator`` — there is no
+network between a block producer and the check of its own block.
+
 Every type is a frozen dataclass; nothing here imports the runtime,
 so the vocabulary is dependency-free.
 """
@@ -60,7 +61,6 @@ __all__ = [
     "CrossShardEscrowOp",
     "VoteFanout",
     "DealDecided",
-    "SealBatch",
     "BlockReceipts",
     "DeltaShipment",
     "DeltaAck",
@@ -108,20 +108,6 @@ class DealDecided:
     deal_id: bytes
     chain_id: str
     method: str  # "commit" | "abort"
-
-
-@dataclass(frozen=True)
-class SealBatch:
-    """One sealed block's merged order-signature batch.
-
-    ``items`` are ``(public_key, message, signature)`` triples; the
-    ``(chain_id, seq)`` key is assigned per chain in seal order and
-    names the batch's owner shard and its pending verdict callback.
-    """
-
-    chain_id: str
-    seq: int
-    items: tuple
 
 
 @dataclass(frozen=True)

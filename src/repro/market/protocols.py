@@ -54,7 +54,8 @@ failure mode the paper predicts when Δ is violated.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.chain.tx import Receipt, Transaction
@@ -65,9 +66,71 @@ from repro.core.proofs import StatusProof
 from repro.core.timelock import TimelockEscrow
 from repro.crypto.hashing import hash_concat
 from repro.crypto.pathsig import sign_vote
+from repro.market.order import SignedDealOrder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.market.runtime import MarketCoordinator, _DealRun
+    from repro.market.runtime import MarketCoordinator
+
+
+class DealPhase(Enum):
+    """Lifecycle of one deal inside the market."""
+
+    REGISTERING = "registering"
+    ESCROW = "escrow"
+    TRANSFER = "transfer"
+    VOTING = "voting"
+    SETTLING = "settling"
+    COMMITTED = "committed"
+    ABORTED = "aborted"
+    REJECTED = "rejected"
+
+
+_TERMINAL = {DealPhase.COMMITTED, DealPhase.ABORTED, DealPhase.REJECTED}
+
+
+@dataclass
+class _DealRun:
+    """Coordinator-internal state machine for one deal."""
+
+    order: SignedDealOrder
+    phase: DealPhase = DealPhase.REGISTERING
+    opens_expected: int = 0
+    opens_done: int = 0
+    transfers_expected: int = 0
+    transfers_done: int = 0
+    decided: str | None = None
+    abort_requested: bool = False
+    abort_retries: int = 0
+    conflict: bool = False
+    reason: str = ""
+    claim_chains: tuple[str, ...] = ()
+    settled_chains: set = field(default_factory=set)
+    finished_at: float | None = None
+    # §5 sore loser: a timelock deal whose escrows settled non-uniformly
+    # (released on one chain, refunded at deadline on another).  Only
+    # crash-gated sealing can produce it; fault-free runs treat it as
+    # an invariant violation.
+    sore_loser: bool = False
+    # Fee market: a base-fee mempool evicted one of the deal's steps
+    # (its co-signed bid can never clear the base-fee floor).  A
+    # measured outcome like sore losers, never a safety violation.
+    priced_out: bool = False
+    patience_handle: object = None
+    # Sharding: the deal's home shard (where it registers and votes)
+    # and whether its escrows straddle books owned by other shards.
+    home_shard: int = 0
+    cross_shard: bool = False
+    # Timelock/CBC runs delegate their phase logic to a protocol driver
+    # (repro.market.protocols); unanimity runs keep driver = None.
+    driver: DealDriver | None = None
+
+    @property
+    def protocol(self) -> str:
+        return self.order.spec.protocol
+
+    @property
+    def terminal(self) -> bool:
+        return self.phase in _TERMINAL
 
 
 class DealDriver:
@@ -141,8 +204,6 @@ class DealDriver:
             telemetry.deal_phase(self.run, phase, at)
 
     def _submit_transfers(self) -> None:
-        from repro.market.runtime import DealPhase
-
         self.run.phase = DealPhase.TRANSFER
         self._phase_change("transfer", self.scheduler.simulator.now)
         if not self.spec.steps:
@@ -189,8 +250,6 @@ class DealDriver:
 
     def _note_settled(self, asset_id: str, receipt: Receipt) -> None:
         """Record a Released/Refunded event and finish when uniform."""
-        from repro.market.runtime import DealPhase
-
         for event in receipt.events:
             if event.name == "Released":
                 self.released.add(asset_id)
@@ -266,8 +325,6 @@ class TimelockDealDriver(DealDriver):
         return self.t0 + len(self.spec.parties) * self.delta
 
     def on_registered(self, receipt: Receipt) -> None:
-        from repro.market.runtime import DealPhase
-
         self.run.phase = DealPhase.ESCROW
         self._phase_change("escrow", receipt.executed_at)
         self.t0 = receipt.executed_at
@@ -291,8 +348,6 @@ class TimelockDealDriver(DealDriver):
         pass
 
     def _start_voting(self) -> None:
-        from repro.market.runtime import DealPhase
-
         self.run.phase = DealPhase.VOTING
         self._phase_change("voting", self.scheduler.simulator.now)
         scheduler = self.scheduler
@@ -382,8 +437,6 @@ class CbcDealDriver(DealDriver):
         self.cbc = None
 
     def on_registered(self, receipt: Receipt) -> None:
-        from repro.market.runtime import DealPhase
-
         self.run.phase = DealPhase.ESCROW
         self._phase_change("escrow", receipt.executed_at)
         cbc = self.cbc = self.scheduler.ensure_cbc(self.run.home_shard)
@@ -432,8 +485,6 @@ class CbcDealDriver(DealDriver):
             self._claim("abort")
 
     def _claim(self, outcome: str) -> None:
-        from repro.market.runtime import DealPhase
-
         self.run.decided = outcome
         self.run.phase = DealPhase.SETTLING
         self._phase_change("settling", self.scheduler.simulator.now)
@@ -464,8 +515,6 @@ class CbcDealDriver(DealDriver):
         ))
 
     def _start_voting(self) -> None:
-        from repro.market.runtime import DealPhase
-
         self.run.phase = DealPhase.VOTING
         self._phase_change("voting", self.scheduler.simulator.now)
         for party in self.run.order.voters():

@@ -586,6 +586,18 @@ class ReplicationLayer:
         total_down = sum(group.downtime for group in self.groups.values())
         return max(0.0, 1.0 - total_down / (end_time * len(self.groups)))
 
+    def report_fields(self, end_time: float) -> dict:
+        """This layer's :class:`~repro.market.report.MarketReport` fields."""
+        return {
+            "replication_factor": self.factor,
+            "faults_injected": self.counters["crashes"],
+            "recoveries": self.counters["recoveries"],
+            "failovers": self.counters["failovers"],
+            "availability": self.availability(end_time),
+            "replication_stats": tuple(sorted(self.stats().items())),
+            "network_stats": tuple(sorted(self.network.stats.items())),
+        }
+
     def stats(self) -> dict[str, float]:
         """The layer's counters (deterministic simulation quantities)."""
         stats = dict(self.counters)

@@ -4,28 +4,24 @@ This module is the carve of the old 1,200-line scheduler god-object
 into an explicit, message-passing architecture:
 
 * :class:`ShardRuntime` — owns exactly one shard's state: its chains,
-  :class:`~repro.market.mempool.StepMempool`\\ s, escrow books, its
-  :class:`~repro.market.commitlog.MarketCommitLog`, its certified
-  blockchain and (when replicated) its replica group.  A runtime
-  never reaches into another shard; everything it does is a reaction
-  to a typed message.
+  :class:`~repro.market.mempool.StepMempool`\\ s and its
+  :class:`~repro.market.commitlog.MarketCommitLog`.  A runtime never
+  reaches into another shard; everything it does is a reaction to a
+  typed message.
 * :class:`MarketCoordinator` — the thin coordinator: admission, the
   deal phase engine (receipt routing), and reporting.  It talks to
   the runtimes *only* through the frozen payload types of
   :mod:`repro.market.messages`, wrapped in
   :class:`~repro.sim.network.Envelope` and carried by a
   :class:`~repro.sim.network.LocalBus`.
-* :class:`VerifyService` — the verification plane: per-seal signature
-  batches travel as ``SealBatch`` messages keyed ``(chain_id, seq)``
-  into the shared :class:`~repro.consensus.validators.VerifyAggregator`.
-* :class:`ExecutionBackend` — where the run executes.
-  :class:`InlineBackend` runs everything in-process (byte-identical
-  to the historical scheduler).  :class:`ProcessBackend` runs the same
-  single coordinator and moves only the signature checks — ~90% of a
-  run's wall-clock, all behind ``VerifyAggregator.verify_many`` — to
-  a pool of one forked worker per shard; a worker that dies or hangs
-  is dropped and its batches are verified in the parent, so no market
-  state ever lives outside this process.
+
+Signature verification is not a message plane.  In the paper a check
+is contract work of the chain that executes the step (§7), so each
+mempool hands its sealed block's batch straight to the market's one
+:class:`~repro.consensus.validators.VerifyAggregator`, tagged with the
+owner shard; the verdict lands in a flush later in the same simulated
+instant.  ``VerifyAggregator.verify_many`` is the single seam an
+execution backend (:mod:`repro.market.backends`) may replace.
 
 Messages are exchanged on simulated time over a synchronous bus: all
 messages for tick *t* are delivered before any runtime advances past
@@ -40,19 +36,16 @@ transport's job — no handler below ever sees a duplicate.  Chaos off
 constructs the plain bus and schedules nothing extra, so default runs
 stay byte-identical.
 
-The public entry point is :func:`repro.market.open_market`.
+The report type lives in :mod:`repro.market.report`, the deal state
+machine's types in :mod:`repro.market.protocols`; the public entry
+point is :func:`repro.market.open_market`.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
-import os
-import signal
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from functools import partial
 
-from repro.analysis.tables import render_table
 from repro.chain.contracts import Contract
 from repro.chain.ledger import Chain
 from repro.chain.tokens import FungibleToken, NonFungibleToken
@@ -65,12 +58,7 @@ from repro.core.deal import (
     PROTOCOL_UNANIMITY,
     DealSpec,
 )
-from repro.crypto.hashing import tagged_hash
 from repro.crypto.keys import Address, KeyPair, Wallet
-from repro.crypto.schnorr import (
-    batch_verify as schnorr_batch_verify,
-    batch_verify_many as schnorr_batch_verify_many,
-)
 from repro.errors import MarketError
 from repro.market.book import MarketEscrowBook
 from repro.market.commitlog import MarketCommitLog
@@ -82,13 +70,18 @@ from repro.market.messages import (
     CrossShardEscrowOp,
     DealDecided,
     Envelope,
-    SealBatch,
     SubmitOrder,
     VoteFanout,
 )
 from repro.market.order import SignedDealOrder, shard_of_deal
-from repro.market.protocols import CbcDealDriver, DealDriver, TimelockDealDriver
+from repro.market.protocols import (
+    CbcDealDriver,
+    DealPhase,
+    TimelockDealDriver,
+    _DealRun,
+)
 from repro.market.replication import ReplicationLayer
+from repro.market.report import MarketReport, _percentile
 from repro.sim.network import ChaosBus, LocalBus
 from repro.sim.simulator import Simulator
 
@@ -98,7 +91,6 @@ COMMIT_LOG_CONTRACT = "market-commitlog"
 _ABORT_RETRY_LIMIT = 5
 
 COORDINATOR_ENDPOINT = "coordinator"
-VERIFY_ENDPOINT = "verify"
 
 # Byzantine tolerance of each shard's CBC (3f+1 validators).
 _CBC_F = 1
@@ -109,75 +101,11 @@ _VERIFY_MAX_BLOCKS = 8
 # the detection delay before a crashed leader's shard fails over.
 _REPLICATION_DELTA = 0.4
 _FAILOVER_TIMEOUT = 2.0
-# Wall-clock seconds a verify-pool worker may sit on one request
-# before the pool declares it hung.
-_STALL_TIMEOUT = 30.0
 
 
 def shard_endpoint(shard: int) -> str:
     """The bus endpoint name of one shard's runtime."""
     return f"shard-{shard}"
-
-
-class DealPhase(Enum):
-    """Lifecycle of one deal inside the market."""
-
-    REGISTERING = "registering"
-    ESCROW = "escrow"
-    TRANSFER = "transfer"
-    VOTING = "voting"
-    SETTLING = "settling"
-    COMMITTED = "committed"
-    ABORTED = "aborted"
-    REJECTED = "rejected"
-
-
-_TERMINAL = {DealPhase.COMMITTED, DealPhase.ABORTED, DealPhase.REJECTED}
-
-
-@dataclass
-class _DealRun:
-    """Coordinator-internal state machine for one deal."""
-
-    order: SignedDealOrder
-    phase: DealPhase = DealPhase.REGISTERING
-    opens_expected: int = 0
-    opens_done: int = 0
-    transfers_expected: int = 0
-    transfers_done: int = 0
-    decided: str | None = None
-    abort_requested: bool = False
-    abort_retries: int = 0
-    conflict: bool = False
-    reason: str = ""
-    claim_chains: tuple[str, ...] = ()
-    settled_chains: set = field(default_factory=set)
-    finished_at: float | None = None
-    # §5 sore loser: a timelock deal whose escrows settled non-uniformly
-    # (released on one chain, refunded at deadline on another).  Only
-    # crash-gated sealing can produce it; fault-free runs treat it as
-    # an invariant violation.
-    sore_loser: bool = False
-    # Fee market: a base-fee mempool evicted one of the deal's steps
-    # (its co-signed bid can never clear the base-fee floor).  A
-    # measured outcome like sore losers, never a safety violation.
-    priced_out: bool = False
-    patience_handle: object = None
-    # Sharding: the deal's home shard (where it registers and votes)
-    # and whether its escrows straddle books owned by other shards.
-    home_shard: int = 0
-    cross_shard: bool = False
-    # Timelock/CBC runs delegate their phase logic to a protocol driver
-    # (repro.market.protocols); unanimity runs keep driver = None.
-    driver: DealDriver | None = None
-
-    @property
-    def protocol(self) -> str:
-        return self.order.spec.protocol
-
-    @property
-    def terminal(self) -> bool:
-        return self.phase in _TERMINAL
 
 
 @dataclass
@@ -196,13 +124,6 @@ class MarketConfig:
     # block intervals from registration to the vote block, so Δ must
     # comfortably exceed that plus any mempool backlog.
     timelock_delta: float = 8.0
-    # Cross-block verify aggregation: merge the order-signature batches
-    # of every block sealing at one boundary into a single
-    # multi-exponentiation.  Wall-clock only — verdicts land at the
-    # same simulated instant, so decisions and reports are byte
-    # identical; the off switch exists for the equivalence tests that
-    # prove exactly that.
-    verify_aggregation: bool = True
     # Replication (repro.market.replication): each shard becomes a
     # replica group of this size.  The layer is only constructed when
     # factor > 1 or a fault plan is supplied, so the default market
@@ -238,333 +159,14 @@ class MarketConfig:
     telemetry: object | None = None
 
 
-@dataclass
-class MarketReport:
-    """The observable outcome of one market run (simulation units only)."""
-
-    deals: int
-    committed: int
-    aborted: int
-    rejected: int
-    stuck: int
-    conflicts: int
-    timeouts: int
-    latency_p50: float
-    latency_p90: float
-    latency_p99: float
-    end_time: float
-    deals_per_kilotick: float
-    chains: int
-    blocks: int
-    txs_executed: int
-    txs_reverted: int
-    max_mempool_depth: int
-    events_processed: int
-    invariant_violations: tuple[str, ...] = ()
-    outcome_log: tuple = ()
-    # (protocol, committed, aborted, rejected, p50, p90, p99) rows,
-    # one per protocol present in the workload, sorted by protocol.
-    per_protocol: tuple = ()
-    stale_proofs_rejected: int = 0
-    timelock_refund_sweeps: int = 0
-    # Sorted (name, count) rows from the market's VerifyAggregator —
-    # deterministic simulation counters, but deliberately outside
-    # render() and fingerprint() so toggling aggregation can never
-    # change report bytes.  The E16 benchmark surfaces them in its own
-    # aggregation table and in BENCH_market.json.
-    verify_stats: tuple = ()
-    # Sharding: how many coordinator shards the market ran with, and
-    # how many deals straddled books owned by more than one shard.
-    # Rendered only when shards > 1, so unsharded reports stay
-    # byte-identical to the pre-sharding market.
-    shards: int = 1
-    cross_shard_deals: int = 0
-    cross_shard_committed: int = 0
-    # Replication/fault axis (PR 6): rendered only when the layer ran
-    # and did something, so fault-free unreplicated reports keep their
-    # exact bytes.  replication_stats mirrors verify_stats: sorted
-    # counter rows, deliberately outside render() and fingerprint().
-    replication_factor: int = 1
-    faults_injected: int = 0
-    recoveries: int = 0
-    failovers: int = 0
-    availability: float = 1.0
-    replication_stats: tuple = ()
-    # Fault/network observability (rendered inside the same gated
-    # block): per-fault rows from FaultPlan.stats() — each a tuple of
-    # sorted (name, value) items — and the replication network's
-    # delivery counters.  Empty on fault-free unreplicated runs, so
-    # those reports keep their exact bytes.
-    fault_stats: tuple = ()
-    network_stats: tuple = ()
-    # §5 sore losers: timelock deals whose escrows settled mixed
-    # (released here, deadline-refunded there) because crash faults
-    # gated sealing mid-deal.  Always 0 in fault-free runs, where a
-    # mixed settlement is an invariant violation instead.
-    sore_losers: int = 0
-    # Shard-bus delivery counters (sorted rows, outside render() and
-    # fingerprint() like verify_stats): how many typed envelopes the
-    # coordinator and runtimes exchanged.  Observability only.
-    bus_stats: tuple = ()
-    # Fee market (PR 10): the sealing policy the run priced block
-    # space with, how many deals it priced out of the market entirely
-    # (a measured outcome, like sore losers), and the fee units the
-    # sealed traffic paid.  Rendered only under a non-FIFO policy, so
-    # default reports keep their exact bytes; fee_stats mirrors
-    # verify_stats (sorted counter rows outside render/fingerprint).
-    seal_policy: str = "fifo"
-    fee_priced_out: int = 0
-    fees_accrued: int = 0
-    fee_stats: tuple = ()
-
-    @property
-    def abort_rate(self) -> float:
-        """Aborted fraction of all terminally settled deals."""
-        settled = self.committed + self.aborted
-        return self.aborted / settled if settled else 0.0
-
-    @property
-    def cross_shard_fraction(self) -> float:
-        """Cross-shard slice of all spawned deals."""
-        return self.cross_shard_deals / self.deals if self.deals else 0.0
-
-    @property
-    def sore_loser_rate(self) -> float:
-        """Sore-loser slice of all terminally settled deals."""
-        settled = self.committed + self.aborted
-        return self.sore_losers / settled if settled else 0.0
-
-    def aggregator_merge_rate(self) -> float:
-        """Fraction of enqueued block batches that merged with others.
-
-        The measurable sharding win at the verify layer: with one
-        order-carrying shard this is exactly 0.0; with M shards
-        sealing on the same boundary it approaches (M-1)/M.
-        """
-        stats = dict(self.verify_stats)
-        batches = stats.get("batches", 0)
-        return stats.get("merged_batches", 0) / batches if batches else 0.0
-
-    def committed_by_protocol(self) -> dict[str, int]:
-        """Committed deal count per protocol (empty rows omitted)."""
-        return {row[0]: row[1] for row in self.per_protocol}
-
-    def protocol_outcome_rows(self, include_p90: bool = True) -> list[list]:
-        """The per-protocol rows, formatted for a render_table call.
-
-        The single place that knows the ``per_protocol`` tuple layout —
-        both the report's own table and the E16 benchmark table build
-        on it.
-        """
-        rows = []
-        for protocol, committed, aborted, rejected, p50, p90, p99 in self.per_protocol:
-            row = [protocol, committed, aborted, rejected, f"{p50:.2f}"]
-            if include_p90:
-                row.append(f"{p90:.2f}")
-            row.append(f"{p99:.2f}")
-            rows.append(row)
-        return rows
-
-    def fingerprint(self) -> str:
-        """A digest of every deal's outcome — the determinism witness."""
-        parts = [b"repro/market/report"]
-        for index, protocol, outcome, reason, latency in self.outcome_log:
-            parts.append(
-                f"{index}:{protocol}:{outcome}:{reason}:{latency:.9f}".encode("utf-8")
-            )
-        return tagged_hash("repro/market/fingerprint", b"|".join(parts)).hex()[:32]
-
-    def render(self) -> str:
-        """Paper-style summary table (deterministic bytes)."""
-        rows = [
-            ["deals spawned", self.deals],
-            ["committed", self.committed],
-            ["aborted", self.aborted],
-            ["rejected (forged orders)", self.rejected],
-            ["stuck (non-terminal)", self.stuck],
-            ["escrow conflicts", self.conflicts],
-            ["patience timeouts", self.timeouts],
-            ["stale proofs rejected", self.stale_proofs_rejected],
-            ["abort rate", f"{self.abort_rate:.1%}"],
-            ["commit latency p50 (ticks)", f"{self.latency_p50:.2f}"],
-            ["commit latency p90 (ticks)", f"{self.latency_p90:.2f}"],
-            ["commit latency p99 (ticks)", f"{self.latency_p99:.2f}"],
-            ["horizon (chain ticks)", f"{self.end_time:.1f}"],
-            ["throughput (deals / 1000 ticks)", f"{self.deals_per_kilotick:.1f}"],
-            ["chains", self.chains],
-        ]
-        if self.shards > 1:
-            rows += [
-                ["coordinator shards", self.shards],
-                ["cross-shard deals", self.cross_shard_deals],
-                ["cross-shard committed", self.cross_shard_committed],
-                ["cross-shard fraction", f"{self.cross_shard_fraction:.1%}"],
-            ]
-        if (
-            self.replication_factor > 1
-            or self.faults_injected
-            or self.failovers
-            or self.recoveries
-        ):
-            rows += [
-                ["replication factor", self.replication_factor],
-                ["replica crashes injected", self.faults_injected],
-                ["failovers", self.failovers],
-                ["recoveries", self.recoveries],
-                ["availability", f"{self.availability:.3%}"],
-                ["sore losers (mixed timelock)", self.sore_losers],
-            ]
-            if self.network_stats:
-                net = dict(self.network_stats)
-                rows += [
-                    ["replication msgs delivered", net.get("delivered", 0)],
-                    ["replication msgs dropped", net.get("dropped", 0)],
-                    ["replication msgs delayed (faults)",
-                     net.get("filter_delayed", 0)],
-                ]
-            if self.fault_stats:
-                fired = dropped = duplicated = 0
-                kinds: dict[str, int] = {}
-                for row in self.fault_stats:
-                    record = dict(row)
-                    kind = record.get("kind", "?")
-                    kinds[kind] = kinds.get(kind, 0) + 1
-                    fired += record.get("crashes", 0)
-                    fired += record.get("recoveries", 0)
-                    fired += record.get("kills", 0)
-                    dropped += record.get("dropped", 0)
-                    duplicated += record.get("duplicated", 0)
-                plan = ", ".join(
-                    f"{kind} x{count}" for kind, count in sorted(kinds.items())
-                )
-                rows += [
-                    ["fault plan", plan],
-                    ["fault firings (crash+recover+kill)", fired],
-                    ["fault msg drops", dropped],
-                    ["fault msg dups", duplicated],
-                ]
-        bus = dict(self.bus_stats)
-        if "chaos_dropped" in bus:
-            # Only the ChaosBus carries these keys, so chaos-off
-            # reports render byte-identically to a chaos-free build.
-            rows += [
-                ["chaos msgs dropped", bus["chaos_dropped"]],
-                ["chaos msgs duplicated", bus["chaos_duplicated"]],
-                ["chaos msgs delayed", bus["chaos_delayed"]],
-                ["chaos msgs reordered", bus["chaos_reordered"]],
-                ["at-least-once resends", bus["resends"]],
-                ["duplicates suppressed", bus["dup_suppressed"]],
-            ]
-        if "deferred" in bus or "defer_abandoned" in bus:
-            # Causal-deferral outcomes (reordering bus only): how many
-            # early-arriving steps were parked, and how many hit the
-            # retry cap and were abandoned to the patience timeout.
-            # The keys only exist once a runtime actually deferred, so
-            # in-order runs keep their exact bytes.
-            rows += [
-                ["escrow ops deferred (causal)", bus.get("deferred", 0)],
-                ["escrow ops abandoned (defer cap)",
-                 bus.get("defer_abandoned", 0)],
-            ]
-        if self.seal_policy != "fifo":
-            fees = dict(self.fee_stats)
-            rows += [
-                ["sealing policy", self.seal_policy],
-                ["deals fee-priced-out", self.fee_priced_out],
-                ["fee units accrued", self.fees_accrued],
-                ["steps fee-evicted", fees.get("fee_evicted", 0)],
-            ]
-        rows += [
-            ["blocks produced", self.blocks],
-            ["transactions executed", self.txs_executed],
-            ["transactions reverted", self.txs_reverted],
-            ["max mempool depth", self.max_mempool_depth],
-            ["conservation violations", len(self.invariant_violations)],
-            ["fingerprint", self.fingerprint()],
-        ]
-        table = render_table(["measure", "value"], rows, title="Market run")
-        if len(self.per_protocol) <= 1:
-            return table
-        return table + "\n" + render_table(
-            ["protocol", "committed", "aborted", "rejected",
-             "p50 (ticks)", "p90 (ticks)", "p99 (ticks)"],
-            self.protocol_outcome_rows(),
-            title="Per-protocol outcomes",
-        )
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
-class VerifyService:
-    """The verification plane: seal batches in, verdicts out.
-
-    Every mempool hands its per-seal merged signature batch here; the
-    service assigns the batch its ``(chain_id, seq)`` key, posts it
-    over the bus as a :class:`~repro.market.messages.SealBatch` (so
-    the plane's traffic shows up in the bus delivery stats like every
-    other message), and routes it into the shared
-    :class:`~repro.consensus.validators.VerifyAggregator` — or, when
-    aggregation is off, verifies it on the spot.  The settle callback
-    is held out-of-band keyed by the batch key, because callbacks
-    never cross a process boundary; the key is the whole wire
-    identity, which is what lets the ``processes`` backend partition
-    verification by the batch's owner shard.
-    """
-
-    def __init__(self, market: "MarketCoordinator"):
-        self.market = market
-        self._seq: dict[str, int] = {}
-        self._settles: dict[tuple[str, int], object] = {}
-        market.bus.register(VERIFY_ENDPOINT, self._on_envelope)
-
-    def submit(self, chain_id: str, items: list, settle) -> None:
-        """Queue one sealed block's signature batch for verification."""
-        seq = self._seq.get(chain_id, 0) + 1
-        self._seq[chain_id] = seq
-        key = (chain_id, seq)
-        self._settles[key] = settle
-        shard = self.market.chain_shard[chain_id]
-        self.market.bus.post(
-            shard_endpoint(shard),
-            VERIFY_ENDPOINT,
-            shard,
-            SealBatch(chain_id=chain_id, seq=seq, items=tuple(items)),
-        )
-
-    def _on_envelope(self, envelope: Envelope) -> None:
-        batch: SealBatch = envelope.payload
-        key = (batch.chain_id, batch.seq)
-        settle = self._settles.pop(key, None)
-        if settle is None:  # replayed batch already settled
-            return
-        owner = self.market.chain_shard[batch.chain_id]
-        items = list(batch.items)
-        aggregator = self.market.verify_aggregator
-        if aggregator is not None:
-            aggregator.enqueue(items, settle, key=key, owner=owner)
-            return
-        verifier = self.market.verifier
-        if verifier is not None:
-            settle(verifier.verify_one(key, owner, items))
-        else:
-            settle(schnorr_batch_verify(items))
-
-
 class ShardRuntime:
     """One shard's state and its message handlers.
 
-    Owns the shard's chains (home/coordinator chain first), fungible
-    and NFT tokens, escrow books, step mempools, commit log, certified
-    blockchain, and replica group.  The coordinator never submits a
-    transaction to a shard's mempool directly: everything arrives as a
-    typed envelope through :meth:`handle`, and everything the shard
-    observes (sealed-block receipts) leaves as a
+    Owns the shard's chains (home/coordinator chain first), their
+    step mempools and the shard's commit log.  The coordinator never
+    submits a transaction to a shard's mempool directly: everything
+    arrives as a typed envelope through :meth:`handle`, and everything
+    the shard observes (sealed-block receipts) leaves as a
     :class:`~repro.market.messages.BlockReceipts` envelope back to the
     coordinator.
     """
@@ -574,13 +176,8 @@ class ShardRuntime:
         self.shard = shard
         self.home_chain_id = market.shard_home_chain[shard]
         self.chains: dict[str, Chain] = {}
-        self.tokens: dict[str, FungibleToken] = {}
-        self.nft_tokens: dict[str, NonFungibleToken] = {}
-        self.books: dict[str, MarketEscrowBook] = {}
         self.mempools: dict[str, StepMempool] = {}
         self.commit_log: MarketCommitLog | None = None
-        self.cbc: CertifiedBlockchain | None = None
-        self.replica_group = None  # set by the ReplicationLayer
 
     # ------------------------------------------------------------------
     # Construction (driven by the coordinator, in global chain order so
@@ -599,32 +196,30 @@ class ShardRuntime:
         market.chains[chain_id] = chain
         token = FungibleToken(workload.tokens[chain_id])
         chain.publish(token)
-        self.tokens[chain_id] = token
         market.tokens[chain_id] = token
         nft_name = getattr(workload, "nft_tokens", {}).get(chain_id)
         if nft_name is not None:
             nft_token = NonFungibleToken(nft_name)
             chain.publish(nft_token)
-            self.nft_tokens[chain_id] = nft_token
             market.nft_tokens[chain_id] = nft_token
         book = MarketEscrowBook(BOOK_CONTRACT, market.coordinator.address)
         chain.publish(book)
-        self.books[chain_id] = book
         market.books[chain_id] = book
         # Per-shard heterogeneous block space: a shard listed in
         # shard_block_caps seals all its chains at that cap.  The
         # sealing policy is per chain (base-fee state never leaks
         # across chains); "fifo" yields None and the historical drain.
+        # Signature batches go straight to the market's aggregator,
+        # tagged with this shard as their owner.
         caps = config.shard_block_caps or {}
         mempool = StepMempool(
             chain,
             market.wallet,
             market.order_ledger,
+            verify=partial(market.verify_aggregator.enqueue, owner=self.shard),
             max_txs_per_block=caps.get(self.shard, config.max_txs_per_block),
             on_order_rejected=market._on_order_rejected,
-            aggregator=market.verify_aggregator,
             telemetry=market.telemetry,
-            verify_service=market.verify_service,
             policy=make_seal_policy(config, market.fee_ledger),
             on_step_evicted=market._on_step_evicted,
         )
@@ -793,21 +388,16 @@ class MarketCoordinator:
         # sealing at a boundary contributes its block's signature batch
         # and the flush — later in the same simulated instant — pays a
         # single merged multi-exponentiation for all of them.
-        self.verify_aggregator = (
-            VerifyAggregator(
-                schedule=lambda callback: self.simulator.schedule_at(
-                    self.simulator.now, callback, label="market/verify-flush"
-                ),
-                max_blocks=_VERIFY_MAX_BLOCKS,
-            )
-            if self.config.verify_aggregation
-            else None
+        self.verify_aggregator = VerifyAggregator(
+            schedule=lambda callback: self.simulator.schedule_at(
+                self.simulator.now, callback, label="market/verify-flush"
+            ),
+            max_blocks=_VERIFY_MAX_BLOCKS,
         )
-        if self.verify_aggregator is not None:
-            self.verify_aggregator.telemetry = self.telemetry
-        # The processes backend's verify pool (None inline): it takes
-        # over the actual batch checks while keys and verdict routing
-        # stay here.
+        self.verify_aggregator.telemetry = self.telemetry
+        # The processes backend's verify pool (None inline), plugged
+        # into verify_aggregator.verify_many; kept here only as
+        # kill_worker's target.
         self.verifier = None
         # Protocol-safety breaches observed directly by the drivers
         # (e.g. a stale proof accepted) — merged into the report's
@@ -839,7 +429,7 @@ class MarketCoordinator:
             shard: workload.chain_ids[shard] for shard in range(self.shards)
         }
         # The message plane: one synchronous bus, one endpoint per
-        # shard runtime plus the coordinator and the verify service.
+        # shard runtime plus the coordinator.
         # An active chaos plan swaps in the ChaosBus (seeded hazards +
         # at-least-once delivery); the structural branch keeps the
         # chaos-off path byte-identical by construction.
@@ -851,7 +441,6 @@ class MarketCoordinator:
         else:
             self.bus = LocalBus(self.simulator)
         self.bus.register(COORDINATOR_ENDPOINT, self._on_envelope)
-        self.verify_service = VerifyService(self)
         self.runtimes: dict[int, ShardRuntime] = {}
         for shard in range(self.shards):
             runtime = ShardRuntime(self, shard)
@@ -898,8 +487,6 @@ class MarketCoordinator:
                 # and makes shipping acknowledged (resent until acked).
                 chaos=chaos,
             )
-            for shard, group in self.replication.groups.items():
-                self.runtimes[shard].replica_group = group
             if plan is not None:
                 plan.install(self.replication.network)
                 plan.install_processes(self.replication)
@@ -925,9 +512,6 @@ class MarketCoordinator:
         value rather than re-deriving it.
         """
         return shard_of_deal(deal_id, self.shards)
-
-    def _home_log(self, shard: int) -> MarketCommitLog:
-        return self.commit_logs[shard]
 
     @property
     def cbc(self) -> CertifiedBlockchain | None:
@@ -1153,7 +737,6 @@ class MarketCoordinator:
                 lambda _cbc, _block, shard=shard: self._on_cbc_block(shard)
             )
             self.cbcs[shard] = cbc
-            self.runtimes[shard].cbc = cbc
         return cbc
 
     def _on_cbc_block(self, shard: int) -> None:
@@ -1325,7 +908,7 @@ class MarketCoordinator:
                 home_chain,
                 Transaction(
                     sender=party,
-                    contract=self._home_log(run.home_shard).name,
+                    contract=self.commit_logs[run.home_shard].name,
                     method="vote",
                     args={"deal_id": deal_id},
                     phase="market/commit",
@@ -1367,7 +950,7 @@ class MarketCoordinator:
             self.shard_home_chain[run.home_shard],
             Transaction(
                 sender=self.coordinator.address,
-                contract=self._home_log(run.home_shard).name,
+                contract=self.commit_logs[run.home_shard].name,
                 method="mark_abort",
                 args={"deal_id": run.order.deal_id},
                 phase="market/abort",
@@ -1513,6 +1096,17 @@ class MarketCoordinator:
                 _percentile(latencies, 0.99),
             ))
         end_time = self.simulator.now
+        # The replication/fault rows exist only when the layer ran (a
+        # fault plan with faults always constructs it); otherwise the
+        # report keeps MarketReport's field defaults.
+        replicated = {}
+        if self.replication is not None:
+            replicated = self.replication.report_fields(end_time)
+            if self.config.fault_plan is not None:
+                replicated["fault_stats"] = tuple(
+                    tuple(sorted(row.items()))
+                    for row in self.config.fault_plan.stats()
+                )
         return MarketReport(
             deals=len(self.runs),
             committed=committed,
@@ -1541,56 +1135,11 @@ class MarketCoordinator:
             per_protocol=tuple(protocol_rows),
             stale_proofs_rejected=self.stats["stale_proofs_rejected"],
             timelock_refund_sweeps=self.stats["timelock_refund_sweeps"],
-            verify_stats=tuple(
-                sorted(self.verify_aggregator.stats.items())
-                if self.verify_aggregator is not None
-                else ()
-            ),
+            verify_stats=tuple(sorted(self.verify_aggregator.stats.items())),
             shards=self.shards,
             cross_shard_deals=cross_shard_deals,
             cross_shard_committed=cross_shard_committed,
-            replication_factor=(
-                self.replication.factor if self.replication is not None else 1
-            ),
-            faults_injected=(
-                self.replication.counters["crashes"]
-                if self.replication is not None
-                else 0
-            ),
-            recoveries=(
-                self.replication.counters["recoveries"]
-                if self.replication is not None
-                else 0
-            ),
-            failovers=(
-                self.replication.counters["failovers"]
-                if self.replication is not None
-                else 0
-            ),
-            availability=(
-                self.replication.availability(end_time)
-                if self.replication is not None
-                else 1.0
-            ),
-            replication_stats=tuple(
-                sorted(self.replication.stats().items())
-                if self.replication is not None
-                else ()
-            ),
-            fault_stats=tuple(
-                tuple(sorted(row.items()))
-                for row in (
-                    self.config.fault_plan.stats()
-                    if self.config.fault_plan is not None
-                    and getattr(self.config.fault_plan, "faults", ())
-                    else ()
-                )
-            ),
-            network_stats=tuple(
-                sorted(self.replication.network.stats.items())
-                if self.replication is not None
-                else ()
-            ),
+            **replicated,
             sore_losers=sum(1 for run in self.runs.values() if run.sore_loser),
             bus_stats=tuple(sorted(self.bus.stats.items())),
             seal_policy=self.config.seal_policy,
@@ -1607,243 +1156,3 @@ class MarketCoordinator:
             )),
         )
 
-
-# ----------------------------------------------------------------------
-# Execution backends
-# ----------------------------------------------------------------------
-class ExecutionBackend:
-    """Where a market run's work actually executes."""
-
-    name = "?"
-
-    def execute(self, handle: "MarketHandle") -> MarketReport:
-        raise NotImplementedError
-
-
-class InlineBackend(ExecutionBackend):
-    """Everything in this process — the historical scheduler, exactly."""
-
-    name = "inline"
-
-    def execute(self, handle: "MarketHandle") -> MarketReport:
-        return handle.market.run()
-
-
-def _pool_worker(conn, parent_ends) -> None:
-    """One verify worker: batch lists in, verdict lists out, until EOF."""
-    # The fork copied the parent's pipe ends; EOF — the pool closing,
-    # or the parent dying — only arrives once no copy is left open.
-    for end in parent_ends:
-        end.close()
-    try:
-        while True:
-            conn.send(schnorr_batch_verify_many(conn.recv()))
-    except (EOFError, OSError):
-        pass
-
-
-class _VerifyPool:
-    """One forked verify worker per shard, behind ``verify_many``.
-
-    Plugged into the coordinator's :class:`VerifyAggregator` (and the
-    :class:`VerifyService`'s unaggregated path) as the verifier: each
-    flush chunk is split by owner shard, every owner's batches go to
-    that shard's worker in one request, and the verdicts come back in
-    chunk order.  All requests of a chunk are sent before any reply is
-    awaited, so the workers check their slices concurrently.
-
-    The parent holds all market state, so a worker is disposable: one
-    that died (pipe EOF / broken pipe) or sat on a request longer than
-    ``_STALL_TIMEOUT`` is killed and dropped (``workers_lost``), and
-    its batches — the request in flight included — are verified in the
-    parent from then on (``inline_batches``).  Verdicts are the same
-    either way, so a lost worker costs wall-clock and nothing else.
-    """
-
-    def __init__(self, workers: int, stats: dict):
-        self.stats = stats
-        context = multiprocessing.get_context("fork")
-        self._workers: dict[int, tuple] = {}  # shard -> (pipe, process)
-        for shard in range(workers):
-            conn, child_conn = context.Pipe()
-            parent_ends = [conn] + [end for end, _ in self._workers.values()]
-            proc = context.Process(
-                target=_pool_worker, args=(child_conn, parent_ends),
-                name=f"market-verify-{shard}", daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._workers[shard] = (conn, proc)
-
-    def verify_many(self, keyed: list) -> list:
-        """Verdicts for ``[(key, owner, items), ...]``, in order."""
-        slices: dict[int, tuple[list, list]] = {}  # owner -> positions, batches
-        for position, (_, owner, items) in enumerate(keyed):
-            positions, batches = slices.setdefault(owner, ([], []))
-            positions.append(position)
-            batches.append(items)
-        for owner, (_, batches) in slices.items():
-            self._send(owner, batches)
-        verdicts: list = [None] * len(keyed)
-        for owner, (positions, batches) in slices.items():
-            answer = self._recv(owner)
-            if answer is None:
-                self.stats["inline_batches"] += len(batches)
-                answer = schnorr_batch_verify_many(batches)
-            for position, ok in zip(positions, answer):
-                verdicts[position] = ok
-        return verdicts
-
-    def verify_one(self, key, owner: int, items: list) -> bool:
-        """The non-aggregated path: one batch, same ownership rule."""
-        return self.verify_many([(key, owner, items)])[0]
-
-    def _send(self, owner: int, batches: list) -> None:
-        # A worker has at most this one request in flight and requests
-        # are a few KB (17 KB at most over a full E16), far below the
-        # socket buffer, so a hung worker cannot block the send: its
-        # stall shows at the reply.
-        if owner in self._workers:
-            try:
-                self._workers[owner][0].send(batches)
-            except OSError:
-                self._lose(owner)
-
-    def _recv(self, owner: int) -> list | None:
-        """The owner's reply, or ``None`` when it has no live worker."""
-        if owner not in self._workers:
-            return None
-        conn = self._workers[owner][0]
-        try:
-            if conn.poll(_STALL_TIMEOUT):
-                return conn.recv()
-        except (EOFError, OSError):
-            pass
-        self._lose(owner)
-        return None
-
-    def _lose(self, owner: int) -> None:
-        self._stop(owner)
-        self.stats["workers_lost"] += 1
-
-    def _stop(self, owner: int) -> None:
-        conn, proc = self._workers.pop(owner)
-        conn.close()
-        proc.kill()  # SIGKILL also ends a SIGSTOP-hung worker
-        proc.join()
-
-    def kill_worker(self, worker: int, mode: str) -> None:
-        """``WorkerKill``: SIGKILL (``"kill"``) or SIGSTOP (``"hang"``)."""
-        if worker in self._workers:
-            os.kill(
-                self._workers[worker][1].pid,
-                signal.SIGSTOP if mode == "hang" else signal.SIGKILL,
-            )
-
-    def close(self) -> None:
-        for owner in list(self._workers):
-            self._stop(owner)
-
-
-class ProcessBackend(ExecutionBackend):
-    """The inline market with its signature checks on a worker pool.
-
-    One :class:`MarketCoordinator` runs in this process — same event
-    heap, same messages, same report as inline — and the expensive
-    part, seal-batch signature verification (~90% of a sharded E16's
-    wall-clock), goes to a :class:`_VerifyPool` of one forked worker
-    per shard through the ``VerifyAggregator.verify_many`` hook.  A
-    merged Schnorr check succeeds iff every batch in it is valid, and
-    its failure path isolates per batch, so per-owner verdicts equal
-    the merged ones and the report is byte-identical to inline.
-    ``stats`` counts lost workers and the batches verified in the
-    parent in their stead.  Falls back to plain inline execution when
-    workers cannot be forked — inside a daemonic pool worker such as
-    ``run_all.py --jobs``, or on platforms without ``fork``.
-    """
-
-    name = "processes"
-
-    def __init__(self):
-        self.stats = {"workers_lost": 0, "inline_batches": 0}
-
-    @staticmethod
-    def _can_fork() -> bool:
-        return (
-            "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon
-        )
-
-    def execute(self, handle: "MarketHandle") -> MarketReport:
-        market = handle.market
-        if not self._can_fork():
-            return market.run()
-        pool = _VerifyPool(market.shards, self.stats)
-        market.verifier = pool
-        if market.verify_aggregator is not None:
-            market.verify_aggregator.verify_many = pool.verify_many
-        try:
-            return market.run()
-        finally:
-            pool.close()
-
-
-_BACKENDS = {
-    InlineBackend.name: InlineBackend,
-    ProcessBackend.name: ProcessBackend,
-}
-
-
-class MarketHandle:
-    """A constructed market plus the backend that will run it.
-
-    The public surface of :func:`open_market`: ``run()`` executes the
-    workload once (memoized), ``report()`` returns the same
-    :class:`MarketReport`, ``backend`` names the execution backend.
-    The underlying :class:`MarketCoordinator` is built eagerly and
-    exposed as ``.market`` on every backend, so tests and tools can
-    inject faults or inspect chains before running.
-    """
-
-    def __init__(self, workload, config: MarketConfig | None,
-                 backend: ExecutionBackend):
-        self.backend = backend
-        self.market = MarketCoordinator(workload, config)
-        self._report: MarketReport | None = None
-
-    def run(self) -> MarketReport:
-        """Run the market to quiescence (once) and return its report."""
-        if self._report is None:
-            self._report = self.backend.execute(self)
-        return self._report
-
-    def report(self) -> MarketReport:
-        """The run's report (runs the market if it has not run yet)."""
-        return self.run()
-
-
-def open_market(
-    workload,
-    config: MarketConfig | None = None,
-    backend: str | ExecutionBackend = "inline",
-) -> MarketHandle:
-    """Open one market over ``workload`` and pick its execution backend.
-
-    The public entry point of :mod:`repro.market`::
-
-        from repro.market import open_market
-        report = open_market(MarketWorkload(profile)).run()
-
-    ``backend`` is ``"inline"`` (default: everything in-process),
-    ``"processes"`` (signature checks on one forked worker per shard;
-    same bytes), or an :class:`ExecutionBackend` instance.
-    """
-    if isinstance(backend, str):
-        try:
-            backend = _BACKENDS[backend]()
-        except KeyError:
-            raise MarketError(
-                f"unknown execution backend {backend!r} "
-                f"(expected one of {sorted(_BACKENDS)})"
-            ) from None
-    return MarketHandle(workload, config, backend)

@@ -340,26 +340,14 @@ class LocalBus:
     is delivered before anything advances past *t*, because nothing
     advances at all until the handler returns.
 
-    The bus keeps :class:`Network`-shaped delivery counters and
-    accepts the same style of delivery filters (return extra delay,
-    or raise :class:`DropMessage`), so drop/delay observability is
-    uniform across the replication network, the telemetry plane, and
-    the shard message plane.  A delayed envelope is re-posted through
-    the simulator; the market itself installs no filters, keeping the
-    default path event-free.
+    ``stats`` counts envelopes delivered and envelopes dropped for want
+    of a registered recipient.
     """
 
     def __init__(self, simulator: Simulator):
         self.simulator = simulator
         self._handlers: dict[str, Callable[[Envelope], None]] = {}
-        self._filters: list[Callable[[Envelope], float | None]] = []
-        self.stats = {
-            "delivered": 0,
-            "dropped": 0,
-            "filter_dropped": 0,
-            "filter_delayed": 0,
-        }
-
+        self.stats = {"delivered": 0, "dropped": 0}
 
     def register(self, name: str, handler: Callable[[Envelope], None]) -> None:
         """Attach an endpoint; envelopes posted to ``name`` invoke it."""
@@ -367,41 +355,11 @@ class LocalBus:
             raise NetworkError(f"endpoint {name!r} already registered")
         self._handlers[name] = handler
 
-    def deregister(self, name: str) -> None:
-        """Detach an endpoint; future envelopes to it are dropped."""
-        self._handlers.pop(name, None)
-
-    def add_filter(self, fn: Callable[[Envelope], float | None]) -> None:
-        """Install a delivery filter (same contract as Network's)."""
-        self._filters.append(fn)
-
     def post(self, sender: str, recipient: str, shard: int, payload: object) -> None:
         """Deliver ``payload`` to ``recipient`` at this very instant."""
         envelope = Envelope(
             sender=sender, shard=shard, tick=self.simulator.now, payload=payload
         )
-        self._route(recipient, envelope)
-
-    def _route(self, recipient: str, envelope: Envelope) -> None:
-        """Run the delivery filters, then deliver (now or delayed)."""
-        delay = 0.0
-        try:
-            for fn in self._filters:
-                extra = fn(envelope)
-                if extra is not None and extra > 0:
-                    delay += extra
-                    self.stats["filter_delayed"] += 1
-        except DropMessage:
-            self.stats["dropped"] += 1
-            self.stats["filter_dropped"] += 1
-            return
-        if delay > 0:
-            self.simulator.schedule(
-                delay,
-                lambda: self._deliver(recipient, envelope),
-                label=f"bus->{recipient}",
-            )
-            return
         self._deliver(recipient, envelope)
 
     def _deliver(self, recipient: str, envelope: Envelope) -> None:
@@ -507,11 +465,11 @@ class ChaosBus(LocalBus):
         if hold > 0:
             self.simulator.schedule(
                 hold,
-                lambda: self._route(recipient, envelope),
+                lambda: self._deliver(recipient, envelope),
                 label=f"chaos->{recipient}",
             )
             return
-        self._route(recipient, envelope)
+        self._deliver(recipient, envelope)
 
     def _deliver(self, recipient: str, envelope: Envelope) -> None:
         payload = envelope.payload

@@ -20,12 +20,12 @@ from repro.errors import MarketError
 from repro.market import (
     MarketConfig,
     MarketCoordinator,
+    backends,
     open_market,
-    runtime,
 )
-from repro.market.runtime import ProcessBackend
+from repro.market.backends import ProcessBackend
 from repro.sim.faults import FaultPlan, ReplicaCrash, WorkerKill
-from repro.sim.network import DropMessage, Envelope, LocalBus
+from repro.sim.network import Envelope, LocalBus
 from repro.sim.simulator import Simulator
 from repro.telemetry import Telemetry
 from repro.workloads.market import MarketProfile, MarketWorkload
@@ -127,7 +127,7 @@ def _kill_config(mode: str) -> MarketConfig:
 def test_pool_survives_lost_worker_and_matches_inline(mode, monkeypatch):
     # A SIGSTOPped worker never closes its pipe: only the stall
     # timeout can catch it, so shrink it from its 30 s.
-    monkeypatch.setattr(runtime, "_STALL_TIMEOUT", 0.6)
+    monkeypatch.setattr(backends, "_STALL_TIMEOUT", 0.6)
     # Inline the kill is scheduled but has no worker to act on, so the
     # baseline is the clean run.
     inline = open_market(MarketWorkload(_profile(2)), _kill_config(mode)).run()
@@ -174,26 +174,3 @@ def test_local_bus_delivers_synchronously_with_stats():
     bus.post("source", "nobody", 0, payload="lost")
     assert bus.stats["delivered"] == 1
     assert bus.stats["dropped"] == 1
-
-
-def test_local_bus_filters_drop_and_delay():
-    simulator = Simulator()
-    bus = LocalBus(simulator)
-    seen = []
-    bus.register("sink", seen.append)
-
-    def fn(envelope):
-        if envelope.payload == "poison":
-            raise DropMessage
-        if envelope.payload == "slow":
-            return 2.5
-        return None
-
-    bus.add_filter(fn)
-    bus.post("source", "sink", 0, payload="poison")
-    assert not seen and bus.stats["filter_dropped"] == 1
-    bus.post("source", "sink", 0, payload="slow")
-    assert not seen  # delayed envelopes ride the simulator
-    simulator.run()
-    assert [envelope.payload for envelope in seen] == ["slow"]
-    assert bus.stats["filter_delayed"] == 1

@@ -5,9 +5,11 @@ batch into one shared :class:`VerifyAggregator`, which flushes later
 in the same simulated instant.  These tests pin the three contracted
 properties: batches from blocks sealing at one boundary really merge
 into a single check, forged orders are still rejected at their sealing
-instant (the fallback isolates them), and every observable byte of a
-market run — fingerprint, render, per-deal outcomes — is identical
-with aggregation on and off.
+instant (the fallback isolates them) — message chaos included, since
+no bus hop sits between a seal and its check — and every observable
+byte of a market run (fingerprint, render, per-deal outcomes) is
+identical whether a flush is one merged check or each batch is
+verified alone.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from dataclasses import replace
 
 from market_test_utils import HandWorkload, run_hand, two_party_swap
 from repro.consensus.validators import VerifyAggregator
-from repro.crypto.schnorr import generate_keypair, sign
+from repro.crypto.schnorr import batch_verify, generate_keypair, sign
 from repro.market import DealPhase, MarketConfig, MarketCoordinator
+from repro.sim.chaos import ChaosPlan, ChaosPolicy
 from repro.sim.simulator import Simulator
 from repro.workloads.market import MarketProfile, MarketWorkload
 
@@ -26,6 +29,20 @@ def _config(**overrides) -> MarketConfig:
     base = dict(patience=30.0, check_invariants_per_block=True)
     base.update(overrides)
     return MarketConfig(**base)
+
+
+def _run(workload, config, merged: bool):
+    """Run one market; ``merged=False`` verifies every batch alone.
+
+    The reference swaps the aggregator's hook: per-batch arithmetic
+    in place of the merged multi-exponentiation.
+    """
+    market = MarketCoordinator(workload, config)
+    if not merged:
+        market.verify_aggregator.verify_many = lambda batches: [
+            batch_verify(items) for _, items in batches
+        ]
+    return market.run()
 
 
 def test_same_boundary_blocks_merge_into_one_flush():
@@ -88,19 +105,32 @@ def test_forged_order_rejected_at_sealing_instant_with_aggregation():
     assert stats["isolation_fallbacks"] >= 1
 
 
+def test_forged_orders_rejected_at_sealing_instant_under_message_chaos():
+    # A sealed block's signature check is the sealing chain's own
+    # work, not a message: a bus that drops 30% of its traffic must
+    # not delay a single verdict past the seal's half-grid instant
+    # (the off-grid ack_timeout would make a resent batch show).
+    profile = replace(
+        MarketProfile.sharded_smoke(), deals=60, forge_rate=0.2
+    )
+    chaos = ChaosPlan(market=ChaosPolicy(drop_rate=0.3), ack_timeout=0.25)
+    market = MarketCoordinator(MarketWorkload(profile), MarketConfig(chaos=chaos))
+    report = market.run()
+    assert dict(report.bus_stats)["chaos_dropped"] > 0
+    forged = [run for run in market.runs.values() if run.reason == "forged"]
+    assert forged and len(forged) == report.rejected
+    for run in forged:
+        assert run.finished_at % 1.0 == 0.5
+
+
 def test_aggregation_on_off_reports_are_byte_identical():
     profile = replace(MarketProfile.smoke(), deals=60)
-    reports = []
-    for enabled in (True, False):
-        scheduler = MarketCoordinator(
-            MarketWorkload(profile), MarketConfig(verify_aggregation=enabled)
-        )
-        reports.append(scheduler.run())
-    on, off = reports
+    on, off = (
+        _run(MarketWorkload(profile), None, merged) for merged in (True, False)
+    )
     assert on.fingerprint() == off.fingerprint()
     assert on.render() == off.render()
     assert on.outcome_log == off.outcome_log
-    assert dict(off.verify_stats) == {}
 
 
 def test_aggregation_on_off_equivalence_with_hand_forgeries():
@@ -112,11 +142,8 @@ def test_aggregation_on_off_equivalence_with_hand_forgeries():
             two_party_swap(wl, index=2, arrival=1.2, a=1, b=2),
         ]
 
-    results = []
-    for enabled in (True, False):
-        workload = HandWorkload(orders)
-        scheduler = MarketCoordinator(workload, _config(verify_aggregation=enabled))
-        results.append(scheduler.run())
-    on, off = results
+    on, off = (
+        _run(HandWorkload(orders), _config(), merged) for merged in (True, False)
+    )
     assert on.fingerprint() == off.fingerprint()
     assert on.render() == off.render()

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.market import MarketConfig, MarketCoordinator, open_market
-from repro.market.runtime import _percentile as scheduler_percentile
+from repro.market.report import _percentile as scheduler_percentile
 from repro.sim.faults import FaultPlan, ReplicaCrash
 from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from repro.telemetry.export import (
