@@ -27,18 +27,24 @@ space.  This package is the runtime for that regime:
   of *its* deals exactly once (first decision wins, commit xor
   abort); :func:`~repro.market.order.shard_of_deal` names every
   deal's home shard and the log enforces the routing on-chain.
-* :mod:`repro.market.runtime` / :mod:`repro.market.messages` — the
-  market runtime: a thin
-  :class:`~repro.market.runtime.MarketCoordinator` drives N
-  interleaved deal state machines through escrow → transfer → vote →
-  settle against the simulated clock, detects escrow conflicts (two
-  deals drawing on the same account: the first open wins, the loser
-  aborts and is refunded), and reports throughput, chain-time latency
-  percentiles, and abort rates — while every shard's chains, mempools
-  and commit log live in that shard's
-  :class:`~repro.market.runtime.ShardRuntime`, reached only through
-  typed message envelopes; :mod:`repro.market.report` holds the
-  :class:`MarketReport` a run returns.
+* :mod:`repro.market.runtime` / :mod:`repro.market.protocols` — a
+  thin :class:`~repro.market.runtime.MarketCoordinator` admits
+  orders, routes every sealed-block receipt to its deal's
+  :class:`~repro.market.protocols.DealDriver` and reports throughput,
+  chain-time latency percentiles and abort rates.  The driver is the
+  deal's state machine — escrow → transfer → vote → settle against
+  the simulated clock — and there is one per commit protocol behind
+  the same interface: unanimity (book + commit log), §5's timelock
+  and §6's CBC.  All three detect escrow conflicts the same way (two
+  deals drawing on the same account: the first escrow wins, the loser
+  aborts and is refunded).
+* :mod:`repro.market.shard` / :mod:`repro.market.messages` — every
+  shard's chains, mempools and commit log live in that shard's
+  :class:`~repro.market.shard.ShardRuntime`, reached only through
+  typed message envelopes (six payload types; the coordinator sends
+  three: register an order, publish a per-deal escrow, submit one
+  step); :mod:`repro.market.report` holds the :class:`MarketReport`
+  a run returns.
 * :mod:`repro.market.backends` — :func:`open_market` is the entry
   point and picks the execution backend (``inline``, or ``processes``:
   the same coordinator with its signature checks on one worker process

@@ -40,6 +40,9 @@ from __future__ import annotations
 from repro.chain.contracts import CallContext, Contract
 from repro.crypto.keys import Address
 
+# The name every chain publishes its book under.
+BOOK_CONTRACT = "market-book"
+
 # Per-chain lifecycle of one deal's escrows.
 OPEN = "open"
 COMMITTED = "committed"

@@ -257,7 +257,7 @@ def make_seal_policy(config, fees: FeeLedger) -> SealPolicy | None:
     Every non-FIFO policy gets its own instance per call, so per-chain
     state (the base fee) never leaks across chains.
     """
-    policy = getattr(config, "seal_policy", "fifo")
+    policy = config.seal_policy
     if policy == "fifo":
         return None
     if policy == "first_price":

@@ -54,8 +54,7 @@ at the end of every run — and after every block when
 
 from __future__ import annotations
 
-from repro.core.escrow import EscrowState
-from repro.market.book import ABORTED, COMMITTED, OPEN
+from repro.market.book import OPEN
 from repro.market.order import shard_of_deal
 
 
@@ -157,37 +156,15 @@ def check_market_invariants(scheduler) -> list[str]:
     # (reported like sore losers), never a conservation violation:
     # fees are priority units, not token transfers, so every balance
     # check above is policy-independent by construction.
-    replication = getattr(scheduler, "replication", None)
-    config = getattr(scheduler, "config", None)
-    chaos = getattr(config, "chaos", None)
-    fees_active = getattr(config, "seal_policy", "fifo") != "fifo"
+    replication = scheduler.replication
+    config = scheduler.config
     crash_faults_active = (
         (replication is not None and replication.counters["crashes"] > 0)
-        or (chaos is not None and getattr(chaos, "market_active", False))
-        or fees_active
+        or (config.chaos is not None and config.chaos.market_active)
+        or config.seal_policy != "fifo"
     )
-    for deal_id, run in scheduler.runs.items():
-        if run.driver is not None:
-            violations.extend(
-                _check_escrow_uniformity(run, crash_faults_active)
-            )
-            continue
-        states = {
-            chain_id: scheduler.books[chain_id].peek_deal_state(deal_id)
-            for chain_id in run.claim_chains
-        }
-        if run.decided == "commit":
-            wrong = {c: s for c, s in states.items() if s != COMMITTED}
-            if run.terminal and wrong:
-                violations.append(
-                    f"deal #{run.order.index} committed but chains disagree: {wrong}"
-                )
-        elif run.decided == "abort" and run.terminal:
-            wrong = {c: s for c, s in states.items() if s not in (ABORTED, None)}
-            if wrong:
-                violations.append(
-                    f"deal #{run.order.index} aborted but chains disagree: {wrong}"
-                )
+    for run in scheduler.runs.values():
+        violations.extend(_check_uniformity(run, crash_faults_active))
 
     # 8. Replica convergence across every crash/recover interleaving.
     if replication is not None:
@@ -195,9 +172,14 @@ def check_market_invariants(scheduler) -> list[str]:
     return violations
 
 
-def _check_escrow_uniformity(run, crash_faults_active: bool = False) -> list[str]:
-    """A terminal timelock/CBC deal released everywhere or nowhere."""
-    if not run.terminal or run.phase.value == "rejected":
+def _check_uniformity(run, crash_faults_active: bool) -> list[str]:
+    """A decided, terminal deal settled the same way everywhere.
+
+    The deal's driver knows where its escrows live (book entries per
+    claim chain, or one contract per asset) and which of their states
+    contradict the decision.
+    """
+    if not run.terminal or run.decided is None:
         return []
     if run.sore_loser:
         if crash_faults_active and run.protocol == "timelock":
@@ -206,21 +188,11 @@ def _check_escrow_uniformity(run, crash_faults_active: bool = False) -> list[str
             f"{run.protocol} deal #{run.order.index} settled mixed "
             "(sore loser) without any crash fault to blame"
         ]
-    states = run.driver.escrow_states()
-    if run.decided == "commit":
-        wrong = {
-            asset_id: state for asset_id, state in states.items()
-            if state is not EscrowState.RELEASED
-        }
-    else:
-        wrong = {
-            asset_id: state for asset_id, state in states.items()
-            if state is EscrowState.RELEASED
-        }
+    wrong = run.driver.settlement_disagreements()
     if wrong:
         return [
             f"{run.protocol} deal #{run.order.index} decided "
-            f"{run.decided!r} but escrows disagree: {wrong}"
+            f"{run.decided!r} but its escrows disagree: {wrong}"
         ]
     return []
 

@@ -1,7 +1,7 @@
 """The typed messages of the shard-runtime API.
 
 The market coordinator and its per-shard
-:class:`~repro.market.runtime.ShardRuntime`\\ s communicate *only*
+:class:`~repro.market.shard.ShardRuntime`\\ s communicate *only*
 through the frozen payload types below, wrapped in the uniform
 :class:`~repro.sim.network.Envelope` (sender, shard, tick, payload)
 and carried by a :class:`~repro.sim.network.LocalBus`.  Each type
@@ -10,19 +10,18 @@ names one protocol edge:
 * :class:`SubmitOrder` — coordinator → home shard: register a signed
   deal order on the shard's commit log (the runtime builds the
   on-chain registration transaction itself).
-* :class:`CrossShardEscrowOp` — coordinator → asset shard: publish a
-  per-deal escrow contract or submit one escrow step (``open``,
-  ``approve``, ``deposit``, ``transfer``, ``refund``, ``claim``) to
-  the asset chain's mempool.
-* :class:`VoteFanout` — coordinator → shard: a commit-log vote or
-  abort mark on the deal's home shard, or a §5 path-signature vote
-  fanned to a timelock escrow's chain.
-* :class:`DealDecided` — coordinator → asset shard: the home commit
-  log decided; claim (commit/abort) the deal's book escrows on one
-  chain.
+* :class:`PublishEscrow` — coordinator → asset shard: publish one
+  per-deal escrow contract (timelock/CBC) on an asset chain.
+* :class:`SubmitStep` — coordinator → shard: one ready-built
+  transaction for one chain's mempool.  Every step of every protocol
+  is this one edge — a book ``open``/``transfer``/claim, a per-deal
+  escrow ``approve``/``deposit``/``refund``/proof-carrying claim, a
+  commit-log vote or abort mark, a §5 path-signature vote — because
+  the shard does the same thing with all of them: wait until the
+  target contract exists, then ``mempool.submit``.
 * :class:`BlockReceipts` — shard → coordinator: one sealed block's
-  receipts, which the coordinator's phase engine routes to deal state
-  machines.
+  receipts, each of which the coordinator routes to its deal's
+  :class:`~repro.market.protocols.DealDriver`.
 * :class:`DeltaShipment` / :class:`DeltaAck` — replication plane:
   sealed-block write-set shipping leader → follower and the
   follower's sequence acknowledgement (these two ride the dedicated
@@ -44,7 +43,7 @@ work of the chain that seals the block (paper §7), so a mempool hands
 its batch straight to the market's ``VerifyAggregator`` — there is no
 network between a block producer and the check of its own block.
 
-Every type is a frozen dataclass; nothing here imports the runtime,
+Every type is a frozen dataclass and nothing here imports anything,
 so the vocabulary is dependency-free.
 """
 
@@ -52,15 +51,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.network import BusAck, Envelope
-
 __all__ = [
-    "Envelope",
-    "BusAck",
     "SubmitOrder",
-    "CrossShardEscrowOp",
-    "VoteFanout",
-    "DealDecided",
+    "PublishEscrow",
+    "SubmitStep",
     "BlockReceipts",
     "DeltaShipment",
     "DeltaAck",
@@ -76,38 +70,20 @@ class SubmitOrder:
 
 
 @dataclass(frozen=True)
-class CrossShardEscrowOp:
-    """One escrow-plane operation on an asset chain.
+class PublishEscrow:
+    """Publish one per-deal escrow contract on an asset chain."""
 
-    ``op == "publish"`` carries the per-deal escrow ``contract`` to
-    publish; every other op carries the ready-signed transaction
-    ``tx`` for the chain's mempool.
-    """
-
-    deal_id: bytes
     chain_id: str
-    op: str
-    tx: object | None = None  # Transaction
-    contract: object | None = None  # Contract (publish only)
-    asset_id: str = ""
+    contract: object  # Contract
 
 
 @dataclass(frozen=True)
-class VoteFanout:
-    """A vote (or abort mark) fanned out to one chain's mempool."""
+class SubmitStep:
+    """One ready-built transaction for one chain's mempool."""
 
     deal_id: bytes
     chain_id: str
     tx: object  # Transaction
-
-
-@dataclass(frozen=True)
-class DealDecided:
-    """The home log decided: claim the deal's book escrows on a chain."""
-
-    deal_id: bytes
-    chain_id: str
-    method: str  # "commit" | "abort"
 
 
 @dataclass(frozen=True)

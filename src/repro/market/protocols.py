@@ -1,10 +1,23 @@
-"""Per-deal commit-protocol drivers for the concurrent market.
+"""The deal state machine: one :class:`DealDriver` per deal.
 
-PR 2's market committed every deal through a simplified
-unanimity-order flow (one vote per party on a shared commit log).
-This module drives the paper's two *real* atomic cross-chain commit
-protocols through the same per-chain
+The paper gives every deal the same phase skeleton — clearing →
+escrow → transfer → validation → commit — and lets only the *commit*
+phase differ between protocols.  The market mirrors that: the
+coordinator (:mod:`repro.market.runtime`) admits an order, looks its
+protocol up in :data:`DRIVERS`, and from then on calls only the
+driver's hooks — ``on_registered``, ``on_escrow_receipt``,
+``on_patience`` (plus :meth:`CbcDealDriver.on_cbc_block`).  All three
+drivers run through the same per-chain
 :class:`~repro.market.mempool.StepMempool`\\ s and shared block space:
+
+* :class:`UnanimityDealDriver` — the market's own unanimity flow.
+  Escrows open in each chain's shared
+  :class:`~repro.market.book.MarketEscrowBook`, every party casts one
+  vote on the home shard's
+  :class:`~repro.market.commitlog.MarketCommitLog`, the log decides
+  exactly once (the last vote commits; an abort mark — cast on an
+  escrow conflict, a failed transfer or patience expiry — aborts),
+  and the driver claims the decision on every book the deal touched.
 
 * :class:`TimelockDealDriver` — §5's timelock protocol.  One
   :class:`~repro.core.timelock.TimelockEscrow` is published per
@@ -19,27 +32,24 @@ protocols through the same per-chain
 
 * :class:`CbcDealDriver` — §6's CBC protocol.  The deal is started on
   its home shard's :class:`~repro.consensus.bft.CertifiedBlockchain`
-  (one ``startDeal`` entry — the unsharded market has exactly one
-  such CBC), one
-  :class:`~repro.core.cbc.CbcEscrow` is published per (deal, asset)
-  with the definitive start hash and the CBC's initial validator keys,
-  and parties vote commit (or abort) *on the CBC*, which batch-checks
-  every vote arriving in a block interval with one combined Schnorr
-  verification at block production (see
-  :meth:`repro.consensus.bft.CertifiedBlockchain.submit`).  Once the CBC log
-  is decisive, the driver extracts a quorum-signed
+  (one ``startDeal`` entry), one :class:`~repro.core.cbc.CbcEscrow` is
+  published per (deal, asset) with the definitive start hash and the
+  CBC's initial validator keys, and parties vote commit (or abort)
+  *on the CBC*, which batch-checks a block interval's votes with one
+  combined Schnorr verification at block production.  Once the CBC
+  log is decisive, the driver extracts a quorum-signed
   :class:`~repro.core.proofs.StatusProof` and submits one
   proof-carrying commit/abort transaction per escrow; each proof is
   verified inside the block that executes it.  A stale-proof forger
   submits a certificate bound to a stale start hash before the deal
   decides — the contract must reject it.
 
-Both drivers resolve contention the same way the book does: a deposit
-that reverts (another deal drained the owner's wallet balance first)
-is an escrow conflict, and the deal unwinds with every successful
-deposit refunded — by terminal timeout for the timelock protocol (it
-has no abort vote; §5) and by an abort vote plus abort proofs for the
-CBC.
+All three resolve contention the same way: an escrow step that
+reverts (another deal drew on the owner's balance first) is an escrow
+conflict, and the deal unwinds with every successful escrow refunded —
+by an abort mark on the commit log for unanimity, by terminal timeout
+for the timelock protocol (it has no abort vote; §5) and by an abort
+vote plus abort proofs for the CBC.
 
 Faithfulness caveat (§5): timelock atomicity rests on the paper's Δ
 assumption — a vote submitted in time must *execute* within Δ.  The
@@ -54,22 +64,28 @@ failure mode the paper predicts when Δ is violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.chain.tx import Receipt, Transaction
 from repro.consensus.bft import DealStatus, LogEntry, StatusCertificate
 from repro.core.cbc import CbcEscrow
+from repro.core.deal import PROTOCOL_CBC, PROTOCOL_TIMELOCK, PROTOCOL_UNANIMITY
 from repro.core.escrow import EscrowState
 from repro.core.proofs import StatusProof
 from repro.core.timelock import TimelockEscrow
 from repro.crypto.hashing import hash_concat
 from repro.crypto.pathsig import sign_vote
+from repro.market.book import ABORTED, BOOK_CONTRACT, COMMITTED
 from repro.market.order import SignedDealOrder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.market.runtime import MarketCoordinator
+
+# How often a reverted abort mark (cast before the registration landed)
+# is re-cast before the deal is left to its patience timer.
+_ABORT_RETRY_LIMIT = 5
 
 
 class DealPhase(Enum):
@@ -90,21 +106,19 @@ _TERMINAL = {DealPhase.COMMITTED, DealPhase.ABORTED, DealPhase.REJECTED}
 
 @dataclass
 class _DealRun:
-    """Coordinator-internal state machine for one deal."""
+    """What the coordinator knows about one deal, whatever its protocol.
+
+    Progress counters, retry budgets and settlement sets belong to the
+    deal's :class:`DealDriver`; a run without a driver is a malformed
+    order, rejected at admission.
+    """
 
     order: SignedDealOrder
     phase: DealPhase = DealPhase.REGISTERING
-    opens_expected: int = 0
-    opens_done: int = 0
-    transfers_expected: int = 0
-    transfers_done: int = 0
     decided: str | None = None
-    abort_requested: bool = False
-    abort_retries: int = 0
     conflict: bool = False
     reason: str = ""
     claim_chains: tuple[str, ...] = ()
-    settled_chains: set = field(default_factory=set)
     finished_at: float | None = None
     # §5 sore loser: a timelock deal whose escrows settled non-uniformly
     # (released on one chain, refunded at deadline on another).  Only
@@ -120,8 +134,6 @@ class _DealRun:
     # and whether its escrows straddle books owned by other shards.
     home_shard: int = 0
     cross_shard: bool = False
-    # Timelock/CBC runs delegate their phase logic to a protocol driver
-    # (repro.market.protocols); unanimity runs keep driver = None.
     driver: DealDriver | None = None
 
     @property
@@ -134,34 +146,250 @@ class _DealRun:
 
 
 class DealDriver:
-    """Shared machinery: per-deal escrow contracts behind the mempools.
+    """One deal's phase engine; the coordinator only calls the hooks.
 
-    Drivers never touch a shard's mempool directly: every escrow step
-    and vote goes through the coordinator's typed submit methods
-    (:meth:`~repro.market.runtime.MarketCoordinator.submit_escrow_op`,
-    :meth:`~repro.market.runtime.MarketCoordinator.submit_vote`), which
-    route it over the shard bus to the owning
-    :class:`~repro.market.runtime.ShardRuntime`.  Chain *reads* (escrow
+    Drivers never touch a shard's mempool directly: every transaction
+    they build goes through :meth:`_submit`, i.e. the coordinator's
+    :meth:`~repro.market.runtime.MarketCoordinator.submit_step`, which
+    routes it over the shard bus to the owning
+    :class:`~repro.market.shard.ShardRuntime`.  Chain *reads* (escrow
     state peeks for sweeps and invariants) stay direct — they are
     observations, not market traffic.
     """
+
+    # Whether admission arms the coordinator's patience timer (whose
+    # expiry calls :meth:`on_patience`) for deals of this protocol.
+    arms_patience = True
 
     def __init__(self, scheduler: "MarketCoordinator", run: "_DealRun"):
         self.scheduler = scheduler
         self.run = run
         self.spec = run.order.spec
         self.deal_id = self.spec.deal_id
+        self.transfers_done = 0
+
+    def _submit(self, chain_id: str, sender, contract: str, method: str,
+                phase: str, **args) -> None:
+        """Build one step transaction and route it to its chain."""
+        self.scheduler.submit_step(
+            chain_id,
+            Transaction(sender=sender, contract=contract, method=method,
+                        args=args, phase=phase),
+            self.deal_id,
+        )
+
+    def _enter(self, phase: DealPhase, at: float) -> None:
+        self.run.phase = phase
+        telemetry = self.scheduler.telemetry
+        if telemetry is not None:
+            telemetry.deal_phase(self.run, phase.value, at)
+
+    # -- the interface the coordinator and the invariant sweep use ------
+    def on_registered(self, receipt: Receipt) -> None:
+        """The order cleared its signature checks and registered."""
+        raise NotImplementedError
+
+    def on_escrow_receipt(self, asset_id: str, receipt: Receipt) -> None:
+        """One of the deal's steps executed (or reverted) on a chain.
+
+        ``asset_id`` names the asset of a per-deal escrow contract; it
+        is empty for book and commit-log receipts."""
+        raise NotImplementedError
+
+    def on_patience(self) -> None:
+        """The coordinator's patience timer for this deal expired."""
+        raise NotImplementedError
+
+    def settlement_disagreements(self) -> dict:
+        """Where the deal's escrows sit in a state contradicting
+        ``run.decided`` — empty when the outcome is uniform."""
+        raise NotImplementedError
+
+
+class UnanimityDealDriver(DealDriver):
+    """Book escrows, one vote per party on the home shard's commit log."""
+
+    def __init__(self, scheduler: "MarketCoordinator", run: "_DealRun"):
+        super().__init__(scheduler, run)
+        self.home_chain = scheduler.shard_home_chain[run.home_shard]
+        self.log_name = scheduler.commit_logs[run.home_shard].name
+        self.opens_done = 0
+        self.claims_done = 0
+        self.abort_requested = False
+        self.abort_retries = 0
+
+    def on_registered(self, receipt: Receipt) -> None:
+        self._enter(DealPhase.ESCROW, receipt.executed_at)
+        spec = self.spec
+        for asset in spec.assets:
+            if asset.owner in self.run.order.no_show:
+                continue  # adversarial owner: never escrows
+            holding = (
+                {"amount": asset.amount} if asset.fungible
+                else {"token_ids": asset.token_ids}
+            )
+            self._submit(
+                asset.chain_id, asset.owner, BOOK_CONTRACT, "open",
+                "market/escrow", deal_id=self.deal_id, asset_id=asset.asset_id,
+                token=asset.token, parties=spec.parties, **holding,
+            )
+
+    def on_escrow_receipt(self, asset_id: str, receipt: Receipt) -> None:
+        method = receipt.tx.method
+        if method == "open":
+            self._on_open(receipt)
+        elif method == "transfer":
+            self._on_transfer(receipt)
+        elif method in ("vote", "mark_abort"):
+            self._on_log_receipt(receipt)
+        elif method in ("commit", "abort"):
+            self._on_claim(receipt)
+
+    def on_patience(self) -> None:
+        self._request_abort("timeout")
+
+    def _on_open(self, receipt: Receipt) -> None:
+        run = self.run
+        if not receipt.ok:
+            if run.decided is not None or self.abort_requested:
+                # A straggler open bouncing off an already-settled deal
+                # (e.g. after a patience abort) is not a conflict.
+                return
+            # Escrow conflict: another deal already holds the funds.
+            run.conflict = True
+            self._request_abort("conflict")
+            return
+        self.opens_done += 1
+        if run.phase is DealPhase.ESCROW and self.opens_done == len(
+            self.spec.assets
+        ):
+            self._enter(DealPhase.TRANSFER, receipt.executed_at)
+            if self.spec.steps:
+                self._submit_transfers()
+            else:
+                self._start_voting()
+
+    def _submit_transfers(self) -> None:
+        spec = self.spec
+        for step in spec.steps:
+            asset = spec.asset(step.asset_id)
+            moved = (
+                {"amount": step.amount} if asset.fungible
+                else {"token_ids": step.token_ids}
+            )
+            self._submit(
+                asset.chain_id, step.giver, BOOK_CONTRACT, "transfer",
+                "market/transfer", deal_id=self.deal_id,
+                asset_id=step.asset_id, to=step.receiver, **moved,
+            )
+
+    def _on_transfer(self, receipt: Receipt) -> None:
+        if not receipt.ok:
+            self._request_abort("transfer-failed")
+            return
+        self.transfers_done += 1
+        if (
+            self.run.phase is DealPhase.TRANSFER
+            and self.transfers_done == len(self.spec.steps)
+        ):
+            self._start_voting()
+
+    def _start_voting(self) -> None:
+        self._enter(DealPhase.VOTING, self.scheduler.simulator.now)
+        for party in self.run.order.voters():
+            self._submit(self.home_chain, party, self.log_name, "vote",
+                         "market/commit", deal_id=self.deal_id)
+
+    def _on_log_receipt(self, receipt: Receipt) -> None:
+        run = self.run
+        if not receipt.ok:
+            # A mark_abort can only revert because the registration has
+            # not landed yet or because the deal is already decided; in
+            # the latter case the decision receipt precedes this one (the
+            # log's state changed first), so ``decided`` is already set
+            # and no retry fires.  No error-message inspection needed.
+            if (
+                receipt.tx.method == "mark_abort"
+                and run.decided is None
+                and self.abort_retries < _ABORT_RETRY_LIMIT
+            ):
+                self.abort_retries += 1
+                self.abort_requested = False
+                self.scheduler.simulator.schedule(
+                    2 * self.scheduler.config.block_interval,
+                    lambda: self._request_abort(run.reason or "timeout"),
+                    label="market/abort-retry",
+                )
+            return  # a vote losing the race with an abort mark is benign
+        for event in receipt.events:
+            if event.name == "DealDecided":
+                self._on_decided(event.fields["outcome"], receipt.executed_at)
+
+    def _request_abort(self, reason: str) -> None:
+        run = self.run
+        if self.abort_requested or run.decided is not None or run.terminal:
+            return
+        self.abort_requested = True
+        if not run.reason:
+            run.reason = reason
+        self._submit(
+            self.home_chain, self.scheduler.coordinator.address, self.log_name,
+            "mark_abort", "market/abort", deal_id=self.deal_id,
+        )
+
+    def _on_decided(self, outcome: str, at: float) -> None:
+        if self.run.decided is not None:
+            return
+        self.run.decided = outcome
+        self._enter(DealPhase.SETTLING, at)
+        method = "commit" if outcome == "commit" else "abort"
+        # One claim per book the deal touched, in spec order.
+        for chain_id in self.run.claim_chains:
+            self._submit(
+                chain_id, self.scheduler.coordinator.address, BOOK_CONTRACT,
+                method, f"market/{method}-claim", deal_id=self.deal_id,
+            )
+
+    def _on_claim(self, receipt: Receipt) -> None:
+        if not receipt.ok:
+            return  # duplicate claim after the deal settled: benign
+        # A book settles a deal once, so each claim chain reports one
+        # successful claim.
+        self.claims_done += 1
+        if self.claims_done < len(self.run.claim_chains):
+            return
+        if self.run.decided == "commit":
+            # A patience/abort request that lost the race with the
+            # deciding vote leaves a stale reason; the deal committed.
+            self.scheduler.finish(self.run, DealPhase.COMMITTED, "",
+                                  receipt.executed_at)
+        else:
+            self.scheduler.finish(self.run, DealPhase.ABORTED, self.run.reason,
+                                  receipt.executed_at)
+
+    def settlement_disagreements(self) -> dict:
+        settled = (
+            (COMMITTED,) if self.run.decided == "commit" else (ABORTED, None)
+        )
+        states = {
+            chain_id: self.scheduler.books[chain_id].peek_deal_state(self.deal_id)
+            for chain_id in self.run.claim_chains
+        }
+        return {c: state for c, state in states.items() if state not in settled}
+
+
+class _EscrowContractDriver(DealDriver):
+    """Shared machinery of §5/§6: one escrow contract per (deal, asset)."""
+
+    def __init__(self, scheduler: "MarketCoordinator", run: "_DealRun"):
+        super().__init__(scheduler, run)
         # asset_id -> on-chain escrow contract name, once published.
         self.escrow_names: dict[str, str] = {}
         self.deposits_done = 0
-        self.transfers_done = 0
         self.released: set[str] = set()
         self.refunded: set[str] = set()
         self.escrow_failed = False
 
-    # ------------------------------------------------------------------
-    # Shared escrow plumbing
-    # ------------------------------------------------------------------
     def _publish_escrows(self, factory) -> None:
         """Publish one escrow contract per asset and queue its funding.
 
@@ -169,59 +397,46 @@ class DealDriver:
         approve and deposit steps ride the asset chain's mempool in
         order, so they execute back to back inside one block.
         """
-        scheduler = self.scheduler
         for asset in self.spec.assets:
             name = self.spec.escrow_contract_name(asset.asset_id)
             contract = factory(asset, name)
-            scheduler.publish_deal_escrow(asset.chain_id, contract, self.deal_id,
-                                          asset.asset_id)
+            self.scheduler.publish_deal_escrow(
+                asset.chain_id, contract, self.deal_id, asset.asset_id
+            )
             self.escrow_names[asset.asset_id] = name
             if asset.owner in self.run.order.no_show:
                 continue  # adversarial owner: never escrows
-            scheduler.submit_escrow_op(
-                asset.chain_id,
-                Transaction(
-                    sender=asset.owner, contract=asset.token, method="approve",
-                    args={"spender": contract.address, "amount": asset.amount},
-                    phase="market/escrow-approve",
-                ),
-                self.deal_id,
-                op="approve",
+            self._submit(
+                asset.chain_id, asset.owner, asset.token, "approve",
+                "market/escrow-approve",
+                spender=contract.address, amount=asset.amount,
             )
-            scheduler.submit_escrow_op(
-                asset.chain_id,
-                Transaction(
-                    sender=asset.owner, contract=name, method="deposit",
-                    args={}, phase="market/escrow",
-                ),
-                self.deal_id,
-                op="deposit",
-            )
+            self._submit(asset.chain_id, asset.owner, name, "deposit",
+                         "market/escrow")
 
-    def _phase_change(self, phase: str, at: float) -> None:
-        telemetry = self.scheduler.telemetry
-        if telemetry is not None:
-            telemetry.deal_phase(self.run, phase, at)
+    def on_escrow_receipt(self, asset_id: str, receipt: Receipt) -> None:
+        method = receipt.tx.method
+        if method == "deposit":
+            self._on_deposit(receipt)
+        elif method == "transfer":
+            self._on_transfer(receipt)
+        elif receipt.ok:
+            # A vote, proof-carrying claim or refund.  A rejected one
+            # (a vote past its path deadline, a duplicate, a bounce off
+            # a terminated escrow) needs no action: the terminal sweep
+            # or the next claim settles whatever did not release.
+            self._note_settled(asset_id, receipt)
 
     def _submit_transfers(self) -> None:
-        self.run.phase = DealPhase.TRANSFER
-        self._phase_change("transfer", self.scheduler.simulator.now)
+        self._enter(DealPhase.TRANSFER, self.scheduler.simulator.now)
         if not self.spec.steps:
             self._start_voting()
             return
         for step in self.spec.steps:
-            asset = self.spec.asset(step.asset_id)
-            self.scheduler.submit_escrow_op(
-                asset.chain_id,
-                Transaction(
-                    sender=step.giver,
-                    contract=self.escrow_names[step.asset_id],
-                    method="transfer",
-                    args={"to": step.receiver, "amount": step.amount},
-                    phase="market/transfer",
-                ),
-                self.deal_id,
-                op="transfer",
+            self._submit(
+                self.spec.asset(step.asset_id).chain_id, step.giver,
+                self.escrow_names[step.asset_id], "transfer",
+                "market/transfer", to=step.receiver, amount=step.amount,
             )
 
     def _on_deposit(self, receipt: Receipt) -> None:
@@ -265,25 +480,24 @@ class DealDriver:
         # votes made one chain in time and missed another.  Honest
         # infrastructure never produces it; the invariant sweep only
         # tolerates it when crash faults gated sealing mid-deal.
-        if self.run.protocol == "timelock" and 0 < len(self.released) < len(
-            self.spec.assets
-        ):
+        if self.run.protocol == PROTOCOL_TIMELOCK and 0 < len(
+            self.released
+        ) < len(self.spec.assets):
             self.run.sore_loser = True
-        if len(self.released) == len(self.spec.assets):
-            if self.run.decided is None:
-                self.run.decided = "commit"
+        committed = len(self.released) == len(self.spec.assets)
+        if self.run.decided is None:
+            self.run.decided = "commit" if committed else "abort"
+        if committed:
             self.scheduler.finish(self.run, DealPhase.COMMITTED, "",
                                   receipt.executed_at)
         else:
-            if self.run.decided is None:
-                self.run.decided = "abort"
             self.scheduler.finish(
                 self.run, DealPhase.ABORTED,
                 self.run.reason or "unsettled", receipt.executed_at,
             )
 
     def escrow_states(self) -> dict[str, EscrowState]:
-        """Each asset's escrow lifecycle state (for the invariants)."""
+        """Each asset's escrow lifecycle state (``None``: unpublished)."""
         states = {}
         for asset in self.spec.assets:
             name = self.escrow_names.get(asset.asset_id)
@@ -294,25 +508,28 @@ class DealDriver:
             states[asset.asset_id] = contract.peek_state()
         return states
 
+    def settlement_disagreements(self) -> dict:
+        released = self.run.decided == "commit"
+        return {
+            asset_id: state for asset_id, state in self.escrow_states().items()
+            if (state is EscrowState.RELEASED) != released
+        }
+
     # -- protocol hooks -------------------------------------------------
-    def on_registered(self, receipt: Receipt) -> None:
-        raise NotImplementedError
-
-    def on_escrow_receipt(self, asset_id: str, receipt: Receipt) -> None:
-        raise NotImplementedError
-
-    def on_patience(self) -> None:
-        raise NotImplementedError
-
     def _start_voting(self) -> None:
         raise NotImplementedError
 
     def _on_escrow_conflict(self) -> None:
-        raise NotImplementedError
+        """Cast the protocol's abort vote, if it has one.  §5 has none:
+        timeouts play that role, so a timelock deal just waits for its
+        terminal sweep."""
 
 
-class TimelockDealDriver(DealDriver):
+class TimelockDealDriver(_EscrowContractDriver):
     """Drive one deal through §5's timelock protocol on shared chains."""
+
+    # The terminal deadline t0 + N·Δ already guarantees termination.
+    arms_patience = False
 
     def __init__(self, scheduler: "MarketCoordinator", run: "_DealRun"):
         super().__init__(scheduler, run)
@@ -325,8 +542,7 @@ class TimelockDealDriver(DealDriver):
         return self.t0 + len(self.spec.parties) * self.delta
 
     def on_registered(self, receipt: Receipt) -> None:
-        self.run.phase = DealPhase.ESCROW
-        self._phase_change("escrow", receipt.executed_at)
+        self._enter(DealPhase.ESCROW, receipt.executed_at)
         self.t0 = receipt.executed_at
         self._publish_escrows(
             lambda asset, name: TimelockEscrow(
@@ -342,54 +558,19 @@ class TimelockDealDriver(DealDriver):
             label="market/timelock-terminal",
         )
 
-    def _on_escrow_conflict(self) -> None:
-        # No abort vote exists in the timelock protocol: timeouts play
-        # that role (§5), so the deal just waits for its terminal sweep.
-        pass
-
     def _start_voting(self) -> None:
-        self.run.phase = DealPhase.VOTING
-        self._phase_change("voting", self.scheduler.simulator.now)
-        scheduler = self.scheduler
+        self._enter(DealPhase.VOTING, self.scheduler.simulator.now)
         for party in self.run.order.voters():
             # A direct vote: path length 1, deadline t0 + Δ.  The
             # market plays the parties, so votes need no forwarding;
             # forwarded (longer) paths are exercised by the per-deal
             # executor and the protocol tests.
-            path = sign_vote(scheduler.keypair_for(party), self.deal_id)
+            path = sign_vote(self.scheduler.keypair_for(party), self.deal_id)
             for asset in self.spec.assets:
-                scheduler.submit_vote(
-                    asset.chain_id,
-                    Transaction(
-                        sender=party,
-                        contract=self.escrow_names[asset.asset_id],
-                        method="commit",
-                        args={"path": path},
-                        phase="market/commit",
-                    ),
-                    self.deal_id,
+                self._submit(
+                    asset.chain_id, party, self.escrow_names[asset.asset_id],
+                    "commit", "market/commit", path=path,
                 )
-
-    def on_escrow_receipt(self, asset_id: str, receipt: Receipt) -> None:
-        method = receipt.tx.method
-        if method == "deposit":
-            self._on_deposit(receipt)
-        elif method == "transfer":
-            self._on_transfer(receipt)
-        elif method == "commit":
-            # A rejected vote (late past its path deadline, duplicate,
-            # or bounced off a terminated escrow) needs no action: the
-            # terminal sweep settles whatever did not release.
-            if receipt.ok:
-                self._note_settled(asset_id, receipt)
-        elif method == "refund":
-            if receipt.ok:
-                self._note_settled(asset_id, receipt)
-
-    def on_patience(self) -> None:
-        # Patience is the unanimity/CBC escape hatch; the timelock
-        # protocol's own terminal deadline is the refund trigger.
-        pass
 
     def _refund_sweep(self) -> None:
         if self.run.terminal:
@@ -411,18 +592,11 @@ class TimelockDealDriver(DealDriver):
             contract = scheduler.chains[asset.chain_id].contract(name)
             if contract.peek_state() is not EscrowState.ACTIVE:
                 continue
-            scheduler.submit_escrow_op(
-                asset.chain_id,
-                Transaction(
-                    sender=scheduler.coordinator.address, contract=name,
-                    method="refund", args={}, phase="market/refund",
-                ),
-                self.deal_id,
-                op="refund",
-            )
+            self._submit(asset.chain_id, scheduler.coordinator.address, name,
+                         "refund", "market/refund")
 
 
-class CbcDealDriver(DealDriver):
+class CbcDealDriver(_EscrowContractDriver):
     """Drive one deal through §6's CBC protocol on shared chains."""
 
     def __init__(self, scheduler: "MarketCoordinator", run: "_DealRun"):
@@ -435,10 +609,10 @@ class CbcDealDriver(DealDriver):
         # else: its escrows learn that CBC's validator keys, so a
         # proof replayed from another shard's log cannot verify.
         self.cbc = None
+        scheduler.watch_cbc(run.home_shard, self)
 
     def on_registered(self, receipt: Receipt) -> None:
-        self.run.phase = DealPhase.ESCROW
-        self._phase_change("escrow", receipt.executed_at)
+        self._enter(DealPhase.ESCROW, receipt.executed_at)
         cbc = self.cbc = self.scheduler.ensure_cbc(self.run.home_shard)
         opener = self.spec.parties[0]
         entry = LogEntry(
@@ -486,22 +660,14 @@ class CbcDealDriver(DealDriver):
 
     def _claim(self, outcome: str) -> None:
         self.run.decided = outcome
-        self.run.phase = DealPhase.SETTLING
-        self._phase_change("settling", self.scheduler.simulator.now)
+        self._enter(DealPhase.SETTLING, self.scheduler.simulator.now)
         certificate = self.cbc.status_certificate(self.deal_id)
         proof = StatusProof(certificate=certificate)
         for asset in self.spec.assets:
-            self.scheduler.submit_escrow_op(
-                asset.chain_id,
-                Transaction(
-                    sender=self.scheduler.coordinator.address,
-                    contract=self.escrow_names[asset.asset_id],
-                    method=outcome,
-                    args={"proof": proof},
-                    phase=f"market/{outcome}-claim",
-                ),
-                self.deal_id,
-                op=outcome,
+            self._submit(
+                asset.chain_id, self.scheduler.coordinator.address,
+                self.escrow_names[asset.asset_id], outcome,
+                f"market/{outcome}-claim", proof=proof,
             )
 
     def _vote(self, party, kind: str) -> None:
@@ -515,8 +681,7 @@ class CbcDealDriver(DealDriver):
         ))
 
     def _start_voting(self) -> None:
-        self.run.phase = DealPhase.VOTING
-        self._phase_change("voting", self.scheduler.simulator.now)
+        self._enter(DealPhase.VOTING, self.scheduler.simulator.now)
         for party in self.run.order.voters():
             self._vote(party, "commit")
         for forger in self.run.order.stale_proof:
@@ -546,17 +711,9 @@ class CbcDealDriver(DealDriver):
                 signatures=validators.quorum_sign(message),
             ))
         target = self.spec.assets[0]
-        self.scheduler.submit_escrow_op(
-            target.chain_id,
-            Transaction(
-                sender=forger,
-                contract=self.escrow_names[target.asset_id],
-                method="commit",
-                args={"proof": self._stale_proof},
-                phase="market/stale-proof",
-            ),
-            self.deal_id,
-            op="stale-proof",
+        self._submit(
+            target.chain_id, forger, self.escrow_names[target.asset_id],
+            "commit", "market/stale-proof", proof=self._stale_proof,
         )
 
     def _on_escrow_conflict(self) -> None:
@@ -586,17 +743,18 @@ class CbcDealDriver(DealDriver):
             else:
                 self.scheduler.stats["stale_proofs_rejected"] += 1
             return
-        method = receipt.tx.method
-        if method == "deposit":
-            self._on_deposit(receipt)
-        elif method == "transfer":
-            self._on_transfer(receipt)
-        elif method in ("commit", "abort"):
-            if receipt.ok:
-                self._note_settled(asset_id, receipt)
+        super().on_escrow_receipt(asset_id, receipt)
 
     def on_patience(self) -> None:
         if self.run.decided is None and not self.run.terminal:
             if not self.run.reason:
                 self.run.reason = "timeout"
             self._request_abort()
+
+
+# The one table admission consults: commit protocol -> driver class.
+DRIVERS = {
+    PROTOCOL_UNANIMITY: UnanimityDealDriver,
+    PROTOCOL_TIMELOCK: TimelockDealDriver,
+    PROTOCOL_CBC: CbcDealDriver,
+}

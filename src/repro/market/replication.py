@@ -167,7 +167,7 @@ class ReplicationLayer:
         self.failover_timeout = failover_timeout
         # Telemetry hook: crash/recover/failover spans and delta-ship
         # events ride the run's tracer.  Observational only.
-        self.telemetry = getattr(scheduler, "telemetry", None)
+        self.telemetry = scheduler.telemetry
         # A dedicated network with its own seeded stream: replication
         # traffic must not perturb the market's latency draws.
         self.network = SynchronousNetwork(

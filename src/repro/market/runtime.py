@@ -1,19 +1,30 @@
-"""The market runtime: a thin coordinator over per-shard runtimes.
+"""The market coordinator and its configuration.
 
-This module is the carve of the old 1,200-line scheduler god-object
-into an explicit, message-passing architecture:
+:class:`MarketCoordinator` does four things and nothing per-protocol:
 
-* :class:`ShardRuntime` — owns exactly one shard's state: its chains,
-  :class:`~repro.market.mempool.StepMempool`\\ s and its
-  :class:`~repro.market.commitlog.MarketCommitLog`.  A runtime never
-  reaches into another shard; everything it does is a reaction to a
-  typed message.
-* :class:`MarketCoordinator` — the thin coordinator: admission, the
-  deal phase engine (receipt routing), and reporting.  It talks to
-  the runtimes *only* through the frozen payload types of
-  :mod:`repro.market.messages`, wrapped in
-  :class:`~repro.sim.network.Envelope` and carried by a
-  :class:`~repro.sim.network.LocalBus`.
+* **admits** an order — a malformed one is rejected on the spot (the
+  only run that never gets a driver); any other gets the
+  :class:`~repro.market.protocols.DealDriver` its protocol names in
+  :data:`~repro.market.protocols.DRIVERS` and is sent to its home
+  shard for registration;
+* **routes** every receipt of every sealed block to *its deal's
+  driver* (:meth:`MarketCoordinator._route`) — the phase logic of
+  unanimity, timelock and CBC all lives behind that one interface in
+  :mod:`repro.market.protocols`;
+* handles the **cross-protocol events**: a forged order, a
+  fee-evicted step, a reverted registration, and
+  :meth:`MarketCoordinator.finish`;
+* **reports** (:mod:`repro.market.report`).
+
+Every shard's chains, mempools and commit log live in that shard's
+:class:`~repro.market.shard.ShardRuntime`.  The coordinator writes to
+them *only* through three frozen payload types of
+:mod:`repro.market.messages` — ``SubmitOrder``, ``PublishEscrow``,
+``SubmitStep`` — wrapped in :class:`~repro.sim.network.Envelope` and
+carried by a :class:`~repro.sim.network.LocalBus`; sealed blocks come
+back as ``BlockReceipts``.  The bus is synchronous on simulated time:
+all messages for tick *t* are delivered before anything advances past
+*t*, on either backend.
 
 Signature verification is not a message plane.  In the paper a check
 is contract work of the chain that executes the step (§7), so each
@@ -23,28 +34,21 @@ owner shard; the verdict lands in a flush later in the same simulated
 instant.  ``VerifyAggregator.verify_many`` is the single seam an
 execution backend (:mod:`repro.market.backends`) may replace.
 
-Messages are exchanged on simulated time over a synchronous bus: all
-messages for tick *t* are delivered before any runtime advances past
-*t*, on either backend.
-
 **Chaos hardening.**  A :class:`~repro.sim.chaos.ChaosPlan` in the
 config is handed whole to the two message planes: the bus becomes a
 :class:`~repro.sim.network.ChaosBus`, the replication layer storms its
 delta network, and both heal losses with the one
 :class:`~repro.sim.network.Retransmitter`.  Exactly-once is the
-transport's job — no handler below ever sees a duplicate.  Chaos off
+transport's job — no handler ever sees a duplicate.  Chaos off
 constructs the plain bus and schedules nothing extra, so default runs
 stay byte-identical.
 
-The report type lives in :mod:`repro.market.report`, the deal state
-machine's types in :mod:`repro.market.protocols`; the public entry
-point is :func:`repro.market.open_market`.
+The public entry point is :func:`repro.market.open_market`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from repro.chain.contracts import Contract
 from repro.chain.ledger import Chain
@@ -52,45 +56,29 @@ from repro.chain.tokens import FungibleToken, NonFungibleToken
 from repro.chain.tx import Receipt, Transaction
 from repro.consensus.bft import CertifiedBlockchain
 from repro.consensus.validators import ValidatorSet, VerifyAggregator
-from repro.core.deal import (
-    PROTOCOL_CBC,
-    PROTOCOL_TIMELOCK,
-    PROTOCOL_UNANIMITY,
-    DealSpec,
-)
+from repro.core.deal import PROTOCOL_UNANIMITY, DealSpec
 from repro.crypto.keys import Address, KeyPair, Wallet
 from repro.errors import MarketError
-from repro.market.book import MarketEscrowBook
+from repro.market.book import BOOK_CONTRACT, MarketEscrowBook
 from repro.market.commitlog import MarketCommitLog
-from repro.market.fees import FeeLedger, make_seal_policy
+from repro.market.fees import FeeLedger
 from repro.market.invariants import check_market_invariants
 from repro.market.mempool import OrderLedger, StepMempool
 from repro.market.messages import (
     BlockReceipts,
-    CrossShardEscrowOp,
-    DealDecided,
-    Envelope,
+    PublishEscrow,
     SubmitOrder,
-    VoteFanout,
+    SubmitStep,
 )
 from repro.market.order import SignedDealOrder, shard_of_deal
-from repro.market.protocols import (
-    CbcDealDriver,
-    DealPhase,
-    TimelockDealDriver,
-    _DealRun,
-)
+from repro.market.protocols import DRIVERS, CbcDealDriver, DealPhase, _DealRun
 from repro.market.replication import ReplicationLayer
 from repro.market.report import MarketReport, _percentile
-from repro.sim.network import ChaosBus, LocalBus
+from repro.market.shard import COORDINATOR_ENDPOINT, ShardRuntime, shard_endpoint
+from repro.sim.network import ChaosBus, Envelope, LocalBus
 from repro.sim.simulator import Simulator
 
-BOOK_CONTRACT = "market-book"
 COMMIT_LOG_CONTRACT = "market-commitlog"
-
-_ABORT_RETRY_LIMIT = 5
-
-COORDINATOR_ENDPOINT = "coordinator"
 
 # Byzantine tolerance of each shard's CBC (3f+1 validators).
 _CBC_F = 1
@@ -101,11 +89,6 @@ _VERIFY_MAX_BLOCKS = 8
 # the detection delay before a crashed leader's shard fails over.
 _REPLICATION_DELTA = 0.4
 _FAILOVER_TIMEOUT = 2.0
-
-
-def shard_endpoint(shard: int) -> str:
-    """The bus endpoint name of one shard's runtime."""
-    return f"shard-{shard}"
 
 
 @dataclass
@@ -159,193 +142,18 @@ class MarketConfig:
     telemetry: object | None = None
 
 
-class ShardRuntime:
-    """One shard's state and its message handlers.
-
-    Owns the shard's chains (home/coordinator chain first), their
-    step mempools and the shard's commit log.  The coordinator never
-    submits a transaction to a shard's mempool directly: everything
-    arrives as a typed envelope through :meth:`handle`, and everything
-    the shard observes (sealed-block receipts) leaves as a
-    :class:`~repro.market.messages.BlockReceipts` envelope back to the
-    coordinator.
-    """
-
-    def __init__(self, market: "MarketCoordinator", shard: int):
-        self.market = market
-        self.shard = shard
-        self.home_chain_id = market.shard_home_chain[shard]
-        self.chains: dict[str, Chain] = {}
-        self.mempools: dict[str, StepMempool] = {}
-        self.commit_log: MarketCommitLog | None = None
-
-    # ------------------------------------------------------------------
-    # Construction (driven by the coordinator, in global chain order so
-    # the simulator's event heap is byte-identical to the historical
-    # single-object layout)
-    # ------------------------------------------------------------------
-    def add_chain(self, chain_id: str) -> Chain:
-        """Build one of this shard's chains and its market plumbing."""
-        market = self.market
-        workload, config = market.workload, market.config
-        chain = Chain(
-            chain_id, market.simulator, market.wallet,
-            block_interval=config.block_interval,
-        )
-        self.chains[chain_id] = chain
-        market.chains[chain_id] = chain
-        token = FungibleToken(workload.tokens[chain_id])
-        chain.publish(token)
-        market.tokens[chain_id] = token
-        nft_name = getattr(workload, "nft_tokens", {}).get(chain_id)
-        if nft_name is not None:
-            nft_token = NonFungibleToken(nft_name)
-            chain.publish(nft_token)
-            market.nft_tokens[chain_id] = nft_token
-        book = MarketEscrowBook(BOOK_CONTRACT, market.coordinator.address)
-        chain.publish(book)
-        market.books[chain_id] = book
-        # Per-shard heterogeneous block space: a shard listed in
-        # shard_block_caps seals all its chains at that cap.  The
-        # sealing policy is per chain (base-fee state never leaks
-        # across chains); "fifo" yields None and the historical drain.
-        # Signature batches go straight to the market's aggregator,
-        # tagged with this shard as their owner.
-        caps = config.shard_block_caps or {}
-        mempool = StepMempool(
-            chain,
-            market.wallet,
-            market.order_ledger,
-            verify=partial(market.verify_aggregator.enqueue, owner=self.shard),
-            max_txs_per_block=caps.get(self.shard, config.max_txs_per_block),
-            on_order_rejected=market._on_order_rejected,
-            telemetry=market.telemetry,
-            policy=make_seal_policy(config, market.fee_ledger),
-            on_step_evicted=market._on_step_evicted,
-        )
-        self.mempools[chain_id] = mempool
-        market.mempools[chain_id] = mempool
-        chain.subscribe(self._on_block)
-        return chain
-
-    def install_commit_log(self, name: str, shards: int) -> MarketCommitLog:
-        """Publish this shard's commit log on its home chain."""
-        log = MarketCommitLog(
-            name, self.market.coordinator.address, shard=self.shard, shards=shards
-        )
-        self.chains[self.home_chain_id].publish(log)
-        self.commit_log = log
-        return log
-
-    # ------------------------------------------------------------------
-    # Outbound: sealed blocks flow back to the coordinator
-    # ------------------------------------------------------------------
-    def _on_block(self, chain: Chain, block) -> None:
-        self.market.bus.post(
-            shard_endpoint(self.shard),
-            COORDINATOR_ENDPOINT,
-            self.shard,
-            BlockReceipts(
-                chain_id=chain.chain_id,
-                height=block.height,
-                receipts=tuple(block.receipts),
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Inbound: the coordinator's typed messages
-    # ------------------------------------------------------------------
-    # Causal deferral: under a reordering bus, a step transaction can
-    # land before the per-deal escrow contract it targets has been
-    # published.  The runtime parks such messages and retries on a
-    # short cadence; a message that never becomes deliverable (its
-    # publish lost with the deal) is abandoned after the cap and the
-    # deal resolves through the ordinary patience timeout.
-    _DEFER_INTERVAL = 0.5
-    _DEFER_LIMIT = 200
-
-    def handle(self, envelope: Envelope) -> None:
-        """Dispatch one coordinator envelope to the owning machinery."""
-        self._dispatch(envelope.payload, 0)
-
-    def _dispatch(self, message, deferrals: int) -> None:
-        if isinstance(message, SubmitOrder):
-            self._handle_submit_order(message)
-        elif isinstance(message, VoteFanout):
-            if not self.chains[message.chain_id].has_contract(
-                message.tx.contract
-            ):
-                self._defer(message, deferrals)
-                return
-            self.mempools[message.chain_id].submit(message.tx, message.deal_id)
-        elif isinstance(message, CrossShardEscrowOp):
-            if message.op == "publish":
-                self.chains[message.chain_id].publish(message.contract)
-            else:
-                if not self.chains[message.chain_id].has_contract(
-                    message.tx.contract
-                ):
-                    self._defer(message, deferrals)
-                    return
-                self.mempools[message.chain_id].submit(
-                    message.tx, message.deal_id
-                )
-        elif isinstance(message, DealDecided):
-            self._handle_decided(message)
-        else:  # pragma: no cover - vocabulary is closed
-            raise MarketError(
-                f"shard {self.shard}: unknown message {type(message).__name__}"
-            )
-
-    def _defer(self, message, deferrals: int) -> None:
-        stats = self.market.bus.stats
-        if deferrals >= self._DEFER_LIMIT:
-            stats["defer_abandoned"] = stats.get("defer_abandoned", 0) + 1
-            return
-        stats["deferred"] = stats.get("deferred", 0) + 1
-        self.market.simulator.schedule(
-            self._DEFER_INTERVAL,
-            lambda: self._dispatch(message, deferrals + 1),
-            label=f"shard{self.shard}/defer",
-        )
-
-    def _handle_submit_order(self, message: SubmitOrder) -> None:
-        order = message.order
-        self.mempools[self.home_chain_id].submit(
-            Transaction(
-                sender=self.market.coordinator.address,
-                contract=self.commit_log.name,
-                method="register",
-                args={"deal_id": message.deal_id, "parties": order.spec.parties},
-                phase="market/register",
-            ),
-            message.deal_id,
-            order=order,
-        )
-
-    def _handle_decided(self, message: DealDecided) -> None:
-        self.mempools[message.chain_id].submit(
-            Transaction(
-                sender=self.market.coordinator.address,
-                contract=BOOK_CONTRACT,
-                method=message.method,
-                args={"deal_id": message.deal_id},
-                phase=f"market/{message.method}-claim",
-            ),
-            message.deal_id,
-        )
-
-
 class MarketCoordinator:
     """Build one market and run a workload of concurrent deals on it.
 
-    The coordinator owns admission, the deal phase engine, and
-    reporting; every shard-owned object lives in that shard's
-    :class:`ShardRuntime`.  For compatibility with the historical
-    ``DealScheduler`` surface (tests, invariants, telemetry,
-    replication all navigate it), the coordinator also keeps merged
-    read views — ``chains``, ``books``, ``mempools``, ``tokens``,
-    ``commit_logs`` — over all shards; writes go through the bus.
+    The coordinator owns admission, receipt routing, the
+    cross-protocol events and reporting; each deal's phase logic lives
+    in its :class:`~repro.market.protocols.DealDriver`, every
+    shard-owned object in that shard's
+    :class:`~repro.market.shard.ShardRuntime`.  The coordinator also
+    keeps merged read views — ``chains``, ``books``, ``mempools``,
+    ``tokens``, ``commit_logs`` — over all shards (drivers, tests,
+    invariants, telemetry and replication navigate them); writes go
+    through the bus.
     """
 
     def __init__(self, workload, config: MarketConfig | None = None):
@@ -410,7 +218,7 @@ class MarketCoordinator:
 
         if len(workload.chain_ids) < 1:
             raise MarketError("a market needs at least one chain")
-        self.shards = int(getattr(workload, "shards", 1) or 1)
+        self.shards = workload.shards
         if self.shards < 1:
             raise MarketError("a market needs at least one shard")
         if self.shards > len(workload.chain_ids):
@@ -452,7 +260,6 @@ class MarketCoordinator:
         # with the historical single-object scheduler.
         for chain_id in workload.chain_ids:
             self.runtimes[self.chain_shard[chain_id]].add_chain(chain_id)
-        self.coordinator_chain_id = workload.chain_ids[0]
         # One commit log per shard, on the shard's home chain.  Shard
         # 0 keeps the historical contract name so an unsharded market
         # is byte-identical to the pre-sharding layout.
@@ -466,7 +273,6 @@ class MarketCoordinator:
             log = self.runtimes[shard].install_commit_log(name, self.shards)
             self.commit_logs[shard] = log
             self._commitlog_shards[name] = shard
-        self.commit_log = self.commit_logs[0]
         self._fund_accounts()
         # Replication is strictly additive: the layer only exists when
         # asked for, and with no crash faults it adds no market-visible
@@ -476,7 +282,7 @@ class MarketCoordinator:
         self.replication: ReplicationLayer | None = None
         plan = self.config.fault_plan
         if self.config.replication_factor > 1 or (
-            plan is not None and getattr(plan, "faults", ())
+            plan is not None and plan.faults
         ):
             self.replication = ReplicationLayer(
                 self,
@@ -490,7 +296,7 @@ class MarketCoordinator:
             if plan is not None:
                 plan.install(self.replication.network)
                 plan.install_processes(self.replication)
-        if plan is not None and getattr(plan, "faults", ()):
+        if plan is not None and plan.faults:
             # Worker-level faults (WorkerKill) are scheduled whatever
             # the backend, keeping the event heap identical inline and
             # pooled; kill_worker is inert without a pool.
@@ -502,42 +308,16 @@ class MarketCoordinator:
             self.telemetry.attach(self)
 
     # ------------------------------------------------------------------
-    # Shard routing
-    # ------------------------------------------------------------------
-    def home_shard(self, deal_id: bytes) -> int:
-        """The shard whose coordinator chain owns this deal.
-
-        Hashed once per deal at admission and cached on the run
-        (``run.home_shard``); the submit paths below take the cached
-        value rather than re-deriving it.
-        """
-        return shard_of_deal(deal_id, self.shards)
-
-    @property
-    def cbc(self) -> CertifiedBlockchain | None:
-        """Shard 0's certified blockchain (back-compat accessor)."""
-        return self.cbcs.get(0)
-
-    # ------------------------------------------------------------------
     # The message plane (coordinator side)
     # ------------------------------------------------------------------
     def _post(self, shard: int, payload: object) -> None:
         self.bus.post(COORDINATOR_ENDPOINT, shard_endpoint(shard), shard, payload)
 
-    def submit_vote(self, chain_id: str, tx: Transaction, deal_id: bytes) -> None:
-        """Fan one vote (or abort mark) out to the owning shard."""
+    def submit_step(self, chain_id: str, tx: Transaction, deal_id: bytes) -> None:
+        """Route one deal step to the mempool of ``chain_id``'s shard."""
         self._post(
             self.chain_shard[chain_id],
-            VoteFanout(deal_id=deal_id, chain_id=chain_id, tx=tx),
-        )
-
-    def submit_escrow_op(
-        self, chain_id: str, tx: Transaction, deal_id: bytes, op: str
-    ) -> None:
-        """Route one escrow-plane step to the asset chain's shard."""
-        self._post(
-            self.chain_shard[chain_id],
-            CrossShardEscrowOp(deal_id=deal_id, chain_id=chain_id, op=op, tx=tx),
+            SubmitStep(deal_id=deal_id, chain_id=chain_id, tx=tx),
         )
 
     def _on_envelope(self, envelope: Envelope) -> None:
@@ -573,7 +353,7 @@ class MarketCoordinator:
         before the first simulator event, outside the message plane —
         it is setup, not market traffic.
         """
-        fraction = getattr(self.workload, "book_fund_fraction", 1.0)
+        fraction = self.workload.book_fund_fraction
         for chain_id in self.workload.chain_ids:
             chain = self.chains[chain_id]
             token = self.tokens[chain_id]
@@ -594,7 +374,7 @@ class MarketCoordinator:
             nft_token = self.nft_tokens.get(chain_id)
             if nft_token is None:
                 continue
-            minted = tuple(getattr(self.workload, "nft_minted", {}).get(chain_id, ()))
+            minted = tuple(self.workload.nft_minted.get(chain_id, ()))
             self.nft_minted[chain_id] = minted
             for token_id, owner in minted:
                 self._setup_tx(chain, owner, nft_token.name, "mint",
@@ -633,10 +413,9 @@ class MarketCoordinator:
         if deal_id in self.runs:
             raise MarketError(f"duplicate deal id for order #{order.index}")
         run = _DealRun(order=order)
-        run.opens_expected = len(spec.assets)
-        run.transfers_expected = len(spec.steps)
         run.claim_chains = spec.chains()
-        run.home_shard = self.home_shard(deal_id)
+        # Hashed once per deal; everything downstream reads the run.
+        run.home_shard = shard_of_deal(deal_id, self.shards)
         touched = {
             self.chain_shard.get(chain_id, run.home_shard)
             for chain_id in run.claim_chains
@@ -658,18 +437,12 @@ class MarketCoordinator:
             if telemetry is not None:
                 telemetry.deal_finished(run, run.finished_at)
             return
-        if spec.protocol == PROTOCOL_TIMELOCK:
-            run.driver = TimelockDealDriver(self, run)
-        elif spec.protocol == PROTOCOL_CBC:
-            run.driver = CbcDealDriver(self, run)
-            self._cbc_drivers.setdefault(run.home_shard, []).append(run.driver)
+        run.driver = DRIVERS[spec.protocol](self, run)
         self._post(run.home_shard, SubmitOrder(deal_id=deal_id, order=order))
-        if spec.protocol != PROTOCOL_TIMELOCK:
-            # Timelock deals need no patience timer: their own terminal
-            # deadline (t0 + N·Δ) already guarantees termination.
+        if run.driver.arms_patience:
             run.patience_handle = self.simulator.schedule(
                 self.config.patience,
-                lambda: self._on_patience(run),
+                run.driver.on_patience,
                 label="market/patience",
             )
 
@@ -704,10 +477,7 @@ class MarketCoordinator:
         """Publish a per-deal escrow contract and index it for routing."""
         self._post(
             self.chain_shard[chain_id],
-            CrossShardEscrowOp(
-                deal_id=deal_id, chain_id=chain_id, op="publish",
-                contract=contract, asset_id=asset_id,
-            ),
+            PublishEscrow(chain_id=chain_id, contract=contract),
         )
         self._escrow_index[contract.name] = (deal_id, asset_id)
         self.deal_escrows[chain_id].append(contract)
@@ -739,6 +509,11 @@ class MarketCoordinator:
             self.cbcs[shard] = cbc
         return cbc
 
+    def watch_cbc(self, shard: int, driver: CbcDealDriver) -> None:
+        """Call ``driver.on_cbc_block`` after each of the shard's CBC
+        blocks until its deal is terminal (in admission order)."""
+        self._cbc_drivers.setdefault(shard, []).append(driver)
+
     def _on_cbc_block(self, shard: int) -> None:
         # Prune settled deals as we go so each CBC block only touches
         # the in-flight CBC runs of its own shard, not the whole
@@ -753,15 +528,14 @@ class MarketCoordinator:
         self._cbc_drivers[shard] = survivors
 
     # ------------------------------------------------------------------
-    # Receipt routing (the phase engine)
+    # Receipt routing: every receipt goes to its deal's driver
     # ------------------------------------------------------------------
     def _handle_block_receipts(self, message: BlockReceipts) -> None:
-        chain = self.chains[message.chain_id]
         for receipt in message.receipts:
             self._receipts_seen += 1
             if not receipt.ok:
                 self._receipts_reverted += 1
-            self._route(chain, receipt)
+            self._route(receipt)
         if self.config.check_invariants_per_block:
             violations = check_market_invariants(self)
             if violations:
@@ -770,233 +544,26 @@ class MarketCoordinator:
                     f"{message.chain_id}: {violations[0]}"
                 )
 
-    def _route(self, chain: Chain, receipt: Receipt) -> None:
-        escrow_ref = self._escrow_index.get(receipt.tx.contract)
+    def _route(self, receipt: Receipt) -> None:
+        tx = receipt.tx
+        escrow_ref = self._escrow_index.get(tx.contract)
         if escrow_ref is not None:
             deal_id, asset_id = escrow_ref
-            run = self.runs.get(deal_id)
-            if run is None or run.terminal or run.driver is None:
-                return
-            run.driver.on_escrow_receipt(asset_id, receipt)
-            return
-        if (
-            receipt.tx.contract != BOOK_CONTRACT
-            and receipt.tx.contract not in self._commitlog_shards
-        ):
+        elif tx.contract == BOOK_CONTRACT or tx.contract in self._commitlog_shards:
+            deal_id, asset_id = tx.args.get("deal_id"), ""
+        else:
             return  # token transfers etc. are not deal phase steps
-        deal_id = receipt.tx.args.get("deal_id")
         run = self.runs.get(deal_id)
         if run is None or run.terminal:
             return
-        method = receipt.tx.method
-        if method == "register":
-            self._on_register(run, receipt)
-        elif method == "open":
-            self._on_open(run, receipt)
-        elif method == "transfer":
-            self._on_transfer(run, receipt)
-        elif method in ("vote", "mark_abort"):
-            self._on_log_receipt(run, receipt)
-        elif method in ("commit", "abort"):
-            self._on_claim(run, chain, receipt)
-
-    def _on_register(self, run: _DealRun, receipt: Receipt) -> None:
-        if not receipt.ok:
+        if tx.method != "register":
+            run.driver.on_escrow_receipt(asset_id, receipt)
+        elif receipt.ok:
+            # The order cleared signature checks at this block.
+            run.driver.on_registered(receipt)
+        else:
             self.finish(run, DealPhase.REJECTED, "register-reverted",
                         receipt.executed_at)
-            return
-        if run.driver is not None:
-            # Timelock/CBC deals: the order cleared signature checks at
-            # this block; hand the deal to its protocol driver.
-            run.driver.on_registered(receipt)
-            return
-        run.phase = DealPhase.ESCROW
-        if self.telemetry is not None:
-            self.telemetry.deal_phase(run, "escrow", receipt.executed_at)
-        spec = run.order.spec
-        for asset in spec.assets:
-            if asset.owner in run.order.no_show:
-                continue  # adversarial owner: never escrows
-            args = {
-                "deal_id": spec.deal_id,
-                "asset_id": asset.asset_id,
-                "token": asset.token,
-                "parties": spec.parties,
-            }
-            if asset.fungible:
-                args["amount"] = asset.amount
-            else:
-                args["token_ids"] = asset.token_ids
-            self.submit_escrow_op(
-                asset.chain_id,
-                Transaction(
-                    sender=asset.owner,
-                    contract=BOOK_CONTRACT,
-                    method="open",
-                    args=args,
-                    phase="market/escrow",
-                ),
-                spec.deal_id,
-                op="open",
-            )
-
-    def _on_open(self, run: _DealRun, receipt: Receipt) -> None:
-        if not receipt.ok:
-            if run.decided is not None or run.abort_requested:
-                # A straggler open bouncing off an already-settled deal
-                # (e.g. after a patience abort) is not a conflict.
-                return
-            # Escrow conflict: another deal already holds the funds.
-            run.conflict = True
-            self._request_abort(run, "conflict")
-            return
-        run.opens_done += 1
-        if run.phase is DealPhase.ESCROW and run.opens_done == run.opens_expected:
-            run.phase = DealPhase.TRANSFER
-            if self.telemetry is not None:
-                self.telemetry.deal_phase(run, "transfer", receipt.executed_at)
-            if run.transfers_expected == 0:
-                self._start_voting(run)
-            else:
-                self._submit_transfers(run)
-
-    def _submit_transfers(self, run: _DealRun) -> None:
-        spec = run.order.spec
-        for step in spec.steps:
-            asset = spec.asset(step.asset_id)
-            args = {
-                "deal_id": spec.deal_id,
-                "asset_id": step.asset_id,
-                "to": step.receiver,
-            }
-            if asset.fungible:
-                args["amount"] = step.amount
-            else:
-                args["token_ids"] = step.token_ids
-            self.submit_escrow_op(
-                asset.chain_id,
-                Transaction(
-                    sender=step.giver,
-                    contract=BOOK_CONTRACT,
-                    method="transfer",
-                    args=args,
-                    phase="market/transfer",
-                ),
-                spec.deal_id,
-                op="transfer",
-            )
-
-    def _on_transfer(self, run: _DealRun, receipt: Receipt) -> None:
-        if not receipt.ok:
-            self._request_abort(run, "transfer-failed")
-            return
-        run.transfers_done += 1
-        if (
-            run.phase is DealPhase.TRANSFER
-            and run.transfers_done == run.transfers_expected
-        ):
-            self._start_voting(run)
-
-    def _start_voting(self, run: _DealRun) -> None:
-        run.phase = DealPhase.VOTING
-        if self.telemetry is not None:
-            self.telemetry.deal_phase(run, "voting", self.simulator.now)
-        deal_id = run.order.deal_id
-        home_chain = self.shard_home_chain[run.home_shard]
-        for party in run.order.voters():
-            self.submit_vote(
-                home_chain,
-                Transaction(
-                    sender=party,
-                    contract=self.commit_logs[run.home_shard].name,
-                    method="vote",
-                    args={"deal_id": deal_id},
-                    phase="market/commit",
-                ),
-                deal_id,
-            )
-
-    def _on_log_receipt(self, run: _DealRun, receipt: Receipt) -> None:
-        if not receipt.ok:
-            # A mark_abort can only revert because the registration has
-            # not landed yet or because the deal is already decided; in
-            # the latter case the decision receipt precedes this one (the
-            # log's state changed first), so ``decided`` is already set
-            # and no retry fires.  No error-message inspection needed.
-            if (
-                receipt.tx.method == "mark_abort"
-                and run.decided is None
-                and run.abort_retries < _ABORT_RETRY_LIMIT
-            ):
-                run.abort_retries += 1
-                run.abort_requested = False
-                self.simulator.schedule(
-                    2 * self.config.block_interval,
-                    lambda: self._request_abort(run, run.reason or "timeout"),
-                    label="market/abort-retry",
-                )
-            return  # a vote losing the race with an abort mark is benign
-        for event in receipt.events:
-            if event.name == "DealDecided":
-                self._on_decided(run, event.fields["outcome"], receipt.executed_at)
-
-    def _request_abort(self, run: _DealRun, reason: str) -> None:
-        if run.abort_requested or run.decided is not None or run.terminal:
-            return
-        run.abort_requested = True
-        if not run.reason:
-            run.reason = reason
-        self.submit_vote(
-            self.shard_home_chain[run.home_shard],
-            Transaction(
-                sender=self.coordinator.address,
-                contract=self.commit_logs[run.home_shard].name,
-                method="mark_abort",
-                args={"deal_id": run.order.deal_id},
-                phase="market/abort",
-            ),
-            run.order.deal_id,
-        )
-
-    def _on_decided(self, run: _DealRun, outcome: str, at: float) -> None:
-        if run.decided is not None:
-            return
-        run.decided = outcome
-        run.phase = DealPhase.SETTLING
-        if self.telemetry is not None:
-            self.telemetry.deal_phase(run, "settling", at)
-        method = "commit" if outcome == "commit" else "abort"
-        # One DealDecided per claim chain, in spec order: cross-shard
-        # claim interleavings stay exactly what they were when the
-        # scheduler submitted to the mempools directly.
-        for chain_id in run.claim_chains:
-            self._post(
-                self.chain_shard[chain_id],
-                DealDecided(
-                    deal_id=run.order.deal_id, chain_id=chain_id, method=method
-                ),
-            )
-
-    def _on_claim(self, run: _DealRun, chain: Chain, receipt: Receipt) -> None:
-        if not receipt.ok:
-            return  # duplicate claim after the deal settled: benign
-        run.settled_chains.add(chain.chain_id)
-        if set(run.claim_chains) <= run.settled_chains:
-            if run.decided == "commit":
-                # A patience/abort request that lost the race with the
-                # deciding vote leaves a stale reason; the deal committed.
-                self.finish(run, DealPhase.COMMITTED, "", receipt.executed_at)
-            else:
-                self.finish(run, DealPhase.ABORTED, run.reason,
-                            receipt.executed_at)
-
-    def _on_patience(self, run: _DealRun) -> None:
-        if run.terminal or run.decided is not None:
-            return
-        if run.driver is not None:
-            run.driver.on_patience()
-            return
-        self._request_abort(run, "timeout")
 
     def _on_order_rejected(self, deal_id: bytes) -> None:
         run = self.runs.get(deal_id)

@@ -1,9 +1,8 @@
 """The hazard vocabulary of the message planes, and its one seeded roll.
 
 A :class:`ChaosPolicy` is a bag of per-hazard rates (drop, duplicate,
-delay, reorder) with optional per-payload-type overrides, and
-:meth:`ChaosPolicy.roll` is the only place a transmission's fate is
-drawn: :class:`repro.sim.network.ChaosBus` calls it per transmission
+delay, reorder), and :meth:`ChaosPolicy.roll` is the only place a
+transmission's fate is drawn — whatever the payload: :class:`repro.sim.network.ChaosBus` calls it per transmission
 on the ops bus, :class:`repro.sim.faults.MessageStorm` per message on
 the replication delta network.  A :class:`ChaosPlan` groups one policy
 per plane plus the seed and the two retransmission knobs.
@@ -44,9 +43,7 @@ class ChaosPolicy:
     Rates are probabilities per physical transmission.  ``delay_min``/
     ``delay_max`` bound the delay hazard's hold; ``reorder_max`` bounds
     the reordering hold (short, so reordered envelopes land behind
-    nearby traffic rather than far in the future).  ``per_type`` maps
-    payload type *names* to override policies, so one plane can, say,
-    drop block receipts aggressively while only delaying votes.
+    nearby traffic rather than far in the future).
     """
 
     drop_rate: float = 0.0
@@ -56,16 +53,6 @@ class ChaosPolicy:
     delay_max: float = 0.8
     reorder_rate: float = 0.0
     reorder_max: float = 0.3
-    per_type: tuple = ()  # ((payload type name, ChaosPolicy), ...)
-
-    def for_payload(self, payload: object) -> "ChaosPolicy":
-        """The effective policy for ``payload`` (type overrides win)."""
-        if self.per_type:
-            name = type(payload).__name__
-            for type_name, policy in self.per_type:
-                if type_name == name:
-                    return policy
-        return self
 
     def roll(self, stream) -> Hazards:
         """Draw one transmission's hazards from a seeded ``stream``.
@@ -102,9 +89,9 @@ class ChaosPolicy:
     @property
     def active(self) -> bool:
         """Whether any hazard can ever fire under this policy."""
-        if self.drop_rate or self.dup_rate or self.delay_rate or self.reorder_rate:
-            return True
-        return any(policy.active for _, policy in self.per_type)
+        return bool(
+            self.drop_rate or self.dup_rate or self.delay_rate or self.reorder_rate
+        )
 
     @classmethod
     def at(cls, intensity: float, **overrides) -> "ChaosPolicy":

@@ -445,7 +445,7 @@ class ChaosBus(LocalBus):
 
     def _transmit(self, recipient: str, envelope: Envelope) -> None:
         """One physical transmission attempt: roll hazards, dispatch."""
-        hazards = self.policy.for_payload(envelope.payload).roll(self._stream)
+        hazards = self.policy.roll(self._stream)
         if hazards.drop:
             self.stats["chaos_dropped"] += 1
             return

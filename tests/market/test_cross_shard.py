@@ -105,9 +105,8 @@ def test_shard_zero_log_keeps_unsharded_contract_shape():
 
     scheduler, report = run_hand(orders)
     assert scheduler.shards == 1
-    assert isinstance(scheduler.commit_log, MarketCommitLog)
-    assert scheduler.commit_log is scheduler.commit_logs[0]
-    assert scheduler.commit_log.name == "market-commitlog"
+    assert isinstance(scheduler.commit_logs[0], MarketCommitLog)
+    assert scheduler.commit_logs[0].name == "market-commitlog"
     assert report.committed == 1
     assert report.shards == 1 and report.cross_shard_deals == 0
 

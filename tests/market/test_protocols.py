@@ -114,7 +114,7 @@ def test_cbc_swap_commits_with_status_proofs():
     run = next(iter(scheduler.runs.values()))
     assert set(_escrow_states(scheduler, run).values()) == {EscrowState.RELEASED}
     # The market CBC recorded the full protocol conversation.
-    cbc = scheduler.cbc
+    cbc = scheduler.cbcs[0]
     kinds = [entry.kind for entry in cbc.entries()
              if entry.deal_id == run.order.deal_id]
     assert kinds == ["startDeal", "commit", "commit"]

@@ -61,7 +61,7 @@ def _assert_exactly_once(scheduler, report, label: str) -> None:
             seen[deal_id] = shard
     for deal_id, run in scheduler.runs.items():
         assert run.home_shard == shard_of_deal(deal_id, scheduler.shards), label
-        if run.driver is not None or run.phase is DealPhase.REJECTED:
+        if run.protocol != "unanimity" or run.phase is DealPhase.REJECTED:
             continue
         # A settled unanimity deal agrees with its home log, and every
         # book it touched reached the matching terminal state.
