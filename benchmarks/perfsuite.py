@@ -33,14 +33,13 @@ experiment hammers) and writes ``BENCH_crypto.json``:
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
-import os
 import platform
 import random
 import sys
 import time
 
+import bench_e1_brokered_deal
 from repro.crypto.fastexp import G, P, Q, multi_pow, prewarm_base
 from repro.crypto.fastexp import cache_stats as fastexp_stats
 from repro.crypto.hashing import bytes_to_int, int_to_bytes, tagged_hash
@@ -57,14 +56,7 @@ from repro.crypto.schnorr import (
     verify,
 )
 
-_BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
-
-
-def _import_bench(name: str):
-    """Import a sibling benchmark module (works from any CWD)."""
-    if _BENCH_DIR not in sys.path:
-        sys.path.insert(0, _BENCH_DIR)
-    return importlib.import_module(name)
+SCHEMA = "BENCH_crypto/v2"
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +274,6 @@ def run_suite(quick: bool = False) -> dict:
         multi_pow_metrics[f"multi_pow_{count}_speedup"] = round(v2_rate / v1_rate, 2)
 
     # -- E1 end-to-end -------------------------------------------------
-    bench_e1_brokered_deal = _import_bench("bench_e1_brokered_deal")
-
     started = time.perf_counter()
     bench_e1_brokered_deal.make_report()
     e1_wall_s = time.perf_counter() - started
@@ -310,29 +300,16 @@ def main(argv: list[str]) -> int:
                         help="short timing windows (smoke test)")
     parser.add_argument("--output", default="BENCH_crypto.json",
                         help="where to write the JSON report")
-    parser.add_argument("--market-output", default=None,
-                        help="also run the E16 market benchmark and write "
-                             "BENCH_market.json there (--quick shrinks it)")
-    parser.add_argument("--market-shards", type=int, default=None,
-                        help="coordinator shards for the market run "
-                             "(default: 2 with --quick so the perf "
-                             "baseline covers the sharded path, else 1)")
-    parser.add_argument("--market-replication", type=int, default=None,
-                        help="replication factor for the market run "
-                             "(default: 2 with --quick so the perf "
-                             "baseline covers the replicated path, else 1)")
     args = parser.parse_args(argv)
 
     # Fail on an unwritable destination *before* spending minutes
     # benchmarking.
-    for destination in (args.output, args.market_output):
-        if destination:
-            with open(destination, "a", encoding="utf-8"):
-                pass
+    with open(args.output, "a", encoding="utf-8"):
+        pass
 
     metrics = run_suite(quick=args.quick)
     report = {
-        "schema": "BENCH_crypto/v2",
+        "schema": SCHEMA,
         "python": platform.python_version(),
         "quick": args.quick,
         "metrics": metrics,
@@ -346,26 +323,6 @@ def main(argv: list[str]) -> int:
     for name, value in metrics.items():
         print(f"{name.ljust(width)}  {value}")
     print(f"wrote {args.output}")
-
-    if args.market_output:
-        bench_e16_market = _import_bench("bench_e16_market")
-        market_shards = args.market_shards
-        if market_shards is None:
-            # The quick run feeds CI's committed perf baseline
-            # (BENCH_market_quick.json), which deliberately exercises
-            # the sharded path so regressions there trip the guard.
-            market_shards = 2 if args.quick else 1
-        market_replication = args.market_replication
-        if market_replication is None:
-            # Same guard for the replicated path: replication is free
-            # on the fingerprint but not on wall clock, so the quick
-            # baseline keeps it honest.
-            market_replication = 2 if args.quick else 1
-        bench_e16_market.write_market_json(
-            args.market_output, quick=args.quick, shards=market_shards,
-            replication=market_replication,
-        )
-        print(f"wrote {args.market_output}")
     return 0
 
 

@@ -15,7 +15,7 @@ EXPERIMENTS.md evidence) to stdout and, if given, to ``output-file``.
 seeded simulation, so the report file is byte-identical whatever the
 job count — timing lines go to stdout only, never into the report.
 A per-experiment timing summary is printed at the end either way
-(it feeds the perf trajectory in BENCHMARKS.md).
+(stdout-only diagnostics; wall clock is measured by ``bench/``).
 
 ``--quick`` shrinks experiments that support a quick mode (currently
 E16, E17, E18 and E19) so CI's determinism gate — serial vs ``--jobs 2``

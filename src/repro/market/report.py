@@ -49,8 +49,8 @@ class MarketReport:
     # Sorted (name, count) rows from the market's VerifyAggregator —
     # deterministic simulation counters, but deliberately outside
     # render() and fingerprint() so toggling aggregation can never
-    # change report bytes.  The E16 benchmark surfaces them in its own
-    # aggregation table and in BENCH_market.json.
+    # change report bytes.  The E16 benchmark surfaces them in its
+    # shard table and gates on the merge rate.
     verify_stats: tuple = ()
     # Sharding: how many coordinator shards the market ran with, and
     # how many deals straddled books owned by more than one shard.

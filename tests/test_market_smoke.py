@@ -1,15 +1,19 @@
 """Tier-1 smoke target for the E16 concurrent deal market.
 
-Runs ``benchmarks/bench_e16_market.py`` in ``--quick`` mode and checks
-the ``BENCH_market.json`` schema plus the run's determinism, so every
-future PR keeps a working market-throughput trajectory (a regression
-here fails the tier-1 suite) — the market analogue of
-``tests/test_perfsuite.py``.
+Runs ``benchmarks/bench_e16_market.py``'s conformance gate in
+``--quick`` mode, shows that every gate criterion can fail, pins the
+run's determinism, and unit-tests CI's perf guard arithmetic
+(``benchmarks/perf_guard.py``) on canned dicts — the market analogue
+of ``tests/test_perfsuite.py``.
 """
 
+import functools
 import json
 import os
 import sys
+from dataclasses import replace
+
+import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
@@ -17,126 +21,157 @@ if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 
 import bench_e16_market  # noqa: E402
+import perf_guard  # noqa: E402
+from repro.workloads.market import MarketProfile  # noqa: E402
 
-EXPECTED_METRICS = {
-    "per_protocol",
-    "verify_aggregation",
-    "shards",
-    "cross_shard_deals",
-    "cross_shard_committed",
-    "cross_shard_fraction",
-    "stale_proofs_rejected",
-    "timelock_refund_sweeps",
-    "deals_spawned",
-    "deals_committed",
-    "deals_aborted",
-    "deals_rejected",
-    "deals_stuck",
-    "escrow_conflicts",
-    "patience_timeouts",
-    "abort_rate",
-    "latency_p50_ticks",
-    "latency_p90_ticks",
-    "latency_p99_ticks",
-    "chain_ticks",
-    "deals_per_kilotick",
-    "chains",
-    "blocks",
-    "txs_executed",
-    "txs_reverted",
-    "max_mempool_depth",
-    "invariant_violations",
-    "fingerprint",
-    "wall_s",
-    "deals_per_wall_s",
-    "replication_factor",
-    "faults_injected",
-    "recoveries",
-    "failovers",
-    "availability",
-    "sore_losers",
-    "replication",
-    "exec_backend",
-    "seal_policy",
-    "fee_priced_out",
-    "fees_accrued",
+# mode -> (CLI flags, gate_run axes)
+MODES = {
+    "plain": ([], {}),
+    "mixed": (["--protocol-mix"], {"mixed": True}),
+    "sharded": (["--shards", "2"], {"shards": 2}),
 }
 
 
-def test_market_quick_smoke(tmp_path):
-    output = tmp_path / "BENCH_market.json"
-    assert bench_e16_market.main(["--quick", "--output", str(output)]) == 0
-    report = json.loads(output.read_text())
-    assert report["schema"] == "BENCH_market/v6"
-    assert report["quick"] is True
-    metrics = report["metrics"]
-    assert set(metrics) == EXPECTED_METRICS
-    assert metrics["exec_backend"] == "inline"
-    # The fixed-seed smoke market must actually run hot: most deals
-    # commit, none are stranded, and every conservation invariant holds.
-    assert metrics["deals_committed"] > metrics["deals_spawned"] * 0.8
-    assert metrics["deals_stuck"] == 0
-    assert metrics["invariant_violations"] == 0
-    assert metrics["chains"] >= 4
-    assert metrics["latency_p50_ticks"] > 0
-    assert metrics["latency_p99_ticks"] >= metrics["latency_p50_ticks"]
-    assert metrics["deals_per_wall_s"] > 0
-    assert (
-        metrics["deals_committed"]
-        + metrics["deals_aborted"]
-        + metrics["deals_rejected"]
-        == metrics["deals_spawned"]
+@functools.cache
+def quick_run(mode):
+    return bench_e16_market.gate_run(quick=True, **MODES[mode][1])
+
+
+def check(mode, **doctored):
+    return bench_e16_market.check_gate(replace(quick_run(mode), **doctored))
+
+
+def assert_quick_gate_passes(mode):
+    report = quick_run(mode).report
+    assert check(mode) == []
+    assert bench_e16_market.main(["--quick", *MODES[mode][0]]) == 0
+    # The fixed-seed smoke market must actually run hot.
+    assert report.committed > report.deals * 0.8
+    assert report.committed + report.aborted + report.rejected == report.deals
+    assert report.chains >= 4
+    assert report.latency_p99 >= report.latency_p50 > 0
+    return report
+
+
+def test_market_quick_smoke():
+    assert_quick_gate_passes("plain")
+
+
+def test_market_protocol_mix_quick_smoke():
+    """The --protocol-mix mode commits via all three protocols."""
+    report = assert_quick_gate_passes("mixed")
+    assert set(report.committed_by_protocol()) == {"unanimity", "timelock", "cbc"}
+    assert report.stale_proofs_rejected > 0
+
+
+def test_market_sharded_quick_smoke():
+    """--shards 2 gates the quick sharded acceptance criteria."""
+    report = assert_quick_gate_passes("sharded")
+    assert report.shards == 2
+    assert dict(report.verify_stats)["merged_batches"] > 0
+
+
+def _cbc_under_floor(report):
+    return tuple(
+        (row[0], 3, *row[2:]) if row[0] == "cbc" else row
+        for row in report.per_protocol
     )
 
 
-def test_market_protocol_mix_quick_smoke(tmp_path):
-    """The --protocol-mix mode commits via all three protocols."""
-    output = tmp_path / "BENCH_market.json"
-    assert bench_e16_market.main(
-        ["--quick", "--protocol-mix", "--output", str(output)]
-    ) == 0
-    report = json.loads(output.read_text())
-    per_protocol = report["metrics"]["per_protocol"]
-    assert set(per_protocol) == {"unanimity", "timelock", "cbc"}
-    for protocol, bucket in per_protocol.items():
-        assert bucket["committed"] > 0, protocol
-    assert report["metrics"]["invariant_violations"] == 0
-    assert report["metrics"]["deals_stuck"] == 0
-    assert report["metrics"]["stale_proofs_rejected"] > 0
+@pytest.mark.parametrize("mode, doctor, criterion", [
+    ("plain", lambda r: {"stuck": 1}, "1 stuck deals"),
+    ("plain", lambda r: {"invariant_violations": ("x",)},
+     "1 invariant violations (first: x)"),
+    ("plain", lambda r: {"committed": 0}, "committed 0 < 25"),
+    ("mixed", lambda r: {"per_protocol": _cbc_under_floor(r)},
+     "cbc committed 3 < 25"),
+    ("mixed", lambda r: {"per_protocol": r.per_protocol[:2]},
+     "unanimity committed 0 < 25"),
+    ("sharded", lambda r: {"cross_shard_deals": 0},
+     "cross-shard fraction 0.0% < 20%"),
+    ("sharded", lambda r: {"verify_stats": ()}, "aggregator merge rate is 0"),
+])
+def test_market_gate_criteria_can_fail(mode, doctor, criterion):
+    """Each criterion names itself when a doctored report breaks it."""
+    report = quick_run(mode).report
+    assert check(mode, report=replace(report, **doctor(report))) == [criterion]
 
 
-def test_market_sharded_quick_smoke(tmp_path):
-    """--shards 2 gates the quick sharded acceptance criteria."""
-    output = tmp_path / "BENCH_market.json"
-    assert bench_e16_market.main(
-        ["--quick", "--shards", "2", "--output", str(output)]
-    ) == 0
-    report = json.loads(output.read_text())
-    metrics = report["metrics"]
-    assert report["profile"]["shards"] == 2
-    assert metrics["shards"] == 2
-    assert metrics["cross_shard_deals"] > 0
-    assert metrics["cross_shard_fraction"] >= 0.2
-    assert metrics["verify_aggregation"]["merged_batches"] > 0
-    assert metrics["verify_aggregation"]["merge_rate"] > 0
-    assert metrics["invariant_violations"] == 0
-    assert metrics["deals_stuck"] == 0
+def test_market_gate_trace_coverage_floor():
+    assert check("plain", coverage=0.96) == []
+    assert check("plain", coverage=0.9) == ["trace coverage 90.0% < 95%"]
+
+
+def test_market_gate_commit_floors_apply_to_fifo_without_chaos_only():
+    """Off the axes the floors were measured on, E16 still gates safety."""
+    empty = replace(quick_run("mixed").report, committed=0, per_protocol=())
+    assert len(check("mixed", report=empty)) == 4
+    priced_out = replace(empty, seal_policy="base_fee")
+    for report, axes in ((priced_out, {}), (empty, {"chaos": 0.1})):
+        assert check("mixed", report=report, **axes) == []
+        stuck = replace(report, stuck=1)
+        assert check("mixed", report=stuck, **axes) == ["1 stuck deals"]
 
 
 def test_market_fixed_seed_run_is_deterministic():
-    from repro.workloads.market import MarketProfile
-
-    first, _ = bench_e16_market.run_market(MarketProfile.smoke())
-    second, _ = bench_e16_market.run_market(MarketProfile.smoke())
+    first = bench_e16_market.run_market(MarketProfile.smoke())
+    second = bench_e16_market.run_market(MarketProfile.smoke())
     assert first.fingerprint() == second.fingerprint()
     # The rendered report is the byte-identity contract run_all relies on.
     assert first.render() == second.render()
 
 
 def test_market_sweep_identical_across_job_counts():
-    from dataclasses import replace
-
     base = replace(bench_e16_market._SWEEP_BASE, deals=40)
     serial = bench_e16_market.rate_sweep(jobs=1, base=base)
     parallel = bench_e16_market.rate_sweep(jobs=2, base=base)
     assert serial == parallel
+
+
+# ----------------------------------------------------------------------
+# perf_guard: CI's regression arithmetic on canned dicts
+# ----------------------------------------------------------------------
+SPEC = {"end_to_end": [
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+    {"name": "deals_per_s", "better": "higher", "bound": 0.25},
+    {"name": "commit_rate", "better": "higher", "bound": 0.25},
+]}
+
+
+def _result(deals_per_s, setup_s):
+    return {"w": {"metrics": {
+        "deals_per_s": {"value": deals_per_s},
+        "setup_s": {"value": setup_s},
+        "commit_rate": {"value": 0.0},
+    }}}
+
+
+@pytest.mark.parametrize("fresh, speed, regressions", [
+    (_result(100.0, 1.0), 1.0, []),
+    (_result(80.0, 1.2), 1.0, []),
+    (_result(60.0, 1.0), 1.0, ["deals_per_s"]),  # a 40% drop
+    (_result(100.0, 1.3), 1.0, ["setup_s"]),
+    (_result(60.0, 1.6), 0.6, []),  # same code on a 0.6x box
+    (_result(100.0, 1.0), 1.5, ["deals_per_s", "setup_s"]),
+])
+def test_perf_guard_bounds_scale_with_the_speed_probe(fresh, speed, regressions):
+    baseline = {"end_to_end": _result(100.0, 1.0)}
+    rows = perf_guard.guard(fresh, baseline, SPEC, speed)
+    assert [row[:2] for row in rows] == [("w", "setup_s"), ("w", "deals_per_s")]
+    assert sorted(row[1] for row in rows if not row[-1]) == regressions
+
+
+def test_perf_guard_fails_on_crypto_only(tmp_path, capsys):
+    """A market miss vs the stale bench/baseline.json is report-only."""
+    root = perf_guard.ROOT
+    crypto = perf_guard.load(root / "BENCH_crypto_quick.json")
+    market = perf_guard.load(root / "bench" / "baseline.json")["end_to_end"]
+    market["protocol_mix"]["metrics"]["deals_per_s"]["value"] /= 2
+    (tmp_path / "bench.txt").write_text("log\n" + json.dumps(market))
+    for batch_scale, code in ((1.0, 0), (0.5, 1)):
+        crypto["metrics"]["batch_verify_sigs_per_s"] *= batch_scale
+        (tmp_path / "crypto.json").write_text(json.dumps(crypto))
+        argv = [str(tmp_path / "crypto.json"), str(tmp_path / "bench.txt")]
+        assert perf_guard.main(argv) == code
+        out = capsys.readouterr().out
+        assert "(report-only): ['protocol_mix.deals_per_s']" in out

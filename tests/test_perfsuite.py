@@ -9,6 +9,8 @@ import json
 import os
 import sys
 
+import pytest
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
 if BENCH_DIR not in sys.path:
@@ -42,7 +44,7 @@ def test_perfsuite_quick_smoke(tmp_path):
     output = tmp_path / "BENCH_crypto.json"
     assert perfsuite.main(["--quick", "--output", str(output)]) == 0
     report = json.loads(output.read_text())
-    assert report["schema"] == "BENCH_crypto/v2"
+    assert report["schema"] == perfsuite.SCHEMA
     assert report["quick"] is True
     metrics = report["metrics"]
     assert set(metrics) == EXPECTED_METRICS
@@ -56,6 +58,17 @@ def test_perfsuite_quick_smoke(tmp_path):
     # measured margin is ~3x at 64 pairs; 1.2 keeps noisy boxes green).
     assert metrics["multi_pow_64_speedup"] > 1.2
     assert metrics["multi_pow_256_speedup"] > 1.2
+
+
+@pytest.mark.parametrize("name", ["BENCH_crypto.json", "BENCH_crypto_quick.json"])
+def test_committed_record_matches_the_writer(name):
+    # Nothing else notices a committed record that lags its writer (the
+    # retired market record sat two schema versions behind).
+    with open(os.path.join(REPO_ROOT, name), encoding="utf-8") as handle:
+        report = json.load(handle)
+    assert report["schema"] == perfsuite.SCHEMA
+    assert report["quick"] is (name == "BENCH_crypto_quick.json")
+    assert set(report["metrics"]) == EXPECTED_METRICS
 
 
 def test_v1_multi_pow_replica_agrees_with_engine():
