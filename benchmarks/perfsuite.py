@@ -8,7 +8,7 @@ Measures the Schnorr hot path (the ~93%-of-wall-clock operation every
 experiment hammers) and writes ``BENCH_crypto.json``:
 
 * ``sign_per_s`` / ``verify_distinct_per_s`` — steady-state rates of
-  the engine (fixed-base tables warm, every message distinct so the
+  the engine (generator table warm, every message distinct so the
   verification cache never hits);
 * ``verify_deal_workload_per_s`` — the rate on a single deal's
   verification stream: a path signature is re-verified at every hop
@@ -16,13 +16,13 @@ experiment hammers) and writes ``BENCH_crypto.json``:
   stream repeats each signature several times — repeats are cache hits;
 * ``batch_verify_sigs_per_s`` — per-signature rate of batched quorum
   certificates (fresh message each round, so nothing is cached);
-* ``multi_pow_{k}_*`` — pairs/second of the v2 multi-exponentiation
+* ``multi_pow_{k}_*`` — pairs/second of the multi-exponentiation
   engine at batch sizes 4/16/64/256 against an in-process replica of
-  the v1 engine (PR 1's shared-squaring interleaved windowing, no
-  dedup, no shared tables), on pairs shaped like a real batched
+  the v1 engine (PR 1's shared-squaring interleaved windowing, fixed
+  window, no dedup, no Pippenger), on pairs shaped like a real batched
   verification: alternating fresh commitment bases with 64-bit weight
-  exponents and hot public-key bases (drawn from a small recurring
-  pool, as market accounts and validators recur) with ~320-bit
+  exponents and public-key bases (drawn from a small recurring pool,
+  as market accounts and validators recur) with ~320-bit
   challenge·weight exponents;
 * ``e1_wall_s`` — end-to-end wall-clock of the E1 running example;
 * ``seed_*`` / ``v1_*`` — the same operations through faithful
@@ -40,7 +40,7 @@ import sys
 import time
 
 import bench_e1_brokered_deal
-from repro.crypto.fastexp import G, P, Q, multi_pow, prewarm_base
+from repro.crypto.fastexp import G, P, Q, multi_pow
 from repro.crypto.fastexp import cache_stats as fastexp_stats
 from repro.crypto.hashing import bytes_to_int, int_to_bytes, tagged_hash
 from repro.crypto.schnorr import (
@@ -89,8 +89,8 @@ def v1_multi_pow(pairs, modulus: int = P, window: int = 4) -> int:
     """The v1 multi-exponentiation, verbatim (PR 1's engine).
 
     Simultaneous interleaved windowing with one shared squaring chain,
-    a fresh digit table per base per call, no duplicate-base merging
-    and no cached tables — the baseline the v2 engine is measured
+    a fresh digit table per base per call, a fixed window and no
+    duplicate-base merging — the baseline the engine is measured
     against.
     """
     if not pairs:
@@ -152,14 +152,6 @@ def run_suite(quick: bool = False) -> dict:
     hops = 6  # contracts that re-verify it (the deal-workload repeats)
 
     keys = [generate_keypair(f"perfsuite-{i}".encode()) for i in range(8)]
-    # The suite measures steady-state rates (the docstring's contract:
-    # "fixed-base tables warm"), so build the measurement keys' hot
-    # tables up front — otherwise the tiered window upgrades land
-    # inside whichever timed section happens to cross the use
-    # threshold, and the per-section rates jitter run to run.  The
-    # seed_* baselines are unaffected (pure builtins.pow replicas).
-    for _, public in keys:
-        prewarm_base(public.point, hot=True)
 
     # -- sign ----------------------------------------------------------
     def fresh_messages(round_index):
@@ -233,17 +225,12 @@ def run_suite(quick: bool = False) -> dict:
         min_time,
     )
 
-    # -- multi_pow microbench (v2 engine vs the v1 replica) ------------
+    # -- multi_pow microbench (engine vs the v1 replica) ---------------
     # Pairs mirror one sealed block's merged batch check: alternating
-    # (fresh commitment, 64-bit weight) and (hot public key from a
-    # recurring 8-key pool, ~320-bit challenge·weight) entries.  The
-    # pool bases are prewarmed — in steady state market accounts and
-    # validators always have tables — so the measurement is the
-    # steady-state rate, not the first-block one.
+    # (fresh commitment, 64-bit weight) and (public key from a
+    # recurring 8-key pool, ~320-bit challenge·weight) entries.
     rng = random.Random(0xB10C5)
-    hot_pool = [pow(G, rng.getrandbits(256), P) for _ in range(8)]
-    for base in hot_pool:
-        prewarm_base(base, hot=True)
+    key_pool = [pow(G, rng.getrandbits(256), P) for _ in range(8)]
 
     def multi_pow_batch(count):
         def make(round_index):
@@ -255,7 +242,7 @@ def run_suite(quick: bool = False) -> dict:
                     )
                 else:
                     pairs.append(
-                        (hot_pool[rng.randrange(len(hot_pool))], rng.getrandbits(320))
+                        (key_pool[rng.randrange(len(key_pool))], rng.getrandbits(320))
                     )
             return pairs
 

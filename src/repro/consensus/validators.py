@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.fastexp import prewarm_base
 from repro.crypto.hashing import hash_concat
 from repro.crypto.keys import KeyPair
 from repro.crypto.schnorr import (
@@ -47,13 +46,6 @@ class ValidatorSet:
             )
         self._keypairs = list(keypairs)
         self.epoch = epoch
-        # A validator's key verifies certificates for the whole run, so
-        # its fastexp window table is built now, at set-generation time,
-        # instead of lazily inside the first measured verifications
-        # (ROADMAP follow-up to the PR 1 crypto engine).  Keypairs are
-        # memoized per label, so regenerated sets find warm tables.
-        for keypair in self._keypairs:
-            prewarm_base(keypair.public_key.point)
 
     @classmethod
     def generate(cls, f: int, seed: str = "validators", epoch: int = 0) -> "ValidatorSet":
@@ -174,7 +166,7 @@ class VerifyAggregator:
     executes).  When more than one block's batch lands at a boundary,
     the flush folds up to ``max_blocks`` of them into one merged check
     (:func:`repro.crypto.schnorr.batch_verify_many`) — one
-    ``multi_pow`` for the whole boundary, with the hot public keys
+    ``multi_pow`` for the whole boundary, with recurring public keys
     deduplicated across blocks — and delivers each block its own
     verdict in enqueue order.
 

@@ -1,41 +1,39 @@
-"""Fast modular exponentiation for the Schnorr hot path (engine v2).
+"""Fast modular exponentiation for the Schnorr hot path.
 
 Profiling shows most benchmark wall-clock inside 2048-bit modular
 exponentiation for Schnorr sign/verify, and — since the market runtime
 batches whole blocks of order signatures into one combined check —
-inside :func:`multi_pow` specifically (~70% of the E16 market run).
-Three kinds of bases recur:
+inside :func:`multi_pow` specifically.  Two kinds of bases get a
+mechanism of their own:
 
 * the **generator** ``g`` — every sign computes ``g^k`` and every
-  verify computes ``g^s``; the base never changes, so a fixed-base
-  window table turns each exponentiation into ~``bits/w`` modular
-  multiplications with **no squarings at all**;
-* a **public key** ``y`` — every verify computes ``y^e`` and every
-  batched check computes ``y^{e·w}``; validator and market-account
-  keys recur in every block, so per-base tables amortize quickly.
-  Tables are built once a base has been seen a few times and live in a
-  bounded, honestly-LRU cache shared by :func:`base_pow` *and*
-  :func:`multi_pow`, so a hot base never pays table construction
-  twice;
-* **signature commitments** ``R`` — fresh every signature, weighted by
-  short batch exponents; they never amortize, so they go through a
-  cold multi-exponentiation path.
+  verify computes ``g^s``; the base never changes, so one process-wide
+  fixed-base window table turns each exponentiation into ~``bits/w``
+  modular multiplications with **no squarings at all**;
+* everything a batched check multiplies together — **public keys**
+  ``y^{e·w}`` and **signature commitments** ``R^w`` — goes through one
+  cold multi-exponentiation that shares a single squaring chain across
+  the whole batch.
 
-:func:`multi_pow` v2 therefore works in three stages: (1) duplicate
-bases are merged by *summing their exponents* (one table walk instead
-of two); (2) bases with a cached window table — the generator included
-— contribute through their table with no squarings; (3) the cold
-remainder is computed with either Straus interleaved windowing (small
-batches: one shared squaring chain, per-base digit tables) or a
-Pippenger bucket pass (large batches: per-window digit buckets, no
-per-base tables at all), chosen by a per-call cost model over the
-batch size and exponent bit-length.
+:func:`multi_pow` works in two stages: (1) duplicate bases are merged
+by *summing their exponents*; (2) the product is computed with either
+Straus interleaved windowing (small batches: one shared squaring
+chain, per-base digit tables) or a Pippenger bucket pass (large
+batches: per-window digit buckets, no per-base tables at all), chosen
+by a per-call cost model over the batch size and exponent bit-length.
+
+A single public-key exponentiation (:func:`base_pow`) is plain
+``builtins.pow``.  There is deliberately no per-public-key table
+tier: a 384-bit window table costs ~1,440 multiplications to build
+and, inside a batch whose squarings are already shared, saves almost
+nothing per use, so it only repaid itself in long runs over few keys
+that no benchmark workload reaches (ROADMAP "Recent", PR 21).
 
 The RFC 3526 group-14 constants live here (single source of truth);
 :mod:`repro.crypto.schnorr` re-exports them, so existing imports keep
 working.  Every function is an exact drop-in for ``pow(base, e, p)``
-— signatures produced through these tables are byte-identical to the
-seed implementation, which the test suite asserts.
+— signatures produced through the generator table are byte-identical
+to the seed implementation, which the test suite asserts.
 """
 
 from __future__ import annotations
@@ -57,98 +55,21 @@ P = int(
 Q = (P - 1) // 2
 G = 4
 
-# Exponents are always reduced mod Q by the callers.
-_EXP_BITS = Q.bit_length()
-
 # Honest exponents are far shorter than q: every scalar in the scheme
 # (keys, nonces, challenges) is derived from a 256-bit hash, so g is
 # raised to at most ~650 bits (a response s = k + e·x never wraps mod
-# q, and batch sums Σw·s add a short weight) and a public key to at
-# most ~320 bits (a challenge e times a 64-bit batch weight).  Tables
-# are sized for those real exponents — an out-of-range exponent
-# (possible only in forged inputs) transparently falls back to
-# ``builtins.pow``.
+# q, and batch sums Σw·s add a short weight).  The generator table is
+# sized for those real exponents — an out-of-range exponent (possible
+# only in forged inputs) transparently falls back to ``builtins.pow``.
 GENERATOR_TABLE_BITS = 1024  # covers s (~513 bits) and batch Σw·s sums
-BASE_TABLE_BITS = 384  # covers challenges e (256 bits) times batch weights
 
-# Window sizes trade table-build cost against per-exponentiation cost.
-# The generator table is built once per process, so it affords a wide
-# window; per-public-key tables are tiered by how hot the base proves:
-# the first build uses a narrow window (cheap enough that a handful of
-# exponentiations amortize it), and a base that keeps getting used is
-# upgraded to a wide window whose bigger build cost the remaining
-# traffic easily repays.
+# The window trades table-build cost against per-exponentiation cost;
+# the table is built once per process, so it affords a wide one.
 GENERATOR_WINDOW = 7
-BASE_WINDOW = 4
-BASE_WINDOW_HOT = 6
-# Fallback window for multi_pow callers that pin one explicitly; the
-# adaptive path picks its own (see _straus_window / _pippenger_window).
-MULTI_WINDOW = 4
 
-# Per-base tables: build only after a base was exponentiated this many
-# times (one-shot keys stay on builtins.pow), upgrade the window after
-# this many table uses, keep at most this many tables.
-_BASE_TABLE_THRESHOLD = 4
-_BASE_TABLE_UPGRADE_USES = 96
-_BASE_TABLE_MAXSIZE = 96
-_BASE_USES_MAXSIZE = 4096
-
-# Below this many cold pairs a Pippenger pass cannot beat Straus (the
+# Below this many pairs a Pippenger pass cannot beat Straus (the
 # bucket aggregation floor dominates); skip the cost model entirely.
 _PIPPENGER_MIN_PAIRS = 24
-
-
-class LruDict:
-    """A small bounded mapping with least-recently-used eviction.
-
-    Plain ``dict`` preserves insertion order, so "touch" is delete +
-    reinsert and the eviction victim is the first key.  Both
-    :meth:`get` and :meth:`put` touch, so the first key really is the
-    least-recently-*used* one, not merely the oldest-inserted.
-    """
-
-    __slots__ = ("maxsize", "_data", "hits", "misses")
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._data: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        """Return the cached value (touching it) or ``None``."""
-        data = self._data
-        if key in data:
-            value = data.pop(key)
-            data[key] = value
-            self.hits += 1
-            return value
-        self.misses += 1
-        return None
-
-    def put(self, key, value) -> None:
-        """Insert ``key`` (touching it), evicting the LRU entry."""
-        data = self._data
-        if key in data:
-            del data[key]
-        elif len(data) >= self.maxsize:
-            del data[next(iter(data))]
-        data[key] = value
-
-    def pop(self, key, default=None):
-        """Remove and return ``key``'s value (``default`` if absent)."""
-        return self._data.pop(key, default)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
 
 
 class FixedBaseTable:
@@ -159,16 +80,15 @@ class FixedBaseTable:
     multiplication per non-zero window digit — no squarings.
     """
 
-    __slots__ = ("base", "modulus", "window", "max_bits", "uses", "_rows", "_mask")
+    __slots__ = ("base", "modulus", "window", "max_bits", "_rows", "_mask")
 
-    def __init__(self, base: int, modulus: int, max_bits: int = _EXP_BITS, window: int = BASE_WINDOW):
+    def __init__(self, base: int, modulus: int, max_bits: int, window: int):
         if not 1 <= window <= 16:
             raise ValueError("window size out of range")
         self.base = base % modulus
         self.modulus = modulus
         self.window = window
         self.max_bits = max_bits
-        self.uses = 0
         self._mask = (1 << window) - 1
         radix = 1 << window
         rows = []
@@ -223,96 +143,17 @@ def generator_pow(exponent: int) -> int:
     return generator_table().pow(exponent)
 
 
-# ----------------------------------------------------------------------
-# Arbitrary bases (public keys): tables built after repeated use.
-#
-# The table cache and the use counter are both honest LRUs, and the
-# cache is shared between base_pow and multi_pow: a validator or
-# market-account key that recurs in every block builds its window
-# table exactly once, no matter which entry point sees it.
-# ----------------------------------------------------------------------
-_base_tables = LruDict(_BASE_TABLE_MAXSIZE)
-_base_uses = LruDict(_BASE_USES_MAXSIZE)
-
-
-def _shared_table(base: int) -> FixedBaseTable | None:
-    """The cached window table for ``base`` (counting uses toward one).
-
-    ``base`` must already be reduced mod p.  Returns the generator's
-    process-wide table when ``base`` is ``g``, a cached per-base table
-    when one exists (touching it in the LRU), and ``None`` otherwise —
-    in which case the use counter advances and a table is built once
-    the base crosses the threshold.
-    """
-    if base == G:
-        return generator_table()
-    table = _base_tables.get(base)
-    if table is not None:
-        table.uses += 1
-        if (
-            table.window < BASE_WINDOW_HOT
-            and table.uses >= _BASE_TABLE_UPGRADE_USES
-        ):
-            # The base proved genuinely hot: pay the wide-window build
-            # once and let the remaining traffic repay it.
-            table = FixedBaseTable(base, P, BASE_TABLE_BITS, BASE_WINDOW_HOT)
-            table.uses = _BASE_TABLE_UPGRADE_USES
-            _base_tables.put(base, table)
-        return table
-    uses = (_base_uses.get(base) or 0) + 1
-    if uses < _BASE_TABLE_THRESHOLD:
-        _base_uses.put(base, uses)
-        return None
-    _base_uses.pop(base)
-    table = FixedBaseTable(base, P, BASE_TABLE_BITS, BASE_WINDOW)
-    _base_tables.put(base, table)
-    return table
-
-
 def base_pow(base: int, exponent: int) -> int:
-    """``base^exponent mod p``, precomputing a table for hot bases.
+    """``base^exponent mod p`` for a public key: plain ``builtins.pow``.
 
-    The first few exponentiations of a base go through ``builtins.pow``;
-    once a base crosses the use threshold it gets a window table, after
-    which each exponentiation is ~``bits/w`` multiplications.
+    A named function because :func:`repro.crypto.schnorr.verify` is its
+    call site and the benchmark's tracer wraps it by name.
     """
-    table = _shared_table(base % P)
-    if table is None:
-        return pow(base, exponent, P)
-    return table.pow(exponent)
-
-
-def prewarm_base(base: int, hot: bool = False) -> bool:
-    """Build ``base``'s window table immediately, skipping the threshold.
-
-    For bases that are *known* to be hot before the first
-    exponentiation — a fresh validator set's public keys will verify
-    certificates for the rest of the run — waiting for
-    ``_BASE_TABLE_THRESHOLD`` uses just moves the table build into the
-    measured path.  Called by
-    :class:`repro.consensus.validators.ValidatorSet` at generation
-    time.  ``hot=True`` builds the wide-window tier directly (for
-    bases known to stay hot for a whole long run, skipping the
-    upgrade-at-``_BASE_TABLE_UPGRADE_USES`` step as well).  Returns
-    True when a table was built (False: already warm).
-    """
-    base %= P
-    if base == G:
-        return False
-    window = BASE_WINDOW_HOT if hot else BASE_WINDOW
-    existing = _base_tables.get(base)
-    if existing is not None and existing.window >= window:
-        return False
-    _base_uses.pop(base)
-    table = FixedBaseTable(base, P, BASE_TABLE_BITS, window)
-    if hot:
-        table.uses = _BASE_TABLE_UPGRADE_USES
-    _base_tables.put(base, table)
-    return True
+    return pow(base, exponent, P)
 
 
 # ----------------------------------------------------------------------
-# Multi-exponentiation v2: dedup -> cached tables -> Straus/Pippenger.
+# Multi-exponentiation: merge duplicate bases -> Straus/Pippenger.
 # ----------------------------------------------------------------------
 def _straus_window(max_bits: int) -> int:
     """Window width minimizing Straus cost for this exponent length.
@@ -418,10 +259,8 @@ def _pippenger(items: list[tuple[int, int]], modulus: int, window: int) -> int:
     return acc
 
 
-def _cold_multi(items: list[tuple[int, int]], modulus: int, window: int | None) -> int:
-    """Multi-exp for bases without cached tables: pick Straus/Pippenger."""
-    if window is not None:
-        return _straus(items, modulus, window)
+def _cold_multi(items: list[tuple[int, int]], modulus: int) -> int:
+    """Multi-exp over distinct bases: pick Straus or Pippenger by cost."""
     max_bits = max(exponent.bit_length() for _, exponent in items)
     pairs = len(items)
     w = _straus_window(max_bits)
@@ -435,19 +274,14 @@ def _cold_multi(items: list[tuple[int, int]], modulus: int, window: int | None) 
     return _straus(items, modulus, w)
 
 
-def multi_pow(pairs: list[tuple[int, int]], modulus: int = P, window: int | None = None) -> int:
-    """``Π base_i^{exp_i} mod modulus`` via the v2 multi-exp engine.
+def multi_pow(pairs: list[tuple[int, int]], modulus: int = P) -> int:
+    """``Π base_i^{exp_i} mod modulus`` in one shared squaring chain.
 
     Repeated bases are merged by summing their exponents (two
-    signatures under one public key cost one table walk, not two).
-    When ``modulus`` is the group prime ``p`` and no explicit
-    ``window`` is pinned, bases with a cached fixed-base table — the
-    generator and every hot public key — contribute through their
-    table with no squarings at all, and only the cold remainder pays
-    the shared-chain multi-exponentiation (Straus for small batches,
-    Pippenger buckets for large ones, chosen by a per-call cost
-    model).  Passing ``window`` forces the plain interleaved path with
-    that width (no caches, no cost model) for reproducible unit tests.
+    signatures under one public key cost one digit walk, not two);
+    the distinct remainder pays one multi-exponentiation — Straus for
+    small batches, Pippenger buckets for large ones, chosen by a
+    per-call cost model.
     """
     if not pairs:
         return 1 % modulus
@@ -459,37 +293,23 @@ def multi_pow(pairs: list[tuple[int, int]], modulus: int = P, window: int | None
             raise ValueError("negative exponent")
         base %= modulus
         merged[base] = merged.get(base, 0) + exponent
-    hot = 1
-    cold: list[tuple[int, int]] = []
-    use_tables = modulus == P and window is None
+    items: list[tuple[int, int]] = []
     for base, exponent in merged.items():
         if exponent == 0 or base == 1:
             continue
         if base == 0:
             return 0
-        if use_tables:
-            table = _shared_table(base)
-            if table is not None and exponent.bit_length() <= table.max_bits:
-                hot = hot * table.pow(exponent) % modulus
-                continue
-        cold.append((base, exponent))
-    if not cold:
-        return hot % modulus
-    return _cold_multi(cold, modulus, window) * hot % modulus
+        items.append((base, exponent))
+    if not items:
+        return 1
+    return _cold_multi(items, modulus)
 
 
 def cache_stats() -> dict:
-    """Diagnostics for the table caches (used by perfsuite and tests)."""
+    """Diagnostics for the generator table (read by perfsuite and ``bench/``)."""
     return {
         "generator_table_built": _generator_table is not None,
-        "base_tables": len(_base_tables),
-        "base_table_hits": _base_tables.hits,
-        "base_table_misses": _base_tables.misses,
-        "pending_bases": len(_base_uses),
+        # bench/rep.py --trace indexes both keys; no per-base table exists.
+        "base_table_hits": 0,
+        "base_table_misses": 0,
     }
-
-
-def clear_caches() -> None:
-    """Drop every per-base table (the generator table is kept)."""
-    _base_tables.clear()
-    _base_uses.clear()

@@ -17,9 +17,9 @@ Nonces are derived deterministically from the private key and message
 simulator's determinism policy (DESIGN.md §7).
 
 Performance: all exponentiation goes through
-:mod:`repro.crypto.fastexp` (fixed-base window tables for ``g``,
-per-public-key tables for hot keys, a shared-squaring multi-exponent
-for batches), and verification results are memoized in a bounded LRU
+:mod:`repro.crypto.fastexp` (a fixed-base window table for ``g`` and
+a shared-squaring multi-exponent for batches; public keys get no
+table), and verification results are memoized in a bounded LRU
 keyed on the full ``(key, message, signature)`` triple — the timelock
 protocol re-verifies the same path signature at every hop and the CBC
 protocol re-verifies the same certificate on every chain, so repeats
@@ -38,7 +38,6 @@ from repro.crypto.fastexp import (
     GENERATOR_TABLE_BITS,
     P,
     Q,
-    LruDict,
     base_pow,
     generator_pow,
     multi_pow,
@@ -55,6 +54,56 @@ _SCALAR_BYTES = (Q.bit_length() + 7) // 8
 # exponent and ``pk^{e·w}`` a ~320-bit one, so the whole batched check
 # squares ~320 times instead of ~384 and every digit loop is shorter.
 _BATCH_WEIGHT_BYTES = 8
+
+
+class LruDict:
+    """A small bounded mapping with least-recently-used eviction.
+
+    Plain ``dict`` preserves insertion order, so "touch" is delete +
+    reinsert and the eviction victim is the first key.  Both
+    :meth:`get` and :meth:`put` touch, so the first key really is the
+    least-recently-*used* one, not merely the oldest-inserted.
+    """
+
+    __slots__ = ("maxsize", "_data", "hits", "misses")
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._data: dict = {}
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key):
+        """Return the cached value (touching it) or ``None``."""
+        data = self._data
+        if key in data:
+            value = data.pop(key)
+            data[key] = value
+            self.hits += 1
+            return value
+        self.misses += 1
+        return None
+
+    def put(self, key, value) -> None:
+        """Insert ``key`` (touching it), evicting the LRU entry."""
+        data = self._data
+        if key in data:
+            del data[key]
+        elif len(data) >= self.maxsize:
+            del data[next(iter(data))]
+        data[key] = value
+
+    def clear(self) -> None:
+        self._data.clear()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __contains__(self, key) -> bool:
+        return key in self._data
+
 
 _VERIFY_CACHE = LruDict(1 << 15)
 _BATCH_CACHE = LruDict(1 << 12)

@@ -10,9 +10,8 @@ construction time.  It bundles
   leaderless windows, failovers);
 * a :class:`~repro.telemetry.metrics.MetricsRegistry` fed by the
   mempools (seal occupancy, post-seal depth), the shared
-  ``VerifyAggregator`` (merge sizes, batch-verify pair counts), the
-  replication network (drops/delays), and ``crypto.fastexp``'s table
-  caches (hit/miss deltas over the run);
+  ``VerifyAggregator`` (merge sizes, batch-verify pair counts) and the
+  replication network (drops/delays);
 * a read-only :class:`~repro.telemetry.blocktap.BlockTap` that ingests
   sealed blocks into columnar arrays and answers windowed queries
   mid-run.
@@ -56,13 +55,12 @@ class Telemetry:
         self._phase: dict[bytes, Span] = {}
         self._phases_seen: dict[bytes, set] = {}
         self._trace_key: dict[bytes, str] = {}
-        self._fastexp_base: dict | None = None
 
     # ------------------------------------------------------------------
     # Wiring (called by MarketCoordinator)
     # ------------------------------------------------------------------
     def attach(self, scheduler) -> None:
-        """Bind to one scheduler: subscribe the tap, snapshot caches."""
+        """Bind to one scheduler and subscribe the block tap."""
         if self._attached:
             raise RuntimeError(
                 "a Telemetry instance records exactly one run; "
@@ -71,9 +69,6 @@ class Telemetry:
         self._attached = True
         self._now = lambda: scheduler.simulator.now
         self.tap = BlockTap(scheduler)
-        from repro.crypto import fastexp
-
-        self._fastexp_base = fastexp.cache_stats()
         self.meta = {
             "seed": str(scheduler.workload.seed),
             "chains": len(scheduler.chains),
@@ -87,18 +82,6 @@ class Telemetry:
         truncated = self.tracer.close_open_spans(now)
         if truncated:
             self.metrics.gauge("trace.spans_truncated", truncated)
-        from repro.crypto import fastexp
-
-        base = self._fastexp_base or {}
-        stats = fastexp.cache_stats()
-        for key in ("base_table_hits", "base_table_misses"):
-            self.metrics.gauge(f"fastexp.{key}", stats[key] - base.get(key, 0))
-        hits = stats["base_table_hits"] - base.get("base_table_hits", 0)
-        misses = stats["base_table_misses"] - base.get("base_table_misses", 0)
-        total = hits + misses
-        self.metrics.gauge(
-            "fastexp.cache_hit_rate", round(hits / total, 6) if total else 0.0
-        )
         for chain_id in sorted(scheduler.mempools):
             pool = scheduler.mempools[chain_id]
             self.metrics.gauge(

@@ -15,7 +15,6 @@ from repro.crypto.fastexp import (
     P,
     Q,
     FixedBaseTable,
-    LruDict,
     base_pow,
     generator_pow,
     multi_pow,
@@ -23,6 +22,7 @@ from repro.crypto.fastexp import (
 from repro.crypto.hashing import bytes_to_int, int_to_bytes, tagged_hash
 from repro.crypto.schnorr import (
     PublicKey,
+    LruDict,
     Signature,
     _SCALAR_BYTES,
     _challenge,
@@ -68,15 +68,12 @@ def test_generator_pow_matches_pow():
         assert generator_pow(exponent) == pow(G, exponent, P)
 
 
-def test_base_pow_matches_pow_before_and_after_table_build():
+def test_base_pow_matches_pow():
     rng = random.Random(13)
     base = pow(G, 0xDEADBEEF, P)
-    fastexp.clear_caches()
-    # Enough calls to cross the table-build threshold either side.
-    for _ in range(fastexp._BASE_TABLE_THRESHOLD + 3):
+    for _ in range(7):
         exponent = rng.getrandbits(256)
         assert base_pow(base, exponent) == pow(base, exponent, P)
-    assert fastexp.cache_stats()["base_tables"] == 1
 
 
 def test_multi_pow_matches_product_of_pows():
@@ -93,30 +90,6 @@ def test_multi_pow_matches_product_of_pows():
 
 def test_multi_pow_empty_is_identity():
     assert multi_pow([], P) == 1
-
-
-def test_prewarm_base_builds_table_immediately():
-    base = pow(G, 0xC0FFEE, P)
-    fastexp.clear_caches()
-    assert fastexp.prewarm_base(base)
-    assert not fastexp.prewarm_base(base)  # already warm
-    assert fastexp.cache_stats()["base_tables"] == 1
-    rng = random.Random(19)
-    exponent = rng.getrandbits(256)
-    assert base_pow(base, exponent) == pow(base, exponent, P)
-
-
-def test_validator_set_generation_prewarms_member_tables():
-    from repro.consensus.validators import ValidatorSet
-
-    fastexp.clear_caches()
-    validators = ValidatorSet.generate(1, seed="prewarm-check")
-    assert fastexp.cache_stats()["base_tables"] >= validators.size
-    # The warmed tables answer exactly like builtins.pow.
-    rng = random.Random(23)
-    for key in validators.public_keys():
-        exponent = rng.getrandbits(256)
-        assert base_pow(key.point, exponent) == pow(key.point, exponent, P)
 
 
 def test_lru_dict_evicts_least_recently_used():
@@ -221,31 +194,8 @@ def test_batch_success_seeds_the_per_signature_cache():
 
 
 # ----------------------------------------------------------------------
-# Engine v2: honest LRU bookkeeping, dedup, Pippenger, tiered windows
+# Multi-exponentiation: dedup, Straus, Pippenger — and no per-key tables
 # ----------------------------------------------------------------------
-def test_base_uses_bookkeeping_is_honest_lru(monkeypatch):
-    # A hot-but-early base must survive churn: touching its use counter
-    # refreshes it, so the eviction victim is the least-recently-used
-    # counter, not the oldest-inserted one.
-    monkeypatch.setattr(fastexp, "_base_uses", LruDict(2))
-    monkeypatch.setattr(fastexp, "_base_tables", LruDict(4))
-    hot = pow(G, 1001, P)
-    churn_a = pow(G, 1002, P)
-    churn_b = pow(G, 1003, P)
-    base_pow(hot, 5)      # hot: 1 use (oldest inserted)
-    base_pow(churn_a, 5)  # churn_a: 1 use
-    base_pow(hot, 5)      # touch hot -> churn_a is now the LRU victim
-    base_pow(churn_b, 5)  # overflow: churn_a evicted, hot retained
-    assert churn_a not in fastexp._base_uses
-    assert hot in fastexp._base_uses
-    # hot kept its count: two more uses cross the threshold and build
-    # its table, while churn_a restarts from zero.
-    base_pow(hot, 5)
-    base_pow(hot, 5)
-    assert hot in fastexp._base_tables
-    assert churn_a not in fastexp._base_tables
-
-
 def test_multi_pow_dedupes_repeated_bases():
     rng = random.Random(29)
     base = pow(G, rng.getrandbits(200), P)
@@ -270,7 +220,6 @@ def test_multi_pow_modulus_one_is_zero():
 def test_multi_pow_large_cold_batch_uses_pippenger_and_agrees():
     # Enough fresh bases with short exponents that the cost model picks
     # the bucket method; the result must match the plain product.
-    fastexp.clear_caches()
     rng = random.Random(31)
     pairs = [
         (pow(G, rng.getrandbits(200), P), rng.getrandbits(64))
@@ -301,35 +250,31 @@ def test_explicit_window_path_matches_pow():
     for base, exponent in pairs:
         expected = expected * pow(base, exponent, P) % P
     for window in (1, 2, 4, 8):
-        assert multi_pow(pairs, P, window=window) == expected
+        assert fastexp._straus(pairs, P, window) == expected
 
 
-def test_hot_base_upgrades_to_wide_window():
-    fastexp.clear_caches()
+def test_only_the_generator_ever_gets_a_window_table(monkeypatch):
+    # Pins the PR 21 decision: a public key that recurs — through
+    # base_pow, through multi_pow, or as a validator — builds nothing.
+    from repro.consensus.validators import ValidatorSet
+
+    built = []
+    init = FixedBaseTable.__init__
+
+    def counting_init(self, base, *args, **kwargs):
+        built.append(base)
+        init(self, base, *args, **kwargs)
+
+    monkeypatch.setattr(FixedBaseTable, "__init__", counting_init)
+    rng = random.Random(53)
     base = pow(G, 0xFEED, P)
-    fastexp.prewarm_base(base)
-    assert fastexp._base_tables.get(base).window == fastexp.BASE_WINDOW
-    rng = random.Random(43)
-    for _ in range(fastexp._BASE_TABLE_UPGRADE_USES + 1):
+    for _ in range(200):
         exponent = rng.getrandbits(256)
         assert base_pow(base, exponent) == pow(base, exponent, P)
-    table = fastexp._base_tables.get(base)
-    assert table.window == fastexp.BASE_WINDOW_HOT
-    exponent = rng.getrandbits(320)
-    assert base_pow(base, exponent) == pow(base, exponent, P)
-
-
-def test_multi_pow_reuses_cached_tables_without_rebuild():
-    fastexp.clear_caches()
-    rng = random.Random(47)
-    base = pow(G, rng.getrandbits(200), P)
-    fastexp.prewarm_base(base)
-    built = fastexp.cache_stats()["base_tables"]
-    for _ in range(6):
-        pairs = [(base, rng.getrandbits(320)), (pow(G, rng.getrandbits(64), P), rng.getrandbits(64))]
-        expected = 1
-        for b, e in pairs:
-            expected = expected * pow(b, e, P) % P
-        assert multi_pow(pairs, P) == expected
-    assert fastexp.cache_stats()["base_tables"] == built + 0  # no churn of the hot base
-    assert base in fastexp._base_tables
+    for _ in range(50):
+        fresh = pow(G, rng.getrandbits(64), P)
+        e1, e2 = rng.getrandbits(320), rng.getrandbits(64)
+        expected = pow(base, e1, P) * pow(fresh, e2, P) % P
+        assert multi_pow([(base, e1), (fresh, e2)], P) == expected
+    ValidatorSet.generate(1, seed="no-table-check")
+    assert set(built) <= {G}

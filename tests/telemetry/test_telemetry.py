@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.crypto import schnorr
 from repro.market import MarketConfig, MarketCoordinator, open_market
 from repro.market.report import _percentile as scheduler_percentile
 from repro.sim.faults import FaultPlan, ReplicaCrash
@@ -92,6 +93,10 @@ class TestCoverage:
 
 class TestDeterminism:
     def test_same_seed_traces_are_byte_identical(self, tmp_path):
+        # Start cold wherever pytest schedules this: the first run then
+        # misses every crypto cache and the second hits them, and the
+        # trace must not be able to tell.
+        schnorr.clear_verification_caches()
         paths = []
         for tag in ("a", "b"):
             telemetry = Telemetry()
