@@ -13,6 +13,14 @@ facilities the paper's pseudocode (Figures 3, 5, 6) relies on:
   interval), per the paper's remark that "most blockchains measure
   time imprecisely".
 
+A contract may also *declare* the signatures a call is going to check
+(:meth:`Contract.signature_claims`), so the chain can batch-verify a
+sealed block's worth before executing it.  Claims are facts to check,
+never grants: a claim that verifies only makes the method's own
+``ctx.verify_signature`` a cache hit, and one that does not (or was
+never declared) is checked there from scratch.  Structure, membership,
+deadlines and gas stay in the method.
+
 Cross-contract calls on the *same* chain (e.g. an escrow manager
 calling a token's ``transfer_from``) run inside the same transaction
 journal, so a revert anywhere unwinds everything — but a contract has
@@ -258,6 +266,12 @@ class Contract:
         """
         for name, storage in self._storages.items():
             storage._data = dict(state.get(name, {}))
+
+    def signature_claims(self, method: str, args: dict) -> list:
+        """The ``(PublicKey, message, Signature)`` triples a call to
+        ``method`` with ``args`` would verify, for the block's batched
+        pre-verification (module docstring).  Default: none."""
+        return []
 
     def invoke(self, ctx: CallContext, method: str, args: dict):
         """Dispatch ``method`` with ``args`` under ``ctx``."""

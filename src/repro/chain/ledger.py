@@ -6,10 +6,20 @@ A chain is an actor on the simulator.  Life of a transaction:
    the submission itself took up to one message delay);
 2. the transaction waits in the mempool until the next block boundary
    (blocks are produced every ``block_interval`` ticks);
-3. at the boundary, all pending transactions execute in arrival order,
-   each inside its own journal (revert on ``require`` failure);
+3. at the boundary, the signatures the pending transactions declare
+   (:meth:`Contract.signature_claims`) are batch-verified in one merged
+   check, then all pending transactions execute in arrival order, each
+   inside its own journal (revert on ``require`` failure);
 4. the block, with receipts and events, is pushed to every subscriber
    with the subscriber's propagation delay.
+
+The pre-verification in step 3 cannot change a receipt: it only fills
+:mod:`repro.crypto.schnorr`'s verdict cache with signatures that *did*
+verify (a merged check passes exactly when each member would alone:
+both compare up to sign), execution still calls and charges every
+verification itself, and a cached verdict is keyed on the full (key,
+message, signature) triple — a bad, undeclared, skipped or raising
+claim meets a cold check.
 
 So the paper's Δ — "the time needed to change any blockchain's state
 in a way observable by all parties" — is bounded here by
@@ -27,6 +37,7 @@ from repro.chain.gas import GasMeter, GasSchedule
 from repro.chain.tx import Receipt, Transaction, TxStatus
 from repro.crypto.hashing import tagged_hash
 from repro.crypto.keys import Wallet
+from repro.crypto.schnorr import prefetch_verdicts
 from repro.errors import ChainError, ContractError, UnknownContractError
 from repro.sim.simulator import Simulator
 
@@ -186,6 +197,7 @@ class Chain:
         self._block_scheduled = False
         pending, self._mempool = self._mempool, []
         height = self.height + 1
+        prefetch_verdicts([self._signature_claims(tx) for tx in pending])
         receipts = [self._execute(tx, height) for tx in pending]
         block = Block.build(
             self.chain_id,
@@ -205,6 +217,13 @@ class Chain:
             observer(self, block)
         if self._mempool:
             self._ensure_block_scheduled()
+
+    def _signature_claims(self, tx: Transaction) -> list:
+        contract = self._contracts.get(tx.contract)
+        try:
+            return contract.signature_claims(tx.method, tx.args) if contract else []
+        except Exception:  # malformed arguments are the method's to refuse
+            return []
 
     def _execute(self, tx: Transaction, height: int) -> Receipt:
         meter = GasMeter(schedule=self.gas_schedule, limit=self.gas_limit_per_tx)

@@ -166,6 +166,7 @@ class CertifiedBlockchain:
         self._block_scheduled = False
         self._deals: dict[tuple[bytes, bytes], _DealRecord] = {}
         self._starts: dict[bytes, bytes] = {}  # deal_id -> definitive start hash
+        self._certificates: dict[tuple, StatusCertificate] = {}
         self.censored_deals: set[bytes] = set()
         genesis = CbcBlock(
             height=0,
@@ -400,7 +401,9 @@ class CertifiedBlockchain:
         """Produce a quorum-signed status statement (§6.2 optimization).
 
         Returns ``None`` while the deal is still active (there is
-        nothing decisive to certify).
+        nothing decisive to certify).  Signed once: a decided deal's
+        status never changes and a reconfiguration is a new epoch, so
+        every later request gets the same certificate object back.
         """
         start_hash = self._starts.get(deal_id)
         if start_hash is None:
@@ -408,16 +411,12 @@ class CertifiedBlockchain:
         status = self.deal_status(deal_id, start_hash)
         if status not in (DealStatus.COMMITTED, DealStatus.ABORTED):
             return None
-        message = StatusCertificate.message(
-            deal_id, start_hash, status, self._validators.epoch
-        )
-        return StatusCertificate(
-            deal_id=deal_id,
-            start_hash=start_hash,
-            status=status,
-            epoch=self._validators.epoch,
-            signatures=self._validators.quorum_sign(message),
-        )
+        key = (deal_id, start_hash, status, self._validators.epoch)
+        if key not in self._certificates:
+            self._certificates[key] = StatusCertificate(
+                *key, signatures=self._validators.quorum_sign(StatusCertificate.message(*key))
+            )
+        return self._certificates[key]
 
     def block_proof(self, deal_id: bytes) -> tuple[CbcBlock, ...] | None:
         """The certified block subsequence from startDeal to decision.

@@ -27,6 +27,7 @@ from repro.core.proofs import (
     BlockProof,
     PowVoteProof,
     StatusProof,
+    status_proof_claims,
     verify_block_proof,
     verify_pow_proof,
     verify_status_proof,
@@ -63,6 +64,17 @@ class CbcEscrow(EscrowManager):
                 ctx, proof, self.validator_keys, self.deal_id, self.start_hash, self.plist
             )
         return None
+
+    def signature_claims(self, method: str, args: dict) -> list:
+        """A status proof claims its certificate's and handovers' quorums."""
+        proof = args.get("proof")
+        if (
+            method not in ("commit", "abort")
+            or not isinstance(proof, StatusProof)
+            or self.peek_state() is not EscrowState.ACTIVE
+        ):
+            return []
+        return status_proof_claims(proof, self.deal_id, self.start_hash)
 
     def commit(self, ctx: CallContext, proof) -> bool:
         """Release the escrow on a valid proof of commit."""

@@ -76,10 +76,9 @@ def _resolve_validators(
             break
         if handover.from_epoch != epoch or handover.to_epoch != epoch + 1:
             return None
-        message = HandoverCertificate.message(
-            handover.from_epoch, handover.to_epoch, handover.new_public_keys
-        )
-        if not _check_quorum(ctx, keys, quorum, message, handover.signatures):
+        if not _check_quorum(
+            ctx, keys, quorum, _handover_message(handover), handover.signatures
+        ):
             return None
         keys = handover.new_public_keys
         quorum = _quorum_size(len(keys))
@@ -87,6 +86,18 @@ def _resolve_validators(
     if epoch != target_epoch:
         return None
     return keys
+
+
+def _handover_message(handover: HandoverCertificate) -> bytes:
+    return HandoverCertificate.message(
+        handover.from_epoch, handover.to_epoch, handover.new_public_keys
+    )
+
+
+def _status_message(certificate: StatusCertificate) -> bytes:
+    return StatusCertificate.message(
+        certificate.deal_id, certificate.start_hash, certificate.status, certificate.epoch
+    )
 
 
 def _quorum_size(set_size: int) -> int:
@@ -137,6 +148,21 @@ def _check_quorum(
 # ----------------------------------------------------------------------
 # Verifiers
 # ----------------------------------------------------------------------
+def status_proof_claims(proof: StatusProof, deal_id: bytes, start_hash: bytes) -> list:
+    """The ``(public_key, message, signature)`` triples
+    :func:`verify_status_proof` would check: the handovers up to the
+    certificate's epoch, then the certificate — none for another deal's."""
+    certificate = proof.certificate
+    if certificate.deal_id != deal_id or certificate.start_hash != start_hash:
+        return []
+    quorums = [
+        (_handover_message(handover), handover.signatures)
+        for handover in proof.handovers[: certificate.epoch]
+    ]
+    quorums.append((_status_message(certificate), certificate.signatures))
+    return [(e.public_key, message, e.signature) for message, entries in quorums for e in entries]
+
+
 def verify_status_proof(
     ctx: CallContext,
     proof: StatusProof,
@@ -155,10 +181,9 @@ def verify_status_proof(
     keys = _resolve_validators(ctx, initial_keys, proof.handovers, certificate.epoch)
     if keys is None:
         return None
-    message = StatusCertificate.message(
-        certificate.deal_id, certificate.start_hash, certificate.status, certificate.epoch
-    )
-    if not _check_quorum(ctx, keys, _quorum_size(len(keys)), message, certificate.signatures):
+    if not _check_quorum(
+        ctx, keys, _quorum_size(len(keys)), _status_message(certificate), certificate.signatures
+    ):
         return None
     if certificate.status not in (DealStatus.COMMITTED, DealStatus.ABORTED):
         return None

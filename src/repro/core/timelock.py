@@ -23,7 +23,7 @@ from repro.chain.contracts import CallContext
 from repro.core.deal import Asset
 from repro.core.escrow import EscrowManager, EscrowState
 from repro.crypto.keys import Address
-from repro.crypto.pathsig import PathSignature, vote_message
+from repro.crypto.pathsig import PathSignature
 
 
 class TimelockEscrow(EscrowManager):
@@ -66,28 +66,40 @@ class TimelockEscrow(EscrowManager):
         for signer in path.signers:
             ctx.require(signer in self.plist, "path signer not in plist")
         # Replay the signature chain: |p| verifications at 3000 gas
-        # each, or one batched check (§9 ablation) when enabled.
-        message = vote_message(self.deal_id, voter, "commit")
+        # each, or one batched check (§9 ablation) when enabled — a *gas*
+        # ablation, unrelated to the block's wall-clock prefetch.
+        links = path.links(self.deal_id)
         if self.batch_votes:
-            items = []
-            for signer, signature in zip(path.signers, path.signatures):
-                items.append((signer, message, signature))
-                message = signature.to_bytes()
-            ctx.require(
-                ctx.verify_signature_batch(items), "invalid signature on path"
-            )
+            ctx.require(ctx.verify_signature_batch(links), "invalid signature on path")
         else:
-            for signer, signature in zip(path.signers, path.signatures):
+            for signer, message, signature in links:
                 ctx.require(
                     ctx.verify_signature(signer, message, signature),
                     "invalid signature on path",
                 )
-                message = signature.to_bytes()
         self.voted[voter] = True
         ctx.emit(self, "VoteAccepted", deal_id=self.deal_id, voter=voter, path=path)
         if all(self.voted.get(party, False) for party in self.plist):
             self._release(ctx)
         return True
+
+    def signature_claims(self, method: str, args: dict) -> list:
+        """A commit vote claims its path's links (unknown signers skipped),
+        unless ``commit`` would refuse it before the first verification."""
+        path = args.get("path")
+        if (
+            method != "commit"
+            or not isinstance(path, PathSignature)
+            or self.voted.get(path.voter, False)
+            or not set(path.signers) <= set(self.plist)
+        ):
+            return []
+        wallet = self.chain.wallet
+        return [
+            (wallet.public_key(signer), message, signature)
+            for signer, message, signature in path.links(self.deal_id)
+            if wallet.knows(signer)
+        ]
 
     # ------------------------------------------------------------------
     # Timeout refund

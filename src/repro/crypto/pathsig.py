@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.crypto.hashing import hash_concat
 from repro.crypto.keys import Address, KeyPair, Wallet
-from repro.crypto.schnorr import Signature, verify
+from repro.crypto.schnorr import Signature
 from repro.errors import CryptoError
 
 
@@ -71,20 +71,20 @@ class PathSignature:
         """Return True if any party appears twice on the path."""
         return len(set(self.signers)) != len(self.signers)
 
+    def links(self, deal_id: bytes, decision: str = "commit") -> tuple:
+        """``(signer, message, signature)`` per hop, voter first: the voter
+        signs the vote message, each forwarder the signature below it."""
+        messages = [vote_message(deal_id, self.voter, decision)]
+        messages += [signature.to_bytes() for signature in self.signatures[:-1]]
+        return tuple(zip(self.signers, messages, self.signatures))
+
     def verify(self, wallet: Wallet, deal_id: bytes, decision: str = "commit") -> bool:
         """Replay the signature chain against the public directory.
 
         This performs ``|p|`` signature verifications — the quantity the
         paper's gas analysis (§7.1) counts for the timelock commit phase.
         """
-        message = vote_message(deal_id, self.voter, decision)
-        for signer, signature in zip(self.signers, self.signatures):
-            if not wallet.knows(signer):
-                return False
-            if not verify(wallet.public_key(signer), message, signature):
-                return False
-            message = signature.to_bytes()
-        return True
+        return all(wallet.verify(*link) for link in self.links(deal_id, decision))
 
 
 def sign_vote(

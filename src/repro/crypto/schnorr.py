@@ -12,6 +12,17 @@ RFC 3526 group-14 prime ``p``.
 modulo ``p`` form a cyclic group of order ``q`` in which discrete log is
 believed hard.  We take ``g = 4`` (a quadratic residue) as generator.
 
+Verification is *cofactored*: ``Z_p*`` is that group times ``{±1}``, and
+a signature is accepted when ``g^s == ±R·pk^e`` — the equation in the
+quotient by ``{±1}``, which is again the order-``q`` group.  Nobody can
+sign for a key that way who could not before (the sign carries no
+discrete log), and it is what makes one-by-one and batched verification
+accept the *same* set: a weighted batch cannot see a factor ``-1``
+under an even weight, so with a strict ``==`` a signer could publish
+``R' = p - g^k`` and be refused by :func:`verify` yet pass
+:func:`batch_verify` alongside the right neighbours (Ed25519's
+cofactor-8 version of this is why ZIP-215 fixes ``[8]`` into both).
+
 Nonces are derived deterministically from the private key and message
 (RFC 6979 style), so signing is reproducible — a requirement of the
 simulator's determinism policy (DESIGN.md §7).
@@ -23,9 +34,14 @@ table), and verification results are memoized in a bounded LRU
 keyed on the full ``(key, message, signature)`` triple — the timelock
 protocol re-verifies the same path signature at every hop and the CBC
 protocol re-verifies the same certificate on every chain, so repeats
-are dict hits.  None of this changes a single signature byte, and a
-cached verdict can never accept a tampered input: any change to the
-key, message, or signature is a different cache key.
+are dict hits.  A chain also fills that cache a block at a time: the
+signatures its pending transactions declare go through one merged
+batch check before the block executes (:func:`prefetch_verdicts`), so
+the contracts' one-by-one :func:`verify` calls are hits as well — only
+a verdict that *was* computed is ever stored, and only ``True`` ahead
+of the call that asks.  None of this changes a single signature byte,
+and a cached verdict can never accept a tampered input: any change to
+the key, message, or signature is a different cache key.
 """
 
 from __future__ import annotations
@@ -93,6 +109,10 @@ class LruDict:
             del data[next(iter(data))]
         data[key] = value
 
+    def peek(self, key):
+        """The cached value or ``None``: no touch, no hit/miss count."""
+        return self._data.get(key)
+
     def clear(self) -> None:
         self._data.clear()
         self.hits = 0
@@ -150,7 +170,7 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class Signature:
-    """A Schnorr signature ``(R, s)`` with ``g^s == R * pk^e``."""
+    """A Schnorr signature ``(R, s)`` with ``g^s == ±R * pk^e``."""
 
     commitment: int  # R = g^k mod p
     response: int  # s = k + e * x mod q
@@ -199,6 +219,15 @@ def sign(private_key: PrivateKey, message: bytes) -> Signature:
     return Signature(commitment, response)
 
 
+def _cache_key(public_key: PublicKey, message: bytes, signature: Signature) -> tuple:
+    return (public_key.point, message, signature.commitment, signature.response)
+
+
+def _equal_up_to_sign(lhs: int, rhs: int) -> bool:
+    """``lhs == ±rhs (mod p)``: the cofactored comparison (module docstring)."""
+    return lhs == rhs or lhs + rhs == P
+
+
 def verify(public_key: PublicKey, message: bytes, signature: Signature) -> bool:
     """Return ``True`` iff ``signature`` is valid for ``message``.
 
@@ -214,14 +243,14 @@ def verify(public_key: PublicKey, message: bytes, signature: Signature) -> bool:
         return False
     if not 0 <= signature.response < Q:
         return False
-    key = (public_key.point, message, signature.commitment, signature.response)
+    key = _cache_key(public_key, message, signature)
     cached = _VERIFY_CACHE.get(key)
     if cached is not None:
         return cached
     e = _challenge(signature.commitment, public_key, message)
     lhs = generator_pow(signature.response)
     rhs = (signature.commitment * base_pow(public_key.point, e)) % P
-    result = lhs == rhs
+    result = _equal_up_to_sign(lhs, rhs)
     _VERIFY_CACHE.put(key, result)
     return result
 
@@ -253,7 +282,7 @@ def _transcript(items) -> bytes:
 def _combined_check(items, transcript: bytes) -> bool:
     """Evaluate the weighted linear combination for a staged batch.
 
-        g^(Σ w_i·s_i)  ==  Π R_i^{w_i} · pk_i^{e_i·w_i}   (mod p)
+        g^(Σ w_i·s_i)  ==  ± Π R_i^{w_i} · pk_i^{e_i·w_i}   (mod p)
 
     Weights are small BGR exponents drawn from the transcript, and the
     products ``e_i·w_i`` stay unreduced — at ~320 bits they are far
@@ -275,16 +304,13 @@ def _combined_check(items, transcript: bytes) -> bool:
     # range; only forged out-of-band responses need the reduction.
     if lhs_exponent.bit_length() >= GENERATOR_TABLE_BITS:
         lhs_exponent %= Q
-    return generator_pow(lhs_exponent) == multi_pow(pairs, P)
+    return _equal_up_to_sign(generator_pow(lhs_exponent), multi_pow(pairs, P))
 
 
 def _certify_members(items) -> None:
     """Seed the per-signature cache: batch acceptance certifies each."""
-    for public_key, message, signature in items:
-        _VERIFY_CACHE.put(
-            (public_key.point, message, signature.commitment, signature.response),
-            True,
-        )
+    for item in items:
+        _VERIFY_CACHE.put(_cache_key(*item), True)
 
 
 def batch_verify(items: list[tuple[PublicKey, bytes, Signature]]) -> bool:
@@ -297,7 +323,9 @@ def batch_verify(items: list[tuple[PublicKey, bytes, Signature]]) -> bool:
     multi-exponentiation (:func:`repro.crypto.fastexp.multi_pow`), so
     a batch of ``k`` costs a fraction of ``k`` standalone checks.
     Sound: a forged signature only passes if the adversary predicts
-    its 64-bit random weight, which the hash prevents.
+    its 64-bit random weight, which the hash prevents — and, both
+    sides being compared up to sign like :func:`verify`'s, a batch
+    passes exactly when each member would on its own.
 
     Returns True iff every signature in the batch is valid (an empty
     batch is vacuously valid).  Verdicts are memoized on the batch
@@ -312,7 +340,10 @@ def batch_verify(items: list[tuple[PublicKey, bytes, Signature]]) -> bool:
     cached = _BATCH_CACHE.get(transcript)
     if cached is not None:
         return cached
-    result = _combined_check(items, transcript)
+    # Members that each hold their own verdict already (a block's
+    # prefetch, another batch) leave nothing to combine.
+    certified = all(_VERIFY_CACHE.peek(_cache_key(*item)) for item in items)
+    result = certified or _combined_check(items, transcript)
     _BATCH_CACHE.put(transcript, result)
     if result:
         _certify_members(items)
@@ -368,6 +399,35 @@ def batch_verify_many(
     for index in staged:
         verdicts[index] = batch_verify(batches[index])
     return verdicts
+
+
+def prefetch_verdicts(
+    batches: list[list[tuple[PublicKey, bytes, Signature]]],
+) -> None:
+    """Certify a sealed block's signature claims ahead of its execution.
+
+    ``batches`` holds one list of claimed triples per transaction.
+    Triples that already have a verdict, or that an earlier transaction
+    of the block claimed too, are dropped; if at least two remain they
+    go through :func:`batch_verify_many` — one merged check, isolation
+    per transaction if it fails, members certified only on success.
+    Returns nothing and counts no hit or miss: the contracts still call
+    :func:`verify` / :func:`batch_verify` for every signature, and a
+    claim that was not certified here is simply checked there, cold.
+    """
+    seen: set[tuple] = set()
+    fresh = []
+    for items in batches:
+        group = []
+        for item in items:
+            key = _cache_key(*item)
+            if key not in seen and key not in _VERIFY_CACHE:
+                seen.add(key)
+                group.append(item)
+        if group:
+            fresh.append(group)
+    if len(seen) >= 2:
+        batch_verify_many(fresh)
 
 
 def cache_stats() -> dict:

@@ -10,7 +10,7 @@ from repro.analysis.costs import (
 )
 from repro.analysis.sweep import run_deal
 from repro.core.config import ProtocolKind
-from repro.workloads.generators import ring_deal
+from repro.workloads.generators import random_well_formed_deal, ring_deal
 from repro.workloads.scenarios import ticket_broker_deal
 
 
@@ -85,3 +85,17 @@ def test_ring_timelock_matches_triangular_path_costs():
     assert result.all_committed()
     total = commit_signature_verifications(result)
     assert total == n * (n * (n + 1) // 2)
+
+
+@pytest.mark.parametrize(
+    "kind, options, expected",
+    [(ProtocolKind.TIMELOCK, {}, 48), (ProtocolKind.CBC, {"validators_f": 1}, 18)],
+)
+def test_commit_verifications_are_pinned_for_a_fixed_seed_deal(kind, options, expected):
+    # Gas is a contract quantity (§7.1): batching a block's signatures
+    # or memoising a certificate is wall clock and must not move it.
+    # The integers were read at the parent of the PR that added both.
+    spec, keys = random_well_formed_deal(seed=2204, n=4, chains=2)
+    result = run_deal(spec, keys, kind, **options)
+    assert result.all_committed()
+    assert commit_signature_verifications(result) == expected

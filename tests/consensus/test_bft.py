@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.chain.contracts import CallContext, _TxJournal
+from repro.chain.gas import GasMeter
+from repro.chain.ledger import Chain
 from repro.consensus.bft import CertifiedBlockchain, DealStatus, LogEntry
 from repro.consensus.validators import ValidatorSet
+from repro.core.proofs import StatusProof, verify_status_proof
+from repro.crypto import schnorr
 from repro.crypto.keys import KeyPair, Wallet
 from repro.crypto.schnorr import verify
 from repro.sim.simulator import Simulator
@@ -172,6 +177,58 @@ def test_status_certificate_only_when_decided(setup):
     assert certificate is not None
     assert certificate.status is DealStatus.COMMITTED
     assert len(certificate.signatures) == cbc.validators.quorum
+
+
+def decide(sim, cbc, keys):
+    plist, start_hash = start_deal(sim, cbc, keys)
+    cbc.submit(signed_entry(keys["alice"], "commit", plist, start_hash))
+    cbc.submit(signed_entry(keys["bob"], "commit", plist, start_hash))
+    sim.run()
+    return start_hash
+
+
+def test_a_decided_deal_is_certified_once(setup, monkeypatch):
+    sim, cbc, keys = setup
+    signatures = []
+    original = schnorr.sign
+    monkeypatch.setattr(
+        "repro.crypto.keys.sign",
+        lambda key, message: signatures.append(message) or original(key, message),
+    )
+    plist, start_hash = start_deal(sim, cbc, keys)
+    # Nothing to certify yet — and the "nothing" is not remembered.
+    assert cbc.status_certificate(DEAL) is None
+    cbc.submit(signed_entry(keys["alice"], "commit", plist, start_hash))
+    cbc.submit(signed_entry(keys["bob"], "commit", plist, start_hash))
+    sim.run()
+    signatures.clear()
+    certificate = cbc.status_certificate(DEAL)
+    assert certificate is not None
+    assert all(cbc.status_certificate(DEAL) is certificate for _ in range(5))
+    assert len(signatures) == cbc.validators.quorum  # 2f+1 for six requests
+    assert cbc.validators.batch_verify(signatures[0], certificate.signatures)
+
+
+def test_a_reconfiguration_after_the_decision_is_a_new_certificate(setup):
+    sim, cbc, keys = setup
+    start_hash = decide(sim, cbc, keys)
+    before = cbc.status_certificate(DEAL)
+    cbc.reconfigure()
+    after = cbc.status_certificate(DEAL)
+    assert after is not before and after is cbc.status_certificate(DEAL)
+    assert (before.epoch, after.epoch) == (0, 1)
+    assert after.signatures != before.signatures
+    # The new certificate stands on the handover chain, the old one alone.
+    ctx = CallContext(Chain("c", sim, Wallet()), keys["alice"].address, _TxJournal(GasMeter()), 1)
+    initial = cbc.initial_public_keys
+    proof = StatusProof(after, handovers=cbc.handovers)
+    assert verify_status_proof(ctx, proof, initial, DEAL, start_hash) is DealStatus.COMMITTED
+    assert ctx.meter.snapshot().sig_verify == 2 * cbc.validators.quorum
+    assert verify_status_proof(ctx, StatusProof(after), initial, DEAL, start_hash) is None
+    assert (
+        verify_status_proof(ctx, StatusProof(before), initial, DEAL, start_hash)
+        is DealStatus.COMMITTED
+    )
 
 
 def test_block_proof_spans_start_to_decision(setup):

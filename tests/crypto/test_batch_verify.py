@@ -1,6 +1,16 @@
 """Tests for Schnorr batch verification (§9 signature combining)."""
 
-from repro.crypto.schnorr import Signature, batch_verify, generate_keypair, sign
+from repro.crypto.fastexp import P, Q, generator_pow
+from repro.crypto.schnorr import (
+    PublicKey,
+    Signature,
+    _challenge,
+    batch_verify,
+    clear_verification_caches,
+    generate_keypair,
+    sign,
+    verify,
+)
 
 
 def make_items(count: int):
@@ -102,3 +112,31 @@ def test_many_out_of_range_batch_fails_without_poisoning_others():
     public, message, signature = malformed[0]
     malformed[0] = (public, message, Signature(1, signature.response))
     assert batch_verify_many([make_items(2), malformed]) == [True, False]
+
+
+def negated(index: int, message: bytes, slip: int = 0, negate_key: bool = False):
+    """An honest response under ``R' = p - g^k`` (or under ``pk' = p - g^x``)."""
+    private, public = generate_keypair(f"batch-{index}".encode())
+    k = 1000 + index
+    commitment = P - generator_pow(k)
+    if negate_key:
+        public, commitment = PublicKey(P - public.point), generator_pow(k)
+    e = _challenge(commitment, public, message)
+    return public, message, Signature(commitment, (k + e * private.scalar + slip) % Q)
+
+
+def test_batches_and_single_checks_agree_outside_the_subgroup():
+    """p's cofactor is 2 and a weighted batch cannot see a ``-1`` under an
+    even weight: both compare up to sign, so neither weights nor
+    neighbours decide.  Sixteen compositions, every verdict the same."""
+    for round_ in range(16):
+        message = b"round %d" % round_
+        good = [negated(0, message), negated(1, message), negated(2, message, negate_key=True)]
+        bad = negated(3, message, slip=1)
+        clear_verification_caches()
+        assert all(verify(*triple) for triple in good) and not verify(*bad)
+        for batch in (good[:1], good[:2], good, make_items(2) + good):
+            clear_verification_caches()
+            assert batch_verify(batch)
+            clear_verification_caches()
+            assert not batch_verify(batch + [bad])

@@ -178,3 +178,82 @@ def test_base_pow_matches_builtin_through_threshold_and_tables(base, exponent):
 @settings(max_examples=40, deadline=None)
 def test_generator_pow_matches_builtin(exponent):
     assert generator_pow(exponent) == pow(G, exponent, P)
+
+
+# ----------------------------------------------------------------------
+# Block-level signature prefetch: a wall-clock step, never a verdict
+# ----------------------------------------------------------------------
+from repro.crypto.fastexp import Q  # noqa: E402
+from repro.crypto.hashing import tagged_hash  # noqa: E402
+from repro.crypto.schnorr import (  # noqa: E402
+    PublicKey,
+    Signature,
+    _challenge,
+    batch_verify,
+    cache_stats,
+    clear_verification_caches,
+    prefetch_verdicts,
+)
+
+_PREFETCH_KEYS = [generate_keypair(b"prefetch-%d" % i) for i in range(3)]
+
+
+def _claimed_triple(kind: str, signer: int, text: int):
+    private, public = _PREFETCH_KEYS[signer]
+    message = b"claim %d" % text
+    good = sign(private, message)
+    if kind == "forged-response":
+        return public, message, Signature(good.commitment, (good.response + 1) % Q)
+    if kind == "wrong-message":
+        return public, message + b"!", good
+    if kind == "out-of-range":
+        return public, message, Signature(good.commitment, Q)
+    if kind in ("negated-commitment", "negated-key"):
+        return _off_subgroup_triple(kind, private, public, message)
+    return public, message, good
+
+
+def _off_subgroup_triple(kind, private, public, message):
+    """Valid signatures outside the order-q subgroup (p is a safe prime,
+    cofactor 2): an honest response under the commitment ``p - g^k``, or
+    under the key ``p - g^x``.  Verification compares up to sign, so a
+    batch — blind to a ``-1`` under an even weight — agrees with it."""
+    k = bytes_to_int(tagged_hash("test/nonce", message)) % Q
+    if kind == "negated-key":
+        public, commitment = PublicKey(P - public.point), generator_pow(k)
+    else:
+        commitment = P - generator_pow(k)
+    e = _challenge(commitment, public, message)
+    return public, message, Signature(commitment, (k + e * private.scalar) % Q)
+
+
+claim_specs = st.tuples(
+    st.sampled_from(["valid", "valid", "valid", "forged-response", "wrong-message",
+                     "out-of-range", "negated-commitment", "negated-key"]),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+@given(specs=st.lists(st.lists(claim_specs, max_size=4), max_size=5))
+@settings(max_examples=30, deadline=None)
+def test_prefetch_verdicts_changes_no_verdict_and_no_verify_counter(specs):
+    batches = [[_claimed_triple(*spec) for spec in batch] for batch in specs]
+    cold_single, cold_batch = [], []
+    for batch in batches:
+        for triple in batch:
+            clear_verification_caches()
+            cold_single.append(verify(*triple))
+        clear_verification_caches()
+        cold_batch.append(batch_verify(batch))
+    assert cold_batch == [all(verify(*triple) for triple in batch) for batch in batches]
+
+    clear_verification_caches()
+    before = cache_stats()
+    prefetch_verdicts(batches)
+    after = cache_stats()
+    assert (after["verify_hits"], after["verify_misses"]) == (
+        before["verify_hits"], before["verify_misses"]
+    )
+    assert [verify(*triple) for batch in batches for triple in batch] == cold_single
+    assert [batch_verify(batch) for batch in batches] == cold_batch
