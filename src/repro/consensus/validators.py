@@ -172,8 +172,9 @@ class VerifyAggregator:
 
     Scope note: with one coordinator shard exactly one mempool carries
     signature batches, so production flushes hold a single batch and
-    the merge path stays idle (the E16 unsharded win comes from the v2
-    ``multi_pow`` engine underneath).  The sharded market (PR 5) runs
+    the merge path stays idle (the unsharded win is the batch check
+    itself: one shared-squaring ``multi_pow`` per seal, duplicate keys
+    merged).  The sharded market (PR 5) runs
     M order-carrying coordinator chains whose mempools all seal on the
     same half-grid boundary, so production flushes routinely fold M
     registration batches into one ``multi_pow`` —

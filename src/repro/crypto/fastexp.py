@@ -17,10 +17,14 @@ mechanism of their own:
 
 :func:`multi_pow` works in two stages: (1) duplicate bases are merged
 by *summing their exponents*; (2) the product is computed with either
-Straus interleaved windowing (small batches: one shared squaring
-chain, per-base digit tables) or a Pippenger bucket pass (large
-batches: per-window digit buckets, no per-base tables at all), chosen
-by a per-call cost model over the batch size and exponent bit-length.
+an interleaved sliding-window pass (Straus/Möller — small batches: one
+shared squaring chain; each base gets a table of its odd powers and a
+window width sized to *its own* exponent, so a commitment under a
+64-bit weight builds 4 entries and uses ~16 of them where a public key
+under a ~320-bit ``e·w`` builds 16 and uses ~53) or a Pippenger bucket
+pass (batches in the hundreds: per-window digit buckets, no per-base
+tables at all), chosen by a per-call cost model over every base's
+exponent bit-length.  Nothing is kept between calls.
 
 A single public-key exponentiation (:func:`base_pow`) is plain
 ``builtins.pow``.  There is deliberately no per-public-key table
@@ -56,20 +60,18 @@ Q = (P - 1) // 2
 G = 4
 
 # Honest exponents are far shorter than q: every scalar in the scheme
-# (keys, nonces, challenges) is derived from a 256-bit hash, so g is
-# raised to at most ~650 bits (a response s = k + e·x never wraps mod
-# q, and batch sums Σw·s add a short weight).  The generator table is
-# sized for those real exponents — an out-of-range exponent (possible
-# only in forged inputs) transparently falls back to ``builtins.pow``.
-GENERATOR_TABLE_BITS = 1024  # covers s (~513 bits) and batch Σw·s sums
+# (keys, nonces, challenges) is derived from a 256-bit hash, so a
+# response s = k + e·x is ~513 bits and never wraps mod q, and the
+# longest exponent g is ever raised to is a batch sum Σw·s of n
+# responses under 64-bit weights: 64 + 513 + log2(n) bits, under 600
+# for any batch that fits in memory.  The generator table is sized for
+# those real exponents — an out-of-range exponent (possible only in
+# forged inputs) transparently falls back to ``builtins.pow``.
+GENERATOR_TABLE_BITS = 640
 
 # The window trades table-build cost against per-exponentiation cost;
 # the table is built once per process, so it affords a wide one.
 GENERATOR_WINDOW = 7
-
-# Below this many pairs a Pippenger pass cannot beat Straus (the
-# bucket aggregation floor dominates); skip the cost model entirely.
-_PIPPENGER_MIN_PAIRS = 24
 
 
 class FixedBaseTable:
@@ -155,73 +157,101 @@ def base_pow(base: int, exponent: int) -> int:
 # ----------------------------------------------------------------------
 # Multi-exponentiation: merge duplicate bases -> Straus/Pippenger.
 # ----------------------------------------------------------------------
-def _straus_window(max_bits: int) -> int:
-    """Window width minimizing Straus cost for this exponent length.
+def _window_width(bits: int) -> int:
+    """Sliding-window width minimizing one base's cost in a Straus pass.
 
-    Per-pair cost ~ table build ``2^w - 2`` plus one multiplication per
-    non-zero digit, ``(max_bits/w)·(1 - 2^-w)``; squarings are shared
-    and independent of ``w``, so the optimum depends only on the
-    exponent bit-length, not on the batch size.
+    A base with a ``bits``-bit exponent pays ``2^(w-1)`` multiplications
+    for its odd-power table (one squaring, ``2^(w-1) - 1`` steps) and one
+    per window, ``bits/(w+1)`` on average; the squaring chain is shared
+    and paid whatever ``w`` is.  That sum is convex in ``w``, and ``w+1``
+    beats ``w`` exactly when ``bits > 2^(w-1)·(w+1)·(w+2)``: width 3 for
+    a 64-bit batch weight, 5 for a ~320-bit ``e·w``.
     """
-    best_w, best_cost = 1, float("inf")
-    for w in range(1, 9):
-        radix = 1 << w
-        levels = -(-max_bits // w)
-        cost = (radix - 2) + levels * (1.0 - 1.0 / radix)
-        if cost < best_cost:
-            best_w, best_cost = w, cost
-    return best_w
+    width = 1
+    while bits > (1 << (width - 1)) * (width + 1) * (width + 2):
+        width += 1
+    return width
 
 
-def _pippenger_cost(pairs: int, max_bits: int, c: int) -> float:
-    """Estimated multiplications for one Pippenger pass at width ``c``.
+def _recode(exponent: int, width: int) -> list[tuple[int, int]]:
+    """Sliding-window recoding: ``exponent == Σ digit · 2^position``.
 
-    Per level: one bucket insertion per pair with a non-zero digit,
-    one ``running`` update per occupied bucket, and one ``total``
-    update per bucket *slot* below the highest occupied one — the
-    suffix-product walk touches every slot, which is what drives the
-    classic ``c ~ log2(pairs)`` optimum.
+    Returns ``(position, digit)`` hits, positions increasing, every
+    digit odd and below ``2^width``, consecutive hits at least ``width``
+    bits apart (a window opens on a set bit and the zeros between
+    windows cost nothing).
     """
-    levels = -(-max_bits // c)
-    radix = 1 << c
-    return levels * (pairs + min(radix - 1, pairs) + radix)
+    mask = (1 << width) - 1
+    hits = []
+    position = 0
+    while exponent:
+        # Skip the run of zero bits below the next set one.
+        zeros = (exponent & -exponent).bit_length() - 1
+        exponent >>= zeros
+        position += zeros
+        hits.append((position, exponent & mask))
+        exponent >>= width
+        position += width
+    return hits
 
 
-def _pippenger_window(pairs: int, max_bits: int) -> int:
-    """Bucket width minimizing Pippenger cost for this batch shape."""
+def _odd_powers(base: int, width: int, modulus: int) -> list[int]:
+    """``[base^1, base^3, …, base^(2^width - 1)]``: all a sliding window reads."""
+    powers = [base]
+    if width > 1:
+        square = base * base % modulus
+        for _ in range((1 << (width - 1)) - 1):
+            powers.append(powers[-1] * square % modulus)
+    return powers
+
+
+def _straus(items: list[tuple[int, int]], modulus: int) -> int:
+    """Interleaved sliding-window multi-exp (Möller) over distinct bases.
+
+    Every base is recoded at the width its *own* exponent repays
+    (:func:`_window_width`) against a table of its odd powers only, and
+    its hits are filed under their bit positions; one squaring chain
+    then walks down from the highest position and multiplies in
+    whatever is filed where it stands.  A short exponent thus costs a
+    small table and few hits, and joins the chain only at its own top
+    bit — no base pays for the longest exponent in the batch.
+    """
+    # Position 0 is always present so the chain squares down to it.
+    filed: dict[int, list[int]] = {0: []}
+    for base, exponent in items:
+        width = _window_width(exponent.bit_length())
+        powers = _odd_powers(base, width, modulus)
+        for position, digit in _recode(exponent, width):
+            filed.setdefault(position, []).append(powers[digit >> 1])
+    positions = sorted(filed, reverse=True)
+    acc = 1
+    reached = positions[0]
+    for position in positions:
+        for _ in range(reached - position):
+            acc = acc * acc % modulus
+        for power in filed[position]:
+            acc = acc * power % modulus
+        reached = position
+    return acc
+
+
+def _pippenger_window(bits: list[int]) -> tuple[int, float]:
+    """Bucket width minimizing Pippenger cost, and that cost.
+
+    At width ``c`` a base is multiplied into one bucket per non-zero
+    ``c``-bit digit of its own exponent, and each of the
+    ``⌈max_bits/c⌉`` levels then walks its ``2^c`` bucket slots once —
+    the walk is what drives the classic ``c ~ log2(pairs)`` optimum.
+    """
     best_c, best_cost = 1, float("inf")
+    top = max(bits)
     for c in range(1, 13):
-        cost = _pippenger_cost(pairs, max_bits, c)
+        radix = 1 << c
+        digits = sum(-(-b // c) for b in bits)
+        cost = digits * (1.0 - 1.0 / radix) + -(-top // c) * radix
         if cost < best_cost:
             best_c, best_cost = c, cost
-    return best_c
-
-
-def _straus(items: list[tuple[int, int]], modulus: int, window: int) -> int:
-    """Interleaved windowed multi-exp with one shared squaring chain."""
-    mask = (1 << window) - 1
-    radix = mask + 1
-    tables = []
-    max_bits = 0
-    for base, exponent in items:
-        row = [1] * radix
-        row[1] = base
-        for digit in range(2, radix):
-            row[digit] = row[digit - 1] * base % modulus
-        tables.append((exponent, row))
-        if exponent.bit_length() > max_bits:
-            max_bits = exponent.bit_length()
-    acc = 1
-    for index in range((max_bits + window - 1) // window - 1, -1, -1):
-        if acc != 1:
-            for _ in range(window):
-                acc = acc * acc % modulus
-        shift = index * window
-        for exponent, row in tables:
-            digit = (exponent >> shift) & mask
-            if digit:
-                acc = acc * row[digit] % modulus
-    return acc
+    return best_c, best_cost
 
 
 def _pippenger(items: list[tuple[int, int]], modulus: int, window: int) -> int:
@@ -260,28 +290,31 @@ def _pippenger(items: list[tuple[int, int]], modulus: int, window: int) -> int:
 
 
 def _cold_multi(items: list[tuple[int, int]], modulus: int) -> int:
-    """Multi-exp over distinct bases: pick Straus or Pippenger by cost."""
-    max_bits = max(exponent.bit_length() for _, exponent in items)
-    pairs = len(items)
-    w = _straus_window(max_bits)
-    if pairs < _PIPPENGER_MIN_PAIRS:
-        return _straus(items, modulus, w)
-    radix = 1 << w
-    straus_cost = pairs * ((radix - 2) + -(-max_bits // w) * (1.0 - 1.0 / radix))
-    c = _pippenger_window(pairs, max_bits)
-    if _pippenger_cost(pairs, max_bits, c) < straus_cost:
+    """Multi-exp over distinct bases: pick Straus or Pippenger by cost.
+
+    Both are costed in multiplications from every base's own exponent
+    length (the shared squaring chain is the same for either).
+    """
+    bits = [exponent.bit_length() for _, exponent in items]
+    straus_cost = 0.0
+    for b in bits:
+        w = _window_width(b)
+        straus_cost += (1 << (w - 1)) + b / (w + 1)
+    c, pippenger_cost = _pippenger_window(bits)
+    if pippenger_cost < straus_cost:
         return _pippenger(items, modulus, c)
-    return _straus(items, modulus, w)
+    return _straus(items, modulus)
 
 
 def multi_pow(pairs: list[tuple[int, int]], modulus: int = P) -> int:
     """``Π base_i^{exp_i} mod modulus`` in one shared squaring chain.
 
     Repeated bases are merged by summing their exponents (two
-    signatures under one public key cost one digit walk, not two);
-    the distinct remainder pays one multi-exponentiation — Straus for
-    small batches, Pippenger buckets for large ones, chosen by a
-    per-call cost model.
+    signatures under one public key cost one table and one set of
+    windows, not two); the distinct remainder pays one
+    multi-exponentiation — interleaved sliding windows for the batches
+    a block or a flush makes, Pippenger buckets for hundreds of pairs,
+    chosen by a per-call cost model.
     """
     if not pairs:
         return 1 % modulus

@@ -217,18 +217,58 @@ def test_multi_pow_modulus_one_is_zero():
     assert multi_pow([(3, 5), (7, 11)], 1) == 0
 
 
-def test_multi_pow_large_cold_batch_uses_pippenger_and_agrees():
-    # Enough fresh bases with short exponents that the cost model picks
-    # the bucket method; the result must match the plain product.
-    rng = random.Random(31)
-    pairs = [
-        (pow(G, rng.getrandbits(200), P), rng.getrandbits(64))
-        for _ in range(64)
-    ]
-    expected = 1
+def _product(pairs, modulus=P):
+    expected = 1 % modulus
     for base, exponent in pairs:
-        expected = expected * pow(base, exponent, P) % P
-    assert multi_pow(pairs, P) == expected
+        expected = expected * pow(base, exponent, modulus) % modulus
+    return expected
+
+
+def _signature_shaped(rng, weights, keys):
+    """Distinct bases: ``weights`` 64-bit exponents, ``keys`` ~320-bit ones."""
+    return [
+        (rng.randrange(2, P), rng.getrandbits(bits) | 1 << (bits - 1))
+        for bits in [64] * weights + [320] * keys
+    ]
+
+
+def _record_method(monkeypatch):
+    """Wrap both kernels; returns the list their names are appended to."""
+    ran = []
+
+    def wrap(name):
+        kernel = getattr(fastexp, name)
+
+        def recording(*args):
+            ran.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(fastexp, name, recording)
+
+    wrap("_straus")
+    wrap("_pippenger")
+    return ran
+
+
+def test_multi_pow_large_cold_batch_uses_pippenger_and_agrees(monkeypatch):
+    # Past the crossover (measured near 250 distinct pairs on the
+    # 64-bit/320-bit mix a merged batch check has) the cost model must
+    # pick the bucket method, and the result must match the plain product.
+    ran = _record_method(monkeypatch)
+    pairs = _signature_shaped(random.Random(31), weights=300, keys=100)
+    assert multi_pow(pairs, P) == _product(pairs)
+    assert ran == ["_pippenger"]
+
+
+def test_multi_pow_real_batch_sizes_use_straus(monkeypatch):
+    # Every call the benchmark workloads make is at most ~100 pairs,
+    # where Pippenger measured 25-75% slower than the sliding window.
+    ran = _record_method(monkeypatch)
+    rng = random.Random(33)
+    for weights, keys in ((3, 3), (18, 15), (50, 50)):
+        pairs = _signature_shaped(rng, weights, keys)
+        assert multi_pow(pairs, P) == _product(pairs)
+    assert ran == ["_straus"] * 3
 
 
 def test_pippenger_internal_agrees_with_straus():
@@ -238,19 +278,87 @@ def test_pippenger_internal_agrees_with_straus():
         for bits in (1, 64, 200, 320, 320, 64, 7, 128)
     ]
     items = [(base, exp) for base, exp in items if exp]
-    assert fastexp._pippenger(items, P, 4) == fastexp._straus(items, P, 4)
+    assert fastexp._pippenger(items, P, 4) == fastexp._straus(items, P)
 
 
 def test_explicit_window_path_matches_pow():
+    # One exponent length inside every window width the rule reaches
+    # (1..8), alone and interleaved in one chain.
     rng = random.Random(41)
+    lengths = (3, 20, 64, 200, 320, 1000, 2100, 5000)
+    assert [fastexp._window_width(bits) for bits in lengths] == list(range(1, 9))
     pairs = [
-        (pow(G, rng.getrandbits(128), P), rng.getrandbits(256)) for _ in range(5)
+        (pow(G, rng.getrandbits(128), P), rng.getrandbits(bits) | 1 << (bits - 1))
+        for bits in lengths
     ]
-    expected = 1
-    for base, exponent in pairs:
-        expected = expected * pow(base, exponent, P) % P
-    for window in (1, 2, 4, 8):
-        assert fastexp._straus(pairs, P, window) == expected
+    for pair in pairs:
+        assert fastexp._straus([pair], P) == _product([pair])
+    assert fastexp._straus(pairs, P) == _product(pairs)
+
+
+def test_window_width_is_the_cost_minimum():
+    # The closed-form rule must agree with minimising the stated cost,
+    # table 2^(w-1) plus bits/(w+1) windows, by brute force.
+    for bits in (1, 6, 7, 24, 25, 64, 80, 81, 240, 241, 320, 672, 673, 2048, 4609):
+        best = min(range(1, 13), key=lambda w: (1 << (w - 1)) + bits / (w + 1))
+        assert fastexp._window_width(bits) == best
+
+
+class _CountingModulus(int):
+    """A modulus that counts the reductions taken by it (``x % self``)."""
+
+    reductions = 0
+
+    def __rmod__(self, other):
+        type(self).reductions += 1
+        return int.__rmod__(self, other)
+
+
+def test_straus_multiplication_count_is_pinned(monkeypatch):
+    # No clock: a 10-signature-shaped batch is ~320 shared squarings
+    # plus ~20 multiplications per 64-bit weight (4-entry table, ~16
+    # windows) and ~69 per 320-bit e·w (16 entries, ~53 windows).  The
+    # one-window-for-all pass this replaced took ~1,500.
+    tables = []
+    odd_powers = fastexp._odd_powers
+
+    def recording(base, width, modulus):
+        tables.append(odd_powers(base, width, modulus))
+        return tables[-1]
+
+    monkeypatch.setattr(fastexp, "_odd_powers", recording)
+    rng = random.Random(43)
+    pairs = _signature_shaped(rng, weights=10, keys=10)
+    modulus = _CountingModulus(P)
+    _CountingModulus.reductions = 0
+    assert multi_pow(pairs, modulus) == _product(pairs)
+    assert _CountingModulus.reductions <= 1300
+    assert sorted(len(table) for table in tables) == [4] * 10 + [16] * 10
+
+    del tables[:]
+    weights_only = _signature_shaped(rng, weights=12, keys=0)
+    assert multi_pow(weights_only, P) == _product(weights_only)
+    assert tables and max(len(table) for table in tables) <= 4
+
+
+def test_multi_pow_mixed_lengths_in_one_call():
+    rng = random.Random(47)
+    for modulus in (P, (1 << 127) - 1, 3 * 5 * 7 * 11 * 13 * 2**20):
+        bases = [rng.getrandbits(256) % modulus for _ in range(6)]
+        pairs = [
+            (base, rng.getrandbits(bits) | 1 << (bits - 1))
+            for base, bits in zip(bases, (1, 7, 64, 320, 600, 2100))
+        ]
+        assert multi_pow(pairs, modulus) == _product(pairs, modulus)
+        # A duplicate whose summed exponent carries into a new top bit
+        # (and with it, here, a wider window).
+        carry = [(bases[2], (1 << 80) - 1), (bases[3], 5), (bases[2], 1)]
+        assert multi_pow(carry, modulus) == _product(carry, modulus)
+        # Bases congruent to 1 drop out; one congruent to 0 zeroes the product.
+        ones = [(1, 12345), (modulus + 1, 99), (bases[4], rng.getrandbits(64))]
+        assert multi_pow(ones, modulus) == _product(ones, modulus)
+        zero = ones + [(2 * modulus, 3)]
+        assert multi_pow(zero, modulus) == 0 == _product(zero, modulus)
 
 
 def test_only_the_generator_ever_gets_a_window_table(monkeypatch):

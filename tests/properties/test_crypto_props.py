@@ -102,6 +102,7 @@ from repro.crypto.fastexp import (  # noqa: E402
     G,
     GENERATOR_TABLE_BITS,
     P,
+    _recode,
     base_pow,
     generator_pow,
     multi_pow,
@@ -257,3 +258,19 @@ def test_prefetch_verdicts_changes_no_verdict_and_no_verify_counter(specs):
     )
     assert [verify(*triple) for batch in batches for triple in batch] == cold_single
     assert [batch_verify(batch) for batch in batches] == cold_batch
+
+
+@given(
+    exponent=st.one_of(exponents, st.integers(min_value=0, max_value=2**2100)),
+    width=st.integers(min_value=1, max_value=7),
+)
+@settings(max_examples=120, deadline=None)
+def test_sliding_window_recoding_round_trips(exponent, width):
+    # What _straus relies on: the hits rebuild the exponent, every
+    # digit indexes the odd-power table, and windows never overlap.
+    hits = _recode(exponent, width)
+    assert sum(digit << position for position, digit in hits) == exponent
+    assert all(digit & 1 and digit < 1 << width for _, digit in hits)
+    positions = [position for position, _ in hits]
+    assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+    assert not positions or positions[0] >= 0
