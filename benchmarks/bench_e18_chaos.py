@@ -284,7 +284,7 @@ def check_gate(
         if backend.stats["workers_lost"] < 1:
             failures.append("the killed worker was never lost")
         if backend.stats["inline_batches"] < 1:
-            failures.append("no batch of the lost worker was verified inline")
+            failures.append("no order group of the lost worker was verified inline")
         if _unpooled_render(quick) != report.render():
             failures.append("pooled report differs from the unpooled run")
     return failures
@@ -315,7 +315,7 @@ def gate_table(
         ["failovers", report.failovers],
         ["recoveries", report.recoveries],
         ["verify workers lost", pool.get("workers_lost", 0)],
-        ["batches verified inline", pool.get("inline_batches", 0)],
+        ["groups verified inline", pool.get("inline_batches", 0)],
         ["availability", f"{report.availability:.3%}"],
         ["invariant violations", len(report.invariant_violations)],
         ["fingerprint", report.fingerprint()],

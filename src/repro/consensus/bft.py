@@ -36,8 +36,7 @@ from repro.crypto.hashing import hash_concat
 from repro.crypto.keys import Address, Wallet
 from repro.crypto.schnorr import (
     Signature,
-    batch_verify as schnorr_batch_verify,
-    verify as schnorr_verify,
+    batch_verify_many as schnorr_batch_verify_many,
 )
 from repro.errors import ConsensusError
 from repro.sim.simulator import Simulator
@@ -249,9 +248,9 @@ class CertifiedBlockchain:
         Cross-block vote aggregation: the signature check is deferred
         to block production, where every entry that arrived during the
         block interval is verified in **one** batched Schnorr check
-        (with per-entry fallback isolating any bad vote).  Acceptance
-        is only ever observable through the produced blocks, so the
-        deferral changes no behavior — a bad-signature entry is still
+        (each entry its own group, so a bad vote drops only itself).
+        Acceptance is only ever observable through the produced blocks,
+        so the deferral changes no behavior — a bad-signature entry is still
         never recorded, and blocks exist at exactly the heights and
         times the eager-checking implementation produced them
         (:meth:`_produce_block` replays the eager scheduling rule,
@@ -270,21 +269,13 @@ class CertifiedBlockchain:
         known = [
             entry for entry in entries if self.wallet.knows(entry.party)
         ]
-        if not known:
-            return []
-        items = [
-            (self.wallet.public_key(entry.party), entry.message(), entry.signature)
-            for entry in known
-        ]
-        if schnorr_batch_verify(items):
-            return known
-        # Some vote in the interval is forged: isolate per entry (the
-        # per-signature cache keeps honest repeats cheap).
-        return [
-            entry
-            for entry, (public_key, message, signature) in zip(known, items)
-            if schnorr_verify(public_key, message, signature)
-        ]
+        verdicts = schnorr_batch_verify_many(
+            [
+                [(self.wallet.public_key(entry.party), entry.message(), entry.signature)]
+                for entry in known
+            ]
+        )
+        return [entry for entry, ok in zip(known, verdicts) if ok]
 
     def _ensure_block_scheduled(self) -> None:
         if self._block_scheduled:

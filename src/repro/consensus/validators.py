@@ -92,14 +92,6 @@ class ValidatorSet:
         """Generate the successor set for a reconfiguration."""
         return ValidatorSet.generate(self.f, seed=seed, epoch=self.epoch + 1)
 
-    def batch_verify(
-        self, message: bytes, signatures: tuple[QuorumSignature, ...]
-    ) -> bool:
-        """Check a quorum certificate over ``message`` in one batch."""
-        return batch_verify_quorum(
-            self.public_keys(), self.quorum, message, signatures
-        )
-
 
 def quorum_structure_ok(
     valid_keys: tuple[PublicKey, ...],
@@ -156,62 +148,47 @@ class VerifyAggregator:
     """Cross-block signature-verification aggregation.
 
     Several block producers seal at the same simulated instant — every
-    market chain's mempool seals on the same half-grid boundary — and
-    each seal wants one batched Schnorr check for its block's worth of
-    signatures.  Instead of verifying inline, each producer *enqueues*
-    its batch here together with a verdict callback; the aggregator
-    schedules a single flush **at the same instant** (the simulator
-    runs same-time events in scheduling order, so the flush runs after
-    every seal at that boundary and strictly before the next block
-    executes).  When more than one block's batch lands at a boundary,
-    the flush folds up to ``max_blocks`` of them into one merged check
-    (:func:`repro.crypto.schnorr.batch_verify_many`) — one
+    shard's home-chain mempool seals on the same half-grid boundary —
+    and each seal wants one verdict per order it is clearing.  Instead
+    of verifying inline, each producer *enqueues* its block's signature
+    groups (one per order) here together with a callback; the
+    aggregator schedules a single flush **at the same instant** (the
+    simulator runs same-time events in scheduling order, so the flush
+    runs after every seal at that boundary and strictly before the next
+    block executes).  The flush hands every group of every queued block
+    to one :func:`repro.crypto.schnorr.batch_verify_many` — one
     ``multi_pow`` for the whole boundary, with recurring public keys
-    deduplicated across blocks — and delivers each block its own
-    verdict in enqueue order.
+    deduplicated across blocks, and a forged order isolated there and
+    nowhere else — and gives each block back its own groups' verdicts,
+    in enqueue order.
 
-    Scope note: with one coordinator shard exactly one mempool carries
-    signature batches, so production flushes hold a single batch and
-    the merge path stays idle (the unsharded win is the batch check
-    itself: one shared-squaring ``multi_pow`` per seal, duplicate keys
-    merged).  The sharded market (PR 5) runs
-    M order-carrying coordinator chains whose mempools all seal on the
-    same half-grid boundary, so production flushes routinely fold M
-    registration batches into one ``multi_pow`` —
-    ``MarketReport.aggregator_merge_rate()`` reports how often, from
-    the ``stats`` counters; ``tests/market/test_cross_shard.py`` and
-    ``tests/market/test_verify_aggregation.py`` pin the behaviour.
-
-    Because verdicts are delivered at the same simulated time the
-    seals ran, and a failed merge falls back to per-batch (and the
-    callers fall back to per-order) isolation, commit/abort decisions
-    and report bytes are identical to unaggregated verification; only
-    wall-clock changes.  ``schedule`` is any callable that runs a
-    thunk later in the current instant (the market passes
-    ``simulator.schedule_at(simulator.now, ...)``).  In ``stats``,
-    ``isolation_fallbacks`` counts flush chunks in which at least one
-    batch failed and isolation ran — merged or not.
+    Because verdicts are delivered at the same simulated time the seals
+    ran and equal what checking each order alone would say,
+    commit/abort decisions and report bytes are identical to
+    unaggregated verification; only wall-clock changes.  ``schedule``
+    is any callable that runs a thunk later in the current instant (the
+    market passes ``simulator.schedule_at(simulator.now, ...)``).  In
+    ``stats``, ``batches`` counts enqueued blocks, ``merged_*`` the
+    flushes (and their blocks) that held more than one, and
+    ``isolation_fallbacks`` the flushes in which some group failed;
+    ``MarketReport.aggregator_merge_rate()`` reads them.
     """
 
-    def __init__(self, schedule, max_blocks: int = 8):
-        if max_blocks < 1:
-            raise ConsensusError("max_blocks must be at least 1")
+    def __init__(self, schedule):
         self._schedule = schedule
-        self.max_blocks = max_blocks
         self._queue: list[tuple[list, object, int]] = []
         self._flush_scheduled = False
         # Telemetry hook (repro.telemetry.Telemetry or None): flushes
         # report their merge width and pair counts; strictly
         # observational, one attribute check when off.
         self.telemetry = None
-        # The one verification hook: receives each flush chunk as
-        # ``[(owner, items), ...]`` and returns one verdict per batch,
+        # The one verification hook: receives a flush as
+        # ``[(owner, group), ...]`` and returns one verdict per group,
         # in order.  The default is the merged check; the ``processes``
-        # execution backend plugs its verify pool in here (each batch
+        # execution backend plugs its verify pool in here (each group
         # checked by its owner shard's worker process).  Any
-        # replacement must return what the default does — the merged
-        # check succeeds iff every batch is individually valid, and its
-        # per-batch fallback *is* individual validity.
+        # replacement must return what the default does: each group's
+        # individual validity.
         self.verify_many = _verify_merged
         self.stats = {
             "flushes": 0,
@@ -221,15 +198,16 @@ class VerifyAggregator:
             "isolation_fallbacks": 0,
         }
 
-    def enqueue(self, items: list, on_verdict, owner: int = 0) -> None:
-        """Queue one block's signature batch; ``on_verdict(ok)`` later.
+    def enqueue(self, groups: list, on_verdicts, owner: int = 0) -> None:
+        """Queue one block's signature groups; ``on_verdicts([ok, …])`` later.
 
-        ``items`` are ``(public_key, message, signature)`` triples (one
-        block's worth); the callback fires during this instant's flush.
-        ``owner`` is the shard the batch belongs to — all a plugged
-        ``verify_many`` needs to partition the work.
+        Each group is a list of ``(public_key, message, signature)``
+        triples wanting one verdict (an order's signatures); the
+        callback fires during this instant's flush with one verdict per
+        group.  ``owner`` is the shard the block belongs to — all a
+        plugged ``verify_many`` needs to partition the work.
         """
-        self._queue.append((items, on_verdict, owner))
+        self._queue.append((groups, on_verdicts, owner))
         self.stats["batches"] += 1
         if not self._flush_scheduled:
             self._flush_scheduled = True
@@ -239,27 +217,25 @@ class VerifyAggregator:
         self._flush_scheduled = False
         queue, self._queue = self._queue, []
         self.stats["flushes"] += 1
-        for start in range(0, len(queue), self.max_blocks):
-            chunk = queue[start : start + self.max_blocks]
-            if self.telemetry is not None:
-                self.telemetry.verify_flush(
-                    len(chunk), sum(len(items) for items, _, _ in chunk)
-                )
-            if len(chunk) > 1:
-                self.stats["merged_flushes"] += 1
-                self.stats["merged_batches"] += len(chunk)
-            verdicts = self.verify_many(
-                [(owner, items) for items, _, owner in chunk]
+        owned = [(owner, group) for groups, _, owner in queue for group in groups]
+        if self.telemetry is not None:
+            self.telemetry.verify_flush(
+                len(queue), sum(len(group) for _, group in owned)
             )
-            if not all(verdicts):
-                self.stats["isolation_fallbacks"] += 1
-            for (_, on_verdict, _), verdict in zip(chunk, verdicts):
-                on_verdict(verdict)
+        if len(queue) > 1:
+            self.stats["merged_flushes"] += 1
+            self.stats["merged_batches"] += len(queue)
+        verdicts = self.verify_many(owned)
+        if not all(verdicts):
+            self.stats["isolation_fallbacks"] += 1
+        answers = iter(verdicts)
+        for groups, on_verdicts, _ in queue:
+            on_verdicts([next(answers) for _ in groups])
 
 
-def _verify_merged(batches: list) -> list:
-    """The default ``verify_many``: one merged check per flush chunk."""
-    return schnorr_batch_verify_many([items for _, items in batches])
+def _verify_merged(owned: list) -> list:
+    """The default ``verify_many``: one merged check per flush."""
+    return schnorr_batch_verify_many([group for _, group in owned])
 
 
 @dataclass(frozen=True)

@@ -115,9 +115,9 @@ def _check_quorum(
     """Verify ≥ ``quorum`` distinct valid validator signatures.
 
     Wall-clock fast path: a clean certificate is checked as one
-    batched linear combination (and the verdict is memoized on the
-    certificate transcript, so the same certificate presented to every
-    chain is a cache hit).  The *gas* charged is unchanged — the
+    batched linear combination (and acceptance certifies each member
+    signature, so the same certificate presented to every chain has
+    nothing left to combine).  The *gas* charged is unchanged — the
     protocol still pays the full 3000-gas price per signature, exactly
     as the per-signature replay below would charge.
     """

@@ -15,16 +15,15 @@ mechanism of their own:
   cold multi-exponentiation that shares a single squaring chain across
   the whole batch.
 
-:func:`multi_pow` works in two stages: (1) duplicate bases are merged
-by *summing their exponents*; (2) the product is computed with either
-an interleaved sliding-window pass (Straus/Möller — small batches: one
-shared squaring chain; each base gets a table of its odd powers and a
-window width sized to *its own* exponent, so a commitment under a
-64-bit weight builds 4 entries and uses ~16 of them where a public key
-under a ~320-bit ``e·w`` builds 16 and uses ~53) or a Pippenger bucket
-pass (batches in the hundreds: per-window digit buckets, no per-base
-tables at all), chosen by a per-call cost model over every base's
-exponent bit-length.  Nothing is kept between calls.
+:func:`multi_pow` merges duplicate bases by *summing their exponents*
+and computes the product in one interleaved sliding-window pass
+(Straus/Möller: one shared squaring chain; each base gets a table of
+its odd powers and a window width sized to *its own* exponent, so a
+commitment under a 64-bit weight builds 4 entries and uses ~16 of them
+where a public key under a ~320-bit ``e·w`` builds 16 and uses ~53).
+Nothing is kept between calls.  There is deliberately no bucket
+(Pippenger) kernel: it only wins past ≈ 270 mixed-length bases, and the
+widest call any workload or gate makes has 82 (ROADMAP "Recent", PR 24).
 
 A single public-key exponentiation (:func:`base_pow`) is plain
 ``builtins.pow``.  There is deliberately no per-public-key table
@@ -155,7 +154,7 @@ def base_pow(base: int, exponent: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Multi-exponentiation: merge duplicate bases -> Straus/Pippenger.
+# Multi-exponentiation: merge duplicate bases -> one Straus pass.
 # ----------------------------------------------------------------------
 def _window_width(bits: int) -> int:
     """Sliding-window width minimizing one base's cost in a Straus pass.
@@ -235,86 +234,13 @@ def _straus(items: list[tuple[int, int]], modulus: int) -> int:
     return acc
 
 
-def _pippenger_window(bits: list[int]) -> tuple[int, float]:
-    """Bucket width minimizing Pippenger cost, and that cost.
-
-    At width ``c`` a base is multiplied into one bucket per non-zero
-    ``c``-bit digit of its own exponent, and each of the
-    ``⌈max_bits/c⌉`` levels then walks its ``2^c`` bucket slots once —
-    the walk is what drives the classic ``c ~ log2(pairs)`` optimum.
-    """
-    best_c, best_cost = 1, float("inf")
-    top = max(bits)
-    for c in range(1, 13):
-        radix = 1 << c
-        digits = sum(-(-b // c) for b in bits)
-        cost = digits * (1.0 - 1.0 / radix) + -(-top // c) * radix
-        if cost < best_cost:
-            best_c, best_cost = c, cost
-    return best_c, best_cost
-
-
-def _pippenger(items: list[tuple[int, int]], modulus: int, window: int) -> int:
-    """Bucket-method multi-exp: no per-base tables, per-window buckets.
-
-    For each window level, every pair lands in the bucket of its digit
-    (one multiplication per pair with a non-zero digit); the buckets
-    are then folded with the running-product trick — the suffix product
-    ``running_d = Π_{j>=d} bucket_j`` accumulated once per occupied
-    bucket gives ``Π_d bucket_d^d`` in ~2 multiplications per bucket.
-    """
-    mask = (1 << window) - 1
-    max_bits = max(exponent.bit_length() for _, exponent in items)
-    acc = 1
-    for index in range((max_bits + window - 1) // window - 1, -1, -1):
-        if acc != 1:
-            for _ in range(window):
-                acc = acc * acc % modulus
-        shift = index * window
-        buckets: list[int | None] = [None] * (mask + 1)
-        for base, exponent in items:
-            digit = (exponent >> shift) & mask
-            if digit:
-                held = buckets[digit]
-                buckets[digit] = base if held is None else held * base % modulus
-        running = total = None
-        for digit in range(mask, 0, -1):
-            held = buckets[digit]
-            if held is not None:
-                running = held if running is None else running * held % modulus
-            if running is not None:
-                total = running if total is None else total * running % modulus
-        if total is not None:
-            acc = acc * total % modulus
-    return acc
-
-
-def _cold_multi(items: list[tuple[int, int]], modulus: int) -> int:
-    """Multi-exp over distinct bases: pick Straus or Pippenger by cost.
-
-    Both are costed in multiplications from every base's own exponent
-    length (the shared squaring chain is the same for either).
-    """
-    bits = [exponent.bit_length() for _, exponent in items]
-    straus_cost = 0.0
-    for b in bits:
-        w = _window_width(b)
-        straus_cost += (1 << (w - 1)) + b / (w + 1)
-    c, pippenger_cost = _pippenger_window(bits)
-    if pippenger_cost < straus_cost:
-        return _pippenger(items, modulus, c)
-    return _straus(items, modulus)
-
-
 def multi_pow(pairs: list[tuple[int, int]], modulus: int = P) -> int:
     """``Π base_i^{exp_i} mod modulus`` in one shared squaring chain.
 
     Repeated bases are merged by summing their exponents (two
     signatures under one public key cost one table and one set of
-    windows, not two); the distinct remainder pays one
-    multi-exponentiation — interleaved sliding windows for the batches
-    a block or a flush makes, Pippenger buckets for hundreds of pairs,
-    chosen by a per-call cost model.
+    windows, not two); the distinct remainder pays one interleaved
+    sliding-window pass (:func:`_straus`).
     """
     if not pairs:
         return 1 % modulus
@@ -335,7 +261,7 @@ def multi_pow(pairs: list[tuple[int, int]], modulus: int = P) -> int:
         items.append((base, exponent))
     if not items:
         return 1
-    return _cold_multi(items, modulus)
+    return _straus(items, modulus)
 
 
 def cache_stats() -> dict:

@@ -30,18 +30,24 @@ simulator's determinism policy (DESIGN.md §7).
 Performance: all exponentiation goes through
 :mod:`repro.crypto.fastexp` (a fixed-base window table for ``g`` and
 a shared-squaring multi-exponent for batches; public keys get no
-table), and verification results are memoized in a bounded LRU
-keyed on the full ``(key, message, signature)`` triple — the timelock
-protocol re-verifies the same path signature at every hop and the CBC
-protocol re-verifies the same certificate on every chain, so repeats
-are dict hits.  A chain also fills that cache a block at a time: the
-signatures its pending transactions declare go through one merged
-batch check before the block executes (:func:`prefetch_verdicts`), so
-the contracts' one-by-one :func:`verify` calls are hits as well — only
-a verdict that *was* computed is ever stored, and only ``True`` ahead
-of the call that asks.  None of this changes a single signature byte,
-and a cached verdict can never accept a tampered input: any change to
-the key, message, or signature is a different cache key.
+table), and there is **one verdict store**: a bounded LRU keyed on the
+full ``(key, message, signature)`` triple.  The timelock protocol
+re-verifies the same path signature at every hop and the CBC protocol
+re-verifies the same certificate on every chain, so repeats are dict
+hits.  There is also one batched check, :func:`batch_verify_many`
+(groups in, verdicts out; :func:`batch_verify` is its one-group case):
+it reads that store — a group of certified members is ``True``, a
+member already refused makes its group ``False`` — and writes it, a
+passing combination certifying each member, and it is the only place a
+forgery among merged groups is isolated.  A chain fills the store a
+block at a time the same way: the signatures its pending transactions
+declare go through one merged check before the block executes
+(:func:`prefetch_verdicts`), so the contracts' one-by-one :func:`verify`
+calls are hits as well — only a verdict that *was* computed is ever
+stored, and only ``True`` ahead of the call that asks.  None of this
+changes a single signature byte, and a cached verdict can never accept
+a tampered input: any change to the key, message, or signature is a
+different cache key.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from repro.crypto.fastexp import (
     multi_pow,
 )
 from repro.crypto.hashing import bytes_to_int, hash_concat, int_to_bytes, tagged_hash
-from repro.errors import CryptoError, SignatureError
+from repro.errors import CryptoError
 
 _SCALAR_BYTES = (Q.bit_length() + 7) // 8
 
@@ -128,7 +134,6 @@ class LruDict:
 
 
 _VERIFY_CACHE = LruDict(1 << 15)
-_BATCH_CACHE = LruDict(1 << 12)
 
 
 @dataclass(frozen=True)
@@ -257,40 +262,22 @@ def verify(public_key: PublicKey, message: bytes, signature: Signature) -> bool:
     return result
 
 
-def require_valid(public_key: PublicKey, message: bytes, signature: Signature) -> None:
-    """Raise :class:`SignatureError` unless the signature verifies."""
-    if not verify(public_key, message, signature):
-        raise SignatureError("signature verification failed")
+def _combined_check(items) -> bool:
+    """Evaluate the weighted linear combination for a staged batch.
 
+        g^(Σ w_i·s_i)  ==  ± Π R_i^{w_i} · pk_i^{e_i·w_i}   (mod p)
 
-def _ranges_ok(items) -> bool:
-    """The cheap structural half of a batch check (no exponentiation)."""
-    for _, _, signature in items:
-        if not 1 < signature.commitment < P or not 0 <= signature.response < Q:
-            return False
-    return True
-
-
-def _transcript(items) -> bytes:
-    """The Fiat-Shamir transcript binding an entire batch."""
-    return hash_concat(
+    Weights are small BGR exponents drawn from the batch's transcript,
+    and the products ``e_i·w_i`` stay unreduced — at ~320 bits they are
+    far below ``q``, so the value is unchanged while the multi-exp
+    squares only as far as the longest real exponent.
+    """
+    transcript = hash_concat(
         *[
             public_key.to_bytes() + message + signature.to_bytes()
             for public_key, message, signature in items
         ]
     )
-
-
-def _combined_check(items, transcript: bytes) -> bool:
-    """Evaluate the weighted linear combination for a staged batch.
-
-        g^(Σ w_i·s_i)  ==  ± Π R_i^{w_i} · pk_i^{e_i·w_i}   (mod p)
-
-    Weights are small BGR exponents drawn from the transcript, and the
-    products ``e_i·w_i`` stay unreduced — at ~320 bits they are far
-    below ``q``, so the value is unchanged while the multi-exp squares
-    only as far as the longest real exponent.
-    """
     lhs_exponent = 0
     pairs = []
     for index, (public_key, message, signature) in enumerate(items):
@@ -309,98 +296,78 @@ def _combined_check(items, transcript: bytes) -> bool:
     return _equal_up_to_sign(generator_pow(lhs_exponent), multi_pow(pairs, P))
 
 
-def _certify_members(items) -> None:
-    """Seed the per-signature cache: batch acceptance certifies each."""
-    for item in items:
-        _VERIFY_CACHE.put(_cache_key(*item), True)
+def _standing_verdict(items) -> bool | None:
+    """What a group's verdict already is without exponentiation, or ``None``.
 
-
-def batch_verify(items: list[tuple[PublicKey, bytes, Signature]]) -> bool:
-    """Verify many Schnorr signatures in one combined check.
-
-    The §9 "signature combining" idea, realized as standard batch
-    verification with Bellare–Garay–Rabin small-exponent weights drawn
-    by Fiat-Shamir over the whole batch.  The left side is one
-    fixed-base exponentiation and the right side is a single
-    multi-exponentiation (:func:`repro.crypto.fastexp.multi_pow`), so
-    a batch of ``k`` costs a fraction of ``k`` standalone checks.
-    Sound: a forged signature only passes if the adversary predicts
-    its 64-bit random weight, which the hash prevents — and, both
-    sides being compared up to sign like :func:`verify`'s, a batch
-    passes exactly when each member would on its own.
-
-    Returns True iff every signature in the batch is valid (an empty
-    batch is vacuously valid).  Verdicts are memoized on the batch
-    transcript; a successful batch also seeds the per-signature verify
-    cache, since batch acceptance certifies each member.
+    ``False`` for a member out of range or one :func:`verify` already
+    refused, ``True`` when every member is certified (an empty group
+    vacuously) — read without touching the cache or its counters.
     """
-    if not items:
-        return True
-    if not _ranges_ok(items):
-        return False
-    transcript = _transcript(items)
-    cached = _BATCH_CACHE.get(transcript)
-    if cached is not None:
-        return cached
-    # Members that each hold their own verdict already (a block's
-    # prefetch, another batch) leave nothing to combine.
-    certified = all(_VERIFY_CACHE.peek(_cache_key(*item)) for item in items)
-    result = certified or _combined_check(items, transcript)
-    _BATCH_CACHE.put(transcript, result)
-    if result:
-        _certify_members(items)
-    return result
+    certified = True
+    for public_key, message, signature in items:
+        if not 1 < signature.commitment < P or not 0 <= signature.response < Q:
+            return False
+        known = _VERIFY_CACHE.peek(_cache_key(public_key, message, signature))
+        if known is False:
+            return False
+        certified = certified and known is True
+    return True if certified else None
+
+
+def _check_and_certify(items) -> bool:
+    """One combined check; acceptance certifies each member on its own."""
+    ok = _combined_check(items)
+    if ok:
+        for item in items:
+            _VERIFY_CACHE.put(_cache_key(*item), True)
+    return ok
 
 
 def batch_verify_many(
-    batches: list[list[tuple[PublicKey, bytes, Signature]]],
+    groups: list[list[tuple[PublicKey, bytes, Signature]]],
 ) -> list[bool]:
-    """Verify several independent batches, merging them when possible.
+    """One verdict per group of signatures, from one combined check.
 
-    The cross-block aggregation primitive: every batch that passes its
-    cheap range checks is folded into **one** combined linear
-    combination over the concatenated transcript — one
-    ``generator_pow`` and one ``multi_pow`` no matter how many batches
-    arrived (and the multi-exp deduplicates the public keys that recur
-    across them).  If the merged check passes, every constituent batch
-    passed; each batch's own transcript verdict and every member
-    signature are cached, exactly as if the batches had been verified
-    one by one.  If it fails, each batch is re-checked individually
-    (:func:`batch_verify`), so the returned verdicts are always
-    identical to the per-batch ones — the merge is a wall-clock
-    optimization, never a semantic one.
+    The §9 "signature combining" idea, realized as standard batch
+    verification with Bellare–Garay–Rabin small-exponent weights drawn
+    by Fiat-Shamir over everything being checked.  A group is whatever
+    the caller needs one verdict for — an order's signatures, a
+    transaction's claims, a single vote — and this is the one place a
+    forgery among them is isolated.
+
+    Groups the verdict store already answers (:func:`_standing_verdict`)
+    are settled on the spot; all the others are folded into **one**
+    linear combination — one ``generator_pow`` on the left, one
+    :func:`repro.crypto.fastexp.multi_pow` on the right (which merges
+    the public keys that recur across groups) however many groups
+    arrived, a fraction of the cost of checking each signature alone.
+    If it passes, every member is certified in the per-signature cache,
+    so the later one-by-one :func:`verify` of the same triple is a hit.
+    If it fails, each folded group gets a combined check of its own.
+    Sound: a forged signature only passes if the adversary predicts its
+    64-bit weight, which the hash prevents — and, both sides being
+    compared up to sign like :func:`verify`'s, a group passes exactly
+    when each member would on its own.
     """
     verdicts: list[bool] = []
     staged: list[int] = []
-    for index, items in enumerate(batches):
-        if not items:
-            verdicts.append(True)
-        elif not _ranges_ok(items):
-            verdicts.append(False)
-        else:
-            verdicts.append(True)  # provisional; settled below
+    for index, items in enumerate(groups):
+        verdict = _standing_verdict(items)
+        verdicts.append(verdict is not False)  # provisional for staged ones
+        if verdict is None:
             staged.append(index)
-    if not staged:
-        return verdicts
-    if len(staged) == 1:
-        index = staged[0]
-        verdicts[index] = batch_verify(batches[index])
-        return verdicts
-    merged = [item for index in staged for item in batches[index]]
-    transcript = _transcript(merged)
-    cached = _BATCH_CACHE.get(transcript)
-    result = cached if cached is not None else _combined_check(merged, transcript)
-    if cached is None:
-        _BATCH_CACHE.put(transcript, result)
-    if result:
-        _certify_members(merged)
+    merged = [item for index in staged for item in groups[index]]
+    if merged and not _check_and_certify(merged):
+        # Isolate: a combined check per folded group (a lone group's
+        # is the one that just failed).
         for index in staged:
-            _BATCH_CACHE.put(_transcript(batches[index]), True)
-        return verdicts
-    # Some batch in the merge is bad: isolate per batch.
-    for index in staged:
-        verdicts[index] = batch_verify(batches[index])
+            verdicts[index] = len(staged) > 1 and _check_and_certify(groups[index])
     return verdicts
+
+
+def batch_verify(items: list[tuple[PublicKey, bytes, Signature]]) -> bool:
+    """``True`` iff every signature in ``items`` is valid: one group."""
+    return batch_verify_many([items])[0]
 
 
 def prefetch_verdicts(
@@ -438,13 +405,9 @@ def cache_stats() -> dict:
         "verify_hits": _VERIFY_CACHE.hits,
         "verify_misses": _VERIFY_CACHE.misses,
         "verify_size": len(_VERIFY_CACHE),
-        "batch_hits": _BATCH_CACHE.hits,
-        "batch_misses": _BATCH_CACHE.misses,
-        "batch_size": len(_BATCH_CACHE),
     }
 
 
 def clear_verification_caches() -> None:
     """Drop all memoized verification verdicts (tests, benchmarks)."""
     _VERIFY_CACHE.clear()
-    _BATCH_CACHE.clear()

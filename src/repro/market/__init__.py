@@ -14,10 +14,10 @@ space.  This package is the runtime for that regime:
 * :mod:`repro.market.mempool` — each chain front-ends its block
   producer with a :class:`~repro.market.mempool.StepMempool` that
   admits deal steps (escrow, transfer, vote, claim), seals them into
-  the next block batch, and performs **whole-block signature
-  checking**: every order first referenced in a block is verified with
-  :func:`repro.consensus.validators.batch_verify_quorum` — one batched
-  check per deal, merged across the block where possible.
+  the next block batch, and has every order first referenced in a
+  block **signature-checked as part of the whole block**: the order's
+  signatures are one group among the block's, one merged
+  :func:`repro.crypto.schnorr.batch_verify_many` answers them all.
 * :mod:`repro.market.book` / :mod:`repro.market.commitlog` — instead
   of publishing one contract per (deal, asset), each chain hosts a
   single :class:`~repro.market.book.MarketEscrowBook` holding every

@@ -7,7 +7,7 @@ everything in-process.  :class:`ProcessBackend` runs the same single
 coordinator and moves only the signature checks — ~90% of a run's
 wall-clock, all behind ``VerifyAggregator.verify_many`` — to a pool of
 one forked worker per shard; a worker that dies or hangs is dropped and
-its batches are verified in the parent, so no market state ever lives
+its groups are verified in the parent, so no market state ever lives
 outside this process and reports are byte-identical across backends.
 """
 
@@ -46,7 +46,7 @@ class InlineBackend(ExecutionBackend):
 
 
 def _pool_worker(conn, parent_ends) -> None:
-    """One verify worker: batch lists in, verdict lists out, until EOF."""
+    """One verify worker: group lists in, verdict lists out, until EOF."""
     # The fork copied the parent's pipe ends; EOF — the pool closing,
     # or the parent dying — only arrives once no copy is left open.
     for end in parent_ends:
@@ -62,17 +62,19 @@ class _VerifyPool:
     """One forked verify worker per shard, behind ``verify_many``.
 
     Plugged into the coordinator's ``VerifyAggregator.verify_many``: each
-    flush chunk is split by owner shard, every owner's batches go to
-    that shard's worker in one request, and the verdicts come back in
-    chunk order.  All requests of a chunk are sent before any reply is
-    awaited, so the workers check their slices concurrently.
+    flush is split by owner shard, every owner's order groups go to
+    that shard's worker in one request (so a worker isolates its own
+    shard's forgeries), and the verdicts come back in flush order.  All
+    requests of a flush are sent before any reply is awaited, so the
+    workers check their slices concurrently.
 
     The parent holds all market state, so a worker is disposable: one
     that died (pipe EOF / broken pipe) or sat on a request longer than
     ``_STALL_TIMEOUT`` is killed and dropped (``workers_lost``), and
-    its batches — the request in flight included — are verified in the
-    parent from then on (``inline_batches``).  Verdicts are the same
-    either way, so a lost worker costs wall-clock and nothing else.
+    its groups — the request in flight included — are verified in the
+    parent from then on (``inline_batches`` counts them).  Verdicts are
+    the same either way, so a lost worker costs wall-clock and nothing
+    else.
     """
 
     def __init__(self, workers: int, stats: dict):
@@ -91,32 +93,32 @@ class _VerifyPool:
             self._workers[shard] = (conn, proc)
 
     def verify_many(self, owned: list) -> list:
-        """Verdicts for ``[(owner, items), ...]``, in order."""
-        slices: dict[int, tuple[list, list]] = {}  # owner -> positions, batches
-        for position, (owner, items) in enumerate(owned):
-            positions, batches = slices.setdefault(owner, ([], []))
+        """Verdicts for ``[(owner, group), ...]``, in order."""
+        slices: dict[int, tuple[list, list]] = {}  # owner -> positions, groups
+        for position, (owner, group) in enumerate(owned):
+            positions, groups = slices.setdefault(owner, ([], []))
             positions.append(position)
-            batches.append(items)
-        for owner, (_, batches) in slices.items():
-            self._send(owner, batches)
+            groups.append(group)
+        for owner, (_, groups) in slices.items():
+            self._send(owner, groups)
         verdicts: list = [None] * len(owned)
-        for owner, (positions, batches) in slices.items():
+        for owner, (positions, groups) in slices.items():
             answer = self._recv(owner)
             if answer is None:
-                self.stats["inline_batches"] += len(batches)
-                answer = schnorr_batch_verify_many(batches)
+                self.stats["inline_batches"] += len(groups)
+                answer = schnorr_batch_verify_many(groups)
             for position, ok in zip(positions, answer):
                 verdicts[position] = ok
         return verdicts
 
-    def _send(self, owner: int, batches: list) -> None:
+    def _send(self, owner: int, groups: list) -> None:
         # A worker has at most this one request in flight and requests
         # are a few KB (17 KB at most over a full E16), far below the
         # socket buffer, so a hung worker cannot block the send: its
         # stall shows at the reply.
         if owner in self._workers:
             try:
-                self._workers[owner][0].send(batches)
+                self._workers[owner][0].send(groups)
             except OSError:
                 self._lose(owner)
 
@@ -164,11 +166,10 @@ class ProcessBackend(ExecutionBackend):
     part, seal-batch signature verification (~90% of a sharded E16's
     wall-clock), goes to a :class:`_VerifyPool` of one forked worker
     per shard through the ``VerifyAggregator.verify_many`` hook.  A
-    merged Schnorr check succeeds iff every batch in it is valid, and
-    its failure path isolates per batch, so per-owner verdicts equal
-    the merged ones and the report is byte-identical to inline.
-    ``stats`` counts lost workers and the batches verified in the
-    parent in their stead.  Falls back to plain inline execution when
+    group's verdict is its own validity whatever it was merged with,
+    so per-owner verdicts equal the merged ones and the report is
+    byte-identical to inline.  ``stats`` counts lost workers and the
+    order groups verified in the parent in their stead.  Falls back to plain inline execution when
     workers cannot be forked — inside a daemonic pool worker such as
     ``run_all.py --jobs``, or on platforms without ``fork``.
     """

@@ -11,20 +11,20 @@ Sealing is where order signatures are paid for, at block granularity:
 
 * every order first referenced in the sealing batch is structurally
   checked (one signature per party, no duplicate signers, all signers
-  in the plist — the same rules
-  :func:`repro.consensus.validators.batch_verify_quorum` enforces);
-* a block's new orders merge all their signatures into **one** batched
-  Schnorr check; only if that merged check fails does the mempool fall
-  back to per-order ``batch_verify_quorum`` to isolate the forgeries;
-* the per-seal batch then goes to the mempool's ``verify`` callable —
-  the market binds it to its shared
-  :class:`~repro.consensus.validators.VerifyAggregator`, so the verdict
-  arrives in a flush later in the same simulated instant; when several
+  in the plist — :func:`repro.consensus.validators.quorum_structure_ok`);
+* each sound order's signatures form one *group*, and the mempool calls
+  no verification function itself: the block's groups go to its
+  ``verify`` callable and one verdict per order comes back;
+* the market binds ``verify`` to its shared
+  :class:`~repro.consensus.validators.VerifyAggregator`, so the verdicts
+  arrive in a flush later in the same simulated instant; when several
   order-carrying mempools seal at one boundary — in the sharded market
   every shard's home chain clears its own order flow, and all mempools
-  seal on the same half-grid — their batches fold into a single
-  multi-exponentiation.  Every verdict, receipt, and report byte is
-  identical to verifying each block on the spot.
+  seal on the same half-grid — their groups fold into a single
+  multi-exponentiation, and a forged order is isolated inside that one
+  :func:`repro.crypto.schnorr.batch_verify_many`.  Every verdict,
+  receipt, and report byte is identical to verifying each order on the
+  spot.
 
 Steps of a cleared deal flow to the chain; steps of a rejected deal
 are dropped and counted.  The shared :class:`OrderLedger` makes a deal
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.chain.tx import Transaction
-from repro.consensus.validators import batch_verify_quorum, quorum_structure_ok
+from repro.consensus.validators import quorum_structure_ok
 from repro.errors import MarketError, ReproError
 from repro.market.order import SignedDealOrder, order_message
 
@@ -90,7 +90,7 @@ class StepMempool:
         chain: "Chain",
         wallet: "Wallet",
         ledger: OrderLedger,
-        verify: Callable[[list, Callable[[bool], None]], None],
+        verify: Callable[[list, Callable[[list], None]], None],
         max_txs_per_block: int = 512,
         on_order_rejected: Callable[[bytes], None] | None = None,
         telemetry=None,
@@ -102,12 +102,12 @@ class StepMempool:
         self.chain = chain
         self.wallet = wallet
         self.ledger = ledger
-        # ``verify(items, settle)`` checks one sealed block's merged
-        # signature batch and calls ``settle(ok)`` within this same
-        # simulated instant.  The market binds it to the shared
-        # VerifyAggregator, which merges the batch with every other
-        # block sealing at the same boundary (one multi-exp for the
-        # whole market instant).
+        # ``verify(groups, settle)`` checks one sealed block's
+        # signature groups (one per order) and calls
+        # ``settle(verdicts)`` within this same simulated instant.  The
+        # market binds it to the shared VerifyAggregator, which merges
+        # them with every other block sealing at the same boundary (one
+        # multi-exp for the whole market instant).
         self.verify = verify
         self.max_txs_per_block = max_txs_per_block
         self.on_order_rejected = on_order_rejected
@@ -239,14 +239,16 @@ class StepMempool:
     ) -> None:
         """Verify every order newly referenced in this seal batch.
 
-        Structural rejections happen immediately; the block's merged
-        Schnorr batch goes to ``self.verify`` (the market's shared
-        :class:`VerifyAggregator`, so every block sealing at this
-        boundary shares a single multi-exponentiation).  The verdict
-        lands — and the sealed steps flow to the chain — at this same
-        simulated instant, strictly before the next block executes.
+        Structural rejections happen immediately; every sound order's
+        signatures form one group, and the block's groups go to
+        ``self.verify`` (the market's shared :class:`VerifyAggregator`,
+        so every block sealing at this boundary shares a single
+        multi-exponentiation).  The verdicts land — and the sealed
+        steps flow to the chain — at this same simulated instant,
+        strictly before the next block executes.
         """
-        sound: list[tuple[SignedDealOrder, tuple, bytes]] = []
+        sound: list[SignedDealOrder] = []
+        groups: list[list] = []
         for order in orders:
             keys = self._expected_keys(order)
             if keys is None or not quorum_structure_ok(
@@ -254,33 +256,22 @@ class StepMempool:
             ):
                 self._reject(order)
                 continue
-            sound.append(
-                (order, keys, order_message(order.deal_id, order.fee_bid))
+            message = order_message(order.deal_id, order.fee_bid)
+            sound.append(order)
+            groups.append(
+                [(entry.public_key, message, entry.signature)
+                 for entry in order.signatures]
             )
         if not sound:
             self._dispatch(batch)
             return
-        # Whole-block fast path: one merged Schnorr batch for every
-        # order sealing in this block.
-        merged = []
-        for order, _, message in sound:
-            for entry in order.signatures:
-                merged.append((entry.public_key, message, entry.signature))
 
-        def settle(ok: bool) -> None:
-            if ok:
-                for order, _, _ in sound:
-                    self._record(order, True)
-            else:
-                # Some order in the block is forged: isolate per order.
-                for order, keys, message in sound:
-                    self._record(
-                        order,
-                        batch_verify_quorum(keys, len(keys), message, order.signatures),
-                    )
+        def settle(verdicts: list[bool]) -> None:
+            for order, ok in zip(sound, verdicts):
+                self._record(order, ok)
             self._dispatch(batch)
 
-        self.verify(merged, settle)
+        self.verify(groups, settle)
 
     def _expected_keys(self, order: SignedDealOrder):
         try:

@@ -5,9 +5,11 @@ with one signature per party over the order manifest
 (:func:`order_message`).  The signatures reuse the
 :class:`~repro.consensus.validators.QuorumSignature` shape so an order
 is literally a quorum certificate with ``quorum = n`` — the mempool
-verifies it with :func:`repro.consensus.validators.batch_verify_quorum`
-at block-seal time, and every later step a party submits for the deal
-(escrow, transfer, vote) derives its authority from that one check.
+checks its structure at block-seal time and hands its signatures, one
+group among the block's, to the market's merged
+:func:`repro.crypto.schnorr.batch_verify_many`, and every later step a
+party submits for the deal (escrow, transfer, vote) derives its
+authority from that one check.
 
 Adversarial knobs live on the order because the market's workload
 generator plays the parties: ``withhold_votes`` lists parties that will

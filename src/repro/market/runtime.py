@@ -28,9 +28,10 @@ all messages for tick *t* are delivered before anything advances past
 
 Signature verification is not a message plane.  In the paper a check
 is contract work of the chain that executes the step (§7), so each
-mempool hands its sealed block's batch straight to the market's one
+mempool hands its sealed block's signature groups (one per order)
+straight to the market's one
 :class:`~repro.consensus.validators.VerifyAggregator`, tagged with the
-owner shard; the verdict lands in a flush later in the same simulated
+owner shard; the verdicts land in a flush later in the same simulated
 instant.  ``VerifyAggregator.verify_many`` is the single seam an
 execution backend (:mod:`repro.market.backends`) may replace.
 
@@ -82,9 +83,6 @@ COMMIT_LOG_CONTRACT = "market-commitlog"
 
 # Byzantine tolerance of each shard's CBC (3f+1 validators).
 _CBC_F = 1
-# Block batches one VerifyAggregator flush folds into a single
-# multi-exponentiation.
-_VERIFY_MAX_BLOCKS = 8
 # Δ of the dedicated replication network (delta shipping + acks), and
 # the detection delay before a crashed leader's shard fails over.
 _REPLICATION_DELTA = 0.4
@@ -193,14 +191,13 @@ class MarketCoordinator:
         }
         self.stats = {"timelock_refund_sweeps": 0, "stale_proofs_rejected": 0}
         # One verify aggregator for the whole market: every mempool
-        # sealing at a boundary contributes its block's signature batch
+        # sealing at a boundary contributes its block's signature groups
         # and the flush — later in the same simulated instant — pays a
         # single merged multi-exponentiation for all of them.
         self.verify_aggregator = VerifyAggregator(
             schedule=lambda callback: self.simulator.schedule_at(
                 self.simulator.now, callback, label="market/verify-flush"
-            ),
-            max_blocks=_VERIFY_MAX_BLOCKS,
+            )
         )
         self.verify_aggregator.telemetry = self.telemetry
         # The processes backend's verify pool (None inline), plugged

@@ -6,7 +6,7 @@ from repro.chain.contracts import CallContext, _TxJournal
 from repro.chain.gas import GasMeter
 from repro.chain.ledger import Chain
 from repro.consensus.bft import CertifiedBlockchain, DealStatus, LogEntry
-from repro.consensus.validators import ValidatorSet
+from repro.consensus.validators import ValidatorSet, batch_verify_quorum
 from repro.core.proofs import StatusProof, verify_status_proof
 from repro.crypto import schnorr
 from repro.crypto.keys import KeyPair, Wallet
@@ -206,7 +206,10 @@ def test_a_decided_deal_is_certified_once(setup, monkeypatch):
     assert certificate is not None
     assert all(cbc.status_certificate(DEAL) is certificate for _ in range(5))
     assert len(signatures) == cbc.validators.quorum  # 2f+1 for six requests
-    assert cbc.validators.batch_verify(signatures[0], certificate.signatures)
+    assert batch_verify_quorum(
+        cbc.validators.public_keys(), cbc.validators.quorum,
+        signatures[0], certificate.signatures,
+    )
 
 
 def test_a_reconfiguration_after_the_decision_is_a_new_certificate(setup):

@@ -9,26 +9,32 @@ def make_certificate(f=1, message=b"a quorum statement"):
     return validators, validators.quorum_sign(message)
 
 
+def check(validators, message, signatures):
+    return batch_verify_quorum(
+        validators.public_keys(), validators.quorum, message, signatures
+    )
+
+
 def test_valid_certificate_batch_verifies():
     validators, signatures = make_certificate()
     clear_verification_caches()
-    assert validators.batch_verify(b"a quorum statement", signatures)
+    assert check(validators, b"a quorum statement", signatures)
 
 
 def test_batch_rejects_wrong_message():
     validators, signatures = make_certificate()
-    assert not validators.batch_verify(b"another statement", signatures)
+    assert not check(validators, b"another statement", signatures)
 
 
 def test_batch_rejects_sub_quorum():
     validators, signatures = make_certificate()
-    assert not validators.batch_verify(b"a quorum statement", signatures[:-1])
+    assert not check(validators, b"a quorum statement", signatures[:-1])
 
 
 def test_batch_rejects_duplicate_signer():
     validators, signatures = make_certificate()
     padded = signatures[:-1] + (signatures[0],)
-    assert not validators.batch_verify(b"a quorum statement", padded)
+    assert not check(validators, b"a quorum statement", padded)
 
 
 def test_batch_rejects_outsider_signer():
@@ -36,9 +42,7 @@ def test_batch_rejects_outsider_signer():
     outsiders = ValidatorSet.generate(1, seed="batch-outsiders")
     foreign = outsiders.quorum_sign(b"a quorum statement")
     mixed = signatures[:-1] + (foreign[0],)
-    assert not batch_verify_quorum(
-        validators.public_keys(), validators.quorum, b"a quorum statement", mixed
-    )
+    assert not check(validators, b"a quorum statement", mixed)
 
 
 def test_batch_rejects_one_tampered_signature():
@@ -47,6 +51,4 @@ def test_batch_rejects_one_tampered_signature():
     # spliced into an otherwise valid certificate.
     other = validators.quorum_sign(b"something else")
     mixed = signatures[:-1] + (other[-1],)
-    assert not batch_verify_quorum(
-        validators.public_keys(), validators.quorum, b"signed", mixed
-    )
+    assert not check(validators, b"signed", mixed)

@@ -1,11 +1,12 @@
 """Tests for Schnorr batch verification (§9 signature combining)."""
 
-from repro.crypto.fastexp import P, Q, generator_pow
+from repro.crypto.fastexp import P, Q, generator_pow, multi_pow
 from repro.crypto.schnorr import (
     PublicKey,
     Signature,
     _challenge,
     batch_verify,
+    cache_stats,
     clear_verification_caches,
     generate_keypair,
     sign,
@@ -78,16 +79,24 @@ def test_batch_agrees_with_individual_verification():
 # ----------------------------------------------------------------------
 # batch_verify_many: the cross-block merge primitive
 # ----------------------------------------------------------------------
-def test_many_all_valid_batches_verify_in_one_merge():
-    from repro.crypto.schnorr import batch_verify_many, cache_stats, clear_verification_caches
+def test_many_all_valid_batches_verify_in_one_merge(monkeypatch):
+    from repro.crypto import schnorr
+    from repro.crypto.schnorr import batch_verify_many, clear_verification_caches
 
     batches = [make_items(3), make_items(4), make_items(2)]
     clear_verification_caches()
+    calls = []
+    monkeypatch.setattr(
+        schnorr, "multi_pow",
+        lambda pairs, modulus: calls.append(len(pairs)) or multi_pow(pairs, modulus),
+    )
     assert batch_verify_many(batches) == [True, True, True]
-    # The merged pass seeds each constituent batch's transcript cache.
-    hits = cache_stats()["batch_hits"]
+    assert calls == [2 * 9]  # one combination: a commitment and a key each
+    # The merged pass certified every member, so nothing is left to
+    # combine for a constituent batch — or to exponentiate for a member.
     assert all(batch_verify(batch) for batch in batches)
-    assert cache_stats()["batch_hits"] == hits + len(batches)
+    assert all(verify(*item) for batch in batches for item in batch)
+    assert calls == [2 * 9] and cache_stats()["verify_misses"] == 0
 
 
 def test_many_verdicts_match_per_batch_verification():

@@ -10,11 +10,10 @@ from repro.crypto.schnorr import (
     PublicKey,
     Signature,
     generate_keypair,
-    require_valid,
     sign,
     verify,
 )
-from repro.errors import CryptoError, SignatureError
+from repro.errors import CryptoError
 
 
 def test_group_parameters_are_sound():
@@ -107,14 +106,6 @@ def test_public_key_range_enforced():
         PublicKey(1)
     with pytest.raises(CryptoError):
         PublicKey(P)
-
-
-def test_require_valid_raises_on_bad_signature():
-    private, public = generate_keypair(b"signer")
-    signature = sign(private, b"msg")
-    require_valid(public, b"msg", signature)  # no raise
-    with pytest.raises(SignatureError):
-        require_valid(public, b"other", signature)
 
 
 def test_signature_serialization_is_fixed_width():

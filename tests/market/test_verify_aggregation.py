@@ -1,23 +1,24 @@
 """Tests for cross-block verify aggregation (PR 4).
 
-The market's mempools enqueue each sealing block's merged signature
-batch into one shared :class:`VerifyAggregator`, which flushes later
-in the same simulated instant.  These tests pin the three contracted
-properties: batches from blocks sealing at one boundary really merge
-into a single check, forged orders are still rejected at their sealing
-instant (the fallback isolates them) — message chaos included, since
-no bus hop sits between a seal and its check — and every observable
-byte of a market run (fingerprint, render, per-deal outcomes) is
-identical whether a flush is one merged check or each batch is
-verified alone.
+The market's mempools enqueue each sealing block's signature groups
+(one per order) into one shared :class:`VerifyAggregator`, which
+flushes later in the same simulated instant.  These tests pin the
+three contracted properties: groups from blocks sealing at one boundary
+really merge into a single check, forged orders are still rejected at
+their sealing instant (``batch_verify_many`` isolates them, once, per
+order) — message chaos included, since no bus hop sits between a seal
+and its check — and every observable byte of a market run (fingerprint,
+render, per-deal outcomes) is identical whether a flush is one merged
+check or each group is verified alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from market_test_utils import HandWorkload, run_hand, two_party_swap
+from market_test_utils import HandWorkload, on_shard, run_hand, two_party_swap
 from repro.consensus.validators import VerifyAggregator
+from repro.crypto import schnorr
 from repro.crypto.schnorr import batch_verify, generate_keypair, sign
 from repro.market import DealPhase, MarketConfig, MarketCoordinator
 from repro.sim.chaos import ChaosPlan, ChaosPolicy
@@ -32,15 +33,15 @@ def _config(**overrides) -> MarketConfig:
 
 
 def _run(workload, config, merged: bool):
-    """Run one market; ``merged=False`` verifies every batch alone.
+    """Run one market; ``merged=False`` verifies every group alone.
 
-    The reference swaps the aggregator's hook: per-batch arithmetic
+    The reference swaps the aggregator's hook: per-order arithmetic
     in place of the merged multi-exponentiation.
     """
     market = MarketCoordinator(workload, config)
     if not merged:
-        market.verify_aggregator.verify_many = lambda batches: [
-            batch_verify(items) for _, items in batches
+        market.verify_aggregator.verify_many = lambda owned: [
+            batch_verify(group) for _, group in owned
         ]
     return market.run()
 
@@ -61,27 +62,77 @@ def test_same_boundary_blocks_merge_into_one_flush():
 
     # Force a genuinely cross-chain merge: registrations go to the
     # coordinator mempool, so exercise the aggregator directly with
-    # two block batches enqueued at one instant.
+    # two blocks' groups enqueued at one instant.
     sim = Simulator()
-    aggregator = VerifyAggregator(
-        schedule=lambda cb: sim.schedule_at(sim.now, cb), max_blocks=8
-    )
-    batches = []
+    aggregator = VerifyAggregator(schedule=lambda cb: sim.schedule_at(sim.now, cb))
+    blocks = []
     for block in range(2):
-        items = []
+        groups = []
         for i in range(3):
             private, public = generate_keypair(f"agg-{block}-{i}".encode())
             message = f"block{block} msg{i}".encode()
-            items.append((public, message, sign(private, message)))
-        batches.append(items)
+            groups.append([(public, message, sign(private, message))])
+        blocks.append(groups)
     verdicts = []
-    sim.schedule_at(0.0, lambda: aggregator.enqueue(batches[0], verdicts.append))
-    sim.schedule_at(0.0, lambda: aggregator.enqueue(batches[1], verdicts.append))
+    sim.schedule_at(0.0, lambda: aggregator.enqueue(blocks[0], verdicts.append))
+    sim.schedule_at(0.0, lambda: aggregator.enqueue(blocks[1][:2], verdicts.append))
     sim.run()
-    assert verdicts == [True, True]
+    assert verdicts == [[True, True, True], [True, True]]
+    assert aggregator.stats["batches"] == 2
     assert aggregator.stats["flushes"] == 1
     assert aggregator.stats["merged_flushes"] == 1
     assert aggregator.stats["merged_batches"] == 2
+    assert aggregator.stats["isolation_fallbacks"] == 0
+
+
+def test_one_forged_order_in_a_two_shard_boundary_is_isolated_once_per_order(
+    monkeypatch,
+):
+    # Two shards seal at one boundary; one of the n + 1 orders is
+    # forged.  The flush pays the merged check, then one combined check
+    # per order — no per-block round in between — and only the forged
+    # order is refused.
+    sound = 4
+
+    def orders(wl):
+        return [
+            on_shard(
+                lambda salt, index=index: two_party_swap(
+                    wl, index=index, arrival=0.2, a=index % 4,
+                    b=(index + 1) % 4, salt=salt,
+                    forge=frozenset({wl.labels[index % 4]} if index == sound else ()),
+                ),
+                target_shard=index % 2, shards=2,
+            )
+            for index in range(sound + 1)
+        ]
+
+    market = MarketCoordinator(HandWorkload(orders, shards=2), _config())
+    schnorr.clear_verification_caches()  # earlier tests sign the same orders
+    checks = []
+    combined_check = schnorr._combined_check
+    monkeypatch.setattr(
+        schnorr, "_combined_check",
+        lambda items: checks.append(len(items)) or combined_check(items),
+    )
+    flushes = []
+    verify_many = market.verify_aggregator.verify_many
+
+    def counting(owned):
+        before = len(checks)
+        verdicts = verify_many(owned)
+        flushes.append((len(owned), len(checks) - before, verdicts.count(False)))
+        return verdicts
+
+    market.verify_aggregator.verify_many = counting
+    report = market.run()
+    assert flushes == [(sound + 1, 1 + sound + 1, 1)]
+    assert report.committed == sound and report.rejected == 1
+    refused = [run for run in market.runs.values() if run.phase is DealPhase.REJECTED]
+    assert [run.reason for run in refused] == ["forged"]
+    stats = dict(report.verify_stats)
+    assert stats["batches"] == 2 and stats["merged_flushes"] == 1
+    assert stats["isolation_fallbacks"] == 1
 
 
 def test_forged_order_rejected_at_sealing_instant_with_aggregation():

@@ -1,8 +1,10 @@
 """Property-based tests for the cryptographic primitives."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import schnorr
 from repro.crypto.hashing import bytes_to_int, hash_concat, int_to_bytes
 from repro.crypto.keys import KeyPair, Wallet
 from repro.crypto.merkle import MerkleTree
@@ -191,6 +193,7 @@ from repro.crypto.schnorr import (  # noqa: E402
     Signature,
     _challenge,
     batch_verify,
+    batch_verify_many,
     cache_stats,
     clear_verification_caches,
     prefetch_verdicts,
@@ -256,8 +259,24 @@ def test_prefetch_verdicts_changes_no_verdict_and_no_verify_counter(specs):
     assert (after["verify_hits"], after["verify_misses"]) == (
         before["verify_hits"], before["verify_misses"]
     )
+    assert batch_verify_many(batches) == cold_batch  # on the prefetch-warmed cache
     assert [verify(*triple) for batch in batches for triple in batch] == cold_single
     assert [batch_verify(batch) for batch in batches] == cold_batch
+
+    # Once every member holds its own verdict — True or False — the
+    # batched check has nothing left to combine: no group is refused or
+    # accepted by exponentiation a second time.
+    clear_verification_caches()
+    assert batch_verify_many(batches) == cold_batch  # cold, merged
+    clear_verification_caches()
+    for batch in batches:
+        for triple in batch:
+            verify(*triple)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schnorr, "multi_pow", lambda *args: calls.append(args))
+        assert batch_verify_many(batches) == cold_batch
+    assert calls == []
 
 
 @given(

@@ -121,12 +121,12 @@ def test_sharded_run_is_deterministic_and_aggregation_invariant():
     assert first.fingerprint() == second.fingerprint()
     assert first.render() == second.render()
     assert first.verify_stats == second.verify_stats
-    # Verifying every batch alone instead of merged may change
+    # Verifying every order's group alone instead of merged may change
     # wall-clock work but never a single observable byte of the
     # sharded run.
     market = MarketCoordinator(MarketWorkload(profile))
-    market.verify_aggregator.verify_many = lambda batches: [
-        batch_verify(items) for _, items in batches
+    market.verify_aggregator.verify_many = lambda owned: [
+        batch_verify(group) for _, group in owned
     ]
     plain = market.run()
     assert plain.fingerprint() == first.fingerprint()

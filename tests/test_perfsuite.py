@@ -40,6 +40,13 @@ for _size in MULTI_POW_SIZES:
     })
 
 
+def _cache_keys() -> set:
+    """What the writer's ``caches`` block carries: every live counter."""
+    from repro.crypto import fastexp, schnorr
+
+    return set({**schnorr.cache_stats(), **fastexp.cache_stats()})
+
+
 def test_perfsuite_quick_smoke(tmp_path):
     output = tmp_path / "BENCH_crypto.json"
     assert perfsuite.main(["--quick", "--output", str(output)]) == 0
@@ -48,6 +55,7 @@ def test_perfsuite_quick_smoke(tmp_path):
     assert report["quick"] is True
     metrics = report["metrics"]
     assert set(metrics) == EXPECTED_METRICS
+    assert set(report["caches"]) == _cache_keys()
     assert all(value > 0 for value in metrics.values())
     # The engine must beat the seed implementation on its hot paths.
     # (Thresholds are intentionally far below the measured ~10x/~25x so
@@ -69,6 +77,7 @@ def test_committed_record_matches_the_writer(name):
     assert report["schema"] == perfsuite.SCHEMA
     assert report["quick"] is (name == "BENCH_crypto_quick.json")
     assert set(report["metrics"]) == EXPECTED_METRICS
+    assert set(report["caches"]) == _cache_keys()
 
 
 def test_v1_multi_pow_replica_agrees_with_engine():
