@@ -9,7 +9,14 @@ A chain is an actor on the simulator.  Life of a transaction:
 3. at the boundary, the signatures the pending transactions declare
    (:meth:`Contract.signature_claims`) are batch-verified in one merged
    check, then all pending transactions execute in arrival order, each
-   inside its own journal (revert on ``require`` failure);
+   inside its own journal (revert on ``require`` failure).  The merged
+   check spans the simulator's instant, not just this chain: every
+   block producer files itself under the boundary it schedules
+   (:func:`schedule_boundary` — chains and the CBC log alike), and the
+   first to run at an instant takes the whole list and verifies the
+   claims of every producer due there at once (:func:`prefetch_due`);
+   a producer that runs later at the same instant prefetches only what
+   arrived after that look-ahead;
 4. the block, with receipts and events, is pushed to every subscriber
    with the subscriber's propagation delay.
 
@@ -18,8 +25,9 @@ The pre-verification in step 3 cannot change a receipt: it only fills
 verify (a merged check passes exactly when each member would alone:
 both compare up to sign), execution still calls and charges every
 verification itself, and a cached verdict is keyed on the full (key,
-message, signature) triple — a bad, undeclared, skipped or raising
-claim meets a cold check.
+message, signature) triple — a bad, undeclared, skipped, malformed or
+raising claim meets a cold check.  Reading a peer's claims ahead is
+reading what it would read itself: none of its blocks runs in between.
 
 So the paper's Δ — "the time needed to change any blockchain's state
 in a way observable by all parties" — is bounded here by
@@ -29,6 +37,7 @@ timing benchmarks (Figure 7) measure it rather than assume it.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 from repro.chain.block import Block
@@ -37,7 +46,7 @@ from repro.chain.gas import GasMeter, GasSchedule
 from repro.chain.tx import Receipt, Transaction, TxStatus
 from repro.crypto.hashing import tagged_hash
 from repro.crypto.keys import Wallet
-from repro.crypto.schnorr import prefetch_verdicts
+from repro.crypto.schnorr import PublicKey, Signature, prefetch_verdicts
 from repro.errors import ChainError, ContractError, UnknownContractError
 from repro.sim.simulator import Simulator
 
@@ -71,6 +80,51 @@ def digest_state(state: dict[str, dict[str, dict]]) -> bytes:
                     f"{contract_name}/{storage_name}/{key!r}={data[key]!r}"
                 )
     return tagged_hash("repro/state", "\n".join(lines).encode("utf-8"))
+
+
+# A producer's pending signature claims: one list of (key, message,
+# signature) triples per pending transaction or log entry.
+PendingClaims = Callable[[], list]
+
+# simulator -> {boundary instant -> the pending-claims readers of every
+# block producer scheduled there}; step 3 of the module docstring.
+_DUE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def schedule_boundary(
+    simulator: Simulator,
+    interval: float,
+    produce: Callable[[], None],
+    claims: PendingClaims,
+    label: str,
+) -> None:
+    """Schedule ``produce`` at the next multiple of ``interval`` on the
+    global clock grid and file ``claims`` as due at that instant."""
+    boundary = (int(simulator.now / interval) + 1) * interval
+    handle = simulator.schedule_at(boundary, produce, label=label)
+    # Filed under the event's own time, which is what ``now`` will read.
+    _DUE.setdefault(simulator, {}).setdefault(handle.time, []).append(claims)
+
+
+def prefetch_due(simulator: Simulator, claims: PendingClaims) -> None:
+    """Certify the claims of every producer due now, in one merged check.
+
+    The first producer to run at an instant takes the instant's whole
+    list; a later one finds it gone and prefetches its own ``claims``,
+    whose certified members :func:`prefetch_verdicts` drops.
+    """
+    boundaries = _DUE.get(simulator, {})
+    due = boundaries.pop(simulator.now, None) or [claims]
+    if not boundaries:
+        _DUE.pop(simulator, None)
+    prefetch_verdicts([group for pending in due for group in pending()])
+
+
+def _well_formed(claim) -> bool:
+    match claim:
+        case (PublicKey(), bytes(), Signature()):
+            return True
+    return False
 
 
 class Chain:
@@ -186,18 +240,19 @@ class Chain:
         if self._block_scheduled:
             return
         self._block_scheduled = True
-        # Next block boundary on the global clock grid.
-        now = self.simulator.now
-        next_boundary = (int(now / self.block_interval) + 1) * self.block_interval
-        self.simulator.schedule_at(
-            next_boundary, self._produce_block, label=f"{self.chain_id}/block"
+        schedule_boundary(
+            self.simulator,
+            self.block_interval,
+            self._produce_block,
+            self._pending_claims,
+            f"{self.chain_id}/block",
         )
 
     def _produce_block(self) -> None:
         self._block_scheduled = False
+        prefetch_due(self.simulator, self._pending_claims)
         pending, self._mempool = self._mempool, []
         height = self.height + 1
-        prefetch_verdicts([self._signature_claims(tx) for tx in pending])
         receipts = [self._execute(tx, height) for tx in pending]
         block = Block.build(
             self.chain_id,
@@ -218,11 +273,22 @@ class Chain:
         if self._mempool:
             self._ensure_block_scheduled()
 
+    def _pending_claims(self) -> list:
+        return [self._signature_claims(tx) for tx in self._mempool]
+
     def _signature_claims(self, tx: Transaction) -> list:
+        """The well-formed triples ``tx``'s contract declares: a claim is
+        a hint, and malformed arguments are the method's to refuse."""
         contract = self._contracts.get(tx.contract)
+        if contract is None:
+            return []
         try:
-            return contract.signature_claims(tx.method, tx.args) if contract else []
-        except Exception:  # malformed arguments are the method's to refuse
+            return [
+                claim
+                for claim in contract.signature_claims(tx.method, tx.args)
+                if _well_formed(claim)
+            ]
+        except Exception:
             return []
 
     def _execute(self, tx: Transaction, height: int) -> Receipt:

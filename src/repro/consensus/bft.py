@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from repro.chain.ledger import prefetch_due, schedule_boundary
 from repro.consensus.validators import (
     HandoverCertificate,
     QuorumSignature,
@@ -249,6 +250,11 @@ class CertifiedBlockchain:
         to block production, where every entry that arrived during the
         block interval is verified in **one** batched Schnorr check
         (each entry its own group, so a bad vote drops only itself).
+        That check is usually answered by standing verdicts: the log
+        files its entries' signatures as claims under the boundary it
+        schedules, so they join the one merged prefetch of every chain
+        due at the same instant (:func:`repro.chain.ledger.prefetch_due`),
+        which certifies only signatures that verify.
         Acceptance is only ever observable through the produced blocks,
         so the deferral changes no behavior — a bad-signature entry is still
         never recorded, and blocks exist at exactly the heights and
@@ -277,17 +283,30 @@ class CertifiedBlockchain:
         )
         return [entry for entry, ok in zip(known, verdicts) if ok]
 
+    def _pending_claims(self) -> list:
+        """One singleton claim per pending entry from a known party."""
+        return [
+            [(self.wallet.public_key(entry.party), entry.message(), entry.signature)]
+            for _, entry in self._pending
+            if self.wallet.knows(entry.party)
+        ]
+
     def _ensure_block_scheduled(self) -> None:
         if self._block_scheduled:
             return
         self._block_scheduled = True
-        now = self.simulator.now
-        next_boundary = (int(now / self.block_interval) + 1) * self.block_interval
-        self.simulator.schedule_at(next_boundary, self._produce_block, label="cbc/block")
+        schedule_boundary(
+            self.simulator,
+            self.block_interval,
+            self._produce_block,
+            self._pending_claims,
+            "cbc/block",
+        )
 
     def _produce_block(self) -> None:
         self._block_scheduled = False
         now = self.simulator.now
+        prefetch_due(self.simulator, self._pending_claims)
         pending, self._pending = self._pending, []
         # Eager-scheduling replay: this block exists iff a validly
         # signed entry arrived *before* the boundary (only such an

@@ -39,12 +39,13 @@ hits.  There is also one batched check, :func:`batch_verify_many`
 it reads that store — a group of certified members is ``True``, a
 member already refused makes its group ``False`` — and writes it, a
 passing combination certifying each member, and it is the only place a
-forgery among merged groups is isolated.  A chain fills the store a
-block at a time the same way: the signatures its pending transactions
-declare go through one merged check before the block executes
-(:func:`prefetch_verdicts`), so the contracts' one-by-one :func:`verify`
-calls are hits as well — only a verdict that *was* computed is ever
-stored, and only ``True`` ahead of the call that asks.  None of this
+forgery among merged groups is isolated.  Block production fills the
+store an instant at a time the same way: the signatures that every block
+due at one simulated instant declares go through one merged check
+before the first of them executes (:func:`prefetch_verdicts`), so the
+contracts' one-by-one :func:`verify` calls are hits as well — only a
+verdict that *was* computed is ever stored, and only ``True`` ahead of
+the call that asks.  None of this
 changes a single signature byte, and a cached verdict can never accept
 a tampered input: any change to the key, message, or signature is a
 different cache key.
@@ -373,13 +374,15 @@ def batch_verify(items: list[tuple[PublicKey, bytes, Signature]]) -> bool:
 def prefetch_verdicts(
     batches: list[list[tuple[PublicKey, bytes, Signature]]],
 ) -> None:
-    """Certify a sealed block's signature claims ahead of its execution.
+    """Certify the signature claims of sealed blocks ahead of execution.
 
-    ``batches`` holds one list of claimed triples per transaction.
-    Triples that already have a verdict, or that an earlier transaction
-    of the block claimed too, are dropped; if at least two remain they
-    go through :func:`batch_verify_many` — one merged check, isolation
-    per transaction if it fails, members certified only on success.
+    ``batches`` holds one list of claimed triples per transaction or
+    CBC log entry — of one block, or of every block producer due at the
+    same instant (:func:`repro.chain.ledger.prefetch_due`), so a forgery
+    is isolated among all of them.  Triples that already have a verdict,
+    or that an earlier batch claimed too, are dropped; if at least two
+    remain they go through :func:`batch_verify_many` — one merged check,
+    isolation per batch if it fails, members certified only on success.
     Returns nothing and counts no hit or miss: the contracts still call
     :func:`verify` / :func:`batch_verify` for every signature, and a
     claim that was not certified here is simply checked there, cold.

@@ -1,7 +1,8 @@
 """Block production batch-verifies declared signatures before executing.
 
-``Chain._produce_block`` hands every pending transaction's
-``Contract.signature_claims`` to ``schnorr.prefetch_verdicts``.  These
+The first block producer to run at an instant hands the pending
+``Contract.signature_claims`` of every chain due there — and the CBC
+log's entries — to one ``schnorr.prefetch_verdicts`` call.  These
 tests pin what that step may and may not do, with a toy contract whose
 one method verifies one raw signature: it saves exponentiations, it
 never saves a check, and there is no switch — the comparison twin is
@@ -10,9 +11,12 @@ never saves a check, and there is no switch — the comparison twin is
 
 import pytest
 
+from repro.chain import ledger
 from repro.chain.contracts import Contract
 from repro.chain.ledger import Chain
 from repro.chain.tx import Transaction
+from repro.consensus.bft import CertifiedBlockchain, LogEntry
+from repro.consensus.validators import ValidatorSet
 from repro.crypto import schnorr
 from repro.crypto.fastexp import P, Q, generator_pow
 from repro.crypto.hashing import bytes_to_int, tagged_hash
@@ -41,7 +45,7 @@ class Notary(Contract):
         return True
 
 
-SIGNERS = [KeyPair.from_label(f"notary-signer-{i}") for i in range(4)]
+SIGNERS = [KeyPair.from_label(f"notary-signer-{i}") for i in range(5)]
 
 
 def attestation(index: int, presented: bytes | None = None, **extra) -> Transaction:
@@ -202,13 +206,121 @@ def test_a_sign_flipped_commitment_has_one_verdict_in_a_block_and_alone(world):
 
 
 def test_a_hook_that_raises_claims_nothing(world):
-    class Clumsy(Notary):
+    """Nor does one that returns a malformed claim: a claim is a hint."""
+    class Raising(Notary):
         def signature_claims(self, method, args):
             raise KeyError("malformed")
 
+    class Malformed(Notary):
+        def signature_claims(self, method, args):
+            return [(args["public_key"], args["message"], "not a signature")]
+
     simulator, chain = world
-    chain.publish(Clumsy("clumsy"))
+    chain.publish(Raising("raising"))
+    chain.publish(Malformed("malformed"))
+    clumsy = [
+        Transaction(tx.sender, name, tx.method, tx.args)
+        for name, tx in (("raising", attestation(0)), ("malformed", attestation(3)))
+    ]
+    receipts = seal(simulator, chain, clumsy + [attestation(1), attestation(2)])
+    assert [r.ok for r in receipts] == [True, True, True, True]
+
+
+# ----------------------------------------------------------------------
+# Every producer due at one instant shares one merged check
+# ----------------------------------------------------------------------
+def notaries(simulator, *intervals):
+    """One notary chain per block interval, all on ``simulator``."""
+    schnorr.clear_verification_caches()
+    chains = []
+    for index, interval in enumerate(intervals):
+        chain = Chain(f"notary-{index}", simulator, Wallet(), block_interval=interval)
+        chain.publish(Notary("notary"))
+        chains.append(chain)
+    return chains
+
+
+def seal_one_each(txs):
+    """Three chains on one simulator, ``txs[i]`` submitted to the i-th."""
+    simulator = Simulator()
+    chains = notaries(simulator, 1.0, 1.0, 1.0)
+    for chain, tx in zip(chains, txs):
+        chain.submit(tx)
+    simulator.run()
+    return [chain.receipt_for(tx.tx_id) for chain, tx in zip(chains, txs)]
+
+
+def test_three_chains_due_at_one_boundary_share_one_multi_exp(exponentiations):
+    receipts = seal_one_each([attestation(i) for i in range(3)])
+    assert all(r.ok and r.gas.sig_verify == 1 for r in receipts)
+    # Each block alone holds one fresh signature, not worth a multi-exp:
+    # three cold pows where the boundary now pays one merged check.
+    assert exponentiations == {"multi_pow": 1, "base_pow": 0}
+
+
+def test_a_forged_claim_on_one_chain_reverts_only_its_own_transaction(exponentiations):
+    receipts = seal_one_each(
+        [attestation(0), attestation(1, presented=b"not what was signed"), attestation(2)]
+    )
+    assert [r.ok for r in receipts] == [True, False, True]
+    assert receipts[1].error == "bad attestation" and receipts[1].gas.sig_verify == 1
+    # Isolation certified the other chains' claims; only the forgery met
+    # a cold check, on its own chain.
+    assert exponentiations["base_pow"] == 1
+
+
+def test_chains_merge_only_at_the_boundaries_they_share(exponentiations, monkeypatch):
+    simulator = Simulator()
+    every_second, every_three_halves = notaries(simulator, 1.0, 1.5)
+    merged_at = []
+    counted = schnorr.multi_pow
+    monkeypatch.setattr(
+        schnorr, "multi_pow", lambda *args: merged_at.append(simulator.now) or counted(*args)
+    )
+    # Blocks at 1.0, 2.0, 3.0 on one chain and 1.5, 3.0 on the other,
+    # one fresh attestation each.
+    for at, chain, index in ((0.5, every_second, 0), (1.5, every_second, 1),
+                             (2.5, every_second, 2), (0.5, every_three_halves, 3),
+                             (2.0, every_three_halves, 4)):
+        simulator.schedule_at(at, lambda chain=chain, tx=attestation(index): chain.submit(tx))
+    simulator.run(until=2.5)
+    due = ledger._DUE[simulator]
+    assert list(due) == [3.0] and len(due[3.0]) == 2
+    simulator.run()
+    assert [chain.height for chain in (every_second, every_three_halves)] == [3, 2]
+    assert merged_at == [3.0]
+    assert exponentiations == {"multi_pow": 1, "base_pow": 3}
+    assert simulator not in ledger._DUE
+
+
+def test_a_cbc_log_entry_joins_the_boundary_it_shares_with_a_chain(
+    exponentiations, monkeypatch
+):
+    simulator = Simulator()
+    (chain,) = notaries(simulator, 1.0)
+    voter = SIGNERS[4]
+    wallet = Wallet()
+    wallet.register(voter)
+    cbc = CertifiedBlockchain(simulator, ValidatorSet.generate(1), wallet)
+    unsigned = LogEntry(kind="startDeal", deal_id=b"d" * 32, party=voter.address,
+                        plist=(voter.address,))
+    entry = LogEntry(kind="startDeal", deal_id=b"d" * 32, party=voter.address,
+                     plist=(voter.address,), signature=voter.sign(unsigned.message()))
+    inside = []
+    verify_pending = CertifiedBlockchain._verify_pending
+
+    def counted(self, entries):
+        before = exponentiations["multi_pow"]
+        accepted = verify_pending(self, entries)
+        inside.append(exponentiations["multi_pow"] - before)
+        return accepted
+
+    monkeypatch.setattr(CertifiedBlockchain, "_verify_pending", counted)
     tx = attestation(0)
-    clumsy = Transaction(tx.sender, "clumsy", tx.method, tx.args)
-    receipts = seal(simulator, chain, [clumsy, attestation(1), attestation(2)])
-    assert [r.ok for r in receipts] == [True, True, True]
+    cbc.submit(entry)
+    chain.submit(tx)
+    simulator.run()
+    assert cbc.blocks[-1].entries == (entry,) and chain.receipt_for(tx.tx_id).ok
+    # The log's own batched check found its entry already certified.
+    assert inside == [0]
+    assert exponentiations == {"multi_pow": 1, "base_pow": 0}

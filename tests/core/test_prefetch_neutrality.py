@@ -2,16 +2,20 @@
 
 Each test builds the same world twice and feeds both the same
 transactions: one chain through ``submit`` and block production (which
-batch-verifies the escrows' ``signature_claims`` first), its twin through
-``execute_now`` one transaction at a time with the verdict caches
-dropped before each — the cold, one-by-one path.  Status, error, gas and
-events must agree receipt for receipt.  Nothing here turns the prefetch
-off: there is nothing to turn.
+batch-verifies the escrows' ``signature_claims`` first — together with
+those of every other chain and CBC log due at the same instant), its
+twin through ``execute_now`` one transaction at a time with the verdict
+caches dropped before each — the cold, one-by-one path.  Status, error,
+gas and events must agree receipt for receipt, and a CBC log entry must
+land in the same certified block.  Nothing here turns the prefetch off:
+there is nothing to turn.
 """
+
+import dataclasses
 
 from repro.chain.ledger import Chain
 from repro.chain.tokens import FungibleToken
-from repro.chain.tx import Transaction
+from repro.chain.tx import Receipt, Transaction
 from repro.consensus.bft import CertifiedBlockchain, LogEntry, StatusCertificate
 from repro.consensus.validators import ValidatorSet
 from repro.core.cbc import CbcEscrow
@@ -37,13 +41,13 @@ ALICE, BOB, CAROL, DAVE, ERIN = (
 DELTA = 10.0
 
 
-def new_chain(registered):
+def new_chain(registered, simulator=None, chain_id="testchain"):
     """A chain whose wallet knows ``registered``; Carol holds 1000 coins."""
-    simulator = Simulator()
+    simulator = simulator or Simulator()
     wallet = Wallet()
     for keypair in registered:
         wallet.register(keypair)
-    chain = Chain("testchain", simulator, wallet)
+    chain = Chain(chain_id, simulator, wallet)
     chain.publish(FungibleToken("coin"))
     now(chain, CAROL, "coin", "mint", to=CAROL.address, amount=1000)
     return simulator, chain
@@ -71,35 +75,63 @@ def advance_to(simulator, time):
     simulator.run()
 
 
+def routed(chain, items):
+    """``(producer, item)`` pairs: a bare item is a transaction for ``chain``."""
+    return [item if isinstance(item, tuple) else (chain, item) for item in items]
+
+
+def outcome(producer, item):
+    """A transaction's receipt, or the CBC block that recorded an entry."""
+    if isinstance(producer, Chain):
+        return producer.receipt_for(item.tx_id)
+    return next((block for block in producer.blocks if item in block.entries), None)
+
+
 def in_blocks(simulator, chain, schedule):
-    """Submit each group just before its boundary; one block per group."""
-    receipts = []
-    for boundary, txs in schedule:
+    """Submit each group just before its boundary; one block per producer."""
+    outcomes = []
+    for boundary, items in schedule:
+        pairs = routed(chain, items)
         advance_to(simulator, boundary - 0.5)
-        for item in txs:
-            chain.submit(item)
+        for producer, item in pairs:
+            producer.submit(item)
         simulator.run()
-        receipts += [chain.receipt_for(item.tx_id) for item in txs]
-    return receipts
+        outcomes += [outcome(*pair) for pair in pairs]
+    return outcomes
 
 
 def one_by_one(simulator, chain, schedule):
-    """Execute each transaction at its boundary on a cold verdict cache."""
-    receipts = []
-    for boundary, txs in schedule:
+    """Execute each transaction at its boundary on a cold verdict cache;
+    a CBC log produces its block alone there, from a cold cache."""
+    outcomes = []
+    for boundary, items in schedule:
+        pairs = routed(chain, items)
+        advance_to(simulator, boundary - 0.5)
+        for producer, item in pairs:
+            if not isinstance(producer, Chain):
+                producer.submit(item)
+        schnorr.clear_verification_caches()
         advance_to(simulator, boundary)
-        for item in txs:
-            schnorr.clear_verification_caches()
-            receipts.append(chain.execute_now(item))
-    return receipts
+        for producer, item in pairs:
+            if isinstance(producer, Chain):
+                schnorr.clear_verification_caches()
+                producer.execute_now(item)
+        outcomes += [outcome(*pair) for pair in pairs]
+    return outcomes
 
 
-def observable(receipt):
-    return receipt.status, receipt.error, receipt.gas, receipt.events
+def observable(result):
+    if isinstance(result, Receipt):
+        return result.status, result.error, result.gas, result.events
+    return result
 
 
 def assert_twins_agree(build):
-    """``build() -> (simulator, chain, schedule)``, called once per twin."""
+    """``build() -> (simulator, chain, schedule)``, called once per twin.
+
+    A scheduled item is a transaction for ``chain`` or a ``(producer,
+    item)`` pair naming another chain or a CBC log on the same simulator.
+    """
     schnorr.clear_verification_caches()
     sealed = in_blocks(*build())
     replayed = one_by_one(*build())
@@ -110,9 +142,9 @@ def assert_twins_agree(build):
 # ----------------------------------------------------------------------
 # Timelock: path signatures
 # ----------------------------------------------------------------------
-def timelock_world(plist, registered):
-    simulator, chain = new_chain(registered)
-    asset = Asset(asset_id="coins", chain_id="testchain", token="coin",
+def timelock_world(plist, registered, simulator=None, chain_id="testchain"):
+    simulator, chain = new_chain(registered, simulator, chain_id)
+    asset = Asset(asset_id="coins", chain_id=chain_id, token="coin",
                   owner=CAROL.address, amount=300)
     escrow = TimelockEscrow(
         "tl", DEAL, tuple(k.address for k in plist), asset, t0=0.0, delta=DELTA
@@ -219,6 +251,10 @@ def test_forged_middle_link_flipped_commitment_and_unknown_signer_revert_alone()
 # ----------------------------------------------------------------------
 # CBC: status proofs
 # ----------------------------------------------------------------------
+def signed(entry, signer):
+    return dataclasses.replace(entry, signature=signer.sign(entry.message()))
+
+
 def cbc_world():
     """A committed three-party CBC deal, reconfigured once after deciding."""
     plist = (ALICE, BOB, CAROL)
@@ -229,10 +265,7 @@ def cbc_world():
     def record(keypair, kind, start_hash=b""):
         entry = LogEntry(kind=kind, deal_id=DEAL, party=keypair.address,
                          plist=addresses, start_hash=start_hash)
-        cbc.submit(LogEntry(
-            kind=kind, deal_id=DEAL, party=keypair.address, plist=addresses,
-            start_hash=start_hash, signature=keypair.sign(entry.message()),
-        ))
+        cbc.submit(signed(entry, keypair))
         simulator.run()
         return entry.message()
 
@@ -248,12 +281,12 @@ def cbc_world():
                           ("thin", start_hash), ("handed-over", start_hash)):
         fund(chain, CbcEscrow(name, DEAL, addresses, asset, expects,
                               cbc.initial_public_keys), 100)
-    return simulator, chain, before, after, cbc.handovers
+    return simulator, chain, before, after, cbc.handovers, cbc
 
 
 def test_status_proofs_valid_stale_sub_quorum_and_handed_over():
     def build():
-        simulator, chain, before, after, handovers = cbc_world()
+        simulator, chain, before, after, handovers, _ = cbc_world()
         assert (before.epoch, after.epoch, len(handovers)) == (0, 1, 1)
         thin = StatusCertificate(before.deal_id, before.start_hash, before.status,
                                  before.epoch, before.signatures[:2])
@@ -285,7 +318,7 @@ def test_a_prefetched_status_proof_executes_without_a_multi_exp(monkeypatch):
     monkeypatch.setattr(
         schnorr, "multi_pow", lambda *args: calls.append(1) or original(*args)
     )
-    simulator, chain, before, after, handovers = cbc_world()
+    simulator, chain, before, after, handovers, _ = cbc_world()
     proofs = [("fresh", StatusProof(before)), ("handed-over", StatusProof(after, handovers))]
 
     schnorr.clear_verification_caches()
@@ -305,7 +338,7 @@ def test_a_prefetched_status_proof_executes_without_a_multi_exp(monkeypatch):
 
 
 def test_claims_stop_where_the_method_would():
-    simulator, chain, before, after, handovers = cbc_world()
+    simulator, chain, before, after, handovers, _ = cbc_world()
     fresh, other = chain.contract("fresh"), chain.contract("other-start")
     claims = fresh.signature_claims("commit", {"proof": StatusProof(before)})
     assert len(claims) == 3 and all(schnorr.verify(*claim) for claim in claims)
@@ -323,3 +356,53 @@ def test_claims_stop_where_the_method_would():
     assert escrow.signature_claims("refund", {"path": forwarded(ALICE)}) == []
     now(chain, ALICE, "tl", "commit", path=forwarded(ALICE))
     assert escrow.signature_claims("commit", {"path": forwarded(ALICE, BOB)}) == []
+
+
+# ----------------------------------------------------------------------
+# Several producers at one instant: one merged prefetch
+# ----------------------------------------------------------------------
+def test_two_chains_and_a_cbc_log_due_at_one_boundary_refuse_what_each_would_alone():
+    """The instant's merged check spans a timelock chain with a forged
+    middle link, a CBC-escrow chain with stale and sub-quorum status
+    proofs, and the CBC log with a badly signed and an unknown party's
+    entry; each is refused, and each sound one accepted, as alone."""
+    plist = (ALICE, BOB, CAROL, DAVE, ERIN)
+    forged_middle = PathSignature(
+        voter=DAVE.address,
+        signers=(DAVE.address, CAROL.address),
+        signatures=forwarded(DAVE).signatures + (CAROL.sign(b"something else"),),
+    )
+    bad_path = extend_path_signature(forged_middle, BOB)
+    logs = []
+
+    def start(keypair, deal_id):
+        return LogEntry(kind="startDeal", deal_id=deal_id, party=keypair.address,
+                        plist=(keypair.address,))
+
+    def build():
+        simulator, chain, before, _, _, cbc = cbc_world()
+        logs.append(cbc)
+        _, timelock, _ = timelock_world(plist, plist[:4], simulator, "timelock-chain")
+        thin = StatusCertificate(before.deal_id, before.start_hash, before.status,
+                                 before.epoch, before.signatures[:2])
+        return simulator, chain, [
+            (simulator.now + 1.0, [
+                tx(BOB, "fresh", "commit", proof=StatusProof(before)),
+                tx(BOB, "other-start", "commit", proof=StatusProof(before)),
+                tx(BOB, "thin", "commit", proof=StatusProof(thin)),
+                (timelock, vote(ALICE, forwarded(ALICE))),
+                (timelock, vote(BOB, bad_path)),
+                (timelock, vote(BOB, forwarded(CAROL, BOB))),
+                (cbc, signed(start(ALICE, b"second deal"), ALICE)),
+                (cbc, signed(start(BOB, b"third deal"), CAROL)),  # signed by another
+                (cbc, signed(start(DAVE, b"fourth deal"), DAVE)),  # unknown to the log
+            ]),
+        ]
+
+    outcomes = assert_twins_agree(build)
+    receipts, recorded = outcomes[:6], outcomes[6:]
+    assert [r.ok for r in receipts] == [True, False, False, True, False, True]
+    assert [r.gas.sig_verify for r in receipts] == [3, 0, 2, 1, 2, 2]
+    assert receipts[4].error == "invalid signature on path"
+    assert recorded[0] is not None and recorded[1:] == [None, None]
+    assert logs[0].blocks == logs[1].blocks
