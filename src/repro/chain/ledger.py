@@ -11,11 +11,12 @@ A chain is an actor on the simulator.  Life of a transaction:
    check, then all pending transactions execute in arrival order, each
    inside its own journal (revert on ``require`` failure).  The merged
    check spans the simulator's instant, not just this chain: every
-   block producer files itself under the boundary it schedules
-   (:func:`schedule_boundary` — chains and the CBC log alike), and the
-   first to run at an instant takes the whole list and verifies the
-   claims of every producer due there at once (:func:`prefetch_due`);
-   a producer that runs later at the same instant prefetches only what
+   block producer — chains and the CBC log alike — files its
+   pending-claims reader with the simulator's :class:`VerifyAggregator`
+   under the boundary it schedules, and the first to run at an instant
+   settles the instant, certifying the claims of every producer due
+   there in one :func:`~repro.crypto.schnorr.batch_verify_many`; a
+   producer that runs later at the same instant certifies only what
    arrived after that look-ahead;
 4. the block, with receipts and events, is pushed to every subscriber
    with the subscriber's propagation delay.
@@ -46,7 +47,7 @@ from repro.chain.gas import GasMeter, GasSchedule
 from repro.chain.tx import Receipt, Transaction, TxStatus
 from repro.crypto.hashing import tagged_hash
 from repro.crypto.keys import Wallet
-from repro.crypto.schnorr import PublicKey, Signature, prefetch_verdicts
+from repro.crypto.schnorr import PublicKey, Signature, batch_verify_many
 from repro.errors import ChainError, ContractError, UnknownContractError
 from repro.sim.simulator import Simulator
 
@@ -82,42 +83,127 @@ def digest_state(state: dict[str, dict[str, dict]]) -> bytes:
     return tagged_hash("repro/state", "\n".join(lines).encode("utf-8"))
 
 
-# A producer's pending signature claims: one list of (key, message,
-# signature) triples per pending transaction or log entry.
-PendingClaims = Callable[[], list]
-
-# simulator -> {boundary instant -> the pending-claims readers of every
-# block producer scheduled there}; step 3 of the module docstring.
-_DUE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# simulator -> its VerifyAggregator (step 3 of the module docstring).
+_PLANES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def schedule_boundary(
-    simulator: Simulator,
-    interval: float,
-    produce: Callable[[], None],
-    claims: PendingClaims,
-    label: str,
-) -> None:
-    """Schedule ``produce`` at the next multiple of ``interval`` on the
-    global clock grid and file ``claims`` as due at that instant."""
-    boundary = (int(simulator.now / interval) + 1) * interval
-    handle = simulator.schedule_at(boundary, produce, label=label)
-    # Filed under the event's own time, which is what ``now`` will read.
-    _DUE.setdefault(simulator, {}).setdefault(handle.time, []).append(claims)
+class VerifyAggregator:
+    """One simulator's same-instant signature verification.
 
+    Everything due at one simulated instant is filed here and settled
+    by one merged check:
 
-def prefetch_due(simulator: Simulator, claims: PendingClaims) -> None:
-    """Certify the claims of every producer due now, in one merged check.
+    * a block producer (a :class:`Chain`, the CBC log) files a reader of
+      its pending claims — one list of ``(public_key, message,
+      signature)`` triples per transaction or log entry, to be certified
+      only — under the boundary it schedules (:meth:`schedule_block`);
+    * a market mempool's seal files its block's order groups with a
+      callback under ``now`` (:meth:`enqueue`); the instant's first such
+      filing schedules a ``market/verify-flush`` event at ``now``, which
+      runs after every seal there and before the next block executes.
 
-    The first producer to run at an instant takes the instant's whole
-    list; a later one finds it gone and prefetches its own ``claims``,
-    whose certified members :func:`prefetch_verdicts` drops.
+    The first producer to run at an instant, or that flush, settles it
+    (:meth:`settle`): claims go through
+    :func:`~repro.crypto.schnorr.batch_verify_many` in this process,
+    whose verdict store they warm, and waiting groups through the
+    ``verify_many`` hook, whose verdicts go back to each filing in
+    order.  A later producer at the same instant certifies only its own
+    claims.  Blocks sit on the grid and seals on the half-grid, so an
+    instant holds one kind of filing in practice.
+
+    ``verify_many`` takes ``[(owner, group), ...]`` and returns each
+    group's own validity, in order; the ``processes`` backend plugs its
+    verify pool in here, one worker per owner shard.  In ``stats``,
+    ``batches`` counts enqueued blocks, ``flushes`` the settlements that
+    answered some, ``merged_*`` those (and their blocks) answering more
+    than one, and ``isolation_fallbacks`` those in which a group failed.
+
+    One per simulator (:meth:`of`), holding it and ``telemetry``
+    weakly: a telemetry object holds its market, which holds the
+    simulator keying this plane.
     """
-    boundaries = _DUE.get(simulator, {})
-    due = boundaries.pop(simulator.now, None) or [claims]
-    if not boundaries:
-        _DUE.pop(simulator, None)
-    prefetch_verdicts([group for pending in due for group in pending()])
+
+    def __init__(self, simulator: Simulator):
+        self._simulator = weakref.ref(simulator)
+        # instant -> (claim readers, [(groups, on_verdicts, owner), ...])
+        self._due: dict[float, tuple[list, list]] = {}
+        self._flush_scheduled = False
+        self._telemetry = lambda: None
+        self.verify_many = lambda owned: batch_verify_many([g for _, g in owned])
+        self.stats = dict.fromkeys(
+            ("flushes", "batches", "merged_flushes", "merged_batches",
+             "isolation_fallbacks"), 0,
+        )
+
+    @classmethod
+    def of(cls, simulator: Simulator) -> "VerifyAggregator":
+        """``simulator``'s aggregator, made on first use."""
+        if simulator not in _PLANES:
+            _PLANES[simulator] = cls(simulator)
+        return _PLANES[simulator]
+
+    @property
+    def telemetry(self):
+        """A ``repro.telemetry.Telemetry`` told each flush's merge width
+        and signature count, or ``None``."""
+        return self._telemetry()
+
+    @telemetry.setter
+    def telemetry(self, telemetry) -> None:
+        self._telemetry = (lambda: None) if telemetry is None else weakref.ref(telemetry)
+
+    def schedule_block(self, interval: float, produce, claims, label: str) -> None:
+        """Schedule ``produce`` at the next multiple of ``interval`` on the
+        global clock grid and file ``claims`` as due at that instant."""
+        simulator = self._simulator()
+        boundary = (int(simulator.now / interval) + 1) * interval
+        handle = simulator.schedule_at(boundary, produce, label=label)
+        # Filed under the event's own time, which is what ``now`` will read.
+        self._filings(handle.time)[0].append(claims)
+
+    def enqueue(self, groups: list, on_verdicts, owner: int = 0) -> None:
+        """File one sealed block's groups (an order's signatures each);
+        ``on_verdicts([ok, …])`` at ``now``.  ``owner`` is the block's
+        shard — all a plugged ``verify_many`` needs to partition work."""
+        simulator = self._simulator()
+        self._filings(simulator.now)[1].append((groups, on_verdicts, owner))
+        self.stats["batches"] += 1
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            simulator.schedule_at(simulator.now, self._flush, label="market/verify-flush")
+
+    def _filings(self, at: float) -> tuple[list, list]:
+        return self._due.setdefault(at, ([], []))
+
+    def _flush(self) -> None:
+        self._flush_scheduled = False
+        self.settle()
+
+    def settle(self, claims=None) -> None:
+        """Settle everything filed for ``now``; ``claims``, the calling
+        producer's own reader, stands in if that was done already."""
+        readers, waiting = self._due.pop(
+            self._simulator().now, ([claims] if claims else [], [])
+        )
+        certify = [group for pending in readers for group in pending()]
+        if certify:
+            batch_verify_many(certify)
+        if not waiting:
+            return
+        self.stats["flushes"] += 1
+        owned = [(owner, group) for groups, _, owner in waiting for group in groups]
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.verify_flush(len(waiting), sum(len(g) for _, g in owned))
+        if len(waiting) > 1:
+            self.stats["merged_flushes"] += 1
+            self.stats["merged_batches"] += len(waiting)
+        verdicts = self.verify_many(owned)
+        if not all(verdicts):
+            self.stats["isolation_fallbacks"] += 1
+        answers = iter(verdicts)
+        for groups, on_verdicts, _ in waiting:
+            on_verdicts([next(answers) for _ in groups])
 
 
 def _well_formed(claim) -> bool:
@@ -152,6 +238,7 @@ class Chain:
         self._blocks: list[Block] = []
         self._observers: list[BlockObserver] = []
         self._block_scheduled = False
+        self._verify = VerifyAggregator.of(simulator)
         self.active_journal: _TxJournal | None = None
         self._receipts_by_tx: dict[int, Receipt] = {}
         # Replication hook: when set, publications and committed writes
@@ -240,8 +327,7 @@ class Chain:
         if self._block_scheduled:
             return
         self._block_scheduled = True
-        schedule_boundary(
-            self.simulator,
+        self._verify.schedule_block(
             self.block_interval,
             self._produce_block,
             self._pending_claims,
@@ -250,7 +336,7 @@ class Chain:
 
     def _produce_block(self) -> None:
         self._block_scheduled = False
-        prefetch_due(self.simulator, self._pending_claims)
+        self._verify.settle(self._pending_claims)
         pending, self._mempool = self._mempool, []
         height = self.height + 1
         receipts = [self._execute(tx, height) for tx in pending]

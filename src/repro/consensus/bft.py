@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.chain.ledger import prefetch_due, schedule_boundary
+from repro.chain.ledger import VerifyAggregator
 from repro.consensus.validators import (
     HandoverCertificate,
     QuorumSignature,
@@ -164,6 +164,7 @@ class CertifiedBlockchain:
         self._blocks: list[CbcBlock] = []
         self._observers: list = []
         self._block_scheduled = False
+        self._verify = VerifyAggregator.of(simulator)
         self._deals: dict[tuple[bytes, bytes], _DealRecord] = {}
         self._starts: dict[bytes, bytes] = {}  # deal_id -> definitive start hash
         self._certificates: dict[tuple, StatusCertificate] = {}
@@ -252,8 +253,8 @@ class CertifiedBlockchain:
         (each entry its own group, so a bad vote drops only itself).
         That check is usually answered by standing verdicts: the log
         files its entries' signatures as claims under the boundary it
-        schedules, so they join the one merged prefetch of every chain
-        due at the same instant (:func:`repro.chain.ledger.prefetch_due`),
+        schedules, so they join the one merged check of every chain due
+        at the same instant (:class:`repro.chain.ledger.VerifyAggregator`),
         which certifies only signatures that verify.
         Acceptance is only ever observable through the produced blocks,
         so the deferral changes no behavior — a bad-signature entry is still
@@ -272,41 +273,34 @@ class CertifiedBlockchain:
 
     def _verify_pending(self, entries: list[LogEntry]) -> list[LogEntry]:
         """Drop entries whose signatures fail, in one batched check."""
-        known = [
-            entry for entry in entries if self.wallet.knows(entry.party)
-        ]
-        verdicts = schnorr_batch_verify_many(
-            [
-                [(self.wallet.public_key(entry.party), entry.message(), entry.signature)]
-                for entry in known
-            ]
-        )
+        known = [entry for entry in entries if self.wallet.knows(entry.party)]
+        verdicts = schnorr_batch_verify_many([self._claim(entry) for entry in known])
         return [entry for entry, ok in zip(known, verdicts) if ok]
 
     def _pending_claims(self) -> list:
         """One singleton claim per pending entry from a known party."""
         return [
-            [(self.wallet.public_key(entry.party), entry.message(), entry.signature)]
+            self._claim(entry)
             for _, entry in self._pending
             if self.wallet.knows(entry.party)
         ]
+
+    def _claim(self, entry: LogEntry) -> list:
+        """A known party's entry as a one-signature group."""
+        return [(self.wallet.public_key(entry.party), entry.message(), entry.signature)]
 
     def _ensure_block_scheduled(self) -> None:
         if self._block_scheduled:
             return
         self._block_scheduled = True
-        schedule_boundary(
-            self.simulator,
-            self.block_interval,
-            self._produce_block,
-            self._pending_claims,
-            "cbc/block",
+        self._verify.schedule_block(
+            self.block_interval, self._produce_block, self._pending_claims, "cbc/block"
         )
 
     def _produce_block(self) -> None:
         self._block_scheduled = False
         now = self.simulator.now
-        prefetch_due(self.simulator, self._pending_claims)
+        self._verify.settle(self._pending_claims)
         pending, self._pending = self._pending, []
         # Eager-scheduling replay: this block exists iff a validly
         # signed entry arrived *before* the boundary (only such an

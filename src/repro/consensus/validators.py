@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 from repro.crypto.hashing import hash_concat
 from repro.crypto.keys import KeyPair
-from repro.crypto.schnorr import (
-    PublicKey,
-    Signature,
-    batch_verify as schnorr_batch_verify,
-    batch_verify_many as schnorr_batch_verify_many,
-)
+from repro.crypto.schnorr import PublicKey, Signature, batch_verify as schnorr_batch_verify
 from repro.errors import ConsensusError
 
 
@@ -142,100 +137,6 @@ def batch_verify_quorum(
     return schnorr_batch_verify(
         [(entry.public_key, message, entry.signature) for entry in entries]
     )
-
-
-class VerifyAggregator:
-    """Cross-block signature-verification aggregation.
-
-    Several block producers seal at the same simulated instant — every
-    shard's home-chain mempool seals on the same half-grid boundary —
-    and each seal wants one verdict per order it is clearing.  Instead
-    of verifying inline, each producer *enqueues* its block's signature
-    groups (one per order) here together with a callback; the
-    aggregator schedules a single flush **at the same instant** (the
-    simulator runs same-time events in scheduling order, so the flush
-    runs after every seal at that boundary and strictly before the next
-    block executes).  The flush hands every group of every queued block
-    to one :func:`repro.crypto.schnorr.batch_verify_many` — one
-    ``multi_pow`` for the whole boundary, with recurring public keys
-    deduplicated across blocks, and a forged order isolated there and
-    nowhere else — and gives each block back its own groups' verdicts,
-    in enqueue order.
-
-    Because verdicts are delivered at the same simulated time the seals
-    ran and equal what checking each order alone would say,
-    commit/abort decisions and report bytes are identical to
-    unaggregated verification; only wall-clock changes.  ``schedule``
-    is any callable that runs a thunk later in the current instant (the
-    market passes ``simulator.schedule_at(simulator.now, ...)``).  In
-    ``stats``, ``batches`` counts enqueued blocks, ``merged_*`` the
-    flushes (and their blocks) that held more than one, and
-    ``isolation_fallbacks`` the flushes in which some group failed;
-    ``MarketReport.aggregator_merge_rate()`` reads them.
-    """
-
-    def __init__(self, schedule):
-        self._schedule = schedule
-        self._queue: list[tuple[list, object, int]] = []
-        self._flush_scheduled = False
-        # Telemetry hook (repro.telemetry.Telemetry or None): flushes
-        # report their merge width and pair counts; strictly
-        # observational, one attribute check when off.
-        self.telemetry = None
-        # The one verification hook: receives a flush as
-        # ``[(owner, group), ...]`` and returns one verdict per group,
-        # in order.  The default is the merged check; the ``processes``
-        # execution backend plugs its verify pool in here (each group
-        # checked by its owner shard's worker process).  Any
-        # replacement must return what the default does: each group's
-        # individual validity.
-        self.verify_many = _verify_merged
-        self.stats = {
-            "flushes": 0,
-            "batches": 0,
-            "merged_flushes": 0,
-            "merged_batches": 0,
-            "isolation_fallbacks": 0,
-        }
-
-    def enqueue(self, groups: list, on_verdicts, owner: int = 0) -> None:
-        """Queue one block's signature groups; ``on_verdicts([ok, …])`` later.
-
-        Each group is a list of ``(public_key, message, signature)``
-        triples wanting one verdict (an order's signatures); the
-        callback fires during this instant's flush with one verdict per
-        group.  ``owner`` is the shard the block belongs to — all a
-        plugged ``verify_many`` needs to partition the work.
-        """
-        self._queue.append((groups, on_verdicts, owner))
-        self.stats["batches"] += 1
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self._schedule(self._flush)
-
-    def _flush(self) -> None:
-        self._flush_scheduled = False
-        queue, self._queue = self._queue, []
-        self.stats["flushes"] += 1
-        owned = [(owner, group) for groups, _, owner in queue for group in groups]
-        if self.telemetry is not None:
-            self.telemetry.verify_flush(
-                len(queue), sum(len(group) for _, group in owned)
-            )
-        if len(queue) > 1:
-            self.stats["merged_flushes"] += 1
-            self.stats["merged_batches"] += len(queue)
-        verdicts = self.verify_many(owned)
-        if not all(verdicts):
-            self.stats["isolation_fallbacks"] += 1
-        answers = iter(verdicts)
-        for groups, on_verdicts, _ in queue:
-            on_verdicts([next(answers) for _ in groups])
-
-
-def _verify_merged(owned: list) -> list:
-    """The default ``verify_many``: one merged check per flush."""
-    return schnorr_batch_verify_many([group for _, group in owned])
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,12 @@ it reads that store — a group of certified members is ``True``, a
 member already refused makes its group ``False`` — and writes it, a
 passing combination certifying each member, and it is the only place a
 forgery among merged groups is isolated.  Block production fills the
-store an instant at a time the same way: the signatures that every block
-due at one simulated instant declares go through one merged check
-before the first of them executes (:func:`prefetch_verdicts`), so the
-contracts' one-by-one :func:`verify` calls are hits as well — only a
-verdict that *was* computed is ever stored, and only ``True`` ahead of
+store an instant at a time through the same call: the signatures that
+every block due at one simulated instant declares go through one
+:func:`batch_verify_many` before the first of them executes
+(:class:`repro.chain.ledger.VerifyAggregator`), so the contracts'
+one-by-one :func:`verify` calls are hits as well — only a verdict that
+*was* computed is ever stored, and no hit or miss is counted ahead of
 the call that asks.  None of this
 changes a single signature byte, and a cached verdict can never accept
 a tampered input: any change to the key, message, or signature is a
@@ -247,19 +248,25 @@ def verify(public_key: PublicKey, message: bytes, signature: Signature) -> bool:
     lookup.  A tampered message, key, or signature is a different
     cache key and is always re-checked from scratch.
     """
-    if not 1 < signature.commitment < P:
+    if not _in_range(signature):
         return False
-    if not 0 <= signature.response < Q:
-        return False
-    key = _cache_key(public_key, message, signature)
-    cached = _VERIFY_CACHE.get(key)
+    cached = _VERIFY_CACHE.get(_cache_key(public_key, message, signature))
     if cached is not None:
         return cached
+    return _check_alone(public_key, message, signature)
+
+
+def _in_range(signature: Signature) -> bool:
+    return 1 < signature.commitment < P and 0 <= signature.response < Q
+
+
+def _check_alone(public_key: PublicKey, message: bytes, signature: Signature) -> bool:
+    """:func:`verify`'s equation on a cold cache; the verdict is stored."""
     e = _challenge(signature.commitment, public_key, message)
     lhs = generator_pow(signature.response)
     rhs = (signature.commitment * base_pow(public_key.point, e)) % P
     result = _equal_up_to_sign(lhs, rhs)
-    _VERIFY_CACHE.put(key, result)
+    _VERIFY_CACHE.put(_cache_key(public_key, message, signature), result)
     return result
 
 
@@ -300,13 +307,13 @@ def _combined_check(items) -> bool:
 def _standing_verdict(items) -> bool | None:
     """What a group's verdict already is without exponentiation, or ``None``.
 
-    ``False`` for a member out of range or one :func:`verify` already
-    refused, ``True`` when every member is certified (an empty group
-    vacuously) — read without touching the cache or its counters.
+    ``False`` for a member out of range or one already refused,
+    ``True`` when every member is certified (an empty group vacuously)
+    — read without touching the cache or its counters.
     """
     certified = True
     for public_key, message, signature in items:
-        if not 1 < signature.commitment < P or not 0 <= signature.response < Q:
+        if not _in_range(signature):
             return False
         known = _VERIFY_CACHE.peek(_cache_key(public_key, message, signature))
         if known is False:
@@ -337,69 +344,60 @@ def batch_verify_many(
     forgery among them is isolated.
 
     Groups the verdict store already answers (:func:`_standing_verdict`)
-    are settled on the spot; all the others are folded into **one**
-    linear combination — one ``generator_pow`` on the left, one
+    are settled on the spot.  Of all the others, each member that is
+    not certified yet is staged once — however many groups claim it —
+    and the staged members are folded into **one** linear combination:
+    one ``generator_pow`` on the left, one
     :func:`repro.crypto.fastexp.multi_pow` on the right (which merges
-    the public keys that recur across groups) however many groups
-    arrived, a fraction of the cost of checking each signature alone.
-    If it passes, every member is certified in the per-signature cache,
-    so the later one-by-one :func:`verify` of the same triple is a hit.
-    If it fails, each folded group gets a combined check of its own.
-    Sound: a forged signature only passes if the adversary predicts its
-    64-bit weight, which the hash prevents — and, both sides being
-    compared up to sign like :func:`verify`'s, a group passes exactly
-    when each member would on its own.
+    the public keys that recur across groups), a fraction of the cost of
+    checking each signature alone.  If it passes, every member is
+    certified in the per-signature cache, so the later one-by-one
+    :func:`verify` of the same triple is a hit.  If it fails, each
+    folded group gets a combined check of its members still uncertified
+    (a lone group's is the one that just failed).  One staged member is
+    not worth a multi-exp: it is checked the way :func:`verify` does it,
+    and that verdict is stored.  Nothing here counts a cache hit or
+    miss.  Sound: a forged signature only passes if the adversary
+    predicts its 64-bit weight, which the hash prevents — and, both
+    sides being compared up to sign like :func:`verify`'s, a group
+    passes exactly when each member would on its own.
     """
     verdicts: list[bool] = []
-    staged: list[int] = []
+    folded: list[int] = []
+    staged: dict[tuple, tuple] = {}
     for index, items in enumerate(groups):
         verdict = _standing_verdict(items)
-        verdicts.append(verdict is not False)  # provisional for staged ones
+        verdicts.append(verdict is not False)  # provisional for folded ones
         if verdict is None:
-            staged.append(index)
-    merged = [item for index in staged for item in groups[index]]
-    if merged and not _check_and_certify(merged):
-        # Isolate: a combined check per folded group (a lone group's
-        # is the one that just failed).
-        for index in staged:
-            verdicts[index] = len(staged) > 1 and _check_and_certify(groups[index])
+            folded.append(index)
+            staged.update(_uncertified(items))
+    if len(staged) == 1:
+        (item,) = staged.values()
+        ok = _check_alone(*item)
+        for index in folded:
+            verdicts[index] = ok
+    elif staged and not _check_and_certify(list(staged.values())):
+        for index in folded:
+            fresh = list(_uncertified(groups[index]).values())
+            verdicts[index] = len(folded) > 1 and (
+                not fresh or _check_and_certify(fresh)
+            )
     return verdicts
+
+
+def _uncertified(items) -> dict[tuple, tuple]:
+    """``items``' members without a standing verdict, keyed, deduplicated."""
+    fresh = {}
+    for item in items:
+        key = _cache_key(*item)
+        if _VERIFY_CACHE.peek(key) is None:
+            fresh[key] = item
+    return fresh
 
 
 def batch_verify(items: list[tuple[PublicKey, bytes, Signature]]) -> bool:
     """``True`` iff every signature in ``items`` is valid: one group."""
     return batch_verify_many([items])[0]
-
-
-def prefetch_verdicts(
-    batches: list[list[tuple[PublicKey, bytes, Signature]]],
-) -> None:
-    """Certify the signature claims of sealed blocks ahead of execution.
-
-    ``batches`` holds one list of claimed triples per transaction or
-    CBC log entry — of one block, or of every block producer due at the
-    same instant (:func:`repro.chain.ledger.prefetch_due`), so a forgery
-    is isolated among all of them.  Triples that already have a verdict,
-    or that an earlier batch claimed too, are dropped; if at least two
-    remain they go through :func:`batch_verify_many` — one merged check,
-    isolation per batch if it fails, members certified only on success.
-    Returns nothing and counts no hit or miss: the contracts still call
-    :func:`verify` / :func:`batch_verify` for every signature, and a
-    claim that was not certified here is simply checked there, cold.
-    """
-    seen: set[tuple] = set()
-    fresh = []
-    for items in batches:
-        group = []
-        for item in items:
-            key = _cache_key(*item)
-            if key not in seen and key not in _VERIFY_CACHE:
-                seen.add(key)
-                group.append(item)
-        if group:
-            fresh.append(group)
-    if len(seen) >= 2:
-        batch_verify_many(fresh)
 
 
 def cache_stats() -> dict:

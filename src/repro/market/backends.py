@@ -5,7 +5,8 @@
 with an :class:`ExecutionBackend`.  :class:`InlineBackend` runs
 everything in-process.  :class:`ProcessBackend` runs the same single
 coordinator and moves only the signature checks — ~90% of a run's
-wall-clock, all behind ``VerifyAggregator.verify_many`` — to a pool of
+wall-clock, all behind the ``verify_many`` hook of
+:class:`~repro.chain.ledger.VerifyAggregator` — to a pool of
 one forked worker per shard; a worker that dies or hangs is dropped and
 its groups are verified in the parent, so no market state ever lives
 outside this process and reports are byte-identical across backends.
@@ -169,9 +170,10 @@ class ProcessBackend(ExecutionBackend):
     group's verdict is its own validity whatever it was merged with,
     so per-owner verdicts equal the merged ones and the report is
     byte-identical to inline.  ``stats`` counts lost workers and the
-    order groups verified in the parent in their stead.  Falls back to plain inline execution when
-    workers cannot be forked — inside a daemonic pool worker such as
-    ``run_all.py --jobs``, or on platforms without ``fork``.
+    order groups verified in the parent in their stead.  Falls back to
+    plain inline execution when workers cannot be forked — inside a
+    daemonic pool worker such as ``run_all.py --jobs``, or on platforms
+    without ``fork``.
     """
 
     name = "processes"

@@ -15,8 +15,8 @@ Sealing is where order signatures are paid for, at block granularity:
 * each sound order's signatures form one *group*, and the mempool calls
   no verification function itself: the block's groups go to its
   ``verify`` callable and one verdict per order comes back;
-* the market binds ``verify`` to its shared
-  :class:`~repro.consensus.validators.VerifyAggregator`, so the verdicts
+* the market binds ``verify`` to its simulator's
+  :class:`~repro.chain.ledger.VerifyAggregator`, so the verdicts
   arrive in a flush later in the same simulated instant; when several
   order-carrying mempools seal at one boundary — in the sharded market
   every shard's home chain clears its own order flow, and all mempools

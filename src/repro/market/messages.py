@@ -40,8 +40,9 @@ duplicate filter.  ``msg_id == 0`` (the plain bus) is exact transport.
 
 A sealed block's signature check is *not* on this list: it is contract
 work of the chain that seals the block (paper §7), so a mempool hands
-its signature groups straight to the market's ``VerifyAggregator`` — there is no
-network between a block producer and the check of its own block.
+its signature groups straight to the simulator's
+:class:`~repro.chain.ledger.VerifyAggregator` — there is no network
+between a block producer and the check of its own block.
 
 Every type is a frozen dataclass and nothing here imports anything,
 so the vocabulary is dependency-free.

@@ -29,9 +29,9 @@ all messages for tick *t* are delivered before anything advances past
 Signature verification is not a message plane.  In the paper a check
 is contract work of the chain that executes the step (§7), so each
 mempool hands its sealed block's signature groups (one per order)
-straight to the market's one
-:class:`~repro.consensus.validators.VerifyAggregator`, tagged with the
-owner shard; the verdicts land in a flush later in the same simulated
+straight to its simulator's one
+:class:`~repro.chain.ledger.VerifyAggregator`, tagged with the owner
+shard; the verdicts land in a flush later in the same simulated
 instant.  ``VerifyAggregator.verify_many`` is the single seam an
 execution backend (:mod:`repro.market.backends`) may replace.
 
@@ -52,11 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chain.contracts import Contract
-from repro.chain.ledger import Chain
+from repro.chain.ledger import Chain, VerifyAggregator
 from repro.chain.tokens import FungibleToken, NonFungibleToken
 from repro.chain.tx import Receipt, Transaction
 from repro.consensus.bft import CertifiedBlockchain
-from repro.consensus.validators import ValidatorSet, VerifyAggregator
+from repro.consensus.validators import ValidatorSet
 from repro.core.deal import PROTOCOL_UNANIMITY, DealSpec
 from repro.crypto.keys import Address, KeyPair, Wallet
 from repro.errors import MarketError
@@ -190,15 +190,11 @@ class MarketCoordinator:
             chain_id: [] for chain_id in workload.chain_ids
         }
         self.stats = {"timelock_refund_sweeps": 0, "stale_proofs_rejected": 0}
-        # One verify aggregator for the whole market: every mempool
-        # sealing at a boundary contributes its block's signature groups
-        # and the flush — later in the same simulated instant — pays a
-        # single merged multi-exponentiation for all of them.
-        self.verify_aggregator = VerifyAggregator(
-            schedule=lambda callback: self.simulator.schedule_at(
-                self.simulator.now, callback, label="market/verify-flush"
-            )
-        )
+        # The simulator's one verify aggregator: every mempool sealing
+        # at a boundary contributes its block's signature groups and the
+        # flush — later in the same simulated instant — pays a single
+        # merged multi-exponentiation for all of them.
+        self.verify_aggregator = VerifyAggregator.of(self.simulator)
         self.verify_aggregator.telemetry = self.telemetry
         # The processes backend's verify pool (None inline), plugged
         # into verify_aggregator.verify_many; kept here only as
@@ -223,6 +219,9 @@ class MarketCoordinator:
                 f"{self.shards} shards need at least that many chains "
                 f"(got {len(workload.chain_ids)})"
             )
+        caps = self.config.shard_block_caps or {}
+        if strays := [shard for shard in caps if shard not in range(self.shards)]:
+            raise MarketError(f"shard_block_caps: {strays} not among {self.shards} shards")
         # Chain i belongs to shard i % M; shard s's home (coordinator)
         # chain is chain_ids[s], which carries that shard's commit log
         # and therefore its order flow.

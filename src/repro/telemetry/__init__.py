@@ -9,8 +9,9 @@ construction time.  It bundles
   root span per deal) plus replication spans (replica-down windows,
   leaderless windows, failovers);
 * a :class:`~repro.telemetry.metrics.MetricsRegistry` fed by the
-  mempools (seal occupancy, post-seal depth), the shared
-  ``VerifyAggregator`` (merge sizes, batch-verify pair counts) and the
+  mempools (seal occupancy, post-seal depth), the simulator's
+  :class:`~repro.chain.ledger.VerifyAggregator` (merge sizes,
+  batch-verify pair counts) and the
   replication network (drops/delays);
 * a read-only :class:`~repro.telemetry.blocktap.BlockTap` that ingests
   sealed blocks into columnar arrays and answers windowed queries

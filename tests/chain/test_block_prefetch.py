@@ -2,7 +2,8 @@
 
 The first block producer to run at an instant hands the pending
 ``Contract.signature_claims`` of every chain due there — and the CBC
-log's entries — to one ``schnorr.prefetch_verdicts`` call.  These
+log's entries — to one ``schnorr.batch_verify_many`` call, through the
+simulator's ``ledger.VerifyAggregator``.  These
 tests pin what that step may and may not do, with a toy contract whose
 one method verifies one raw signature: it saves exponentiations, it
 never saves a check, and there is no switch — the comparison twin is
@@ -284,13 +285,13 @@ def test_chains_merge_only_at_the_boundaries_they_share(exponentiations, monkeyp
                              (2.0, every_three_halves, 4)):
         simulator.schedule_at(at, lambda chain=chain, tx=attestation(index): chain.submit(tx))
     simulator.run(until=2.5)
-    due = ledger._DUE[simulator]
-    assert list(due) == [3.0] and len(due[3.0]) == 2
+    due = ledger.VerifyAggregator.of(simulator)._due
+    assert list(due) == [3.0] and [len(filed) for filed in due[3.0]] == [2, 0]
     simulator.run()
     assert [chain.height for chain in (every_second, every_three_halves)] == [3, 2]
     assert merged_at == [3.0]
     assert exponentiations == {"multi_pow": 1, "base_pow": 3}
-    assert simulator not in ledger._DUE
+    assert due == {}
 
 
 def test_a_cbc_log_entry_joins_the_boundary_it_shares_with_a_chain(

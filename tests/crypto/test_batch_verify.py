@@ -91,12 +91,15 @@ def test_many_all_valid_batches_verify_in_one_merge(monkeypatch):
         lambda pairs, modulus: calls.append(len(pairs)) or multi_pow(pairs, modulus),
     )
     assert batch_verify_many(batches) == [True, True, True]
-    assert calls == [2 * 9]  # one combination: a commitment and a key each
+    # One combination, a commitment and a key per distinct triple: the
+    # three batches repeat make_items' first keys and messages, so their
+    # nine members are four triples, each staged once.
+    assert calls == [2 * 4]
     # The merged pass certified every member, so nothing is left to
     # combine for a constituent batch — or to exponentiate for a member.
     assert all(batch_verify(batch) for batch in batches)
     assert all(verify(*item) for batch in batches for item in batch)
-    assert calls == [2 * 9] and cache_stats()["verify_misses"] == 0
+    assert calls == [2 * 4] and cache_stats()["verify_misses"] == 0
 
 
 def test_many_verdicts_match_per_batch_verification():
@@ -149,3 +152,25 @@ def test_batches_and_single_checks_agree_outside_the_subgroup():
             assert batch_verify(batch)
             clear_verification_caches()
             assert not batch_verify(batch + [bad])
+
+
+def test_a_triple_shared_across_groups_is_staged_and_isolated_once(monkeypatch):
+    from repro.crypto import schnorr
+    from repro.crypto.schnorr import batch_verify_many
+
+    shared, other = make_items(2)
+    public, message, signature = other
+    forged = (public, message + b"!", signature)
+    clear_verification_caches()
+    checks = []
+    combined_check = schnorr._combined_check
+    monkeypatch.setattr(
+        schnorr, "_combined_check",
+        lambda items: checks.append(len(items)) or combined_check(items),
+    )
+    # The fold stages the shared triple once and fails on the forgery;
+    # isolating the first group certifies it, so the second group is
+    # answered without a check of its own.
+    assert batch_verify_many([[shared], [shared], [forged]]) == [True, True, False]
+    assert checks == [2, 1, 1]
+    assert cache_stats()["verify_misses"] == 0

@@ -212,6 +212,13 @@ def test_shard_block_caps_apply_per_shard_not_globally():
     assert report.invariant_violations == () and report.stuck == 0
 
 
+@pytest.mark.parametrize("caps", [{2: 7}, {-1: 7}, {"0": 7}, {0: 7, 5: 9}])
+def test_a_shard_block_cap_for_no_shard_of_the_market_is_refused(caps):
+    profile = replace(MarketProfile.sharded_smoke(seed=5), shards=2)
+    with pytest.raises(MarketError, match="shard_block_caps"):
+        MarketCoordinator(MarketWorkload(profile), MarketConfig(shard_block_caps=caps))
+
+
 # ----------------------------------------------------------------------
 # Adversarial congestion workloads
 # ----------------------------------------------------------------------

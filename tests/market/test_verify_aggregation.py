@@ -1,7 +1,7 @@
 """Tests for cross-block verify aggregation (PR 4).
 
 The market's mempools enqueue each sealing block's signature groups
-(one per order) into one shared :class:`VerifyAggregator`, which
+(one per order) into their simulator's :class:`VerifyAggregator`, which
 flushes later in the same simulated instant.  These tests pin the
 three contracted properties: groups from blocks sealing at one boundary
 really merge into a single check, forged orders are still rejected at
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from market_test_utils import HandWorkload, on_shard, run_hand, two_party_swap
-from repro.consensus.validators import VerifyAggregator
+from repro.chain.ledger import VerifyAggregator
 from repro.crypto import schnorr
 from repro.crypto.schnorr import batch_verify, generate_keypair, sign
 from repro.market import DealPhase, MarketConfig, MarketCoordinator
@@ -64,7 +64,7 @@ def test_same_boundary_blocks_merge_into_one_flush():
     # coordinator mempool, so exercise the aggregator directly with
     # two blocks' groups enqueued at one instant.
     sim = Simulator()
-    aggregator = VerifyAggregator(schedule=lambda cb: sim.schedule_at(sim.now, cb))
+    aggregator = VerifyAggregator.of(sim)
     blocks = []
     for block in range(2):
         groups = []
@@ -198,3 +198,23 @@ def test_aggregation_on_off_equivalence_with_hand_forgeries():
     )
     assert on.fingerprint() == off.fingerprint()
     assert on.render() == off.render()
+
+
+def test_a_dropped_market_takes_its_simulators_plane_with_it():
+    # The plane is found through a module-level map keyed weakly on the
+    # simulator; it must hold nothing — telemetry included, which holds
+    # the market — that keeps that simulator alive.
+    import gc
+    import weakref
+
+    from repro.chain import ledger
+    from repro.telemetry import Telemetry
+
+    profile = replace(MarketProfile.smoke(), deals=10)
+    market = MarketCoordinator(MarketWorkload(profile), MarketConfig(telemetry=Telemetry()))
+    assert market.run().committed > 0
+    simulator = weakref.ref(market.simulator)
+    assert simulator() in ledger._PLANES
+    del market
+    gc.collect()
+    assert simulator() is None

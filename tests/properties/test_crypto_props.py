@@ -184,8 +184,10 @@ def test_generator_pow_matches_builtin(exponent):
 
 
 # ----------------------------------------------------------------------
-# Block-level signature prefetch: a wall-clock step, never a verdict
+# The one batched check, and the same-instant plane built on it:
+# wall-clock steps, never a verdict
 # ----------------------------------------------------------------------
+from repro.chain.ledger import VerifyAggregator  # noqa: E402
 from repro.crypto.fastexp import Q  # noqa: E402
 from repro.crypto.hashing import tagged_hash  # noqa: E402
 from repro.crypto.schnorr import (  # noqa: E402
@@ -196,8 +198,8 @@ from repro.crypto.schnorr import (  # noqa: E402
     batch_verify_many,
     cache_stats,
     clear_verification_caches,
-    prefetch_verdicts,
 )
+from repro.sim.simulator import Simulator  # noqa: E402
 
 _PREFETCH_KEYS = [generate_keypair(b"prefetch-%d" % i) for i in range(3)]
 
@@ -239,9 +241,14 @@ claim_specs = st.tuples(
 )
 
 
+def _hits_and_misses():
+    stats = cache_stats()
+    return stats["verify_hits"], stats["verify_misses"]
+
+
 @given(specs=st.lists(st.lists(claim_specs, max_size=4), max_size=5))
 @settings(max_examples=30, deadline=None)
-def test_prefetch_verdicts_changes_no_verdict_and_no_verify_counter(specs):
+def test_batch_verify_many_changes_no_verdict_and_no_verify_counter(specs):
     batches = [[_claimed_triple(*spec) for spec in batch] for batch in specs]
     cold_single, cold_batch = [], []
     for batch in batches:
@@ -253,21 +260,16 @@ def test_prefetch_verdicts_changes_no_verdict_and_no_verify_counter(specs):
     assert cold_batch == [all(verify(*triple) for triple in batch) for batch in batches]
 
     clear_verification_caches()
-    before = cache_stats()
-    prefetch_verdicts(batches)
-    after = cache_stats()
-    assert (after["verify_hits"], after["verify_misses"]) == (
-        before["verify_hits"], before["verify_misses"]
-    )
-    assert batch_verify_many(batches) == cold_batch  # on the prefetch-warmed cache
+    before = _hits_and_misses()
+    assert batch_verify_many(batches) == cold_batch  # cold, merged
+    assert _hits_and_misses() == before
+    assert batch_verify_many(batches) == cold_batch  # on the warmed cache
     assert [verify(*triple) for batch in batches for triple in batch] == cold_single
     assert [batch_verify(batch) for batch in batches] == cold_batch
 
     # Once every member holds its own verdict — True or False — the
     # batched check has nothing left to combine: no group is refused or
     # accepted by exponentiation a second time.
-    clear_verification_caches()
-    assert batch_verify_many(batches) == cold_batch  # cold, merged
     clear_verification_caches()
     for batch in batches:
         for triple in batch:
@@ -277,6 +279,72 @@ def test_prefetch_verdicts_changes_no_verdict_and_no_verify_counter(specs):
         patch.setattr(schnorr, "multi_pow", lambda *args: calls.append(args))
         assert batch_verify_many(batches) == cold_batch
     assert calls == []
+
+
+_filings = st.lists(
+    st.tuples(st.booleans(), st.lists(st.lists(claim_specs, max_size=3), max_size=3)),
+    max_size=4,
+)
+
+
+@given(known=st.lists(claim_specs, max_size=4), filings=_filings,
+       producer_first=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_one_instant_of_claims_and_order_groups_settles_as_cold_verify(
+    known, filings, producer_first
+):
+    """Block claims (certify only) and sealed order groups (verdicts
+    wanted) filed for one instant, over a cache holding earlier verdicts:
+    the same verdicts and the same certified set as checking each member
+    alone, and no verify counter touched."""
+    filings = [(waits, [[_claimed_triple(*spec) for spec in group] for group in groups])
+               for waits, groups in filings]
+    known = [_claimed_triple(*spec) for spec in known]
+    triples = {schnorr._cache_key(*t): t for _, gs in filings for g in gs for t in g}
+    valid = {}
+    for key, triple in triples.items():
+        clear_verification_caches()
+        valid[key] = verify(*triple)
+
+    clear_verification_caches()
+    for triple in known:
+        verify(*triple)
+    store = schnorr._VERIFY_CACHE
+    before = {key: store.peek(key) for key in triples}
+    counters = _hits_and_misses()
+
+    simulator = Simulator()
+    plane = VerifyAggregator.of(simulator)
+    claims = [group for waits, groups in filings if not waits for group in groups]
+    delivered = []
+
+    def seal():
+        for waits, groups in filings:
+            if waits:
+                plane.enqueue(groups, delivered.append)
+
+    if not producer_first:
+        simulator.schedule_at(1.0, seal)
+    plane.schedule_block(1.0, lambda: plane.settle(lambda: claims), lambda: claims, "p")
+    if producer_first:
+        simulator.schedule_at(1.0, seal)
+    simulator.run()
+
+    assert delivered == [
+        [all(valid[schnorr._cache_key(*t)] for t in group) for group in groups]
+        for waits, groups in filings if waits
+    ]
+    sound = {schnorr._cache_key(*t) for _, gs in filings for g in gs
+             if all(valid[schnorr._cache_key(*t)] for t in g) for t in g}
+    for key in triples:
+        after = store.peek(key)
+        if before[key] is not None:
+            assert after is before[key]
+        else:
+            assert (after is True) == (key in sound)
+            assert after is not False or not valid[key]
+    assert _hits_and_misses() == counters
+    assert plane._due == {}
 
 
 @given(
