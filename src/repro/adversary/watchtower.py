@@ -21,6 +21,7 @@ from __future__ import annotations
 from repro.chain.tx import Transaction
 from repro.core.config import ProtocolConfig
 from repro.core.deal import DealSpec
+from repro.core.executor import fan_out
 from repro.core.parties import CompliantParty
 from repro.crypto.keys import Address
 from repro.crypto.pathsig import PathSignature, extend_path_signature
@@ -49,15 +50,7 @@ class Watchtower:
         self.config = config
         env.network.register(self.endpoint, self._on_message)
         for chain in env.chains.values():
-            chain.subscribe(self._make_fanout(chain))
-
-    def _make_fanout(self, chain):
-        def fanout(ch, block) -> None:
-            self.env.network.send(
-                f"chain:{ch.chain_id}", self.endpoint, ("block", ch.chain_id, block)
-            )
-
-        return fanout
+            fan_out(env.network, chain, [self.endpoint])
 
     def _on_message(self, message) -> None:
         payload = message.payload

@@ -80,7 +80,8 @@ def sweep_parallel(values, make_record, jobs: int | None = None) -> list[dict]:
     load-balances sweeps whose cost grows along the axis — E15/E16
     style sweeps hand every worker a mix of cheap and expensive points
     rather than giving the last worker all the heavy ones — and each
-    worker amortizes its warm crypto tables over its whole shard.
+    worker reuses the one process-wide crypto table, the generator's,
+    over its whole shard.
 
     ``jobs=None`` (or any non-positive count) uses every CPU;
     ``jobs=1`` (or a single point) falls back to the serial path with
@@ -99,7 +100,7 @@ def sweep_parallel(values, make_record, jobs: int | None = None) -> list[dict]:
     if jobs == 1 or multiprocessing.current_process().daemon:
         return sweep(values, make_record)
     shards = [values[start::jobs] for start in range(jobs)]
-    # fork (where available) lets workers inherit warm crypto tables
+    # fork (where available) lets workers inherit the generator table
     # and already-imported modules; spawn is the portable fallback.
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     context = multiprocessing.get_context(method)

@@ -28,20 +28,22 @@ and auction workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.baselines.htlc import HashedTimelockContract
-from repro.chain.gas import GasBreakdown
-from repro.chain.ledger import Chain
-from repro.chain.tokens import FungibleToken, NonFungibleToken
 from repro.chain.tx import Receipt, Transaction
 from repro.core.deal import DealSpec
+from repro.core.executor import (
+    DealEnvironment,
+    ReceiptGas,
+    build_environment,
+    collect_receipts,
+    fan_out,
+    snapshot_holdings,
+)
 from repro.crypto.hashing import sha256
-from repro.crypto.keys import Address, KeyPair, Wallet
+from repro.crypto.keys import Address, KeyPair
 from repro.errors import SwapError
-from repro.sim.network import SynchronousNetwork
-from repro.sim.rng import DeterministicRng
-from repro.sim.simulator import Simulator
 
 
 def is_swap_expressible(spec: DealSpec) -> bool:
@@ -98,8 +100,8 @@ def ring_order(spec: DealSpec) -> list[Address]:
 
 
 @dataclass
-class SwapResult:
-    """Outcome of one swap run."""
+class SwapResult(ReceiptGas):
+    """Outcome of one swap run; its gas phases are lock / claim / refund."""
 
     spec: DealSpec
     initial_holdings: dict
@@ -108,24 +110,6 @@ class SwapResult:
     lock_states: dict
     completed: bool
     duration: float
-
-    def gas_total(self) -> GasBreakdown:
-        """Total gas of all successful transactions."""
-        total = GasBreakdown.zero()
-        for receipt in self.receipts:
-            if receipt.ok:
-                total = total + receipt.gas
-        return total
-
-    def gas_by_phase(self) -> dict[str, GasBreakdown]:
-        """Gas per swap phase (lock / claim / refund)."""
-        by_phase: dict[str, GasBreakdown] = {}
-        for receipt in self.receipts:
-            if not receipt.ok:
-                continue
-            phase = receipt.tx.phase or "other"
-            by_phase[phase] = by_phase.get(phase, GasBreakdown.zero()) + receipt.gas
-        return by_phase
 
 
 class SwapParty:
@@ -186,83 +170,32 @@ class SwapExecutor:
         cycle = 2 * msg_bound + block_interval
         self.delta = 2 * cycle
         self.t0 = (len(self.order) + 3) * cycle
-        self._simulator = Simulator()
-        self._network = SynchronousNetwork(
-            self._simulator, delta=msg_bound, rng=DeterministicRng(seed)
-        )
-        self._wallet = Wallet()
-        self._chains: dict[str, Chain] = {}
-        self._tokens: dict[tuple[str, str], object] = {}
-        self._htlcs: dict[str, HashedTimelockContract] = {}
+        self._env: DealEnvironment | None = None
         self._secret = sha256(b"swap-secret/%d" % seed)
         self._hashlock = sha256(self._secret)
-        self._lock_ids: dict[int, str] = {}
         self._steps_by_giver = {step.giver: step for step in spec.steps}
 
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
-    def _build(self) -> None:
+    def _build(self) -> DealEnvironment:
+        env = build_environment(
+            self.spec,
+            [party.keypair for party in self.parties],
+            self.seed,
+            self.msg_bound,
+            self.block_interval,
+        )
+        # One HTLC per chain: the swap's escrows, keyed by chain id.
+        for chain_id, chain in env.chains.items():
+            env.escrows[chain_id] = chain.publish(HashedTimelockContract(f"htlc/{chain_id}"))
         for party in self.parties:
-            self._wallet.register(party.keypair)
             party.executor = self
-            self._network.register(party.endpoint, party.on_message)
-        for chain_id in self.spec.chains():
-            chain = Chain(
-                chain_id, self._simulator, self._wallet, block_interval=self.block_interval
-            )
-            self._chains[chain_id] = chain
-            self._network.register(
-                f"chain:{chain_id}",
-                lambda message, chain=chain: chain.submit(message.payload[1]),
-            )
-            htlc = HashedTimelockContract(f"htlc/{chain_id}")
-            chain.publish(htlc)
-            self._htlcs[chain_id] = htlc
-            chain.subscribe(self._make_fanout(chain))
-        for asset in self.spec.assets:
-            key = (asset.chain_id, asset.token)
-            if key in self._tokens:
-                continue
-            token = FungibleToken(asset.token) if asset.fungible else NonFungibleToken(asset.token)
-            self._chains[asset.chain_id].publish(token)
-            self._tokens[key] = token
-            chain = self._chains[asset.chain_id]
-        minter = self.spec.parties[0]
-        for asset in self.spec.assets:
-            chain = self._chains[asset.chain_id]
-            if asset.fungible:
-                chain.execute_now(
-                    Transaction(
-                        sender=minter,
-                        contract=asset.token,
-                        method="mint",
-                        args={"to": asset.owner, "amount": asset.amount},
-                        phase="setup",
-                    )
-                )
-            else:
-                for token_id in asset.token_ids:
-                    chain.execute_now(
-                        Transaction(
-                            sender=minter,
-                            contract=asset.token,
-                            method="mint",
-                            args={"to": asset.owner, "token_id": token_id, "metadata": {}},
-                            phase="setup",
-                        )
-                    )
-
-    def _make_fanout(self, chain: Chain):
+            env.network.register(party.endpoint, party.on_message)
         endpoints = [party.endpoint for party in self.parties]
-
-        def fanout(ch, block) -> None:
-            for endpoint in endpoints:
-                self._network.send(
-                    f"chain:{ch.chain_id}", endpoint, ("block", ch.chain_id, block)
-                )
-
-        return fanout
+        for chain in env.chains.values():
+            fan_out(env.network, chain, endpoints)
+        return env
 
     # ------------------------------------------------------------------
     # Protocol actions
@@ -280,7 +213,7 @@ class SwapExecutor:
         position = self._position(party)
         step = self._steps_by_giver[party.address]
         asset = self.spec.asset(step.asset_id)
-        htlc = self._htlcs[asset.chain_id]
+        htlc = self._env.escrows[asset.chain_id]
         deadline = self.t0 + (len(self.order) - position) * self.delta
         if asset.fungible:
             self._send_tx(
@@ -311,12 +244,12 @@ class SwapExecutor:
         asset = self.spec.asset(step.asset_id)
 
         def attempt() -> None:
-            htlc = self._htlcs[asset.chain_id]
+            htlc = self._env.escrows[asset.chain_id]
             entry = htlc.peek_lock(lock_id)
             if entry is not None and entry["state"] == "locked":
                 self._send_tx(party, asset.chain_id, htlc.name, "refund", "refund", lock_id=lock_id)
 
-        self._simulator.schedule_at(deadline + 2 * self.delta, attempt, label="swap/refund")
+        self._env.simulator.schedule_at(deadline + 2 * self.delta, attempt, label="swap/refund")
 
     def on_lock_visible(self, observer: SwapParty, lock_id: str) -> None:
         """A lock appeared: successors deploy; the leader may claim."""
@@ -335,7 +268,6 @@ class SwapExecutor:
         position = self._position(observer)
         if position == 0:
             return
-        my_incoming = self._lock_id_for(position - 1)
         if lock_id == self._lock_id_for(position):
             # My outgoing lock was claimed; the preimage is now known.
             self._claim(observer, predecessor_position=position - 1, preimage=preimage)
@@ -348,7 +280,7 @@ class SwapExecutor:
         giver = self.order[predecessor_position]
         step = self._steps_by_giver[giver]
         asset = self.spec.asset(step.asset_id)
-        htlc = self._htlcs[asset.chain_id]
+        htlc = self._env.escrows[asset.chain_id]
         self._send_tx(
             party, asset.chain_id, htlc.name, "claim", "claim",
             lock_id=self._lock_id_for(predecessor_position),
@@ -359,59 +291,31 @@ class SwapExecutor:
         tx = Transaction(
             sender=party.address, contract=contract, method=method, args=args, phase=phase
         )
-        self._network.send(party.endpoint, f"chain:{chain_id}", ("tx", tx))
+        self._env.network.send(party.endpoint, f"chain:{chain_id}", ("tx", tx))
 
     # ------------------------------------------------------------------
     # Run
     # ------------------------------------------------------------------
     def run(self) -> SwapResult:
         """Run the swap to quiescence and report."""
-        self._build()
-        initial = self._snapshot()
+        env = self._env = self._build()
+        initial = snapshot_holdings(env, self.spec)
         leader = self.parties[0]
-        self._simulator.schedule(0.0, lambda: self._submit_lock(leader), label="swap/start")
-        self._simulator.run(max_events=500_000)
-        final = self._snapshot()
-        receipts: list[Receipt] = []
-        for chain in self._chains.values():
-            for block in chain.blocks:
-                receipts.extend(block.receipts)
-        receipts.sort(key=lambda receipt: (receipt.executed_at, receipt.tx.tx_id))
+        env.simulator.schedule(0.0, lambda: self._submit_lock(leader), label="swap/start")
+        env.simulator.run(max_events=500_000)
         lock_states = {}
         for position in range(len(self.order)):
             giver = self.order[position]
             asset = self.spec.asset(self._steps_by_giver[giver].asset_id)
-            entry = self._htlcs[asset.chain_id].peek_lock(self._lock_id_for(position))
+            entry = env.escrows[asset.chain_id].peek_lock(self._lock_id_for(position))
             lock_states[position] = entry["state"] if entry else "absent"
         completed = all(state == "claimed" for state in lock_states.values())
         return SwapResult(
             spec=self.spec,
             initial_holdings=initial,
-            final_holdings=final,
-            receipts=receipts,
+            final_holdings=snapshot_holdings(env, self.spec),
+            receipts=collect_receipts(env),
             lock_states=lock_states,
             completed=completed,
-            duration=self._simulator.now,
+            duration=env.simulator.now,
         )
-
-    def _snapshot(self) -> dict:
-        holders = list(self.spec.parties) + [htlc.address for htlc in self._htlcs.values()]
-        snapshot: dict = {}
-        for (chain_id, token_name), token in self._tokens.items():
-            per_holder: dict = {}
-            if isinstance(token, FungibleToken):
-                for holder in holders:
-                    per_holder[holder] = token.peek_balance(holder)
-            else:
-                all_ids = [
-                    token_id
-                    for asset in self.spec.assets
-                    if asset.chain_id == chain_id and asset.token == token_name
-                    for token_id in asset.token_ids
-                ]
-                for holder in holders:
-                    per_holder[holder] = frozenset(
-                        token_id for token_id in all_ids if token.peek_owner(token_id) == holder
-                    )
-            snapshot[(chain_id, token_name)] = per_holder
-        return snapshot

@@ -24,16 +24,12 @@ from dataclasses import dataclass
 
 from repro.chain.contracts import CallContext
 from repro.chain.gas import GasBreakdown
-from repro.chain.ledger import Chain
-from repro.chain.tokens import FungibleToken, NonFungibleToken
 from repro.chain.tx import Receipt, Transaction
 from repro.core.deal import Asset, DealSpec
-from repro.core.escrow import EscrowManager, EscrowState
-from repro.crypto.keys import Address, KeyPair, Wallet
+from repro.core.escrow import EscrowManager
+from repro.core.executor import ReceiptGas, build_environment, collect_receipts
+from repro.crypto.keys import Address, KeyPair
 from repro.errors import ConfigurationError
-from repro.sim.network import SynchronousNetwork
-from repro.sim.rng import DeterministicRng
-from repro.sim.simulator import Simulator
 
 
 class TrustedEscrow(EscrowManager):
@@ -57,7 +53,7 @@ class TrustedEscrow(EscrowManager):
 
 
 @dataclass
-class TwoPhaseCommitResult:
+class TwoPhaseCommitResult(ReceiptGas):
     """Outcome of a 2PC run."""
 
     spec: DealSpec
@@ -66,21 +62,9 @@ class TwoPhaseCommitResult:
     duration: float
     decision: str
 
-    def gas_total(self) -> GasBreakdown:
-        """Total successful gas."""
-        total = GasBreakdown.zero()
-        for receipt in self.receipts:
-            if receipt.ok:
-                total = total + receipt.gas
-        return total
-
     def commit_phase_gas(self) -> GasBreakdown:
         """Gas of the resolution transactions only."""
-        total = GasBreakdown.zero()
-        for receipt in self.receipts:
-            if receipt.ok and receipt.tx.phase == "resolve":
-                total = total + receipt.gas
-        return total
+        return self.gas_by_phase().get("resolve", GasBreakdown.zero())
 
 
 class TwoPhaseCommitExecutor:
@@ -113,57 +97,24 @@ class TwoPhaseCommitExecutor:
 
     def run(self) -> TwoPhaseCommitResult:
         """Execute escrow, transfers, prepare, and resolution."""
-        simulator = Simulator()
-        network = SynchronousNetwork(
-            simulator, delta=self.msg_bound, rng=DeterministicRng(self.seed)
+        env = build_environment(
+            self.spec,
+            [*self.keys.values(), self.coordinator_key],
+            self.seed,
+            self.msg_bound,
+            self.block_interval,
         )
-        wallet = Wallet()
-        for keypair in self.keys.values():
-            wallet.register(keypair)
-        wallet.register(self.coordinator_key)
-
-        chains: dict[str, Chain] = {}
-        for chain_id in self.spec.chains():
-            chain = Chain(chain_id, simulator, wallet, block_interval=self.block_interval)
-            chains[chain_id] = chain
-            network.register(
-                f"chain:{chain_id}",
-                lambda message, chain=chain: chain.submit(message.payload[1]),
-            )
-        tokens: dict[tuple[str, str], object] = {}
-        escrows: dict[str, TrustedEscrow] = {}
-        minter = self.spec.parties[0]
+        simulator, network, escrows = env.simulator, env.network, env.escrows
         for asset in self.spec.assets:
-            key = (asset.chain_id, asset.token)
-            if key not in tokens:
-                token = FungibleToken(asset.token) if asset.fungible else NonFungibleToken(asset.token)
-                chains[asset.chain_id].publish(token)
-                tokens[key] = token
-            if asset.fungible:
-                chains[asset.chain_id].execute_now(
-                    Transaction(
-                        sender=minter, contract=asset.token, method="mint",
-                        args={"to": asset.owner, "amount": asset.amount}, phase="setup",
-                    )
+            escrows[asset.asset_id] = env.chains[asset.chain_id].publish(
+                TrustedEscrow(
+                    self.spec.escrow_contract_name(asset.asset_id),
+                    self.spec.deal_id,
+                    self.spec.parties,
+                    asset,
+                    coordinator=self.coordinator_key.address,
                 )
-            else:
-                for token_id in asset.token_ids:
-                    chains[asset.chain_id].execute_now(
-                        Transaction(
-                            sender=minter, contract=asset.token, method="mint",
-                            args={"to": asset.owner, "token_id": token_id, "metadata": {}},
-                            phase="setup",
-                        )
-                    )
-            escrow = TrustedEscrow(
-                self.spec.escrow_contract_name(asset.asset_id),
-                self.spec.deal_id,
-                self.spec.parties,
-                asset,
-                coordinator=self.coordinator_key.address,
             )
-            chains[asset.chain_id].publish(escrow)
-            escrows[asset.asset_id] = escrow
 
         # Phase 1: escrow + transfers, driven as one scripted schedule
         # (parties are trusted to follow directions — the classical
@@ -214,16 +165,10 @@ class TwoPhaseCommitExecutor:
 
         simulator.schedule(resolve_at, resolve, label="2pc/resolve")
         simulator.run(max_events=200_000)
-
-        receipts: list[Receipt] = []
-        for chain in chains.values():
-            for block in chain.blocks:
-                receipts.extend(block.receipts)
-        receipts.sort(key=lambda receipt: (receipt.executed_at, receipt.tx.tx_id))
         return TwoPhaseCommitResult(
             spec=self.spec,
             escrow_states={aid: e.peek_state() for aid, e in escrows.items()},
-            receipts=receipts,
+            receipts=collect_receipts(env),
             duration=simulator.now,
             decision=decision,
         )

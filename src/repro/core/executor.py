@@ -4,7 +4,10 @@
 one deal — chains, tokens, escrow contracts, the CBC if required, the
 network, and the parties — runs it to quiescence, and returns a
 :class:`DealResult` with holdings snapshots, receipts, per-phase gas,
-and a timeline.  Everything is deterministic given the seed.
+and a timeline.  Everything is deterministic given the seed.  The
+substrate helpers (:func:`build_environment`, :func:`submitter`,
+:func:`fan_out`, :class:`ReceiptGas` and the result assembly below) also
+serve the swap and 2PC baselines and the watchtower.
 
 The division of labour mirrors the paper's phases (§4.1): the executor
 performs the *clearing* phase (broadcasting the deal and, for the CBC
@@ -13,13 +16,13 @@ protocol, arranging the ``startDeal`` entry); the parties do the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.chain.gas import GasBreakdown
 from repro.chain.ledger import Chain
 from repro.chain.tokens import FungibleToken, NonFungibleToken
 from repro.chain.tx import Receipt, Transaction
-from repro.consensus.bft import CertifiedBlockchain, DealStatus, LogEntry
+from repro.consensus.bft import CertifiedBlockchain, LogEntry
 from repro.consensus.pow_log import PowCertifiedLog
 from repro.consensus.validators import ValidatorSet
 from repro.core.config import ProofKind, ProtocolConfig, ProtocolKind
@@ -28,7 +31,7 @@ from repro.core.escrow import EscrowManager, EscrowState
 from repro.core.cbc import CbcEscrow, PowCbcEscrow
 from repro.core.parties import CompliantParty
 from repro.core.timelock import TimelockEscrow
-from repro.crypto.keys import Wallet
+from repro.crypto.keys import KeyPair, Wallet
 from repro.errors import ConfigurationError
 from repro.sim.faults import FaultPlan
 from repro.sim.network import EventuallySynchronousNetwork, Network, SynchronousNetwork
@@ -40,7 +43,12 @@ Holdings = dict
 
 @dataclass
 class DealEnvironment:
-    """Everything the parties can see and touch during a run."""
+    """Everything the parties can see and touch during a run.
+
+    ``escrows`` holds the contracts that lock the deal's assets, whose
+    addresses :func:`snapshot_holdings` lists beside the parties': one
+    per asset for a deal or 2PC, one HTLC per chain for a swap.
+    """
 
     simulator: Simulator
     network: Network
@@ -51,6 +59,102 @@ class DealEnvironment:
     cbc: CertifiedBlockchain | None = None
     start_hash: bytes = b""
     pow_log: object | None = None
+
+
+def build_environment(
+    spec: DealSpec,
+    keypairs: list[KeyPair],
+    seed: int,
+    msg_bound: float,
+    block_interval: float,
+    gst: float = 0.0,
+) -> DealEnvironment:
+    """The substrate one deal runs on, for every per-deal executor.
+
+    A simulator and a network seeded with ``seed`` (eventually
+    synchronous when ``gst > 0``), a wallet of ``keypairs``, one
+    :class:`Chain` per spec chain with its ``chain:<id>`` endpoint, and
+    each (chain, token) published once with every asset minted to its
+    owner.  Escrows, parties and fan-out are the caller's.
+    """
+    simulator = Simulator()
+    rng = DeterministicRng(seed)
+    if gst > 0:
+        network: Network = EventuallySynchronousNetwork(
+            simulator, delta=msg_bound, gst=gst, rng=rng
+        )
+    else:
+        network = SynchronousNetwork(simulator, delta=msg_bound, rng=rng)
+    wallet = Wallet()
+    for keypair in keypairs:
+        wallet.register(keypair)
+
+    chains: dict[str, Chain] = {}
+    for chain_id in spec.chains():
+        chains[chain_id] = Chain(chain_id, simulator, wallet, block_interval=block_interval)
+        network.register(f"chain:{chain_id}", submitter(chains[chain_id]))
+
+    tokens: dict[tuple[str, str], object] = {}
+    for asset in spec.assets:
+        key = (asset.chain_id, asset.token)
+        if key not in tokens:
+            token_class = FungibleToken if asset.fungible else NonFungibleToken
+            tokens[key] = chains[asset.chain_id].publish(token_class(asset.token))
+
+    # Mint initial holdings (setup: outside any block).
+    metadata = {"deal": spec.deal_id.hex()[:8]}
+    for asset in spec.assets:
+        if asset.fungible:
+            mints = [{"to": asset.owner, "amount": asset.amount}]
+        else:
+            mints = [
+                {"to": asset.owner, "token_id": token_id, "metadata": metadata}
+                for token_id in asset.token_ids
+            ]
+        for args in mints:
+            chains[asset.chain_id].execute_now(
+                Transaction(
+                    sender=spec.parties[0],
+                    contract=asset.token,
+                    method="mint",
+                    args=args,
+                    phase="setup",
+                )
+            )
+    return DealEnvironment(
+        simulator=simulator,
+        network=network,
+        wallet=wallet,
+        chains=chains,
+        tokens=tokens,
+        escrows={},
+    )
+
+
+def submitter(target):
+    """The handler of a ``chain:<id>`` or ``cbc`` endpoint: submit each
+    delivered ``("tx", tx)`` or ``("entry", entry)`` to ``target``."""
+    return lambda message: target.submit(message.payload[1])
+
+
+def fan_out(network: Network, source, endpoints: list[str]) -> None:
+    """Send every block ``source`` produces to ``endpoints``, in order.
+
+    A chain's blocks go out from ``chain:<id>`` as ``("block", chain_id,
+    block)``; the CBC's or PoW log's from ``cbc`` as ``("cbc_block",
+    block)``.
+    """
+    if isinstance(source, Chain):
+        sender, head = f"chain:{source.chain_id}", ("block", source.chain_id)
+    else:
+        sender, head = "cbc", ("cbc_block",)
+    endpoints = list(endpoints)
+
+    def observer(_source, block) -> None:
+        for endpoint in endpoints:
+            network.send(sender, endpoint, (*head, block))
+
+    source.subscribe(observer)
 
 
 @dataclass
@@ -82,20 +186,9 @@ class Timeline:
         return {"escrow": escrow, "transfer": transfer, "commit": commit}
 
 
-@dataclass
-class DealResult:
-    """The observable outcome of one deal execution."""
-
-    spec: DealSpec
-    config: ProtocolConfig
-    initial_holdings: Holdings
-    final_holdings: Holdings
-    receipts: list[Receipt]
-    escrow_states: dict
-    timeline: Timeline
-    party_stats: dict
-    env: DealEnvironment
-    effective_delta: float
+class ReceiptGas:
+    """Gas aggregation over a result's ``receipts``, shared by the deal,
+    swap and 2PC results so their totals compare like for like."""
 
     def gas_by_phase(self, include_reverted: bool = False) -> dict[str, GasBreakdown]:
         """Aggregate per-phase gas.
@@ -114,11 +207,24 @@ class DealResult:
         return by_phase
 
     def gas_total(self) -> GasBreakdown:
-        """Total gas across all receipts."""
-        total = GasBreakdown.zero()
-        for receipt in self.receipts:
-            total = total + receipt.gas
-        return total
+        """Total gas of the successful transactions, over every phase."""
+        return sum(self.gas_by_phase().values(), GasBreakdown.zero())
+
+
+@dataclass
+class DealResult(ReceiptGas):
+    """The observable outcome of one deal execution."""
+
+    spec: DealSpec
+    config: ProtocolConfig
+    initial_holdings: Holdings
+    final_holdings: Holdings
+    receipts: list[Receipt]
+    escrow_states: dict
+    timeline: Timeline
+    party_stats: dict
+    env: DealEnvironment
+    effective_delta: float
 
     def all_committed(self) -> bool:
         """Whether every escrow released (the 'all' outcome)."""
@@ -203,100 +309,31 @@ class DealExecutor:
     # Assembly
     # ------------------------------------------------------------------
     def _build(self) -> DealEnvironment:
-        simulator = Simulator()
-        rng = DeterministicRng(self.seed)
-        if self.gst > 0:
-            network: Network = EventuallySynchronousNetwork(
-                simulator, delta=self.msg_bound, gst=self.gst, rng=rng
-            )
-        else:
-            network = SynchronousNetwork(simulator, delta=self.msg_bound, rng=rng)
-        wallet = Wallet()
-        for party in self.parties:
-            wallet.register(party.keypair)
-
-        chains: dict[str, Chain] = {}
-        for chain_id in self.spec.chains():
-            chain = Chain(
-                chain_id,
-                simulator,
-                wallet,
-                block_interval=self.block_interval,
-            )
-            chains[chain_id] = chain
-            network.register(
-                f"chain:{chain_id}",
-                lambda message, chain=chain: self._on_chain_message(chain, message),
-            )
-
-        tokens: dict[tuple[str, str], object] = {}
-        for asset in self.spec.assets:
-            key = (asset.chain_id, asset.token)
-            if key in tokens:
-                continue
-            if asset.fungible:
-                token = FungibleToken(asset.token)
-            else:
-                token = NonFungibleToken(asset.token)
-            chains[asset.chain_id].publish(token)
-            tokens[key] = token
-
-        # Mint initial holdings (setup: outside any block).
-        minter = self.spec.parties[0]
-        for asset in self.spec.assets:
-            chain = chains[asset.chain_id]
-            if asset.fungible:
-                chain.execute_now(
-                    Transaction(
-                        sender=minter,
-                        contract=asset.token,
-                        method="mint",
-                        args={"to": asset.owner, "amount": asset.amount},
-                        phase="setup",
-                    )
-                )
-            else:
-                for token_id in asset.token_ids:
-                    chain.execute_now(
-                        Transaction(
-                            sender=minter,
-                            contract=asset.token,
-                            method="mint",
-                            args={
-                                "to": asset.owner,
-                                "token_id": token_id,
-                                "metadata": {"deal": self.spec.deal_id.hex()[:8]},
-                            },
-                            phase="setup",
-                        )
-                    )
-
-        env = DealEnvironment(
-            simulator=simulator,
-            network=network,
-            wallet=wallet,
-            chains=chains,
-            tokens=tokens,
-            escrows={},
+        env = build_environment(
+            self.spec,
+            [party.keypair for party in self.parties],
+            self.seed,
+            self.msg_bound,
+            self.block_interval,
+            gst=self.gst,
         )
+        simulator, network, chains = env.simulator, env.network, env.chains
 
         # The shared log, if this protocol needs one.
         if self.config.kind is ProtocolKind.CBC_POW:
             pow_log = PowCertifiedLog(
-                simulator, wallet, block_interval=self.block_interval
+                simulator, env.wallet, block_interval=self.block_interval
             )
             pow_log.register_deal(self.spec.deal_id, self.spec.parties)
             env.pow_log = pow_log
-            network.register(
-                "cbc", lambda message: self._on_pow_message(pow_log, message)
-            )
+            network.register("cbc", submitter(pow_log))
         if self.config.kind is ProtocolKind.CBC:
             validators = ValidatorSet.generate(self.validators_f, seed=f"cbc/{self.seed}")
             cbc = CertifiedBlockchain(
-                simulator, validators, wallet, block_interval=self.block_interval
+                simulator, validators, env.wallet, block_interval=self.block_interval
             )
             env.cbc = cbc
-            network.register("cbc", lambda message: self._on_cbc_message(cbc, message))
+            network.register("cbc", submitter(cbc))
             starter = self.parties[0]
             start_entry = LogEntry(
                 kind="startDeal",
@@ -355,12 +392,10 @@ class DealExecutor:
         # Bind parties and fan out block notifications.
         for party in self.parties:
             party.bind(env, self.spec, self.config)
-        for chain in chains.values():
-            chain.subscribe(self._make_fanout(env, chain))
-        if env.cbc is not None:
-            env.cbc.subscribe(self._make_cbc_fanout(env))
-        if env.pow_log is not None:
-            env.pow_log.subscribe(self._make_cbc_fanout(env))
+        endpoints = [party.endpoint for party in self.parties]
+        for source in (*chains.values(), env.cbc, env.pow_log):
+            if source is not None:
+                fan_out(network, source, endpoints)
 
         # Planned reconfigurations (E3 ablation) happen mid-run, after
         # the deal has started but before settlement typically begins.
@@ -379,44 +414,6 @@ class DealExecutor:
         for party in self.parties:
             simulator.schedule(0.0, party.begin, label=f"{party.label}/begin")
         return env
-
-    def _make_fanout(self, env: DealEnvironment, chain: Chain):
-        endpoints = [party.endpoint for party in self.parties]
-
-        def fanout(ch, block) -> None:
-            for endpoint in endpoints:
-                env.network.send(
-                    f"chain:{ch.chain_id}", endpoint, ("block", ch.chain_id, block)
-                )
-
-        return fanout
-
-    def _make_cbc_fanout(self, env: DealEnvironment):
-        endpoints = [party.endpoint for party in self.parties]
-
-        def fanout(cbc, block) -> None:
-            for endpoint in endpoints:
-                env.network.send("cbc", endpoint, ("cbc_block", block))
-
-        return fanout
-
-    @staticmethod
-    def _on_chain_message(chain: Chain, message) -> None:
-        kind, payload = message.payload[0], message.payload[1]
-        if kind == "tx":
-            chain.submit(payload)
-
-    @staticmethod
-    def _on_cbc_message(cbc: CertifiedBlockchain, message) -> None:
-        kind, payload = message.payload[0], message.payload[1]
-        if kind == "entry":
-            cbc.submit(payload)
-
-    @staticmethod
-    def _on_pow_message(pow_log: "PowCertifiedLog", message) -> None:
-        kind, payload = message.payload[0], message.payload[1]
-        if kind == "entry":
-            pow_log.submit(payload)
 
     # ------------------------------------------------------------------
     # Execution

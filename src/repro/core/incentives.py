@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from repro.chain.contracts import CallContext, Contract
 from repro.crypto.keys import Address
-from repro.crypto.pathsig import PathSignature, vote_message
+from repro.crypto.pathsig import PathSignature
 
 
 def deal_fee_budget(steps: int, value_at_risk: int, urgency: float = 1.0) -> int:
@@ -118,13 +118,11 @@ class DepositManager(Contract):
         ctx.require(not path.has_duplicate_signers(), "duplicate signers on path")
         for signer in path.signers:
             ctx.require(signer in self.plist, "path signer not in plist")
-        message = vote_message(self.deal_id, voter, "commit")
-        for signer, signature in zip(path.signers, path.signatures):
+        for signer, message, signature in path.links(self.deal_id):
             ctx.require(
                 ctx.verify_signature(signer, message, signature),
                 "invalid signature on path",
             )
-            message = signature.to_bytes()
         self.voted[voter] = True
         ctx.emit(self, "VoteAccepted", deal_id=self.deal_id, voter=voter, path=path)
         if all(self.voted.get(party, False) for party in self.plist):

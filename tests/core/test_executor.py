@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chain.gas import GasBreakdown
 from repro.core.config import ProofKind, ProtocolConfig, ProtocolKind
 from repro.core.executor import DealExecutor, auto_config
 from repro.core.outcomes import evaluate_outcome
@@ -81,6 +82,17 @@ def test_gas_by_phase_excludes_reverted_by_default():
     total_clean = sum(b.total for b in clean.values())
     total_waste = sum(b.total for b in with_waste.values())
     assert total_waste >= total_clean
+
+
+def test_gas_total_is_the_sum_of_the_phases():
+    # The broker deal reverts benign duplicate forwards; like the swap
+    # and 2PC totals E11 prints beside it, the total counts none of them.
+    spec, keys = ticket_broker_deal()
+    config = auto_config(spec, ProtocolKind.TIMELOCK)
+    result = DealExecutor(spec, make_parties(keys), config).run()
+    assert any(not receipt.ok for receipt in result.receipts)
+    phases = result.gas_by_phase().values()
+    assert result.gas_total() == sum(phases, GasBreakdown.zero())
 
 
 def test_timeline_phases_ordered():
