@@ -111,6 +111,14 @@ class VerifyAggregator:
     claims.  Blocks sit on the grid and seals on the half-grid, so an
     instant holds one kind of filing in practice.
 
+    ``key_tables`` is the simulator's store of recurring public keys'
+    odd-power tables (:func:`repro.crypto.fastexp.key_table`), handed to
+    every ``batch_verify_many`` made for this simulator — both of
+    ``settle``'s paths and the CBC log's own check — so each signing key
+    builds its table once per run, on first use.  It holds keys only,
+    never a commitment, and dies with the plane, which dies with the
+    simulator.
+
     ``verify_many`` takes ``[(owner, group), ...]`` and returns each
     group's own validity, in order; the ``processes`` backend plugs its
     verify pool in here, one worker per owner shard.  In ``stats``,
@@ -129,7 +137,13 @@ class VerifyAggregator:
         self._due: dict[float, tuple[list, list]] = {}
         self._flush_scheduled = False
         self._telemetry = lambda: None
-        self.verify_many = lambda owned: batch_verify_many([g for _, g in owned])
+        # The hook closes over the store, not the plane: no cycle, so
+        # the plane goes the moment its simulator does.
+        key_tables: dict[int, list[int]] = {}
+        self.key_tables = key_tables
+        self.verify_many = lambda owned: batch_verify_many(
+            [g for _, g in owned], key_tables
+        )
         self.stats = dict.fromkeys(
             ("flushes", "batches", "merged_flushes", "merged_batches",
              "isolation_fallbacks"), 0,
@@ -187,7 +201,7 @@ class VerifyAggregator:
         )
         certify = [group for pending in readers for group in pending()]
         if certify:
-            batch_verify_many(certify)
+            batch_verify_many(certify, self.key_tables)
         if not waiting:
             return
         self.stats["flushes"] += 1

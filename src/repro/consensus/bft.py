@@ -274,7 +274,9 @@ class CertifiedBlockchain:
     def _verify_pending(self, entries: list[LogEntry]) -> list[LogEntry]:
         """Drop entries whose signatures fail, in one batched check."""
         known = [entry for entry in entries if self.wallet.knows(entry.party)]
-        verdicts = schnorr_batch_verify_many([self._claim(entry) for entry in known])
+        verdicts = schnorr_batch_verify_many(
+            [self._claim(entry) for entry in known], self._verify.key_tables
+        )
         return [entry for entry, ok in zip(known, verdicts) if ok]
 
     def _pending_claims(self) -> list:

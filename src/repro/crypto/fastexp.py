@@ -3,7 +3,7 @@
 Profiling shows most benchmark wall-clock inside 2048-bit modular
 exponentiation for Schnorr sign/verify, and — since the market runtime
 batches whole blocks of order signatures into one combined check —
-inside :func:`multi_pow` specifically.  Two kinds of bases get a
+inside :func:`multi_pow` specifically.  Three kinds of bases get a
 mechanism of their own:
 
 * the **generator** ``g`` — every sign computes ``g^k`` and every
@@ -13,24 +13,34 @@ mechanism of their own:
 * everything a batched check multiplies together — **public keys**
   ``y^{e·w}`` and **signature commitments** ``R^w`` — goes through one
   cold multi-exponentiation that shares a single squaring chain across
-  the whole batch.
+  the whole batch;
+* a **public key that recurs** across a run's batched checks keeps
+  its odd-power table — the one the multi-exponentiation below would
+  build for it anyway, at :data:`KEY_WINDOW` — in a store the caller
+  owns and hands in (``tables``); the store lives as long as its
+  owner (one per simulator, :class:`repro.chain.ledger.VerifyAggregator`)
+  and nothing here keeps one.
 
 :func:`multi_pow` merges duplicate bases by *summing their exponents*
 and computes the product in one interleaved sliding-window pass
 (Straus/Möller: one shared squaring chain; each base gets a table of
 its odd powers and a window width sized to *its own* exponent, so a
 commitment under a 64-bit weight builds 4 entries and uses ~16 of them
-where a public key under a ~320-bit ``e·w`` builds 16 and uses ~53).
-Nothing is kept between calls.  There is deliberately no bucket
-(Pippenger) kernel: it only wins past ≈ 270 mixed-length bases, and the
-widest call any workload or gate makes has 82 (ROADMAP "Recent", PR 24).
+where a public key under a ~320-bit ``e·w`` builds 16 and uses ~53 —
+or, found in ``tables``, builds nothing and reads its 32 entries ~46
+times).  Called without ``tables`` nothing outlives the call.  There
+is deliberately no bucket (Pippenger) kernel: it only wins past ≈ 270
+mixed-length bases, and the widest call any workload or gate makes has
+82 (ROADMAP "Recent").
 
 A single public-key exponentiation (:func:`base_pow`) is plain
-``builtins.pow``.  There is deliberately no per-public-key table
-tier: a 384-bit window table costs ~1,440 multiplications to build
-and, inside a batch whose squarings are already shared, saves almost
-nothing per use, so it only repaid itself in long runs over few keys
-that no benchmark workload reaches (ROADMAP "Recent", PR 21).
+``builtins.pow``.  The kept key tables are not a fixed-base tier: a
+384-bit fixed-base window table per key costs ~1,440 multiplications
+to build and, inside a batch whose squarings are already shared, saves
+almost nothing per use, so it only repays itself in long runs over few
+keys that no benchmark workload reaches (ROADMAP, parked); a kept
+odd-power table costs 32 multiplications, once, and saves 23 in every
+later call that names its key.
 
 The RFC 3526 group-14 constants live here (single source of truth);
 :mod:`repro.crypto.schnorr` re-exports them, so existing imports keep
@@ -71,6 +81,17 @@ GENERATOR_TABLE_BITS = 640
 # The window trades table-build cost against per-exponentiation cost;
 # the table is built once per process, so it affords a wide one.
 GENERATOR_WINDOW = 7
+
+# The sliding-window width of a recurring public key's odd-power table
+# (:func:`key_table`), kept for the life of a simulator's verification
+# plane instead of rebuilt in every multi-exponentiation.  A base pays
+# 2^(w-1) multiplications for the table, once, and ~bits/(w+1) window
+# hits per use: a 32-entry table (~10 KB) lets a ~320-bit ``e·w`` cost
+# 46 hits where the per-call width-5 table costs 16 + 53.  Shared by
+# n uses, the table costs 32/n per use, and :func:`_window_width`'s
+# rule (w+1 beats w iff bits > 2^(w-1)·(w+1)·(w+2)) picks 6 for that
+# exponent once n is 3–5.
+KEY_WINDOW = 6
 
 
 class FixedBaseTable:
@@ -204,7 +225,15 @@ def _odd_powers(base: int, width: int, modulus: int) -> list[int]:
     return powers
 
 
-def _straus(items: list[tuple[int, int]], modulus: int) -> int:
+def key_table(base: int) -> list[int]:
+    """A recurring public key's odd powers mod ``p`` at :data:`KEY_WINDOW`:
+    what :func:`multi_pow` reads for it when handed in ``tables``."""
+    return _odd_powers(base, KEY_WINDOW, P)
+
+
+def _straus(
+    items: list[tuple[int, int]], modulus: int, tables: dict | None = None
+) -> int:
     """Interleaved sliding-window multi-exp (Möller) over distinct bases.
 
     Every base is recoded at the width its *own* exponent repays
@@ -213,13 +242,19 @@ def _straus(items: list[tuple[int, int]], modulus: int) -> int:
     then walks down from the highest position and multiplies in
     whatever is filed where it stands.  A short exponent thus costs a
     small table and few hits, and joins the chain only at its own top
-    bit — no base pays for the longest exponent in the batch.
+    bit — no base pays for the longest exponent in the batch.  A base
+    found in ``tables`` reads its odd powers from there instead, at the
+    width the stored table's length gives (``2^(w-1)`` entries).
     """
     # Position 0 is always present so the chain squares down to it.
     filed: dict[int, list[int]] = {0: []}
     for base, exponent in items:
-        width = _window_width(exponent.bit_length())
-        powers = _odd_powers(base, width, modulus)
+        powers = tables.get(base) if tables else None
+        if powers is None:
+            width = _window_width(exponent.bit_length())
+            powers = _odd_powers(base, width, modulus)
+        else:
+            width = len(powers).bit_length()
         for position, digit in _recode(exponent, width):
             filed.setdefault(position, []).append(powers[digit >> 1])
     positions = sorted(filed, reverse=True)
@@ -234,13 +269,17 @@ def _straus(items: list[tuple[int, int]], modulus: int) -> int:
     return acc
 
 
-def multi_pow(pairs: list[tuple[int, int]], modulus: int = P) -> int:
+def multi_pow(
+    pairs: list[tuple[int, int]], modulus: int = P, tables: dict | None = None
+) -> int:
     """``Π base_i^{exp_i} mod modulus`` in one shared squaring chain.
 
     Repeated bases are merged by summing their exponents (two
     signatures under one public key cost one table and one set of
     windows, not two); the distinct remainder pays one interleaved
-    sliding-window pass (:func:`_straus`).
+    sliding-window pass (:func:`_straus`).  ``tables`` maps a base to
+    its kept odd powers mod ``modulus`` (:func:`key_table`); it is only
+    read, and every other base builds its table for this call alone.
     """
     if not pairs:
         return 1 % modulus
@@ -261,7 +300,7 @@ def multi_pow(pairs: list[tuple[int, int]], modulus: int = P) -> int:
         items.append((base, exponent))
     if not items:
         return 1
-    return _straus(items, modulus)
+    return _straus(items, modulus, tables)
 
 
 def cache_stats() -> dict:

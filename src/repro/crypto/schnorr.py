@@ -29,27 +29,33 @@ simulator's determinism policy (DESIGN.md §7).
 
 Performance: all exponentiation goes through
 :mod:`repro.crypto.fastexp` (a fixed-base window table for ``g`` and
-a shared-squaring multi-exponent for batches; public keys get no
-table), and there is **one verdict store**: a bounded LRU keyed on the
-full ``(key, message, signature)`` triple.  The timelock protocol
-re-verifies the same path signature at every hop and the CBC protocol
-re-verifies the same certificate on every chain, so repeats are dict
-hits.  There is also one batched check, :func:`batch_verify_many`
-(groups in, verdicts out; :func:`batch_verify` is its one-group case):
-it reads that store — a group of certified members is ``True``, a
-member already refused makes its group ``False`` — and writes it, a
-passing combination certifying each member, and it is the only place a
-forgery among merged groups is isolated.  Block production fills the
-store an instant at a time through the same call: the signatures that
-every block due at one simulated instant declares go through one
-:func:`batch_verify_many` before the first of them executes
-(:class:`repro.chain.ledger.VerifyAggregator`), so the contracts'
+a shared-squaring multi-exponent for batches, in which a recurring
+public key can read an odd-power table its caller keeps), and there is
+**one verdict store**: a bounded LRU keyed on the full ``(key,
+message, signature)`` triple.  The timelock protocol re-verifies the
+same path signature at every hop and the CBC protocol re-verifies the
+same certificate on every chain, so repeats are dict hits.  There is
+also one batched check, :func:`batch_verify_many` (groups in, verdicts
+out; :func:`batch_verify` is its one-group case): it reads that store —
+a group of certified members is ``True``, a member already refused
+makes its group ``False`` — and writes it, a passing combination
+certifying each member, and it is the only place a forgery among
+merged groups is isolated.  Isolation halves the failed combination
+under its own weights: each split evaluates one half and gets the
+other by division, so one forgery among ``m`` signatures costs
+``⌈log₂ m⌉`` half-size checks, not one check per group, and every
+valid signature of the combination leaves certified (Pastuszak et
+al., *Identification of Bad Signatures in Batches*, PKC 2000).  Block
+production fills the store an instant at a time through
+the same call: the signatures that every block due at one simulated
+instant declares go through one :func:`batch_verify_many` before the
+first of them executes (:class:`repro.chain.ledger.VerifyAggregator`,
+which also owns its simulator's key tables), so the contracts'
 one-by-one :func:`verify` calls are hits as well — only a verdict that
 *was* computed is ever stored, and no hit or miss is counted ahead of
-the call that asks.  None of this
-changes a single signature byte, and a cached verdict can never accept
-a tampered input: any change to the key, message, or signature is a
-different cache key.
+the call that asks.  None of this changes a single signature byte, and
+a cached verdict can never accept a tampered input: any change to the
+key, message, or signature is a different cache key.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ from repro.crypto.fastexp import (
     Q,
     base_pow,
     generator_pow,
+    key_table,
     multi_pow,
 )
 from repro.crypto.hashing import bytes_to_int, hash_concat, int_to_bytes, tagged_hash
@@ -78,7 +85,8 @@ _SCALAR_BYTES = (Q.bit_length() + 7) // 8
 # exponent and ``pk^{e·w}`` a ~320-bit one, so the whole batched check
 # squares ~320 times instead of ~384, and since the multi-exp sizes
 # each base's window to its own exponent a commitment costs ~20
-# multiplications (4-entry table + ~16 windows) beside a key's ~69.
+# multiplications (4-entry table + ~16 windows) beside a key's ~69
+# (~46 when the key's table is kept: fastexp.KEY_WINDOW).
 _BATCH_WEIGHT_BYTES = 8
 
 
@@ -270,15 +278,15 @@ def _check_alone(public_key: PublicKey, message: bytes, signature: Signature) ->
     return result
 
 
-def _combined_check(items) -> bool:
-    """Evaluate the weighted linear combination for a staged batch.
+def _fold_terms(items) -> list[tuple]:
+    """Each member's share of the weighted combination over ``items``.
 
-        g^(Σ w_i·s_i)  ==  ± Π R_i^{w_i} · pk_i^{e_i·w_i}   (mod p)
-
-    Weights are small BGR exponents drawn from the batch's transcript,
-    and the products ``e_i·w_i`` stay unreduced — at ~320 bits they are
-    far below ``q``, so the value is unchanged while the multi-exp
-    squares only as far as the longest real exponent.
+    One ``(cache key, w·s, ((R, w), (pk, e·w)))`` per member: weights
+    are small BGR exponents drawn from the transcript of *all* of
+    ``items``, so any subset of the terms checks its members under the
+    weights the whole fold drew.  The products ``e·w`` stay unreduced —
+    at ~320 bits they are far below ``q``, so the value is unchanged
+    while the multi-exp squares only as far as the longest real exponent.
     """
     transcript = hash_concat(
         *[
@@ -286,22 +294,73 @@ def _combined_check(items) -> bool:
             for public_key, message, signature in items
         ]
     )
-    lhs_exponent = 0
-    pairs = []
+    terms = []
     for index, (public_key, message, signature) in enumerate(items):
         material = tagged_hash(
             "repro/schnorr/batch-weight", transcript + index.to_bytes(8, "big")
         )
         weight = bytes_to_int(material[:_BATCH_WEIGHT_BYTES]) or 1
         e = _challenge(signature.commitment, public_key, message)
-        lhs_exponent += weight * signature.response
-        pairs.append((signature.commitment, weight))
-        pairs.append((public_key.point, e * weight))
+        terms.append((
+            _cache_key(public_key, message, signature),
+            weight * signature.response,
+            ((signature.commitment, weight), (public_key.point, e * weight)),
+        ))
+    return terms
+
+
+def _combined_check(terms, key_tables) -> tuple[int, int]:
+    """Both sides of the weighted linear combination over ``terms``:
+
+        g^(Σ w_i·s_i)   and   Π R_i^{w_i} · pk_i^{e_i·w_i}   (mod p)
+
+    — one ``generator_pow`` and one ``multi_pow``; the terms pass when
+    the two are equal up to sign.
+    """
+    lhs_exponent = sum(term[1] for term in terms)
     # Honest responses keep the sum well inside the generator table's
     # range; only forged out-of-band responses need the reduction.
     if lhs_exponent.bit_length() >= GENERATOR_TABLE_BITS:
         lhs_exponent %= Q
-    return _equal_up_to_sign(generator_pow(lhs_exponent), multi_pow(pairs, P))
+    pairs = [pair for term in terms for pair in term[2]]
+    return generator_pow(lhs_exponent), multi_pow(pairs, P, key_tables)
+
+
+def _certify(terms) -> None:
+    for term in terms:
+        _VERIFY_CACHE.put(term[0], True)
+
+
+def _isolate(terms, lhs: int, rhs: int, key_tables) -> None:
+    """Certify every valid member of a failed fold, by halving.
+
+    A part of the fold is held as two sides that are equal up to sign
+    exactly when its weighted equation holds.  A failing part of two or
+    more members evaluates its left half (:func:`_combined_check`); its
+    right half's sides are the part's divided by the left's, compared
+    by cross-multiplying — ``lhs/l == ±rhs/r`` iff ``lhs·r == ±rhs·l``
+    — so that half costs no exponentiation (nor an inversion).  A
+    passing part's members are certified and a failing one is split
+    again, down to lone members.  A lone member's equation ``z^w == ±1``
+    with ``0 < w < 2^64 < q`` forces ``z == ±1``, which is exactly
+    :func:`verify`'s cofactored verdict: a failing one is a forgery,
+    left uncertified.
+    """
+    failing = [(terms, lhs, rhs)]
+    while failing:
+        terms, lhs, rhs = failing.pop()
+        if len(terms) == 1:
+            continue
+        half = len(terms) // 2
+        left_lhs, left_rhs = _combined_check(terms[:half], key_tables)
+        for part in (
+            (terms[:half], left_lhs, left_rhs),
+            (terms[half:], lhs * left_rhs % P, rhs * left_lhs % P),
+        ):
+            if _equal_up_to_sign(part[1], part[2]):
+                _certify(part[0])
+            else:
+                failing.append(part)
 
 
 def _standing_verdict(items) -> bool | None:
@@ -322,17 +381,9 @@ def _standing_verdict(items) -> bool | None:
     return True if certified else None
 
 
-def _check_and_certify(items) -> bool:
-    """One combined check; acceptance certifies each member on its own."""
-    ok = _combined_check(items)
-    if ok:
-        for item in items:
-            _VERIFY_CACHE.put(_cache_key(*item), True)
-    return ok
-
-
 def batch_verify_many(
     groups: list[list[tuple[PublicKey, bytes, Signature]]],
+    key_tables: dict | None = None,
 ) -> list[bool]:
     """One verdict per group of signatures, from one combined check.
 
@@ -352,15 +403,28 @@ def batch_verify_many(
     the public keys that recur across groups), a fraction of the cost of
     checking each signature alone.  If it passes, every member is
     certified in the per-signature cache, so the later one-by-one
-    :func:`verify` of the same triple is a hit.  If it fails, each
-    folded group gets a combined check of its members still uncertified
-    (a lone group's is the one that just failed).  One staged member is
-    not worth a multi-exp: it is checked the way :func:`verify` does it,
-    and that verdict is stored.  Nothing here counts a cache hit or
-    miss.  Sound: a forged signature only passes if the adversary
-    predicts its 64-bit weight, which the hash prevents — and, both
-    sides being compared up to sign like :func:`verify`'s, a group
-    passes exactly when each member would on its own.
+    :func:`verify` of the same triple is a hit.  If a fold of two or
+    more groups fails, its members are isolated by halving under the
+    fold's own weights (:func:`_isolate`): with one forgery among ``m``
+    members that is ``⌈log₂ m⌉`` half-size evaluations, and exactly the
+    valid members end certified.  A group is then ``True`` iff all its
+    members are certified.  A lone folded group that fails
+    is ``False`` and nothing is stored.  One staged member is not worth
+    a multi-exp: it is checked the way :func:`verify` does it, and that
+    verdict is stored.  Nothing here counts a cache hit or miss.
+
+    ``key_tables`` is the caller's store of recurring public keys'
+    odd-power tables (:func:`repro.crypto.fastexp.key_table`): each
+    staged key is looked up or added before the fold, and the tables
+    outlive the call as long as the caller keeps the store.  ``None``
+    keeps nothing beyond the call.
+
+    Sound: a forged signature only passes — folded, or in any part of a
+    halving, whose weights were drawn from the whole transcript, the
+    forgery included — if the adversary predicts its 64-bit weight,
+    which the hash prevents; and, both sides being compared up to sign
+    like :func:`verify`'s, a group passes exactly when each member would
+    on its own.
     """
     verdicts: list[bool] = []
     folded: list[int] = []
@@ -376,12 +440,23 @@ def batch_verify_many(
         ok = _check_alone(*item)
         for index in folded:
             verdicts[index] = ok
-    elif staged and not _check_and_certify(list(staged.values())):
+        return verdicts
+    if not staged:
+        return verdicts
+    if key_tables is not None:
+        for public_key, _, _ in staged.values():
+            if public_key.point not in key_tables:
+                key_tables[public_key.point] = key_table(public_key.point)
+    terms = _fold_terms(staged.values())
+    lhs, rhs = _combined_check(terms, key_tables)
+    if _equal_up_to_sign(lhs, rhs):
+        _certify(terms)
+    elif len(folded) == 1:
+        verdicts[folded[0]] = False
+    else:
+        _isolate(terms, lhs, rhs, key_tables)
         for index in folded:
-            fresh = list(_uncertified(groups[index]).values())
-            verdicts[index] = len(folded) > 1 and (
-                not fresh or _check_and_certify(fresh)
-            )
+            verdicts[index] = _standing_verdict(groups[index]) is True
     return verdicts
 
 

@@ -47,14 +47,19 @@ class InlineBackend(ExecutionBackend):
 
 
 def _pool_worker(conn, parent_ends) -> None:
-    """One verify worker: group lists in, verdict lists out, until EOF."""
+    """One verify worker: group lists in, verdict lists out, until EOF.
+
+    The worker keeps its own key-table store for its lifetime, as the
+    parent's plane does for the simulator's.
+    """
     # The fork copied the parent's pipe ends; EOF — the pool closing,
     # or the parent dying — only arrives once no copy is left open.
     for end in parent_ends:
         end.close()
+    key_tables: dict = {}
     try:
         while True:
-            conn.send(schnorr_batch_verify_many(conn.recv()))
+            conn.send(schnorr_batch_verify_many(conn.recv(), key_tables))
     except (EOFError, OSError):
         pass
 
@@ -78,8 +83,9 @@ class _VerifyPool:
     else.
     """
 
-    def __init__(self, workers: int, stats: dict):
+    def __init__(self, workers: int, stats: dict, key_tables: dict):
         self.stats = stats
+        self._key_tables = key_tables  # the plane's, for inline fallbacks
         context = multiprocessing.get_context("fork")
         self._workers: dict[int, tuple] = {}  # shard -> (pipe, process)
         for shard in range(workers):
@@ -107,7 +113,7 @@ class _VerifyPool:
             answer = self._recv(owner)
             if answer is None:
                 self.stats["inline_batches"] += len(groups)
-                answer = schnorr_batch_verify_many(groups)
+                answer = schnorr_batch_verify_many(groups, self._key_tables)
             for position, ok in zip(positions, answer):
                 verdicts[position] = ok
         return verdicts
@@ -192,7 +198,9 @@ class ProcessBackend(ExecutionBackend):
         market = handle.market
         if not self._can_fork():
             return market.run()
-        pool = _VerifyPool(market.shards, self.stats)
+        pool = _VerifyPool(
+            market.shards, self.stats, market.verify_aggregator.key_tables
+        )
         market.verifier = pool
         market.verify_aggregator.verify_many = pool.verify_many
         try:

@@ -88,7 +88,8 @@ def test_many_all_valid_batches_verify_in_one_merge(monkeypatch):
     calls = []
     monkeypatch.setattr(
         schnorr, "multi_pow",
-        lambda pairs, modulus: calls.append(len(pairs)) or multi_pow(pairs, modulus),
+        lambda pairs, modulus, tables: calls.append(len(pairs))
+        or multi_pow(pairs, modulus, tables),
     )
     assert batch_verify_many(batches) == [True, True, True]
     # One combination, a commitment and a key per distinct triple: the
@@ -166,11 +167,45 @@ def test_a_triple_shared_across_groups_is_staged_and_isolated_once(monkeypatch):
     combined_check = schnorr._combined_check
     monkeypatch.setattr(
         schnorr, "_combined_check",
-        lambda items: checks.append(len(items)) or combined_check(items),
+        lambda terms, tables: checks.append(len(terms)) or combined_check(terms, tables),
     )
     # The fold stages the shared triple once and fails on the forgery;
-    # isolating the first group certifies it, so the second group is
-    # answered without a check of its own.
+    # halving evaluates the shared triple alone, which certifies it and
+    # answers both of its groups, and the forgery — the fold divided by
+    # that half — fails without an exponentiation of its own.
     assert batch_verify_many([[shared], [shared], [forged]]) == [True, True, False]
-    assert checks == [2, 1, 1]
+    assert checks == [2, 1]
+    assert schnorr._VERIFY_CACHE.peek(schnorr._cache_key(*forged)) is None
+    assert cache_stats()["verify_misses"] == 0
+
+
+def test_halving_isolates_every_forgery_and_certifies_every_valid_member(monkeypatch):
+    from repro.crypto import schnorr
+    from repro.crypto.schnorr import batch_verify_many
+
+    # Sixteen one-signature groups, every one forged: halving checks
+    # every left half down to the members (15 half-evaluations after
+    # the fold), where one combined check per group took 16.
+    items = make_items(16)
+    forged = [(public, message + b"!", signature) for public, message, signature in items]
+    checks = []
+    combined_check = schnorr._combined_check
+    monkeypatch.setattr(
+        schnorr, "_combined_check",
+        lambda terms, tables: checks.append(len(terms)) or combined_check(terms, tables),
+    )
+    clear_verification_caches()
+    assert batch_verify_many([[triple] for triple in forged]) == [False] * 16
+    assert checks == [16] + [8, 4, 2, 1, 1, 2, 1, 1, 4, 2, 1, 1, 2, 1, 1]
+    assert len(schnorr._VERIFY_CACHE) == 0
+
+    # A valid member that shares its only group with a forgery is
+    # certified all the same: exactly the valid members leave certified.
+    del checks[:]
+    clear_verification_caches()
+    mixed = [[items[0], forged[1]], [items[2]], [items[3], items[4]]]
+    assert batch_verify_many(mixed) == [False, True, True]
+    assert [schnorr._VERIFY_CACHE.peek(schnorr._cache_key(*t)) for t in
+            (items[0], forged[1], items[2], items[3], items[4])] == [True, None, True, True, True]
+    assert checks == [5, 2, 1]
     assert cache_stats()["verify_misses"] == 0

@@ -194,7 +194,7 @@ def test_batch_success_seeds_the_per_signature_cache():
 
 
 # ----------------------------------------------------------------------
-# Multi-exponentiation: dedup, one Straus pass — and no per-key tables
+# Multi-exponentiation: dedup, one Straus pass — and no per-key fixed-base tables
 # ----------------------------------------------------------------------
 def test_multi_pow_dedupes_repeated_bases():
     rng = random.Random(29)

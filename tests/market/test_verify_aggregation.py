@@ -5,15 +5,16 @@ The market's mempools enqueue each sealing block's signature groups
 flushes later in the same simulated instant.  These tests pin the
 three contracted properties: groups from blocks sealing at one boundary
 really merge into a single check, forged orders are still rejected at
-their sealing instant (``batch_verify_many`` isolates them, once, per
-order) — message chaos included, since no bus hop sits between a seal
-and its check — and every observable byte of a market run (fingerprint,
-render, per-deal outcomes) is identical whether a flush is one merged
-check or each group is verified alone.
+their sealing instant (``batch_verify_many`` isolates them by halving
+its merged check) — message chaos included, since no bus hop sits
+between a seal and its check — and every observable byte of a market
+run (fingerprint, render, per-deal outcomes) is identical whether a
+flush is one merged check or each group is verified alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 from market_test_utils import HandWorkload, on_shard, run_hand, two_party_swap
@@ -85,13 +86,14 @@ def test_same_boundary_blocks_merge_into_one_flush():
     assert aggregator.stats["isolation_fallbacks"] == 0
 
 
-def test_one_forged_order_in_a_two_shard_boundary_is_isolated_once_per_order(
+def test_one_forged_order_in_two_shards_is_isolated_by_halving(
     monkeypatch,
 ):
     # Two shards seal at one boundary; one of the n + 1 orders is
-    # forged.  The flush pays the merged check, then one combined check
-    # per order — no per-block round in between — and only the forged
-    # order is refused.
+    # forged.  The flush pays the merged check over its m staged
+    # signatures, then ⌈log₂ m⌉ half-size evaluations under the merged
+    # check's own weights — no per-order or per-block round — and only
+    # the forged order is refused.
     sound = 4
 
     def orders(wl):
@@ -113,7 +115,7 @@ def test_one_forged_order_in_a_two_shard_boundary_is_isolated_once_per_order(
     combined_check = schnorr._combined_check
     monkeypatch.setattr(
         schnorr, "_combined_check",
-        lambda items: checks.append(len(items)) or combined_check(items),
+        lambda terms, tables: checks.append(len(terms)) or combined_check(terms, tables),
     )
     flushes = []
     verify_many = market.verify_aggregator.verify_many
@@ -121,12 +123,16 @@ def test_one_forged_order_in_a_two_shard_boundary_is_isolated_once_per_order(
     def counting(owned):
         before = len(checks)
         verdicts = verify_many(owned)
-        flushes.append((len(owned), len(checks) - before, verdicts.count(False)))
+        flushes.append((len(owned), checks[before:], verdicts.count(False)))
         return verdicts
 
     market.verify_aggregator.verify_many = counting
     report = market.run()
-    assert flushes == [(sound + 1, 1 + sound + 1, 1)]
+    [(orders_checked, sizes, refused)] = flushes
+    staged = sizes[0]
+    assert (orders_checked, refused) == (sound + 1, 1)
+    assert staged > sound + 1 and len(sizes) == 1 + math.ceil(math.log2(staged))
+    assert sizes[1:] == sorted(sizes[1:], reverse=True)  # each a half of the last
     assert report.committed == sound and report.rejected == 1
     refused = [run for run in market.runs.values() if run.phase is DealPhase.REJECTED]
     assert [run.reason for run in refused] == ["forged"]
@@ -200,21 +206,74 @@ def test_aggregation_on_off_equivalence_with_hand_forgeries():
     assert on.render() == off.render()
 
 
-def test_a_dropped_market_takes_its_simulators_plane_with_it():
+def test_a_dropped_market_takes_its_simulators_plane_with_it(monkeypatch):
     # The plane is found through a module-level map keyed weakly on the
     # simulator; it must hold nothing — telemetry included, which holds
-    # the market — that keeps that simulator alive.
+    # the market — that keeps that simulator alive.  Its key tables are
+    # the run's: one per distinct signing key, none for a commitment,
+    # and gone with the simulator.
     import gc
     import weakref
 
     from repro.chain import ledger
+    from repro.crypto.keys import KeyPair
     from repro.telemetry import Telemetry
 
+    signed = []
+    keypair_sign = KeyPair.sign
+
+    def recording(keypair, message):
+        signature = keypair_sign(keypair, message)
+        signed.append((keypair.public_key.point, signature.commitment))
+        return signature
+
+    monkeypatch.setattr(KeyPair, "sign", recording)
     profile = replace(MarketProfile.smoke(), deals=10)
     market = MarketCoordinator(MarketWorkload(profile), MarketConfig(telemetry=Telemetry()))
+    schnorr.clear_verification_caches()  # earlier tests sign the same orders
     assert market.run().committed > 0
+    tables = market.verify_aggregator.key_tables
+    assert set(tables) == {point for point, _ in signed}
+    assert not {commitment for _, commitment in signed} & set(tables)
+    assert all(len(powers) == 32 for powers in tables.values())
+
+    class Probe:
+        """Lives exactly as long as the store it is filed in."""
+
+    probe = Probe()
+    tables[0] = probe
+    probe, tables = weakref.ref(probe), None
     simulator = weakref.ref(market.simulator)
     assert simulator() in ledger._PLANES
     del market
     gc.collect()
     assert simulator() is None
+    assert probe() is None
+
+
+def test_a_check_without_a_store_keeps_no_table(monkeypatch):
+    # Called without key_tables, every call builds each key's table
+    # afresh: nothing outlives it.  With a store, only the first does.
+    from repro.crypto import fastexp
+
+    built = []
+    odd_powers = fastexp._odd_powers
+    monkeypatch.setattr(
+        fastexp, "_odd_powers",
+        lambda base, width, modulus: built.append(width) or odd_powers(base, width, modulus),
+    )
+    groups = []
+    for index in range(3):
+        private, public = generate_keypair(f"no-store-{index}".encode())
+        groups.append([(public, b"m%d" % index, sign(private, b"m%d" % index))])
+    for store in (None, {}):
+        runs = []
+        for _ in range(2):
+            schnorr.clear_verification_caches()
+            del built[:]
+            assert schnorr.batch_verify_many(groups, store) == [True] * 3
+            runs.append(sorted(built))
+        if store is None:
+            assert runs[0] == runs[1] == [3] * 3 + [5] * 3
+        else:
+            assert runs == [[3] * 3 + [6] * 3, [3] * 3] and len(store) == 3

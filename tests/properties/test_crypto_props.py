@@ -188,6 +188,7 @@ def test_generator_pow_matches_builtin(exponent):
 # wall-clock steps, never a verdict
 # ----------------------------------------------------------------------
 from repro.chain.ledger import VerifyAggregator  # noqa: E402
+from repro.crypto import fastexp  # noqa: E402
 from repro.crypto.fastexp import Q  # noqa: E402
 from repro.crypto.hashing import tagged_hash  # noqa: E402
 from repro.crypto.schnorr import (  # noqa: E402
@@ -246,6 +247,34 @@ def _hits_and_misses():
     return stats["verify_hits"], stats["verify_misses"]
 
 
+def _expected_store_after(groups, valid, store):
+    """What one ``batch_verify_many(groups)`` leaves in the verdict store,
+    modelled on ``store`` (cache key -> verdict; absent = uncached).
+
+    A group is folded unless a member is out of range, a member is
+    refused, or every member is certified; its uncached members are
+    staged.  A lone staged member is checked as ``verify`` does and its
+    verdict stored; otherwise a fold of two or more groups newly
+    certifies exactly the valid, previously uncached members, and a
+    lone folded group certifies its staged members only if all of them
+    are valid.
+    """
+    key = schnorr._cache_key
+    folded = [
+        group for group in groups
+        if all(schnorr._in_range(t[2]) for t in group)
+        and all(store.get(key(*t)) is not False for t in group)
+        and not all(store.get(key(*t)) is True for t in group)
+    ]
+    staged = {key(*t) for group in folded for t in group if key(*t) not in store}
+    if len(staged) == 1:
+        store.update({k: valid[k] for k in staged})
+    elif len(folded) > 1:
+        store.update({k: True for k in staged if valid[k]})
+    elif all(valid[k] for k in staged):
+        store.update(dict.fromkeys(staged, True))
+
+
 @given(specs=st.lists(st.lists(claim_specs, max_size=4), max_size=5))
 @settings(max_examples=30, deadline=None)
 def test_batch_verify_many_changes_no_verdict_and_no_verify_counter(specs):
@@ -279,6 +308,68 @@ def test_batch_verify_many_changes_no_verdict_and_no_verify_counter(specs):
         patch.setattr(schnorr, "multi_pow", lambda *args: calls.append(args))
         assert batch_verify_many(batches) == cold_batch
     assert calls == []
+
+
+# Shared across examples: the "reused across calls" store.
+_REUSED_KEY_TABLES: dict = {}
+
+
+@given(
+    pool=st.lists(claim_specs, min_size=1, max_size=6),
+    data=st.data(),
+    tables=st.sampled_from(["none", "fresh", "reused"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_halving_isolation_gives_every_group_its_cold_verdict(pool, data, tables):
+    """Groups drawn from one pool of triples — so members recur across
+    groups — with anything from no forgery to all of them forged, under
+    no key-table store, a fresh one, or one reused across calls: every
+    verdict is cold ``verify``'s, the store ends as the model says, no
+    counter moves, and a store holds full-width tables of public keys
+    only."""
+    triples = [_claimed_triple(*spec) for spec in pool]
+    groups = data.draw(st.lists(
+        st.lists(st.sampled_from(triples), max_size=4), min_size=1, max_size=6
+    ))
+    valid = {}
+    for triple in triples:
+        clear_verification_caches()
+        valid[schnorr._cache_key(*triple)] = verify(*triple)
+    key_tables = {"none": None, "fresh": {}, "reused": _REUSED_KEY_TABLES}[tables]
+
+    clear_verification_caches()
+    expected = {}
+    _expected_store_after(groups, valid, expected)
+    counters = _hits_and_misses()
+    assert batch_verify_many(groups, key_tables) == [
+        all(valid[schnorr._cache_key(*t)] for t in group) for group in groups
+    ]
+    assert _hits_and_misses() == counters
+    keys = {schnorr._cache_key(*t) for t in triples}
+    assert {key: schnorr._VERIFY_CACHE.peek(key) for key in keys} == {
+        key: expected.get(key) for key in keys
+    }
+    if key_tables is not None:
+        assert all(len(powers) == 32 and powers[0] == base
+                   for base, powers in key_tables.items())
+        assert not {signature.commitment for _, _, signature in triples} & set(key_tables)
+
+
+@given(
+    pairs=st.lists(st.tuples(group_bases, exponents), min_size=0, max_size=8),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_multi_pow_reads_kept_tables_of_any_width(pairs, data):
+    tables = {}
+    for base, _ in pairs:
+        if data.draw(st.booleans()):
+            width = data.draw(st.integers(min_value=1, max_value=8))
+            tables[base] = fastexp._odd_powers(base, width, P)
+    expected = 1
+    for base, exponent in pairs:
+        expected = expected * pow(base, exponent, P) % P
+    assert multi_pow(pairs, P, tables) == expected
 
 
 _filings = st.lists(
@@ -334,15 +425,14 @@ def test_one_instant_of_claims_and_order_groups_settles_as_cold_verify(
         [all(valid[schnorr._cache_key(*t)] for t in group) for group in groups]
         for waits, groups in filings if waits
     ]
-    sound = {schnorr._cache_key(*t) for _, gs in filings for g in gs
-             if all(valid[schnorr._cache_key(*t)] for t in g) for t in g}
-    for key in triples:
-        after = store.peek(key)
-        if before[key] is not None:
-            assert after is before[key]
-        else:
-            assert (after is True) == (key in sound)
-            assert after is not False or not valid[key]
+    # The claims are settled first, the waiting groups second, whichever
+    # filing settles the instant.
+    expected = {key: verdict for key, verdict in before.items() if verdict is not None}
+    for call in (claims, [g for waits, gs in filings if waits for g in gs]):
+        _expected_store_after(call, valid, expected)
+    assert {key: store.peek(key) for key in triples} == {
+        key: expected.get(key) for key in triples
+    }
     assert _hits_and_misses() == counters
     assert plane._due == {}
 
