@@ -4,9 +4,11 @@ The paper specifies its protocols per deal; the ROADMAP's north star
 is heavy traffic.  E16 measures the gap-closer: the
 :mod:`repro.market` runtime drives thousands of deals concurrently
 over four shared chains — per-chain mempools, whole-block order
-verification via ``batch_verify_quorum``, one escrow book per chain,
-one commit log per coordinator shard, first-committed-wins conflict
-resolution (within a book and across books).
+verification through the simulator's ``chain.ledger.VerifyAggregator``
+(one ``schnorr.batch_verify_many`` per simulated instant), one escrow
+book per chain, one commit log per coordinator shard,
+first-committed-wins conflict resolution (within a book and across
+books).
 
 Four measurements:
 
@@ -36,12 +38,6 @@ cross-shard, with zero conservation violations and an aggregator
 merge rate > 0.  ``--shards 1`` reproduces the unsharded headline
 fingerprint byte-for-byte.
 
-With ``--replication R`` the headline run replicates every shard into
-an ``R``-member replica group (:mod:`repro.market.replication`);
-``--replication 1`` is the unreplicated layout and reproduces the
-headline fingerprint byte-for-byte — the crash/recovery axis itself
-is E17's (``bench_e17_faults.py``).
-
 With ``--exec processes`` the headline run executes on the
 ``processes`` backend of :func:`repro.market.open_market` (the same
 coordinator, its seal verification on a pool of one worker process
@@ -57,20 +53,21 @@ this module reads a clock — wall time is measured by ``bench/``
 
     python benchmarks/bench_e16_market.py [--quick] [--jobs N]
                                           [--protocol-mix] [--shards M]
-                                          [--replication R]
                                           [--exec {inline,processes}]
+                                          [--trace OUT]
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
 
+import market_experiment
+from market_experiment import Column, run_market, run_sweep, safety_failures
 from repro.analysis.tables import render_table
-from repro.market import MarketConfig, MarketReport, open_market
-from repro.workloads.market import MarketProfile, MarketWorkload
+from repro.market import MarketConfig, MarketReport
+from repro.workloads.market import MarketProfile
 
 RATE_SWEEP = [2.0, 6.0, 12.0]
 SHARD_SWEEP = [1, 2, 4]
@@ -80,125 +77,66 @@ _SWEEP_BASE = MarketProfile(
 )
 
 
-def run_market(
-    profile: MarketProfile,
-    config: MarketConfig | None = None,
-    exec_backend: str = "inline",
-) -> MarketReport:
-    """Run one market to quiescence; return its report."""
-    return open_market(
-        MarketWorkload(profile), config, backend=exec_backend
-    ).run()
-
-
 # ----------------------------------------------------------------------
 # Arrival-rate sweep
 # ----------------------------------------------------------------------
-def sweep_point(rate: float, base: MarketProfile = _SWEEP_BASE) -> dict:
-    """One sweep record (simulation quantities only)."""
-    report = run_market(replace(base, arrival_rate=rate))
-    return {
-        "x": rate,
-        "committed": report.committed,
-        "aborted": report.aborted,
-        "conflicts": report.conflicts,
-        "abort_rate": report.abort_rate,
-        "p50": report.latency_p50,
-        "p99": report.latency_p99,
-        "throughput": report.deals_per_kilotick,
-    }
+RATE_COLUMNS = (
+    Column("arrivals/tick", "x", "{:.0f}"),
+    Column("committed", "committed"),
+    Column("conflicts", "conflicts"),
+    Column("abort rate", "abort_rate", "{:.1%}"),
+    Column("p50 (ticks)", "latency_p50", "{:.2f}"),
+    Column("p99 (ticks)", "latency_p99", "{:.2f}"),
+    Column("deals/kilotick", "deals_per_kilotick", "{:.1f}"),
+)
+
+
+def rate_point(rate: float, base: MarketProfile) -> tuple[MarketReport, dict]:
+    return run_market(replace(base, arrival_rate=rate)), {}
 
 
 def rate_sweep(
-    jobs: int | None = None, base: MarketProfile = _SWEEP_BASE
-) -> list[dict]:
-    """Fan the sweep points over the process pool (serial if nested)."""
-    from repro.analysis.sweep import sweep_parallel
-
-    return sweep_parallel(RATE_SWEEP, partial(sweep_point, base=base), jobs=jobs)
-
-
-# ----------------------------------------------------------------------
-# Report tables
-# ----------------------------------------------------------------------
-def sweep_table(jobs: int | None = None, quick: bool = False) -> str:
-    base = replace(_SWEEP_BASE, deals=80) if quick else _SWEEP_BASE
-    records = rate_sweep(jobs=jobs, base=base)
-    sweep_rows = [
-        [
-            f"{r['x']:.0f}",
-            r["committed"],
-            r["conflicts"],
-            f"{r['abort_rate']:.1%}",
-            f"{r['p50']:.2f}",
-            f"{r['p99']:.2f}",
-            f"{r['throughput']:.1f}",
-        ]
-        for r in records
-    ]
-    return render_table(
-        ["arrivals/tick", "committed", "conflicts", "abort rate",
-         "p50 (ticks)", "p99 (ticks)", "deals/kilotick"],
-        sweep_rows,
-        title=f"E16 — load sweep ({base.deals} deals, "
-              f"{base.chains} chains, shared accounts)",
+    jobs: int | None = None, quick: bool = False, base: MarketProfile | None = None
+) -> tuple[list[dict], str]:
+    """The load sweep's records and table (``base`` overrides the profile)."""
+    if base is None:
+        base = replace(_SWEEP_BASE, deals=80) if quick else _SWEEP_BASE
+    return run_sweep(
+        RATE_SWEEP, partial(rate_point, base=base), RATE_COLUMNS,
+        f"E16 — load sweep ({base.deals} deals, {base.chains} chains, "
+        "shared accounts)", jobs,
     )
 
 
 # ----------------------------------------------------------------------
 # Shard sweep (cross-market sharding + aggregator merge evidence)
 # ----------------------------------------------------------------------
-def shard_point(shards: int, deals: int = 400, seed: int = 11) -> dict:
-    """One shard-sweep record (simulation quantities only)."""
-    profile = replace(MarketProfile.sharded(seed=seed, shards=shards), deals=deals)
-    report = run_market(profile)
-    stats = dict(report.verify_stats)
-    return {
-        "x": shards,
-        "committed": report.committed,
-        "cross_shard": report.cross_shard_deals,
-        "cross_fraction": report.cross_shard_fraction,
-        "agg_batches": stats.get("batches", 0),
-        "agg_merged": stats.get("merged_batches", 0),
-        "merge_rate": report.aggregator_merge_rate(),
-        "violations": len(report.invariant_violations),
-    }
+# The shared VerifyAggregator's counters are absent from
+# MarketReport.render() by design, so toggling aggregation can never
+# change report bytes; this table is where they enter the experiment
+# report that run_all.py serializes.
+SHARD_COLUMNS = (
+    Column("shards", "x"),
+    Column("committed", "committed"),
+    Column("cross-shard", "cross_shard_deals"),
+    Column("cross %", "cross_shard_fraction", "{:.1%}"),
+    Column("agg batches", "verify.batches"),
+    Column("agg merged", "verify.merged_batches"),
+    Column("merge rate", "aggregator_merge_rate", "{:.1%}"),
+    Column("violations", "violations"),
+)
 
 
-def shard_table(jobs: int | None = None, quick: bool = False) -> str:
-    """The cross-market sharding table (surfaces the merge counters).
+def shard_point(shards: int, deals: int) -> tuple[MarketReport, dict]:
+    return run_market(MarketProfile.sharded(seed=11, shards=shards, deals=deals)), {}
 
-    This is where the shared ``VerifyAggregator``'s counters — absent
-    from ``MarketReport.render()`` by design, so toggling aggregation
-    can never change report bytes — enter the experiment report that
-    ``run_all.py`` serializes.  All columns are deterministic seeded
-    simulation counts.
-    """
-    from repro.analysis.sweep import sweep_parallel
 
+def shard_sweep(jobs: int | None = None, quick: bool = False) -> tuple[list[dict], str]:
     deals = 80 if quick else 400
-    records = sweep_parallel(
-        SHARD_SWEEP, partial(shard_point, deals=deals), jobs=jobs
-    )
-    rows = [
-        [
-            r["x"],
-            r["committed"],
-            r["cross_shard"],
-            f"{r['cross_fraction']:.1%}",
-            r["agg_batches"],
-            r["agg_merged"],
-            f"{r['merge_rate']:.1%}",
-            r["violations"],
-        ]
-        for r in records
-    ]
-    return render_table(
-        ["shards", "committed", "cross-shard", "cross %",
-         "agg batches", "agg merged", "merge rate", "violations"],
-        rows,
-        title=f"E16 — cross-market sharding ({deals} deals, 4 chains, "
-              "shared VerifyAggregator)",
+    return run_sweep(
+        SHARD_SWEEP, partial(shard_point, deals=deals), SHARD_COLUMNS,
+        f"E16 — cross-market sharding ({deals} deals, 4 chains, "
+        "shared VerifyAggregator)", jobs,
     )
 
 
@@ -252,7 +190,6 @@ class GateRun:
     report: MarketReport
     quick: bool
     mixed: bool
-    chaos: float
     coverage: float | None  # --trace: share of commits with a full span chain
 
 
@@ -260,86 +197,47 @@ def gate_run(
     quick: bool = False,
     mixed: bool = False,
     shards: int = 1,
-    replication: int = 1,
     exec_backend: str = "inline",
-    chaos: float = 0.0,
-    seal_policy: str = "fifo",
     trace: str | None = None,
 ) -> GateRun:
-    """The acceptance run.
-
-    The config is built unconditionally: an axis left at its default
-    (``fifo``, no chaos plan, factor 1, no telemetry) constructs
-    nothing — that neutrality is the runtime's property, which CI's
-    ``cmp`` legs (``--seal-policy fifo``, ``--chaos 0``, ``--trace`` vs
-    no flag) keep proving.  ``trace`` names the JSONL file to write.
-    """
-    profile = gate_profile(quick, mixed, shards)
-    chaos_plan = telemetry = coverage = None
-    if chaos > 0:
-        from repro.sim.chaos import ChaosPlan
-
-        chaos_plan = ChaosPlan.at(chaos, seed=profile.seed)
-    if trace is not None:
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry()
-    config = MarketConfig(
-        seal_policy=seal_policy, chaos=chaos_plan,
-        replication_factor=replication, telemetry=telemetry,
+    """The acceptance run; ``trace`` names the JSONL file to write."""
+    report, coverage = market_experiment.traced_run(
+        gate_profile(quick, mixed, shards), trace=trace, backend=exec_backend
     )
-    report = run_market(profile, config, exec_backend=exec_backend)
-    if telemetry is not None:
-        from repro.telemetry.export import write_trace_jsonl
-
-        write_trace_jsonl(telemetry, trace)
-        committed, full = telemetry.deal_coverage()
-        coverage = full / committed if committed else 1.0
-    return GateRun(report, quick, mixed, chaos, coverage)
+    return GateRun(report, quick, mixed, coverage)
 
 
 def check_gate(run: GateRun) -> list[str]:
     """The E16 acceptance criteria; returns failures (empty = pass).
 
-    * every run: no stuck deal, zero conservation violations; with
-      ``--shards M > 1`` >= 20% of deals cross-shard; with ``--trace``
-      >= 95% of committed deals carry a full span chain;
-    * ``fifo`` sealing without chaos — the axes the throughput floors
-      were measured on; E19 owns fee policies (``base_fee`` prices
-      every fee-less deal out) and E18 chaos: 5,000 of the headline's
-      5,600 deals commit; the mixed profile spawns 3,900, so its floor
-      scales to the same ~85-89% bar, and each protocol commits
-      >= 1,000; a quick profile (120-180 deals) commits 25, and 25 per
-      protocol — enough to catch a market that stopped committing;
-      sharded, the aggregator merge rate is > 0.
+    * no stuck deal, zero conservation violations; with ``--shards
+      M > 1`` >= 20% of deals cross-shard; with ``--trace`` >= 95% of
+      committed deals carry a full span chain;
+    * 5,000 of the headline's 5,600 deals commit; the mixed profile
+      spawns 3,900, so its floor scales to the same ~85-89% bar, and
+      each protocol commits >= 1,000; a quick profile (120-180 deals)
+      commits 25, and 25 per protocol — enough to catch a market that
+      stopped committing; sharded, the aggregator merge rate is > 0.
     """
     report, quick = run.report, run.quick
-    failures = []
-    if report.stuck:
-        failures.append(f"{report.stuck} stuck deals")
-    if report.invariant_violations:
-        failures.append(
-            f"{len(report.invariant_violations)} invariant violations "
-            f"(first: {report.invariant_violations[0]})"
-        )
+    failures = safety_failures(report)
     if report.shards > 1 and report.cross_shard_fraction < 0.20:
         failures.append(
             f"cross-shard fraction {report.cross_shard_fraction:.1%} < 20%"
         )
     if run.coverage is not None and run.coverage < 0.95:
         failures.append(f"trace coverage {run.coverage:.1%} < 95%")
-    if report.seal_policy == "fifo" and not run.chaos:
-        floor = 25 if quick else int(report.deals * 0.85) if run.mixed else 5_000
-        if report.committed < floor:
-            failures.append(f"committed {report.committed} < {floor}")
-        by_protocol = report.committed_by_protocol()
-        floor = 25 if quick else 1_000
-        for protocol in ("unanimity", "timelock", "cbc") if run.mixed else ():
-            count = by_protocol.get(protocol, 0)
-            if count < floor:
-                failures.append(f"{protocol} committed {count} < {floor}")
-        if report.shards > 1 and report.aggregator_merge_rate() <= 0.0:
-            failures.append("aggregator merge rate is 0")
+    floor = 25 if quick else int(report.deals * 0.85) if run.mixed else 5_000
+    if report.committed < floor:
+        failures.append(f"committed {report.committed} < {floor}")
+    by_protocol = report.committed_by_protocol()
+    floor = 25 if quick else 1_000
+    for protocol in ("unanimity", "timelock", "cbc") if run.mixed else ():
+        count = by_protocol.get(protocol, 0)
+        if count < floor:
+            failures.append(f"{protocol} committed {count} < {floor}")
+    if report.shards > 1 and report.aggregator_merge_rate() <= 0.0:
+        failures.append("aggregator merge rate is 0")
     return failures
 
 
@@ -347,7 +245,7 @@ def gate_table(run: GateRun, failures: list[str]) -> str:
     """The verdict, plus the gated measures ``render()`` does not show.
 
     Printed last, by ``main`` only: unlike E17-E19's, it is not part of
-    ``make_report``, whose bytes CI's ``cmp`` legs pin across commits.
+    ``make_report``, whose bytes CI pins across commits.
     """
     report = run.report
     rows = [
@@ -362,13 +260,9 @@ def gate_table(run: GateRun, failures: list[str]) -> str:
         rows.append(
             ["trace coverage (register->commit)", f"{run.coverage:.1%}"]
         )
-    rows.append(
-        ["gate", "PASS" if not failures else "FAIL: " + "; ".join(failures)]
-    )
-    return render_table(
-        ["measure", "value"], rows,
-        title=f"E16 — market conformance gate ({report.deals} deals, "
-              f"{report.shards} shard(s))",
+    return market_experiment.gate_table(
+        f"E16 — market conformance gate ({report.deals} deals, "
+        f"{report.shards} shard(s))", rows, failures,
     )
 
 
@@ -378,76 +272,60 @@ def make_report(
     shards: int = 1,
     trace: str | None = None,
     exec_backend: str = "inline",
-    chaos: float = 0.0,
-    seal_policy: str = "fifo",
 ) -> str:
     # The axis flags apply to the headline run only (the tables sweep
     # their own axes); a trace lands silently — bytes are unchanged.
     headline = gate_run(
-        quick=quick, shards=shards, exec_backend=exec_backend,
-        chaos=chaos, seal_policy=seal_policy, trace=trace,
+        quick=quick, shards=shards, exec_backend=exec_backend, trace=trace
     ).report
     return (
         headline.render()
         + "\n" + protocol_table(quick=quick)
-        + "\n" + shard_table(jobs=jobs, quick=quick)
-        + "\n" + sweep_table(jobs=jobs, quick=quick)
+        + "\n" + shard_sweep(jobs=jobs, quick=quick)[1]
+        + "\n" + rate_sweep(jobs=jobs, quick=quick)[1]
     )
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small fixed-seed profile (smoke test)")
-    parser.add_argument("--protocol-mix", action="store_true",
-                        help="run the mixed unanimity/timelock/CBC profile "
-                             "instead of the unanimity headline")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="coordinator shards for the headline run "
-                             "(>1 also gates the cross-shard criteria)")
-    parser.add_argument("--replication", type=int, default=1,
-                        help="replica group size per shard (fault-free, "
-                             "so the fingerprint must not change)")
-    parser.add_argument("--exec", dest="exec_backend", default="inline",
-                        choices=("inline", "processes"),
-                        help="execution backend for the headline run; "
-                             "'processes' (one verify worker per shard) "
-                             "must reproduce the inline report's bytes")
-    parser.add_argument("--trace", metavar="OUT", default=None,
-                        help="write a deal-lifecycle trace (JSONL) of the "
-                             "headline run; byte-neutral — report bytes "
-                             "and fingerprint are unchanged")
-    parser.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker processes for the load sweep")
-    parser.add_argument("--seal-policy", dest="seal_policy", default="fifo",
-                        choices=("fifo", "first_price", "base_fee"),
-                        help="sealing policy for the headline run's block "
-                             "space ('fifo' = fee machinery absent; the "
-                             "policy x congestion sweep is E19's)")
-    parser.add_argument("--chaos", type=float, default=0.0, metavar="P",
-                        help="seeded chaos intensity for the headline run "
-                             "(drop/dup/delay/reorder each message plane "
-                             "at probability P; 0 = chaos off)")
-    args = parser.parse_args(argv)
-    axes = dict(
-        quick=args.quick, mixed=args.protocol_mix, shards=args.shards,
-        replication=args.replication, chaos=args.chaos,
-        seal_policy=args.seal_policy,
-    )
-    run = gate_run(**axes, exec_backend=args.exec_backend, trace=args.trace)
+def experiment(
+    quick: bool, jobs: int | None, mixed: bool, shards: int,
+    exec_backend: str, trace: str | None,
+) -> tuple[list[str], list[str], None]:
+    axes = dict(quick=quick, mixed=mixed, shards=shards)
+    run = gate_run(**axes, exec_backend=exec_backend, trace=trace)
     failures = check_gate(run)
     if (
-        args.exec_backend == "processes"
+        exec_backend == "processes"
         and gate_run(**axes).report.render() != run.report.render()
     ):
         # The equivalence gate: the same run inline (untraced) must
         # produce the identical report.
         failures.append("processes report differs from inline")
-    print(run.report.render())
-    print(shard_table(jobs=args.jobs, quick=args.quick))
-    print(sweep_table(jobs=args.jobs, quick=args.quick))
-    print(gate_table(run, failures))
-    return 1 if failures else 0
+    tables = [
+        run.report.render(),
+        shard_sweep(jobs=jobs, quick=quick)[1],
+        rate_sweep(jobs=jobs, quick=quick)[1],
+        gate_table(run, failures),
+    ]
+    return tables, failures, None
+
+
+def main(argv: list[str]) -> int:
+    return market_experiment.main(argv, __doc__, experiment, {
+        "--protocol-mix": dict(
+            dest="mixed", action="store_true",
+            help="run the mixed unanimity/timelock/CBC profile instead of "
+                 "the unanimity headline"),
+        "--shards": dict(
+            type=int, default=1,
+            help="coordinator shards for the headline run (>1 also gates "
+                 "the cross-shard criteria)"),
+        "--exec": dict(
+            dest="exec_backend", default="inline", choices=("inline", "processes"),
+            help="execution backend for the headline run; 'processes' (one "
+                 "verify worker per shard) must reproduce the inline "
+                 "report's bytes"),
+        **market_experiment.TRACE,
+    })
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +348,7 @@ def test_shape_replication_keeps_fingerprint():
 
 
 def test_shape_contention_aborts_rise_with_load():
-    records = rate_sweep(jobs=1)
+    records, _ = rate_sweep(jobs=1)
     assert records[0]["abort_rate"] <= records[-1]["abort_rate"]
 
 

@@ -18,10 +18,11 @@ measures the fault envelope that buys:
   violations;
 * a **recovery conformance gate**: at replication factor 3 with a
   nonzero crash/recover schedule — a leader killed mid-deal among
-  them — the market must still commit at least 1,000 deals with zero
-  exactly-once / conservation / stranded-escrow violations, and every
-  recovered replica's post-replay state hash must match its group
-  (``hash_mismatches == 0`` with ``hash_checks > 0``).
+  them — the market must still commit at least 1,000 deals with no
+  stuck deal and zero exactly-once / conservation / stranded-escrow
+  violations, and every recovered replica's post-replay state hash
+  must match its group (``hash_mismatches == 0`` with
+  ``hash_checks > 0``).
 
 Every column is a deterministic seeded simulation quantity: the crash
 schedule derives from the seed, the replication network has its own
@@ -31,21 +32,20 @@ byte-identity (CI compares serial vs ``--jobs 2`` reports with
 
 Usage::
 
-    python benchmarks/bench_e17_faults.py [--quick] [--jobs N]
+    python benchmarks/bench_e17_faults.py [--quick] [--jobs N] [--trace OUT]
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from dataclasses import replace
 from functools import partial
 
-from repro.analysis.tables import render_table
-from repro.market import MarketConfig, MarketReport, open_market
+import market_experiment
+from market_experiment import Column, mixed_sharded, read, run_market, run_sweep, safety_failures
+from repro.market import MarketConfig, MarketReport
 from repro.sim.faults import FaultPlan, ReplicaCrash
 from repro.sim.rng import DeterministicRng
-from repro.workloads.market import MarketProfile, MarketWorkload
+from repro.workloads.market import MarketProfile
 
 # Sweep axes: replica-group size × crashes per shard over the run.
 FACTOR_SWEEP = [1, 2, 3]
@@ -96,159 +96,86 @@ def crash_schedule(
     return plan
 
 
-# The sweep runs the full protocol mix so crash-gated sealing can hit
-# timelock deals mid-vote — that is where §5's sore losers come from;
-# per-deal escrows need wallet funds, hence the book fraction.
-_PROTOCOL_MIX = (("unanimity", 1.0), ("timelock", 1.0), ("cbc", 1.0))
+def crash_config(profile: MarketProfile, factor: int, crashes: int) -> MarketConfig:
+    span = profile.deals / profile.arrival_rate
+    plan = crash_schedule(profile.shards, factor, crashes, span, profile.seed)
+    return MarketConfig(replication_factor=factor, fault_plan=plan)
 
 
-def _with_mix(profile: MarketProfile) -> MarketProfile:
-    return replace(
-        profile, protocol_mix=_PROTOCOL_MIX, book_fund_fraction=0.4
-    )
-
-
-def _sweep_profile(quick: bool) -> MarketProfile:
-    if quick:
-        return _with_mix(MarketProfile.sharded_smoke(seed=23, shards=2))
-    return _with_mix(
-        replace(MarketProfile.sharded(seed=23, shards=4), deals=400)
-    )
+# "planned" is the schedule size; "fired" is how many crashes actually
+# fired.  They differ when a crash lands on an already-dead replica
+# (the fault drops) — the table labels both so a silently inert
+# schedule is visible.
+SWEEP_COLUMNS = (
+    Column("r", "factor"),
+    Column("planned", "planned"),
+    Column("fired", "faults_injected"),
+    Column("committed", "committed"),
+    Column("abort rate", "abort_rate", "{:.1%}"),
+    Column("sore losers", "sore_losers"),
+    Column("p50", "latency_p50", "{:.2f}"),
+    Column("p99", "latency_p99", "{:.2f}"),
+    Column("availability", "availability", "{:.3%}"),
+    Column("failovers", "failovers"),
+    Column("recoveries", "recoveries"),
+    Column("replayed", "replication.deltas_replayed"),
+    Column("violations", "violations"),
+)
 
 
 def fault_point(
     point: tuple[int, int], profile: MarketProfile
-) -> dict:
-    """One sweep record (simulation quantities only)."""
+) -> tuple[MarketReport, dict]:
+    """One (factor, crashes per shard) run; a recovered replica whose
+    state diverged counts as a violation."""
     factor, crashes = point
-    span = profile.deals / profile.arrival_rate
-    plan = crash_schedule(profile.shards, factor, crashes, span, profile.seed)
-    config = MarketConfig(replication_factor=factor, fault_plan=plan)
-    report = open_market(MarketWorkload(profile), config).run()
-    stats = dict(report.replication_stats)
-    return {
+    config = crash_config(profile, factor, crashes)
+    report = run_market(profile, config)
+    violations = read(report, "violations") + read(
+        report, "replication.hash_mismatches"
+    )
+    return report, {
         "factor": factor,
-        # "planned" is the schedule size; "crashes" is how many
-        # actually fired.  They differ when a crash lands on an
-        # already-dead replica (the fault drops) — the sweep table
-        # labels both so a silently inert schedule is visible.
-        "planned": len(plan.faults),
-        "crashes": report.faults_injected,
-        "committed": report.committed,
-        "aborted": report.aborted,
-        "abort_rate": report.abort_rate,
-        "sore_losers": report.sore_losers,
-        "p50": report.latency_p50,
-        "p99": report.latency_p99,
-        "availability": report.availability,
-        "failovers": report.failovers,
-        "recoveries": report.recoveries,
-        "replayed": stats.get("deltas_replayed", 0),
-        "hash_checks": stats.get("hash_checks", 0),
-        "hash_mismatches": stats.get("hash_mismatches", 0),
-        "violations": len(report.invariant_violations),
+        "planned": len(config.fault_plan.faults),
+        "violations": violations,
     }
 
 
-def fault_sweep(jobs: int | None = None, quick: bool = False) -> list[dict]:
-    """Fan the (factor, crash-rate) grid over the process pool."""
-    from repro.analysis.sweep import sweep_parallel
-
-    profile = _sweep_profile(quick)
+def fault_sweep(jobs: int | None = None, quick: bool = False) -> tuple[list[dict], str]:
+    """The (factor, crash-rate) grid's records and table."""
+    profile = mixed_sharded(quick, seed=23, deals=400)
     factors = [1, 3] if quick else FACTOR_SWEEP
     rates = [0, 1] if quick else CRASH_SWEEP
     points = [(factor, rate) for factor in factors for rate in rates]
-    return sweep_parallel(points, partial(fault_point, profile=profile), jobs=jobs)
-
-
-def fault_table(jobs: int | None = None, quick: bool = False) -> str:
-    profile = _sweep_profile(quick)
-    records = fault_sweep(jobs=jobs, quick=quick)
-    rows = [
-        [
-            r["factor"],
-            r["planned"],
-            r["crashes"],
-            r["committed"],
-            f"{r['abort_rate']:.1%}",
-            r["sore_losers"],
-            f"{r['p50']:.2f}",
-            f"{r['p99']:.2f}",
-            f"{r['availability']:.3%}",
-            r["failovers"],
-            r["recoveries"],
-            r["replayed"],
-            r["violations"] + r["hash_mismatches"],
-        ]
-        for r in records
-    ]
-    return render_table(
-        ["r", "planned", "fired", "committed", "abort rate", "sore losers",
-         "p50", "p99", "availability", "failovers", "recoveries", "replayed",
-         "violations"],
-        rows,
-        title=f"E17 — fault sweep ({profile.deals} deals, "
-              f"{profile.shards} shards, replication factor × crash rate)",
+    return run_sweep(
+        points, partial(fault_point, profile=profile), SWEEP_COLUMNS,
+        f"E17 — fault sweep ({profile.deals} deals, {profile.shards} "
+        "shards, replication factor × crash rate)", jobs,
     )
 
 
 # ----------------------------------------------------------------------
 # Recovery conformance gate
 # ----------------------------------------------------------------------
-def gate_run(
-    quick: bool = False, telemetry=None, chaos: float = 0.0
-) -> MarketReport:
-    """The acceptance run: factor 3, leader kills mid-deal included.
-
-    ``chaos`` composes a seeded message-plane chaos plan on top of the
-    crash schedule (E18's axis); 0 leaves the config untouched so the
-    chaos-off report stays byte-identical to a chaos-free build.
-    """
-    if quick:
-        profile = _with_mix(MarketProfile.sharded_smoke(seed=29, shards=2))
-    else:
-        profile = _with_mix(
-            replace(MarketProfile.sharded(seed=29, shards=4), deals=1_400)
-        )
-    span = profile.deals / profile.arrival_rate
-    plan = crash_schedule(profile.shards, 3, 2, span, profile.seed)
-    chaos_plan = None
-    if chaos > 0:
-        from repro.sim.chaos import ChaosPlan
-
-        chaos_plan = ChaosPlan.at(chaos, seed=profile.seed)
-    config = MarketConfig(
-        replication_factor=3, fault_plan=plan, telemetry=telemetry,
-        chaos=chaos_plan,
+def gate_run(quick: bool = False, trace: str | None = None) -> MarketReport:
+    """The acceptance run: factor 3, leader kills mid-deal included."""
+    profile = mixed_sharded(quick, seed=29, deals=1_400)
+    report, _ = market_experiment.traced_run(
+        profile, crash_config(profile, 3, 2), trace
     )
-    return open_market(MarketWorkload(profile), config).run()
+    return report
 
 
-def check_gate(
-    report: MarketReport, quick: bool = False, chaos: float = 0.0
-) -> list[str]:
-    """The E17 acceptance criteria; returns failures (empty = pass).
-
-    With ``chaos`` composed onto the crash schedule the commit floor
-    halves: message loss legitimately aborts timelock/CBC deals whose
-    votes miss a deadline (the paper's §5 partial-synchrony caveat),
-    and E18 owns the chaos-conformance accounting — this gate keeps
-    proving crash recovery, calibrated for intensities up to ~0.15.
-    """
+def check_gate(report: MarketReport, quick: bool = False) -> list[str]:
+    """The E17 acceptance criteria; returns failures (empty = pass)."""
     floor = 80 if quick else 1_000
-    if chaos > 0:
-        floor //= 2
     stats = dict(report.replication_stats)
     failures = []
     if report.faults_injected == 0:
         failures.append("no crash faults fired (schedule is empty)")
     if report.committed < floor:
         failures.append(f"committed {report.committed} < {floor}")
-    if report.invariant_violations:
-        failures.append(
-            f"{len(report.invariant_violations)} invariant violations "
-            f"(first: {report.invariant_violations[0]})"
-        )
+    failures += safety_failures(report)
     if report.recoveries == 0:
         failures.append("no replica recovered")
     if stats.get("hash_checks", 0) == 0:
@@ -260,14 +187,7 @@ def check_gate(
     return failures
 
 
-def gate_table(
-    quick: bool = False,
-    report: MarketReport | None = None,
-    chaos: float = 0.0,
-) -> str:
-    if report is None:
-        report = gate_run(quick=quick)
-    failures = check_gate(report, quick=quick, chaos=chaos)
+def gate_table(report: MarketReport, failures: list[str]) -> str:
     stats = dict(report.replication_stats)
     net = dict(report.network_stats)
     rows = [
@@ -286,77 +206,35 @@ def gate_table(
         ["sore losers (mixed timelock)", report.sore_losers],
         ["invariant violations", len(report.invariant_violations)],
         ["fingerprint", report.fingerprint()],
-        ["gate", "PASS" if not failures else "FAIL: " + "; ".join(failures)],
     ]
-    return render_table(
-        ["measure", "value"], rows,
-        title="E17 — recovery conformance gate (replication factor 3, "
-              "leader kills mid-deal)",
+    return market_experiment.gate_table(
+        "E17 — recovery conformance gate (replication factor 3, "
+        "leader kills mid-deal)", rows, failures,
+    )
+
+
+def experiment(
+    quick: bool = False, jobs: int | None = None, trace: str | None = None
+) -> tuple[list[str], list[str], str]:
+    report = gate_run(quick=quick, trace=trace)
+    failures = check_gate(report, quick=quick)
+    tables = [gate_table(report, failures), fault_sweep(jobs=jobs, quick=quick)[1]]
+    return tables, failures, (
+        f"E17 acceptance: {report.committed} commits under "
+        f"{report.faults_injected} replica crashes, {report.recoveries} "
+        "recoveries all hash-verified, 0 invariant violations"
     )
 
 
 def make_report(
-    jobs: int | None = None,
-    quick: bool = False,
-    trace: str | None = None,
-    chaos: float = 0.0,
+    jobs: int | None = None, quick: bool = False, trace: str | None = None
 ) -> str:
-    telemetry = None
-    if trace is not None:
-        # Byte-neutral by contract: the gate run is traced, the report
-        # string stays identical, and the trace lands silently.
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry()
-    report = gate_run(quick=quick, telemetry=telemetry, chaos=chaos)
-    if telemetry is not None:
-        from repro.telemetry.export import write_trace_jsonl
-
-        write_trace_jsonl(telemetry, trace)
-    return (
-        gate_table(quick=quick, report=report, chaos=chaos)
-        + "\n"
-        + fault_table(jobs=jobs, quick=quick)
-    )
+    # A trace lands silently: the report bytes are unchanged.
+    return "\n".join(experiment(quick=quick, jobs=jobs, trace=trace)[0])
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small fixed-seed sweep (smoke test)")
-    parser.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker processes for the sweep")
-    parser.add_argument("--trace", metavar="OUT", default=None,
-                        help="write a deal-lifecycle trace (JSONL) of the "
-                             "gate run; byte-neutral — report bytes and "
-                             "fingerprint are unchanged")
-    parser.add_argument("--chaos", type=float, default=0.0, metavar="P",
-                        help="seeded chaos intensity composed onto the "
-                             "gate run's crash schedule (0 = chaos off, "
-                             "byte-identical to a chaos-free build)")
-    args = parser.parse_args(argv)
-    telemetry = None
-    if args.trace is not None:
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry()
-    report = gate_run(quick=args.quick, telemetry=telemetry, chaos=args.chaos)
-    if telemetry is not None:
-        from repro.telemetry.export import write_trace_jsonl
-
-        records = write_trace_jsonl(telemetry, args.trace)
-        print(f"trace: {records} records -> {args.trace}")
-    print(gate_table(quick=args.quick, report=report, chaos=args.chaos))
-    print(fault_table(jobs=args.jobs, quick=args.quick))
-    failures = check_gate(report, quick=args.quick, chaos=args.chaos)
-    if failures:
-        print("FAIL: " + "; ".join(failures))
-        return 1
-    print("E17 acceptance: "
-          f"{report.committed} commits under {report.faults_injected} "
-          f"replica crashes, {report.recoveries} recoveries all "
-          "hash-verified, 0 invariant violations")
-    return 0
+    return market_experiment.main(argv, __doc__, experiment, market_experiment.TRACE)
 
 
 # ----------------------------------------------------------------------
@@ -369,14 +247,10 @@ def test_shape_gate_passes_quick():
 
 
 def test_shape_fault_free_point_has_full_availability():
-    records = fault_sweep(jobs=1, quick=True)
-    clean = [r for r in records if r["crashes"] == 0]
+    records, _ = fault_sweep(jobs=1, quick=True)
+    clean = [r for r in records if r["faults_injected"] == 0]
     assert clean and all(r["availability"] == 1.0 for r in clean)
     assert all(r["violations"] == 0 for r in records)
-
-
-def test_shape_sweep_is_job_count_invariant():
-    assert fault_sweep(jobs=1, quick=True) == fault_sweep(jobs=2, quick=True)
 
 
 if __name__ == "__main__":

@@ -26,12 +26,14 @@ buys:
   commit at least 1,000 deals with zero conservation / exactly-once
   violations, every hazard class must actually fire, and the pool
   must lose the killed worker, verify its batches in the parent, and
-  still return the report bytes of the run with no pool at all.
+  still return the report bytes of the run with no pool at all; no
+  deal may be left stuck.
 
 Every column is a deterministic seeded simulation quantity: the chaos
 schedule is a pure function of (seed, transmission index), so CI
-compares serial vs ``--jobs 2`` reports with ``cmp`` — and a separate
-leg proves chaos *off* leaves E16/E17 bytes untouched.
+compares serial vs ``--jobs 2`` reports with ``cmp``.  That chaos
+*off* builds exactly the chaos-free market is tier-1's
+(``tests/properties/test_chaos_props.py``).
 
 Usage::
 
@@ -40,18 +42,18 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import replace
-from functools import cache, partial
+from functools import partial
 
-from repro.analysis.tables import render_table
-from repro.market import MarketConfig, MarketReport, open_market
+import market_experiment
+from market_experiment import Column, mixed_sharded, run_market, run_sweep, safety_failures
+from repro.market import MarketConfig, MarketReport
 from repro.market.backends import ProcessBackend
 from repro.sim.chaos import ChaosPlan
 from repro.sim.faults import FaultPlan, ReplicaCrash, WorkerKill
 from repro.sim.rng import DeterministicRng
-from repro.workloads.market import MarketProfile, MarketWorkload
+from repro.workloads.market import MarketProfile
 
 # Sweep axes: chaos intensity (per-transmission hazard probability,
 # all four hazards on both planes) × replica-group size.
@@ -61,22 +63,6 @@ FACTOR_SWEEP = [1, 3]
 # The worker kill lands here — early enough that deals admitted in the
 # opening ticks are mid-flight when worker 1 dies.
 _KILL_AT = 14.0
-
-_PROTOCOL_MIX = (("unanimity", 1.0), ("timelock", 1.0), ("cbc", 1.0))
-
-
-def _with_mix(profile: MarketProfile) -> MarketProfile:
-    return replace(
-        profile, protocol_mix=_PROTOCOL_MIX, book_fund_fraction=0.4
-    )
-
-
-def _sweep_profile(quick: bool) -> MarketProfile:
-    if quick:
-        return _with_mix(MarketProfile.sharded_smoke(seed=31, shards=2))
-    return _with_mix(
-        replace(MarketProfile.sharded(seed=31, shards=4), deals=400)
-    )
 
 
 def chaos_plan(intensity: float, seed) -> ChaosPlan | None:
@@ -116,83 +102,63 @@ def chaos_schedule(shards: int, factor: int, span: float, seed) -> FaultPlan:
     return plan
 
 
-def chaos_point(point: tuple[float, int], profile: MarketProfile) -> dict:
-    """One sweep record (simulation quantities only)."""
-    intensity, factor = point
+SWEEP_COLUMNS = (
+    Column("chaos", "intensity", "{:.0%}"),
+    Column("r", "factor"),
+    Column("committed", "committed"),
+    Column("abort rate", "abort_rate", "{:.1%}"),
+    Column("p50", "latency_p50", "{:.2f}"),
+    Column("p99", "latency_p99", "{:.2f}"),
+    Column("availability", "availability", "{:.3%}"),
+    Column("dropped", "bus.chaos_dropped"),
+    Column("duped", "bus.chaos_duplicated"),
+    Column("reordered", "bus.chaos_reordered"),
+    Column("resends", "bus.resends"),
+    Column("suppressed", "bus.dup_suppressed"),
+    Column("deltas resent", "replication.deltas_resent"),
+    Column("deltas abandoned", "replication.deltas_abandoned"),
+    Column("violations", "violations"),
+)
+
+
+def chaos_config(
+    profile: MarketProfile, intensity: float, factor: int, *faults
+) -> MarketConfig:
+    """Chaos at ``intensity`` over ``factor``-member replica groups, with
+    ``chaos_schedule``'s crashes and then ``faults``."""
     span = profile.deals / profile.arrival_rate
     plan = chaos_schedule(profile.shards, factor, span, profile.seed)
-    config = MarketConfig(
+    for fault in faults:
+        plan.add(fault)
+    return MarketConfig(
         replication_factor=factor,
         fault_plan=plan if plan.faults else None,
         chaos=chaos_plan(intensity, profile.seed),
     )
-    report = open_market(MarketWorkload(profile), config).run()
-    bus = dict(report.bus_stats)
-    replication = dict(report.replication_stats)
-    return {
-        "intensity": intensity,
-        "factor": factor,
-        "committed": report.committed,
-        "aborted": report.aborted,
-        "abort_rate": report.abort_rate,
-        "p50": report.latency_p50,
-        "p99": report.latency_p99,
-        "availability": report.availability,
-        "chaos_dropped": bus.get("chaos_dropped", 0),
-        "chaos_duplicated": bus.get("chaos_duplicated", 0),
-        "chaos_reordered": bus.get("chaos_reordered", 0),
-        "resends": bus.get("resends", 0),
-        "dup_suppressed": bus.get("dup_suppressed", 0),
-        "deltas_resent": replication.get("deltas_resent", 0),
-        "deltas_abandoned": replication.get("deltas_abandoned", 0),
-        "violations": len(report.invariant_violations),
-    }
 
 
-def chaos_sweep(jobs: int | None = None, quick: bool = False) -> list[dict]:
-    """Fan the (intensity, factor) grid over the process pool."""
-    from repro.analysis.sweep import sweep_parallel
+def chaos_point(
+    point: tuple[float, int], profile: MarketProfile
+) -> tuple[MarketReport, dict]:
+    """One (intensity, factor) run."""
+    intensity, factor = point
+    config = chaos_config(profile, intensity, factor)
+    return run_market(profile, config), {"intensity": intensity, "factor": factor}
 
-    profile = _sweep_profile(quick)
+
+def chaos_sweep(jobs: int | None = None, quick: bool = False) -> tuple[list[dict], str]:
+    """The (intensity, factor) grid's records and table."""
+    profile = mixed_sharded(quick, seed=31, deals=400)
     intensities = [0.0, 0.15] if quick else INTENSITY_SWEEP
     points = [
         (intensity, factor)
         for intensity in intensities
         for factor in FACTOR_SWEEP
     ]
-    return sweep_parallel(points, partial(chaos_point, profile=profile), jobs=jobs)
-
-
-def chaos_table(jobs: int | None = None, quick: bool = False) -> str:
-    profile = _sweep_profile(quick)
-    records = chaos_sweep(jobs=jobs, quick=quick)
-    rows = [
-        [
-            f"{r['intensity']:.0%}",
-            r["factor"],
-            r["committed"],
-            f"{r['abort_rate']:.1%}",
-            f"{r['p50']:.2f}",
-            f"{r['p99']:.2f}",
-            f"{r['availability']:.3%}",
-            r["chaos_dropped"],
-            r["chaos_duplicated"],
-            r["chaos_reordered"],
-            r["resends"],
-            r["dup_suppressed"],
-            r["deltas_resent"],
-            r["deltas_abandoned"],
-            r["violations"],
-        ]
-        for r in records
-    ]
-    return render_table(
-        ["chaos", "r", "committed", "abort rate", "p50", "p99",
-         "availability", "dropped", "duped", "reordered", "resends",
-         "suppressed", "deltas resent", "deltas abandoned", "violations"],
-        rows,
-        title=f"E18 — chaos sweep ({profile.deals} deals, "
-              f"{profile.shards} shards, fault intensity × replication)",
+    return run_sweep(
+        points, partial(chaos_point, profile=profile), SWEEP_COLUMNS,
+        f"E18 — chaos sweep ({profile.deals} deals, {profile.shards} "
+        "shards, fault intensity × replication)", jobs,
     )
 
 
@@ -200,25 +166,8 @@ def chaos_table(jobs: int | None = None, quick: bool = False) -> str:
 # Chaos conformance gate
 # ----------------------------------------------------------------------
 GATE_INTENSITY = 0.12
-
-
-def _gate_profile(quick: bool) -> MarketProfile:
-    if quick:
-        return _with_mix(MarketProfile.sharded_smoke(seed=37, shards=2))
-    return _with_mix(
-        replace(MarketProfile.sharded(seed=37, shards=4), deals=2_400)
-    )
-
-
-def _gate_config(profile: MarketProfile) -> MarketConfig:
-    span = profile.deals / profile.arrival_rate
-    plan = chaos_schedule(profile.shards, 3, span, profile.seed)
-    plan.add(WorkerKill(worker=min(1, profile.shards - 1), at_time=_KILL_AT))
-    return MarketConfig(
-        replication_factor=3,
-        fault_plan=plan,
-        chaos=chaos_plan(GATE_INTENSITY, profile.seed),
-    )
+HAZARDS = ("chaos_dropped", "chaos_duplicated", "chaos_delayed",
+           "chaos_reordered", "resends", "dup_suppressed")
 
 
 def gate_run(
@@ -237,20 +186,13 @@ def gate_run(
     output is byte-identical whatever the job count (pool workers are
     daemonic and cannot fork).
     """
-    profile = _gate_profile(quick)
-    config = _gate_config(profile)
+    profile = mixed_sharded(quick, seed=37, deals=2_400)
+    kill = WorkerKill(worker=min(1, profile.shards - 1), at_time=_KILL_AT)
+    config = chaos_config(profile, GATE_INTENSITY, 3, kill)
     if not pooled or not ProcessBackend._can_fork():
-        return open_market(MarketWorkload(profile), config).run(), None
+        return run_market(profile, config), None
     backend = ProcessBackend()
-    report = open_market(
-        MarketWorkload(profile), config, backend=backend
-    ).run()
-    return report, backend
-
-
-@cache
-def _unpooled_render(quick: bool) -> str:
-    return gate_run(quick=quick, pooled=False)[0].render()
+    return run_market(profile, config, backend), backend
 
 
 def check_gate(
@@ -269,13 +211,8 @@ def check_gate(
     failures = []
     if report.committed < floor:
         failures.append(f"committed {report.committed} < {floor}")
-    if report.invariant_violations:
-        failures.append(
-            f"{len(report.invariant_violations)} invariant violations "
-            f"(first: {report.invariant_violations[0]})"
-        )
-    for counter in ("chaos_dropped", "chaos_duplicated", "chaos_delayed",
-                    "chaos_reordered", "resends", "dup_suppressed"):
+    failures += safety_failures(report)
+    for counter in HAZARDS:
         if not bus.get(counter, 0):
             failures.append(f"hazard never fired: {counter} == 0")
     if report.faults_injected == 0:
@@ -285,19 +222,14 @@ def check_gate(
             failures.append("the killed worker was never lost")
         if backend.stats["inline_batches"] < 1:
             failures.append("no order group of the lost worker was verified inline")
-        if _unpooled_render(quick) != report.render():
+        if gate_run(quick=quick, pooled=False)[0].render() != report.render():
             failures.append("pooled report differs from the unpooled run")
     return failures
 
 
 def gate_table(
-    quick: bool = False,
-    report: MarketReport | None = None,
-    backend: ProcessBackend | None = None,
+    report: MarketReport, backend: ProcessBackend | None, failures: list[str]
 ) -> str:
-    if report is None:
-        report, backend = gate_run(quick=quick)
-    failures = check_gate(report, backend, quick=quick)
     bus = dict(report.bus_stats)
     replication = dict(report.replication_stats)
     pool = backend.stats if backend is not None else {}
@@ -319,47 +251,39 @@ def gate_table(
         ["availability", f"{report.availability:.3%}"],
         ["invariant violations", len(report.invariant_violations)],
         ["fingerprint", report.fingerprint()],
-        ["gate", "PASS" if not failures else "FAIL: " + "; ".join(failures)],
     ]
-    return render_table(
-        ["measure", "value"], rows,
-        title="E18 — chaos conformance gate (intensity "
-              f"{GATE_INTENSITY:.0%}, replication factor 3, mid-deal "
-              "worker kill)",
+    return market_experiment.gate_table(
+        f"E18 — chaos conformance gate (intensity {GATE_INTENSITY:.0%}, "
+        "replication factor 3, mid-deal worker kill)", rows, failures,
+    )
+
+
+def experiment(
+    quick: bool = False, jobs: int | None = None, pooled: bool = True
+) -> tuple[list[str], list[str], str]:
+    report, backend = gate_run(quick=quick, pooled=pooled)
+    failures = check_gate(report, backend, quick=quick)
+    tables = [
+        gate_table(report, backend, failures),
+        chaos_sweep(jobs=jobs, quick=quick)[1],
+    ]
+    bus = dict(report.bus_stats)
+    return tables, failures, (
+        f"E18 acceptance: {report.committed} commits under "
+        f"{bus.get('chaos_dropped', 0)} drops / "
+        f"{bus.get('chaos_duplicated', 0)} dups / "
+        f"{bus.get('chaos_reordered', 0)} reorders, "
+        f"{bus.get('resends', 0)} resends, a verify worker lost "
+        "without a byte of difference, 0 invariant violations"
     )
 
 
 def make_report(jobs: int | None = None, quick: bool = False) -> str:
-    report, backend = gate_run(quick=quick, pooled=False)
-    return (
-        gate_table(quick=quick, report=report, backend=backend)
-        + "\n"
-        + chaos_table(jobs=jobs, quick=quick)
-    )
+    return "\n".join(experiment(quick=quick, jobs=jobs, pooled=False)[0])
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small fixed-seed sweep (smoke test)")
-    parser.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker processes for the sweep")
-    args = parser.parse_args(argv)
-    report, backend = gate_run(quick=args.quick)
-    print(gate_table(quick=args.quick, report=report, backend=backend))
-    print(chaos_table(jobs=args.jobs, quick=args.quick))
-    failures = check_gate(report, backend, quick=args.quick)
-    if failures:
-        print("FAIL: " + "; ".join(failures))
-        return 1
-    bus = dict(report.bus_stats)
-    print("E18 acceptance: "
-          f"{report.committed} commits under {bus.get('chaos_dropped', 0)} "
-          f"drops / {bus.get('chaos_duplicated', 0)} dups / "
-          f"{bus.get('chaos_reordered', 0)} reorders, "
-          f"{bus.get('resends', 0)} resends, a verify worker lost "
-          "without a byte of difference, 0 invariant violations")
-    return 0
+    return market_experiment.main(argv, __doc__, experiment)
 
 
 # ----------------------------------------------------------------------
@@ -371,14 +295,10 @@ def test_shape_gate_passes_quick():
 
 
 def test_shape_chaos_free_point_is_clean():
-    records = chaos_sweep(jobs=1, quick=True)
+    records, _ = chaos_sweep(jobs=1, quick=True)
     clean = [r for r in records if r["intensity"] == 0.0]
-    assert clean and all(r["resends"] == 0 for r in clean)
+    assert clean and all(r["bus.resends"] == 0 for r in clean)
     assert all(r["violations"] == 0 for r in records)
-
-
-def test_shape_sweep_is_job_count_invariant():
-    assert chaos_sweep(jobs=1, quick=True) == chaos_sweep(jobs=2, quick=True)
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ Fees are §9-style priority units, not token transfers, so every
 conservation invariant is policy-independent by construction — the
 gate verifies the construction.  Every column is a deterministic
 seeded simulation quantity; CI compares serial vs ``--jobs 2`` output
-with ``cmp``, and a separate leg proves the default FIFO policy leaves
-E16 report bytes untouched.
+with ``cmp``.  That the default FIFO policy builds exactly the fee-less
+market is tier-1's (``tests/market/test_fees.py``).
 
 Usage::
 
@@ -39,17 +39,23 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import replace
 from functools import partial
 
-from repro.analysis.tables import render_table
-from repro.market import MarketConfig, MarketReport, open_market
+import market_experiment
+from market_experiment import Column, run_market, run_sweep, safety_failures
+from repro.market import MarketConfig, MarketReport
 from repro.market.fees import SEAL_POLICIES
-from repro.workloads.market import MarketProfile, MarketWorkload
+from repro.workloads.market import MarketProfile
 
-SCENARIOS = ("clean", "spam", "snipe", "full")
+# Congestion scenario -> what it switches off in the full congested profile.
+SCENARIOS = {
+    "clean": dict(spam_deals=0, snipe_rate=0.0, starve_rate=0.0),
+    "spam": dict(snipe_rate=0.0, starve_rate=0.0),
+    "snipe": dict(spam_deals=0, starve_rate=0.0),
+    "full": {},
+}
 
 #: The congested shard's squeezed block cap (global cap stays 512):
 #: heterogeneous per-shard block space is what makes the spam flood
@@ -64,18 +70,10 @@ def scenario_profile(scenario: str, quick: bool) -> MarketProfile:
         if quick
         else MarketProfile.congested(seed=43, deals=1_200)
     )
-    if scenario == "clean":
-        return replace(base, spam_deals=0, snipe_rate=0.0, starve_rate=0.0)
-    if scenario == "spam":
-        return replace(base, snipe_rate=0.0, starve_rate=0.0)
-    if scenario == "snipe":
-        return replace(base, spam_deals=0, starve_rate=0.0)
-    if scenario == "full":
-        return base
-    raise ValueError(f"unknown scenario {scenario!r}")
+    return replace(base, **SCENARIOS[scenario])
 
 
-def fee_config(policy: str, quick: bool) -> MarketConfig | None:
+def fee_config(policy: str, quick: bool) -> MarketConfig:
     """The run config: sealing policy + squeezed congested-shard cap.
 
     FIFO still gets the squeezed cap (congestion must bind for every
@@ -111,70 +109,53 @@ def honest_outcomes(report: MarketReport, profile: MarketProfile) -> dict:
         if latencies
         else 0.0
     )
-    return {"committed": committed, "aborted": aborted, "p99": p99}
+    return {
+        "honest_committed": committed,
+        "honest_aborted": aborted,
+        "honest_p99": p99,
+    }
 
 
 def fee_point(
     point: tuple[str, str], quick: bool = False
-) -> dict:
-    """One (policy, scenario) sweep record (simulation quantities)."""
+) -> tuple[MarketReport, dict]:
+    """One (policy, scenario) run and its honest outcomes."""
     policy, scenario = point
     profile = scenario_profile(scenario, quick)
-    report = open_market(
-        MarketWorkload(profile), fee_config(policy, quick)
-    ).run()
-    honest = honest_outcomes(report, profile)
-    return {
-        "policy": policy,
-        "scenario": scenario,
-        "deals": report.deals,
-        "committed": report.committed,
-        "honest_committed": honest["committed"],
-        "honest_aborted": honest["aborted"],
-        "honest_p99": honest["p99"],
-        "priced_out": report.fee_priced_out,
-        "fees_accrued": report.fees_accrued,
-        "stuck": report.stuck,
-        "violations": len(report.invariant_violations),
+    report = run_market(profile, fee_config(policy, quick))
+    return report, {
+        "policy": policy, "scenario": scenario,
+        **honest_outcomes(report, profile),
     }
 
 
-def fee_sweep(jobs: int | None = None, quick: bool = False) -> list[dict]:
-    """Fan the policy × scenario grid over the process pool."""
-    from repro.analysis.sweep import sweep_parallel
+SWEEP_COLUMNS = (
+    Column("policy", "policy"),
+    Column("congestion", "scenario"),
+    Column("committed", "committed"),
+    Column("honest ok", "honest_committed"),
+    Column("honest abort", "honest_aborted"),
+    Column("honest p99", "honest_p99", "{:.2f}"),
+    Column("priced out", "fee_priced_out"),
+    Column("fees", "fees_accrued"),
+    Column("violations", "violations"),
+)
 
+
+def fee_sweep(jobs: int | None = None, quick: bool = False) -> tuple[list[dict], str]:
+    """The policy × scenario grid's records and table."""
     points = [
         (policy, scenario)
         for policy in SEAL_POLICIES
         for scenario in SCENARIOS
     ]
-    return sweep_parallel(points, partial(fee_point, quick=quick), jobs=jobs)
-
-
-def fee_table(jobs: int | None = None, quick: bool = False) -> str:
-    records = fee_sweep(jobs=jobs, quick=quick)
-    rows = [
-        [
-            r["policy"],
-            r["scenario"],
-            r["committed"],
-            r["honest_committed"],
-            r["honest_aborted"],
-            f"{r['honest_p99']:.2f}",
-            r["priced_out"],
-            r["fees_accrued"],
-            r["violations"],
-        ]
-        for r in records
-    ]
     profile = scenario_profile("full", quick)
-    return render_table(
-        ["policy", "congestion", "committed", "honest ok", "honest abort",
-         "honest p99", "priced out", "fees", "violations"],
-        rows,
-        title=f"E19 — sealing policy × congestion ({profile.deals} honest "
-              f"deals + {profile.spam_deals} spam, {profile.shards} shards, "
-              f"congested-shard cap {GATE_CAPS['quick' if quick else 'full']})",
+    return run_sweep(
+        points, partial(fee_point, quick=quick), SWEEP_COLUMNS,
+        f"E19 — sealing policy × congestion ({profile.deals} honest "
+        f"deals + {profile.spam_deals} spam, {profile.shards} shards, "
+        f"congested-shard cap {GATE_CAPS['quick' if quick else 'full']})",
+        jobs,
     )
 
 
@@ -183,14 +164,7 @@ def fee_table(jobs: int | None = None, quick: bool = False) -> str:
 # ----------------------------------------------------------------------
 def gate_runs(quick: bool = False) -> dict[str, tuple[MarketReport, dict]]:
     """The full congestion profile under every sealing policy."""
-    profile = scenario_profile("full", quick)
-    runs = {}
-    for policy in SEAL_POLICIES:
-        report = open_market(
-            MarketWorkload(profile), fee_config(policy, quick)
-        ).run()
-        runs[policy] = (report, honest_outcomes(report, profile))
-    return runs
+    return {policy: fee_point((policy, "full"), quick) for policy in SEAL_POLICIES}
 
 
 def check_gate(
@@ -212,25 +186,20 @@ def check_gate(
     """
     floor = 25 if quick else 1_000
     failures = []
-    fifo_p99 = runs["fifo"][1]["p99"]
+    fifo_p99 = runs["fifo"][1]["honest_p99"]
     for policy, (report, honest) in runs.items():
-        if report.invariant_violations:
-            failures.append(
-                f"{policy}: {len(report.invariant_violations)} invariant "
-                f"violations (first: {report.invariant_violations[0]})"
-            )
-        if report.stuck:
-            failures.append(f"{policy}: {report.stuck} stuck deals")
+        failures += safety_failures(report, prefix=f"{policy}: ")
         if policy == "fifo":
             continue
-        if honest["committed"] < floor:
+        if honest["honest_committed"] < floor:
             failures.append(
-                f"{policy}: honest committed {honest['committed']} < {floor}"
+                f"{policy}: honest committed {honest['honest_committed']} "
+                f"< {floor}"
             )
         bound = 3.0 * fifo_p99 + 5.0
-        if honest["p99"] > bound:
+        if honest["honest_p99"] > bound:
             failures.append(
-                f"{policy}: honest p99 {honest['p99']:.2f} > "
+                f"{policy}: honest p99 {honest['honest_p99']:.2f} > "
                 f"{bound:.2f} (3x fifo + 5)"
             )
         if report.fees_accrued <= 0:
@@ -243,17 +212,15 @@ def check_gate(
 
 
 def gate_table(
-    quick: bool = False,
-    runs: dict[str, tuple[MarketReport, dict]] | None = None,
+    runs: dict[str, tuple[MarketReport, dict]], failures: list[str], quick: bool
 ) -> str:
-    if runs is None:
-        runs = gate_runs(quick=quick)
-    failures = check_gate(runs, quick=quick)
     profile = scenario_profile("full", quick)
     rows = []
     for policy, (report, honest) in runs.items():
-        rows.append([f"{policy}: honest committed", honest["committed"]])
-        rows.append([f"{policy}: honest p99 (ticks)", f"{honest['p99']:.2f}"])
+        rows.append([f"{policy}: honest committed", honest["honest_committed"]])
+        rows.append(
+            [f"{policy}: honest p99 (ticks)", f"{honest['honest_p99']:.2f}"]
+        )
         rows.append([f"{policy}: deals fee-priced-out", report.fee_priced_out])
         rows.append([f"{policy}: fee units accrued", report.fees_accrued])
         rows.append(
@@ -261,47 +228,38 @@ def gate_table(
              len(report.invariant_violations)]
         )
         rows.append([f"{policy}: fingerprint", report.fingerprint()])
-    rows.append(["gate", "PASS" if not failures else
-                 "FAIL: " + "; ".join(failures)])
-    return render_table(
-        ["measure", "value"], rows,
-        title=f"E19 — fee conformance gate ({profile.deals} honest deals + "
-              f"{profile.spam_deals} spam + snipers + starvation rings, "
-              f"{profile.shards} shards)",
+    return market_experiment.gate_table(
+        f"E19 — fee conformance gate ({profile.deals} honest deals + "
+        f"{profile.spam_deals} spam + snipers + starvation rings, "
+        f"{profile.shards} shards)", rows, failures,
+    )
+
+
+def experiment(
+    quick: bool = False, jobs: int | None = None
+) -> tuple[list[str], list[str], str]:
+    runs = gate_runs(quick=quick)
+    failures = check_gate(runs, quick=quick)
+    tables = [
+        gate_table(runs, failures, quick),
+        fee_sweep(jobs=jobs, quick=quick)[1],
+    ]
+    base_report, base_honest = runs["base_fee"]
+    return tables, failures, (
+        f"E19 acceptance: {base_honest['honest_committed']} funded honest "
+        "commits under spam + snipers + starvation at base-fee pricing, "
+        f"{base_report.fee_priced_out} freeloaders priced out "
+        "(measured outcome), 0 conservation violations under every "
+        "sealing policy"
     )
 
 
 def make_report(jobs: int | None = None, quick: bool = False) -> str:
-    runs = gate_runs(quick=quick)
-    return (
-        gate_table(quick=quick, runs=runs)
-        + "\n"
-        + fee_table(jobs=jobs, quick=quick)
-    )
+    return "\n".join(experiment(quick=quick, jobs=jobs)[0])
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small fixed-seed sweep (smoke test)")
-    parser.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker processes for the sweep")
-    args = parser.parse_args(argv)
-    runs = gate_runs(quick=args.quick)
-    print(gate_table(quick=args.quick, runs=runs))
-    print(fee_table(jobs=args.jobs, quick=args.quick))
-    failures = check_gate(runs, quick=args.quick)
-    if failures:
-        print("FAIL: " + "; ".join(failures))
-        return 1
-    base_report, base_honest = runs["base_fee"]
-    print("E19 acceptance: "
-          f"{base_honest['committed']} funded honest commits under "
-          f"spam + snipers + starvation at base-fee pricing, "
-          f"{base_report.fee_priced_out} freeloaders priced out "
-          "(measured outcome), 0 conservation violations under every "
-          "sealing policy")
-    return 0
+    return market_experiment.main(argv, __doc__, experiment)
 
 
 # ----------------------------------------------------------------------
@@ -312,22 +270,17 @@ def test_shape_gate_passes_quick():
 
 
 def test_shape_priority_outcommits_fifo_under_spam():
-    fifo = fee_point(("fifo", "spam"), quick=True)
-    priced = fee_point(("first_price", "spam"), quick=True)
-    assert priced["violations"] == 0 and fifo["violations"] == 0
-    assert priced["honest_committed"] >= fifo["honest_committed"]
+    fifo, fifo_honest = fee_point(("fifo", "spam"), quick=True)
+    priced, priced_honest = fee_point(("first_price", "spam"), quick=True)
+    assert priced.invariant_violations == () == fifo.invariant_violations
+    assert priced_honest["honest_committed"] >= fifo_honest["honest_committed"]
 
 
 def test_shape_base_fee_prices_out_freeloaders_only():
-    record = fee_point(("base_fee", "spam"), quick=True)
+    report, _ = fee_point(("base_fee", "spam"), quick=True)
     profile = scenario_profile("spam", True)
-    assert record["priced_out"] > 0
-    assert record["priced_out"] <= profile.spam_deals
-    assert record["stuck"] == 0 and record["violations"] == 0
-
-
-def test_shape_sweep_is_job_count_invariant():
-    assert fee_sweep(jobs=1, quick=True) == fee_sweep(jobs=2, quick=True)
+    assert 0 < report.fee_priced_out <= profile.spam_deals
+    assert report.stuck == 0 and report.invariant_violations == ()
 
 
 if __name__ == "__main__":

@@ -4,8 +4,7 @@ Usage::
 
     python benchmarks/run_all.py [output-file] [--jobs N] [--quick]
                                  [--shards M] [--trace PREFIX]
-                                 [--exec {inline,processes}] [--chaos P]
-                                 [--seal-policy POLICY]
+                                 [--exec {inline,processes}]
 
 Writes the concatenated paper-style tables for E1..E19 (the full
 EXPERIMENTS.md evidence) to stdout and, if given, to ``output-file``.
@@ -22,23 +21,12 @@ E16, E17, E18 and E19) so CI's determinism gate — serial vs ``--jobs 2``
 reports must be byte-identical — stays cheap.  Quick reports are only
 comparable to other quick reports.
 
-``--chaos P`` turns on seeded message-plane chaos (drop / duplicate /
-delay / reorder at probability P per transmission) for experiments
-that support the axis (currently E16 and E17; E18 sweeps it
-natively).  ``--chaos 0`` is the default and is byte-identical to a
-chaos-free run — CI cmp's the two to prove it.
-
-``--seal-policy POLICY`` prices block space for experiments that
-support the fee-market axis (currently E16; E19 sweeps the policies
-natively).  The default ``fifo`` must not change a byte of any report
-— the fee machinery is structurally absent — and CI cmp's a
-``--seal-policy fifo`` run against the default to prove it.
-
 ``--exec processes`` runs experiments that support an execution
 backend (currently E16) with one worker process per shard; reports
-stay byte-identical to ``--exec inline`` (CI cmp's the two).  Use
-``--jobs 1`` with it — inside a pool worker the backend falls back
-to inline anyway (daemonic processes cannot fork).
+stay byte-identical to ``--exec inline`` (CI cmp's the two).  It
+needs ``--jobs 1``: inside a pool worker the backend would fall back
+to inline (daemonic processes cannot fork), so any larger job count
+is refused rather than silently measuring the inline backend.
 
 ``--trace PREFIX`` writes each tracing experiment's deal-lifecycle
 trace to its own ``PREFIX.<id>.jsonl`` (concurrent ``--jobs`` workers
@@ -99,29 +87,21 @@ def run_experiment(
     shards: int = 1,
     trace: str | None = None,
     exec_backend: str = "inline",
-    chaos: float = 0.0,
-    seal_policy: str = "fifo",
 ) -> tuple[str, str, str, float]:
     """Run one experiment; return (id, module, report, elapsed seconds)."""
     experiment_id, module_name = item
     _ensure_importable()
     started = time.monotonic()
     module = importlib.import_module(module_name)
+    # Each option goes to the experiments whose make_report takes it.
     parameters = inspect.signature(module.make_report).parameters
-    kwargs = {}
-    if quick and "quick" in parameters:
-        kwargs["quick"] = True
-    if shards > 1 and "shards" in parameters:
-        kwargs["shards"] = shards
-    if trace is not None and "trace" in parameters:
-        kwargs["trace"] = trace_path(trace, experiment_id)
-    if exec_backend != "inline" and "exec_backend" in parameters:
-        kwargs["exec_backend"] = exec_backend
-    if chaos > 0 and "chaos" in parameters:
-        kwargs["chaos"] = chaos
-    if seal_policy != "fifo" and "seal_policy" in parameters:
-        kwargs["seal_policy"] = seal_policy
-    report = module.make_report(**kwargs)
+    options = dict(
+        quick=quick, shards=shards, exec_backend=exec_backend,
+        trace=None if trace is None else trace_path(trace, experiment_id),
+    )
+    report = module.make_report(
+        **{name: value for name, value in options.items() if name in parameters}
+    )
     return experiment_id, module_name, report, time.monotonic() - started
 
 
@@ -180,18 +160,7 @@ def main(argv: list[str]) -> int:
                         choices=("inline", "processes"),
                         help="execution backend for experiments that "
                              "support one (currently E16); reports are "
-                             "byte-identical either way")
-    parser.add_argument("--seal-policy", dest="seal_policy",
-                        default="fifo",
-                        choices=("fifo", "first_price", "base_fee"),
-                        help="sealing policy for experiments that support "
-                             "the fee-market axis (currently E16); 'fifo' "
-                             "= off, byte-identical to a fee-less build")
-    parser.add_argument("--chaos", type=float, default=0.0, metavar="P",
-                        help="seeded message-plane chaos intensity for "
-                             "experiments that support the axis "
-                             "(currently E16, E17); 0 = off, "
-                             "byte-identical to a chaos-free run")
+                             "byte-identical either way; needs --jobs 1")
     args = parser.parse_args(argv[1:])
 
     identifiers = [experiment_id for experiment_id, _ in EXPERIMENTS]
@@ -200,6 +169,9 @@ def main(argv: list[str]) -> int:
 
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     jobs = min(jobs, len(EXPERIMENTS))
+    if args.exec_backend == "processes" and jobs > 1:
+        parser.error("--exec processes needs --jobs 1: pool workers are "
+                     "daemonic and cannot fork the backend's workers")
 
     # Stream each experiment's section as soon as it is ready (pool
     # results arrive in experiment order either way).
@@ -216,8 +188,7 @@ def main(argv: list[str]) -> int:
     from functools import partial
 
     runner = partial(run_experiment, quick=args.quick, shards=args.shards,
-                     trace=args.trace, exec_backend=args.exec_backend,
-                     chaos=args.chaos, seal_policy=args.seal_policy)
+                     trace=args.trace, exec_backend=args.exec_backend)
     started = time.monotonic()
     if jobs > 1:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None

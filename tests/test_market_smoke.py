@@ -1,8 +1,9 @@
-"""Tier-1 smoke target for the E16 concurrent deal market.
+"""Tier-1 smoke target for the market experiments E16–E19.
 
 Runs ``benchmarks/bench_e16_market.py``'s conformance gate in
-``--quick`` mode, shows that every gate criterion can fail, pins the
-run's determinism, and unit-tests CI's perf guard arithmetic
+``--quick`` mode, shows that every E16–E19 gate criterion can fail,
+pins the run's determinism, checks ``run_all.py``'s refusal of a
+backend it cannot run, and unit-tests CI's perf guard arithmetic
 (``benchmarks/perf_guard.py``) on canned dicts — the market analogue
 of ``tests/test_perfsuite.py``.
 """
@@ -21,7 +22,13 @@ if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 
 import bench_e16_market  # noqa: E402
+import bench_e17_faults  # noqa: E402
+import bench_e18_chaos  # noqa: E402
+import bench_e19_fees  # noqa: E402
 import perf_guard  # noqa: E402
+import run_all  # noqa: E402
+from repro.market import MarketReport  # noqa: E402
+from repro.market.fees import SEAL_POLICIES  # noqa: E402
 from repro.workloads.market import MarketProfile  # noqa: E402
 
 # mode -> (CLI flags, gate_run axes)
@@ -102,15 +109,99 @@ def test_market_gate_trace_coverage_floor():
     assert check("plain", coverage=0.9) == ["trace coverage 90.0% < 95%"]
 
 
-def test_market_gate_commit_floors_apply_to_fifo_without_chaos_only():
-    """Off the axes the floors were measured on, E16 still gates safety."""
-    empty = replace(quick_run("mixed").report, committed=0, per_protocol=())
-    assert len(check("mixed", report=empty)) == 4
-    priced_out = replace(empty, seal_policy="base_fee")
-    for report, axes in ((priced_out, {}), (empty, {"chaos": 0.1})):
-        assert check("mixed", report=report, **axes) == []
-        stuck = replace(report, stuck=1)
-        assert check("mixed", report=stuck, **axes) == ["1 stuck deals"]
+# ----------------------------------------------------------------------
+# E17-E19 gates on hand-built reports (no market runs)
+# ----------------------------------------------------------------------
+def _report(**doctored):
+    """A report that passes every E17, E18 and E19 criterion at --quick."""
+    fields = dict(
+        deals=100, committed=100, aborted=0, rejected=0, stuck=0,
+        conflicts=0, timeouts=0, latency_p50=5.0, latency_p90=5.0,
+        latency_p99=5.0, end_time=100.0, deals_per_kilotick=1.0, chains=4,
+        blocks=10, txs_executed=100, txs_reverted=0, max_mempool_depth=1,
+        events_processed=1, faults_injected=1, recoveries=1,
+        replication_stats=(("hash_checks", 1),),
+        bus_stats=tuple((counter, 1) for counter in bench_e18_chaos.HAZARDS),
+        fees_accrued=1,
+    )
+    return MarketReport(**{**fields, **doctored})
+
+
+def e17(**doctored):
+    return bench_e17_faults.check_gate(_report(**doctored), quick=True)
+
+
+def e18(**doctored):
+    return bench_e18_chaos.check_gate(_report(**doctored), None, quick=True)
+
+
+def e19(policy="first_price", honest=(), **doctored):
+    runs = {
+        name: (
+            _report(fee_priced_out=int(name == "base_fee")),
+            {"honest_committed": 25, "honest_aborted": 0, "honest_p99": 5.0},
+        )
+        for name in SEAL_POLICIES
+    }
+    report, outcomes = runs[policy]
+    runs[policy] = (replace(report, **doctored), {**outcomes, **dict(honest)})
+    return bench_e19_fees.check_gate(runs, quick=True)
+
+
+_BROKEN = ("x",)
+_NO_DELAY = tuple(
+    (counter, 1) for counter in bench_e18_chaos.HAZARDS
+    if counter != "chaos_delayed"
+)
+
+
+GATE_CASES = [
+    (e17, {}, []),
+    (e17, {"faults_injected": 0}, ["no crash faults fired (schedule is empty)"]),
+    (e17, {"committed": 79}, ["committed 79 < 80"]),
+    (e17, {"stuck": 1}, ["1 stuck deals"]),
+    (e17, {"invariant_violations": _BROKEN}, ["1 invariant violations (first: x)"]),
+    (e17, {"recoveries": 0}, ["no replica recovered"]),
+    (e17, {"replication_stats": ()}, ["no post-replay hash checks ran"]),
+    (e17, {"replication_stats": (("hash_checks", 1), ("hash_mismatches", 2))},
+     ["2 recovered replicas diverged"]),
+    (e18, {}, []),
+    (e18, {"committed": 39}, ["committed 39 < 40"]),
+    (e18, {"stuck": 1}, ["1 stuck deals"]),
+    (e18, {"invariant_violations": _BROKEN}, ["1 invariant violations (first: x)"]),
+    (e18, {"bus_stats": _NO_DELAY}, ["hazard never fired: chaos_delayed == 0"]),
+    (e18, {"faults_injected": 0}, ["no replica crash fired (schedule is empty)"]),
+    (e19, {}, []),
+    (e19, {"policy": "fifo", "stuck": 1}, ["fifo: 1 stuck deals"]),
+    (e19, {"policy": "base_fee", "invariant_violations": _BROKEN},
+     ["base_fee: 1 invariant violations (first: x)"]),
+    (e19, {"honest": {"honest_committed": 24}},
+     ["first_price: honest committed 24 < 25"]),
+    (e19, {"policy": "base_fee", "honest": {"honest_p99": 21.0}},
+     ["base_fee: honest p99 21.00 > 20.00 (3x fifo + 5)"]),
+    (e19, {"fees_accrued": 0}, ["first_price: no fees accrued under congestion"]),
+    (e19, {"policy": "base_fee", "fee_priced_out": 0},
+     ["base_fee: freeloading spam was never priced out"]),
+    (e19, {"policy": "fifo", "fee_priced_out": 1},
+     ["fifo: priced out deals under the FIFO policy"]),
+]
+
+
+@pytest.mark.parametrize("gate, doctor, failures", GATE_CASES, ids=[
+    f"{gate.__name__}: {failures[0] if failures else 'pass'}"
+    for gate, _, failures in GATE_CASES
+])
+def test_e17_to_e19_gate_criteria_can_fail(gate, doctor, failures):
+    """Each criterion names itself when a hand-built report breaks it."""
+    assert gate(**doctor) == failures
+
+
+def test_run_all_refuses_the_processes_backend_inside_a_pool():
+    """Pool workers cannot fork, so ``--exec processes`` under ``--jobs 2``
+    would quietly run the inline backend."""
+    with pytest.raises(SystemExit) as exit_:
+        run_all.main(["run_all.py", "--quick", "--exec", "processes", "--jobs", "2"])
+    assert exit_.value.code == 2
 
 
 def test_market_fixed_seed_run_is_deterministic():
