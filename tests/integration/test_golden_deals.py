@@ -2,9 +2,9 @@
 
 ``tests/market/test_golden_reports.py`` pins the market; these digests
 pin one deal at a time: :class:`DealExecutor` under every commit
-protocol, the swap and 2PC baselines, the watchtower-covered offline
-window, and E11's report, which prints all three executors side by
-side.  Each digest covers the holdings before and after the run and,
+protocol (committing and aborting), the swap and 2PC baselines, the
+watchtower-covered offline window, the PoW log's fake-proof attacker,
+and E11's report, which prints all three executors side by side.  Each digest covers the holdings before and after the run and,
 per receipt, its method, phase, execution time, status and gas, so a
 change to event order, rng draws or block fan-out shows up here as a
 mismatch against the recorded commit.
@@ -21,10 +21,14 @@ import sys
 import pytest
 
 from repro.adversary.dos import offline_window_scenario
+from repro.adversary.mining import PowFakeProofParty
+from repro.adversary.strategies import NoVoteParty
 from repro.analysis.sweep import run_deal
 from repro.baselines.swap import SwapExecutor, SwapParty
 from repro.baselines.two_phase_commit import TwoPhaseCommitExecutor
-from repro.core.config import ProtocolKind
+from repro.core.config import ProofKind, ProtocolKind
+from repro.core.executor import auto_config
+from repro.core.parties import CompliantParty
 from repro.crypto.keys import Address
 from repro.workloads.generators import ring_deal
 from repro.workloads.scenarios import ticket_broker_deal
@@ -63,11 +67,19 @@ def _digest(*parts) -> str:
     return hashlib.sha256(repr(_canon(parts)).encode("utf-8")).hexdigest()
 
 
-def _deal(kind, **executor_kwargs) -> str:
+def _deal(kind, config_kwargs=(), **executor_kwargs) -> str:
     spec, keys = ticket_broker_deal()
-    result = run_deal(spec, keys, kind, seed=3, **executor_kwargs)
+    config = auto_config(spec, kind, **dict(config_kwargs))
+    result = run_deal(spec, keys, kind, seed=3, config=config, **executor_kwargs)
     return _digest(
         result.initial_holdings, result.final_holdings, _receipt_rows(result.receipts)
+    )
+
+
+def _deviant(label: str, party_class):
+    """A party factory: ``label`` plays ``party_class``, the rest comply."""
+    return lambda keypair, name: (party_class if name == label else CompliantParty)(
+        keypair, name
     )
 
 
@@ -120,6 +132,32 @@ GOLDEN = {
     ),
     "cbc_gst": (lambda: _deal(ProtocolKind.CBC, gst=5.0),
         "56a7839a338984cbef41fad3587c5d324494bc2ee3b4b2efe2cb08d93e8ffbc3",
+    ),
+    # Recorded at the commit before both certified logs shared one
+    # party-facing interface: the §6.2 fake-proof attacker, a block
+    # proof across a validator handover, and both logs' abort paths.
+    "cbc_pow_fake_proof": (
+        lambda: _deal(
+            ProtocolKind.CBC_POW,
+            party_factory=_deviant("bob", PowFakeProofParty.wrap(CompliantParty)),
+        ),
+        "e74531dca8f8dfdec95fa64cc48a48272d8b7e80266ab20777808b14c3e78901",
+    ),
+    "cbc_block_proof_handover": (
+        lambda: _deal(
+            ProtocolKind.CBC,
+            config_kwargs={"proof_kind": ProofKind.BLOCK_PROOF},
+            reconfigurations=1,
+        ),
+        "7dbbeeae7edeac6c81e7780a28960eb8ffbdfc40514e09574eea63b11086b620",
+    ),
+    "cbc_patience_abort": (
+        lambda: _deal(ProtocolKind.CBC, party_factory=_deviant("carol", NoVoteParty)),
+        "54db58d6db73aad1351a846f3dbdfdb952bbabc5215ca9aa75f8c71480f617b8",
+    ),
+    "cbc_pow_abort": (
+        lambda: _deal(ProtocolKind.CBC_POW, party_factory=_deviant("carol", NoVoteParty)),
+        "e3df9f75fd3bf62acc89af6f9456e56a81f424bc22c10dcc7275f3eb9ae3c39c",
     ),
     "swap_ring": (lambda: _swap(None),
         "54f58c8338ea196fa6f23d986429d0b35ac9e2df66025b1bb921dcea86b5f190",
