@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 from repro.consensus.bft import DealStatus
 from repro.consensus.pow import MiningRace, PowChain
+from repro.consensus.pow_log import PowCertifiedLog
+from repro.core.escrow import EscrowState
 from repro.core.proofs import PowVoteProof, encode_pow_vote
 from repro.crypto.keys import Address
 from repro.sim.rng import DeterministicRng
@@ -155,25 +157,22 @@ class PowFakeProofParty:
     :func:`attack_success_rate` measures); this class shows the
     on-chain consequences when it is.
 
-    Implemented as a mixin-style factory to avoid import cycles:
+    Implemented as a mixin-style factory:
     ``PowFakeProofParty.wrap(CompliantParty)`` returns the subclass.
+    Against a BFT log it has no fork to mine and behaves compliantly.
     """
 
     @staticmethod
     def wrap(base):
-        from repro.consensus.bft import DealStatus as _DealStatus
-        from repro.consensus.pow import PowChain as _PowChain
-
         class _FakeProofParty(base):
             def _try_settle_cbc(self):
-                log = self.env.pow_log
-                if log is None:
+                log = self.env.cbc
+                if (
+                    not isinstance(log, PowCertifiedLog)
+                    or log.deal_status(self.spec.deal_id) is not DealStatus.COMMITTED
+                ):
                     return super()._try_settle_cbc()
-                status = log.deal_status(self.spec.deal_id)
-                if status is not _DealStatus.COMMITTED:
-                    return super()._try_settle_cbc()
-                depth = log.confirmations(self.spec.deal_id)
-                if depth is None or depth < self.config.pow_confirmations:
+                if log.confirmations(self.spec.deal_id) < log.min_confirmations:
                     return
                 # Claim incoming honestly.
                 for asset_id in self.incoming_asset_ids():
@@ -184,9 +183,7 @@ class PowFakeProofParty:
                     if asset.asset_id in self._settle_submitted:
                         continue
                     escrow = self.env.escrows[asset.asset_id]
-                    from repro.core.escrow import EscrowState as _EscrowState
-
-                    if escrow.peek_state() is not _EscrowState.ACTIVE:
+                    if escrow.peek_state() is not EscrowState.ACTIVE:
                         continue
                     self._settle_submitted.add(asset.asset_id)
                     self.send_tx(
@@ -198,13 +195,13 @@ class PowFakeProofParty:
                     )
 
             def _fake_abort_proof(self):
-                log = self.env.pow_log
-                private = _PowChain.forked_from(log.chain, height=0)
+                log = self.env.cbc
+                private = PowChain.forked_from(log.chain, height=0)
                 abort_entry = encode_pow_vote(
                     self.spec.deal_id, "abort", self.address.value
                 )
                 private.mine((abort_entry,), miner="attacker")
-                for _ in range(self.config.pow_confirmations):
+                for _ in range(log.min_confirmations):
                     private.mine((), miner="attacker")
                 raw = private.proof_for(abort_entry)
                 return PowVoteProof(proof=raw, claimed_status=DealStatus.ABORTED)

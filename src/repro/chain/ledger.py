@@ -236,8 +236,6 @@ class Chain:
         simulator: Simulator,
         wallet: Wallet,
         block_interval: float = 1.0,
-        gas_schedule: GasSchedule | None = None,
-        gas_limit_per_tx: int | None = None,
     ):
         if block_interval <= 0:
             raise ChainError("block interval must be positive")
@@ -245,8 +243,7 @@ class Chain:
         self.simulator = simulator
         self.wallet = wallet
         self.block_interval = block_interval
-        self.gas_schedule = gas_schedule or GasSchedule.paper()
-        self.gas_limit_per_tx = gas_limit_per_tx
+        self.gas_schedule = GasSchedule.paper()
         self._contracts: dict[str, Contract] = {}
         self._mempool: list[Transaction] = []
         self._blocks: list[Block] = []
@@ -392,7 +389,7 @@ class Chain:
             return []
 
     def _execute(self, tx: Transaction, height: int) -> Receipt:
-        meter = GasMeter(schedule=self.gas_schedule, limit=self.gas_limit_per_tx)
+        meter = GasMeter(schedule=self.gas_schedule)
         journal = _TxJournal(meter)
         ctx = CallContext(self, tx.sender, journal, height)
         self.active_journal = journal

@@ -9,7 +9,12 @@ The CBC protocol (paper §6) needs a shared log whose entries can be
   optimization of §6.2.
 * :mod:`repro.consensus.pow` — a Nakamoto (proof-of-work) log without
   finality, used to reproduce the §6.2 fake-proof-of-abort attack and
-  the confirmation-depth trade-off.
+  the confirmation-depth trade-off; :mod:`repro.consensus.pow_log`
+  runs it as a deal's shared log.
+
+Both logs count votes with one :class:`~repro.consensus.bft.VoteTally`
+and answer parties the same three questions (a signed vote, a deal's
+status, a presentable proof), so a deal can run on either unchanged.
 """
 
 from repro.consensus.bft import (

@@ -18,12 +18,20 @@ Deal semantics on the log (§6.2): a deal **commits** when every party
 in its plist has a commit vote recorded before any abort vote; it
 **aborts** when some abort vote is recorded before that point.  A
 party may rescind an earlier commit vote by voting abort (only
-decisive if the all-commit point has not been reached).
+decisive if the all-commit point has not been reached).  That rule is
+:class:`VoteTally`, which the proof-of-work log
+(:mod:`repro.consensus.pow_log`) shares.
+
+Parties see either log through the same three questions —
+:meth:`~CertifiedBlockchain.signed_vote`,
+:meth:`~CertifiedBlockchain.deal_status` and
+:meth:`~CertifiedBlockchain.presentable_proof` — so the protocol code
+never asks which flavour it is talking to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from repro.chain.ledger import VerifyAggregator
@@ -34,7 +42,7 @@ from repro.consensus.validators import (
     make_handover,
 )
 from repro.crypto.hashing import hash_concat
-from repro.crypto.keys import Address, Wallet
+from repro.crypto.keys import Address, KeyPair, Wallet
 from repro.crypto.schnorr import (
     Signature,
     batch_verify_many as schnorr_batch_verify_many,
@@ -50,6 +58,45 @@ class DealStatus(Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
     ABORTED = "aborted"
+
+
+class ProofKind(Enum):
+    """Which proof form CBC parties present to escrow contracts (§6.2)."""
+
+    STATUS_CERTIFICATE = "status"
+    BLOCK_PROOF = "blocks"
+
+
+@dataclass
+class VoteTally:
+    """One deal's commit/abort votes, in log order (§6.2).
+
+    The deal commits on the vote that completes its plist's commit
+    votes and aborts on an abort vote recorded before that; votes after
+    the decisive one are recorded but change nothing.
+    """
+
+    plist: tuple[Address, ...]
+    committed: set[Address] = field(default_factory=set)
+    status: DealStatus = DealStatus.ACTIVE
+    decisive_height: int | None = None
+
+    def record(self, kind: str, party: Address, height: int) -> bool:
+        """Count ``party``'s ``kind`` vote at ``height``; return whether
+        the log records it (only commit and abort votes are)."""
+        if kind not in ("commit", "abort"):
+            return False
+        if self.status is not DealStatus.ACTIVE:
+            return True  # recorded, but after the decisive vote
+        if kind == "commit":
+            self.committed.add(party)
+            if self.committed == set(self.plist):
+                self.status = DealStatus.COMMITTED
+                self.decisive_height = height
+        else:
+            self.status = DealStatus.ABORTED
+            self.decisive_height = height
+        return True
 
 
 @dataclass(frozen=True)
@@ -83,6 +130,10 @@ class LogEntry:
         """Full byte encoding (for block hashing)."""
         sig = self.signature.to_bytes() if self.signature else b""
         return hash_concat(self.message(), sig)
+
+    def signed(self, keypair: KeyPair) -> "LogEntry":
+        """This entry carrying ``keypair``'s signature over :meth:`message`."""
+        return replace(self, signature=keypair.sign(self.message()))
 
 
 @dataclass(frozen=True)
@@ -129,14 +180,25 @@ class StatusCertificate:
         )
 
 
+@dataclass(frozen=True)
+class StatusProof:
+    """A status certificate plus the validator handover chain."""
+
+    certificate: StatusCertificate
+    handovers: tuple[HandoverCertificate, ...] = ()
+
+
+@dataclass(frozen=True)
+class BlockProof:
+    """A certified block subsequence plus the handover chain."""
+
+    blocks: tuple[CbcBlock, ...]
+    handovers: tuple[HandoverCertificate, ...] = ()
+
+
 @dataclass
-class _DealRecord:
-    plist: tuple[Address, ...]
-    start_hash: bytes
-    start_height: int
-    committed: set[Address] = field(default_factory=set)
-    status: DealStatus = DealStatus.ACTIVE
-    decisive_height: int | None = None
+class _DealRecord(VoteTally):
+    start_height: int = 0
 
 
 class CertifiedBlockchain:
@@ -359,25 +421,13 @@ class CertifiedBlockchain:
             start_hash = entry.message()
             self._starts[entry.deal_id] = start_hash
             self._deals[(entry.deal_id, start_hash)] = _DealRecord(
-                plist=entry.plist, start_hash=start_hash, start_height=height
+                plist=entry.plist, start_height=height
             )
             return True
-        if entry.kind not in ("commit", "abort"):
-            return False
         record = self._deals.get((entry.deal_id, entry.start_hash))
         if record is None or entry.party not in record.plist:
             return False
-        if record.status is not DealStatus.ACTIVE:
-            return True  # recorded, but after the decisive vote
-        if entry.kind == "commit":
-            record.committed.add(entry.party)
-            if record.committed == set(record.plist):
-                record.status = DealStatus.COMMITTED
-                record.decisive_height = height
-        else:
-            record.status = DealStatus.ABORTED
-            record.decisive_height = height
-        return True
+        return record.record(entry.kind, entry.party, height)
 
     # ------------------------------------------------------------------
     # Deal status and proofs
@@ -441,3 +491,33 @@ class CertifiedBlockchain:
             for block in self._blocks
             if record.start_height <= block.height <= record.decisive_height
         )
+
+    # ------------------------------------------------------------------
+    # The party-facing interface (shared with the PoW log)
+    # ------------------------------------------------------------------
+    def signed_vote(
+        self,
+        keypair: KeyPair,
+        kind: str,
+        deal_id: bytes,
+        plist: tuple[Address, ...],
+        start_hash: bytes,
+    ) -> LogEntry:
+        """``keypair``'s signed ``kind`` vote on the deal started by ``start_hash``."""
+        return LogEntry(
+            kind=kind, deal_id=deal_id, party=keypair.address,
+            plist=plist, start_hash=start_hash,
+        ).signed(keypair)
+
+    def presentable_proof(
+        self, deal_id: bytes, status: DealStatus, proof_kind: ProofKind
+    ) -> StatusProof | BlockProof | None:
+        """A proof that the deal reached ``status``, in ``proof_kind``'s
+        form and prefixed by every handover, or ``None`` while it has not."""
+        if self.deal_status(deal_id) is not status:
+            return None
+        if proof_kind is ProofKind.STATUS_CERTIFICATE:
+            return StatusProof(
+                certificate=self.status_certificate(deal_id), handovers=self.handovers
+            )
+        return BlockProof(blocks=self.block_proof(deal_id), handovers=self.handovers)

@@ -8,19 +8,22 @@ block interval.  There is no finality — a deal's status only becomes
 depth the escrow contracts demand, and (the point of E8) nothing
 stops an attacker from privately mining a contradictory suffix.
 
-Deal semantics mirror the BFT CBC: a deal commits when every party's
-commit vote is mined before any abort vote; an abort vote mined first
-aborts it.
+Deal semantics are the BFT CBC's :class:`~repro.consensus.bft.VoteTally`:
+a deal commits when every party's commit vote is mined before any
+abort vote; an abort vote mined first aborts it.  Parties ask this log
+the same three questions they ask the BFT one; here
+:meth:`PowCertifiedLog.presentable_proof` also waits for the
+confirmation depth the escrows demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-from repro.consensus.bft import DealStatus
+from repro.consensus.bft import DealStatus, ProofKind, VoteTally
 from repro.consensus.pow import PowChain, PowProof, PowVoteProof, encode_pow_vote
-from repro.crypto.keys import Address, Wallet
-from repro.crypto.schnorr import Signature, verify as schnorr_verify
+from repro.crypto.keys import Address, KeyPair, Wallet
+from repro.crypto.schnorr import Signature
 from repro.errors import ConsensusError
 from repro.sim.simulator import Simulator
 
@@ -38,13 +41,9 @@ class PowLogEntry:
         """The canonical on-chain encoding (what contracts replay)."""
         return encode_pow_vote(self.deal_id, self.kind, self.party.value)
 
-
-@dataclass
-class _PowDealRecord:
-    plist: tuple[Address, ...]
-    committed: set[Address] = field(default_factory=set)
-    status: DealStatus = DealStatus.ACTIVE
-    decisive_height: int | None = None
+    def signed(self, keypair: KeyPair) -> "PowLogEntry":
+        """This vote carrying ``keypair``'s signature over :meth:`payload`."""
+        return replace(self, signature=keypair.sign(self.payload()))
 
 
 class PowCertifiedLog:
@@ -54,6 +53,7 @@ class PowCertifiedLog:
         self,
         simulator: Simulator,
         wallet: Wallet,
+        min_confirmations: int,
         block_interval: float = 1.0,
         name: str = "pow-cbc",
     ):
@@ -62,12 +62,14 @@ class PowCertifiedLog:
         self.name = name
         self.simulator = simulator
         self.wallet = wallet
+        # The depth the deal's escrows demand before they accept a proof.
+        self.min_confirmations = min_confirmations
         self.block_interval = block_interval
         self.chain = PowChain(name)
         self._pending: list[PowLogEntry] = []
         self._observers: list = []
         self._block_scheduled = False
-        self._deals: dict[bytes, _PowDealRecord] = {}
+        self._deals: dict[bytes, VoteTally] = {}
         self._mining_paused = False
 
     # ------------------------------------------------------------------
@@ -76,7 +78,7 @@ class PowCertifiedLog:
     def register_deal(self, deal_id: bytes, plist: tuple[Address, ...]) -> None:
         """Tell the log about a deal so votes can be validated."""
         if deal_id not in self._deals:
-            self._deals[deal_id] = _PowDealRecord(plist=tuple(plist))
+            self._deals[deal_id] = VoteTally(plist=tuple(plist))
 
     # ------------------------------------------------------------------
     # Mining
@@ -138,21 +140,9 @@ class PowCertifiedLog:
         return False
 
     def _apply(self, entry: PowLogEntry) -> bool:
-        record = self._deals[entry.deal_id]
-        if record.status is not DealStatus.ACTIVE:
-            return True  # recorded, but after the decisive vote
-        height = self.chain.height + 1
-        if entry.kind == "commit":
-            record.committed.add(entry.party)
-            if record.committed == set(record.plist):
-                record.status = DealStatus.COMMITTED
-                record.decisive_height = height
-        elif entry.kind == "abort":
-            record.status = DealStatus.ABORTED
-            record.decisive_height = height
-        else:
-            return False
-        return True
+        return self._deals[entry.deal_id].record(
+            entry.kind, entry.party, self.chain.height + 1
+        )
 
     # ------------------------------------------------------------------
     # Observation and proofs
@@ -161,8 +151,12 @@ class PowCertifiedLog:
         """Receive each mined block: ``observer(log, block)``."""
         self._observers.append(observer)
 
-    def deal_status(self, deal_id: bytes) -> DealStatus:
-        """The log's view of the deal (ignoring confirmation depth)."""
+    def deal_status(self, deal_id: bytes, start_hash: bytes | None = None) -> DealStatus:
+        """The log's view of the deal (ignoring confirmation depth).
+
+        ``start_hash`` is ignored: the clearing phase registers the
+        deal directly, there is no ``startDeal`` entry to bind to.
+        """
         record = self._deals.get(deal_id)
         return record.status if record else DealStatus.UNKNOWN
 
@@ -203,3 +197,31 @@ class PowCertifiedLog:
             ),
             claimed_status=record.status,
         )
+
+    def signed_vote(
+        self,
+        keypair: KeyPair,
+        kind: str,
+        deal_id: bytes,
+        plist: tuple[Address, ...],
+        start_hash: bytes,
+    ) -> PowLogEntry:
+        """``keypair``'s signed ``kind`` vote (a mined vote names no
+        plist or start hash: the registered deal supplies both)."""
+        return PowLogEntry(kind=kind, deal_id=deal_id, party=keypair.address).signed(keypair)
+
+    def presentable_proof(
+        self, deal_id: bytes, status: DealStatus, proof_kind: ProofKind
+    ) -> PowVoteProof | None:
+        """A proof that the deal reached ``status``, once its decisive
+        block is buried ``min_confirmations`` deep; ``None`` before.
+
+        ``proof_kind`` is ignored: a PoW log has one proof form.
+        """
+        depth = self.confirmations(deal_id)
+        if depth is None or depth < self.min_confirmations:
+            return None
+        proof = self.proof(deal_id)
+        if proof is None or proof.claimed_status is not status:
+            return None
+        return proof

@@ -13,8 +13,10 @@ is created (the paper passes them "in place of the ellipses" in the
 escrow call); proofs carry handover certificates if the validator set
 has since been reconfigured.
 
-A PoW-flavoured subclass accepts confirmation-depth proofs instead —
+A PoW-flavoured sibling accepts confirmation-depth proofs instead —
 it exists to reproduce the §6.2 fake-proof attack, not to be safe.
+Both share one ``commit``/``abort`` body (:class:`ProofEscrow`) and
+differ only in the proof verifier it calls.
 """
 
 from __future__ import annotations
@@ -36,10 +38,37 @@ from repro.crypto.keys import Address
 from repro.crypto.schnorr import PublicKey
 
 
-class CbcEscrow(EscrowManager):
-    """Figure 6's ``CBCManager``: escrow resolved by CBC proofs."""
+class ProofEscrow(EscrowManager):
+    """An escrow that a presented proof of commit or abort resolves.
+
+    Subclasses say which proofs they accept through ``_verify``, which
+    returns the deal status a proof shows (or ``None``).
+    """
 
     EXPORTS = EscrowManager.EXPORTS + ("commit", "abort")
+
+    def _verify(self, ctx: CallContext, proof) -> DealStatus | None:
+        raise NotImplementedError
+
+    def commit(self, ctx: CallContext, proof) -> bool:
+        """Release the escrow on a valid proof of commit."""
+        ctx.require(self.meta["state"] is EscrowState.ACTIVE, "already terminated")
+        status = self._verify(ctx, proof)
+        ctx.require(status is DealStatus.COMMITTED, "invalid proof of commit")
+        self._release(ctx)
+        return True
+
+    def abort(self, ctx: CallContext, proof) -> bool:
+        """Refund the escrow on a valid proof of abort."""
+        ctx.require(self.meta["state"] is EscrowState.ACTIVE, "already terminated")
+        status = self._verify(ctx, proof)
+        ctx.require(status is DealStatus.ABORTED, "invalid proof of abort")
+        self._refund(ctx)
+        return True
+
+
+class CbcEscrow(ProofEscrow):
+    """Figure 6's ``CBCManager``: escrow resolved by CBC proofs."""
 
     def __init__(
         self,
@@ -76,24 +105,8 @@ class CbcEscrow(EscrowManager):
             return []
         return status_proof_claims(proof, self.deal_id, self.start_hash)
 
-    def commit(self, ctx: CallContext, proof) -> bool:
-        """Release the escrow on a valid proof of commit."""
-        ctx.require(self.meta["state"] is EscrowState.ACTIVE, "already terminated")
-        status = self._verify(ctx, proof)
-        ctx.require(status is DealStatus.COMMITTED, "invalid proof of commit")
-        self._release(ctx)
-        return True
 
-    def abort(self, ctx: CallContext, proof) -> bool:
-        """Refund the escrow on a valid proof of abort."""
-        ctx.require(self.meta["state"] is EscrowState.ACTIVE, "already terminated")
-        status = self._verify(ctx, proof)
-        ctx.require(status is DealStatus.ABORTED, "invalid proof of abort")
-        self._refund(ctx)
-        return True
-
-
-class PowCbcEscrow(EscrowManager):
+class PowCbcEscrow(ProofEscrow):
     """A CBC escrow trusting a proof-of-work CBC (deliberately unsafe).
 
     Accepts any internally consistent block suffix with at least
@@ -101,8 +114,6 @@ class PowCbcEscrow(EscrowManager):
     contract cannot tell a private fork from the canonical chain,
     which is the vulnerability E8 measures.
     """
-
-    EXPORTS = EscrowManager.EXPORTS + ("commit", "abort")
 
     def __init__(
         self,
@@ -115,22 +126,7 @@ class PowCbcEscrow(EscrowManager):
         super().__init__(name, deal_id, plist, asset)
         self.min_confirmations = min_confirmations
 
-    def commit(self, ctx: CallContext, proof: PowVoteProof) -> bool:
-        """Release on a PoW proof of commit with enough confirmations."""
-        ctx.require(self.meta["state"] is EscrowState.ACTIVE, "already terminated")
-        status = verify_pow_proof(
+    def _verify(self, ctx: CallContext, proof: PowVoteProof) -> DealStatus | None:
+        return verify_pow_proof(
             ctx, proof, self.deal_id, self.plist, self.min_confirmations
         )
-        ctx.require(status is DealStatus.COMMITTED, "invalid proof of commit")
-        self._release(ctx)
-        return True
-
-    def abort(self, ctx: CallContext, proof: PowVoteProof) -> bool:
-        """Refund on a PoW proof of abort with enough confirmations."""
-        ctx.require(self.meta["state"] is EscrowState.ACTIVE, "already terminated")
-        status = verify_pow_proof(
-            ctx, proof, self.deal_id, self.plist, self.min_confirmations
-        )
-        ctx.require(status is DealStatus.ABORTED, "invalid proof of abort")
-        self._refund(ctx)
-        return True

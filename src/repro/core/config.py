@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.consensus.bft import ProofKind
 from repro.errors import ConfigurationError
 
 
@@ -14,13 +15,6 @@ class ProtocolKind(Enum):
     TIMELOCK = "timelock"
     CBC = "cbc"
     CBC_POW = "cbc-pow"
-
-
-class ProofKind(Enum):
-    """Which proof form CBC parties present to escrow contracts (§6.2)."""
-
-    STATUS_CERTIFICATE = "status"
-    BLOCK_PROOF = "blocks"
 
 
 @dataclass(frozen=True)
@@ -43,7 +37,6 @@ class ProtocolConfig:
     altruistic_votes: bool = False
     proof_kind: ProofKind = ProofKind.STATUS_CERTIFICATE
     pow_confirmations: int = 3
-    rescind_wait: float | None = None  # defaults to delta
     # §9 ablation: timelock contracts batch-verify vote paths.
     batch_vote_verification: bool = False
 
@@ -57,5 +50,5 @@ class ProtocolConfig:
 
     @property
     def effective_rescind_wait(self) -> float:
-        """How long a commit vote must stand before an abort rescind."""
-        return self.rescind_wait if self.rescind_wait is not None else self.delta
+        """How long a commit vote must stand before an abort rescind: Δ (§6)."""
+        return self.delta

@@ -27,7 +27,7 @@ from repro.consensus.pow_log import PowCertifiedLog
 from repro.consensus.validators import ValidatorSet
 from repro.core.config import ProofKind, ProtocolConfig, ProtocolKind
 from repro.core.deal import DealSpec
-from repro.core.escrow import EscrowManager, EscrowState
+from repro.core.escrow import EscrowState
 from repro.core.cbc import CbcEscrow, PowCbcEscrow
 from repro.core.parties import CompliantParty
 from repro.core.timelock import TimelockEscrow
@@ -48,6 +48,12 @@ class DealEnvironment:
     ``escrows`` holds the contracts that lock the deal's assets, whose
     addresses :func:`snapshot_holdings` lists beside the parties': one
     per asset for a deal or 2PC, one HTLC per chain for a swap.
+    ``cbc`` is the deal's certified log under either CBC flavour — the
+    BFT :class:`CertifiedBlockchain` or the §6.2
+    :class:`PowCertifiedLog` — and ``None`` under the timelock
+    protocol; parties reach it only through the questions both logs
+    answer alike.  ``start_hash`` is the BFT ``startDeal`` entry's hash
+    (empty on the PoW log, which has no such entry).
     """
 
     simulator: Simulator
@@ -56,9 +62,8 @@ class DealEnvironment:
     chains: dict
     tokens: dict
     escrows: dict
-    cbc: CertifiedBlockchain | None = None
+    cbc: CertifiedBlockchain | PowCertifiedLog | None = None
     start_hash: bytes = b""
-    pow_log: object | None = None
 
 
 def build_environment(
@@ -168,23 +173,6 @@ class Timeline:
     settled_at: float | None = None
     ended_at: float = 0.0
 
-    def phase_durations(self) -> dict[str, float | None]:
-        """Durations of escrow / transfer / commit in ticks."""
-        escrow = (
-            self.escrow_done - self.started_at if self.escrow_done is not None else None
-        )
-        transfer = (
-            self.transfers_done - self.escrow_done
-            if self.transfers_done is not None and self.escrow_done is not None
-            else None
-        )
-        commit = (
-            self.settled_at - self.transfers_done
-            if self.settled_at is not None and self.transfers_done is not None
-            else None
-        )
-        return {"escrow": escrow, "transfer": transfer, "commit": commit}
-
 
 class ReceiptGas:
     """Gas aggregation over a result's ``receipts``, shared by the deal,
@@ -234,14 +222,6 @@ class DealResult(ReceiptGas):
         """Whether every escrow refunded (the 'nothing' outcome)."""
         return all(state is EscrowState.REFUNDED for state in self.escrow_states.values())
 
-    def stuck_escrows(self) -> list[str]:
-        """Assets still locked in escrow at the end of the run."""
-        return [
-            asset_id
-            for asset_id, state in self.escrow_states.items()
-            if state is EscrowState.ACTIVE
-        ]
-
 
 def auto_config(
     spec: DealSpec,
@@ -289,7 +269,6 @@ class DealExecutor:
         reconfigurations: int = 0,
         gst: float = 0.0,
         fault_plan: FaultPlan | None = None,
-        horizon: float | None = None,
     ):
         if {party.address for party in parties} != set(spec.parties):
             raise ConfigurationError("party list does not match the deal's plist")
@@ -303,7 +282,6 @@ class DealExecutor:
         self.reconfigurations = reconfigurations
         self.gst = gst
         self.fault_plan = fault_plan
-        self.horizon = horizon
 
     # ------------------------------------------------------------------
     # Assembly
@@ -319,73 +297,14 @@ class DealExecutor:
         )
         simulator, network, chains = env.simulator, env.network, env.chains
 
-        # The shared log, if this protocol needs one.
-        if self.config.kind is ProtocolKind.CBC_POW:
-            pow_log = PowCertifiedLog(
-                simulator, env.wallet, block_interval=self.block_interval
-            )
-            pow_log.register_deal(self.spec.deal_id, self.spec.parties)
-            env.pow_log = pow_log
-            network.register("cbc", submitter(pow_log))
-        if self.config.kind is ProtocolKind.CBC:
-            validators = ValidatorSet.generate(self.validators_f, seed=f"cbc/{self.seed}")
-            cbc = CertifiedBlockchain(
-                simulator, validators, env.wallet, block_interval=self.block_interval
-            )
-            env.cbc = cbc
-            network.register("cbc", submitter(cbc))
-            starter = self.parties[0]
-            start_entry = LogEntry(
-                kind="startDeal",
-                deal_id=self.spec.deal_id,
-                party=starter.address,
-                plist=self.spec.parties,
-            )
-            env.start_hash = start_entry.message()
-            signed_start = LogEntry(
-                kind=start_entry.kind,
-                deal_id=start_entry.deal_id,
-                party=start_entry.party,
-                plist=start_entry.plist,
-                signature=starter.keypair.sign(start_entry.message()),
-            )
-            simulator.schedule(
-                0.0,
-                lambda: network.send(starter.endpoint, "cbc", ("entry", signed_start)),
-                label="clearing/startDeal",
-            )
-            initial_keys = cbc.initial_public_keys
-
-        # Escrow contracts, one per asset.
+        # The shared log, if this protocol needs one, and the escrow
+        # contracts, one per asset.
+        if self.config.kind is ProtocolKind.TIMELOCK:
+            make_escrow = self._timelock_escrow
+        else:
+            make_escrow = self._certified_log(env)
         for asset in self.spec.assets:
-            name = self.spec.escrow_contract_name(asset.asset_id)
-            if self.config.kind is ProtocolKind.TIMELOCK:
-                escrow: EscrowManager = TimelockEscrow(
-                    name,
-                    self.spec.deal_id,
-                    self.spec.parties,
-                    asset,
-                    t0=self.config.t0,
-                    delta=self.config.delta,
-                    batch_votes=self.config.batch_vote_verification,
-                )
-            elif self.config.kind is ProtocolKind.CBC:
-                escrow = CbcEscrow(
-                    name,
-                    self.spec.deal_id,
-                    self.spec.parties,
-                    asset,
-                    start_hash=env.start_hash,
-                    validator_keys=initial_keys,
-                )
-            else:
-                escrow = PowCbcEscrow(
-                    name,
-                    self.spec.deal_id,
-                    self.spec.parties,
-                    asset,
-                    min_confirmations=self.config.pow_confirmations,
-                )
+            escrow = make_escrow(self.spec.escrow_contract_name(asset.asset_id), asset)
             chains[asset.chain_id].publish(escrow)
             env.escrows[asset.asset_id] = escrow
 
@@ -393,19 +312,9 @@ class DealExecutor:
         for party in self.parties:
             party.bind(env, self.spec, self.config)
         endpoints = [party.endpoint for party in self.parties]
-        for source in (*chains.values(), env.cbc, env.pow_log):
+        for source in (*chains.values(), env.cbc):
             if source is not None:
                 fan_out(network, source, endpoints)
-
-        # Planned reconfigurations (E3 ablation) happen mid-run, after
-        # the deal has started but before settlement typically begins.
-        if env.cbc is not None and self.reconfigurations:
-            for k in range(self.reconfigurations):
-                simulator.schedule(
-                    1.0 + k,
-                    lambda: env.cbc.reconfigure(seed=f"cbc/{self.seed}"),
-                    label="cbc/reconfigure",
-                )
 
         if self.fault_plan is not None:
             self.fault_plan.install(network)
@@ -415,6 +324,69 @@ class DealExecutor:
             simulator.schedule(0.0, party.begin, label=f"{party.label}/begin")
         return env
 
+    def _timelock_escrow(self, name: str, asset) -> TimelockEscrow:
+        config = self.config
+        return TimelockEscrow(
+            name,
+            self.spec.deal_id,
+            self.spec.parties,
+            asset,
+            t0=config.t0,
+            delta=config.delta,
+            batch_votes=config.batch_vote_verification,
+        )
+
+    def _certified_log(self, env: DealEnvironment):
+        """Wire the deal's certified log into ``env`` as its ``cbc``
+        endpoint; return the factory of the escrows that trust it.
+
+        The BFT log hears the deal's ``startDeal`` from the first party
+        at t = 0 (the clearing phase) and reconfigures its validators
+        mid-run as planned; the PoW log has the deal registered
+        directly.
+        """
+        spec, config = self.spec, self.config
+        if config.kind is ProtocolKind.CBC_POW:
+            log = env.cbc = PowCertifiedLog(
+                env.simulator,
+                env.wallet,
+                min_confirmations=config.pow_confirmations,
+                block_interval=self.block_interval,
+            )
+            log.register_deal(spec.deal_id, spec.parties)
+            env.network.register("cbc", submitter(log))
+            return lambda name, asset: PowCbcEscrow(
+                name, spec.deal_id, spec.parties, asset,
+                min_confirmations=config.pow_confirmations,
+            )
+        validators = ValidatorSet.generate(self.validators_f, seed=f"cbc/{self.seed}")
+        cbc = env.cbc = CertifiedBlockchain(
+            env.simulator, validators, env.wallet, block_interval=self.block_interval
+        )
+        env.network.register("cbc", submitter(cbc))
+        starter = self.parties[0]
+        start = LogEntry(
+            kind="startDeal", deal_id=spec.deal_id, party=starter.address, plist=spec.parties
+        ).signed(starter.keypair)
+        env.start_hash = start.message()
+        env.simulator.schedule(
+            0.0,
+            lambda: env.network.send(starter.endpoint, "cbc", ("entry", start)),
+            label="clearing/startDeal",
+        )
+        # Planned reconfigurations (E3 ablation) happen mid-run, after
+        # the deal has started but before settlement typically begins.
+        for k in range(self.reconfigurations):
+            env.simulator.schedule(
+                1.0 + k,
+                lambda: cbc.reconfigure(seed=f"cbc/{self.seed}"),
+                label="cbc/reconfigure",
+            )
+        return lambda name, asset: CbcEscrow(
+            name, spec.deal_id, spec.parties, asset,
+            start_hash=env.start_hash, validator_keys=cbc.initial_public_keys,
+        )
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -422,7 +394,7 @@ class DealExecutor:
         """Assemble, run to quiescence, and report."""
         env = self._build()
         initial = snapshot_holdings(env, self.spec)
-        env.simulator.run(until=self.horizon, max_events=2_000_000)
+        env.simulator.run(max_events=2_000_000)
         final = snapshot_holdings(env, self.spec)
         receipts = collect_receipts(env)
         timeline = build_timeline(receipts, env)

@@ -17,7 +17,11 @@ A :class:`CompliantParty` follows the paper's protocol exactly:
    shows a decisive outcome, extract a proof and settle the escrow
    contracts it cares about.  If the deal drags past its patience, or
    validation fails, vote abort (after the mandatory ≥ Δ wait if a
-   commit vote was already cast).
+   commit vote was already cast).  The party talks to ``env.cbc``
+   through three questions — a signed vote, the deal's status, a
+   presentable proof or ``None`` — that the BFT log and the §6.2
+   proof-of-work log answer alike, so one code path serves both (the
+   PoW log withholds proofs until they are buried deep enough).
 
 Deviating strategies (package :mod:`repro.adversary`) subclass this
 and override the small ``decide_*`` hooks, so every attack shares the
@@ -29,12 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.consensus.bft import DealStatus, LogEntry
+from repro.consensus.bft import DealStatus
 from repro.chain.tx import Transaction
-from repro.core.config import ProofKind, ProtocolConfig, ProtocolKind
+from repro.core.config import ProtocolConfig, ProtocolKind
 from repro.core.deal import Asset, DealSpec, TransferStep
 from repro.core.escrow import EscrowState
-from repro.core.proofs import BlockProof, StatusProof
 from repro.crypto.keys import Address, KeyPair
 from repro.crypto.pathsig import PathSignature, extend_path_signature, sign_vote
 
@@ -164,7 +167,7 @@ class CompliantParty:
         self.stats.txs_sent += 1
         self.env.network.send(self.endpoint, f"chain:{chain_id}", ("tx", tx))
 
-    def send_cbc_entry(self, entry: LogEntry) -> None:
+    def send_cbc_entry(self, entry) -> None:
         """Submit a log entry to the CBC over the network."""
         self.stats.cbc_entries += 1
         self.env.network.send(self.endpoint, "cbc", ("entry", entry))
@@ -314,12 +317,11 @@ class CompliantParty:
                 else:
                     if set(expected or set()) != set(actual):
                         return False
-        if self.config.kind is ProtocolKind.CBC and self.env.cbc is not None:
-            # CBC parties also check the recorded startDeal (§6 escrow
-            # phase: "properly escrowed with the correct plist and h").
-            start = self.env.cbc.definitive_start_hash(self.spec.deal_id)
-            if start != self.env.start_hash:
-                return False
+        # CBC parties also check the recorded startDeal (§6 escrow
+        # phase: "properly escrowed with the correct plist and h"): the
+        # log knows no deal started by any other entry.
+        if self.env.cbc is not None and self._cbc_status() is DealStatus.UNKNOWN:
+            return False
         return True
 
     # ------------------------------------------------------------------
@@ -437,31 +439,9 @@ class CompliantParty:
     # Phase 4 (CBC): voting, settling, aborting
     # ------------------------------------------------------------------
     def _signed_cbc_vote(self, kind: str):
-        """Build a signed vote for whichever CBC flavour is in use."""
-        if self.config.kind is ProtocolKind.CBC_POW:
-            from repro.consensus.pow_log import PowLogEntry
-
-            entry = PowLogEntry(kind=kind, deal_id=self.spec.deal_id, party=self.address)
-            return PowLogEntry(
-                kind=entry.kind,
-                deal_id=entry.deal_id,
-                party=entry.party,
-                signature=self.keypair.sign(entry.payload()),
-            )
-        entry = LogEntry(
-            kind=kind,
-            deal_id=self.spec.deal_id,
-            party=self.address,
-            plist=self.spec.parties,
-            start_hash=self.env.start_hash,
-        )
-        return LogEntry(
-            kind=entry.kind,
-            deal_id=entry.deal_id,
-            party=entry.party,
-            plist=entry.plist,
-            start_hash=entry.start_hash,
-            signature=self.keypair.sign(entry.message()),
+        """This party's signed ``kind`` vote, in the log's own entry form."""
+        return self.env.cbc.signed_vote(
+            self.keypair, kind, self.spec.deal_id, self.spec.parties, self.env.start_hash
         )
 
     def _vote_commit_cbc(self) -> None:
@@ -481,13 +461,8 @@ class CompliantParty:
         self.send_cbc_entry(self._signed_cbc_vote("abort"))
 
     def _cbc_status(self) -> DealStatus:
-        """The shared log's deal status (whichever flavour is wired)."""
-        if self.config.kind is ProtocolKind.CBC_POW:
-            if self.env.pow_log is None:
-                return DealStatus.UNKNOWN
-            return self.env.pow_log.deal_status(self.spec.deal_id)
-        if self.env.cbc is None:
-            return DealStatus.UNKNOWN
+        """The log's status of the deal (as started by the executor's
+        ``startDeal`` on the BFT log)."""
         return self.env.cbc.deal_status(self.spec.deal_id, self.env.start_hash)
 
     def _on_patience_expired(self) -> None:
@@ -511,18 +486,7 @@ class CompliantParty:
         self._try_progress()
 
     def _try_settle_cbc(self) -> None:
-        if self.env.cbc is None and self.env.pow_log is None:
-            return
         status = self._cbc_status()
-        if self.config.kind is ProtocolKind.CBC_POW and status in (
-            DealStatus.COMMITTED,
-            DealStatus.ABORTED,
-        ):
-            # PoW proofs are only worth presenting once the decisive
-            # block is buried deep enough for the contract to accept.
-            depth = self.env.pow_log.confirmations(self.spec.deal_id)
-            if depth is None or depth < self.config.pow_confirmations:
-                return
         if status is DealStatus.COMMITTED:
             method = "commit"
             # Most motivated: my incoming assets first.
@@ -565,22 +529,8 @@ class CompliantParty:
         )
 
     def _build_proof(self, method: str):
-        """Fetch a proof from the CBC (an off-chain request to validators)."""
-        cbc = self.env.cbc
-        if self.config.kind is ProtocolKind.CBC_POW:
-            if self.env.pow_log is None:
-                return None
-            proof = self.env.pow_log.proof(self.spec.deal_id)
-            if proof is None:
-                return None
-            wanted = DealStatus.COMMITTED if method == "commit" else DealStatus.ABORTED
-            return proof if proof.claimed_status is wanted else None
-        if self.config.proof_kind is ProofKind.STATUS_CERTIFICATE:
-            certificate = cbc.status_certificate(self.spec.deal_id)
-            if certificate is None:
-                return None
-            return StatusProof(certificate=certificate, handovers=cbc.handovers)
-        blocks = cbc.block_proof(self.spec.deal_id)
-        if blocks is None:
-            return None
-        return BlockProof(blocks=blocks, handovers=cbc.handovers)
+        """Fetch a presentable proof from the log (an off-chain request)."""
+        status = DealStatus.COMMITTED if method == "commit" else DealStatus.ABORTED
+        return self.env.cbc.presentable_proof(
+            self.spec.deal_id, status, self.config.proof_kind
+        )

@@ -23,35 +23,24 @@ asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.chain.contracts import CallContext
-from repro.consensus.bft import CbcBlock, DealStatus, LogEntry, StatusCertificate
+from repro.consensus.bft import (
+    BlockProof,
+    CbcBlock,
+    DealStatus,
+    LogEntry,
+    StatusCertificate,
+    StatusProof,
+)
 from repro.consensus.validators import HandoverCertificate, batch_verify_quorum
 from repro.consensus.pow import PowProof, PowVoteProof, encode_pow_vote
 from repro.crypto.hashing import hash_concat
 from repro.crypto.schnorr import PublicKey
 
-
-@dataclass(frozen=True)
-class StatusProof:
-    """A status certificate plus the validator handover chain."""
-
-    certificate: StatusCertificate
-    handovers: tuple[HandoverCertificate, ...] = ()
-
-
-@dataclass(frozen=True)
-class BlockProof:
-    """A certified block subsequence plus the handover chain."""
-
-    blocks: tuple[CbcBlock, ...]
-    handovers: tuple[HandoverCertificate, ...] = ()
-
-
-# PowVoteProof and encode_pow_vote live in repro.consensus.pow (they
-# are consensus-level constructs shared with the PoW log) and are
-# re-exported here for the proof-verification API.
+# The proof types live beside the logs that build them —
+# StatusProof and BlockProof in repro.consensus.bft, PowVoteProof and
+# encode_pow_vote in repro.consensus.pow — and are re-exported here for
+# the proof-verification API.
 
 # ----------------------------------------------------------------------
 # Validator-set resolution (shared by both BFT proof forms)

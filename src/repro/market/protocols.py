@@ -64,7 +64,7 @@ failure mode the paper predicts when Δ is violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -615,14 +615,10 @@ class CbcDealDriver(_EscrowContractDriver):
         self._enter(DealPhase.ESCROW, receipt.executed_at)
         cbc = self.cbc = self.scheduler.ensure_cbc(self.run.home_shard)
         opener = self.spec.parties[0]
-        entry = LogEntry(
+        cbc.submit(LogEntry(
             kind="startDeal", deal_id=self.deal_id, party=opener,
             plist=self.spec.parties,
-        )
-        cbc.submit(replace(
-            entry,
-            signature=self.scheduler.keypair_for(opener).sign(entry.message()),
-        ))
+        ).signed(self.scheduler.keypair_for(opener)))
 
     def on_cbc_block(self) -> None:
         """React to new CBC state: the start landing, then the decision."""
@@ -671,14 +667,10 @@ class CbcDealDriver(_EscrowContractDriver):
             )
 
     def _vote(self, party, kind: str) -> None:
-        entry = LogEntry(
+        self.cbc.submit(LogEntry(
             kind=kind, deal_id=self.deal_id, party=party,
             start_hash=self.start_hash or b"",
-        )
-        self.cbc.submit(replace(
-            entry,
-            signature=self.scheduler.keypair_for(party).sign(entry.message()),
-        ))
+        ).signed(self.scheduler.keypair_for(party)))
 
     def _start_voting(self) -> None:
         self._enter(DealPhase.VOTING, self.scheduler.simulator.now)

@@ -10,11 +10,13 @@ the CI ``cmp`` gates compare.  An optional plane that did not run
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.analysis.tables import render_table
 from repro.crypto.hashing import tagged_hash
+# The report's latency percentiles are trace-summary's, so the two
+# cannot drift apart.
+from repro.telemetry.metrics import _percentile  # noqa: F401
 
 
 @dataclass
@@ -106,12 +108,6 @@ class MarketReport:
     def cross_shard_fraction(self) -> float:
         """Cross-shard slice of all spawned deals."""
         return self.cross_shard_deals / self.deals if self.deals else 0.0
-
-    @property
-    def sore_loser_rate(self) -> float:
-        """Sore-loser slice of all terminally settled deals."""
-        settled = self.committed + self.aborted
-        return self.sore_losers / settled if settled else 0.0
 
     def aggregator_merge_rate(self) -> float:
         """Fraction of enqueued block batches that merged with others.
@@ -271,10 +267,3 @@ class MarketReport:
             title="Per-protocol outcomes",
         )
 
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]

@@ -17,7 +17,7 @@ def setup():
     keys = {label: KeyPair.from_label(label) for label in ("alice", "bob")}
     for keypair in keys.values():
         wallet.register(keypair)
-    log = PowCertifiedLog(sim, wallet, block_interval=1.0)
+    log = PowCertifiedLog(sim, wallet, min_confirmations=2, block_interval=1.0)
     log.register_deal(DEAL, tuple(kp.address for kp in keys.values()))
     return sim, log, keys
 

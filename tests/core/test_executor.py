@@ -135,4 +135,4 @@ def test_cbc_pow_protocol_runs_end_to_end():
     report = evaluate_outcome(result)
     assert report.safety_ok and report.strong_liveness_ok
     # Settlement waited for the configured confirmation depth.
-    assert result.env.pow_log.confirmations(spec.deal_id) >= config.pow_confirmations
+    assert result.env.cbc.confirmations(spec.deal_id) >= config.pow_confirmations

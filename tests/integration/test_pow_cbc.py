@@ -49,7 +49,7 @@ def test_settlement_waits_for_confirmations():
     config = auto_config(spec, ProtocolKind.CBC_POW, pow_confirmations=5)
     result = run_deal(spec, keys, ProtocolKind.CBC_POW, config=config)
     assert result.all_committed()
-    assert result.env.pow_log.confirmations(spec.deal_id) >= 5
+    assert result.env.cbc.confirmations(spec.deal_id) >= 5
 
 
 def test_fake_proof_attacker_double_collects():
