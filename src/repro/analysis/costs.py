@@ -92,22 +92,10 @@ class CostModel:
         up to n signatures long — O(m·n²)."""
         return self.m * self.n * self.n
 
-    def timelock_commit_sig_typical(self) -> int:
-        """Typical case for strongly connected deals where votes are
-        forwarded along single hops: each contract accepts n votes
-        with an average path length ≈ 1.5 (half direct, half
-        one-hop)."""
-        return int(self.m * self.n * 1.5)
-
     def cbc_commit_sig(self) -> int:
         """CBC with status certificates: one quorum check per
         contract, times (k+1) after k reconfigurations."""
         return self.m * (self.reconfigurations + 1) * (2 * self.f + 1)
-
-    def cbc_block_proof_sig(self, blocks: int) -> int:
-        """CBC with block proofs: one quorum check per proof block per
-        contract."""
-        return self.m * blocks * (2 * self.f + 1)
 
     def crossover_holds(self) -> bool:
         """§9: CBC costs more than timelock iff 2f+1 > n² (per asset,

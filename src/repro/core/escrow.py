@@ -144,31 +144,25 @@ class EscrowManager(Contract):
     # ------------------------------------------------------------------
     def _release(self, ctx: CallContext) -> None:
         """Pay out per the C-map; the deal committed at this asset."""
-        ctx.require(self.meta["state"] is EscrowState.ACTIVE, "already terminated")
-        if self.meta["deposited"]:
-            if self.asset.fungible:
-                for owner, amount in self.on_commit.items():
-                    if amount > 0:
-                        ctx.call(self, self.asset.token, "transfer", to=owner, amount=amount)
-            else:
-                for token_id, owner in self.on_commit.items():
-                    ctx.call(self, self.asset.token, "transfer", to=owner, token_id=token_id)
-        self.meta["state"] = EscrowState.RELEASED
-        ctx.emit(self, "Released", deal_id=self.deal_id)
+        self._pay_out(ctx, self.on_commit, EscrowState.RELEASED, "Released")
 
     def _refund(self, ctx: CallContext) -> None:
         """Pay out per the A-map; the deal aborted at this asset."""
+        self._pay_out(ctx, self.escrow_map, EscrowState.REFUNDED, "Refunded")
+
+    def _pay_out(self, ctx: CallContext, payout, final: EscrowState, event: str) -> None:
+        """Transfer every holding in ``payout`` and terminate in ``final``."""
         ctx.require(self.meta["state"] is EscrowState.ACTIVE, "already terminated")
         if self.meta["deposited"]:
             if self.asset.fungible:
-                for owner, amount in self.escrow_map.items():
+                for owner, amount in payout.items():
                     if amount > 0:
                         ctx.call(self, self.asset.token, "transfer", to=owner, amount=amount)
             else:
-                for token_id, owner in self.escrow_map.items():
+                for token_id, owner in payout.items():
                     ctx.call(self, self.asset.token, "transfer", to=owner, token_id=token_id)
-        self.meta["state"] = EscrowState.REFUNDED
-        ctx.emit(self, "Refunded", deal_id=self.deal_id)
+        self.meta["state"] = final
+        ctx.emit(self, event, deal_id=self.deal_id)
 
     # ------------------------------------------------------------------
     # Off-chain inspection (parties' monitoring, tests)

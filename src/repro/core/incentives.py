@@ -34,6 +34,7 @@ price deals the way §9 says parties reason.
 from __future__ import annotations
 
 from repro.chain.contracts import CallContext, Contract
+from repro.core.timelock import require_path_vote
 from repro.crypto.keys import Address
 from repro.crypto.pathsig import PathSignature
 
@@ -108,23 +109,9 @@ class DepositManager(Contract):
     # ------------------------------------------------------------------
     def commit(self, ctx: CallContext, path: PathSignature) -> bool:
         """Register a (possibly forwarded) commit vote."""
-        voter = path.voter
-        ctx.require(
-            ctx.now < self.t0 + path.path_length * self.delta,
-            "vote arrived after its path deadline",
-        )
-        ctx.require(voter in self.plist, "voter not in plist")
-        ctx.require(not self.voted.get(voter, False), "duplicate vote")
-        ctx.require(not path.has_duplicate_signers(), "duplicate signers on path")
-        for signer in path.signers:
-            ctx.require(signer in self.plist, "path signer not in plist")
-        for signer, message, signature in path.links(self.deal_id):
-            ctx.require(
-                ctx.verify_signature(signer, message, signature),
-                "invalid signature on path",
-            )
-        self.voted[voter] = True
-        ctx.emit(self, "VoteAccepted", deal_id=self.deal_id, voter=voter, path=path)
+        require_path_vote(ctx, self, path)
+        self.voted[path.voter] = True
+        ctx.emit(self, "VoteAccepted", deal_id=self.deal_id, voter=path.voter, path=path)
         if all(self.voted.get(party, False) for party in self.plist):
             self._settle(ctx)
         return True

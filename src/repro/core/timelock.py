@@ -26,6 +26,38 @@ from repro.crypto.keys import Address
 from repro.crypto.pathsig import PathSignature
 
 
+def require_path_vote(ctx: CallContext, contract, path: PathSignature,
+                      batch: bool = False) -> None:
+    """§5's acceptance rule for a commit vote carried by ``path``.
+
+    ``contract`` holds the vote book (``deal_id``, ``plist``, ``voted``,
+    ``t0``, ``delta``).  The vote must arrive before ``t0 + |p|·Δ``,
+    come from a plist member who has not voted there yet, and carry no
+    duplicate or outside signer; then every link must verify — ``|p|``
+    signature checks at 3000 gas each, or with ``batch`` one batched
+    check (§9's *gas* ablation, unrelated to the block's wall-clock
+    prefetch).  The caller records the vote.
+    """
+    ctx.require(
+        ctx.now < contract.t0 + path.path_length * contract.delta,
+        "vote arrived after its path deadline",
+    )
+    ctx.require(path.voter in contract.plist, "voter not in plist")
+    ctx.require(not contract.voted.get(path.voter, False), "duplicate vote")
+    ctx.require(not path.has_duplicate_signers(), "duplicate signers on path")
+    for signer in path.signers:
+        ctx.require(signer in contract.plist, "path signer not in plist")
+    links = path.links(contract.deal_id)
+    if batch:
+        ctx.require(ctx.verify_signature_batch(links), "invalid signature on path")
+        return
+    for signer, message, signature in links:
+        ctx.require(
+            ctx.verify_signature(signer, message, signature),
+            "invalid signature on path",
+        )
+
+
 class TimelockEscrow(EscrowManager):
     """Figure 5's ``TimelockManager``: escrow + path-signature voting."""
 
@@ -54,31 +86,9 @@ class TimelockEscrow(EscrowManager):
     # ------------------------------------------------------------------
     def commit(self, ctx: CallContext, path: PathSignature) -> bool:
         """Register a (possibly forwarded) commit vote."""
-        voter = path.voter
-        # Deadline depends on the forwarding path length (§5).
-        ctx.require(
-            ctx.now < self.t0 + path.path_length * self.delta,
-            "vote arrived after its path deadline",
-        )
-        ctx.require(voter in self.plist, "voter not in plist")
-        ctx.require(not self.voted.get(voter, False), "duplicate vote")
-        ctx.require(not path.has_duplicate_signers(), "duplicate signers on path")
-        for signer in path.signers:
-            ctx.require(signer in self.plist, "path signer not in plist")
-        # Replay the signature chain: |p| verifications at 3000 gas
-        # each, or one batched check (§9 ablation) when enabled — a *gas*
-        # ablation, unrelated to the block's wall-clock prefetch.
-        links = path.links(self.deal_id)
-        if self.batch_votes:
-            ctx.require(ctx.verify_signature_batch(links), "invalid signature on path")
-        else:
-            for signer, message, signature in links:
-                ctx.require(
-                    ctx.verify_signature(signer, message, signature),
-                    "invalid signature on path",
-                )
-        self.voted[voter] = True
-        ctx.emit(self, "VoteAccepted", deal_id=self.deal_id, voter=voter, path=path)
+        require_path_vote(ctx, self, path, batch=self.batch_votes)
+        self.voted[path.voter] = True
+        ctx.emit(self, "VoteAccepted", deal_id=self.deal_id, voter=path.voter, path=path)
         if all(self.voted.get(party, False) for party in self.plist):
             self._release(ctx)
         return True

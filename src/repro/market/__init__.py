@@ -54,8 +54,8 @@ space.  This package is the runtime for that regime:
   first-price priority / EIP-1559-style base fee), deals co-sign a
   ``fee_bid`` in their order manifest, and a
   :class:`~repro.market.fees.FeeLedger` accounts what sealed traffic
-  paid and which deals were fee-priced-out — a measured market
-  outcome, like §5's sore losers, never a safety violation.
+  paid; a deal whose step is evicted is fee-priced-out — a measured
+  market outcome, like §5's sore losers, never a safety violation.
 * :mod:`repro.market.invariants` — conservation checks: token supply
   is constant across any interleaving, the book's internal ledger
   exactly backs its token holdings, no escrowed asset is double-spent,

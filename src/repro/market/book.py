@@ -310,17 +310,6 @@ class MarketEscrowBook(Contract):
         return True
 
     # ------------------------------------------------------------------
-    # Crash recovery
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, dict]:
-        """Copy the book's full state for replication/recovery."""
-        return self.snapshot_state()
-
-    def restore(self, state: dict[str, dict]) -> None:
-        """Reset the book to a :meth:`snapshot` (operator-level)."""
-        self.restore_state(state)
-
-    # ------------------------------------------------------------------
     # Off-chain inspection (scheduler, invariants, tests)
     # ------------------------------------------------------------------
     def peek_account(self, party: Address, token: str) -> int:

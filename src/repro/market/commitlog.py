@@ -112,17 +112,6 @@ class MarketCommitLog(Contract):
         return True
 
     # ------------------------------------------------------------------
-    # Crash recovery
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, dict]:
-        """Copy the log's full state for replication/recovery."""
-        return self.snapshot_state()
-
-    def restore(self, state: dict[str, dict]) -> None:
-        """Reset the log to a :meth:`snapshot` (operator-level)."""
-        self.restore_state(state)
-
-    # ------------------------------------------------------------------
     # Off-chain inspection
     # ------------------------------------------------------------------
     def peek_status(self, deal_id: bytes) -> str | None:

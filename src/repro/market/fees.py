@@ -74,18 +74,16 @@ BASE_FEE_TARGET = 0.5
 
 
 class FeeLedger:
-    """Market-wide fee record: bids in, charges and evictions out.
+    """Market-wide fee record: bids in, fees accrued out.
 
     One per market run, shared by the coordinator (which posts each
     admitted order's bid) and every mempool's sealing policy (which
-    looks bids up per step and records what sealing charged).  All
-    counters are deterministic simulation quantities.
+    looks bids up per step and accrues what sealing charged).  The
+    total is a deterministic simulation quantity.
     """
 
     def __init__(self):
         self._bids: dict[bytes, int] = {}
-        self.charged: dict[bytes, int] = {}
-        self.priced_out_deals: set[bytes] = set()
         self.accrued = 0
 
     def post(self, deal_id: bytes, fee_bid: int) -> None:
@@ -97,19 +95,9 @@ class FeeLedger:
         """The deal's fee bid (0 when it never bid)."""
         return self._bids.get(deal_id, 0)
 
-    def charge(self, deal_id: bytes, amount: int) -> None:
-        """Account ``amount`` fee units against a sealed step's deal."""
-        if amount > 0:
-            self.charged[deal_id] = self.charged.get(deal_id, 0) + amount
-            self.accrued += amount
-
-    def price_out(self, deal_id: bytes) -> None:
-        """Mark a deal fee-priced-out (its step was evicted)."""
-        self.priced_out_deals.add(deal_id)
-
-    def priced_out(self, deal_id: bytes) -> bool:
-        """Whether the deal lost a step to fee pressure."""
-        return deal_id in self.priced_out_deals
+    def charge(self, amount: int) -> None:
+        """Accrue the ``amount`` fee units one sealed step paid."""
+        self.accrued += amount
 
 
 class SealPolicy:
@@ -163,7 +151,7 @@ class FirstPricePolicy(SealPolicy):
         batch, spill = ranked[:cap], ranked[cap:]
         for step in batch:
             if not self.exempt(step):
-                self.fees.charge(step.deal_id, self.fees.bid(step.deal_id))
+                self.fees.charge(self.fees.bid(step.deal_id))
         spill.sort(key=lambda step: step.seq)  # pending stays arrival-ordered
         return batch, spill, []
 
@@ -232,9 +220,7 @@ class BaseFeePolicy(SealPolicy):
         price = int(self.base_fee) + (self.base_fee > int(self.base_fee))
         for step in batch:
             if not self.exempt(step):
-                self.fees.charge(step.deal_id, price)
-        for step in evicted:
-            self.fees.price_out(step.deal_id)
+                self.fees.charge(price)
         waiting.extend(spill)
         waiting.sort(key=lambda step: step.seq)
         # 1559 update: price the *next* block by this block's fullness.

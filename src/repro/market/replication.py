@@ -419,7 +419,7 @@ class ReplicationLayer:
             )
 
     # ------------------------------------------------------------------
-    # Process faults (FaultPlan.install_processes host API)
+    # Replica faults (ReplicaCrash / ReplicaRecover actions call these)
     # ------------------------------------------------------------------
     def crash_replica(self, name: str) -> None:
         """Kill a replica: persist its crash-time image, lose memory."""

@@ -110,9 +110,9 @@ class MarketConfig:
     # factor > 1 or a fault plan is supplied, so the default market
     # runs byte-identical to the unreplicated layout.
     replication_factor: int = 1
-    # A repro.sim.faults.FaultPlan: message faults install on the
-    # replication network, ReplicaCrash/ReplicaRecover process faults
-    # install on the replication layer.
+    # A repro.sim.faults.FaultPlan, installed once on the replication
+    # network with the coordinator as host: message effects filter
+    # that network, replica and worker actions run on the coordinator.
     fault_plan: object | None = None
     # A repro.sim.chaos.ChaosPlan, or None.  An active market policy
     # swaps the plain LocalBus for a ChaosBus (seeded chaos +
@@ -290,13 +290,10 @@ class MarketCoordinator:
                 chaos=chaos,
             )
             if plan is not None:
-                plan.install(self.replication.network)
-                plan.install_processes(self.replication)
-        if plan is not None and plan.faults:
-            # Worker-level faults (WorkerKill) are scheduled whatever
-            # the backend, keeping the event heap identical inline and
-            # pooled; kill_worker is inert without a pool.
-            plan.install_workers(self)
+                # The coordinator hosts every action, whatever the
+                # backend, so the event heap is identical inline and
+                # pooled (kill_worker is inert without a pool).
+                plan.install(self.replication.network, self)
         # Telemetry attaches last so the BlockTap's chain subscriptions
         # run after the runtimes' own (observer order is registration
         # order — the tap reads what the phase engine already routed).
@@ -586,7 +583,6 @@ class MarketCoordinator:
         if run is None or run.terminal:
             return
         run.priced_out = True
-        self.fee_ledger.price_out(deal_id)
         if self.telemetry is not None:
             self.telemetry.deal_event(deal_id, "fee-priced-out")
         if run.phase is DealPhase.REGISTERING:

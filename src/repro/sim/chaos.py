@@ -2,10 +2,12 @@
 
 A :class:`ChaosPolicy` is a bag of per-hazard rates (drop, duplicate,
 delay, reorder), and :meth:`ChaosPolicy.roll` is the only place a
-transmission's fate is drawn — whatever the payload: :class:`repro.sim.network.ChaosBus` calls it per transmission
-on the ops bus, :class:`repro.sim.faults.MessageStorm` per message on
-the replication delta network.  A :class:`ChaosPlan` groups one policy
-per plane plus the seed and the two retransmission knobs.
+transmission's fate is drawn — whatever the payload:
+:class:`repro.sim.network.ChaosBus` calls it per transmission on the
+ops bus, and :class:`repro.sim.faults.MessageStorm` (one kind of the
+windowed ``Fault`` vocabulary in :mod:`repro.sim.faults`) per message
+on the replication delta network.  A :class:`ChaosPlan` groups one
+policy per plane plus the seed and the two retransmission knobs.
 
 Everything here is frozen data.  A plan with no active policy is
 treated exactly like no plan at all — the market constructs its plain

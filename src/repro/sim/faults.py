@@ -1,44 +1,111 @@
 """Fault injection: crashes, offline windows, partitions, DoS.
 
-The paper's adversary can crash parties, drive them offline at the
-wrong moment (§5.3's denial-of-service window), or partition the
-network.  These injectors install delivery filters on a
-:class:`~repro.sim.network.Network`; they affect only message
-*delivery* — a party's local computation is suppressed by the party
-strategies in :mod:`repro.adversary`.
+The paper's adversary crashes parties, drives them offline at the
+wrong moment (§5.3), delays the CBC (§9) or partitions the network;
+the market adds replica crashes and verify-pool worker kills.  Every
+kind is a :class:`Fault`: a ``[start, end)`` window on a named
+``target`` with declared counters and a *message effect* (a delivery
+filter body behind the one window check), *host actions* (callbacks
+scheduled on ``host.simulator``), or both.  :class:`ReplicaCrash` is
+:class:`CrashFault`'s filter on a replica plus crash and recover
+actions; :class:`ReplicaRecover` is the recover action alone.
 
-Two faults go further than message filters.  :class:`ReplicaCrash`
-and :class:`ReplicaRecover` are **process-level** faults: in addition
-to silencing the endpoint's traffic, they kill and revive a replica
-of the market's replication layer (:mod:`repro.market.replication`)
-— a crashed replica stops applying state, a crashed *leader* forces a
-failover, and a recovering replica catches up from its latest
-snapshot plus block replay.  Process faults are delivered through
-:meth:`FaultPlan.install_processes`, which hands them a *host*
-exposing ``simulator``, ``crash_replica`` and ``recover_replica``.
-
-Every fault keeps per-fault drop/delay counters, surfaced through
-:meth:`FaultPlan.stats`, so composed schedules are observable in
-reports instead of silently eating messages.
+``FaultPlan.install(network, host=None)`` installs a plan in plan
+order.  Without a host (the per-deal executor) only message effects
+install.  A host exposes ``simulator`` plus what the actions call:
+``replication.crash_replica`` / ``recover_replica`` and
+``kill_worker(worker, mode)`` — the market coordinator has all three.
+:meth:`FaultPlan.stats` reports each fault's kind, target and
+counters, so composed schedules never silently eat messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, ClassVar
 
 from repro.sim.chaos import ChaosPolicy
 from repro.sim.network import DropMessage, DuplicateMessage, Message, Network
 from repro.sim.rng import DeterministicRng
 
+INF = float("inf")
+
+# A host action: (time, event label, fn(host)).
+Action = tuple[float, str, Callable[[object], None]]
+
+
+class Fault:
+    """One injected fault: a window on a named target.
+
+    Subclasses are dataclasses.  ``target`` defaults to their
+    ``endpoint`` field and ``window`` to their ``start``/``end`` fields;
+    ``COUNTERS`` maps each reported counter name to the attribute that
+    holds it.  They define ``effect(message, now)`` — returning an
+    extra delay or None, or raising ``DropMessage`` /
+    ``DuplicateMessage`` — and/or override :meth:`actions`.
+    """
+
+    COUNTERS: ClassVar[dict[str, str]] = {}
+    effect = None  # no message effect
+
+    @property
+    def kind(self) -> str:
+        """The fault kind :meth:`FaultPlan.stats` reports."""
+        return type(self).__name__
+
+    @property
+    def target(self) -> str:
+        """What the fault hits, as :meth:`FaultPlan.stats` names it."""
+        return self.endpoint
+
+    @property
+    def window(self) -> tuple[float, float]:
+        """``[start, end)``: when the message effect applies."""
+        return self.start, self.end
+
+    def covers(self, time: float) -> bool:
+        """Whether ``time`` falls inside the fault's window."""
+        start, end = self.window
+        return start <= time < end
+
+    def actions(self) -> list[Action]:
+        """The host actions to schedule, in scheduling order."""
+        return []
+
+    def counters(self) -> dict[str, int]:
+        """This fault's observable effect so far."""
+        return {name: getattr(self, attr) for name, attr in self.COUNTERS.items()}
+
+    def install(self, network: Network, host=None) -> None:
+        """Filter ``network`` through the effect; schedule actions on ``host``."""
+        if self.effect is not None:
+            simulator = network.simulator
+
+            def fn(message: Message) -> float | None:
+                now = simulator.now
+                return self.effect(message, now) if self.covers(now) else None
+
+            network.add_filter(fn)
+        if host is not None:
+            for time, label, action in self.actions():
+                host.simulator.schedule_at(time, partial(action, host), label=label)
+
+
+def _recover(fault: Fault, at: float) -> Action:
+    """The action that revives ``fault.replica`` through the host."""
+    def recover(host) -> None:
+        fault.recoveries_fired += 1
+        host.replication.recover_replica(fault.replica)
+
+    return at, "fault/replica-recover", recover
+
 
 @dataclass
-class CrashFault:
-    """Silence an endpoint from ``at_time`` onwards.
+class CrashFault(Fault):
+    """Silence an endpoint from ``at_time`` (until ``recover_at``, if set).
 
-    Messages to or from the crashed endpoint are dropped.  With
-    ``recover_at`` set the crash is transient: delivery resumes once
-    the clock reaches it, so crash/recover schedules compose
-    declaratively instead of through hand-rolled filters.
+    Messages to or from the crashed endpoint are dropped.
     """
 
     endpoint: str
@@ -46,32 +113,20 @@ class CrashFault:
     recover_at: float | None = None
     dropped: int = 0
 
-    def _dead(self, now: float) -> bool:
-        if now < self.at_time:
-            return False
-        return self.recover_at is None or now < self.recover_at
+    COUNTERS = {"dropped": "dropped"}
 
-    def install(self, network: Network) -> None:
-        """Attach this fault's delivery filter to ``network``."""
-        def fn(message: Message) -> float | None:
-            now = network.simulator.now
-            if self._dead(now) and self.endpoint in (
-                message.sender,
-                message.recipient,
-            ):
-                self.dropped += 1
-                raise DropMessage
-            return None
+    @property
+    def window(self) -> tuple[float, float]:
+        return self.at_time, INF if self.recover_at is None else self.recover_at
 
-        network.add_filter(fn)
-
-    def counters(self) -> dict[str, int]:
-        """This fault's observable effect so far."""
-        return {"dropped": self.dropped}
+    def effect(self, message: Message, now: float) -> None:
+        if self.target in (message.sender, message.recipient):
+            self.dropped += 1
+            raise DropMessage
 
 
 @dataclass
-class OfflineWindow:
+class OfflineWindow(Fault):
     """Silence an endpoint during ``[start, end)`` — the §5.3 DoS window.
 
     Inbound messages during the window are *delayed* until the window
@@ -85,33 +140,20 @@ class OfflineWindow:
     delayed: int = 0
     dropped: int = 0
 
-    def install(self, network: Network) -> None:
-        """Attach this fault's delivery filter to ``network``."""
-        def fn(message: Message) -> float | None:
-            now = network.simulator.now
-            if not self.start <= now < self.end:
-                return None
-            if message.sender == self.endpoint:
-                self.dropped += 1
-                raise DropMessage
-            if message.recipient == self.endpoint:
-                self.delayed += 1
-                return self.end - now
-            return None
+    COUNTERS = {"dropped": "dropped", "delayed": "delayed"}
 
-        network.add_filter(fn)
-
-    def covers(self, time: float) -> bool:
-        """Whether ``time`` falls inside the offline window."""
-        return self.start <= time < self.end
-
-    def counters(self) -> dict[str, int]:
-        """This fault's observable effect so far."""
-        return {"dropped": self.dropped, "delayed": self.delayed}
+    def effect(self, message: Message, now: float) -> float | None:
+        if message.sender == self.endpoint:
+            self.dropped += 1
+            raise DropMessage
+        if message.recipient == self.endpoint:
+            self.delayed += 1
+            return self.end - now
+        return None
 
 
 @dataclass
-class Partition:
+class Partition(Fault):
     """Split endpoints into groups; cross-group messages drop in a window."""
 
     groups: list[set[str]]
@@ -119,38 +161,25 @@ class Partition:
     end: float
     dropped: int = 0
 
+    COUNTERS = {"dropped": "dropped"}
+
+    @property
+    def target(self) -> str:
+        return "|".join(",".join(sorted(group)) for group in self.groups)
+
     def _group_of(self, endpoint: str) -> int | None:
-        for index, group in enumerate(self.groups):
-            if endpoint in group:
-                return index
-        return None
+        return next((i for i, group in enumerate(self.groups) if endpoint in group), None)
 
-    def install(self, network: Network) -> None:
-        """Attach this fault's delivery filter to ``network``."""
-        def fn(message: Message) -> float | None:
-            now = network.simulator.now
-            if not self.start <= now < self.end:
-                return None
-            sender_group = self._group_of(message.sender)
-            recipient_group = self._group_of(message.recipient)
-            if (
-                sender_group is not None
-                and recipient_group is not None
-                and sender_group != recipient_group
-            ):
-                self.dropped += 1
-                raise DropMessage
-            return None
-
-        network.add_filter(fn)
-
-    def counters(self) -> dict[str, int]:
-        """This fault's observable effect so far."""
-        return {"dropped": self.dropped}
+    def effect(self, message: Message, now: float) -> None:
+        sender = self._group_of(message.sender)
+        recipient = self._group_of(message.recipient)
+        if None not in (sender, recipient) and sender != recipient:
+            self.dropped += 1
+            raise DropMessage
 
 
 @dataclass
-class TargetedDelay:
+class TargetedDelay(Fault):
     """Add a fixed extra delay to messages touching an endpoint.
 
     Models a sustained DoS attack that slows (but does not sever) a
@@ -160,105 +189,72 @@ class TargetedDelay:
     endpoint: str
     extra_delay: float
     start: float = 0.0
-    end: float = float("inf")
+    end: float = INF
     affected: int = 0
 
-    def install(self, network: Network) -> None:
-        """Attach this fault's delivery filter to ``network``."""
-        def fn(message: Message) -> float | None:
-            now = network.simulator.now
-            if not self.start <= now < self.end:
-                return None
-            if self.endpoint in (message.sender, message.recipient):
-                self.affected += 1
-                return self.extra_delay
-            return None
+    COUNTERS = {"delayed": "affected"}
 
-        network.add_filter(fn)
-
-    def counters(self) -> dict[str, int]:
-        """This fault's observable effect so far."""
-        return {"delayed": self.affected}
+    def effect(self, message: Message, now: float) -> float | None:
+        if self.endpoint in (message.sender, message.recipient):
+            self.affected += 1
+            return self.extra_delay
+        return None
 
 
 @dataclass
-class MessageStorm:
+class MessageStorm(Fault):
     """Seeded lossy weather over a network: drop, duplicate, delay.
 
-    The chaos hazard of the *replication* plane.  Each message in the
-    ``[start, end)`` window takes one
-    :meth:`~repro.sim.chaos.ChaosPolicy.roll` of ``policy`` — the same
-    fixed-draw roll :class:`~repro.sim.network.ChaosBus` takes per
-    transmission — and the FIFO network applies what it can: drop wins
-    over duplicate wins over delay, so one message suffers one hazard,
-    and the reorder hold has no meaning on an ordered channel.
-    Duplicates are requested by raising
-    :class:`~repro.sim.network.DuplicateMessage`, which the network
-    delivers as a second FIFO-clamped copy right behind the original;
-    the replication layer's sequence-numbered apply must absorb it.
-    ``endpoint`` narrows the storm to messages touching one endpoint;
-    ``None`` storms all traffic.
+    The replication plane's chaos hazard: each message in the window
+    takes one :meth:`~repro.sim.chaos.ChaosPolicy.roll` of ``policy``
+    from its own seeded stream.  Drop wins over duplicate wins over
+    delay (no reorder on a FIFO channel); a duplicate is a second copy
+    right behind the original.  ``endpoint`` narrows the storm to
+    messages touching one endpoint; ``None`` storms all traffic.
     """
 
     policy: ChaosPolicy
     endpoint: str | None = None
     start: float = 0.0
-    end: float = float("inf")
+    end: float = INF
     seed: int | str = 0
     dropped: int = 0
     duplicated: int = 0
     delayed: int = 0
 
-    def install(self, network: Network) -> None:
-        """Attach the storm's delivery filter to ``network``."""
-        rng = DeterministicRng(f"message-storm/{self.seed}")
-        stream = rng.stream("storm")
+    COUNTERS = {"dropped": "dropped", "duplicated": "duplicated", "delayed": "delayed"}
 
-        def fn(message: Message) -> float | None:
-            now = network.simulator.now
-            if not self.start <= now < self.end:
-                return None
-            if self.endpoint is not None and self.endpoint not in (
-                message.sender,
-                message.recipient,
-            ):
-                return None
-            hazards = self.policy.roll(stream)
-            if hazards.drop:
-                self.dropped += 1
-                raise DropMessage
-            if hazards.duplicate:
-                self.duplicated += 1
-                raise DuplicateMessage
-            if hazards.delay is not None:
-                self.delayed += 1
-                return hazards.delay
+    @property
+    def target(self) -> str:
+        return "*" if self.endpoint is None else self.endpoint
+
+    def __post_init__(self) -> None:
+        self._stream = DeterministicRng(f"message-storm/{self.seed}").stream("storm")
+
+    def effect(self, message: Message, now: float) -> float | None:
+        if self.endpoint not in (None, message.sender, message.recipient):
             return None
-
-        network.add_filter(fn)
-
-    def counters(self) -> dict[str, int]:
-        """This fault's observable effect so far."""
-        return {
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-            "delayed": self.delayed,
-        }
+        hazards = self.policy.roll(self._stream)
+        if hazards.drop:
+            self.dropped += 1
+            raise DropMessage
+        if hazards.duplicate:
+            self.duplicated += 1
+            raise DuplicateMessage
+        if hazards.delay is not None:
+            self.delayed += 1
+            return hazards.delay
+        return None
 
 
 @dataclass
-class WorkerKill:
+class WorkerKill(Fault):
     """Kill (or hang) one worker of the ``processes`` backend mid-run.
 
-    Worker level: the fault is scheduled on the coordinator's
-    simulator whatever the backend — so the event heap is identical
-    inline and pooled — and acts through the host's ``kill_worker``,
-    which is inert when there is no such worker (every inline run).
-    ``mode "kill"`` SIGKILLs the verify-pool worker; ``"hang"``
-    SIGSTOPs it, exercising the pool's stall timeout instead of its
-    EOF path.  ``kills`` counts firings of the schedule, not deaths,
-    so the report stays backend-invariant; the backend's
-    ``workers_lost`` / ``inline_batches`` stats say what the kill did.
+    Scheduled whatever the backend, so the event heap is identical
+    inline and pooled; ``kill_worker`` is inert without such a worker.
+    ``mode "kill"`` SIGKILLs it, ``"hang"`` SIGSTOPs it.  ``kills``
+    counts firings, not deaths, so the report is backend-invariant.
     """
 
     worker: int
@@ -266,29 +262,27 @@ class WorkerKill:
     mode: str = "kill"
     kills_fired: int = 0
 
-    def install_worker(self, host) -> None:
-        """Schedule the kill on the host's simulator."""
-        def fire() -> None:
+    COUNTERS = {"kills": "kills_fired"}
+
+    @property
+    def target(self) -> str:
+        return f"worker-{self.worker}"
+
+    def actions(self) -> list[Action]:
+        def kill(host) -> None:
             self.kills_fired += 1
             host.kill_worker(self.worker, self.mode)
 
-        host.simulator.schedule_at(self.at_time, fire, label="fault/worker-kill")
-
-    def counters(self) -> dict[str, int]:
-        """This fault's observable effect so far."""
-        return {"kills": self.kills_fired}
+        return [(self.at_time, "fault/worker-kill", kill)]
 
 
 @dataclass
-class ReplicaCrash:
+class ReplicaCrash(Fault):
     """Kill a replication-layer replica at ``at_time``; optionally revive it.
 
-    Process level: the host's ``crash_replica`` is invoked (state
-    application stops; if the replica led its shard, the group fails
-    over) and, with ``recover_at`` set, ``recover_replica`` brings it
-    back through snapshot + block-replay catch-up.  Message level: the
-    replica's endpoint is silenced for the dead window, so in-flight
-    replication traffic is lost exactly as a real crash would lose it.
+    A crashed replica stops applying state (a crashed *leader* forces a
+    failover); recovery restores its snapshot and replays blocks.  The
+    crash filter loses its in-flight traffic meanwhile.
     """
 
     replica: str
@@ -298,58 +292,33 @@ class ReplicaCrash:
     crashes_fired: int = 0
     recoveries_fired: int = 0
 
-    def _dead(self, now: float) -> bool:
-        if now < self.at_time:
-            return False
-        return self.recover_at is None or now < self.recover_at
+    COUNTERS = {"dropped": "dropped", "crashes": "crashes_fired",
+                "recoveries": "recoveries_fired"}
 
-    def install(self, network: Network) -> None:
-        """Silence the replica's endpoint while it is down."""
-        def fn(message: Message) -> float | None:
-            now = network.simulator.now
-            if self._dead(now) and self.replica in (
-                message.sender,
-                message.recipient,
-            ):
-                self.dropped += 1
-                raise DropMessage
-            return None
+    # CrashFault's window and filter, on the replica's endpoint.
+    window = CrashFault.window
+    effect = CrashFault.effect
 
-        network.add_filter(fn)
+    @property
+    def target(self) -> str:
+        return self.replica
 
-    def install_process(self, host) -> None:
-        """Schedule the kill (and revival) on the host's simulator."""
-        def crash() -> None:
+    def actions(self) -> list[Action]:
+        def crash(host) -> None:
             self.crashes_fired += 1
-            host.crash_replica(self.replica)
+            host.replication.crash_replica(self.replica)
 
-        host.simulator.schedule_at(
-            self.at_time, crash, label="fault/replica-crash"
-        )
+        actions = [(self.at_time, "fault/replica-crash", crash)]
         if self.recover_at is not None:
-            def recover() -> None:
-                self.recoveries_fired += 1
-                host.recover_replica(self.replica)
-
-            host.simulator.schedule_at(
-                self.recover_at, recover, label="fault/replica-recover"
-            )
-
-    def counters(self) -> dict[str, int]:
-        """This fault's observable effect so far."""
-        return {
-            "dropped": self.dropped,
-            "crashes": self.crashes_fired,
-            "recoveries": self.recoveries_fired,
-        }
+            actions.append(_recover(self, self.recover_at))
+        return actions
 
 
 @dataclass
-class ReplicaRecover:
+class ReplicaRecover(Fault):
     """Revive a previously crashed replica at ``at_time``.
 
-    Standalone revival for schedules whose crash and recovery are
-    authored separately (recover-then-recrash compositions); a
+    For crashes and recoveries authored separately; a
     :class:`ReplicaCrash` with ``recover_at`` covers the common case.
     """
 
@@ -357,88 +326,35 @@ class ReplicaRecover:
     at_time: float
     recoveries_fired: int = 0
 
-    def install_process(self, host) -> None:
-        """Schedule the revival on the host's simulator."""
-        def recover() -> None:
-            self.recoveries_fired += 1
-            host.recover_replica(self.replica)
+    COUNTERS = {"recoveries": "recoveries_fired"}
 
-        host.simulator.schedule_at(
-            self.at_time, recover, label="fault/replica-recover"
-        )
+    @property
+    def target(self) -> str:
+        return self.replica
 
-    def counters(self) -> dict[str, int]:
-        """This fault's observable effect so far."""
-        return {"recoveries": self.recoveries_fired}
+    def actions(self) -> list[Action]:
+        return [_recover(self, self.at_time)]
 
 
 @dataclass
 class FaultPlan:
     """A collection of faults installed together (one experiment's plan)."""
 
-    faults: list = field(default_factory=list)
+    faults: list[Fault] = field(default_factory=list)
 
-    def add(self, fault) -> "FaultPlan":
+    def add(self, fault: Fault) -> "FaultPlan":
         """Append ``fault`` and return self (builder style)."""
         self.faults.append(fault)
         return self
 
-    def install(self, network: Network) -> None:
-        """Install every message-level fault in the plan on ``network``."""
+    def install(self, network: Network, host=None) -> None:
+        """Install every fault, in plan order (see the module docstring)."""
         for fault in self.faults:
-            if hasattr(fault, "install"):
-                fault.install(network)
-
-    def install_processes(self, host) -> None:
-        """Install every process-level fault on ``host``.
-
-        The host must expose ``simulator``, ``crash_replica`` and
-        ``recover_replica`` (the market's
-        :class:`~repro.market.replication.ReplicationLayer` does).
-        Message-only faults are skipped.
-        """
-        for fault in self.faults:
-            if hasattr(fault, "install_process"):
-                fault.install_process(host)
-
-    def install_workers(self, host) -> None:
-        """Install every worker-level fault on ``host``.
-
-        The host must expose ``simulator`` and ``kill_worker(worker,
-        mode)`` (the market coordinator does).  Other faults are
-        skipped.
-        """
-        for fault in self.faults:
-            if hasattr(fault, "install_worker"):
-                fault.install_worker(host)
+            fault.install(network, host)
 
     def stats(self) -> list[dict]:
-        """Per-fault effect counters, in plan order.
-
-        Each row names the fault kind and target plus whatever the
-        fault counted (drops, delays, crash/recovery firings), so a
-        composed schedule's effects are observable in reports.
-        """
-        rows = []
-        for fault in self.faults:
-            row: dict = {"kind": type(fault).__name__}
-            target = getattr(fault, "endpoint", None)
-            if target is None:
-                target = getattr(fault, "replica", None)
-            if target is None:
-                worker = getattr(fault, "worker", None)
-                if worker is not None:
-                    target = f"worker-{worker}"
-            if target is None:
-                groups = getattr(fault, "groups", None)
-                if groups is not None:
-                    target = "|".join(
-                        ",".join(sorted(group)) for group in groups
-                    )
-            if target is None and isinstance(fault, MessageStorm):
-                target = "*"
-            row["target"] = target or ""
-            if hasattr(fault, "counters"):
-                row.update(fault.counters())
-            rows.append(row)
-        return rows
+        """One row per fault, in plan order: kind, target, counters."""
+        return [
+            {"kind": fault.kind, "target": fault.target, **fault.counters()}
+            for fault in self.faults
+        ]

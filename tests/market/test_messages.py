@@ -90,3 +90,50 @@ def test_in_order_runs_render_no_defer_rows():
     # actually deferred, so in-order reports keep their exact bytes.
     assert "defer_abandoned" not in dict(report.bus_stats)
     assert "escrow ops" not in report.render()
+
+
+def test_defer_cap_exhausts_for_a_never_published_contract():
+    from repro.chain.tx import Transaction
+    from repro.market.messages import SubmitStep
+    from repro.market.shard import COORDINATOR_ENDPOINT, shard_endpoint
+
+    workload = HandWorkload(lambda wl: [two_party_swap(wl)])
+    scheduler = MarketCoordinator(workload, MarketConfig(patience=30.0))
+    runtime = scheduler.runtimes[0]
+    simulator = scheduler.simulator
+    deferrals = []
+    schedule = simulator.schedule
+
+    def spy(delay, callback, label=""):
+        if label == "shard0/defer":
+            deferrals.append(simulator.now)
+        return schedule(delay, callback, label)
+
+    simulator.schedule = spy
+    # A step whose escrow contract is never published: the runtime
+    # parks and retries it until the cap, then gives up for good.
+    scheduler.bus.post(
+        COORDINATOR_ENDPOINT, shard_endpoint(0), 0,
+        SubmitStep(
+            deal_id=b"orphan",
+            chain_id=runtime.home_chain_id,
+            tx=Transaction(
+                sender=scheduler.coordinator.address,
+                contract="never-published",
+                method="transfer",
+                args={},
+                phase="market/escrow-open",
+            ),
+        ),
+    )
+    report = scheduler.run()
+    stats = dict(report.bus_stats)
+    assert stats["deferred"] == runtime._DEFER_LIMIT == 200
+    assert stats["defer_abandoned"] == 1
+    # One retry per cap slot, none after the abandonment, and the
+    # simulator drained.
+    assert len(deferrals) == 200
+    assert simulator.pending == 0
+    rows = [line for line in report.render().splitlines()
+            if "escrow ops abandoned (defer cap)" in line]
+    assert len(rows) == 1 and rows[0].split()[-1] == "1"

@@ -93,14 +93,14 @@ def test_commitlog_and_book_snapshot_restore():
     scheduler = MarketCoordinator(workload, _config())
     log = scheduler.commit_logs[0]
     book = scheduler.books[scheduler.workload.chain_ids[0]]
-    log_image, book_image = log.snapshot(), book.snapshot()
+    log_image, book_image = log.snapshot_state(), book.snapshot_state()
     report = scheduler.run()
     assert report.committed == 1
     deal_id = next(iter(scheduler.runs))
     assert log.peek_status(deal_id) == "committed"
     # Restoring rewinds both contracts to the pre-run image.
-    log.restore(log_image)
-    book.restore(book_image)
+    log.restore_state(log_image)
+    book.restore_state(book_image)
     assert log.peek_status(deal_id) is None
     assert log.peek_registered() == {}
     assert book.peek_deal_state(deal_id) is None

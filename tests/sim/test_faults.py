@@ -135,10 +135,11 @@ def test_crash_fault_recover_at_restores_delivery():
 
 
 class _FakeHost:
-    """Minimal install_processes host: records crash/recover calls."""
+    """Minimal replica-fault host: ``replication`` records crash/recover."""
 
     def __init__(self, simulator):
         self.simulator = simulator
+        self.replication = self
         self.calls = []
 
     def crash_replica(self, name):
@@ -155,8 +156,7 @@ def test_replica_crash_fires_process_hooks_and_silences_endpoint():
     host = _FakeHost(sim)
     fault = ReplicaCrash(replica="s0/r1", at_time=5.0, recover_at=9.0)
     plan = FaultPlan().add(fault)
-    plan.install(net)
-    plan.install_processes(host)
+    plan.install(net, host)
     net.send("peer", "s0/r1", "before")
     sim.schedule(6.0, lambda: net.send("peer", "s0/r1", "while-dead"))
     sim.schedule(10.0, lambda: net.send("peer", "s0/r1", "after"))
@@ -175,10 +175,12 @@ def test_replica_recover_is_process_only():
     host = _FakeHost(sim)
     fault = ReplicaRecover(replica="s1/r0", at_time=4.0)
     plan = FaultPlan().add(fault)
-    # install() must skip it: there is no message-level behaviour.
+    # No message effect: installing it adds no filter, and without a
+    # host nothing is scheduled either.
     plan.install(net)
+    assert net._filters == [] and sim.pending == 0
+    plan.install(net, host)
     assert net._filters == []
-    plan.install_processes(host)
     sim.run()
     assert host.calls == [("recover", "s1/r0", 4.0)]
     assert fault.counters() == {"recoveries": 1}
@@ -196,8 +198,7 @@ def test_fault_plan_stats_rows_cover_every_kind():
     plan = FaultPlan()
     for fault in (crash, window, split, slow, process):
         plan.add(fault)
-    plan.install(net)
-    plan.install_processes(host)
+    plan.install(net, host)
     net.send("a", "victim", "x")  # eaten by the CrashFault filter
     sim.run()
     rows = plan.stats()
@@ -290,7 +291,7 @@ def test_message_storm_schedule_is_seed_deterministic():
 # WorkerKill: verify-pool worker faults
 # ----------------------------------------------------------------------
 class _FakeWorkerHost:
-    """Minimal install_workers host: records kills of workers it has."""
+    """Minimal worker-fault host: records kills of workers it has."""
 
     def __init__(self, simulator, workers=0):
         self.simulator = simulator
@@ -305,14 +306,15 @@ class _FakeWorkerHost:
 def test_worker_kill_fires_only_in_the_matching_worker():
     from repro.sim.faults import FaultPlan, WorkerKill
 
-    sim = Simulator()
+    sim, net = make_net()
     inline = _FakeWorkerHost(sim, workers=0)
     small = _FakeWorkerHost(sim, workers=1)
     pooled = _FakeWorkerHost(sim, workers=2)
     fault = WorkerKill(worker=1, at_time=5.0)
     plan = FaultPlan().add(fault)
     for host in (inline, small, pooled):
-        plan.install_workers(host)
+        plan.install(net, host)
+    assert net._filters == []  # no message effect
     sim.run()
     # The fault is scheduled on every host (identical event heaps
     # across backends) but acts only where worker 1 exists.
@@ -326,9 +328,9 @@ def test_worker_kill_fires_only_in_the_matching_worker():
 def test_worker_kill_hang_mode_passes_through():
     from repro.sim.faults import WorkerKill
 
-    sim = Simulator()
+    sim, net = make_net()
     host = _FakeWorkerHost(sim, workers=1)
-    WorkerKill(worker=0, at_time=3.0, mode="hang").install_worker(host)
+    WorkerKill(worker=0, at_time=3.0, mode="hang").install(net, host)
     sim.run()
     assert host.kills == [(0, "hang", 3.0)]
 
@@ -342,8 +344,7 @@ def test_fault_plan_stats_name_storm_and_worker_targets():
     plan.add(MessageStorm(policy=ChaosPolicy(drop_rate=0.5), seed=1))
     plan.add(MessageStorm(policy=ChaosPolicy(drop_rate=1.0), endpoint="s0/r1"))
     plan.add(WorkerKill(worker=2, at_time=1.0))
-    plan.install(net)
-    plan.install_workers(host)
+    plan.install(net, host)
     net.register("b", lambda message: None)
     for _ in range(20):
         net.send("a", "b", "x")
