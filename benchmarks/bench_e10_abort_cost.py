@@ -13,8 +13,6 @@ from repro.analysis.costs import commit_signature_verifications
 from repro.analysis.sweep import run_deal, sweep
 from repro.analysis.tables import render_table
 from repro.core.config import ProtocolKind
-from repro.core.executor import DealExecutor, auto_config
-from repro.core.parties import CompliantParty
 from repro.workloads.generators import clique_deal
 
 N = 5
@@ -24,12 +22,11 @@ VOTERS = list(range(N))  # number of parties that vote before the abort
 def abort_record(voters: int) -> dict:
     """Run a clique deal where only the first ``voters`` parties vote."""
     spec, keys = clique_deal(n=N, chains=1)
-    parties = []
-    for index, (label, keypair) in enumerate(sorted(keys.items())):
-        cls = CompliantParty if index < voters else NoVoteParty
-        parties.append(cls(keypair, label))
-    config = auto_config(spec, ProtocolKind.TIMELOCK)
-    result = DealExecutor(spec, parties, config, seed=voters).run()
+    silent = sorted(keys)[voters:]
+    result = run_deal(
+        spec, keys, ProtocolKind.TIMELOCK, seed=voters,
+        strategies={label: NoVoteParty for label in silent},
+    )
     assert result.all_refunded()
     gas = result.gas_by_phase()
     return {

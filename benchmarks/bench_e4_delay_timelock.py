@@ -11,8 +11,7 @@ from repro.analysis.sweep import fit_linear_slope, run_deal, sweep
 from repro.analysis.tables import format_float, render_table
 from repro.analysis.timing import commit_latency_in_delta, phase_delays_in_delta
 from repro.core.config import ProtocolKind
-from repro.core.executor import DealExecutor, auto_config
-from repro.core.parties import CompliantParty
+from repro.core.executor import auto_config
 from repro.workloads.generators import ring_deal
 
 N_VALUES = [3, 5, 7, 9]
@@ -36,13 +35,11 @@ def record_for_n(n: int, altruistic: bool = False) -> dict:
 def abort_record_for_n(n: int) -> dict:
     """Time for a deal starved of one vote to refund, in Δ units."""
     spec, keys = ring_deal(n=n)
-    parties = []
-    for index, (label, keypair) in enumerate(keys.items()):
-        cls = NoVoteParty if index == 0 else CompliantParty
-        parties.append(cls(keypair, label))
-    config = auto_config(spec, ProtocolKind.TIMELOCK)
-    result = DealExecutor(spec, parties, config, seed=n).run()
+    result = run_deal(
+        spec, keys, ProtocolKind.TIMELOCK, seed=n, strategies={"p0": NoVoteParty}
+    )
     assert result.all_refunded()
+    config = result.config
     refund_times = [
         receipt.executed_at
         for receipt in result.receipts

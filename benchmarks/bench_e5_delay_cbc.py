@@ -12,8 +12,6 @@ from repro.analysis.tables import format_float, render_table
 from repro.analysis.timing import phase_delays_in_delta
 from repro.core.config import ProtocolKind
 from repro.core.escrow import EscrowState
-from repro.core.executor import DealExecutor, auto_config
-from repro.core.parties import CompliantParty
 from repro.workloads.generators import ring_deal
 
 N_VALUES = [3, 5, 7, 9]
@@ -35,13 +33,9 @@ def record_for_n(n: int) -> dict:
 
 def abort_record_for_n(n: int) -> dict:
     spec, keys = ring_deal(n=n)
-    parties = []
-    for index, (label, keypair) in enumerate(keys.items()):
-        cls = NoVoteParty if index == 0 else CompliantParty
-        parties.append(cls(keypair, label))
-    config = auto_config(spec, ProtocolKind.CBC)
-    result = DealExecutor(spec, parties, config, seed=n, validators_f=1).run()
+    result = run_deal(spec, keys, ProtocolKind.CBC, seed=n, strategies={"p0": NoVoteParty})
     assert result.all_refunded()
+    config = result.config
     refund_times = [
         receipt.executed_at
         for receipt in result.receipts

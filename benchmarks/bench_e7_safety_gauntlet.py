@@ -13,58 +13,23 @@ Paper claims reproduced as measurements:
   offline window (measured separately there).
 """
 
-from repro.adversary.strategies import ALL_STRATEGIES
+from repro.adversary.strategies import GauntletCase, gauntlet_cases
 from repro.analysis.sweep import sweep_parallel
 from repro.analysis.tables import render_table
 from repro.core.config import ProtocolKind
-from repro.core.executor import DealExecutor, auto_config
-from repro.core.outcomes import evaluate_outcome
-from repro.workloads.generators import random_well_formed_deal
 
-STRATEGIES = dict(ALL_STRATEGIES)
-GRID_STRATEGIES = [name for name, _ in ALL_STRATEGIES if name != "compliant"]
-PROTOCOLS = [ProtocolKind.TIMELOCK, ProtocolKind.CBC]
 DEAL_SEEDS = range(4)
 
 
-def run_case(deal_seed: int, deviator_index: int, strategy: str, kind: ProtocolKind):
-    spec, keys = random_well_formed_deal(seed=deal_seed, n=3, extra_assets=1)
-    labels = sorted(keys)
-    parties = []
-    compliant = set()
-    for index, label in enumerate(labels):
-        keypair = keys[label]
-        if index == deviator_index:
-            parties.append(STRATEGIES[strategy](keypair, label))
-        else:
-            parties.append(STRATEGIES["compliant"](keypair, label))
-            compliant.add(keypair.address)
-    config = auto_config(spec, kind)
-    result = DealExecutor(spec, parties, config, seed=deal_seed).run()
-    return evaluate_outcome(result, compliant), result
-
-
-def _case_grid() -> list[tuple]:
-    """Every (protocol, seed, deviator, strategy) case, in grid order."""
-    return [
-        (kind, deal_seed, deviator_index, strategy)
-        for kind in PROTOCOLS
-        for deal_seed in DEAL_SEEDS
-        for deviator_index in range(3)
-        for strategy in GRID_STRATEGIES
-    ]
-
-
-def _case_tally(case: tuple) -> dict:
+def _case_tally(case: GauntletCase) -> dict:
     """Run one case and reduce it to its tally contribution."""
-    kind, deal_seed, deviator_index, strategy = case
-    report, result = run_case(deal_seed, deviator_index, strategy, kind)
+    report, result = case.run()
     return {
         "cases": 1,
         "safety_violations": 0 if report.safety_ok else 1,
         "liveness_violations": 0 if report.weak_liveness_ok else 1,
         "uniformity_violations": (
-            1 if kind is ProtocolKind.CBC and not report.uniform_outcome else 0
+            1 if case.kind is ProtocolKind.CBC and not report.uniform_outcome else 0
         ),
         "committed": 1 if result.all_committed() else 0,
         "aborted": 0 if result.all_committed() else 1,
@@ -80,7 +45,7 @@ def run_gauntlet(jobs: int | None = None) -> dict:
     inside an already-parallel run (a daemonic pool worker, e.g.
     ``run_all.py --jobs``) it degrades to serial.
     """
-    per_case = sweep_parallel(_case_grid(), _case_tally, jobs=jobs)
+    per_case = sweep_parallel(gauntlet_cases(DEAL_SEEDS), _case_tally, jobs=jobs)
     tallies = {
         "cases": 0,
         "safety_violations": 0,
@@ -113,7 +78,7 @@ def make_report() -> str:
 
 
 def test_bench_one_gauntlet_case(once):
-    report, _ = once(run_case, 0, 1, "no-vote", ProtocolKind.TIMELOCK)
+    report, _ = once(GauntletCase(ProtocolKind.TIMELOCK, 0, 1, "no-vote").run)
     assert report.safety_ok
 
 
@@ -122,7 +87,7 @@ def test_shape_zero_violations():
     assert tallies["safety_violations"] == 0
     assert tallies["liveness_violations"] == 0
     assert tallies["uniformity_violations"] == 0
-    assert tallies["cases"] == len(PROTOCOLS) * len(DEAL_SEEDS) * 3 * len(GRID_STRATEGIES)
+    assert tallies["cases"] == 2 * len(DEAL_SEEDS) * 3 * 10
     print()
     print(make_report())
 

@@ -10,20 +10,14 @@ compliant parties' verdicts each time.
 Run:  python examples/adversarial_broker.py
 """
 
-from repro import (
-    CompliantParty,
-    DealExecutor,
-    ProtocolKind,
-    auto_config,
-    evaluate_outcome,
-    ticket_broker_deal,
-)
+from repro import ProtocolKind, ticket_broker_deal
 from repro.adversary.strategies import (
     CrashAfterEscrowParty,
     NoVoteParty,
     ShortChangeParty,
     WalkAwayParty,
 )
+from repro.analysis.sweep import run_case
 from repro.analysis.tables import render_table
 
 SCENARIOS = [
@@ -38,16 +32,7 @@ SCENARIOS = [
 
 def run_scenario(assignment: dict, kind: ProtocolKind):
     spec, keys = ticket_broker_deal()
-    parties = []
-    compliant = set()
-    for label, keypair in keys.items():
-        strategy = assignment.get(label, CompliantParty)
-        parties.append(strategy(keypair, label))
-        if strategy is CompliantParty:
-            compliant.add(keypair.address)
-    config = auto_config(spec, kind)
-    result = DealExecutor(spec, parties, config, seed=1).run()
-    report = evaluate_outcome(result, compliant)
+    report, result = run_case(spec, keys, kind, assignment, seed=1)
     if result.all_committed():
         outcome = "committed"
     elif result.all_refunded():

@@ -7,13 +7,20 @@ protocols must obviously survive:
 
 * :mod:`repro.adversary.strategies` — party-level deviations (refuse
   to escrow / transfer / vote / forward, crash, vote late, rescind
-  immediately, attempt double-spends);
+  immediately, attempt double-spends), and the gauntlet's one case
+  grid (:func:`~repro.adversary.strategies.gauntlet_cases`) that E7
+  and ``repro gauntlet`` both run;
 * :mod:`repro.adversary.mining` — the §6.2 private-mining fake
   proof-of-abort attack against a proof-of-work CBC;
 * :mod:`repro.adversary.dos` — the §5.3 offline-window scenario where
   a timelock participant loses assets by being driven offline;
 * :mod:`repro.adversary.watchtower` — the Lightning-style mitigation
   the paper points to.
+
+A strategy is cast by label: ``run_deal(..., strategies={label: cls})``
+(:mod:`repro.analysis.sweep`) builds the parties, every unlisted label
+playing :class:`~repro.core.parties.CompliantParty`, and ``run_case``
+judges exactly the parties whose class is ``CompliantParty``.
 """
 
 from repro.adversary.strategies import (

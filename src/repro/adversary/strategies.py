@@ -3,15 +3,23 @@
 Each strategy subclasses :class:`~repro.core.parties.CompliantParty`
 and overrides the smallest possible hook, so the deviation is precise
 and the rest of the behaviour stays protocol-conformant.  The safety
-gauntlet (experiment E7) crosses these with random deals and both
-protocols and asserts Property 1 for the remaining compliant parties.
+gauntlet (experiment E7 and ``repro gauntlet``) crosses these with
+random deals and both protocols over :func:`gauntlet_cases`, and
+asserts Property 1 for the remaining compliant parties.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+from repro.analysis.sweep import run_case
+from repro.core.config import ProtocolKind
 from repro.core.deal import Asset, TransferStep
+from repro.core.executor import DealResult
+from repro.core.outcomes import OutcomeReport
 from repro.core.parties import CompliantParty
 from repro.crypto.keys import Address
+from repro.workloads.generators import random_well_formed_deal
 
 
 class WalkAwayParty(CompliantParty):
@@ -131,36 +139,16 @@ class ShortChangeParty(CompliantParty):
     def _submit_enabled_steps(self) -> None:
         # Re-implement the loop with doctored amounts.
         for index, step in self.my_steps():
-            if index in self._submitted_steps:
+            if index in self._submitted_steps or not self._step_enabled(step):
                 continue
-            if not self._step_enabled(step):
-                continue
-            asset = self.spec.asset(step.asset_id)
             self._submitted_steps.add(index)
-            if asset.fungible:
+            if self.spec.asset(step.asset_id).fungible:
                 doctored = max(0, min(step.amount - 1, step.amount // 2))
-                if doctored == 0:
-                    continue
-                self.send_tx(
-                    asset.chain_id,
-                    self.spec.escrow_contract_name(step.asset_id),
-                    "transfer",
-                    phase="transfer",
-                    to=step.receiver,
-                    amount=doctored,
-                    token_ids=(),
-                )
+                if doctored:
+                    self._send_transfer(step, doctored, ())
             else:
                 # Ship only the first token of a multi-token step.
-                self.send_tx(
-                    asset.chain_id,
-                    self.spec.escrow_contract_name(step.asset_id),
-                    "transfer",
-                    phase="transfer",
-                    to=step.receiver,
-                    amount=0,
-                    token_ids=step.token_ids[:1],
-                )
+                self._send_transfer(step, 0, step.token_ids[:1])
 
 
 class DoubleSpendAttemptParty(CompliantParty):
@@ -176,16 +164,7 @@ class DoubleSpendAttemptParty(CompliantParty):
         super()._submit_enabled_steps()
         for index in self._submitted_steps - before:
             step = self.spec.steps[index]
-            asset = self.spec.asset(step.asset_id)
-            self.send_tx(
-                asset.chain_id,
-                self.spec.escrow_contract_name(step.asset_id),
-                "transfer",
-                phase="transfer",
-                to=step.receiver,
-                amount=step.amount,
-                token_ids=step.token_ids,
-            )
+            self._send_transfer(step, step.amount, step.token_ids)
 
 
 #: The strategy grid used by the E7 safety gauntlet.  Each entry is a
@@ -203,3 +182,36 @@ ALL_STRATEGIES: list[tuple[str, type[CompliantParty]]] = [
     ("short-change", ShortChangeParty),
     ("double-spend", DoubleSpendAttemptParty),
 ]
+
+
+class GauntletCase(NamedTuple):
+    """One deviator playing one strategy in one random 3-party deal."""
+
+    kind: ProtocolKind
+    deal_seed: int
+    deviator_index: int
+    strategy: str
+
+    def run(self) -> tuple[OutcomeReport, DealResult]:
+        """:func:`run_case` on this case's deal, seeded by its deal seed."""
+        spec, keys = random_well_formed_deal(seed=self.deal_seed, n=3, extra_assets=1)
+        deviator = sorted(keys)[self.deviator_index]
+        strategies = {deviator: dict(ALL_STRATEGIES)[self.strategy]}
+        return run_case(spec, keys, self.kind, strategies, seed=self.deal_seed)
+
+
+def gauntlet_cases(deal_seeds) -> list[GauntletCase]:
+    """The gauntlet grid: protocol × deal seed × deviator × strategy.
+
+    The deviator is an index over the deal's sorted labels; every
+    strategy but ``compliant`` is tried, in :data:`ALL_STRATEGIES`
+    order, under the timelock and the BFT CBC protocols.
+    """
+    return [
+        GauntletCase(kind, deal_seed, deviator_index, name)
+        for kind in (ProtocolKind.TIMELOCK, ProtocolKind.CBC)
+        for deal_seed in deal_seeds
+        for deviator_index in range(3)
+        for name, strategy in ALL_STRATEGIES
+        if strategy is not CompliantParty
+    ]

@@ -68,12 +68,12 @@ class Watchtower:
             return
         watched = {
             self.spec.escrow_contract_name(asset_id)
-            for asset_id in self._client_outgoing()
+            for asset_id in self.client.outgoing_asset_ids()
         }
         if contract_name not in watched:
             return
         extended = extend_path_signature(path, self.client.keypair)
-        for asset_id in self._client_incoming():
+        for asset_id in self.client.incoming_asset_ids():
             target = self.spec.escrow_contract_name(asset_id)
             key = (target, voter)
             if key in self._forwarded:
@@ -92,17 +92,3 @@ class Watchtower:
                 phase="commit",
             )
             self.env.network.send(self.endpoint, f"chain:{asset.chain_id}", ("tx", tx))
-
-    def _client_outgoing(self) -> list[str]:
-        seen: list[str] = []
-        for step in self.spec.steps:
-            if step.giver == self.client.address and step.asset_id not in seen:
-                seen.append(step.asset_id)
-        return seen
-
-    def _client_incoming(self) -> list[str]:
-        seen: list[str] = []
-        for step in self.spec.steps:
-            if step.receiver == self.client.address and step.asset_id not in seen:
-                seen.append(step.asset_id)
-        return seen

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.config import ProtocolConfig, ProtocolKind
 from repro.core.executor import DealExecutor, DealResult, auto_config
+from repro.core.outcomes import OutcomeReport, evaluate_outcome
 from repro.core.parties import CompliantParty
 
 
@@ -27,11 +28,20 @@ def run_deal(
     config: ProtocolConfig | None = None,
     validators_f: int = 1,
     reconfigurations: int = 0,
-    party_factory=CompliantParty,
+    strategies: dict | None = None,
     **executor_kwargs,
 ) -> DealResult:
-    """Build compliant parties for ``spec`` and run it once."""
-    parties = [party_factory(keypair, label) for label, keypair in keys.items()]
+    """Run ``spec`` once with one party per ``keys`` entry, in ``keys`` order.
+
+    ``strategies`` casts the parties: it maps a label to the party
+    class that label plays, and every label it does not list plays
+    :class:`CompliantParty`.
+    """
+    strategies = strategies or {}
+    parties = [
+        strategies.get(label, CompliantParty)(keypair, label)
+        for label, keypair in keys.items()
+    ]
     config = config or auto_config(spec, kind)
     executor = DealExecutor(
         spec,
@@ -43,6 +53,26 @@ def run_deal(
         **executor_kwargs,
     )
     return executor.run()
+
+
+def run_case(
+    spec, keys, kind: ProtocolKind, strategies: dict | None = None, **run_deal_kwargs
+) -> tuple[OutcomeReport, DealResult]:
+    """Run a deal against deviators and judge the compliant rest.
+
+    The parties are cast as :func:`run_deal` casts them.  The judged
+    set is exactly the parties whose class *is* :class:`CompliantParty`:
+    a label cast as ``CompliantParty`` by name is judged, and a
+    subclass of it (every deviation strategy) is not.
+    """
+    strategies = strategies or {}
+    result = run_deal(spec, keys, kind, strategies=strategies, **run_deal_kwargs)
+    compliant = {
+        keypair.address
+        for label, keypair in keys.items()
+        if strategies.get(label, CompliantParty) is CompliantParty
+    }
+    return evaluate_outcome(result, compliant), result
 
 
 def sweep(values, make_record) -> list[dict]:

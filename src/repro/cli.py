@@ -19,13 +19,12 @@ import sys
 from dataclasses import replace
 
 from repro.adversary.mining import attack_success_rate
-from repro.adversary.strategies import ALL_STRATEGIES
+from repro.adversary.strategies import gauntlet_cases
+from repro.analysis.sweep import run_case
 from repro.analysis.tables import format_float, render_matrix, render_table
 from repro.analysis.timing import phase_delays_in_delta
 from repro.core.config import ProtocolKind
-from repro.core.executor import DealExecutor, auto_config
-from repro.core.outcomes import evaluate_outcome
-from repro.core.parties import CompliantParty
+from repro.core.executor import auto_config
 from repro.crypto.keys import KeyPair
 from repro.workloads.generators import (
     brokered_deal,
@@ -62,18 +61,16 @@ def cmd_run(args) -> int:
     config = auto_config(spec, kind, altruistic_votes=args.altruistic)
     if args.batch_votes:
         config = replace(config, batch_vote_verification=True)
-    parties = [CompliantParty(keypair, label) for label, keypair in keys.items()]
-    executor = DealExecutor(
+    report, result = run_case(
         spec,
-        parties,
-        config,
+        keys,
+        kind,
         seed=args.seed,
+        config=config,
         validators_f=args.f,
         reconfigurations=args.reconfigurations,
         gst=args.gst,
     )
-    result = executor.run()
-    report = evaluate_outcome(result)
 
     print(render_matrix(spec, title=f"Deal ({spec.n_parties} parties, "
                                     f"{spec.m_assets} assets, {spec.t_transfers} transfers)"))
@@ -105,30 +102,15 @@ def cmd_run(args) -> int:
 
 def cmd_gauntlet(args) -> int:
     """Run the adversarial strategy grid and print the tally."""
-    strategies = dict(ALL_STRATEGIES)
-    names = [name for name, _ in ALL_STRATEGIES if name != "compliant"]
-    cases = violations = 0
-    for kind in (ProtocolKind.TIMELOCK, ProtocolKind.CBC):
-        for deal_seed in range(args.deals):
-            spec, keys = random_well_formed_deal(seed=deal_seed, n=3, extra_assets=1)
-            labels = sorted(keys)
-            for deviator in labels:
-                for strategy in names:
-                    parties = []
-                    compliant = set()
-                    for label in labels:
-                        cls = strategies[strategy if label == deviator else "compliant"]
-                        parties.append(cls(keys[label], label))
-                        if label != deviator:
-                            compliant.add(keys[label].address)
-                    config = auto_config(spec, kind)
-                    result = DealExecutor(spec, parties, config, seed=deal_seed).run()
-                    report = evaluate_outcome(result, compliant)
-                    cases += 1
-                    if not (report.safety_ok and report.weak_liveness_ok):
-                        violations += 1
-                        print(f"VIOLATION: {strategy}@{deviator} under {kind.value}")
-    print(f"{cases} adversarial cases, {violations} violations")
+    cases = gauntlet_cases(range(args.deals))
+    violations = 0
+    for case in cases:
+        report, _ = case.run()
+        if not (report.safety_ok and report.weak_liveness_ok):
+            violations += 1
+            deviator = next(v.label for v in report.verdicts.values() if not v.compliant)
+            print(f"VIOLATION: {case.strategy}@{deviator} under {case.kind.value}")
+    print(f"{len(cases)} adversarial cases, {violations} violations")
     return 0 if violations == 0 else 1
 
 

@@ -260,18 +260,20 @@ class CompliantParty:
                 continue
             if not self.decide_transfer(step):
                 continue
-            asset = self.spec.asset(step.asset_id)
-            escrow_name = self.spec.escrow_contract_name(step.asset_id)
             self._submitted_steps.add(index)
-            self.send_tx(
-                asset.chain_id,
-                escrow_name,
-                "transfer",
-                phase="transfer",
-                to=step.receiver,
-                amount=step.amount,
-                token_ids=step.token_ids,
-            )
+            self._send_transfer(step, step.amount, step.token_ids)
+
+    def _send_transfer(self, step: TransferStep, amount: int, token_ids: tuple) -> None:
+        """Submit a tentative transfer on ``step``'s escrow contract."""
+        self.send_tx(
+            self.spec.asset(step.asset_id).chain_id,
+            self.spec.escrow_contract_name(step.asset_id),
+            "transfer",
+            phase="transfer",
+            to=step.receiver,
+            amount=amount,
+            token_ids=token_ids,
+        )
 
     def _step_enabled(self, step: TransferStep) -> bool:
         escrow = self.env.escrows[step.asset_id]

@@ -60,6 +60,17 @@ from repro.sim.rng import DeterministicRng
 # (counted in ``deltas_abandoned``).
 _RESEND_LIMIT = 6
 
+def copy_image(state: dict) -> dict:
+    """Deep-enough copy of a contract-state image (values are immutable)."""
+    return {
+        chain_id: {
+            contract: {name: dict(data) for name, data in storages.items()}
+            for contract, storages in chains.items()
+        }
+        for chain_id, chains in state.items()
+    }
+
+
 # Replica endpoint names are "s<shard>/r<index>" on the replication
 # network; fault schedules target them by this name.
 def replica_name(shard: int, index: int) -> str:
@@ -88,16 +99,6 @@ class Replica:
     def image_of(self, chain_id: str) -> dict:
         """The replica's contract-state image of one chain."""
         return self.state.setdefault(chain_id, {})
-
-    def copy_state(self) -> dict:
-        """Deep-enough copy of the whole image (values are immutable)."""
-        return {
-            chain_id: {
-                contract: {name: dict(data) for name, data in storages.items()}
-                for contract, storages in chains.items()
-            }
-            for chain_id, chains in self.state.items()
-        }
 
 
 @dataclass
@@ -432,7 +433,7 @@ class ReplicationLayer:
             self.telemetry.replica_crashed(name, replica.shard)
         # Sealed blocks are persisted before acknowledgement, so the
         # durable snapshot is exactly what the replica had applied.
-        replica.disk = (replica.copy_state(), dict(replica.applied))
+        replica.disk = (copy_image(replica.state), dict(replica.applied))
         self.counters["snapshots_taken"] += 1
         replica.state = {}
         replica.applied = {}
@@ -448,13 +449,7 @@ class ReplicationLayer:
         self.counters["recoveries"] += 1
         if replica.disk is not None:
             state, applied = replica.disk
-            replica.state = {
-                chain_id: {
-                    contract: {n: dict(d) for n, d in storages.items()}
-                    for contract, storages in chains.items()
-                }
-                for chain_id, chains in state.items()
-            }
+            replica.state = copy_image(state)
             replica.applied = dict(applied)
             self.counters["snapshots_restored"] += 1
         replica.alive = True
@@ -515,21 +510,25 @@ class ReplicationLayer:
     # ------------------------------------------------------------------
     # Verification and reporting
     # ------------------------------------------------------------------
-    def _verify_replica(self, replica: Replica, context: str) -> bool:
-        """Digest-compare a replica against its authoritative chains."""
-        ok = True
+    def _divergences(self, replica: Replica):
+        """Yield ``(chain_id, actual, expected)`` for each of the
+        replica's chains whose image digest differs from the chain's."""
         for chain_id in self.groups[replica.shard].chain_ids:
-            self.counters["hash_checks"] += 1
             expected = self.scheduler.chains[chain_id].state_hash()
             actual = digest_state(replica.image_of(chain_id))
             if actual != expected:
-                ok = False
-                self.counters["hash_mismatches"] += 1
-                self.violations.append(
-                    f"replication: {replica.name} diverges from {chain_id} "
-                    f"({context}): {actual.hex()[:16]} != {expected.hex()[:16]}"
-                )
-        return ok
+                yield chain_id, actual, expected
+
+    def _verify_replica(self, replica: Replica, context: str) -> None:
+        """Digest-compare a replica against its authoritative chains."""
+        self.counters["hash_checks"] += len(self.groups[replica.shard].chain_ids)
+        mismatches = list(self._divergences(replica))
+        self.counters["hash_mismatches"] += len(mismatches)
+        for chain_id, actual, expected in mismatches:
+            self.violations.append(
+                f"replication: {replica.name} diverges from {chain_id} "
+                f"({context}): {actual.hex()[:16]} != {expected.hex()[:16]}"
+            )
 
     def check_invariants(self, strict: bool = False) -> list[str]:
         """Replication invariant sweep.
@@ -554,15 +553,12 @@ class ReplicationLayer:
                             "quiescence"
                         )
                     continue
-                for chain_id in group.chain_ids:
-                    expected = self.scheduler.chains[chain_id].state_hash()
-                    actual = digest_state(replica.image_of(chain_id))
-                    if actual != expected:
-                        found.append(
-                            f"replication: {replica.name} diverges from "
-                            f"{chain_id}: {actual.hex()[:16]} != "
-                            f"{expected.hex()[:16]}"
-                        )
+                for chain_id, actual, expected in self._divergences(replica):
+                    found.append(
+                        f"replication: {replica.name} diverges from "
+                        f"{chain_id}: {actual.hex()[:16]} != "
+                        f"{expected.hex()[:16]}"
+                    )
         return found
 
     def finish(self, end_time: float) -> None:

@@ -57,7 +57,7 @@ the sealing policies:
 * ``snipe_rate`` — a slice of brokered deals is shadowed by a
   *fee-sniping* clone: same parties, same assets, same amounts,
   arriving just after the victim with its bid boosted
-  ``snipe_fee_boost``-fold, so under priority sealing the sniper's
+  ``SNIPE_FEE_BOOST``-fold, so under priority sealing the sniper's
   escrow steps seal first and drain the very balances the victim
   needs mid-protocol;
 * ``starve_rate`` — cross-shard starvation rings: every asset lives
@@ -93,6 +93,28 @@ from repro.errors import MarketError
 from repro.market.order import SignedDealOrder, shard_of_deal, sign_order
 from repro.sim.rng import DeterministicRng
 
+# Deal templates, by weight.
+TEMPLATE_WEIGHTS = (("ring", 0.5), ("broker", 0.3), ("auction", 0.2))
+# An honest fee bid scales the deal's §9 budget by an urgency drawn
+# uniformly from this range.
+FEE_URGENCY = (0.5, 2.0)
+# A fee sniper bids this many times its victim's bid (plus one).
+SNIPE_FEE_BOOST = 4.0
+
+
+def _weighted_pick(rng: DeterministicRng, label: str, weighted, default=None) -> str:
+    """One ``rng.random(label)`` draw mapped onto ``(name, weight)`` pairs.
+
+    The last name wins a draw that rounding leaves past every weight;
+    ``default`` stands in when there are no pairs.
+    """
+    pick = rng.random(label) * (sum(weight for _, weight in weighted) or 1.0)
+    for name, weight in weighted:
+        if pick < weight:
+            return name
+        pick -= weight
+    return weighted[-1][0] if weighted else default
+
 
 @dataclass(frozen=True)
 class MarketProfile:
@@ -105,9 +127,6 @@ class MarketProfile:
     initial_balance: int = 5_000
     amount_lo: int = 50
     amount_hi: int = 400
-    ring_weight: float = 0.5
-    broker_weight: float = 0.3
-    auction_weight: float = 0.2
     withhold_rate: float = 0.03
     no_show_rate: float = 0.02
     forge_rate: float = 0.01
@@ -137,19 +156,16 @@ class MarketProfile:
     # the default order stream byte-identical to the fee-less market.
     # fee_rate: the slice of honest deals that co-sign a fee bid
     # (deal_fee_budget of the deal's escrowed value, scaled by an
-    # urgency draw in [fee_urgency_lo, fee_urgency_hi]).
+    # urgency draw in FEE_URGENCY).
     fee_rate: float = 0.0
-    fee_urgency_lo: float = 0.5
-    fee_urgency_hi: float = 2.0
     # Spam flood: cheap two-party deals salt-mined to home on
     # spam_shard, escrowing on its chains, each bidding spam_fee.
     spam_deals: int = 0
     spam_shard: int = 0
     spam_fee: int = 0
     # Fee sniping: the slice of brokered deals shadowed by a clone
-    # arriving just after with snipe_fee_boost times the victim's bid.
+    # arriving just after with SNIPE_FEE_BOOST times the victim's bid.
     snipe_rate: float = 0.0
-    snipe_fee_boost: float = 4.0
     # Cross-shard starvation: the slice of ring deals whose assets all
     # live on spam_shard's chains while the deal homes elsewhere.
     starve_rate: float = 0.0
@@ -276,12 +292,8 @@ class MarketWorkload:
         for name in ("fee_rate", "snipe_rate", "starve_rate"):
             if not 0.0 <= getattr(profile, name) <= 1.0:
                 raise MarketError(f"{name} must be in [0, 1]")
-        if not 0.0 <= profile.fee_urgency_lo <= profile.fee_urgency_hi:
-            raise MarketError("fee urgency needs 0 <= lo <= hi")
         if profile.spam_deals < 0 or profile.spam_fee < 0:
             raise MarketError("spam_deals and spam_fee must be non-negative")
-        if profile.snipe_fee_boost < 1.0:
-            raise MarketError("snipe_fee_boost must be >= 1")
         if (profile.spam_deals > 0 or profile.starve_rate > 0) and not (
             0 <= profile.spam_shard < profile.shards
         ):
@@ -341,26 +353,13 @@ class MarketWorkload:
     def _orders(self) -> tuple[SignedDealOrder, ...]:
         profile = self.profile
         rng = self._rng
-        weights = [
-            ("ring", profile.ring_weight),
-            ("broker", profile.broker_weight),
-            ("auction", profile.auction_weight),
-        ]
-        total_weight = sum(w for _, w in weights) or 1.0
         protocol_weights = [(p, w) for p, w in profile.protocol_mix if w > 0]
-        protocol_total = sum(w for _, w in protocol_weights) or 1.0
         orders = []
         snipes: list[tuple[DealSpec, float, int]] = []
         clock = 0.0
         for index in range(profile.deals):
             clock += -math.log(1.0 - rng.random("arrivals")) / profile.arrival_rate
-            protocol = protocol_weights[-1][0] if protocol_weights else PROTOCOL_UNANIMITY
-            protocol_pick = rng.random("protocol") * protocol_total
-            for name, weight in protocol_weights:
-                if protocol_pick < weight:
-                    protocol = name
-                    break
-                protocol_pick -= weight
+            protocol = _weighted_pick(rng, "protocol", protocol_weights, PROTOCOL_UNANIMITY)
             if (
                 protocol == PROTOCOL_UNANIMITY
                 and self.nft_tokens
@@ -368,13 +367,7 @@ class MarketWorkload:
             ):
                 spec = self._nft_sale_spec(index)
             else:
-                pick = rng.random("template") * total_weight
-                template = weights[-1][0]
-                for name, weight in weights:
-                    if pick < weight:
-                        template = name
-                        break
-                    pick -= weight
+                template = _weighted_pick(rng, "template", TEMPLATE_WEIGHTS)
                 # A sharded market guarantees a slice of deals whose
                 # escrows straddle >= 2 shards' books (ring/brokered
                 # templates only; the unsharded market never draws
@@ -422,11 +415,7 @@ class MarketWorkload:
             # profiles produce the exact historical stream.
             fee_bid = 0
             if profile.fee_rate > 0 and rng.random("fee") < profile.fee_rate:
-                urgency = rng.uniform(
-                    "fee-urgency",
-                    profile.fee_urgency_lo,
-                    profile.fee_urgency_hi,
-                )
+                urgency = rng.uniform("fee-urgency", *FEE_URGENCY)
                 value = sum(asset.amount for asset in spec.assets)
                 fee_bid = deal_fee_budget(len(spec.steps), value, urgency)
             if (
@@ -456,9 +445,7 @@ class MarketWorkload:
         # escrow steps clear first and drain the balances the victim's
         # plan needs mid-protocol; the victim aborts on conflict.
         for victim_spec, victim_arrival, victim_fee in snipes:
-            sniper_fee = (
-                int(max(victim_fee, 1) * profile.snipe_fee_boost) + 1
-            )
+            sniper_fee = int(max(victim_fee, 1) * SNIPE_FEE_BOOST) + 1
             spec = self._spec(
                 victim_spec.parties,
                 victim_spec.assets,
@@ -521,27 +508,17 @@ class MarketWorkload:
 
     def _spec(
         self, parties, assets, steps, index: int,
-        protocol: str = PROTOCOL_UNANIMITY,
+        protocol: str = PROTOCOL_UNANIMITY, shard: int | None = None,
     ) -> DealSpec:
-        return DealSpec(
-            parties=tuple(parties),
-            assets=tuple(assets),
-            steps=tuple(steps),
-            labels={p: self._labels[p] for p in parties},
-            nonce=f"market/{self.profile.seed}/deal{index}".encode("utf-8"),
-            protocol=protocol,
-        )
+        """Deal ``index`` over the shared accounts.
 
-    def _mined_spec(
-        self, parties, assets, steps, index: int, protocol: str, shard: int
-    ) -> DealSpec:
-        """A spec whose *home* shard is forced by salt-mining the nonce.
-
-        The home shard is a function of the deal id (a content hash),
-        so the only way a workload can aim a deal at a shard is to
-        perturb the nonce until the hash routes there — the same
-        technique the test utilities use.  Expected tries = shards;
-        the bound is a safety net, not a budget.
+        With ``shard``, its *home* shard is forced by salt-mining the
+        nonce (salt 0 is the plain nonce).  The home shard is a
+        function of the deal id (a content hash), so the only way a
+        workload can aim a deal at a shard is to perturb the nonce
+        until the hash routes there — the same technique the test
+        utilities use.  Expected tries = shards; the bound is a safety
+        net, not a budget.
         """
         base = f"market/{self.profile.seed}/deal{index}"
         labels = {p: self._labels[p] for p in parties}
@@ -554,7 +531,7 @@ class MarketWorkload:
                 nonce=(base if salt == 0 else f"{base}/s{salt}").encode("utf-8"),
                 protocol=protocol,
             )
-            if shard_of_deal(spec.deal_id, self.shards) == shard:
+            if shard is None or shard_of_deal(spec.deal_id, self.shards) == shard:
                 return spec
         raise MarketError(  # pragma: no cover - 2^-8192 per deal
             f"could not mine deal {index} onto shard {shard}"
@@ -579,9 +556,7 @@ class MarketWorkload:
             TransferStep(asset_id="spam0", giver=a, receiver=b, amount=amount),
             TransferStep(asset_id="spam1", giver=b, receiver=a, amount=amount),
         ]
-        return self._mined_spec(
-            [a, b], assets, steps, index, PROTOCOL_UNANIMITY, shard
-        )
+        return self._spec([a, b], assets, steps, index, PROTOCOL_UNANIMITY, shard)
 
     def _starve_ring_spec(self, index: int, protocol: str) -> DealSpec:
         """Cross-shard starvation: every asset on the congested shard.
@@ -609,7 +584,7 @@ class MarketWorkload:
                 receiver=parties[(i + 1) % n], amount=amount,
             ))
         home = (profile.spam_shard + 1) % self.shards
-        return self._mined_spec(parties, assets, steps, index, protocol, home)
+        return self._spec(parties, assets, steps, index, protocol, home)
 
     def _nft_sale_spec(self, index: int) -> DealSpec:
         """A ticket sale: seller's unique token against buyer's coins.

@@ -20,26 +20,15 @@ from repro.adversary.strategies import (
     UnsatisfiedParty,
     WalkAwayParty,
 )
+from repro.analysis.sweep import run_case
 from repro.core.config import ProtocolKind
-from repro.core.executor import DealExecutor, auto_config
-from repro.core.outcomes import evaluate_outcome
-from repro.core.parties import CompliantParty
 from repro.workloads.scenarios import ticket_broker_deal
 
 
-def run_with_deviator(deviator_label, strategy, kind, seed=0):
+def run_with_deviator(deviator_label, strategy, kind):
+    """The broker deal with one deviator: ``(report on the rest, result)``."""
     spec, keys = ticket_broker_deal()
-    parties = []
-    compliant = set()
-    for label, keypair in keys.items():
-        if label == deviator_label:
-            parties.append(strategy(keypair, label))
-        else:
-            parties.append(CompliantParty(keypair, label))
-            compliant.add(keypair.address)
-    config = auto_config(spec, kind)
-    result = DealExecutor(spec, parties, config, seed=seed).run()
-    return result, compliant
+    return run_case(spec, keys, kind, {deviator_label: strategy})
 
 
 PROTOCOLS = [ProtocolKind.TIMELOCK, ProtocolKind.CBC]
@@ -48,8 +37,7 @@ PROTOCOLS = [ProtocolKind.TIMELOCK, ProtocolKind.CBC]
 @pytest.mark.parametrize("kind", PROTOCOLS)
 @pytest.mark.parametrize("deviator", ["alice", "bob", "carol"])
 def test_no_vote_safe_everywhere(kind, deviator):
-    result, compliant = run_with_deviator(deviator, NoVoteParty, kind)
-    report = evaluate_outcome(result, compliant)
+    report, result = run_with_deviator(deviator, NoVoteParty, kind)
     assert report.safety_ok, report.violations()
     assert report.weak_liveness_ok
 
@@ -57,8 +45,7 @@ def test_no_vote_safe_everywhere(kind, deviator):
 @pytest.mark.parametrize("kind", PROTOCOLS)
 @pytest.mark.parametrize("deviator", ["bob", "carol"])
 def test_walk_away_safe(kind, deviator):
-    result, compliant = run_with_deviator(deviator, WalkAwayParty, kind)
-    report = evaluate_outcome(result, compliant)
+    report, result = run_with_deviator(deviator, WalkAwayParty, kind)
     assert report.safety_ok, report.violations()
     assert report.weak_liveness_ok
     assert not result.all_committed()
@@ -66,8 +53,7 @@ def test_walk_away_safe(kind, deviator):
 
 @pytest.mark.parametrize("kind", PROTOCOLS)
 def test_no_transfer_aborts_safely(kind):
-    result, compliant = run_with_deviator("alice", NoTransferParty, kind)
-    report = evaluate_outcome(result, compliant)
+    report, result = run_with_deviator("alice", NoTransferParty, kind)
     assert report.safety_ok, report.violations()
     assert report.weak_liveness_ok
     assert not result.all_committed()
@@ -76,16 +62,14 @@ def test_no_transfer_aborts_safely(kind):
 def test_no_forward_still_commits_with_other_forwarders():
     # Alice refuses to forward; Bob and Carol cover for her on the
     # contracts they are motivated about, so the deal still commits.
-    result, compliant = run_with_deviator("alice", NoForwardParty, ProtocolKind.TIMELOCK)
-    report = evaluate_outcome(result, compliant)
+    report, result = run_with_deviator("alice", NoForwardParty, ProtocolKind.TIMELOCK)
     assert report.safety_ok
     assert result.all_committed()
 
 
 @pytest.mark.parametrize("kind", PROTOCOLS)
 def test_unsatisfied_party_forces_abort(kind):
-    result, compliant = run_with_deviator("carol", UnsatisfiedParty, kind)
-    report = evaluate_outcome(result, compliant)
+    report, result = run_with_deviator("carol", UnsatisfiedParty, kind)
     assert report.safety_ok, report.violations()
     assert not result.all_committed()
     assert result.all_refunded()
@@ -93,15 +77,13 @@ def test_unsatisfied_party_forces_abort(kind):
 
 @pytest.mark.parametrize("kind", PROTOCOLS)
 def test_crash_after_escrow_safe(kind):
-    result, compliant = run_with_deviator("bob", CrashAfterEscrowParty, kind)
-    report = evaluate_outcome(result, compliant)
+    report, result = run_with_deviator("bob", CrashAfterEscrowParty, kind)
     assert report.safety_ok, report.violations()
     assert report.weak_liveness_ok
 
 
 def test_late_voter_misses_deadlines():
-    result, compliant = run_with_deviator("carol", LateVoterParty, ProtocolKind.TIMELOCK)
-    report = evaluate_outcome(result, compliant)
+    report, result = run_with_deviator("carol", LateVoterParty, ProtocolKind.TIMELOCK)
     assert report.safety_ok, report.violations()
     assert not result.all_committed()
     # The late vote was rejected by the contract.
@@ -113,10 +95,9 @@ def test_late_voter_misses_deadlines():
 
 
 def test_immediate_rescinder_is_uniform_and_safe():
-    result, compliant = run_with_deviator(
+    report, result = run_with_deviator(
         "alice", ImmediateRescinderParty, ProtocolKind.CBC
     )
-    report = evaluate_outcome(result, compliant)
     assert report.safety_ok, report.violations()
     # The CBC guarantee: whatever happened, it happened everywhere.
     assert report.uniform_outcome
@@ -124,16 +105,14 @@ def test_immediate_rescinder_is_uniform_and_safe():
 
 @pytest.mark.parametrize("kind", PROTOCOLS)
 def test_short_change_fails_validation(kind):
-    result, compliant = run_with_deviator("alice", ShortChangeParty, kind)
-    report = evaluate_outcome(result, compliant)
+    report, result = run_with_deviator("alice", ShortChangeParty, kind)
     assert report.safety_ok, report.violations()
     assert not result.all_committed()
 
 
 @pytest.mark.parametrize("kind", PROTOCOLS)
 def test_double_spend_attempt_rejected_on_chain(kind):
-    result, compliant = run_with_deviator("carol", DoubleSpendAttemptParty, kind)
-    report = evaluate_outcome(result, compliant)
+    report, result = run_with_deviator("carol", DoubleSpendAttemptParty, kind)
     assert report.safety_ok, report.violations()
     rejected = [
         r for r in result.receipts

@@ -32,8 +32,8 @@ def test_watchtower_watches_client_role_sets():
     executor.run()
     tower = towers["carol"]
     # Carol gives coins (outgoing) and receives tickets (incoming).
-    assert tower._client_outgoing() == ["carol-coins"]
-    assert tower._client_incoming() == ["bob-tickets"]
+    assert tower.client.outgoing_asset_ids() == ["carol-coins"]
+    assert tower.client.incoming_asset_ids() == ["bob-tickets"]
 
 
 def test_watchtower_idle_when_client_healthy():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.sweep import run_case
 from repro.core.config import ProtocolKind
 from repro.core.executor import DealExecutor, auto_config
 from repro.core.outcomes import evaluate_outcome, expected_commit_holdings
@@ -10,16 +11,11 @@ from repro.adversary.strategies import NoVoteParty, WalkAwayParty
 from repro.workloads.scenarios import ticket_broker_deal
 
 
-def run_broker(party_classes=None, kind=ProtocolKind.TIMELOCK, seed=0):
+def run_broker(strategies=None):
+    """The broker deal under timelock: ``(keys, report on the compliant
+    rest, result)``."""
     spec, keys = ticket_broker_deal()
-    party_classes = party_classes or {}
-    parties = [
-        party_classes.get(label, CompliantParty)(keypair, label)
-        for label, keypair in keys.items()
-    ]
-    config = auto_config(spec, kind)
-    result = DealExecutor(spec, parties, config, seed=seed).run()
-    return spec, keys, result
+    return keys, *run_case(spec, keys, ProtocolKind.TIMELOCK, strategies)
 
 
 def test_expected_commit_holdings_projection():
@@ -42,8 +38,7 @@ def test_expected_commit_holdings_projection():
 
 
 def test_all_compliant_run_satisfies_everything():
-    _, _, result = run_broker()
-    report = evaluate_outcome(result)
+    _, report, _ = run_broker()
     assert report.safety_ok
     assert report.weak_liveness_ok
     assert report.strong_liveness_ok
@@ -52,9 +47,8 @@ def test_all_compliant_run_satisfies_everything():
 
 
 def test_no_vote_deviation_aborts_safely():
-    _, keys, result = run_broker({"bob": NoVoteParty})
-    compliant = {keys["alice"].address, keys["carol"].address}
-    report = evaluate_outcome(result, compliant)
+    _, report, result = run_broker({"bob": NoVoteParty})
+    assert {v.label for v in report.verdicts.values() if v.compliant} == {"alice", "carol"}
     assert report.safety_ok
     assert report.weak_liveness_ok
     assert report.strong_liveness_ok is None  # not an all-compliant run
@@ -62,9 +56,7 @@ def test_no_vote_deviation_aborts_safely():
 
 
 def test_walk_away_deviation_refunds_everyone():
-    _, keys, result = run_broker({"carol": WalkAwayParty})
-    compliant = {keys["alice"].address, keys["bob"].address}
-    report = evaluate_outcome(result, compliant)
+    _, report, _ = run_broker({"carol": WalkAwayParty})
     assert report.safety_ok
     assert report.weak_liveness_ok
     for verdict in report.verdicts.values():
@@ -72,8 +64,7 @@ def test_walk_away_deviation_refunds_everyone():
 
 
 def test_verdict_fields_for_all_commit():
-    spec, keys, result = run_broker()
-    report = evaluate_outcome(result)
+    keys, report, _ = run_broker()
     carol = report.verdicts[keys["carol"].address]
     assert carol.compliant
     assert carol.relinquished_any  # paid 101 coins

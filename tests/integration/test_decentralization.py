@@ -75,19 +75,9 @@ def test_cbc_is_centralized():
 
 def test_altcoin_deal_survives_the_gauntlet_roles():
     from repro.adversary.strategies import NoVoteParty
-    from repro.core.executor import DealExecutor, auto_config
-    from repro.core.parties import CompliantParty
+    from repro.analysis.sweep import run_case
 
     spec, keys = altcoin_brokered_deal(nonce=b"dec-3")
-    parties = []
-    compliant = set()
-    for label, keypair in keys.items():
-        cls = NoVoteParty if label == "david" else CompliantParty
-        parties.append(cls(keypair, label))
-        if cls is CompliantParty:
-            compliant.add(keypair.address)
-    config = auto_config(spec, ProtocolKind.TIMELOCK)
-    result = DealExecutor(spec, parties, config).run()
-    report = evaluate_outcome(result, compliant)
+    report, result = run_case(spec, keys, ProtocolKind.TIMELOCK, {"david": NoVoteParty})
     assert report.safety_ok and report.weak_liveness_ok
     assert result.all_refunded()

@@ -9,37 +9,31 @@ protocols, asserting Property 1 and weak liveness each time.
 import pytest
 
 from repro.adversary.strategies import ALL_STRATEGIES
+from repro.analysis.sweep import run_case
 from repro.core.config import ProtocolKind
-from repro.core.executor import DealExecutor, auto_config
-from repro.core.outcomes import evaluate_outcome
-from repro.core.parties import CompliantParty
 from repro.workloads.scenarios import ticket_broker_deal
 
 STRATEGIES = dict(ALL_STRATEGIES)
 PROTOCOLS = [ProtocolKind.TIMELOCK, ProtocolKind.CBC, ProtocolKind.CBC_POW]
 
 
-def run_gauntlet_case(assignment: dict, kind: ProtocolKind, seed: int = 0):
-    """Run the broker deal with per-label strategy assignment."""
+def run_broker(assignment: dict, kind: ProtocolKind):
+    """The broker deal with each label in ``assignment`` playing the
+    named strategy: ``(report on the compliant rest, result)``."""
     spec, keys = ticket_broker_deal()
-    parties = []
-    compliant = set()
-    for label, keypair in keys.items():
-        strategy = assignment.get(label, "compliant")
-        parties.append(STRATEGIES[strategy](keypair, label))
-        if strategy == "compliant":
-            compliant.add(keypair.address)
-    config = auto_config(spec, kind)
-    result = DealExecutor(spec, parties, config, seed=seed).run()
-    return result, compliant
+    strategies = {label: STRATEGIES[name] for label, name in assignment.items()}
+    return run_case(spec, keys, kind, strategies)
+
+
+def judged(report) -> int:
+    return sum(verdict.compliant for verdict in report.verdicts.values())
 
 
 @pytest.mark.parametrize("kind", PROTOCOLS)
 @pytest.mark.parametrize("strategy", [name for name, _ in ALL_STRATEGIES])
 @pytest.mark.parametrize("role", ["alice", "bob", "carol"])
 def test_single_deviator_grid(kind, strategy, role):
-    result, compliant = run_gauntlet_case({role: strategy}, kind)
-    report = evaluate_outcome(result, compliant)
+    report, _ = run_broker({role: strategy}, kind)
     assert report.safety_ok, (
         f"{strategy}@{role} under {kind.value}: {report.violations()}"
     )
@@ -64,11 +58,8 @@ def test_single_deviator_grid(kind, strategy, role):
 def test_two_deviators(kind, pair):
     # Two of three parties deviate; the sole compliant party must
     # still be safe — the paper bounds nothing about deviator counts.
-    result, compliant = run_gauntlet_case(
-        {"bob": pair[0], "carol": pair[1]}, kind
-    )
-    assert len(compliant) == 1
-    report = evaluate_outcome(result, compliant)
+    report, _ = run_broker({"bob": pair[0], "carol": pair[1]}, kind)
+    assert judged(report) == 1
     assert report.safety_ok, f"{pair} under {kind.value}: {report.violations()}"
     assert report.weak_liveness_ok
 
@@ -78,8 +69,8 @@ def test_all_three_deviating_still_converges(kind):
     # Nobody is compliant: nothing to assert about safety, but the
     # run must terminate and no escrow may stay locked forever
     # (timeouts / patience still fire for these strategies).
-    result, compliant = run_gauntlet_case(
+    report, result = run_broker(
         {"alice": "no-vote", "bob": "late-voter", "carol": "no-forward"}, kind
     )
-    assert compliant == set()
+    assert judged(report) == 0
     assert not result.all_committed()

@@ -76,13 +76,6 @@ def _deal(kind, config_kwargs=(), **executor_kwargs) -> str:
     )
 
 
-def _deviant(label: str, party_class):
-    """A party factory: ``label`` plays ``party_class``, the rest comply."""
-    return lambda keypair, name: (party_class if name == label else CompliantParty)(
-        keypair, name
-    )
-
-
 def _swap(stopper: str | None) -> str:
     spec, keys = ring_deal(n=4)
     parties = [
@@ -139,7 +132,7 @@ GOLDEN = {
     "cbc_pow_fake_proof": (
         lambda: _deal(
             ProtocolKind.CBC_POW,
-            party_factory=_deviant("bob", PowFakeProofParty.wrap(CompliantParty)),
+            strategies={"bob": PowFakeProofParty.wrap(CompliantParty)},
         ),
         "e74531dca8f8dfdec95fa64cc48a48272d8b7e80266ab20777808b14c3e78901",
     ),
@@ -152,11 +145,11 @@ GOLDEN = {
         "7dbbeeae7edeac6c81e7780a28960eb8ffbdfc40514e09574eea63b11086b620",
     ),
     "cbc_patience_abort": (
-        lambda: _deal(ProtocolKind.CBC, party_factory=_deviant("carol", NoVoteParty)),
+        lambda: _deal(ProtocolKind.CBC, strategies={"carol": NoVoteParty}),
         "54db58d6db73aad1351a846f3dbdfdb952bbabc5215ca9aa75f8c71480f617b8",
     ),
     "cbc_pow_abort": (
-        lambda: _deal(ProtocolKind.CBC_POW, party_factory=_deviant("carol", NoVoteParty)),
+        lambda: _deal(ProtocolKind.CBC_POW, strategies={"carol": NoVoteParty}),
         "e3df9f75fd3bf62acc89af6f9456e56a81f424bc22c10dcc7275f3eb9ae3c39c",
     ),
     "swap_ring": (lambda: _swap(None),

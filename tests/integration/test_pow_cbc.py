@@ -3,10 +3,10 @@
 import pytest
 
 from repro.adversary.mining import PowFakeProofParty
-from repro.analysis.sweep import run_deal
+from repro.analysis.sweep import run_case, run_deal
 from repro.core.config import ProtocolKind
 from repro.core.escrow import EscrowState
-from repro.core.executor import DealExecutor, auto_config
+from repro.core.executor import auto_config
 from repro.core.outcomes import evaluate_outcome
 from repro.core.parties import CompliantParty
 from repro.adversary.strategies import NoVoteParty
@@ -30,17 +30,8 @@ def test_pow_ring_commits():
 
 def test_pow_abort_path_refunds():
     spec, keys = ticket_broker_deal(nonce=b"pow-2")
-    parties = []
-    compliant = set()
-    for label, keypair in keys.items():
-        cls = NoVoteParty if label == "carol" else CompliantParty
-        parties.append(cls(keypair, label))
-        if cls is CompliantParty:
-            compliant.add(keypair.address)
-    config = auto_config(spec, ProtocolKind.CBC_POW)
-    result = DealExecutor(spec, parties, config).run()
+    report, result = run_case(spec, keys, ProtocolKind.CBC_POW, {"carol": NoVoteParty})
     assert result.all_refunded()
-    report = evaluate_outcome(result, compliant)
     assert report.safety_ok and report.weak_liveness_ok
 
 
@@ -56,17 +47,8 @@ def test_fake_proof_attacker_double_collects():
     """The §6.2 attack, end to end: Bob fakes an abort for his
     outgoing tickets while honestly claiming his incoming coins."""
     spec, keys = ticket_broker_deal(nonce=b"pow-4")
-    attacker_cls = PowFakeProofParty.wrap(CompliantParty)
-    parties = []
-    compliant = set()
-    for label, keypair in keys.items():
-        if label == "bob":
-            parties.append(attacker_cls(keypair, label))
-        else:
-            parties.append(CompliantParty(keypair, label))
-            compliant.add(keypair.address)
-    config = auto_config(spec, ProtocolKind.CBC_POW)
-    result = DealExecutor(spec, parties, config, seed=11).run()
+    attacker = {"bob": PowFakeProofParty.wrap(CompliantParty)}
+    report, result = run_case(spec, keys, ProtocolKind.CBC_POW, attacker, seed=11)
     # The outcome splits: tickets refunded on the fake proof, coins
     # released on the honest one — the PoW CBC's non-finality bites.
     states = set(result.escrow_states.values())
@@ -79,7 +61,6 @@ def test_fake_proof_attacker_double_collects():
         # Compliant Carol paid and received nothing: the attack is a
         # genuine safety breach *of the PoW variant* — exactly why the
         # paper recommends BFT certification for the CBC.
-        report = evaluate_outcome(result, compliant)
         carol = keys["carol"].address
         assert not report.verdicts[carol].received_all
     else:
@@ -92,13 +73,9 @@ def test_bft_cbc_immune_to_same_strategy():
     """The identical strategy against the BFT CBC cannot forge a
     proof, so the deal commits normally everywhere."""
     spec, keys = ticket_broker_deal(nonce=b"pow-5")
-    attacker_cls = PowFakeProofParty.wrap(CompliantParty)
-    parties = [
-        (attacker_cls if label == "bob" else CompliantParty)(keypair, label)
-        for label, keypair in keys.items()
-    ]
-    config = auto_config(spec, ProtocolKind.CBC)
-    result = DealExecutor(spec, parties, config, validators_f=1).run()
+    attacker = {"bob": PowFakeProofParty.wrap(CompliantParty)}
+    result = run_deal(spec, keys, ProtocolKind.CBC, strategies=attacker)
     assert result.all_committed()
+    # Every party is judged, the attacker too: nobody lost anything.
     report = evaluate_outcome(result)
     assert report.safety_ok and report.uniform_outcome

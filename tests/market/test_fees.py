@@ -310,11 +310,7 @@ def test_congestion_knob_validation():
     with pytest.raises(MarketError):
         MarketWorkload(replace(base, fee_rate=1.5))
     with pytest.raises(MarketError):
-        MarketWorkload(replace(base, fee_urgency_lo=2.0, fee_urgency_hi=1.0))
-    with pytest.raises(MarketError):
         MarketWorkload(replace(base, spam_fee=-1))
-    with pytest.raises(MarketError):
-        MarketWorkload(replace(base, snipe_fee_boost=0.5))
     with pytest.raises(MarketError):
         MarketWorkload(replace(base, shards=1, cross_shard_rate=0.0))
 

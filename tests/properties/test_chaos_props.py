@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.chain.ledger import digest_state
 from repro.market import MarketConfig, MarketCoordinator
-from repro.market.replication import Replica
+from repro.market.replication import Replica, copy_image
 from repro.sim.chaos import ChaosPlan, ChaosPolicy
 from repro.sim.network import ChaosBus, LocalBus
 from repro.sim.rng import DeterministicRng
@@ -141,7 +141,7 @@ def test_replaying_shuffled_duplicated_deltas_converges_replica():
     )
     group = scheduler.replication.groups[0]
     # The bootstrap image every replica starts from (pre-run).
-    bootstrap = group.replicas[-1].copy_state()
+    bootstrap = copy_image(group.replicas[-1].state)
     report = scheduler.run()
     assert report.invariant_violations == ()
 
@@ -181,7 +181,7 @@ def test_delta_replay_heals_gaps_from_the_group_log():
         MarketWorkload(profile), MarketConfig(replication_factor=2)
     )
     group = scheduler.replication.groups[0]
-    bootstrap = group.replicas[-1].copy_state()
+    bootstrap = copy_image(group.replicas[-1].state)
     report = scheduler.run()
     assert report.invariant_violations == ()
     chain_id = group.chain_ids[0]

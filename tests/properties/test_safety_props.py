@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversary.strategies import ALL_STRATEGIES
+from repro.analysis.sweep import run_case
 from repro.core.config import ProtocolKind
-from repro.core.executor import DealExecutor, auto_config
-from repro.core.outcomes import evaluate_outcome
 from repro.workloads.generators import random_well_formed_deal
 
 STRATEGIES = dict(ALL_STRATEGIES)
@@ -37,16 +36,8 @@ def test_property_one_universally(deal_seed, run_seed, n, kind, data):
         label: data.draw(st.sampled_from(STRATEGY_NAMES), label=f"strategy-{label}")
         for label in deviators
     }
-    parties = []
-    compliant = set()
-    for label, keypair in keys.items():
-        strategy = assignment.get(label, "compliant")
-        parties.append(STRATEGIES[strategy](keypair, label))
-        if strategy == "compliant":
-            compliant.add(keypair.address)
-    config = auto_config(spec, kind)
-    result = DealExecutor(spec, parties, config, seed=run_seed).run()
-    report = evaluate_outcome(result, compliant)
+    strategies = {label: STRATEGIES[name] for label, name in assignment.items()}
+    report, _ = run_case(spec, keys, kind, strategies, seed=run_seed)
     assert report.safety_ok, (
         f"deal {deal_seed}, {assignment}, {kind.value}: {report.violations()}"
     )
@@ -64,12 +55,7 @@ def test_property_one_universally(deal_seed, run_seed, n, kind, data):
 )
 @settings(max_examples=15, deadline=None)
 def test_strong_liveness_for_compliant_runs(deal_seed, run_seed, kind):
-    from repro.core.parties import CompliantParty
-
     spec, keys = random_well_formed_deal(seed=deal_seed, n=4, extra_assets=2)
-    parties = [CompliantParty(kp, label) for label, kp in keys.items()]
-    config = auto_config(spec, kind)
-    result = DealExecutor(spec, parties, config, seed=run_seed).run()
-    report = evaluate_outcome(result)
+    report, result = run_case(spec, keys, kind, seed=run_seed)
     assert result.all_committed(), result.escrow_states
     assert report.strong_liveness_ok

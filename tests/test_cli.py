@@ -38,7 +38,8 @@ def test_run_random_workload(capsys):
 def test_gauntlet_small(capsys):
     assert main(["gauntlet", "--deals", "1"]) == 0
     out = capsys.readouterr().out
-    assert "0 violations" in out
+    # 2 protocols x 1 deal x 3 deviator roles x 10 strategies.
+    assert "60 adversarial cases, 0 violations" in out
 
 
 def test_attack_sweep(capsys):
