@@ -57,19 +57,20 @@ def traced_run(
     """:func:`run_market`, recorded when ``trace`` names a JSONL file.
 
     Returns the report and, when traced, the share of committed deals
-    whose spans chain register → commit (``None`` untraced).  Telemetry
+    whose root span runs register → commit untruncated — the coverage
+    ``replay_counts`` reads off the trace (``None`` untraced).  Telemetry
     only observes, so the report's bytes are the same either way.
     """
     if trace is None:
         return run_market(profile, config, backend), None
     from repro.telemetry import Telemetry
-    from repro.telemetry.export import write_trace_jsonl
+    from repro.telemetry.export import replay_counts, trace_records, write_trace_jsonl
 
     telemetry = Telemetry()
     config = replace(config or MarketConfig(), telemetry=telemetry)
     report = run_market(profile, config, backend)
     write_trace_jsonl(telemetry, trace)
-    committed, full = telemetry.deal_coverage()
+    committed, full = replay_counts(trace_records(telemetry))[0]["coverage"]
     return report, full / committed if committed else 1.0
 
 

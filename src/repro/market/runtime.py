@@ -294,9 +294,6 @@ class MarketCoordinator:
                 # backend, so the event heap is identical inline and
                 # pooled (kill_worker is inert without a pool).
                 plan.install(self.replication.network, self)
-        # Telemetry attaches last so the BlockTap's chain subscriptions
-        # run after the runtimes' own (observer order is registration
-        # order — the tap reads what the phase engine already routed).
         if self.telemetry is not None:
             self.telemetry.attach(self)
 

@@ -12,10 +12,11 @@ construction time.  It bundles
   mempools (seal occupancy, post-seal depth), the simulator's
   :class:`~repro.chain.ledger.VerifyAggregator` (merge sizes,
   batch-verify pair counts) and the
-  replication network (drops/delays);
-* a read-only :class:`~repro.telemetry.blocktap.BlockTap` that ingests
-  sealed blocks into columnar arrays and answers windowed queries
-  mid-run.
+  replication network (drops/delays).
+
+Every roll-up is read back off the exported records by one function,
+:func:`repro.telemetry.export.replay_counts`; nothing here keeps a
+second copy of market state.
 
 Byte-neutrality contract: telemetry only observes.  It draws no
 randomness, schedules no simulator events, and mutates no market
@@ -28,12 +29,10 @@ both properties.
 
 from __future__ import annotations
 
-from repro.telemetry.blocktap import BlockTap
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import Span, Tracer
 
 __all__ = [
-    "BlockTap",
     "MetricsRegistry",
     "Span",
     "Telemetry",
@@ -47,21 +46,18 @@ class Telemetry:
     def __init__(self):
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.tap: BlockTap | None = None
         self.meta: dict = {}
         self._now = lambda: 0.0
         self._attached = False
         # Per-deal span bookkeeping, keyed by deal id bytes.
         self._root: dict[bytes, Span] = {}
         self._phase: dict[bytes, Span] = {}
-        self._phases_seen: dict[bytes, set] = {}
-        self._trace_key: dict[bytes, str] = {}
 
     # ------------------------------------------------------------------
     # Wiring (called by MarketCoordinator)
     # ------------------------------------------------------------------
     def attach(self, scheduler) -> None:
-        """Bind to one scheduler and subscribe the block tap."""
+        """Bind to one scheduler (one run per instance)."""
         if self._attached:
             raise RuntimeError(
                 "a Telemetry instance records exactly one run; "
@@ -69,7 +65,6 @@ class Telemetry:
             )
         self._attached = True
         self._now = lambda: scheduler.simulator.now
-        self.tap = BlockTap(scheduler)
         self.meta = {
             "seed": str(scheduler.workload.seed),
             "chains": len(scheduler.chains),
@@ -88,6 +83,15 @@ class Telemetry:
             self.metrics.gauge(
                 f"mempool.max_depth.{chain_id}", pool.stats["max_depth"]
             )
+        blocks = [
+            block for chain in scheduler.chains.values() for block in chain.blocks[1:]
+        ]
+        receipts = [receipt for block in blocks for receipt in block.receipts]
+        self.metrics.gauge("chain.blocks", len(blocks))
+        self.metrics.gauge("chain.txs_executed", len(receipts))
+        self.metrics.gauge(
+            "chain.txs_reverted", sum(1 for receipt in receipts if not receipt.ok)
+        )
         if scheduler.replication is not None:
             for name, value in sorted(scheduler.replication.network.stats.items()):
                 self.metrics.gauge(f"replication.net.{name}", value)
@@ -102,7 +106,6 @@ class Telemetry:
         """Open the deal's root span and its first phase span."""
         deal_id = run.order.deal_id
         key = f"deal-{run.order.index}"
-        self._trace_key[deal_id] = key
         root = self.tracer.start_span(
             key, "deal", at,
             protocol=run.protocol,
@@ -114,9 +117,6 @@ class Telemetry:
         self._phase[deal_id] = self.tracer.start_span(
             key, "register", at, parent=root
         )
-        self._phases_seen[deal_id] = {"register"}
-        if self.tap is not None:
-            self.tap.note_deal(deal_id, run.protocol)
 
     def deal_phase(self, run, phase: str, at: float) -> None:
         """Close the current phase span and open the next."""
@@ -130,7 +130,6 @@ class Telemetry:
         self._phase[deal_id] = self.tracer.start_span(
             root.trace_id, phase, at, parent=root
         )
-        self._phases_seen[deal_id].add(phase)
 
     def deal_event(self, deal_id: bytes, name: str, **attrs: object) -> None:
         """A point event on a deal's trace (e.g. its registration seal)."""
@@ -150,19 +149,6 @@ class Telemetry:
             open_phase.close(at)
         root.close(at, outcome=run.phase.value, reason=run.reason)
         self.metrics.count(f"deals.{run.phase.value}")
-
-    def deal_coverage(self) -> tuple[int, int]:
-        """(committed deals traced, of those with full span chains)."""
-        committed = full = 0
-        for deal_id, root in self._root.items():
-            if root.attrs.get("outcome") != "committed":
-                continue
-            committed += 1
-            if root.end is not None and not root.attrs.get("truncated") and (
-                "register" in self._phases_seen.get(deal_id, ())
-            ):
-                full += 1
-        return committed, full
 
     # ------------------------------------------------------------------
     # Mempools
@@ -189,42 +175,35 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Replication
     # ------------------------------------------------------------------
-    def _replication_trace(self, shard: int) -> str:
-        return f"replication/s{shard}"
+    def _close_latest(self, shard: int, name: str, **attrs: object) -> None:
+        """Close the shard's newest open ``name`` span (if any)."""
+        trace = f"replication/s{shard}"
+        for span in reversed(self.tracer.spans):
+            if span.trace_id == trace and span.name == name and span.end is None:
+                span.close(self._now(), **attrs)
+                return
 
     def replica_crashed(self, name: str, shard: int) -> None:
-        self.tracer.start_span(
-            self._replication_trace(shard), f"down:{name}", self._now()
-        )
+        self.tracer.start_span(f"replication/s{shard}", f"down:{name}", self._now())
         self.metrics.count("replication.crashes")
 
     def replica_recovered(self, name: str, shard: int, replayed: int) -> None:
-        trace = self._replication_trace(shard)
-        target = f"down:{name}"
-        for span in reversed(self.tracer.spans):
-            if span.trace_id == trace and span.name == target and span.end is None:
-                span.close(self._now(), replayed=replayed)
-                break
+        self._close_latest(shard, f"down:{name}", replayed=replayed)
         self.metrics.count("replication.recoveries")
         self.metrics.observe("replication.replay_size", replayed)
 
     def leader_lost(self, shard: int) -> None:
-        self.tracer.start_span(
-            self._replication_trace(shard), "leaderless", self._now()
-        )
+        self.tracer.start_span(f"replication/s{shard}", "leaderless", self._now())
 
     def leader_elected(self, shard: int, leader: str) -> None:
-        trace = self._replication_trace(shard)
-        for span in reversed(self.tracer.spans):
-            if span.trace_id == trace and span.name == "leaderless" and span.end is None:
-                span.close(self._now(), leader=leader)
-                break
-        self.tracer.event(trace, "failover", self._now(), leader=leader)
+        self._close_latest(shard, "leaderless", leader=leader)
+        self.tracer.event(
+            f"replication/s{shard}", "failover", self._now(), leader=leader
+        )
         self.metrics.count("replication.failovers")
 
     def delta_shipped(self, shard: int, chain_id: str, seq: int) -> None:
         self.metrics.count("replication.deltas_shipped")
         self.tracer.event(
-            self._replication_trace(shard), "delta-ship", self._now(),
-            chain=chain_id, seq=seq,
+            f"replication/s{shard}", "delta-ship", self._now(), chain=chain_id, seq=seq
         )

@@ -7,20 +7,27 @@ byte-identical files:
 * one ``meta`` record (run parameters + span/metric counts);
 * one ``span``/``event`` record per tracer span, in creation order
   (creation order is deterministic — it is simulator execution order);
-* one ``metrics`` record (the registry snapshot);
-* one ``analytics`` record (the BlockTap roll-up), when a tap ran.
+* one ``metrics`` record (the registry snapshot).
 
-``chrome_trace`` converts the span records to the Chrome
-``trace_event`` format (``chrome://tracing`` / Perfetto): complete
-``"X"`` events with microsecond timestamps at 1 tick = 1 ms, one
-``tid`` per trace id, instants as ``"i"`` events.  ``summarize``
-renders the human-facing report behind ``python -m repro
-trace-summary`` — per-deal timelines and the top-k slowest deals.
+A file may hold several runs back to back (``run_all.py --trace``
+concatenates its experiments' traces); every reader splits them at
+the ``meta`` records.  ``replay_counts`` is the one analytical path:
+it recomputes each run's report roll-up — outcomes and latency per
+protocol, conflicts, timeouts, replica faults, fee evictions, blocks
+and transactions — from the records alone.  ``chrome_trace`` converts
+the span records to the Chrome ``trace_event`` format
+(``chrome://tracing`` / Perfetto): one ``pid`` per run, one ``tid``
+per trace id, complete ``"X"`` events with microsecond timestamps at
+1 tick = 1 ms, instants as ``"i"`` events.  ``summarize`` renders the
+human-facing report behind ``python -m repro trace-summary`` — each
+run's roll-up and its top-k slowest deals.
 """
 
 from __future__ import annotations
 
 import json
+
+from repro.telemetry.metrics import _percentile
 
 _TICK_US = 1000.0  # 1 simulated tick renders as 1 ms on the Chrome scale
 
@@ -36,8 +43,6 @@ def trace_records(telemetry) -> list[dict]:
     records: list[dict] = [{"type": "meta", **meta}]
     records.extend(span.to_record() for span in telemetry.tracer.spans)
     records.append({"type": "metrics", **telemetry.metrics.snapshot()})
-    if telemetry.tap is not None:
-        records.append({"type": "analytics", **telemetry.tap.summary()})
     return records
 
 
@@ -62,50 +67,46 @@ def load_trace(path: str) -> list[dict]:
     return records
 
 
+def _split_runs(records: list[dict]) -> list[list[dict]]:
+    """The records of each run, split where a ``meta`` record starts one."""
+    runs: list[list[dict]] = []
+    for record in records:
+        if record.get("type") == "meta" or not runs:
+            runs.append([])
+        runs[-1].append(record)
+    return runs
+
+
+def _meta(run: list[dict]) -> dict:
+    return run[0] if run[0].get("type") == "meta" else {}
+
+
 def chrome_trace(records: list[dict]) -> dict:
     """Convert JSONL records to a Chrome ``trace_event`` document."""
-    tids: dict[str, int] = {}
-    for record in records:
-        trace = record.get("trace")
-        if record.get("type") in ("span", "event") and trace not in tids:
-            tids[trace] = len(tids) + 1
-    events = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "args": {"name": "repro-market"},
-        }
-    ]
-    for trace, tid in tids.items():
-        events.append({
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": tid,
-            "args": {"name": trace},
-        })
-    for record in records:
-        kind = record.get("type")
-        if kind not in ("span", "event"):
-            continue
-        tid = tids[record["trace"]]
-        start_us = record["start"] * _TICK_US
-        args = dict(record.get("attrs", ()))
-        if kind == "event":
-            events.append({
-                "name": record["name"], "ph": "i", "s": "t",
-                "ts": start_us, "pid": 1, "tid": tid, "args": args,
-            })
-        else:
-            end = record.get("end")
-            duration_us = ((end - record["start"]) if end is not None else 0.0)
-            events.append({
-                "name": record["name"], "ph": "X",
-                "ts": start_us, "dur": duration_us * _TICK_US,
-                "pid": 1, "tid": tid, "args": args,
-            })
+    events: list[dict] = []
+    tids: dict[tuple[int, str], int] = {}
+    for pid, run in enumerate(_split_runs(records), start=1):
+        name = f"repro-market seed={_meta(run).get('seed', '?')}"
+        events.append({"name": "process_name", "ph": "M", "pid": pid,
+                       "tid": 0, "args": {"name": name}})
+        for record in run:
+            if record.get("type") not in ("span", "event"):
+                continue
+            key = (pid, record["trace"])
+            if key not in tids:
+                tids[key] = len(tids) + 1
+                events.append({"name": "thread_name", "ph": "M", "pid": pid,
+                               "tid": tids[key], "args": {"name": key[1]}})
+            event = {"name": record["name"], "ts": record["start"] * _TICK_US,
+                     "pid": pid, "tid": tids[key],
+                     "args": dict(record.get("attrs", ()))}
+            if record["type"] == "event":
+                event.update(ph="i", s="t")
+            else:
+                end = record.get("end")
+                duration = (end - record["start"]) if end is not None else 0.0
+                event.update(ph="X", dur=duration * _TICK_US)
+            events.append(event)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -119,100 +120,181 @@ def write_chrome_trace(records: list[dict], path: str) -> int:
 
 
 # ----------------------------------------------------------------------
+# Replay: every roll-up, recomputed from the records
+# ----------------------------------------------------------------------
+_TERMINAL = ("committed", "aborted", "rejected")
+
+
+def _percentiles(latencies: list[float]) -> tuple[float, float, float]:
+    latencies = sorted(latencies)
+    return tuple(_percentile(latencies, q) for q in (0.50, 0.90, 0.99))
+
+
+def _replay(run: list[dict]) -> dict:
+    """One run's roll-up, in the :class:`MarketReport`'s terms."""
+    roots: list[dict] = []
+    priced_out: set[str] = set()
+    crashes = recoveries = failovers = 0
+    gauges: dict = {}
+    for record in run:
+        kind, name = record.get("type"), record.get("name", "")
+        if kind == "span" and name == "deal":
+            roots.append(record)
+        elif kind == "span" and name.startswith("down:"):
+            crashes += 1
+            recoveries += "replayed" in record.get("attrs", {})
+        elif kind == "event" and name == "failover":
+            failovers += 1
+        elif kind == "event" and name == "fee-priced-out":
+            priced_out.add(record["trace"])
+        elif kind == "metrics":
+            gauges = record.get("gauges", {})
+    outcomes = dict.fromkeys(_TERMINAL, 0)
+    buckets: dict[str, dict] = {}
+    latencies: list[float] = []
+    conflicts_by_shard: dict[int, int] = {}
+    timeouts = committed_full = 0
+    for root in roots:
+        attrs = root.get("attrs", {})
+        outcome, reason = attrs.get("outcome"), attrs.get("reason")
+        bucket = buckets.setdefault(
+            attrs.get("protocol", "?"), {**dict.fromkeys(_TERMINAL, 0), "latencies": []}
+        )
+        if outcome in _TERMINAL:
+            outcomes[outcome] += 1
+            bucket[outcome] += 1
+        if outcome == "committed":
+            latencies.append(root["end"] - root["start"])
+            bucket["latencies"].append(latencies[-1])
+            committed_full += not attrs.get("truncated")
+        if reason == "conflict":
+            shard = attrs.get("shard", 0)
+            conflicts_by_shard[shard] = conflicts_by_shard.get(shard, 0) + 1
+        timeouts += outcome == "aborted" and reason == "timeout"
+    return {
+        "meta": _meta(run),
+        "per_protocol": tuple(
+            (protocol, bucket["committed"], bucket["aborted"], bucket["rejected"],
+             *_percentiles(bucket["latencies"]))
+            for protocol, bucket in sorted(buckets.items())
+        ),
+        "deals": len(roots),
+        **outcomes,
+        "stuck": len(roots) - sum(outcomes.values()),
+        "conflicts": sum(conflicts_by_shard.values()),
+        "conflicts_by_shard": tuple(sorted(conflicts_by_shard.items())),
+        "timeouts": timeouts,
+        **dict(zip(("latency_p50", "latency_p90", "latency_p99"),
+                   _percentiles(latencies))),
+        "crashes": crashes,
+        "recoveries": recoveries,
+        "failovers": failovers,
+        "fee_priced_out": len(priced_out),
+        "coverage": (outcomes["committed"], committed_full),
+        **{name: gauges.get(f"chain.{name}", 0)
+           for name in ("blocks", "txs_executed", "txs_reverted")},
+    }
+
+
+def replay_counts(records: list[dict]) -> list[dict]:
+    """One roll-up per run in ``records``, recomputed from the trace.
+
+    Each roll-up carries the run's ``meta`` record and the report's
+    quantities under the report's names — ``per_protocol`` rows in
+    :attr:`MarketReport.per_protocol`'s layout, ``deals``,
+    ``committed``, ``aborted``, ``rejected``, ``stuck``, ``conflicts``,
+    ``timeouts``, ``latency_p50/p90/p99``, ``recoveries``,
+    ``failovers``, ``fee_priced_out``, ``blocks``, ``txs_executed``,
+    ``txs_reverted`` — plus ``crashes`` (the report's
+    ``faults_injected``), ``conflicts_by_shard`` ((home shard, count)
+    rows) and ``coverage``: (committed deals, of those with an
+    untruncated root span).  Latency is a root span's ``end - start``:
+    arrival to finish, as the report measures it.
+    """
+    return [_replay(run) for run in _split_runs(records)]
+
+
+# ----------------------------------------------------------------------
 # Summary (the `python -m repro trace-summary` report)
 # ----------------------------------------------------------------------
-def _deal_rows(records: list[dict]) -> list[dict]:
-    """One row per deal trace: outcome, duration, phase timeline."""
+def _slowest(run: list[dict], top: int) -> list[list[str]]:
+    """The run's ``top`` slowest committed deals, with phase timelines."""
     roots: dict[str, dict] = {}
     phases: dict[str, list[dict]] = {}
-    for record in records:
-        if record.get("type") != "span":
-            continue
-        trace = record["trace"]
-        if not trace.startswith("deal-"):
+    for record in run:
+        if record.get("type") != "span" or not record["trace"].startswith("deal-"):
             continue
         if record["name"] == "deal":
-            roots[trace] = record
+            roots[record["trace"]] = record
         else:
-            phases.setdefault(trace, []).append(record)
-    rows = []
-    for trace, root in roots.items():
-        end = root.get("end")
-        duration = (end - root["start"]) if end is not None else 0.0
-        attrs = root.get("attrs", {})
-        timeline = [
-            (p["name"], (p.get("end", p["start"]) or p["start"]) - p["start"])
-            for p in sorted(phases.get(trace, ()), key=lambda p: (p["start"], p["id"]))
+            phases.setdefault(record["trace"], []).append(record)
+    committed = sorted(
+        (root for root in roots.values()
+         if root.get("attrs", {}).get("outcome") == "committed"),
+        key=lambda root: (root["start"] - root["end"], int(root["trace"][5:])),
+    )
+    return [
+        [
+            root["trace"],
+            root["attrs"].get("protocol", "?"),
+            f"{root['end'] - root['start']:.2f}",
+            " > ".join(
+                f"{phase['name']} {phase['end'] - phase['start']:.2f}"
+                for phase in sorted(phases.get(root["trace"], ()),
+                                    key=lambda phase: (phase["start"], phase["id"]))
+            ),
         ]
-        rows.append({
-            "trace": trace,
-            "index": int(trace.split("-", 1)[1]),
-            "protocol": attrs.get("protocol", "?"),
-            "outcome": attrs.get("outcome", "open"),
-            "reason": attrs.get("reason", ""),
-            "start": root["start"],
-            "duration": duration,
-            "timeline": timeline,
-        })
-    rows.sort(key=lambda row: row["index"])
-    return rows
+        for root in committed[:top]
+    ]
 
 
-def summarize(records: list[dict], top: int = 5) -> str:
-    """Render the trace summary: totals, analytics, slowest deals."""
+def _run_section(run: list[dict], top: int) -> list[str]:
     from repro.analysis.tables import render_table
 
-    meta = next((r for r in records if r.get("type") == "meta"), {})
-    rows = _deal_rows(records)
-    outcomes: dict[str, int] = {}
-    for row in rows:
-        outcomes[row["outcome"]] = outcomes.get(row["outcome"], 0) + 1
+    counts = _replay(run)
+    meta = counts["meta"]
     lines = [
-        "Trace summary",
         f"  seed={meta.get('seed', '?')} shards={meta.get('shards', '?')} "
         f"replication={meta.get('replication_factor', '?')} "
         f"spans={meta.get('spans', 0)} horizon={meta.get('end_time', 0.0):.1f} ticks",
-        f"  deals traced: {len(rows)} ("
-        + ", ".join(f"{name} {count}" for name, count in sorted(outcomes.items()))
-        + ")",
+        f"  deals traced: {counts['deals']} (committed {counts['committed']}, "
+        f"aborted {counts['aborted']}, rejected {counts['rejected']}, "
+        f"stuck {counts['stuck']})",
+        f"  conflicts {counts['conflicts']}, timeouts {counts['timeouts']}, "
+        f"fee-priced-out {counts['fee_priced_out']}",
+        f"  blocks / txs: {counts['blocks']} blocks, "
+        f"{counts['txs_executed']} txs executed, {counts['txs_reverted']} reverted",
     ]
-    analytics = next((r for r in records if r.get("type") == "analytics"), None)
-    if analytics is not None:
+    if counts["crashes"] or counts["failovers"]:
         lines.append(
-            f"  analytics: {analytics['blocks_ingested']} blocks, "
-            f"{analytics['txs_ingested']} txs ingested, "
-            f"{analytics['deals_committed']} commits observed"
+            f"  replicas: {counts['crashes']} crashes, "
+            f"{counts['recoveries']} recoveries, {counts['failovers']} failovers"
         )
-        hotspots = analytics.get("conflict_hotspots") or []
-        if hotspots:
-            lines.append(
-                "  conflict hot-spots: "
-                + ", ".join(f"shard {s}: {n}" for s, n in hotspots)
-            )
-        for protocol, pcts in (analytics.get("latency_percentiles") or {}).items():
-            lines.append(
-                f"  latency [{protocol}]: "
-                + " ".join(f"{q}={v:.2f}" for q, v in sorted(pcts.items()))
-            )
-    slowest = sorted(
-        (row for row in rows if row["outcome"] == "committed"),
-        key=lambda row: (-row["duration"], row["index"]),
-    )[:top]
+    for protocol, committed, aborted, rejected, p50, p90, p99 in counts["per_protocol"]:
+        lines.append(
+            f"  [{protocol}] committed {committed}, aborted {aborted}, "
+            f"rejected {rejected}; latency p50={p50:.2f} p90={p90:.2f} p99={p99:.2f}"
+        )
+    if counts["conflicts_by_shard"]:
+        lines.append("  conflicts by home shard: " + ", ".join(
+            f"shard {shard}: {n}" for shard, n in counts["conflicts_by_shard"]
+        ))
+    slowest = _slowest(run, top)
     if slowest:
-        table_rows = [
-            [
-                row["trace"],
-                row["protocol"],
-                f"{row['duration']:.2f}",
-                " > ".join(
-                    f"{name} {duration:.2f}" for name, duration in row["timeline"]
-                ),
-            ]
-            for row in slowest
-        ]
         lines.append(render_table(
             ["deal", "protocol", "ticks", "phase timeline (ticks)"],
-            table_rows,
+            slowest,
             title=f"Top {len(slowest)} slowest committed deals",
         ))
+    return lines
+
+
+def summarize(records: list[dict], top: int = 5) -> str:
+    """Render the trace summary: one section per run in ``records``."""
+    runs = _split_runs(records)
+    lines = ["Trace summary" + (f": {len(runs)} runs" if len(runs) > 1 else "")]
+    for number, run in enumerate(runs, 1):
+        if len(runs) > 1:
+            lines.append(f"Run {number} of {len(runs)}")
+        lines.extend(_run_section(run, top))
     return "\n".join(lines)

@@ -31,13 +31,6 @@ class Span:
     point: bool = False
     attrs: dict = field(default_factory=dict)
 
-    @property
-    def duration(self) -> float:
-        """Span length in ticks (0.0 while open or for point events)."""
-        if self.end is None:
-            return 0.0
-        return self.end - self.start
-
     def close(self, at: float, **attrs: object) -> None:
         """End the span at ``at`` (idempotent; first close wins)."""
         if self.end is None:
@@ -122,10 +115,3 @@ class Tracer:
                 span.close(at, truncated=True)
                 closed += 1
         return closed
-
-    def by_trace(self) -> dict[str, list[Span]]:
-        """Spans grouped by trace id, in creation order."""
-        grouped: dict[str, list[Span]] = {}
-        for span in self.spans:
-            grouped.setdefault(span.trace_id, []).append(span)
-        return grouped

@@ -9,8 +9,10 @@ twice, and every deal settles uniformly across chains.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from market_test_utils import HandWorkload, nft_sale, run_hand, two_party_swap
-from repro.market.invariants import check_market_invariants
+from repro.market.invariants import _check_uniformity, check_market_invariants
 from repro.market import DealPhase, MarketConfig, MarketCoordinator
 from repro.workloads.market import MarketProfile, MarketWorkload
 
@@ -199,3 +201,24 @@ def test_uniform_outcomes_across_chains():
             assert states == {COMMITTED}
         elif run.phase is DealPhase.ABORTED:
             assert states <= {ABORTED, None}
+
+
+def test_sore_loser_carve_out_is_timelock_only():
+    """Only a §5 timelock deal may settle mixed, and only under crashes.
+
+    Drivers only ever flag ``sore_loser`` on timelock runs, so the
+    protocol guard is held here on a stub run instead.
+    """
+
+    def sore_loser(protocol):
+        return SimpleNamespace(
+            terminal=True, decided="abort", sore_loser=True,
+            protocol=protocol, order=SimpleNamespace(index=7),
+        )
+
+    for protocol in ("cbc", "unanimity"):
+        violations = _check_uniformity(sore_loser(protocol), crash_faults_active=True)
+        assert len(violations) == 1 and f"{protocol} deal #7" in violations[0]
+    assert _check_uniformity(sore_loser("timelock"), crash_faults_active=True) == []
+    no_crash = _check_uniformity(sore_loser("timelock"), crash_faults_active=False)
+    assert len(no_crash) == 1

@@ -3,13 +3,16 @@
 The two contract tests matter most: a traced, replicated market run
 must produce the exact report bytes (fingerprint included) of the
 untraced run, and two same-seed traced runs must write byte-identical
-JSONL files.  Everything else here pins the tracer/metrics/tap/export
-units those contracts rest on.
+JSONL files.  ``TestReplay`` holds the one analytical path to the
+report: the trace alone recomputes every roll-up the report keeps.
+Everything else here pins the tracer/metrics/export units those
+contracts rest on.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from repro.telemetry.export import (
     chrome_trace,
     load_trace,
+    replay_counts,
     summarize,
     trace_records,
     write_chrome_trace,
@@ -30,14 +34,27 @@ from repro.telemetry.metrics import _percentile
 from repro.workloads.market import MarketProfile, MarketWorkload
 
 
-def _run(telemetry=None, replication=1, fault_plan=None):
+def _run(telemetry=None, replication=1, fault_plan=None,
+         profile=None, **config):
     config = MarketConfig(
         replication_factor=replication,
         fault_plan=fault_plan,
         telemetry=telemetry,
+        **config,
     )
-    scheduler = MarketCoordinator(MarketWorkload(MarketProfile.sharded_smoke()), config)
-    return scheduler.run()
+    profile = profile or MarketProfile.sharded_smoke()
+    return MarketCoordinator(MarketWorkload(profile), config).run()
+
+
+def _traced(**kwargs):
+    telemetry = Telemetry()
+    return telemetry, _run(telemetry=telemetry, **kwargs)
+
+
+def _crash_plan():
+    plan = FaultPlan()
+    plan.add(ReplicaCrash(replica="s0/r0", at_time=9.0, recover_at=25.0))
+    return plan
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +72,13 @@ def replicated_report():
 @pytest.fixture(scope="module")
 def traced():
     """One traced, replicated run shared by the read-only tests."""
-    telemetry = Telemetry()
-    report = _run(telemetry=telemetry, replication=2)
-    return telemetry, report
+    return _traced(replication=2)
+
+
+@pytest.fixture(scope="module")
+def crash_traced():
+    """Replication factor 3 with one replica crashed and recovered."""
+    return _traced(replication=3, fault_plan=_crash_plan())
 
 
 class TestByteNeutrality:
@@ -79,7 +100,7 @@ class TestByteNeutrality:
 class TestCoverage:
     def test_full_span_chains_for_committed_deals(self, traced):
         telemetry, report = traced
-        committed, full = telemetry.deal_coverage()
+        committed, full = replay_counts(trace_records(telemetry))[0]["coverage"]
         assert committed == report.committed
         assert full / committed >= 0.95
 
@@ -120,7 +141,7 @@ class TestTracer:
         child.close(3.5)
         root.close(4.0, outcome="committed")
         assert child.parent_id == root.span_id
-        assert child.duration == 1.5
+        assert (child.start, child.end) == (2.0, 3.5)
         record = child.to_record()
         assert record["type"] == "span"
         assert record["parent"] == root.span_id
@@ -151,15 +172,6 @@ class TestTracer:
         assert open_span.end == 7.0
         assert open_span.attrs["truncated"] is True
         assert "truncated" not in closed.attrs
-
-    def test_by_trace_groups(self):
-        tracer = Tracer()
-        tracer.start_span("a", "x", 0.0)
-        tracer.start_span("b", "y", 0.0)
-        tracer.start_span("a", "z", 1.0)
-        grouped = tracer.by_trace()
-        assert sorted(grouped) == ["a", "b"]
-        assert [s.name for s in grouped["a"]] == ["x", "z"]
 
 
 class TestMetrics:
@@ -199,38 +211,68 @@ class TestMetrics:
         assert _percentile(values, 1.0) == 4.0
 
 
-class TestBlockTap:
-    def test_summary_matches_report(self, traced):
-        telemetry, report = traced
-        summary = telemetry.tap.summary()
-        assert summary["blocks_ingested"] == report.blocks
-        assert summary["txs_ingested"] == report.txs_executed
-        assert summary["deals_committed"] == report.committed
-        # Forged orders are rejected at the mempool, so they never
-        # register on-chain and the tap never sees them.
-        assert summary["deals_registered"] == report.deals - report.rejected
+# The report's fields ``replay_counts`` recomputes under the same name
+# (``crashes`` is the report's ``faults_injected``; ``sore_losers`` has
+# no cause event on the trace yet).
+REPLAYED_FIELDS = (
+    "deals", "committed", "aborted", "rejected", "stuck", "conflicts",
+    "timeouts", "latency_p50", "latency_p90", "latency_p99", "per_protocol",
+    "recoveries", "failovers", "fee_priced_out",
+    "blocks", "txs_executed", "txs_reverted",
+)
 
-    def test_windowed_commit_rate(self, traced):
-        telemetry, report = traced
-        now = telemetry.meta["end_time"]
-        whole_run = telemetry.tap.commit_rate(window=now + 1.0, now=now)
-        assert whole_run == pytest.approx(report.committed / (now + 1.0))
-        assert telemetry.tap.commit_rate(window=10.0, now=-100.0) == 0.0
+REPLAY_CASES = {
+    "smoke": dict(profile=MarketProfile.smoke()),
+    "mixed_smoke": dict(profile=MarketProfile.mixed_smoke()),
+    "congested_base_fee": dict(
+        profile=MarketProfile.congested_smoke(), seal_policy="base_fee"
+    ),
+}
 
-    def test_latency_percentiles_by_protocol(self, traced):
-        telemetry, _ = traced
-        percentiles = telemetry.tap.latency_percentiles()
-        assert "unanimity" in percentiles
-        pcts = percentiles["unanimity"]
-        assert pcts["p50"] <= pcts["p90"] <= pcts["p99"]
+
+class TestReplay:
+    @pytest.mark.parametrize("case", ["sharded_crash", *REPLAY_CASES])
+    def test_trace_recomputes_report(self, case, crash_traced):
+        if case == "sharded_crash":
+            telemetry, report = crash_traced
+            assert report.faults_injected == report.recoveries == 1
+        else:
+            telemetry, report = _traced(**REPLAY_CASES[case])
+        (counts,) = replay_counts(trace_records(telemetry))
+        replayed = {field: counts[field] for field in REPLAYED_FIELDS}
+        replayed["faults_injected"] = counts["crashes"]
+        assert replayed == {field: getattr(report, field) for field in replayed}
+        if case == "congested_base_fee":
+            assert report.fee_priced_out > 0
+        if case == "mixed_smoke":
+            assert len(report.per_protocol) == 3
+
+    def test_merged_trace_is_replayed_run_by_run(self, crash_traced):
+        other = _traced(profile=replace(MarketProfile.smoke(seed=7), deals=20))
+        runs = [crash_traced, other]
+        merged = [r for telemetry, _ in runs for r in trace_records(telemetry)]
+        counts = replay_counts(merged)
+        assert len(counts) == 2
+        for (telemetry, report), rollup in zip(runs, counts):
+            assert rollup == replay_counts(trace_records(telemetry))[0]
+            assert rollup["committed"] == report.committed
+        assert [c["meta"]["seed"] for c in counts] == ["0", "7"]
+        text = summarize(merged, top=1)
+        assert "seed=0 " in text and "seed=7 " in text
+        assert text.count("slowest committed deals") == 2
+        # Both runs trace deal-0.., so a merged walk would interleave them.
+        assert all(line.count("register") <= 1 for line in text.splitlines())
+        document = chrome_trace(merged)
+        threads = {
+            (e["pid"], e["tid"]) for e in document["traceEvents"] if e["ph"] != "M"
+        }
+        assert {pid for pid, _ in threads} == {1, 2}
+        assert len({tid for _, tid in threads}) == len(threads)
 
 
 class TestReplicationSpans:
-    def test_crash_recovery_and_failover_traced(self):
-        plan = FaultPlan()
-        plan.add(ReplicaCrash(replica="s0/r0", at_time=9.0, recover_at=25.0))
-        telemetry = Telemetry()
-        report = _run(telemetry=telemetry, replication=3, fault_plan=plan)
+    def test_crash_recovery_and_failover_traced(self, crash_traced):
+        telemetry, report = crash_traced
         assert report.faults_injected == 1
         down = [s for s in telemetry.tracer.spans if s.name == "down:s0/r0"]
         assert len(down) == 1
@@ -247,8 +289,7 @@ class TestExport:
         telemetry, _ = traced
         records = trace_records(telemetry)
         assert records[0]["type"] == "meta"
-        assert records[-1]["type"] == "analytics"
-        assert records[-2]["type"] == "metrics"
+        assert records[-1]["type"] == "metrics"
         assert records[0]["spans"] == len(telemetry.tracer.spans)
         path = tmp_path / "trace.jsonl"
         count = write_trace_jsonl(telemetry, str(path))
