@@ -47,6 +47,7 @@ import market_experiment
 from market_experiment import Column, run_market, run_sweep, safety_failures
 from repro.market import MarketConfig, MarketReport
 from repro.market.fees import SEAL_POLICIES
+from repro.telemetry.metrics import DealOutcome, tally
 from repro.workloads.market import MarketProfile
 
 # Congestion scenario -> what it switches off in the full congested profile.
@@ -93,26 +94,15 @@ def honest_outcomes(report: MarketReport, profile: MarketProfile) -> dict:
     the base-fee floor, so fee pressure may delay it but never evict
     it.
     """
-    committed = aborted = 0
-    latencies = []
-    for index, _protocol, outcome, _reason, latency in report.outcome_log:
-        if index >= profile.deals:
-            continue
-        if outcome == "committed":
-            committed += 1
-            latencies.append(latency)
-        elif outcome == "aborted":
-            aborted += 1
-    latencies.sort()
-    p99 = (
-        latencies[max(0, int(len(latencies) * 0.99) - 1)]
-        if latencies
-        else 0.0
+    counts = tally(
+        DealOutcome(*entry[1:])
+        for entry in report.outcome_log
+        if entry[0] < profile.deals
     )
     return {
-        "honest_committed": committed,
-        "honest_aborted": aborted,
-        "honest_p99": p99,
+        "honest_committed": counts["committed"],
+        "honest_aborted": counts["aborted"],
+        "honest_p99": counts["latency_p99"],
     }
 
 

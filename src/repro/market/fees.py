@@ -159,51 +159,36 @@ class FirstPricePolicy(SealPolicy):
 class BaseFeePolicy(SealPolicy):
     """EIP-1559-style congestion control, one instance per chain.
 
-    The chain's base fee multiplies by ``1 + adjust * (fullness -
-    target) / target`` after every seal: full blocks raise the price
-    of the next one, empty blocks decay it (geometrically, by at most
-    ``adjust`` per block) down to ``floor``.  A step seals only when
-    its deal's bid meets the *current* base fee — under-bidders go
-    back to the pending queue and ride the decay; sealed deal steps
-    are charged the base fee they sealed at (the protocol price, not
-    their bid).  A bid below ``floor`` can never become eligible, so
-    once the base fee sits at the floor such steps are evicted and
-    their deals priced out — otherwise the mempool would reschedule
-    seals forever and the run could not quiesce.
+    The chain's base fee starts at ``BASE_FEE_INITIAL`` and multiplies
+    by ``1 + BASE_FEE_ADJUST * (fullness - BASE_FEE_TARGET) /
+    BASE_FEE_TARGET`` after every seal: full blocks raise the price of
+    the next one, empty blocks decay it (geometrically, by at most
+    ``BASE_FEE_ADJUST`` per block) down to ``BASE_FEE_FLOOR``.  A step
+    seals only when its deal's bid meets the *current* base fee —
+    under-bidders go back to the pending queue and ride the decay;
+    sealed deal steps are charged the base fee they sealed at (the
+    protocol price, not their bid).  A bid below the floor can never
+    become eligible, so once the base fee sits at the floor such steps
+    are evicted and their deals priced out — otherwise the mempool
+    would reschedule seals forever and the run could not quiesce.
     """
 
     name = "base_fee"
 
-    def __init__(
-        self,
-        fees: FeeLedger,
-        initial: float = BASE_FEE_INITIAL,
-        floor: float = BASE_FEE_FLOOR,
-        adjust: float = BASE_FEE_ADJUST,
-        target_fullness: float = BASE_FEE_TARGET,
-    ):
-        if floor <= 0 or initial < floor:
-            raise MarketError("base fee needs initial >= floor > 0")
-        if not 0.0 < target_fullness <= 1.0:
-            raise MarketError("target fullness must be in (0, 1]")
-        if not 0.0 < adjust < 1.0:
-            raise MarketError("base-fee adjust rate must be in (0, 1)")
+    def __init__(self, fees: FeeLedger):
         self.fees = fees
-        self.base_fee = float(initial)
-        self.floor = float(floor)
-        self.adjust = adjust
-        self.target_fullness = target_fullness
+        self.base_fee = BASE_FEE_INITIAL
 
     def _eligible(self, step) -> bool:
         return self.fees.bid(step.deal_id) >= self.base_fee
 
     def select(self, pending: list, cap: int) -> tuple[list, list, list]:
         eligible, waiting, evicted = [], [], []
-        at_floor = self.base_fee <= self.floor
+        at_floor = self.base_fee <= BASE_FEE_FLOOR
         for step in pending:
             if self.exempt(step) or self._eligible(step):
                 eligible.append(step)
-            elif at_floor and self.fees.bid(step.deal_id) < self.floor:
+            elif at_floor and self.fees.bid(step.deal_id) < BASE_FEE_FLOOR:
                 # The decay has bottomed out and this bid still does
                 # not clear it: it never will.  Fee-priced-out.
                 evicted.append(step)
@@ -226,10 +211,10 @@ class BaseFeePolicy(SealPolicy):
         # 1559 update: price the *next* block by this block's fullness.
         fullness = len(batch) / cap if cap else 0.0
         self.base_fee = max(
-            self.floor,
+            BASE_FEE_FLOOR,
             self.base_fee
-            * (1.0 + self.adjust * (fullness - self.target_fullness)
-               / self.target_fullness),
+            * (1.0 + BASE_FEE_ADJUST * (fullness - BASE_FEE_TARGET)
+               / BASE_FEE_TARGET),
         )
         return batch, waiting, evicted
 

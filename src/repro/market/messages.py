@@ -24,10 +24,10 @@ names one protocol edge:
   :class:`~repro.market.protocols.DealDriver`.
 * :class:`DeltaShipment` / :class:`DeltaAck` — replication plane:
   sealed-block write-set shipping leader → follower and the
-  follower's sequence acknowledgement (these two ride the dedicated
-  replication :class:`~repro.sim.network.SynchronousNetwork`, not the
-  bus, but share the Envelope wrapper so network fault stats cover
-  them uniformly).
+  follower's sequence acknowledgement.  These two ride the dedicated
+  replication :class:`~repro.sim.network.SynchronousNetwork` bare, not
+  the bus: its fault filters and stats key on endpoint names, so no
+  wrapper is needed.
 
 **At-least-once delivery** is the transport's job, not the payloads':
 under a chaotic bus (:class:`~repro.sim.network.ChaosBus`) every

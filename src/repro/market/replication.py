@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from repro.chain.ledger import Chain, StateDelta, digest_state
 from repro.market.messages import DeltaAck, DeltaShipment
 from repro.sim.faults import MessageStorm
-from repro.sim.network import Envelope, Retransmitter, SynchronousNetwork
+from repro.sim.network import Retransmitter, SynchronousNetwork
 from repro.sim.rng import DeterministicRng
 
 # Resends of one watched shipment before the leader gives up on it
@@ -281,25 +281,6 @@ class ReplicationLayer:
         # With no live leader nothing ships: followers heal from the
         # group log at failover/recovery time (anti-entropy).
 
-    def _send(self, sender: str, recipient: str, payload) -> None:
-        """Put one replication message on the delta network.
-
-        Shipments and acks ride the same typed Envelope as every other
-        market plane (sim.network.Envelope), so the network's
-        filter/drop/delay stats and the fault injectors treat them
-        uniformly.
-        """
-        self.network.send(
-            sender,
-            recipient,
-            Envelope(
-                sender=sender,
-                shard=self.replicas[sender].shard,
-                tick=self.simulator.now,
-                payload=payload,
-            ),
-        )
-
     def _ship(
         self, group: ShardReplicaGroup, follower: str, chain_id: str, seq: int
     ) -> None:
@@ -322,7 +303,7 @@ class ReplicationLayer:
                     self.resender.ack(key)
                     return
                 self.counters["deltas_resent"] += 1
-            self._send(
+            self.network.send(
                 leader.name,
                 follower,
                 DeltaShipment(
@@ -390,8 +371,6 @@ class ReplicationLayer:
 
     def _on_message(self, replica: Replica, message) -> None:
         payload = message.payload
-        if isinstance(payload, Envelope):
-            payload = payload.payload
         if not replica.alive:
             # A shipment or ack racing a crash: the dead process sees
             # nothing.
@@ -409,7 +388,7 @@ class ReplicationLayer:
         # replication lag is an observable quantity.
         target = self.groups[replica.shard].leader
         if target is not None and target != replica.name:
-            self._send(
+            self.network.send(
                 replica.name,
                 target,
                 DeltaAck(

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 from repro.analysis.tables import render_table
 from repro.crypto.hashing import tagged_hash
-# The report's latency percentiles are trace-summary's, so the two
-# cannot drift apart.
-from repro.telemetry.metrics import _percentile  # noqa: F401
 
 
 @dataclass
@@ -44,7 +41,8 @@ class MarketReport:
     invariant_violations: tuple[str, ...] = ()
     outcome_log: tuple = ()
     # (protocol, committed, aborted, rejected, p50, p90, p99) rows,
-    # one per protocol present in the workload, sorted by protocol.
+    # one per protocol present in the workload, sorted by protocol
+    # (telemetry.metrics.tally builds them, and every outcome count).
     per_protocol: tuple = ()
     stale_proofs_rejected: int = 0
     timelock_refund_sweeps: int = 0
@@ -127,9 +125,9 @@ class MarketReport:
     def protocol_outcome_rows(self, include_p90: bool = True) -> list[list]:
         """The per-protocol rows, formatted for a render_table call.
 
-        The single place that knows the ``per_protocol`` tuple layout —
-        both the report's own table and the E16 benchmark table build
-        on it.
+        The report's one reader of the ``per_protocol`` tuple layout
+        (:func:`~repro.telemetry.metrics.tally` produces it) — both the
+        report's own table and the E16 benchmark table build on it.
         """
         rows = []
         for protocol, committed, aborted, rejected, p50, p90, p99 in self.per_protocol:

@@ -74,10 +74,11 @@ from repro.market.messages import (
 from repro.market.order import SignedDealOrder, shard_of_deal
 from repro.market.protocols import DRIVERS, CbcDealDriver, DealPhase, _DealRun
 from repro.market.replication import ReplicationLayer
-from repro.market.report import MarketReport, _percentile
+from repro.market.report import MarketReport
 from repro.market.shard import COORDINATOR_ENDPOINT, ShardRuntime, shard_endpoint
 from repro.sim.network import ChaosBus, Envelope, LocalBus
 from repro.sim.simulator import Simulator
+from repro.telemetry.metrics import DealOutcome, tally
 
 COMMIT_LOG_CONTRACT = "market-commitlog"
 
@@ -599,58 +600,21 @@ class MarketCoordinator:
     # Reporting
     # ------------------------------------------------------------------
     def _report(self) -> MarketReport:
-        committed = aborted = rejected = stuck = conflicts = timeouts = 0
-        cross_shard_deals = cross_shard_committed = 0
-        commit_latencies: list[float] = []
         outcome_log = []
-        per_protocol: dict[str, dict] = {}
+        deals = []
         for run in self.runs.values():
-            if run.cross_shard:
-                cross_shard_deals += 1
-                if run.phase is DealPhase.COMMITTED:
-                    cross_shard_committed += 1
             latency = (
                 run.finished_at - run.order.arrival
                 if run.finished_at is not None
                 else -1.0
             )
-            outcome_log.append(
-                (run.order.index, run.protocol, run.phase.value, run.reason, latency)
-            )
-            bucket = per_protocol.setdefault(
-                run.protocol,
-                {"committed": 0, "aborted": 0, "rejected": 0, "latencies": []},
-            )
-            if run.phase is DealPhase.COMMITTED:
-                committed += 1
-                commit_latencies.append(latency)
-                bucket["committed"] += 1
-                bucket["latencies"].append(latency)
-            elif run.phase is DealPhase.ABORTED:
-                aborted += 1
-                bucket["aborted"] += 1
-            elif run.phase is DealPhase.REJECTED:
-                rejected += 1
-                bucket["rejected"] += 1
-            else:
-                stuck += 1
-            if run.conflict:
-                conflicts += 1
-            if run.phase is DealPhase.ABORTED and run.reason == "timeout":
-                timeouts += 1
-        commit_latencies.sort()
-        outcome_log.sort()
-        protocol_rows = []
-        for protocol in sorted(per_protocol):
-            bucket = per_protocol[protocol]
-            latencies = sorted(bucket["latencies"])
-            protocol_rows.append((
-                protocol, bucket["committed"], bucket["aborted"],
-                bucket["rejected"],
-                _percentile(latencies, 0.50),
-                _percentile(latencies, 0.90),
-                _percentile(latencies, 0.99),
+            entry = (run.order.index, run.protocol, run.phase.value, run.reason, latency)
+            outcome_log.append(entry)
+            deals.append(DealOutcome(
+                *entry[1:], run.conflict, run.cross_shard, run.sore_loser
             ))
+        outcome_log.sort()
+        counts = tally(deals)
         end_time = self.simulator.now
         # The replication/fault rows exist only when the layer ran (a
         # fault plan with faults always constructs it); otherwise the
@@ -664,18 +628,11 @@ class MarketCoordinator:
                     for row in self.config.fault_plan.stats()
                 )
         return MarketReport(
-            deals=len(self.runs),
-            committed=committed,
-            aborted=aborted,
-            rejected=rejected,
-            stuck=stuck,
-            conflicts=conflicts,
-            timeouts=timeouts,
-            latency_p50=_percentile(commit_latencies, 0.50),
-            latency_p90=_percentile(commit_latencies, 0.90),
-            latency_p99=_percentile(commit_latencies, 0.99),
+            **counts,
             end_time=end_time,
-            deals_per_kilotick=(committed / end_time * 1000.0) if end_time else 0.0,
+            deals_per_kilotick=(
+                counts["committed"] / end_time * 1000.0 if end_time else 0.0
+            ),
             chains=len(self.chains),
             blocks=sum(len(chain.blocks) - 1 for chain in self.chains.values()),
             txs_executed=self._receipts_seen,
@@ -688,15 +645,11 @@ class MarketCoordinator:
                 self.protocol_violations + check_market_invariants(self)
             ),
             outcome_log=tuple(outcome_log),
-            per_protocol=tuple(protocol_rows),
             stale_proofs_rejected=self.stats["stale_proofs_rejected"],
             timelock_refund_sweeps=self.stats["timelock_refund_sweeps"],
             verify_stats=tuple(sorted(self.verify_aggregator.stats.items())),
             shards=self.shards,
-            cross_shard_deals=cross_shard_deals,
-            cross_shard_committed=cross_shard_committed,
             **replicated,
-            sore_losers=sum(1 for run in self.runs.values() if run.sore_loser),
             bus_stats=tuple(sorted(self.bus.stats.items())),
             seal_policy=self.config.seal_policy,
             fee_priced_out=sum(

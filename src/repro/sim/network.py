@@ -27,7 +27,7 @@ and — because at-least-once means duplicates — a receiving
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable
 
 from repro.errors import NetworkError
@@ -47,19 +47,16 @@ class Message:
 
 @dataclass(frozen=True)
 class Envelope:
-    """The one typed wrapper every market message plane shares.
+    """The typed wrapper of the market's shard bus.
 
-    Replication delta shipping and the shard runtime messages
-    (:mod:`repro.market.messages`) both travel as an ``Envelope``: who
-    sent it, which shard it concerns, the simulated tick it was posted
-    at, and a frozen payload.  On the replication plane's
-    :class:`Network`, filter/drop/delay stats — and the fault
-    injectors behind them — key on endpoint names and never need to
-    know which payload a message carries; the bus (:class:`LocalBus`,
-    :class:`ChaosBus`) has no filters, and its hazards are the
-    :class:`~repro.sim.chaos.ChaosPolicy` rolls.  Either way a
-    payload-typed consumer can ``isinstance`` its way through the
-    traffic.
+    The shard runtime messages (:mod:`repro.market.messages`) travel
+    the bus (:class:`LocalBus`, :class:`ChaosBus`) as an ``Envelope``:
+    who sent it, which shard it concerns, the simulated tick it was
+    posted at, and a frozen payload a consumer can ``isinstance`` its
+    way through.  The bus has no filters; its hazards are the
+    :class:`~repro.sim.chaos.ChaosPolicy` rolls.  (Replication deltas
+    ride a :class:`Network` as bare payloads: its filter/drop/delay
+    stats, and the fault injectors behind them, key on endpoint names.)
 
     ``msg_id`` is the at-least-once delivery tag: a per-(sender,
     recipient) monotonic sequence number stamped by :class:`ChaosBus`.
@@ -119,10 +116,6 @@ class Network:
         if name in self._handlers:
             raise NetworkError(f"endpoint {name!r} already registered")
         self._handlers[name] = handler
-
-    def deregister(self, name: str) -> None:
-        """Detach an endpoint; future messages to it are dropped."""
-        self._handlers.pop(name, None)
 
     def add_filter(self, fn: Callable[[Message], float | None]) -> None:
         """Install a delivery filter.
@@ -195,12 +188,6 @@ class Network:
             lambda: self._deliver(message),
             label=f"deliver->{message.recipient}",
         )
-
-    def broadcast(self, sender: str, payload: object) -> None:
-        """Send ``payload`` to every registered endpoint except ``sender``."""
-        for name in sorted(self._handlers):
-            if name != sender:
-                self.send(sender, name, payload)
 
     def _deliver(self, message: Message) -> None:
         handler = self._handlers.get(message.recipient)
@@ -502,8 +489,8 @@ class ChaosBus(LocalBus):
 class SynchronousNetwork(Network):
     """Delivery within a known bound Δ (paper §5's model).
 
-    Latency is drawn uniformly from ``[min_latency, delta]`` so that
-    message orderings vary across seeds while respecting the bound.
+    Latency is drawn uniformly from ``[0, delta]`` so that message
+    orderings vary across seeds while respecting the bound.
     """
 
     def __init__(
@@ -511,27 +498,23 @@ class SynchronousNetwork(Network):
         simulator: Simulator,
         delta: float,
         rng: DeterministicRng | None = None,
-        min_latency: float = 0.0,
     ):
         super().__init__(simulator, rng)
         if delta <= 0:
             raise NetworkError("delta must be positive")
-        if not 0 <= min_latency <= delta:
-            raise NetworkError("min_latency must lie in [0, delta]")
         self.delta = delta
-        self.min_latency = min_latency
 
     def latency(self, message: Message) -> float:
-        return self.rng.uniform("net/latency", self.min_latency, self.delta)
+        return self.rng.uniform("net/latency", 0.0, self.delta)
 
 
 class EventuallySynchronousNetwork(Network):
     """Unbounded delays before GST, bounded by Δ after (paper §6's model).
 
-    Before the global stabilization time, each message is delayed by a
-    draw from ``[0, pre_gst_max]`` (default: until shortly after GST),
-    modelling the adversary's pre-GST scheduling power.  After GST the
-    network behaves synchronously with bound Δ.
+    Before the global stabilization time, each message is held until a
+    uniformly drawn point within Δ after GST, modelling the adversary's
+    pre-GST scheduling power.  After GST the network behaves
+    synchronously with bound Δ.
     """
 
     def __init__(
@@ -540,7 +523,6 @@ class EventuallySynchronousNetwork(Network):
         delta: float,
         gst: float,
         rng: DeterministicRng | None = None,
-        pre_gst_max: float | None = None,
     ):
         super().__init__(simulator, rng)
         if delta <= 0:
@@ -549,53 +531,14 @@ class EventuallySynchronousNetwork(Network):
             raise NetworkError("gst must be non-negative")
         self.delta = delta
         self.gst = gst
-        self.pre_gst_max = pre_gst_max
 
     def latency(self, message: Message) -> float:
         now = self.simulator.now
         if now >= self.gst:
             return self.rng.uniform("net/latency", 0.0, self.delta)
-        # Pre-GST: adversarial delay.  By default, hold the message
-        # until a uniformly random point after GST (but within Δ of it),
-        # the worst schedule the model permits.
-        if self.pre_gst_max is not None:
-            return self.rng.uniform("net/pre-gst", 0.0, self.pre_gst_max)
+        # Pre-GST: adversarial delay.  Hold the message until a
+        # uniformly random point after GST (but within Δ of it), the
+        # worst schedule the model permits.
         release = self.gst + self.rng.uniform("net/pre-gst", 0.0, self.delta)
         return max(0.0, release - now)
 
-
-@dataclass
-class RecordingNetwork:
-    """Wrap a network, recording every send for assertions in tests."""
-
-    inner: Network
-    log: list[Message] = field(default_factory=list)
-
-    @property
-    def simulator(self) -> Simulator:
-        return self.inner.simulator
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """The wrapped network's counters (filter effects included)."""
-        return self.inner.stats
-
-    def register(self, name: str, handler: Handler) -> None:
-        self.inner.register(name, handler)
-
-    def deregister(self, name: str) -> None:
-        self.inner.deregister(name)
-
-    def add_filter(self, fn: Callable[[Message], float | None]) -> None:
-        self.inner.add_filter(fn)
-
-    def send(self, sender: str, recipient: str, payload: object) -> None:
-        self.log.append(
-            Message(sender, recipient, payload, self.inner.simulator.now)
-        )
-        self.inner.send(sender, recipient, payload)
-
-    def broadcast(self, sender: str, payload: object) -> None:
-        for name in sorted(self.inner._handlers):
-            if name != sender:
-                self.send(sender, name, payload)

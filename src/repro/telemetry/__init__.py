@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+def _outcome_flags(run) -> dict:
+    """The deal's ``conflict`` / ``sore_loser`` root attributes, each
+    written only when true (so untouched roots keep their bytes)."""
+    return {name: True for name in ("conflict", "sore_loser") if getattr(run, name)}
+
+
 class Telemetry:
     """Per-run tracing/metrics facade (one instance per market run)."""
 
@@ -75,6 +81,12 @@ class Telemetry:
     def finalize(self, scheduler) -> None:
         """End-of-run roll-up (runs after quiescence, before report)."""
         now = self._now()
+        # Stuck deals never reached deal_finished: their roots get the
+        # flags here, before the truncating close.
+        for run in scheduler.runs.values():
+            root = self._root.get(run.order.deal_id)
+            if root is not None and root.end is None:
+                root.attrs.update(_outcome_flags(run))
         truncated = self.tracer.close_open_spans(now)
         if truncated:
             self.metrics.gauge("trace.spans_truncated", truncated)
@@ -139,7 +151,7 @@ class Telemetry:
         self.tracer.event(root.trace_id, name, self._now(), parent=root, **attrs)
 
     def deal_finished(self, run, at: float) -> None:
-        """Close the deal's phase + root spans with its outcome."""
+        """Close the deal's phase + root spans with its outcome and flags."""
         deal_id = run.order.deal_id
         root = self._root.get(deal_id)
         if root is None:
@@ -147,7 +159,9 @@ class Telemetry:
         open_phase = self._phase.pop(deal_id, None)
         if open_phase is not None:
             open_phase.close(at)
-        root.close(at, outcome=run.phase.value, reason=run.reason)
+        root.close(
+            at, outcome=run.phase.value, reason=run.reason, **_outcome_flags(run)
+        )
         self.metrics.count(f"deals.{run.phase.value}")
 
     # ------------------------------------------------------------------

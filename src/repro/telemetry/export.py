@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 
-from repro.telemetry.metrics import _percentile
+from repro.telemetry.metrics import DealOutcome, tally
 
 _TICK_US = 1000.0  # 1 simulated tick renders as 1 ms on the Chrome scale
 
@@ -122,14 +122,6 @@ def write_chrome_trace(records: list[dict], path: str) -> int:
 # ----------------------------------------------------------------------
 # Replay: every roll-up, recomputed from the records
 # ----------------------------------------------------------------------
-_TERMINAL = ("committed", "aborted", "rejected")
-
-
-def _percentiles(latencies: list[float]) -> tuple[float, float, float]:
-    latencies = sorted(latencies)
-    return tuple(_percentile(latencies, q) for q in (0.50, 0.90, 0.99))
-
-
 def _replay(run: list[dict]) -> dict:
     """One run's roll-up, in the :class:`MarketReport`'s terms."""
     roots: list[dict] = []
@@ -149,48 +141,31 @@ def _replay(run: list[dict]) -> dict:
             priced_out.add(record["trace"])
         elif kind == "metrics":
             gauges = record.get("gauges", {})
-    outcomes = dict.fromkeys(_TERMINAL, 0)
-    buckets: dict[str, dict] = {}
-    latencies: list[float] = []
+    deals = []
     conflicts_by_shard: dict[int, int] = {}
-    timeouts = committed_full = 0
+    committed_full = 0
     for root in roots:
         attrs = root.get("attrs", {})
-        outcome, reason = attrs.get("outcome"), attrs.get("reason")
-        bucket = buckets.setdefault(
-            attrs.get("protocol", "?"), {**dict.fromkeys(_TERMINAL, 0), "latencies": []}
+        deal = DealOutcome(
+            attrs.get("protocol", "?"), attrs.get("outcome"), attrs.get("reason"),
+            root["end"] - root["start"], attrs.get("conflict", False),
+            attrs.get("cross_shard", False), attrs.get("sore_loser", False),
         )
-        if outcome in _TERMINAL:
-            outcomes[outcome] += 1
-            bucket[outcome] += 1
-        if outcome == "committed":
-            latencies.append(root["end"] - root["start"])
-            bucket["latencies"].append(latencies[-1])
-            committed_full += not attrs.get("truncated")
-        if reason == "conflict":
+        deals.append(deal)
+        committed_full += deal.outcome == "committed" and not attrs.get("truncated")
+        if deal.conflict:
             shard = attrs.get("shard", 0)
             conflicts_by_shard[shard] = conflicts_by_shard.get(shard, 0) + 1
-        timeouts += outcome == "aborted" and reason == "timeout"
+    counts = tally(deals)
     return {
         "meta": _meta(run),
-        "per_protocol": tuple(
-            (protocol, bucket["committed"], bucket["aborted"], bucket["rejected"],
-             *_percentiles(bucket["latencies"]))
-            for protocol, bucket in sorted(buckets.items())
-        ),
-        "deals": len(roots),
-        **outcomes,
-        "stuck": len(roots) - sum(outcomes.values()),
-        "conflicts": sum(conflicts_by_shard.values()),
+        **counts,
         "conflicts_by_shard": tuple(sorted(conflicts_by_shard.items())),
-        "timeouts": timeouts,
-        **dict(zip(("latency_p50", "latency_p90", "latency_p99"),
-                   _percentiles(latencies))),
         "crashes": crashes,
         "recoveries": recoveries,
         "failovers": failovers,
         "fee_priced_out": len(priced_out),
-        "coverage": (outcomes["committed"], committed_full),
+        "coverage": (counts["committed"], committed_full),
         **{name: gauges.get(f"chain.{name}", 0)
            for name in ("blocks", "txs_executed", "txs_reverted")},
     }
@@ -201,15 +176,17 @@ def replay_counts(records: list[dict]) -> list[dict]:
 
     Each roll-up carries the run's ``meta`` record and the report's
     quantities under the report's names — ``per_protocol`` rows in
-    :attr:`MarketReport.per_protocol`'s layout, ``deals``,
-    ``committed``, ``aborted``, ``rejected``, ``stuck``, ``conflicts``,
-    ``timeouts``, ``latency_p50/p90/p99``, ``recoveries``,
-    ``failovers``, ``fee_priced_out``, ``blocks``, ``txs_executed``,
-    ``txs_reverted`` — plus ``crashes`` (the report's
-    ``faults_injected``), ``conflicts_by_shard`` ((home shard, count)
-    rows) and ``coverage``: (committed deals, of those with an
-    untruncated root span).  Latency is a root span's ``end - start``:
-    arrival to finish, as the report measures it.
+    :attr:`MarketReport.per_protocol`'s layout and every other
+    outcome count :func:`~repro.telemetry.metrics.tally` returns
+    (``deals`` … ``sore_losers``, read off each root span's
+    ``outcome``/``reason`` and its ``conflict``/``cross_shard``/
+    ``sore_loser`` flags), ``recoveries``, ``failovers``,
+    ``fee_priced_out``, ``blocks``, ``txs_executed``, ``txs_reverted``
+    — plus ``crashes`` (the report's ``faults_injected``),
+    ``conflicts_by_shard`` ((home shard, count) rows) and
+    ``coverage``: (committed deals, of those with an untruncated root
+    span).  Latency is a root span's ``end - start``: arrival to
+    finish, as the report measures it.
     """
     return [_replay(run) for run in _split_runs(records)]
 

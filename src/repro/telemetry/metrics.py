@@ -7,11 +7,15 @@ so a seeded run produces a byte-identical metrics snapshot every time.
 Histograms keep their raw observations (market runs observe a few
 thousand values at most) so the exported summary can report exact
 nearest-rank percentiles instead of bucket approximations.
+
+:func:`tally` is the one roll-up of deal outcomes: the market report,
+the trace replay and E19's honest slice all count through it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable, NamedTuple
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -20,6 +24,82 @@ def _percentile(sorted_values: list[float], q: float) -> float:
         return 0.0
     rank = max(1, math.ceil(q * len(sorted_values)))
     return sorted_values[min(rank, len(sorted_values)) - 1]
+
+
+def _percentiles(values: list[float]) -> tuple[float, float, float]:
+    """Nearest-rank p50, p90 and p99 of ``values`` (any order)."""
+    values = sorted(values)
+    return tuple(_percentile(values, q) for q in (0.50, 0.90, 0.99))
+
+
+class DealOutcome(NamedTuple):
+    """One deal as :func:`tally` counts it.
+
+    ``outcome`` is ``"committed"``, ``"aborted"`` or ``"rejected"``;
+    anything else (a lifecycle phase, or ``None`` on an unclosed trace
+    root) is a stuck deal.  ``latency`` is arrival to finish and only
+    read for committed deals.
+    """
+
+    protocol: str
+    outcome: str | None
+    reason: str | None
+    latency: float
+    conflict: bool = False
+    cross_shard: bool = False
+    sore_loser: bool = False
+
+
+_TERMINAL = ("committed", "aborted", "rejected")
+
+
+def tally(deals: Iterable[DealOutcome]) -> dict:
+    """Roll deals up under the :class:`~repro.market.report.MarketReport`'s
+    field names.
+
+    ``deals``, ``committed``, ``aborted``, ``rejected``, ``stuck``,
+    ``conflicts`` (deals that hit an escrow conflict, whatever their
+    outcome), ``timeouts`` (aborts for patience), commit-latency
+    ``latency_p50/p90/p99``, ``per_protocol`` rows ``(protocol,
+    committed, aborted, rejected, p50, p90, p99)`` sorted by protocol
+    (one per protocol present, stuck-only ones included),
+    ``cross_shard_deals``, ``cross_shard_committed`` and
+    ``sore_losers``.
+    """
+    counts = dict.fromkeys(
+        ("deals", *_TERMINAL, "stuck", "conflicts", "timeouts",
+         "cross_shard_deals", "cross_shard_committed", "sore_losers"),
+        0,
+    )
+    latencies: list[float] = []
+    buckets: dict[str, dict] = {}
+    for deal in deals:
+        outcome = deal.outcome if deal.outcome in _TERMINAL else "stuck"
+        committed = outcome == "committed"
+        bucket = buckets.setdefault(
+            deal.protocol, {**dict.fromkeys(_TERMINAL, 0), "stuck": 0, "latencies": []}
+        )
+        bucket[outcome] += 1
+        counts[outcome] += 1
+        counts["deals"] += 1
+        if committed:
+            latencies.append(deal.latency)
+            bucket["latencies"].append(deal.latency)
+        counts["conflicts"] += deal.conflict
+        counts["timeouts"] += outcome == "aborted" and deal.reason == "timeout"
+        counts["cross_shard_deals"] += deal.cross_shard
+        counts["cross_shard_committed"] += deal.cross_shard and committed
+        counts["sore_losers"] += deal.sore_loser
+    return {
+        **counts,
+        **dict(zip(("latency_p50", "latency_p90", "latency_p99"),
+                   _percentiles(latencies))),
+        "per_protocol": tuple(
+            (protocol, *(bucket[outcome] for outcome in _TERMINAL),
+             *_percentiles(bucket["latencies"]))
+            for protocol, bucket in sorted(buckets.items())
+        ),
+    }
 
 
 class MetricsRegistry:

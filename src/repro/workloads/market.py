@@ -383,10 +383,8 @@ class MarketWorkload:
                     and profile.starve_rate > 0
                     and rng.random("starve") < profile.starve_rate
                 )
-                if starve:
-                    spec = self._starve_ring_spec(index, protocol)
-                elif template == "ring":
-                    spec = self._ring_spec(index, protocol, cross=cross)
+                if template == "ring":
+                    spec = self._ring_spec(index, protocol, cross, starve)
                 elif template == "broker":
                     spec = self._broker_spec(index, protocol, cross=cross)
                 else:
@@ -558,34 +556,6 @@ class MarketWorkload:
         ]
         return self._spec([a, b], assets, steps, index, PROTOCOL_UNANIMITY, shard)
 
-    def _starve_ring_spec(self, index: int, protocol: str) -> DealSpec:
-        """Cross-shard starvation: every asset on the congested shard.
-
-        The ring's escrows all live on ``spam_shard``'s chains (the
-        ones the spam flood congests) while the nonce is mined to home
-        the deal on the *next* shard — registration clears a cheap
-        commit log, then the escrow plan must fight the flood.  The
-        E19 gate checks these deals still terminate cleanly.
-        """
-        profile = self.profile
-        n = min(self._rng.randint("ring-n", 2, 4), len(self._addresses))
-        parties = self._pick_parties(n, f"ring{index}")
-        assets, steps = [], []
-        for i, party in enumerate(parties):
-            chain_id = self._chain_in_shard("starve-chain", profile.spam_shard)
-            amount = self._amount("ring-amount")
-            asset_id = f"ring{i}"
-            assets.append(Asset(
-                asset_id=asset_id, chain_id=chain_id,
-                token=self.tokens[chain_id], owner=party, amount=amount,
-            ))
-            steps.append(TransferStep(
-                asset_id=asset_id, giver=party,
-                receiver=parties[(i + 1) % n], amount=amount,
-            ))
-        home = (profile.spam_shard + 1) % self.shards
-        return self._spec(parties, assets, steps, index, protocol, home)
-
     def _nft_sale_spec(self, index: int) -> DealSpec:
         """A ticket sale: seller's unique token against buyer's coins.
 
@@ -627,20 +597,30 @@ class MarketWorkload:
         return self._spec([seller, buyer], assets, steps, index)
 
     def _ring_spec(
-        self, index: int, protocol: str = PROTOCOL_UNANIMITY,
-        cross: bool = False,
+        self, index: int, protocol: str, cross: bool, starve: bool
     ) -> DealSpec:
         """Party *i* pays party *i+1* around a cycle of 2-4 accounts.
 
         With ``cross`` the ring's assets are spread over >= 2 shards'
-        chains, making the deal cross-shard by construction.
+        chains, making the deal cross-shard by construction.  With
+        ``starve`` (cross-shard starvation, which overrides ``cross``)
+        every escrow lives on ``spam_shard``'s chains — the ones the
+        spam flood congests — while the nonce is mined to home the deal
+        on the *next* shard: registration clears a cheap commit log,
+        then the escrow plan must fight the flood.  The E19 gate checks
+        these deals still terminate cleanly.
         """
+        spam_shard = self.profile.spam_shard
         n = min(self._rng.randint("ring-n", 2, 4), len(self._addresses))
         parties = self._pick_parties(n, f"ring{index}")
-        ring_shards = self._shard_spread("ring-shards", n) if cross else None
+        ring_shards = (
+            self._shard_spread("ring-shards", n) if cross and not starve else None
+        )
         assets, steps = [], []
         for i, party in enumerate(parties):
-            if ring_shards is not None:
+            if starve:
+                chain_id = self._chain_in_shard("starve-chain", spam_shard)
+            elif ring_shards is not None:
                 chain_id = self._chain_in_shard("ring-chain-x", ring_shards[i])
             else:
                 chain_id = self._chain_for("ring-chain")
@@ -654,7 +634,8 @@ class MarketWorkload:
                 asset_id=asset_id, giver=party,
                 receiver=parties[(i + 1) % n], amount=amount,
             ))
-        return self._spec(parties, assets, steps, index, protocol)
+        home = (spam_shard + 1) % self.shards if starve else None
+        return self._spec(parties, assets, steps, index, protocol, home)
 
     def _broker_spec(
         self, index: int, protocol: str = PROTOCOL_UNANIMITY,

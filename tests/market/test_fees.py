@@ -26,7 +26,7 @@ from repro.market import (
     make_seal_policy,
     open_market,
 )
-from repro.market.fees import BaseFeePolicy, FirstPricePolicy
+from repro.market.fees import BASE_FEE_FLOOR, BaseFeePolicy, FirstPricePolicy
 from repro.market.order import order_message, shard_of_deal
 from repro.workloads.market import MarketProfile, MarketWorkload
 
@@ -140,8 +140,7 @@ def test_first_price_equal_bids_degrade_to_exact_fifo():
 def test_base_fee_rises_with_full_blocks_and_decays_to_floor():
     fees = FeeLedger()
     fees.post(b"rich", 1_000)
-    policy = BaseFeePolicy(fees, initial=1.0, floor=1.0, adjust=0.125,
-                           target_fullness=0.5)
+    policy = BaseFeePolicy(fees)
     for seq in range(4):  # full blocks at cap 1 → price climbs
         batch, _, _ = policy.select([_Step(b"rich", seq=seq)], cap=1)
         assert len(batch) == 1
@@ -149,7 +148,7 @@ def test_base_fee_rises_with_full_blocks_and_decays_to_floor():
     assert climbed == pytest.approx(1.125 ** 4)
     for _ in range(64):  # empty blocks decay it back to the floor
         policy.select([], cap=1)
-    assert policy.base_fee == policy.floor
+    assert policy.base_fee == BASE_FEE_FLOOR
     # Sealed steps paid the protocol price (ceil of the base fee at
     # seal time), not their own 1000-unit bid.
     assert fees.accrued < 4 * 1_000 and fees.accrued >= 4
@@ -158,8 +157,8 @@ def test_base_fee_rises_with_full_blocks_and_decays_to_floor():
 def test_base_fee_evicts_only_bids_the_floor_can_never_meet():
     fees = FeeLedger()
     fees.post(b"funded", 2)
-    policy = BaseFeePolicy(fees, initial=4.0, floor=1.0, adjust=0.125,
-                           target_fullness=0.5)
+    policy = BaseFeePolicy(fees)
+    policy.base_fee = 4.0
     pending = [
         _Step(b"funded", seq=1),      # under the current fee, over floor
         _Step(b"freeload", seq=2),    # bid 0: hopeless once at floor
@@ -171,7 +170,7 @@ def test_base_fee_evicts_only_bids_the_floor_can_never_meet():
     assert [step.deal_id for step in batch] == [b"settle"]
     assert [step.deal_id for step in waiting] == [b"funded", b"freeload"]
     assert evicted == []
-    while policy.base_fee > policy.floor:  # decay to the floor
+    while policy.base_fee > BASE_FEE_FLOOR:  # decay to the floor
         policy.select([], cap=4)
     batch, waiting, evicted = policy.select(waiting, cap=4)
     # At the floor the funded bid clears; the freeloader never can.

@@ -392,7 +392,7 @@ def test_ack_in_flight_to_a_crashed_leader_is_not_recorded():
         # Process-level crash the instant the follower sends its first
         # ack: the ack is already past the (send-time) fault filters,
         # so it lands in the dead leader's handler.
-        if isinstance(message.payload.payload, DeltaAck) and not crashed:
+        if isinstance(message.payload, DeltaAck) and not crashed:
             crashed.append(message.sender)
             layer.crash_replica(leader)
         return None

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.crypto import schnorr
 from repro.market import MarketConfig, MarketCoordinator, open_market
-from repro.market.report import _percentile as scheduler_percentile
+from repro.market.protocols import DealPhase
 from repro.sim.faults import FaultPlan, ReplicaCrash
 from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from repro.telemetry.export import (
@@ -194,7 +195,6 @@ class TestMetrics:
 
     def test_percentile_empty(self):
         assert _percentile([], 0.5) == 0.0
-        assert scheduler_percentile([], 0.99) == 0.0
         summary = MetricsRegistry().histogram_summary("missing")
         assert summary == {"count": 0, "sum": 0, "min": 0, "max": 0,
                            "p50": 0, "p90": 0, "p99": 0}
@@ -202,7 +202,6 @@ class TestMetrics:
     def test_percentile_single_sample(self):
         for q in (0.0, 0.5, 0.99, 1.0):
             assert _percentile([42.0], q) == 42.0
-            assert scheduler_percentile([42.0], q) == 42.0
 
     def test_percentile_nearest_rank(self):
         values = [1.0, 2.0, 3.0, 4.0]
@@ -212,11 +211,11 @@ class TestMetrics:
 
 
 # The report's fields ``replay_counts`` recomputes under the same name
-# (``crashes`` is the report's ``faults_injected``; ``sore_losers`` has
-# no cause event on the trace yet).
+# (``crashes`` is the report's ``faults_injected``).
 REPLAYED_FIELDS = (
     "deals", "committed", "aborted", "rejected", "stuck", "conflicts",
     "timeouts", "latency_p50", "latency_p90", "latency_p99", "per_protocol",
+    "cross_shard_deals", "cross_shard_committed", "sore_losers",
     "recoveries", "failovers", "fee_priced_out",
     "blocks", "txs_executed", "txs_reverted",
 )
@@ -268,6 +267,61 @@ class TestReplay:
         }
         assert {pid for pid, _ in threads} == {1, 2}
         assert len({tid for _, tid in threads}) == len(threads)
+
+
+def _hand_run(index, phase, reason="", conflict=False, sore_loser=False):
+    """The slice of a market deal run the telemetry hooks read."""
+    return SimpleNamespace(
+        order=SimpleNamespace(index=index, deal_id=bytes([index]) * 32),
+        protocol="timelock", home_shard=0, cross_shard=False,
+        phase=phase, reason=reason, conflict=conflict, sore_loser=sore_loser,
+    )
+
+
+def _hand_trace(finished, stuck):
+    """Trace ``finished`` runs to their outcome and leave ``stuck`` open."""
+    runs = [*finished, *stuck]
+    market = SimpleNamespace(
+        simulator=SimpleNamespace(now=0.0), workload=SimpleNamespace(seed=0),
+        chains={}, mempools={}, shards=1, replication=None,
+        config=SimpleNamespace(replication_factor=1),
+        runs={run.order.deal_id: run for run in runs},
+    )
+    telemetry = Telemetry()
+    telemetry.attach(market)
+    for run in runs:
+        telemetry.deal_admitted(run, 0.0)
+    for run in finished:
+        telemetry.deal_finished(run, 5.0)
+    market.simulator.now = 9.0
+    telemetry.finalize(market)
+    (counts,) = replay_counts(trace_records(telemetry))
+    return telemetry, counts
+
+
+class TestReplayFlags:
+    """A root span carries its deal's conflict / sore-loser flag whatever
+    the deal's reason, and whether or not the deal ever finished."""
+
+    def test_conflicts_replay_under_any_reason_and_when_stuck(self):
+        timed_out = _hand_run(0, DealPhase.ABORTED, "timeout", conflict=True)
+        stuck = _hand_run(1, DealPhase.ESCROW, conflict=True)
+        _, counts = _hand_trace([timed_out], [stuck])
+        assert counts["conflicts"] == 2
+        assert counts["conflicts_by_shard"] == ((0, 2),)
+        assert (counts["timeouts"], counts["stuck"]) == (1, 1)
+
+    def test_sore_loser_replays_and_clean_roots_carry_no_flag(self):
+        sore = _hand_run(0, DealPhase.ABORTED, "unsettled", sore_loser=True)
+        clean = _hand_run(1, DealPhase.COMMITTED)
+        telemetry, counts = _hand_trace([sore, clean], [])
+        assert (counts["sore_losers"], counts["conflicts"]) == (1, 0)
+        sore_root, clean_root = (
+            span for span in telemetry.tracer.spans if span.name == "deal"
+        )
+        assert sore_root.attrs["sore_loser"] is True
+        assert "sore_loser" not in clean_root.attrs
+        assert "conflict" not in clean_root.attrs
 
 
 class TestReplicationSpans:
