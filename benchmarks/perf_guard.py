@@ -1,22 +1,21 @@
-"""CI's perf regression guard: fresh numbers against the committed records.
+"""CI's perf gate: every workload's traced crypto counts under a cap.
 
 Usage::
 
-    python benchmarks/perfsuite.py --quick --output /tmp/BENCH_crypto.json
-    python3 bench/run.py > /tmp/bench.txt
-    python benchmarks/perf_guard.py /tmp/BENCH_crypto.json /tmp/bench.txt
+    python3 bench/run.py --trace 1 > /tmp/bench_traced.txt
+    python benchmarks/perf_guard.py /tmp/bench_traced.txt
 
-``batch_verify_sigs_per_s`` must stay within 30% of
-``BENCH_crypto_quick.json``; a miss exits non-zero.  Every workload's
-``deals_per_s`` and ``setup_s`` (``bench/run.py``'s last-line JSON) is
-compared with ``bench/baseline.json`` at ``BENCHMARK.json``'s bound and
-printed, report-only: that baseline predates PRs 13-15 (its
-``sharded_processes`` and ``sharded_chaos`` rows describe deleted
-code), so a miss there says nothing about the tree under test until a
-benchmark-only PR re-measures it.  Absolute rates depend on the box, so
-each limit is scaled by the fresh-to-committed ratio of
-``seed_verify_per_s`` — a pure ``builtins.pow`` workload, identical
-across PRs.
+The input's last line is ``bench/run.py``'s JSON map from workload name
+to result, all seven workloads at the default seed.  The guard exits 1
+when a workload's ``fastexp.multi_pow_calls``, ``fastexp.multi_pow_pairs``
+or ``schnorr.sign_calls`` is above its cap in :data:`CAPS`, or when the
+output's workloads are not exactly the keys of :data:`CAPS`.
+
+These are counts of a seeded simulation, so they repeat exactly from run
+to run and box to box, where a clock does not: a cap can be exact.  A
+count under its cap passes and is printed as re-recordable; lower the
+cap in the same change that lowers the count, and raise one only in a
+change that says why the work grew.
 """
 
 from __future__ import annotations
@@ -25,69 +24,81 @@ import json
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-GUARDED = ("deals_per_s", "setup_s")
+# Measured by a traced run of every workload at seed 12.
+CAPS = {
+    "unanimity_steady": {
+        "fastexp.multi_pow_calls": 101,
+        "fastexp.multi_pow_pairs": 2746,
+        "schnorr.sign_calls": 1193,
+    },
+    "wide_accounts": {
+        "fastexp.multi_pow_calls": 81,
+        "fastexp.multi_pow_pairs": 2112,
+        "schnorr.sign_calls": 892,
+    },
+    "protocol_mix": {
+        "fastexp.multi_pow_calls": 85,
+        "fastexp.multi_pow_pairs": 2498,
+        "schnorr.sign_calls": 1329,
+    },
+    "sharded_chaos": {
+        "fastexp.multi_pow_calls": 87,
+        "fastexp.multi_pow_pairs": 2038,
+        "schnorr.sign_calls": 1026,
+    },
+    "fee_congestion": {
+        "fastexp.multi_pow_calls": 54,
+        "fastexp.multi_pow_pairs": 1996,
+        "schnorr.sign_calls": 1162,
+    },
+    # The traced pass runs the inline twin, so these equal an inline run.
+    "sharded_processes": {
+        "fastexp.multi_pow_calls": 87,
+        "fastexp.multi_pow_pairs": 2294,
+        "schnorr.sign_calls": 980,
+    },
+    "single_deals": {
+        "fastexp.multi_pow_calls": 137,
+        "fastexp.multi_pow_pairs": 894,
+        "schnorr.sign_calls": 932,
+    },
+}
 
 
-def within(value, reference, bound, better, speed) -> tuple[float, bool]:
-    """(limit, ok) for one metric on a box ``speed`` x the record's."""
-    if better == "higher":
-        limit = reference * speed * (1 - bound)
-        return limit, value >= limit
-    limit = reference / speed * (1 + bound)
-    return limit, value <= limit
-
-
-def guard(fresh: dict, baseline: dict, spec: dict, speed: float) -> list[tuple]:
-    """(workload, metric, value, limit, ok) per guarded market metric.
-
-    ``fresh`` is ``bench/run.py``'s all-workloads result line,
-    ``baseline`` is ``bench/baseline.json``, ``spec`` ``BENCHMARK.json``.
-    """
-    guarded = [m for m in spec["end_to_end"] if m["name"] in GUARDED]
-    rows = []
-    for workload, result in fresh.items():
-        recorded = baseline["end_to_end"][workload]["metrics"]
-        for metric in guarded:
-            name = metric["name"]
-            value = result["metrics"][name]["value"]
-            rows.append((workload, name, value, *within(
-                value, recorded[name]["value"], metric["bound"],
-                metric["better"], speed,
-            )))
-    return rows
-
-
-def load(path) -> dict:
-    return json.loads(Path(path).read_text())
+def check(results: dict) -> list[str]:
+    """Failures of ``results`` (workload -> ``{"metrics": ...}``) vs
+    :data:`CAPS`; prints one line per capped count."""
+    failures = [
+        f"{workload}: no cap recorded" for workload in sorted(set(results) - set(CAPS))
+    ] + [
+        f"{workload}: missing from the output"
+        for workload in sorted(set(CAPS) - set(results))
+    ]
+    for workload in sorted(set(CAPS) & set(results)):
+        metrics = results[workload]["metrics"]
+        for metric, cap in CAPS[workload].items():
+            name = f"{workload}.{metric}"
+            value = metrics[metric]["value"]
+            if value > cap:
+                failures.append(f"{name} = {value} > cap {cap}")
+                verdict = "OVER"
+            elif value < cap:
+                verdict = "ok (under its cap: re-record it)"
+            else:
+                verdict = "ok"
+            print(f"{name} = {value} (cap {cap}) {verdict}")
+    return failures
 
 
 def main(argv: list[str]) -> int:
-    crypto_path, bench_path = argv
-    crypto = load(crypto_path)["metrics"]
-    recorded = load(ROOT / "BENCH_crypto_quick.json")["metrics"]
-    speed = crypto["seed_verify_per_s"] / recorded["seed_verify_per_s"]
-    print(f"machine speed factor vs the records' box: {speed:.2f}")
-    batch = "batch_verify_sigs_per_s"
-    limit, crypto_ok = within(
-        crypto[batch], recorded[batch], 0.30, "higher", speed
-    )
-    rows = [("crypto", batch, crypto[batch], limit, crypto_ok)]
-    rows += guard(
-        json.loads(Path(bench_path).read_text().splitlines()[-1]),
-        load(ROOT / "bench" / "baseline.json"),
-        load(ROOT / "BENCHMARK.json"),
-        speed,
-    )
-    for workload, name, value, limit, ok in rows:
-        print(f"{workload}.{name}: fresh={value:.4g} limit={limit:.4g} "
-              f"{'ok' if ok else 'MISS'}")
-    missed = [f"{row[0]}.{row[1]}" for row in rows[1:] if not row[-1]]
-    if missed:
-        print(f"outside bench/baseline.json's bounds (report-only): {missed}")
-    print("no crypto perf regression vs BENCH_crypto_quick.json" if crypto_ok
-          else f"perf regression: crypto.{batch}")
-    return 0 if crypto_ok else 1
+    (path,) = argv
+    results = json.loads(Path(path).read_text().splitlines()[-1])
+    failures = check(results)
+    for failure in failures:
+        print(f"perf regression: {failure}")
+    if not failures:
+        print(f"every count within its cap on {len(CAPS)} workloads")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -251,7 +251,6 @@ class Chain:
         self._block_scheduled = False
         self._verify = VerifyAggregator.of(simulator)
         self.active_journal: _TxJournal | None = None
-        self._receipts_by_tx: dict[int, Receipt] = {}
         # Replication hook: when set, publications and committed writes
         # are emitted as state deltas (see module docstring for shape).
         self.delta_observer: DeltaObserver | None = None
@@ -322,10 +321,6 @@ class Chain:
         """All blocks produced so far."""
         return tuple(self._blocks)
 
-    def receipt_for(self, tx_id: int) -> Receipt | None:
-        """Fetch the receipt of an executed transaction, if any."""
-        return self._receipts_by_tx.get(tx_id)
-
     # ------------------------------------------------------------------
     # Transaction flow
     # ------------------------------------------------------------------
@@ -359,8 +354,6 @@ class Chain:
             self.simulator.now,
         )
         self._blocks.append(block)
-        for receipt in receipts:
-            self._receipts_by_tx[receipt.tx.tx_id] = receipt
         # Ship the block's write-set before observers run: observers
         # may publish contracts or submit follow-up work, and replicas
         # must see this block's state first.
@@ -507,6 +500,5 @@ class Chain:
         :meth:`submit`.
         """
         receipt = self._execute(tx, self.height + 1)
-        self._receipts_by_tx[receipt.tx.tx_id] = receipt
         self._flush_delta("exec")
         return receipt

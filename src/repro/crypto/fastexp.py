@@ -304,10 +304,9 @@ def multi_pow(
 
 
 def cache_stats() -> dict:
-    """Diagnostics for the generator table (read by perfsuite and ``bench/``)."""
+    """Table counters; ``bench/rep.py --trace`` indexes both keys."""
     return {
-        "generator_table_built": _generator_table is not None,
-        # bench/rep.py --trace indexes both keys; no per-base table exists.
+        # Literal zeros: no per-base table exists.
         "base_table_hits": 0,
         "base_table_misses": 0,
     }

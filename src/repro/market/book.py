@@ -53,7 +53,7 @@ class MarketEscrowBook(Contract):
     """Every deal's escrows on one chain, plus the internal accounts."""
 
     EXPORTS = (
-        "fund", "withdraw", "fund_nft", "open", "transfer", "commit", "abort",
+        "fund", "fund_nft", "open", "transfer", "commit", "abort",
     )
 
     def __init__(self, name: str, coordinator: Address):
@@ -96,17 +96,6 @@ class MarketEscrowBook(Contract):
         key = (ctx.sender, token)
         self.accounts[key] = self.accounts.get(key, 0) + amount
         ctx.emit(self, "Funded", party=ctx.sender, token=token, amount=amount)
-        return True
-
-    def withdraw(self, ctx: CallContext, token: str, amount: int) -> bool:
-        """Move free internal balance back out to the caller's wallet."""
-        ctx.require(amount > 0, "non-positive withdrawal amount")
-        key = (ctx.sender, token)
-        held = self.accounts.get(key, 0)
-        ctx.require(held >= amount, "insufficient free balance")
-        self.accounts[key] = held - amount
-        ctx.call(self, token, "transfer", to=ctx.sender, amount=amount)
-        ctx.emit(self, "Withdrawn", party=ctx.sender, token=token, amount=amount)
         return True
 
     def fund_nft(self, ctx: CallContext, token: str, token_id: str) -> bool:

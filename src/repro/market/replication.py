@@ -345,27 +345,26 @@ class ReplicationLayer:
             self._apply_to(replica, chain_id, seq, delta)
             return "applied"
         # Gap (an earlier shipment was dropped): heal from the log.
-        group = self.groups[replica.shard]
-        log = group.logs[chain_id]
-        replayed = 0
-        while replica.applied.get(chain_id, 0) < min(seq, len(log)):
-            next_seq = replica.applied.get(chain_id, 0) + 1
-            self._apply_to(replica, chain_id, next_seq, log[next_seq - 1])
-            replayed += 1
-        self.counters["deltas_replayed"] += replayed
+        self._replay(replica, chain_id, seq)
         return "healed"
 
     def _catch_up(self, replica: Replica) -> int:
         """Replay every group-log delta the replica is missing."""
         group = self.groups[replica.shard]
-        replayed = 0
-        for chain_id in group.chain_ids:
-            log = group.logs[chain_id]
-            applied = replica.applied.get(chain_id, 0)
-            while applied < len(log):
-                self._apply_to(replica, chain_id, applied + 1, log[applied])
-                applied += 1
-                replayed += 1
+        return sum(
+            self._replay(replica, chain_id, len(group.logs[chain_id]))
+            for chain_id in group.chain_ids
+        )
+
+    def _replay(self, replica: Replica, chain_id: str, upto: int) -> int:
+        """Apply the logged deltas after the replica's last through seq
+        ``upto`` (at most the log's end); returns how many it applied."""
+        log = self.groups[replica.shard].logs[chain_id]
+        applied = replica.applied.get(chain_id, 0)
+        upto = min(upto, len(log))
+        for seq in range(applied + 1, upto + 1):
+            self._apply_to(replica, chain_id, seq, log[seq - 1])
+        replayed = upto - applied
         self.counters["deltas_replayed"] += replayed
         return replayed
 

@@ -128,16 +128,6 @@ def test_contract_sees_chain_time(setup):
     assert echo.log.peek("a") == 2.0
 
 
-def test_receipt_lookup(setup):
-    sim, chain, user = setup
-    transaction = tx(user, "a")
-    chain.submit(transaction)
-    sim.run()
-    receipt = chain.receipt_for(transaction.tx_id)
-    assert receipt is not None and receipt.ok
-    assert chain.receipt_for(999_999_999) is None
-
-
 def test_invalid_block_interval():
     sim = Simulator()
     with pytest.raises(ChainError):

@@ -81,9 +81,13 @@ def routed(chain, items):
 
 
 def outcome(producer, item):
-    """A transaction's receipt, or the CBC block that recorded an entry."""
+    """A sealed transaction's receipt, or the CBC block that recorded an entry."""
     if isinstance(producer, Chain):
-        return producer.receipt_for(item.tx_id)
+        return next(
+            (receipt for block in producer.blocks for receipt in block.receipts
+             if receipt.tx.tx_id == item.tx_id),
+            None,
+        )
     return next((block for block in producer.blocks if item in block.entries), None)
 
 
@@ -115,8 +119,9 @@ def one_by_one(simulator, chain, schedule):
         for producer, item in pairs:
             if isinstance(producer, Chain):
                 schnorr.clear_verification_caches()
-                producer.execute_now(item)
-        outcomes += [outcome(*pair) for pair in pairs]
+                outcomes.append(producer.execute_now(item))
+            else:
+                outcomes.append(outcome(producer, item))
     return outcomes
 
 

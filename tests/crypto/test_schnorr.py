@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.hashing import bytes_to_int, int_to_bytes, tagged_hash
 from repro.crypto.schnorr import (
     G,
     P,
@@ -9,6 +10,8 @@ from repro.crypto.schnorr import (
     PrivateKey,
     PublicKey,
     Signature,
+    _SCALAR_BYTES,
+    _challenge,
     generate_keypair,
     sign,
     verify,
@@ -48,6 +51,31 @@ def test_sign_verify_roundtrip():
     message = b"a vote to commit"
     signature = sign(private, message)
     assert verify(public, message, signature)
+
+
+def reference_sign(private: PrivateKey, message: bytes) -> Signature:
+    """``sign`` with ``builtins.pow`` alone: no fixed-base table, no cache."""
+    nonce_material = tagged_hash(
+        "repro/schnorr/nonce",
+        int_to_bytes(private.scalar, _SCALAR_BYTES) + message,
+    )
+    k = bytes_to_int(nonce_material) % (Q - 1) + 1
+    commitment = pow(G, k, P)
+    e = _challenge(commitment, PublicKey(pow(G, private.scalar, P)), message)
+    return Signature(commitment, (k + e * private.scalar) % Q)
+
+
+def test_sign_matches_a_table_free_reference():
+    # sign's generator power goes through fastexp's fixed-base table; the
+    # bytes must be those of the textbook computation.
+    private, public = generate_keypair(b"reference")
+    for message in (b"reference check", b"", b"another message"):
+        signature = sign(private, message)
+        assert signature == reference_sign(private, message)
+        e = _challenge(signature.commitment, public, message)
+        assert pow(G, signature.response, P) == (
+            signature.commitment * pow(public.point, e, P) % P
+        )
 
 
 def test_signing_is_deterministic():

@@ -3,9 +3,8 @@
 Runs ``benchmarks/bench_e16_market.py``'s conformance gate in
 ``--quick`` mode, shows that every E16–E19 gate criterion can fail,
 pins the run's determinism, checks ``run_all.py``'s refusal of a
-backend it cannot run, and unit-tests CI's perf guard arithmetic
-(``benchmarks/perf_guard.py``) on canned dicts — the market analogue
-of ``tests/test_perfsuite.py``.
+backend it cannot run, and unit-tests CI's perf gate
+(``benchmarks/perf_guard.py``, count caps per workload) on canned dicts.
 """
 
 import functools
@@ -220,49 +219,61 @@ def test_market_sweep_identical_across_job_counts():
 
 
 # ----------------------------------------------------------------------
-# perf_guard: CI's regression arithmetic on canned dicts
+# perf_guard: CI's count caps on canned dicts
 # ----------------------------------------------------------------------
-SPEC = {"end_to_end": [
-    {"name": "setup_s", "better": "lower", "bound": 0.25},
-    {"name": "deals_per_s", "better": "higher", "bound": 0.25},
-    {"name": "commit_rate", "better": "higher", "bound": 0.25},
-]}
+def _at_caps():
+    """``bench/run.py``'s result map with every capped count at its cap."""
+    return {
+        workload: {"metrics": {
+            metric: {"value": cap} for metric, cap in caps.items()
+        }}
+        for workload, caps in perf_guard.CAPS.items()
+    }
 
 
-def _result(deals_per_s, setup_s):
-    return {"w": {"metrics": {
-        "deals_per_s": {"value": deals_per_s},
-        "setup_s": {"value": setup_s},
-        "commit_rate": {"value": 0.0},
-    }}}
+def _guard(results, tmp_path):
+    (tmp_path / "bench.txt").write_text("log line\n" + json.dumps(results))
+    return perf_guard.main([str(tmp_path / "bench.txt")])
 
 
-@pytest.mark.parametrize("fresh, speed, regressions", [
-    (_result(100.0, 1.0), 1.0, []),
-    (_result(80.0, 1.2), 1.0, []),
-    (_result(60.0, 1.0), 1.0, ["deals_per_s"]),  # a 40% drop
-    (_result(100.0, 1.3), 1.0, ["setup_s"]),
-    (_result(60.0, 1.6), 0.6, []),  # same code on a 0.6x box
-    (_result(100.0, 1.0), 1.5, ["deals_per_s", "setup_s"]),
+def test_perf_guard_passes_counts_at_their_caps(tmp_path, capsys):
+    assert _guard(_at_caps(), tmp_path) == 0
+    assert "re-record" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("metric", [
+    "fastexp.multi_pow_calls", "fastexp.multi_pow_pairs", "schnorr.sign_calls",
 ])
-def test_perf_guard_bounds_scale_with_the_speed_probe(fresh, speed, regressions):
-    baseline = {"end_to_end": _result(100.0, 1.0)}
-    rows = perf_guard.guard(fresh, baseline, SPEC, speed)
-    assert [row[:2] for row in rows] == [("w", "setup_s"), ("w", "deals_per_s")]
-    assert sorted(row[1] for row in rows if not row[-1]) == regressions
+def test_perf_guard_fails_one_count_over_its_cap(metric, tmp_path, capsys):
+    for workload in perf_guard.CAPS:
+        results = _at_caps()
+        results[workload]["metrics"][metric]["value"] += 1
+        assert _guard(results, tmp_path) == 1
+        failures = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("perf regression")]
+        assert len(failures) == 1 and f"{workload}.{metric} = " in failures[0]
 
 
-def test_perf_guard_fails_on_crypto_only(tmp_path, capsys):
-    """A market miss vs the stale bench/baseline.json is report-only."""
-    root = perf_guard.ROOT
-    crypto = perf_guard.load(root / "BENCH_crypto_quick.json")
-    market = perf_guard.load(root / "bench" / "baseline.json")["end_to_end"]
-    market["protocol_mix"]["metrics"]["deals_per_s"]["value"] /= 2
-    (tmp_path / "bench.txt").write_text("log\n" + json.dumps(market))
-    for batch_scale, code in ((1.0, 0), (0.5, 1)):
-        crypto["metrics"]["batch_verify_sigs_per_s"] *= batch_scale
-        (tmp_path / "crypto.json").write_text(json.dumps(crypto))
-        argv = [str(tmp_path / "crypto.json"), str(tmp_path / "bench.txt")]
-        assert perf_guard.main(argv) == code
-        out = capsys.readouterr().out
-        assert "(report-only): ['protocol_mix.deals_per_s']" in out
+def test_perf_guard_passes_a_lower_count_and_says_to_re_record(tmp_path, capsys):
+    results = _at_caps()
+    results["single_deals"]["metrics"]["schnorr.sign_calls"]["value"] -= 1
+    assert _guard(results, tmp_path) == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines()
+               if "re-record" in line]
+    assert line.startswith("single_deals.schnorr.sign_calls = ")
+
+
+def test_perf_guard_fails_when_the_workload_sets_differ(tmp_path, capsys):
+    missing = _at_caps()
+    del missing["fee_congestion"]
+    assert _guard(missing, tmp_path) == 1
+    assert "fee_congestion: missing from the output" in capsys.readouterr().out
+    uncapped = {**_at_caps(), "new_workload": {"metrics": {}}}
+    assert _guard(uncapped, tmp_path) == 1
+    assert "new_workload: no cap recorded" in capsys.readouterr().out
+
+
+def test_perf_guard_caps_every_benchmark_workload():
+    with open(os.path.join(REPO_ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    assert set(perf_guard.CAPS) == {w["name"] for w in spec["workloads"]}
