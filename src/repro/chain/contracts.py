@@ -17,9 +17,11 @@ A contract may also *declare* the signatures a call is going to check
 (:meth:`Contract.signature_claims`), so the chain can batch-verify a
 sealed block's worth before executing it.  Claims are facts to check,
 never grants: a claim that verifies only makes the method's own
-``ctx.verify_signature`` a cache hit, and one that does not (or was
-never declared) is checked there from scratch.  Structure, membership,
-deadlines and gas stay in the method.
+``ctx.verify_signature`` a hit in the run's verdict cache
+(:attr:`CallContext.verify_cache`, the simulator's
+:class:`~repro.chain.ledger.VerifyAggregator`'s), and one that does not
+(or was never declared) is checked there from scratch.  Structure,
+membership, deadlines and gas stay in the method.
 
 Cross-contract calls on the *same* chain (e.g. an escrow manager
 calling a token's ``transfer_from``) run inside the same transaction
@@ -35,7 +37,7 @@ from repro.chain.events import Event
 from repro.chain.gas import GasMeter
 from repro.crypto.hashing import tagged_hash
 from repro.crypto.keys import Address, Wallet
-from repro.crypto.schnorr import Signature, verify as schnorr_verify
+from repro.crypto.schnorr import Signature, VerifyCache, verify as schnorr_verify
 from repro.errors import ContractError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -166,6 +168,12 @@ class CallContext:
         """The transaction's gas meter."""
         return self._journal.meter
 
+    @property
+    def verify_cache(self) -> VerifyCache:
+        """The run's signature verdicts and key tables: the chain's
+        simulator's :class:`~repro.chain.ledger.VerifyAggregator`'s."""
+        return self.chain._verify.cache
+
     def require(self, condition: bool, message: str) -> None:
         """Solidity-style ``require``: revert the transaction if false."""
         self.meter.charge_compute()
@@ -180,12 +188,14 @@ class CallContext:
         wallet = self.chain.wallet
         if not wallet.knows(signer):
             return False
-        return schnorr_verify(wallet.public_key(signer), message, signature)
+        return schnorr_verify(
+            wallet.public_key(signer), message, signature, self.verify_cache
+        )
 
     def verify_raw_signature(self, public_key, message: bytes, signature) -> bool:
         """Verify against an explicit public key (validator certs)."""
         self.meter.charge_sig_verify()
-        return schnorr_verify(public_key, message, signature)
+        return schnorr_verify(public_key, message, signature, self.verify_cache)
 
     def verify_signature_batch(
         self, items: list[tuple[Address, bytes, object]]
@@ -197,7 +207,7 @@ class CallContext:
         Unknown signers fail the whole batch.
         """
         self.meter.charge_sig_verify_batch(len(items))
-        return self.chain.wallet.batch_verify(items)
+        return self.chain.wallet.batch_verify(items, self.verify_cache)
 
     def emit(self, contract: "Contract", name: str, **fields: object) -> None:
         """Emit an event into the transaction's log."""

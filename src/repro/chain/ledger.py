@@ -15,16 +15,18 @@ A chain is an actor on the simulator.  Life of a transaction:
    pending-claims reader with the simulator's :class:`VerifyAggregator`
    under the boundary it schedules, and the first to run at an instant
    settles the instant, certifying the claims of every producer due
-   there in one :func:`~repro.crypto.schnorr.batch_verify_many`; a
-   producer that runs later at the same instant certifies only what
-   arrived after that look-ahead;
+   there in one :func:`~repro.crypto.schnorr.batch_verify_many` on the
+   run's verdict cache (the aggregator's
+   :class:`~repro.crypto.schnorr.VerifyCache`, which every contract-side
+   check of the run reads too); a producer that runs later at the same
+   instant certifies only what arrived after that look-ahead;
 4. the block, with receipts and events, is pushed to every subscriber
    with the subscriber's propagation delay.
 
 The pre-verification in step 3 cannot change a receipt: it only fills
-:mod:`repro.crypto.schnorr`'s verdict cache with signatures that *did*
-verify (a merged check passes exactly when each member would alone:
-both compare up to sign), execution still calls and charges every
+the run's verdict cache with signatures that *did* verify (a merged
+check passes exactly when each member would alone: both compare up to
+sign), execution still calls and charges every
 verification itself, and a cached verdict is keyed on the full (key,
 message, signature) triple — a bad, undeclared, skipped, malformed or
 raising claim meets a cold check.  Reading a peer's claims ahead is
@@ -47,7 +49,7 @@ from repro.chain.gas import GasMeter, GasSchedule
 from repro.chain.tx import Receipt, Transaction, TxStatus
 from repro.crypto.hashing import tagged_hash
 from repro.crypto.keys import Wallet
-from repro.crypto.schnorr import PublicKey, Signature, batch_verify_many
+from repro.crypto.schnorr import PublicKey, Signature, VerifyCache, batch_verify_many
 from repro.errors import ChainError, ContractError, UnknownContractError
 from repro.sim.simulator import Simulator
 
@@ -105,19 +107,22 @@ class VerifyAggregator:
     The first producer to run at an instant, or that flush, settles it
     (:meth:`settle`): claims go through
     :func:`~repro.crypto.schnorr.batch_verify_many` in this process,
-    whose verdict store they warm, and waiting groups through the
-    ``verify_many`` hook, whose verdicts go back to each filing in
+    whose verdicts they leave in ``cache``, and waiting groups through
+    the ``verify_many`` hook, whose verdicts go back to each filing in
     order.  A later producer at the same instant certifies only its own
     claims.  Blocks sit on the grid and seals on the half-grid, so an
     instant holds one kind of filing in practice.
 
-    ``key_tables`` is the simulator's store of recurring public keys'
-    odd-power tables (:func:`repro.crypto.fastexp.key_table`), handed to
-    every ``batch_verify_many`` made for this simulator — both of
-    ``settle``'s paths and the CBC log's own check — so each signing key
-    builds its table once per run, on first use.  It holds keys only,
-    never a commitment, and dies with the plane, which dies with the
-    simulator.
+    ``cache`` is the simulator's :class:`~repro.crypto.schnorr.VerifyCache`:
+    the run's verdicts beside its recurring public keys' odd-power
+    tables (:func:`repro.crypto.fastexp.key_table`).  It is handed to
+    every check made for this simulator — both of ``settle``'s paths,
+    the CBC log's own check, and the contracts' checks through
+    :attr:`~repro.chain.contracts.CallContext.verify_cache` — so each
+    signing key builds its table once per run, on first use, and a
+    verdict is computed once per run and read by no other.  Its tables
+    hold keys only, never a commitment, and it dies with the plane,
+    which dies with the simulator.
 
     ``verify_many`` takes ``[(owner, group), ...]`` and returns each
     group's own validity, in order; the ``processes`` backend plugs its
@@ -137,12 +142,11 @@ class VerifyAggregator:
         self._due: dict[float, tuple[list, list]] = {}
         self._flush_scheduled = False
         self._telemetry = lambda: None
-        # The hook closes over the store, not the plane: no cycle, so
+        # The hook closes over the cache, not the plane: no cycle, so
         # the plane goes the moment its simulator does.
-        key_tables: dict[int, list[int]] = {}
-        self.key_tables = key_tables
+        cache = self.cache = VerifyCache()
         self.verify_many = lambda owned: batch_verify_many(
-            [g for _, g in owned], key_tables
+            [g for _, g in owned], cache
         )
         self.stats = dict.fromkeys(
             ("flushes", "batches", "merged_flushes", "merged_batches",
@@ -201,7 +205,7 @@ class VerifyAggregator:
         )
         certify = [group for pending in readers for group in pending()]
         if certify:
-            batch_verify_many(certify, self.key_tables)
+            batch_verify_many(certify, self.cache)
         if not waiting:
             return
         self.stats["flushes"] += 1
@@ -483,11 +487,6 @@ class Chain:
         """Receive every future block (at production time; callers who
         model propagation delay should wrap the observer)."""
         self._observers.append(observer)
-
-    def unsubscribe(self, observer: BlockObserver) -> None:
-        """Stop receiving block notifications."""
-        if observer in self._observers:
-            self._observers.remove(observer)
 
     # ------------------------------------------------------------------
     # Convenience for setup code and tests (bypasses the network)

@@ -337,7 +337,7 @@ class CertifiedBlockchain:
         """Drop entries whose signatures fail, in one batched check."""
         known = [entry for entry in entries if self.wallet.knows(entry.party)]
         verdicts = schnorr_batch_verify_many(
-            [self._claim(entry) for entry in known], self._verify.key_tables
+            [self._claim(entry) for entry in known], self._verify.cache
         )
         return [entry for entry, ok in zip(known, verdicts) if ok]
 
@@ -444,14 +444,6 @@ class CertifiedBlockchain:
             return DealStatus.UNKNOWN
         record = self._deals.get((deal_id, start_hash))
         return record.status if record is not None else DealStatus.UNKNOWN
-
-    def commit_progress(self, deal_id: bytes) -> set[Address]:
-        """Which parties' commit votes are recorded (for monitoring)."""
-        start_hash = self._starts.get(deal_id)
-        if start_hash is None:
-            return set()
-        record = self._deals.get((deal_id, start_hash))
-        return set(record.committed) if record else set()
 
     def status_certificate(self, deal_id: bytes) -> StatusCertificate | None:
         """Produce a quorum-signed status statement (§6.2 optimization).

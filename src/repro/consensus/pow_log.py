@@ -70,7 +70,6 @@ class PowCertifiedLog:
         self._observers: list = []
         self._block_scheduled = False
         self._deals: dict[bytes, VoteTally] = {}
-        self._mining_paused = False
 
     # ------------------------------------------------------------------
     # Deal registration (the clearing phase announces the plist)
@@ -96,18 +95,8 @@ class PowCertifiedLog:
         self._pending.append(entry)
         self._ensure_block_scheduled()
 
-    def pause_mining(self) -> None:
-        """Halt honest block production (models a mining outage)."""
-        self._mining_paused = True
-
-    def resume_mining(self) -> None:
-        """Resume honest block production."""
-        self._mining_paused = False
-        if self._pending:
-            self._ensure_block_scheduled()
-
     def _ensure_block_scheduled(self) -> None:
-        if self._block_scheduled or self._mining_paused:
+        if self._block_scheduled:
             return
         self._block_scheduled = True
         now = self.simulator.now
@@ -116,8 +105,6 @@ class PowCertifiedLog:
 
     def _mine_block(self) -> None:
         self._block_scheduled = False
-        if self._mining_paused:
-            return
         pending, self._pending = self._pending, []
         accepted = [entry for entry in pending if self._apply(entry)]
         payloads = tuple(entry.payload() for entry in accepted)

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 from repro.crypto.hashing import hash_concat
 from repro.crypto.keys import KeyPair
-from repro.crypto.schnorr import PublicKey, Signature, batch_verify as schnorr_batch_verify
+from repro.crypto.schnorr import (
+    PublicKey,
+    Signature,
+    VerifyCache,
+    batch_verify as schnorr_batch_verify,
+)
 from repro.errors import ConsensusError
 
 
@@ -120,13 +125,15 @@ def batch_verify_quorum(
     quorum: int,
     message: bytes,
     signatures,
+    cache: VerifyCache | None = None,
 ) -> bool:
     """Batch-verify a quorum certificate: one combined check for all.
 
     Structure via :func:`quorum_structure_ok`; the cryptographic check
     itself is a single randomized linear combination
     (:func:`repro.crypto.schnorr.batch_verify`) instead of one
-    exponentiation pair per signature.
+    exponentiation pair per signature, against ``cache`` (the run's,
+    or ``None`` to keep nothing).
 
     This is a wall-clock API — gas accounting stays with the caller,
     which still charges the protocol's full per-verification price.
@@ -135,7 +142,7 @@ def batch_verify_quorum(
     if not quorum_structure_ok(valid_keys, quorum, entries):
         return False
     return schnorr_batch_verify(
-        [(entry.public_key, message, entry.signature) for entry in entries]
+        [(entry.public_key, message, entry.signature) for entry in entries], cache
     )
 
 

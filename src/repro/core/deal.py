@@ -25,7 +25,7 @@ import networkx as nx
 
 from repro.crypto.hashing import hash_concat
 from repro.crypto.keys import Address
-from repro.errors import IllFormedDealError, MalformedDealError
+from repro.errors import MalformedDealError
 
 # The atomic-commit protocols a deal may nominate (paper §5, §6, plus
 # the market's simplified unanimity-order flow).  The protocol is part
@@ -262,13 +262,6 @@ class DealSpec:
         if graph.number_of_nodes() <= 1:
             return True
         return nx.is_strongly_connected(graph)
-
-    def require_well_formed(self) -> None:
-        """Raise :class:`IllFormedDealError` if free riders exist."""
-        if not self.is_well_formed():
-            raise IllFormedDealError(
-                "deal digraph is not strongly connected (free riders present)"
-            )
 
 
 def _initial_holdings(assets: tuple[Asset, ...]) -> dict[str, dict[Address, object]]:

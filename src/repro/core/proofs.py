@@ -104,14 +104,17 @@ def _check_quorum(
     """Verify ≥ ``quorum`` distinct valid validator signatures.
 
     Wall-clock fast path: a clean certificate is checked as one
-    batched linear combination (and acceptance certifies each member
-    signature, so the same certificate presented to every chain has
-    nothing left to combine).  The *gas* charged is unchanged — the
-    protocol still pays the full 3000-gas price per signature, exactly
-    as the per-signature replay below would charge.
+    batched linear combination on the run's verdict cache (and
+    acceptance certifies each member signature there, so the same
+    certificate presented to every chain has nothing left to combine).
+    The *gas* charged is unchanged — the protocol still pays the full
+    3000-gas price per signature, exactly as the per-signature replay
+    below would charge.
     """
     entries = list(signatures)
-    if entries and batch_verify_quorum(valid_keys, quorum, message, entries):
+    if entries and batch_verify_quorum(
+        valid_keys, quorum, message, entries, ctx.verify_cache
+    ):
         # Batch acceptance certifies every member signature, so this
         # charges what the sequential replay would have: one
         # verification per signature.

@@ -23,7 +23,6 @@ from repro.crypto.schnorr import (
     PublicKey,
     Signature,
     batch_verify,
-    clear_verification_caches,
     generate_keypair,
     sign,
     verify,
@@ -32,7 +31,6 @@ from repro.crypto.schnorr import (
 __all__ = [
     "FixedBaseTable",
     "base_pow",
-    "clear_verification_caches",
     "generator_pow",
     "multi_pow",
     "Address",

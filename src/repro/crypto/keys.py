@@ -16,6 +16,7 @@ from repro.crypto.schnorr import (
     PrivateKey,
     PublicKey,
     Signature,
+    VerifyCache,
     batch_verify,
     generate_keypair,
     sign,
@@ -87,12 +88,6 @@ class Wallet:
         self._directory[keypair.address] = keypair.public_key
         return keypair.address
 
-    def register_public_key(self, public_key: PublicKey) -> Address:
-        """Publish a bare public key; return its derived address."""
-        address = Address.from_public_key(public_key)
-        self._directory[address] = public_key
-        return address
-
     def public_key(self, address: Address) -> PublicKey:
         """Look up the public key registered for ``address``."""
         try:
@@ -110,19 +105,24 @@ class Wallet:
             return False
         return verify(self.public_key(address), message, signature)
 
-    def batch_verify(self, items: list[tuple[Address, bytes, Signature]]) -> bool:
+    def batch_verify(
+        self,
+        items: list[tuple[Address, bytes, Signature]],
+        cache: VerifyCache | None = None,
+    ) -> bool:
         """Batch-verify ``(address, message, signature)`` triples.
 
         Resolves each address through the directory and checks the
-        whole batch in one combined equation.  An unknown signer fails
-        the batch, matching per-item :meth:`verify` semantics.
+        whole batch in one combined equation, against ``cache``.  An
+        unknown signer fails the batch, matching per-item
+        :meth:`verify` semantics.
         """
         resolved = []
         for address, message, signature in items:
             if not self.knows(address):
                 return False
             resolved.append((self.public_key(address), message, signature))
-        return batch_verify(resolved)
+        return batch_verify(resolved, cache)
 
     def addresses(self) -> list[Address]:
         """Return all registered addresses, sorted for determinism."""

@@ -30,28 +30,31 @@ simulator's determinism policy (DESIGN.md §7).
 Performance: all exponentiation goes through
 :mod:`repro.crypto.fastexp` (a fixed-base window table for ``g`` and
 a shared-squaring multi-exponent for batches, in which a recurring
-public key can read an odd-power table its caller keeps), and there is
-**one verdict store**: a bounded LRU keyed on the full ``(key,
-message, signature)`` triple.  The timelock protocol re-verifies the
-same path signature at every hop and the CBC protocol re-verifies the
-same certificate on every chain, so repeats are dict hits.  There is
-also one batched check, :func:`batch_verify_many` (groups in, verdicts
-out; :func:`batch_verify` is its one-group case): it reads that store —
-a group of certified members is ``True``, a member already refused
-makes its group ``False`` — and writes it, a passing combination
-certifying each member, and it is the only place a forgery among
-merged groups is isolated.  Isolation halves the failed combination
+public key can read an odd-power table its caller keeps), and verdicts
+are kept **per run**: a :class:`VerifyCache` holds a run's verdicts,
+keyed on the full ``(key, message, signature)`` triple, beside its key
+tables, and every check takes one (``cache=``) or keeps nothing beyond
+the call.  The timelock protocol re-verifies the same path signature at
+every hop and the CBC protocol re-verifies the same certificate on
+every chain, so repeats within a run are dict hits; no run reads a
+verdict another run computed.  There is one batched check,
+:func:`batch_verify_many` (groups in, verdicts out;
+:func:`batch_verify` is its one-group case): it reads the cache — a
+group of certified members is ``True``, a member already refused makes
+its group ``False`` — and writes it, a passing combination certifying
+each member, and it is the only place a forgery among merged groups is
+isolated.  Isolation halves the failed combination
 under its own weights: each split evaluates one half and gets the
 other by division, so one forgery among ``m`` signatures costs
 ``⌈log₂ m⌉`` half-size checks, not one check per group, and every
 valid signature of the combination leaves certified (Pastuszak et
 al., *Identification of Bad Signatures in Batches*, PKC 2000).  Block
-production fills the store an instant at a time through
+production fills a simulator's cache an instant at a time through
 the same call: the signatures that every block due at one simulated
 instant declares go through one :func:`batch_verify_many` before the
 first of them executes (:class:`repro.chain.ledger.VerifyAggregator`,
-which also owns its simulator's key tables), so the contracts'
-one-by-one :func:`verify` calls are hits as well — only a verdict that
+which owns its simulator's cache), so the contracts' one-by-one
+:func:`verify` calls on that cache are hits as well — only a verdict that
 *was* computed is ever stored, and no hit or miss is counted ahead of
 the call that asks.  None of this changes a single signature byte, and
 a cached verdict can never accept a tampered input: any change to the
@@ -90,60 +93,29 @@ _SCALAR_BYTES = (Q.bit_length() + 7) // 8
 _BATCH_WEIGHT_BYTES = 8
 
 
-class LruDict:
-    """A small bounded mapping with least-recently-used eviction.
+class VerifyCache:
+    """One run's signature-verification state.
 
-    Plain ``dict`` preserves insertion order, so "touch" is delete +
-    reinsert and the eviction victim is the first key.  Both
-    :meth:`get` and :meth:`put` touch, so the first key really is the
-    least-recently-*used* one, not merely the oldest-inserted.
+    ``verdicts`` maps a ``(key, message, signature)`` triple to the
+    verdict computed for it; ``key_tables`` maps a recurring public key
+    to its odd-power table (:func:`repro.crypto.fastexp.key_table`), or
+    is ``None`` to keep no table.  The run that computed a verdict is
+    the only one that reads it: a simulator's
+    :class:`repro.chain.ledger.VerifyAggregator` owns one, and a call
+    given none uses a throwaway one (``keep_tables=False``) that keeps
+    nothing beyond the call.
     """
 
-    __slots__ = ("maxsize", "_data", "hits", "misses")
+    __slots__ = ("verdicts", "key_tables")
 
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._data: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        """Return the cached value (touching it) or ``None``."""
-        data = self._data
-        if key in data:
-            value = data.pop(key)
-            data[key] = value
-            self.hits += 1
-            return value
-        self.misses += 1
-        return None
-
-    def put(self, key, value) -> None:
-        """Insert ``key`` (touching it), evicting the LRU entry."""
-        data = self._data
-        if key in data:
-            del data[key]
-        elif len(data) >= self.maxsize:
-            del data[next(iter(data))]
-        data[key] = value
-
-    def peek(self, key):
-        """The cached value or ``None``: no touch, no hit/miss count."""
-        return self._data.get(key)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
+    def __init__(self, keep_tables: bool = True):
+        self.verdicts: dict[tuple, bool] = {}
+        self.key_tables: dict[int, list[int]] | None = {} if keep_tables else None
 
 
-_VERIFY_CACHE = LruDict(1 << 15)
+# The process's verify() hit/miss totals (cache_stats); nothing reads
+# them to decide work.
+_COUNTS = {"verify_hits": 0, "verify_misses": 0}
 
 
 @dataclass(frozen=True)
@@ -163,6 +135,13 @@ class PrivateKey:
 
 @lru_cache(maxsize=4096)
 def _public_point(scalar: int) -> int:
+    """``g^scalar``, memoized for the whole process.
+
+    Unlike verdicts this memo may outlive a run: it is a pure function
+    of the scalar that calls only :func:`generator_pow`, so a hit
+    returns what a miss computes, decides no verdict, and moves no
+    ``multi_pow`` or ``sign`` count.
+    """
     return generator_pow(scalar)
 
 
@@ -214,9 +193,13 @@ def generate_keypair(seed: bytes) -> tuple[PrivateKey, PublicKey]:
     """Derive a keypair deterministically from ``seed``.
 
     Distinct seeds give independent keys; the same seed always gives the
-    same keypair, keeping simulations reproducible.  Memoized: sweeps
-    regenerate the same labelled parties and validators for every deal,
-    and both returned objects are frozen.
+    same keypair, keeping simulations reproducible.  Memoized for the
+    whole process: sweeps regenerate the same labelled parties and
+    validators for every deal, and both returned objects are frozen.
+    The memo cannot change how much gated work a run does: it is a pure
+    function of the seed that calls only :func:`generator_pow` (through
+    :func:`_public_point`), so it decides no verdict and moves no
+    ``multi_pow`` or ``sign`` count.
     """
     scalar = bytes_to_int(tagged_hash("repro/schnorr/keygen", seed)) % (Q - 1) + 1
     private = PrivateKey(scalar)
@@ -245,36 +228,47 @@ def _equal_up_to_sign(lhs: int, rhs: int) -> bool:
     return lhs == rhs or lhs + rhs == P
 
 
-def verify(public_key: PublicKey, message: bytes, signature: Signature) -> bool:
+def verify(
+    public_key: PublicKey,
+    message: bytes,
+    signature: Signature,
+    cache: VerifyCache | None = None,
+) -> bool:
     """Return ``True`` iff ``signature`` is valid for ``message``.
 
     This is the operation the gas model charges 3000 gas for when it
     runs inside a contract (see :mod:`repro.chain.gas`).  Wall-clock
-    only: verdicts are memoized on the full input triple, so repeated
-    re-verification of the same signature (every hop of a path
-    signature, every chain checking the same certificate) costs a dict
-    lookup.  A tampered message, key, or signature is a different
-    cache key and is always re-checked from scratch.
+    only: verdicts are memoized in ``cache`` on the full input triple,
+    so repeated re-verification of the same signature within a run
+    (every hop of a path signature, every chain checking the same
+    certificate) costs a dict lookup.  A tampered message, key, or
+    signature is a different cache key and is always re-checked from
+    scratch.  Without a ``cache`` the verdict is not kept.
     """
     if not _in_range(signature):
         return False
-    cached = _VERIFY_CACHE.get(_cache_key(public_key, message, signature))
+    verdicts = {} if cache is None else cache.verdicts
+    cached = verdicts.get(_cache_key(public_key, message, signature))
     if cached is not None:
+        _COUNTS["verify_hits"] += 1
         return cached
-    return _check_alone(public_key, message, signature)
+    _COUNTS["verify_misses"] += 1
+    return _check_alone(public_key, message, signature, verdicts)
 
 
 def _in_range(signature: Signature) -> bool:
     return 1 < signature.commitment < P and 0 <= signature.response < Q
 
 
-def _check_alone(public_key: PublicKey, message: bytes, signature: Signature) -> bool:
+def _check_alone(
+    public_key: PublicKey, message: bytes, signature: Signature, verdicts: dict
+) -> bool:
     """:func:`verify`'s equation on a cold cache; the verdict is stored."""
     e = _challenge(signature.commitment, public_key, message)
     lhs = generator_pow(signature.response)
     rhs = (signature.commitment * base_pow(public_key.point, e)) % P
     result = _equal_up_to_sign(lhs, rhs)
-    _VERIFY_CACHE.put(_cache_key(public_key, message, signature), result)
+    verdicts[_cache_key(public_key, message, signature)] = result
     return result
 
 
@@ -326,12 +320,12 @@ def _combined_check(terms, key_tables) -> tuple[int, int]:
     return generator_pow(lhs_exponent), multi_pow(pairs, P, key_tables)
 
 
-def _certify(terms) -> None:
+def _certify(terms, verdicts: dict) -> None:
     for term in terms:
-        _VERIFY_CACHE.put(term[0], True)
+        verdicts[term[0]] = True
 
 
-def _isolate(terms, lhs: int, rhs: int, key_tables) -> None:
+def _isolate(terms, lhs: int, rhs: int, cache: VerifyCache) -> None:
     """Certify every valid member of a failed fold, by halving.
 
     A part of the fold is held as two sides that are equal up to sign
@@ -352,29 +346,29 @@ def _isolate(terms, lhs: int, rhs: int, key_tables) -> None:
         if len(terms) == 1:
             continue
         half = len(terms) // 2
-        left_lhs, left_rhs = _combined_check(terms[:half], key_tables)
+        left_lhs, left_rhs = _combined_check(terms[:half], cache.key_tables)
         for part in (
             (terms[:half], left_lhs, left_rhs),
             (terms[half:], lhs * left_rhs % P, rhs * left_lhs % P),
         ):
             if _equal_up_to_sign(part[1], part[2]):
-                _certify(part[0])
+                _certify(part[0], cache.verdicts)
             else:
                 failing.append(part)
 
 
-def _standing_verdict(items) -> bool | None:
+def _standing_verdict(items, verdicts: dict) -> bool | None:
     """What a group's verdict already is without exponentiation, or ``None``.
 
     ``False`` for a member out of range or one already refused,
     ``True`` when every member is certified (an empty group vacuously)
-    — read without touching the cache or its counters.
+    — read without touching the hit/miss counters.
     """
     certified = True
     for public_key, message, signature in items:
         if not _in_range(signature):
             return False
-        known = _VERIFY_CACHE.peek(_cache_key(public_key, message, signature))
+        known = verdicts.get(_cache_key(public_key, message, signature))
         if known is False:
             return False
         certified = certified and known is True
@@ -383,7 +377,7 @@ def _standing_verdict(items) -> bool | None:
 
 def batch_verify_many(
     groups: list[list[tuple[PublicKey, bytes, Signature]]],
-    key_tables: dict | None = None,
+    cache: VerifyCache | None = None,
 ) -> list[bool]:
     """One verdict per group of signatures, from one combined check.
 
@@ -394,7 +388,7 @@ def batch_verify_many(
     transaction's claims, a single vote — and this is the one place a
     forgery among them is isolated.
 
-    Groups the verdict store already answers (:func:`_standing_verdict`)
+    Groups the cache already answers (:func:`_standing_verdict`)
     are settled on the spot.  Of all the others, each member that is
     not certified yet is staged once — however many groups claim it —
     and the staged members are folded into **one** linear combination:
@@ -402,7 +396,7 @@ def batch_verify_many(
     :func:`repro.crypto.fastexp.multi_pow` on the right (which merges
     the public keys that recur across groups), a fraction of the cost of
     checking each signature alone.  If it passes, every member is
-    certified in the per-signature cache, so the later one-by-one
+    certified in the cache, so the later one-by-one
     :func:`verify` of the same triple is a hit.  If a fold of two or
     more groups fails, its members are isolated by halving under the
     fold's own weights (:func:`_isolate`): with one forgery among ``m``
@@ -413,11 +407,12 @@ def batch_verify_many(
     a multi-exp: it is checked the way :func:`verify` does it, and that
     verdict is stored.  Nothing here counts a cache hit or miss.
 
-    ``key_tables`` is the caller's store of recurring public keys'
-    odd-power tables (:func:`repro.crypto.fastexp.key_table`): each
-    staged key is looked up or added before the fold, and the tables
-    outlive the call as long as the caller keeps the store.  ``None``
-    keeps nothing beyond the call.
+    ``cache`` is the caller's :class:`VerifyCache`: its verdicts are
+    read and written as above, and each staged key's odd-power table
+    (:func:`repro.crypto.fastexp.key_table`) is looked up in its
+    ``key_tables`` or added there before the fold, so verdicts and
+    tables outlive the call as long as the caller keeps the cache.
+    ``None`` keeps nothing beyond the call.
 
     Sound: a forged signature only passes — folded, or in any part of a
     halving, whose weights were drawn from the whole transcript, the
@@ -426,18 +421,21 @@ def batch_verify_many(
     like :func:`verify`'s, a group passes exactly when each member would
     on its own.
     """
+    if cache is None:
+        cache = VerifyCache(keep_tables=False)
+    known, key_tables = cache.verdicts, cache.key_tables
     verdicts: list[bool] = []
     folded: list[int] = []
     staged: dict[tuple, tuple] = {}
     for index, items in enumerate(groups):
-        verdict = _standing_verdict(items)
+        verdict = _standing_verdict(items, known)
         verdicts.append(verdict is not False)  # provisional for folded ones
         if verdict is None:
             folded.append(index)
-            staged.update(_uncertified(items))
+            staged.update(_uncertified(items, known))
     if len(staged) == 1:
         (item,) = staged.values()
-        ok = _check_alone(*item)
+        ok = _check_alone(*item, known)
         for index in folded:
             verdicts[index] = ok
         return verdicts
@@ -450,40 +448,33 @@ def batch_verify_many(
     terms = _fold_terms(staged.values())
     lhs, rhs = _combined_check(terms, key_tables)
     if _equal_up_to_sign(lhs, rhs):
-        _certify(terms)
+        _certify(terms, known)
     elif len(folded) == 1:
         verdicts[folded[0]] = False
     else:
-        _isolate(terms, lhs, rhs, key_tables)
+        _isolate(terms, lhs, rhs, cache)
         for index in folded:
-            verdicts[index] = _standing_verdict(groups[index]) is True
+            verdicts[index] = _standing_verdict(groups[index], known) is True
     return verdicts
 
 
-def _uncertified(items) -> dict[tuple, tuple]:
+def _uncertified(items, verdicts: dict) -> dict[tuple, tuple]:
     """``items``' members without a standing verdict, keyed, deduplicated."""
     fresh = {}
     for item in items:
         key = _cache_key(*item)
-        if _VERIFY_CACHE.peek(key) is None:
+        if key not in verdicts:
             fresh[key] = item
     return fresh
 
 
-def batch_verify(items: list[tuple[PublicKey, bytes, Signature]]) -> bool:
+def batch_verify(
+    items: list[tuple[PublicKey, bytes, Signature]], cache: VerifyCache | None = None
+) -> bool:
     """``True`` iff every signature in ``items`` is valid: one group."""
-    return batch_verify_many([items])[0]
+    return batch_verify_many([items], cache)[0]
 
 
 def cache_stats() -> dict:
-    """Hit/miss/size counters for the verification caches."""
-    return {
-        "verify_hits": _VERIFY_CACHE.hits,
-        "verify_misses": _VERIFY_CACHE.misses,
-        "verify_size": len(_VERIFY_CACHE),
-    }
-
-
-def clear_verification_caches() -> None:
-    """Drop all memoized verification verdicts (tests, benchmarks)."""
-    _VERIFY_CACHE.clear()
+    """This process's :func:`verify` hit and miss totals, over all caches."""
+    return dict(_COUNTS)

@@ -62,28 +62,12 @@ class ConsensusError(ReproError):
     """A consensus component (BFT validator set, PoW chain) was misused."""
 
 
-class CertificateError(ConsensusError):
-    """A quorum certificate or certificate chain failed validation."""
-
-
 class DealError(ReproError):
     """Base class for deal-specification and protocol failures."""
 
 
 class MalformedDealError(DealError):
     """A deal specification is structurally invalid (e.g. self-transfer)."""
-
-
-class IllFormedDealError(DealError):
-    """A deal's digraph is not strongly connected (free riders exist)."""
-
-
-class ProtocolError(DealError):
-    """A deal protocol component was driven outside its state machine."""
-
-
-class ProofError(DealError):
-    """A proof of commit/abort failed contract-side validation."""
 
 
 class SwapError(ReproError):

@@ -18,7 +18,7 @@ import multiprocessing
 import os
 import signal
 
-from repro.crypto.schnorr import batch_verify_many as schnorr_batch_verify_many
+from repro.crypto.schnorr import VerifyCache, batch_verify_many as schnorr_batch_verify_many
 from repro.errors import MarketError
 from repro.market.report import MarketReport
 from repro.market.runtime import MarketConfig, MarketCoordinator
@@ -49,17 +49,17 @@ class InlineBackend(ExecutionBackend):
 def _pool_worker(conn, parent_ends) -> None:
     """One verify worker: group lists in, verdict lists out, until EOF.
 
-    The worker keeps its own key-table store for its lifetime, as the
-    parent's plane does for the simulator's.
+    The worker keeps its own verdict cache (with its key tables) for its
+    lifetime, as the parent's plane does for the simulator's.
     """
     # The fork copied the parent's pipe ends; EOF — the pool closing,
     # or the parent dying — only arrives once no copy is left open.
     for end in parent_ends:
         end.close()
-    key_tables: dict = {}
+    cache = VerifyCache()
     try:
         while True:
-            conn.send(schnorr_batch_verify_many(conn.recv(), key_tables))
+            conn.send(schnorr_batch_verify_many(conn.recv(), cache))
     except (EOFError, OSError):
         pass
 
@@ -83,9 +83,9 @@ class _VerifyPool:
     else.
     """
 
-    def __init__(self, workers: int, stats: dict, key_tables: dict):
+    def __init__(self, workers: int, stats: dict, cache: VerifyCache):
         self.stats = stats
-        self._key_tables = key_tables  # the plane's, for inline fallbacks
+        self._cache = cache  # the plane's, for inline fallbacks
         context = multiprocessing.get_context("fork")
         self._workers: dict[int, tuple] = {}  # shard -> (pipe, process)
         for shard in range(workers):
@@ -113,7 +113,7 @@ class _VerifyPool:
             answer = self._recv(owner)
             if answer is None:
                 self.stats["inline_batches"] += len(groups)
-                answer = schnorr_batch_verify_many(groups, self._key_tables)
+                answer = schnorr_batch_verify_many(groups, self._cache)
             for position, ok in zip(positions, answer):
                 verdicts[position] = ok
         return verdicts
@@ -199,7 +199,7 @@ class ProcessBackend(ExecutionBackend):
         if not self._can_fork():
             return market.run()
         pool = _VerifyPool(
-            market.shards, self.stats, market.verify_aggregator.key_tables
+            market.shards, self.stats, market.verify_aggregator.cache
         )
         market.verifier = pool
         market.verify_aggregator.verify_many = pool.verify_many

@@ -88,11 +88,7 @@ class TestErrorHierarchy:
             errors.UnknownContractError,
             errors.OutOfGasError,
             errors.TokenError,
-            errors.CertificateError,
             errors.MalformedDealError,
-            errors.IllFormedDealError,
-            errors.ProtocolError,
-            errors.ProofError,
             errors.SwapError,
         ]
         for leaf in leaves:

@@ -96,17 +96,6 @@ def test_subscribers_see_blocks(setup):
     assert seen == [1]
 
 
-def test_unsubscribe(setup):
-    sim, chain, user = setup
-    seen = []
-    observer = lambda ch, block: seen.append(block.height)
-    chain.subscribe(observer)
-    chain.unsubscribe(observer)
-    chain.submit(tx(user, "a"))
-    sim.run()
-    assert seen == []
-
-
 def test_chain_time_tracks_simulator_grid(setup):
     sim, chain, user = setup
     assert chain.chain_time == 0.0

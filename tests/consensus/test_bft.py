@@ -269,15 +269,6 @@ def test_reconfigure_rotates_and_records_handover(setup):
     assert cbc.handovers[0].to_epoch == 1
 
 
-def test_commit_progress_tracking(setup):
-    sim, cbc, keys = setup
-    plist, start_hash = start_deal(sim, cbc, keys)
-    assert cbc.commit_progress(DEAL) == set()
-    cbc.submit(signed_entry(keys["alice"], "commit", plist, start_hash))
-    sim.run()
-    assert cbc.commit_progress(DEAL) == {keys["alice"].address}
-
-
 # ----------------------------------------------------------------------
 # Deferred (per-block batched) entry verification — PR 4
 # ----------------------------------------------------------------------
@@ -316,7 +307,6 @@ def test_forged_vote_is_isolated_from_same_interval_valid_votes(setup):
     # The batched check fails, the per-entry fallback keeps alice's
     # vote and drops bob's forgery: the deal stays one vote short.
     assert cbc.deal_status(DEAL) is DealStatus.ACTIVE
-    assert cbc.commit_progress(DEAL) == {keys["alice"].address}
     recorded = [entry for block in cbc.blocks for entry in block.entries
                 if entry.kind == "commit"]
     assert [entry.party for entry in recorded] == [keys["alice"].address]

@@ -129,13 +129,3 @@ def test_no_proof_while_active(setup):
     assert log.proof(DEAL) is None
 
 
-def test_pause_and_resume_mining(setup):
-    sim, log, keys = setup
-    log.pause_mining()
-    log.submit(vote(keys["alice"], "commit"))
-    log.submit(vote(keys["bob"], "commit"))
-    sim.run()
-    assert log.deal_status(DEAL) is DealStatus.ACTIVE  # nothing mined
-    log.resume_mining()
-    sim.run()
-    assert log.deal_status(DEAL) is DealStatus.COMMITTED

@@ -1,7 +1,6 @@
 """Tests for batched quorum-certificate verification."""
 
 from repro.consensus.validators import ValidatorSet, batch_verify_quorum
-from repro.crypto.schnorr import clear_verification_caches
 
 
 def make_certificate(f=1, message=b"a quorum statement"):
@@ -17,7 +16,6 @@ def check(validators, message, signatures):
 
 def test_valid_certificate_batch_verifies():
     validators, signatures = make_certificate()
-    clear_verification_caches()
     assert check(validators, b"a quorum statement", signatures)
 
 

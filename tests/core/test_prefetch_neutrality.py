@@ -4,8 +4,8 @@ Each test builds the same world twice and feeds both the same
 transactions: one chain through ``submit`` and block production (which
 batch-verifies the escrows' ``signature_claims`` first — together with
 those of every other chain and CBC log due at the same instant), its
-twin through ``execute_now`` one transaction at a time with the verdict
-caches dropped before each — the cold, one-by-one path.  Status, error,
+twin through ``execute_now`` one transaction at a time with its run's
+verdicts dropped before each — the cold, one-by-one path.  Status, error,
 gas and events must agree receipt for receipt, and a CBC log entry must
 land in the same certified block.  Nothing here turns the prefetch off:
 there is nothing to turn.
@@ -13,7 +13,7 @@ there is nothing to turn.
 
 import dataclasses
 
-from repro.chain.ledger import Chain
+from repro.chain.ledger import Chain, VerifyAggregator
 from repro.chain.tokens import FungibleToken
 from repro.chain.tx import Receipt, Transaction
 from repro.consensus.bft import CertifiedBlockchain, LogEntry, StatusCertificate
@@ -70,6 +70,11 @@ def fund(chain, escrow, amount):
     return escrow
 
 
+def forget_verdicts(simulator):
+    """Empty ``simulator``'s verdict cache: the next check runs cold."""
+    VerifyAggregator.of(simulator).cache.verdicts.clear()
+
+
 def advance_to(simulator, time):
     simulator.schedule_at(time, lambda: None)
     simulator.run()
@@ -114,11 +119,11 @@ def one_by_one(simulator, chain, schedule):
         for producer, item in pairs:
             if not isinstance(producer, Chain):
                 producer.submit(item)
-        schnorr.clear_verification_caches()
+        forget_verdicts(simulator)
         advance_to(simulator, boundary)
         for producer, item in pairs:
             if isinstance(producer, Chain):
-                schnorr.clear_verification_caches()
+                forget_verdicts(simulator)
                 outcomes.append(producer.execute_now(item))
             else:
                 outcomes.append(outcome(producer, item))
@@ -137,7 +142,6 @@ def assert_twins_agree(build):
     A scheduled item is a transaction for ``chain`` or a ``(producer,
     item)`` pair naming another chain or a CBC log on the same simulator.
     """
-    schnorr.clear_verification_caches()
     sealed = in_blocks(*build())
     replayed = one_by_one(*build())
     assert [observable(r) for r in sealed] == [observable(r) for r in replayed]
@@ -326,7 +330,7 @@ def test_a_prefetched_status_proof_executes_without_a_multi_exp(monkeypatch):
     simulator, chain, before, after, handovers, _ = cbc_world()
     proofs = [("fresh", StatusProof(before)), ("handed-over", StatusProof(after, handovers))]
 
-    schnorr.clear_verification_caches()
+    forget_verdicts(simulator)
     del calls[:]
     sealed = in_blocks(simulator, chain, [
         (simulator.now + 1.0, [tx(BOB, name, "commit", proof=proof) for name, proof in proofs]),
@@ -335,7 +339,7 @@ def test_a_prefetched_status_proof_executes_without_a_multi_exp(monkeypatch):
     assert len(calls) == 1
 
     simulator, chain, *_ = cbc_world()
-    schnorr.clear_verification_caches()
+    forget_verdicts(simulator)
     del calls[:]
     for name, proof in proofs:
         assert chain.execute_now(tx(BOB, name, "commit", proof=proof)).ok

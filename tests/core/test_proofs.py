@@ -256,7 +256,6 @@ class TestQuorumGasEquivalence:
         # per-signature replay charges: the protocol's gas accounting
         # is unchanged by the crypto engine.
         import repro.core.proofs as proofs_module
-        from repro.crypto.schnorr import clear_verification_caches
 
         sim, wallet, cbc, chain, keys = world
         plist, start_hash = commit_deal(sim, cbc, keys)
@@ -272,7 +271,7 @@ class TestQuorumGasEquivalence:
         monkeypatch.setattr(
             proofs_module, "batch_verify_quorum", lambda *args, **kwargs: False
         )
-        clear_verification_caches()
+        fast_ctx.verify_cache.verdicts.clear()
         slow_ctx = make_ctx(chain)
         status = verify_status_proof(
             slow_ctx, proof, cbc.initial_public_keys, DEAL, start_hash

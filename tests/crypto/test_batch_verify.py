@@ -4,10 +4,10 @@ from repro.crypto.fastexp import P, Q, generator_pow, multi_pow
 from repro.crypto.schnorr import (
     PublicKey,
     Signature,
+    VerifyCache,
     _challenge,
     batch_verify,
     cache_stats,
-    clear_verification_caches,
     generate_keypair,
     sign,
     verify,
@@ -81,39 +81,38 @@ def test_batch_agrees_with_individual_verification():
 # ----------------------------------------------------------------------
 def test_many_all_valid_batches_verify_in_one_merge(monkeypatch):
     from repro.crypto import schnorr
-    from repro.crypto.schnorr import batch_verify_many, clear_verification_caches
+    from repro.crypto.schnorr import batch_verify_many
 
     batches = [make_items(3), make_items(4), make_items(2)]
-    clear_verification_caches()
+    cache = VerifyCache()
+    misses = cache_stats()["verify_misses"]
     calls = []
     monkeypatch.setattr(
         schnorr, "multi_pow",
         lambda pairs, modulus, tables: calls.append(len(pairs))
         or multi_pow(pairs, modulus, tables),
     )
-    assert batch_verify_many(batches) == [True, True, True]
+    assert batch_verify_many(batches, cache) == [True, True, True]
     # One combination, a commitment and a key per distinct triple: the
     # three batches repeat make_items' first keys and messages, so their
     # nine members are four triples, each staged once.
     assert calls == [2 * 4]
     # The merged pass certified every member, so nothing is left to
     # combine for a constituent batch — or to exponentiate for a member.
-    assert all(batch_verify(batch) for batch in batches)
-    assert all(verify(*item) for batch in batches for item in batch)
-    assert calls == [2 * 4] and cache_stats()["verify_misses"] == 0
+    assert all(batch_verify(batch, cache) for batch in batches)
+    assert all(verify(*item, cache) for batch in batches for item in batch)
+    assert calls == [2 * 4] and cache_stats()["verify_misses"] == misses
 
 
 def test_many_verdicts_match_per_batch_verification():
-    from repro.crypto.schnorr import batch_verify_many, clear_verification_caches
+    from repro.crypto.schnorr import batch_verify_many
 
     good = make_items(3)
     bad = make_items(3)
     public, message, signature = bad[1]
     bad[1] = (public, message + b"!", signature)
     batches = [good, bad, [], make_items(1)]
-    clear_verification_caches()
     verdicts = batch_verify_many(batches)
-    clear_verification_caches()
     assert verdicts == [batch_verify(batch) for batch in batches]
     assert verdicts == [True, False, True, True]
 
@@ -146,12 +145,9 @@ def test_batches_and_single_checks_agree_outside_the_subgroup():
         message = b"round %d" % round_
         good = [negated(0, message), negated(1, message), negated(2, message, negate_key=True)]
         bad = negated(3, message, slip=1)
-        clear_verification_caches()
         assert all(verify(*triple) for triple in good) and not verify(*bad)
         for batch in (good[:1], good[:2], good, make_items(2) + good):
-            clear_verification_caches()
             assert batch_verify(batch)
-            clear_verification_caches()
             assert not batch_verify(batch + [bad])
 
 
@@ -162,7 +158,8 @@ def test_a_triple_shared_across_groups_is_staged_and_isolated_once(monkeypatch):
     shared, other = make_items(2)
     public, message, signature = other
     forged = (public, message + b"!", signature)
-    clear_verification_caches()
+    cache = VerifyCache()
+    misses = cache_stats()["verify_misses"]
     checks = []
     combined_check = schnorr._combined_check
     monkeypatch.setattr(
@@ -173,10 +170,10 @@ def test_a_triple_shared_across_groups_is_staged_and_isolated_once(monkeypatch):
     # halving evaluates the shared triple alone, which certifies it and
     # answers both of its groups, and the forgery — the fold divided by
     # that half — fails without an exponentiation of its own.
-    assert batch_verify_many([[shared], [shared], [forged]]) == [True, True, False]
+    assert batch_verify_many([[shared], [shared], [forged]], cache) == [True, True, False]
     assert checks == [2, 1]
-    assert schnorr._VERIFY_CACHE.peek(schnorr._cache_key(*forged)) is None
-    assert cache_stats()["verify_misses"] == 0
+    assert cache.verdicts == {schnorr._cache_key(*shared): True}
+    assert cache_stats()["verify_misses"] == misses
 
 
 def test_halving_isolates_every_forgery_and_certifies_every_valid_member(monkeypatch):
@@ -194,18 +191,19 @@ def test_halving_isolates_every_forgery_and_certifies_every_valid_member(monkeyp
         schnorr, "_combined_check",
         lambda terms, tables: checks.append(len(terms)) or combined_check(terms, tables),
     )
-    clear_verification_caches()
-    assert batch_verify_many([[triple] for triple in forged]) == [False] * 16
+    misses = cache_stats()["verify_misses"]
+    cache = VerifyCache()
+    assert batch_verify_many([[triple] for triple in forged], cache) == [False] * 16
     assert checks == [16] + [8, 4, 2, 1, 1, 2, 1, 1, 4, 2, 1, 1, 2, 1, 1]
-    assert len(schnorr._VERIFY_CACHE) == 0
+    assert cache.verdicts == {}
 
     # A valid member that shares its only group with a forgery is
     # certified all the same: exactly the valid members leave certified.
     del checks[:]
-    clear_verification_caches()
+    cache = VerifyCache()
     mixed = [[items[0], forged[1]], [items[2]], [items[3], items[4]]]
-    assert batch_verify_many(mixed) == [False, True, True]
-    assert [schnorr._VERIFY_CACHE.peek(schnorr._cache_key(*t)) for t in
+    assert batch_verify_many(mixed, cache) == [False, True, True]
+    assert [cache.verdicts.get(schnorr._cache_key(*t)) for t in
             (items[0], forged[1], items[2], items[3], items[4])] == [True, None, True, True, True]
     assert checks == [5, 2, 1]
-    assert cache_stats()["verify_misses"] == 0
+    assert cache_stats()["verify_misses"] == misses

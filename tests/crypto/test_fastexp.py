@@ -1,4 +1,4 @@
-"""Tests for the fast-exponentiation engine and the verification caches.
+"""Tests for the fast-exponentiation engine and the verification cache.
 
 The contract of the whole subsystem: *wall-clock only*.  Signatures
 must stay byte-identical to the seed implementation, and a cached
@@ -22,13 +22,13 @@ from repro.crypto.fastexp import (
 from repro.crypto.hashing import bytes_to_int, int_to_bytes, tagged_hash
 from repro.crypto.schnorr import (
     PublicKey,
-    LruDict,
     Signature,
+    VerifyCache,
     _SCALAR_BYTES,
+    _cache_key,
     _challenge,
     batch_verify,
     cache_stats,
-    clear_verification_caches,
     generate_keypair,
     sign,
     verify,
@@ -92,17 +92,6 @@ def test_multi_pow_empty_is_identity():
     assert multi_pow([], P) == 1
 
 
-def test_lru_dict_evicts_least_recently_used():
-    cache = LruDict(2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1  # touch a; b is now the LRU victim
-    cache.put("c", 3)
-    assert cache.get("b") is None
-    assert cache.get("a") == 1
-    assert cache.get("c") == 3
-
-
 # ----------------------------------------------------------------------
 # Signatures are byte-identical to the seed implementation
 # ----------------------------------------------------------------------
@@ -138,29 +127,35 @@ def test_cached_verify_still_rejects_tampering():
     _, other_public = generate_keypair(b"cache-other")
     message = b"the real message"
     signature = sign(private, message)
-    clear_verification_caches()
+    cache = VerifyCache()
+    hits = cache_stats()["verify_hits"]
     # Warm the cache with the genuine verdict, twice (hit the cache).
-    assert verify(public, message, signature)
-    assert verify(public, message, signature)
-    stats = cache_stats()
-    assert stats["verify_hits"] >= 1
+    assert verify(public, message, signature, cache)
+    assert verify(public, message, signature, cache)
+    assert cache_stats()["verify_hits"] == hits + 1
     # Tampered message / signature / key must all be re-checked and fail.
-    assert not verify(public, b"the fake message", signature)
-    assert not verify(public, message, Signature(signature.commitment, (signature.response + 1) % Q))
-    assert not verify(public, message, Signature(signature.commitment * G % P, signature.response))
-    assert not verify(other_public, message, signature)
+    assert not verify(public, b"the fake message", signature, cache)
+    bumped = Signature(signature.commitment, (signature.response + 1) % Q)
+    assert not verify(public, message, bumped, cache)
+    shifted = Signature(signature.commitment * G % P, signature.response)
+    assert not verify(public, message, shifted, cache)
+    assert not verify(other_public, message, signature, cache)
     # And the genuine one still passes afterwards.
-    assert verify(public, message, signature)
+    assert verify(public, message, signature, cache)
 
 
 def test_negative_verdicts_are_cached_too():
     private, public = generate_keypair(b"cache-negative")
     signature = sign(private, b"signed")
-    clear_verification_caches()
-    assert not verify(public, b"unsigned", signature)
+    cache = VerifyCache()
+    assert not verify(public, b"unsigned", signature, cache)
+    assert cache.verdicts == {_cache_key(public, b"unsigned", signature): False}
     misses = cache_stats()["verify_misses"]
-    assert not verify(public, b"unsigned", signature)
+    assert not verify(public, b"unsigned", signature, cache)
     assert cache_stats()["verify_misses"] == misses  # second check was a hit
+    # Without a cache nothing is kept: the same check misses again.
+    assert not verify(public, b"unsigned", signature)
+    assert cache_stats()["verify_misses"] == misses + 1
 
 
 def test_batch_verify_rejects_batch_with_one_bad_signature(monkeypatch):
@@ -169,27 +164,27 @@ def test_batch_verify_rejects_batch_with_one_bad_signature(monkeypatch):
         private, public = generate_keypair(f"batch-bad-{index}".encode())
         message = f"batch message {index}".encode()
         items.append((public, message, sign(private, message)))
-    clear_verification_caches()
-    assert batch_verify(items)
+    cache = VerifyCache()
+    assert batch_verify(items, cache)
     for position in range(len(items)):
         tampered = list(items)
         public, message, signature = tampered[position]
         tampered[position] = (public, message + b"!", signature)
-        assert not batch_verify(tampered)
+        assert not batch_verify(tampered, cache)
     # Every member of the accepted batch is certified: re-checking it
     # combines nothing.
     monkeypatch.setattr(schnorr, "multi_pow", None)
-    assert batch_verify(items)
+    assert batch_verify(items, cache)
 
 
 def test_batch_success_seeds_the_per_signature_cache():
     private, public = generate_keypair(b"batch-seeds")
     message = b"quorum statement"
     signature = sign(private, message)
-    clear_verification_caches()
-    assert batch_verify([(public, message, signature)])
+    cache = VerifyCache()
+    assert batch_verify([(public, message, signature)], cache)
     hits = cache_stats()["verify_hits"]
-    assert verify(public, message, signature)
+    assert verify(public, message, signature, cache)
     assert cache_stats()["verify_hits"] == hits + 1
 
 

@@ -42,14 +42,6 @@ def test_wallet_rejects_unknown_address():
         wallet.public_key(stranger.address)
 
 
-def test_wallet_register_public_key_derives_same_address():
-    keypair = KeyPair.from_label("alice")
-    wallet = Wallet()
-    address = wallet.register_public_key(keypair.public_key)
-    assert address == keypair.address
-    assert wallet.knows(address)
-
-
 def test_wallet_addresses_sorted_and_len():
     wallet = Wallet()
     keys = [KeyPair.from_label(label) for label in ("a", "b", "c")]

@@ -20,7 +20,7 @@ from dataclasses import replace
 from market_test_utils import HandWorkload, on_shard, run_hand, two_party_swap
 from repro.chain.ledger import VerifyAggregator
 from repro.crypto import schnorr
-from repro.crypto.schnorr import batch_verify, generate_keypair, sign
+from repro.crypto.schnorr import VerifyCache, batch_verify, generate_keypair, sign
 from repro.market import DealPhase, MarketConfig, MarketCoordinator
 from repro.sim.chaos import ChaosPlan, ChaosPolicy
 from repro.sim.simulator import Simulator
@@ -110,7 +110,6 @@ def test_one_forged_order_in_two_shards_is_isolated_by_halving(
         ]
 
     market = MarketCoordinator(HandWorkload(orders, shards=2), _config())
-    schnorr.clear_verification_caches()  # earlier tests sign the same orders
     checks = []
     combined_check = schnorr._combined_check
     monkeypatch.setattr(
@@ -230,9 +229,8 @@ def test_a_dropped_market_takes_its_simulators_plane_with_it(monkeypatch):
     monkeypatch.setattr(KeyPair, "sign", recording)
     profile = replace(MarketProfile.smoke(), deals=10)
     market = MarketCoordinator(MarketWorkload(profile), MarketConfig(telemetry=Telemetry()))
-    schnorr.clear_verification_caches()  # earlier tests sign the same orders
     assert market.run().committed > 0
-    tables = market.verify_aggregator.key_tables
+    tables = market.verify_aggregator.cache.key_tables
     assert set(tables) == {point for point, _ in signed}
     assert not {commitment for _, commitment in signed} & set(tables)
     assert all(len(powers) == 32 for powers in tables.values())
@@ -252,8 +250,8 @@ def test_a_dropped_market_takes_its_simulators_plane_with_it(monkeypatch):
 
 
 def test_a_check_without_a_store_keeps_no_table(monkeypatch):
-    # Called without key_tables, every call builds each key's table
-    # afresh: nothing outlives it.  With a store, only the first does.
+    # Called without a cache, every call builds each key's table
+    # afresh: nothing outlives it.  With a cache, only the first does.
     from repro.crypto import fastexp
 
     built = []
@@ -266,14 +264,36 @@ def test_a_check_without_a_store_keeps_no_table(monkeypatch):
     for index in range(3):
         private, public = generate_keypair(f"no-store-{index}".encode())
         groups.append([(public, b"m%d" % index, sign(private, b"m%d" % index))])
-    for store in (None, {}):
+    kept = VerifyCache()
+    for cache in (None, kept):
         runs = []
         for _ in range(2):
-            schnorr.clear_verification_caches()
+            kept.verdicts.clear()  # each run checks cold, over the kept tables
             del built[:]
-            assert schnorr.batch_verify_many(groups, store) == [True] * 3
+            assert schnorr.batch_verify_many(groups, cache) == [True] * 3
             runs.append(sorted(built))
-        if store is None:
+        if cache is None:
             assert runs[0] == runs[1] == [3] * 3 + [5] * 3
         else:
-            assert runs == [[3] * 3 + [6] * 3, [3] * 3] and len(store) == 3
+            assert runs == [[3] * 3 + [6] * 3, [3] * 3] and len(kept.key_tables) == 3
+
+
+def test_a_second_same_seed_run_pays_for_its_own_checks(monkeypatch):
+    # Each run's verdicts live in its own simulator's aggregator, so a
+    # run in a warm process does the multi-exp work a fresh process does.
+    pairs = []
+    multi_pow = schnorr.multi_pow
+    monkeypatch.setattr(
+        schnorr, "multi_pow",
+        lambda items, modulus, tables: pairs.append(len(items))
+        or multi_pow(items, modulus, tables),
+    )
+    runs = []
+    for _ in range(2):
+        del pairs[:]
+        report = MarketCoordinator(
+            MarketWorkload(MarketProfile.sharded_smoke(seed=0)), MarketConfig()
+        ).run()
+        runs.append((len(pairs), sum(pairs), report.fingerprint()))
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == (37, 706)

@@ -194,11 +194,11 @@ from repro.crypto.hashing import tagged_hash  # noqa: E402
 from repro.crypto.schnorr import (  # noqa: E402
     PublicKey,
     Signature,
+    VerifyCache,
     _challenge,
     batch_verify,
     batch_verify_many,
     cache_stats,
-    clear_verification_caches,
 )
 from repro.sim.simulator import Simulator  # noqa: E402
 
@@ -248,7 +248,7 @@ def _hits_and_misses():
 
 
 def _expected_store_after(groups, valid, store):
-    """What one ``batch_verify_many(groups)`` leaves in the verdict store,
+    """What one ``batch_verify_many(groups)`` leaves in a cache's verdicts,
     modelled on ``store`` (cache key -> verdict; absent = uncached).
 
     A group is folded unless a member is out of range, a member is
@@ -281,36 +281,33 @@ def test_batch_verify_many_changes_no_verdict_and_no_verify_counter(specs):
     batches = [[_claimed_triple(*spec) for spec in batch] for batch in specs]
     cold_single, cold_batch = [], []
     for batch in batches:
-        for triple in batch:
-            clear_verification_caches()
-            cold_single.append(verify(*triple))
-        clear_verification_caches()
+        cold_single.extend(verify(*triple) for triple in batch)
         cold_batch.append(batch_verify(batch))
     assert cold_batch == [all(verify(*triple) for triple in batch) for batch in batches]
 
-    clear_verification_caches()
+    cache = VerifyCache()
     before = _hits_and_misses()
-    assert batch_verify_many(batches) == cold_batch  # cold, merged
+    assert batch_verify_many(batches, cache) == cold_batch  # cold, merged
     assert _hits_and_misses() == before
-    assert batch_verify_many(batches) == cold_batch  # on the warmed cache
-    assert [verify(*triple) for batch in batches for triple in batch] == cold_single
-    assert [batch_verify(batch) for batch in batches] == cold_batch
+    assert batch_verify_many(batches, cache) == cold_batch  # on the warmed cache
+    assert [verify(*triple, cache) for batch in batches for triple in batch] == cold_single
+    assert [batch_verify(batch, cache) for batch in batches] == cold_batch
 
     # Once every member holds its own verdict — True or False — the
     # batched check has nothing left to combine: no group is refused or
     # accepted by exponentiation a second time.
-    clear_verification_caches()
+    cache = VerifyCache()
     for batch in batches:
         for triple in batch:
-            verify(*triple)
+            verify(*triple, cache)
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(schnorr, "multi_pow", lambda *args: calls.append(args))
-        assert batch_verify_many(batches) == cold_batch
+        assert batch_verify_many(batches, cache) == cold_batch
     assert calls == []
 
 
-# Shared across examples: the "reused across calls" store.
+# Shared across examples: the "reused across calls" key tables.
 _REUSED_KEY_TABLES: dict = {}
 
 
@@ -323,30 +320,29 @@ _REUSED_KEY_TABLES: dict = {}
 def test_halving_isolation_gives_every_group_its_cold_verdict(pool, data, tables):
     """Groups drawn from one pool of triples — so members recur across
     groups — with anything from no forgery to all of them forged, under
-    no key-table store, a fresh one, or one reused across calls: every
-    verdict is cold ``verify``'s, the store ends as the model says, no
-    counter moves, and a store holds full-width tables of public keys
-    only."""
+    no kept key tables, fresh ones, or ones reused across calls: every
+    verdict is cold ``verify``'s, the cache's verdicts end as the model
+    says, no counter moves, and kept tables are full-width tables of
+    public keys only."""
     triples = [_claimed_triple(*spec) for spec in pool]
     groups = data.draw(st.lists(
         st.lists(st.sampled_from(triples), max_size=4), min_size=1, max_size=6
     ))
-    valid = {}
-    for triple in triples:
-        clear_verification_caches()
-        valid[schnorr._cache_key(*triple)] = verify(*triple)
-    key_tables = {"none": None, "fresh": {}, "reused": _REUSED_KEY_TABLES}[tables]
+    valid = {schnorr._cache_key(*triple): verify(*triple) for triple in triples}
+    cache = VerifyCache(keep_tables=tables != "none")
+    if tables == "reused":
+        cache.key_tables = _REUSED_KEY_TABLES
+    key_tables = cache.key_tables
 
-    clear_verification_caches()
     expected = {}
     _expected_store_after(groups, valid, expected)
     counters = _hits_and_misses()
-    assert batch_verify_many(groups, key_tables) == [
+    assert batch_verify_many(groups, cache) == [
         all(valid[schnorr._cache_key(*t)] for t in group) for group in groups
     ]
     assert _hits_and_misses() == counters
     keys = {schnorr._cache_key(*t) for t in triples}
-    assert {key: schnorr._VERIFY_CACHE.peek(key) for key in keys} == {
+    assert {key: cache.verdicts.get(key) for key in keys} == {
         key: expected.get(key) for key in keys
     }
     if key_tables is not None:
@@ -392,20 +388,16 @@ def test_one_instant_of_claims_and_order_groups_settles_as_cold_verify(
                for waits, groups in filings]
     known = [_claimed_triple(*spec) for spec in known]
     triples = {schnorr._cache_key(*t): t for _, gs in filings for g in gs for t in g}
-    valid = {}
-    for key, triple in triples.items():
-        clear_verification_caches()
-        valid[key] = verify(*triple)
-
-    clear_verification_caches()
-    for triple in known:
-        verify(*triple)
-    store = schnorr._VERIFY_CACHE
-    before = {key: store.peek(key) for key in triples}
-    counters = _hits_and_misses()
+    valid = {key: verify(*triple) for key, triple in triples.items()}
 
     simulator = Simulator()
     plane = VerifyAggregator.of(simulator)
+    for triple in known:
+        verify(*triple, plane.cache)
+    store = plane.cache.verdicts
+    before = {key: store.get(key) for key in triples}
+    counters = _hits_and_misses()
+
     claims = [group for waits, groups in filings if not waits for group in groups]
     delivered = []
 
@@ -430,7 +422,7 @@ def test_one_instant_of_claims_and_order_groups_settles_as_cold_verify(
     expected = {key: verdict for key, verdict in before.items() if verdict is not None}
     for call in (claims, [g for waits, gs in filings if waits for g in gs]):
         _expected_store_after(call, valid, expected)
-    assert {key: store.peek(key) for key in triples} == {
+    assert {key: store.get(key) for key in triples} == {
         key: expected.get(key) for key in triples
     }
     assert _hits_and_misses() == counters

@@ -98,7 +98,10 @@ class TestReplayImmunity:
                             signature=signature)
         cbc.submit(replayed)
         simulator.run()
-        assert cbc.commit_progress(deal_b) == set()
+        assert not [
+            entry for entry in cbc.entries()
+            if entry.kind == "commit" and entry.deal_id == deal_b
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.crypto import schnorr
 from repro.market import MarketConfig, MarketCoordinator, open_market
 from repro.market.protocols import DealPhase
 from repro.sim.faults import FaultPlan, ReplicaCrash
@@ -115,10 +114,8 @@ class TestCoverage:
 
 class TestDeterminism:
     def test_same_seed_traces_are_byte_identical(self, tmp_path):
-        # Start cold wherever pytest schedules this: the first run then
-        # misses every crypto cache and the second hits them, and the
-        # trace must not be able to tell.
-        schnorr.clear_verification_caches()
+        # Each run owns its verdict cache, so both start cold wherever
+        # pytest schedules this, and the traces must match byte for byte.
         paths = []
         for tag in ("a", "b"):
             telemetry = Telemetry()
