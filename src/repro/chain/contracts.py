@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro.chain.events import Event
 from repro.chain.gas import GasMeter
 from repro.crypto.hashing import tagged_hash
-from repro.crypto.keys import Address, Wallet
+from repro.crypto.keys import Address
 from repro.crypto.schnorr import Signature, VerifyCache, verify as schnorr_verify
 from repro.errors import ContractError
 

@@ -28,13 +28,11 @@ from repro.consensus.bft import (
     BlockProof,
     CbcBlock,
     DealStatus,
-    LogEntry,
     StatusCertificate,
     StatusProof,
 )
 from repro.consensus.validators import HandoverCertificate, batch_verify_quorum
-from repro.consensus.pow import PowProof, PowVoteProof, encode_pow_vote
-from repro.crypto.hashing import hash_concat
+from repro.consensus.pow import PowVoteProof, encode_pow_vote
 from repro.crypto.schnorr import PublicKey
 
 # The proof types live beside the logs that build them —

@@ -3,13 +3,20 @@
 Profiling shows most benchmark wall-clock inside 2048-bit modular
 exponentiation for Schnorr sign/verify, and — since the market runtime
 batches whole blocks of order signatures into one combined check —
-inside :func:`multi_pow` specifically.  Three kinds of bases get a
-mechanism of their own:
+inside :func:`multi_pow` specifically.  Every multiplication mod ``p``
+below, squarings included, is one call into libcrypto's Montgomery
+arithmetic (:mod:`repro.crypto.montgomery`, ~1.3 µs where ``a * b % p``
+on Python ints takes ~10 µs): the algorithms run on Montgomery
+residues, and ints cross into the kernel only at this module's API —
+bases in, one result out.  Costs below are counted in those kernel
+multiplications.  The kernel needs OpenSSL's libcrypto as CPython's
+``_hashlib`` links it; without it importing this module raises
+``ImportError``.  Three kinds of bases get a mechanism of their own:
 
 * the **generator** ``g`` — every sign computes ``g^k`` and every
   verify computes ``g^s``; the base never changes, so one process-wide
   fixed-base window table turns each exponentiation into ~``bits/w``
-  modular multiplications with **no squarings at all**;
+  multiplications with **no squarings at all**;
 * everything a batched check multiplies together — **public keys**
   ``y^{e·w}`` and **signature commitments** ``R^w`` — goes through one
   cold multi-exponentiation that shares a single squaring chain across
@@ -17,9 +24,10 @@ mechanism of their own:
 * a **public key that recurs** across a run's batched checks keeps
   its odd-power table — the one the multi-exponentiation below would
   build for it anyway, at :data:`KEY_WINDOW` — in a store the caller
-  owns and hands in (``tables``); the store lives as long as its
-  owner (one per simulator, :class:`repro.chain.ledger.VerifyAggregator`)
-  and nothing here keeps one.
+  owns and hands in (``tables``); the table is kernel residues that
+  live as long as the store (one per simulator,
+  :class:`repro.chain.ledger.VerifyAggregator`), and nothing here keeps
+  one.
 
 :func:`multi_pow` merges duplicate bases by *summing their exponents*
 and computes the product in one interleaved sliding-window pass
@@ -31,40 +39,35 @@ or, found in ``tables``, builds nothing and reads its 32 entries ~46
 times).  Called without ``tables`` nothing outlives the call.  There
 is deliberately no bucket (Pippenger) kernel: it only wins past ≈ 270
 mixed-length bases, and the widest call any workload or gate makes has
-82 (ROADMAP "Recent").
+82 (ROADMAP "Recent").  Both crossovers (this one and
+:data:`KEY_WINDOW`'s) are counts of multiplications, and they hold in
+the kernel unchanged: a squaring costs what a product costs there,
+and a fresh table entry adds one scratch ``BIGNUM`` to its
+multiplication, far below the multiplication itself.
 
-A single public-key exponentiation (:func:`base_pow`) is plain
-``builtins.pow``.  The kept key tables are not a fixed-base tier: a
-384-bit fixed-base window table per key costs ~1,440 multiplications
-to build and, inside a batch whose squarings are already shared, saves
-almost nothing per use, so it only repays itself in long runs over few
-keys that no benchmark workload reaches (ROADMAP, parked); a kept
-odd-power table costs 32 multiplications, once, and saves 23 in every
-later call that names its key.
+A single public-key exponentiation (:func:`base_pow`) is one
+``BN_mod_exp_mont``, libcrypto's own sliding window.  The kept key
+tables are not a fixed-base tier: a 384-bit fixed-base window table
+per key costs ~1,440 multiplications to build and, inside a batch
+whose squarings are already shared, saves almost nothing per use, so
+it only repays itself in long runs over few keys that no benchmark
+workload reaches (ROADMAP, parked); a kept odd-power table costs 32
+multiplications, once, and saves 23 in every later call that names
+its key.
 
-The RFC 3526 group-14 constants live here (single source of truth);
-:mod:`repro.crypto.schnorr` re-exports them, so existing imports keep
-working.  Every function is an exact drop-in for ``pow(base, e, p)``
-— signatures produced through the generator table are byte-identical
-to the seed implementation, which the test suite asserts.
+The RFC 3526 group-14 constants are exported here (``p`` is the
+kernel's one modulus, defined beside it); :mod:`repro.crypto.schnorr`
+re-exports them, so existing imports keep working.  Every function is
+an exact drop-in for ``pow(base, e, p)`` — signatures produced through
+the generator table are byte-identical to the seed implementation,
+which the test suite asserts.
 """
 
 from __future__ import annotations
 
-# RFC 3526, group 14 (2048-bit MODP).  p is a safe prime.
-P = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E08"
-    "8A67CC74020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B"
-    "302B0A6DF25F14374FE1356D6D51C245E485B576625E7EC6F44C42E9"
-    "A637ED6B0BFF5CB6F406B7EDEE386BFB5A899FA5AE9F24117C4B1FE6"
-    "49286651ECE45B3DC2007CB8A163BF0598DA48361C55D39A69163FA8"
-    "FD24CF5F83655D23DCA3AD961C62F356208552BB9ED529077096966D"
-    "670C354E4ABC9804F1746C08CA18217C32905E462E36CE3BE39E772C"
-    "180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFF"
-    "FFFFFFFF",
-    16,
-)
+from repro.crypto import montgomery as kernel
+from repro.crypto.montgomery import P
+
 Q = (P - 1) // 2
 G = 4
 
@@ -75,7 +78,7 @@ G = 4
 # responses under 64-bit weights: 64 + 513 + log2(n) bits, under 600
 # for any batch that fits in memory.  The generator table is sized for
 # those real exponents — an out-of-range exponent (possible only in
-# forged inputs) transparently falls back to ``builtins.pow``.
+# forged inputs) transparently falls back to ``BN_mod_exp_mont``.
 GENERATOR_TABLE_BITS = 640
 
 # The window trades table-build cost against per-exponentiation cost;
@@ -86,8 +89,9 @@ GENERATOR_WINDOW = 7
 # (:func:`key_table`), kept for the life of a simulator's verification
 # plane instead of rebuilt in every multi-exponentiation.  A base pays
 # 2^(w-1) multiplications for the table, once, and ~bits/(w+1) window
-# hits per use: a 32-entry table (~10 KB) lets a ~320-bit ``e·w`` cost
-# 46 hits where the per-call width-5 table costs 16 + 53.  Shared by
+# hits per use: a 32-entry table (~10 KB of BIGNUMs) lets a ~320-bit
+# ``e·w`` cost 46 hits where the per-call width-5 table costs 16 + 53,
+# all of them kernel multiplications of one price.  Shared by
 # n uses, the table costs 32/n per use, and :func:`_window_width`'s
 # rule (w+1 beats w iff bits > 2^(w-1)·(w+1)·(w+2)) picks 6 for that
 # exponent once n is 3–5.
@@ -95,55 +99,67 @@ KEY_WINDOW = 6
 
 
 class FixedBaseTable:
-    """Windowed fixed-base exponentiation: ``base^e mod modulus``.
+    """Windowed fixed-base exponentiation: ``base^e mod p``.
 
     Precomputes ``base^(d · 2^(w·i))`` for every window ``i`` and digit
-    ``d``; an exponentiation is then one table lookup and one modular
-    multiplication per non-zero window digit — no squarings.
+    ``d`` as kernel residues it owns; an exponentiation is then one
+    table lookup and one multiplication per non-zero window digit — no
+    squarings.
     """
 
-    __slots__ = ("base", "modulus", "window", "max_bits", "_rows", "_mask")
+    __slots__ = ("base", "window", "max_bits", "_residues", "_rows", "_mask")
 
-    def __init__(self, base: int, modulus: int, max_bits: int, window: int):
+    def __init__(self, base: int, max_bits: int, window: int):
         if not 1 <= window <= 16:
             raise ValueError("window size out of range")
-        self.base = base % modulus
-        self.modulus = modulus
+        self.base = base % P
         self.window = window
         self.max_bits = max_bits
         self._mask = (1 << window) - 1
         radix = 1 << window
-        rows = []
-        anchor = self.base
-        for _ in range((max_bits + window - 1) // window):
-            row = [1] * radix
-            row[1] = anchor
+        count = (max_bits + window - 1) // window
+        self._residues = kernel.Residues(count * (radix - 1))
+        pointers = self._residues.pointers
+        # Digit 0 is never looked up, so a row holds digits 1..radix-1.
+        rows = [
+            (None,) + pointers[index * (radix - 1):(index + 1) * (radix - 1)]
+            for index in range(count)
+        ]
+        mul = kernel.mul
+        kernel.load(rows[0][1], self.base)
+        for index, row in enumerate(rows):
+            anchor = row[1]
             for digit in range(2, radix):
-                row[digit] = row[digit - 1] * anchor % modulus
-            rows.append(row)
+                mul(row[digit], row[digit - 1], anchor)
             # The next window's anchor is base^(2^(w·(i+1))) = anchor^radix.
-            anchor = row[radix - 1] * anchor % modulus
+            if index + 1 < count:
+                mul(rows[index + 1][1], row[radix - 1], anchor)
         self._rows = rows
 
     def pow(self, exponent: int) -> int:
-        """Return ``base^exponent mod modulus`` (exponent >= 0)."""
+        """Return ``base^exponent mod p`` (exponent >= 0)."""
         if exponent < 0:
             raise ValueError("negative exponent")
         if exponent.bit_length() > self.max_bits:
-            return pow(self.base, exponent, self.modulus)
-        acc = 1
-        index = 0
-        modulus = self.modulus
+            return kernel.exp(self.base, exponent)
+        mul = kernel.mul
         rows = self._rows
         mask = self._mask
         window = self.window
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                acc = acc * rows[index][digit] % modulus
-            exponent >>= window
-            index += 1
-        return acc
+        kernel.start()
+        try:
+            (acc,) = kernel.scratch(1)
+            kernel.set_one(acc)
+            index = 0
+            while exponent:
+                digit = exponent & mask
+                if digit:
+                    mul(acc, acc, rows[index][digit])
+                exponent >>= window
+                index += 1
+            return kernel.to_int(acc)
+        finally:
+            kernel.end()
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +172,7 @@ def generator_table() -> FixedBaseTable:
     """The process-wide fixed-base table for ``g`` (built on first use)."""
     global _generator_table
     if _generator_table is None:
-        _generator_table = FixedBaseTable(G, P, GENERATOR_TABLE_BITS, GENERATOR_WINDOW)
+        _generator_table = FixedBaseTable(G, GENERATOR_TABLE_BITS, GENERATOR_WINDOW)
     return _generator_table
 
 
@@ -166,12 +182,12 @@ def generator_pow(exponent: int) -> int:
 
 
 def base_pow(base: int, exponent: int) -> int:
-    """``base^exponent mod p`` for a public key: plain ``builtins.pow``.
+    """``base^exponent mod p`` for a public key: one ``BN_mod_exp_mont``.
 
     A named function because :func:`repro.crypto.schnorr.verify` is its
     call site and the benchmark's tracer wraps it by name.
     """
-    return pow(base, exponent, P)
+    return kernel.exp(base % P, exponent)
 
 
 # ----------------------------------------------------------------------
@@ -215,25 +231,36 @@ def _recode(exponent: int, width: int) -> list[tuple[int, int]]:
     return hits
 
 
-def _odd_powers(base: int, width: int, modulus: int) -> list[int]:
-    """``[base^1, base^3, …, base^(2^width - 1)]``: all a sliding window reads."""
-    powers = [base]
-    if width > 1:
-        square = base * base % modulus
-        for _ in range((1 << (width - 1)) - 1):
-            powers.append(powers[-1] * square % modulus)
+def _odd_powers(base: int, powers):
+    """Fill ``powers``, ``2^(w-1)`` kernel residues, with ``base^1,
+    base^3, …, base^(2^w - 1)`` — all a sliding window reads — and
+    return it.  Runs inside an open kernel frame (the squaring is a
+    temporary of it)."""
+    mul = kernel.mul
+    kernel.load(powers[0], base)
+    if len(powers) > 1:
+        (square,) = kernel.scratch(1)
+        mul(square, powers[0], powers[0])
+        for index in range(1, len(powers)):
+            mul(powers[index], powers[index - 1], square)
     return powers
 
 
-def key_table(base: int) -> list[int]:
-    """A recurring public key's odd powers mod ``p`` at :data:`KEY_WINDOW`:
-    what :func:`multi_pow` reads for it when handed in ``tables``."""
-    return _odd_powers(base, KEY_WINDOW, P)
+def key_table(base: int) -> kernel.Residues:
+    """A recurring public key's odd powers mod ``p`` at
+    :data:`KEY_WINDOW`, owned by the returned
+    :class:`~repro.crypto.montgomery.Residues`: what :func:`multi_pow`
+    reads for it when handed in ``tables``."""
+    table = kernel.Residues(1 << (KEY_WINDOW - 1))
+    kernel.start()
+    try:
+        _odd_powers(base % P, table.pointers)
+    finally:
+        kernel.end()
+    return table
 
 
-def _straus(
-    items: list[tuple[int, int]], modulus: int, tables: dict | None = None
-) -> int:
+def _straus(items: list[tuple[int, int]], tables: dict | None = None) -> int:
     """Interleaved sliding-window multi-exp (Möller) over distinct bases.
 
     Every base is recoded at the width its *own* exponent repays
@@ -244,52 +271,60 @@ def _straus(
     small table and few hits, and joins the chain only at its own top
     bit — no base pays for the longest exponent in the batch.  A base
     found in ``tables`` reads its odd powers from there instead, at the
-    width the stored table's length gives (``2^(w-1)`` entries).
+    width the kept table's length gives (``2^(w-1)`` entries); a value
+    there that is not a :func:`key_table` raises ``TypeError``.  The
+    fresh tables and the accumulator are temporaries of one kernel
+    frame, so nothing outlives the call.
     """
-    # Position 0 is always present so the chain squares down to it.
-    filed: dict[int, list[int]] = {0: []}
-    for base, exponent in items:
-        powers = tables.get(base) if tables else None
-        if powers is None:
-            width = _window_width(exponent.bit_length())
-            powers = _odd_powers(base, width, modulus)
-        else:
-            width = len(powers).bit_length()
-        for position, digit in _recode(exponent, width):
-            filed.setdefault(position, []).append(powers[digit >> 1])
-    positions = sorted(filed, reverse=True)
-    acc = 1
-    reached = positions[0]
-    for position in positions:
-        for _ in range(reached - position):
-            acc = acc * acc % modulus
-        for power in filed[position]:
-            acc = acc * power % modulus
-        reached = position
-    return acc
+    mul = kernel.mul
+    kernel.start()
+    try:
+        # Position 0 is always present so the chain squares down to it.
+        filed: dict[int, list[int]] = {0: []}
+        for base, exponent in items:
+            table = tables.get(base) if tables else None
+            if table is None:
+                width = _window_width(exponent.bit_length())
+                powers = _odd_powers(base, kernel.scratch(1 << (width - 1)))
+            elif type(table) is kernel.Residues:
+                powers = table.pointers
+                width = len(powers).bit_length()
+            else:
+                raise TypeError(
+                    f"a kept table is a key_table(), not {type(table).__name__}"
+                )
+            for position, digit in _recode(exponent, width):
+                filed.setdefault(position, []).append(powers[digit >> 1])
+        positions = sorted(filed, reverse=True)
+        (acc,) = kernel.scratch(1)
+        kernel.set_one(acc)
+        reached = positions[0]
+        for position in positions:
+            for _ in range(reached - position):
+                mul(acc, acc, acc)
+            for power in filed[position]:
+                mul(acc, acc, power)
+            reached = position
+        return kernel.to_int(acc)
+    finally:
+        kernel.end()
 
 
-def multi_pow(
-    pairs: list[tuple[int, int]], modulus: int = P, tables: dict | None = None
-) -> int:
-    """``Π base_i^{exp_i} mod modulus`` in one shared squaring chain.
+def multi_pow(pairs: list[tuple[int, int]], tables: dict | None = None) -> int:
+    """``Π base_i^{exp_i} mod p`` in one shared squaring chain.
 
     Repeated bases are merged by summing their exponents (two
     signatures under one public key cost one table and one set of
     windows, not two); the distinct remainder pays one interleaved
     sliding-window pass (:func:`_straus`).  ``tables`` maps a base to
-    its kept odd powers mod ``modulus`` (:func:`key_table`); it is only
-    read, and every other base builds its table for this call alone.
+    its kept odd powers (:func:`key_table`); it is only read, and every
+    other base builds its table for this call alone.
     """
-    if not pairs:
-        return 1 % modulus
-    if modulus == 1:
-        return 0
     merged: dict[int, int] = {}
     for base, exponent in pairs:
         if exponent < 0:
             raise ValueError("negative exponent")
-        base %= modulus
+        base %= P
         merged[base] = merged.get(base, 0) + exponent
     items: list[tuple[int, int]] = []
     for base, exponent in merged.items():
@@ -300,7 +335,7 @@ def multi_pow(
         items.append((base, exponent))
     if not items:
         return 1
-    return _straus(items, modulus, tables)
+    return _straus(items, tables)
 
 
 def cache_stats() -> dict:

@@ -30,7 +30,10 @@ simulator's determinism policy (DESIGN.md §7).
 Performance: all exponentiation goes through
 :mod:`repro.crypto.fastexp` (a fixed-base window table for ``g`` and
 a shared-squaring multi-exponent for batches, in which a recurring
-public key can read an odd-power table its caller keeps), and verdicts
+public key can read an odd-power table its caller keeps), whose every
+multiplication mod ``p`` is one call into libcrypto's Montgomery
+arithmetic (:mod:`repro.crypto.montgomery`; OpenSSL's libcrypto, as
+CPython's ``_hashlib`` links it, is required), and verdicts
 are kept **per run**: a :class:`VerifyCache` holds a run's verdicts,
 keyed on the full ``(key, message, signature)`` triple, beside its key
 tables, and every check takes one (``cache=``) or keeps nothing beyond
@@ -77,6 +80,7 @@ from repro.crypto.fastexp import (
     multi_pow,
 )
 from repro.crypto.hashing import bytes_to_int, hash_concat, int_to_bytes, tagged_hash
+from repro.crypto.montgomery import Residues
 from repro.errors import CryptoError
 
 _SCALAR_BYTES = (Q.bit_length() + 7) // 8
@@ -87,9 +91,10 @@ _SCALAR_BYTES = (Q.bit_length() + 7) // 8
 # while keeping the weighted exponents short: ``R^w`` costs a 64-bit
 # exponent and ``pk^{e·w}`` a ~320-bit one, so the whole batched check
 # squares ~320 times instead of ~384, and since the multi-exp sizes
-# each base's window to its own exponent a commitment costs ~20
+# each base's window to its own exponent a commitment costs ~20 kernel
 # multiplications (4-entry table + ~16 windows) beside a key's ~69
-# (~46 when the key's table is kept: fastexp.KEY_WINDOW).
+# (~46 when the key's table is kept: fastexp.KEY_WINDOW), at ~1.3 µs
+# each, squarings included.
 _BATCH_WEIGHT_BYTES = 8
 
 
@@ -98,7 +103,8 @@ class VerifyCache:
 
     ``verdicts`` maps a ``(key, message, signature)`` triple to the
     verdict computed for it; ``key_tables`` maps a recurring public key
-    to its odd-power table (:func:`repro.crypto.fastexp.key_table`), or
+    to its odd-power table (:func:`repro.crypto.fastexp.key_table`, kernel
+    residues freed when the table is collected, so with the cache), or
     is ``None`` to keep no table.  The run that computed a verdict is
     the only one that reads it: a simulator's
     :class:`repro.chain.ledger.VerifyAggregator` owns one, and a call
@@ -110,7 +116,7 @@ class VerifyCache:
 
     def __init__(self, keep_tables: bool = True):
         self.verdicts: dict[tuple, bool] = {}
-        self.key_tables: dict[int, list[int]] | None = {} if keep_tables else None
+        self.key_tables: dict[int, Residues] | None = {} if keep_tables else None
 
 
 # The process's verify() hit/miss totals (cache_stats); nothing reads
@@ -317,7 +323,7 @@ def _combined_check(terms, key_tables) -> tuple[int, int]:
     if lhs_exponent.bit_length() >= GENERATOR_TABLE_BITS:
         lhs_exponent %= Q
     pairs = [pair for term in terms for pair in term[2]]
-    return generator_pow(lhs_exponent), multi_pow(pairs, P, key_tables)
+    return generator_pow(lhs_exponent), multi_pow(pairs, key_tables)
 
 
 def _certify(terms, verdicts: dict) -> None:

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.crypto import fastexp, schnorr
+from repro.crypto import fastexp, montgomery, schnorr
 from repro.crypto.fastexp import (
     G,
     P,
@@ -40,23 +40,23 @@ from repro.crypto.schnorr import (
 # ----------------------------------------------------------------------
 def test_fixed_base_table_matches_pow():
     rng = random.Random(7)
-    table = FixedBaseTable(G, P, max_bits=512, window=5)
+    table = FixedBaseTable(G, max_bits=512, window=5)
     for bits in (1, 8, 64, 256, 512):
         exponent = rng.getrandbits(bits)
         assert table.pow(exponent) == pow(G, exponent, P)
 
 
 def test_fixed_base_table_edge_exponents():
-    table = FixedBaseTable(G, P, max_bits=64, window=4)
+    table = FixedBaseTable(G, max_bits=64, window=4)
     assert table.pow(0) == 1
     assert table.pow(1) == G
-    # Beyond the table's capacity it falls back to builtins.pow.
+    # Beyond the table's capacity it falls back to BN_mod_exp_mont (kernel.exp).
     big = Q - 1
     assert table.pow(big) == pow(G, big, P)
 
 
 def test_fixed_base_table_rejects_negative_exponent():
-    table = FixedBaseTable(G, P, max_bits=32, window=4)
+    table = FixedBaseTable(G, max_bits=32, window=4)
     with pytest.raises(ValueError):
         table.pow(-1)
 
@@ -85,11 +85,11 @@ def test_multi_pow_matches_product_of_pows():
     expected = 1
     for base, exponent in pairs:
         expected = expected * pow(base, exponent, P) % P
-    assert multi_pow(pairs, P) == expected
+    assert multi_pow(pairs) == expected
 
 
 def test_multi_pow_empty_is_identity():
-    assert multi_pow([], P) == 1
+    assert multi_pow([]) == 1
 
 
 # ----------------------------------------------------------------------
@@ -198,24 +198,19 @@ def test_multi_pow_dedupes_repeated_bases():
     e1, e2, e3 = (rng.getrandbits(300) for _ in range(3))
     pairs = [(base, e1), (other, e3), (base, e2)]
     expected = pow(base, e1 + e2, P) * pow(other, e3, P) % P
-    assert multi_pow(pairs, P) == expected
+    assert multi_pow(pairs) == expected
 
 
 def test_multi_pow_zero_base_and_zero_exponents():
-    assert multi_pow([(0, 5)], P) == 0
-    assert multi_pow([(0, 0)], P) == 1  # 0^0 == 1, matching builtins.pow
-    assert multi_pow([(123, 0), (456, 0)], P) == 1
+    assert multi_pow([(0, 5)]) == 0
+    assert multi_pow([(0, 0)]) == 1  # 0^0 == 1, matching builtins.pow
+    assert multi_pow([(123, 0), (456, 0)]) == 1
 
 
-def test_multi_pow_modulus_one_is_zero():
-    assert multi_pow([], 1) == 0
-    assert multi_pow([(3, 5), (7, 11)], 1) == 0
-
-
-def _product(pairs, modulus=P):
-    expected = 1 % modulus
+def _product(pairs):
+    expected = 1
     for base, exponent in pairs:
-        expected = expected * pow(base, exponent, modulus) % modulus
+        expected = expected * pow(base, exponent, P) % P
     return expected
 
 
@@ -231,7 +226,7 @@ def test_multi_pow_agrees_with_plain_product_at_300_mixed_pairs():
     # Wider than any call a workload or gate makes (82 distinct bases):
     # the sizes the deleted bucket kernel used to serve stay covered.
     pairs = _signature_shaped(random.Random(31), weights=150, keys=150)
-    assert multi_pow(pairs, P) == _product(pairs)
+    assert multi_pow(pairs) == _product(pairs)
 
 
 def test_explicit_window_path_matches_pow():
@@ -245,8 +240,8 @@ def test_explicit_window_path_matches_pow():
         for bits in lengths
     ]
     for pair in pairs:
-        assert fastexp._straus([pair], P) == _product([pair])
-    assert fastexp._straus(pairs, P) == _product(pairs)
+        assert fastexp._straus([pair]) == _product([pair])
+    assert fastexp._straus(pairs) == _product(pairs)
 
 
 def test_window_width_is_the_cost_minimum():
@@ -257,61 +252,54 @@ def test_window_width_is_the_cost_minimum():
         assert fastexp._window_width(bits) == best
 
 
-class _CountingModulus(int):
-    """A modulus that counts the reductions taken by it (``x % self``)."""
-
-    reductions = 0
-
-    def __rmod__(self, other):
-        type(self).reductions += 1
-        return int.__rmod__(self, other)
-
-
 def test_straus_multiplication_count_is_pinned(monkeypatch):
     # No clock: a 10-signature-shaped batch is ~320 shared squarings
     # plus ~20 multiplications per 64-bit weight (4-entry table, ~16
     # windows) and ~69 per 320-bit e·w (16 entries, ~53 windows).  The
-    # one-window-for-all pass this replaced took ~1,500.
+    # one-window-for-all pass this replaced took ~1,500.  Every one of
+    # them is a call of the kernel's multiply.
     tables = []
     odd_powers = fastexp._odd_powers
 
-    def recording(base, width, modulus):
-        tables.append(odd_powers(base, width, modulus))
+    def recording(base, powers):
+        tables.append(odd_powers(base, powers))
         return tables[-1]
 
+    multiplications = []
+    kernel_mul = montgomery.mul
     monkeypatch.setattr(fastexp, "_odd_powers", recording)
+    monkeypatch.setattr(
+        montgomery, "mul", lambda r, a, b: multiplications.append(r) or kernel_mul(r, a, b)
+    )
     rng = random.Random(43)
     pairs = _signature_shaped(rng, weights=10, keys=10)
-    modulus = _CountingModulus(P)
-    _CountingModulus.reductions = 0
-    assert multi_pow(pairs, modulus) == _product(pairs)
-    assert _CountingModulus.reductions <= 1300
+    assert multi_pow(pairs) == _product(pairs)
+    assert 1000 <= len(multiplications) <= 1300
     assert sorted(len(table) for table in tables) == [4] * 10 + [16] * 10
 
     del tables[:]
     weights_only = _signature_shaped(rng, weights=12, keys=0)
-    assert multi_pow(weights_only, P) == _product(weights_only)
+    assert multi_pow(weights_only) == _product(weights_only)
     assert tables and max(len(table) for table in tables) <= 4
 
 
 def test_multi_pow_mixed_lengths_in_one_call():
     rng = random.Random(47)
-    for modulus in (P, (1 << 127) - 1, 3 * 5 * 7 * 11 * 13 * 2**20):
-        bases = [rng.getrandbits(256) % modulus for _ in range(6)]
-        pairs = [
-            (base, rng.getrandbits(bits) | 1 << (bits - 1))
-            for base, bits in zip(bases, (1, 7, 64, 320, 600, 2100))
-        ]
-        assert multi_pow(pairs, modulus) == _product(pairs, modulus)
-        # A duplicate whose summed exponent carries into a new top bit
-        # (and with it, here, a wider window).
-        carry = [(bases[2], (1 << 80) - 1), (bases[3], 5), (bases[2], 1)]
-        assert multi_pow(carry, modulus) == _product(carry, modulus)
-        # Bases congruent to 1 drop out; one congruent to 0 zeroes the product.
-        ones = [(1, 12345), (modulus + 1, 99), (bases[4], rng.getrandbits(64))]
-        assert multi_pow(ones, modulus) == _product(ones, modulus)
-        zero = ones + [(2 * modulus, 3)]
-        assert multi_pow(zero, modulus) == 0 == _product(zero, modulus)
+    bases = [rng.getrandbits(256) % P for _ in range(6)]
+    pairs = [
+        (base, rng.getrandbits(bits) | 1 << (bits - 1))
+        for base, bits in zip(bases, (1, 7, 64, 320, 600, 2100))
+    ]
+    assert multi_pow(pairs) == _product(pairs)
+    # A duplicate whose summed exponent carries into a new top bit
+    # (and with it, here, a wider window).
+    carry = [(bases[2], (1 << 80) - 1), (bases[3], 5), (bases[2], 1)]
+    assert multi_pow(carry) == _product(carry)
+    # Bases congruent to 1 drop out; one congruent to 0 zeroes the product.
+    ones = [(1, 12345), (P + 1, 99), (bases[4], rng.getrandbits(64))]
+    assert multi_pow(ones) == _product(ones)
+    zero = ones + [(2 * P, 3)]
+    assert multi_pow(zero) == 0 == _product(zero)
 
 
 def test_only_the_generator_ever_gets_a_window_table(monkeypatch):
@@ -336,6 +324,54 @@ def test_only_the_generator_ever_gets_a_window_table(monkeypatch):
         fresh = pow(G, rng.getrandbits(64), P)
         e1, e2 = rng.getrandbits(320), rng.getrandbits(64)
         expected = pow(base, e1, P) * pow(fresh, e2, P) % P
-        assert multi_pow([(base, e1), (fresh, e2)], P) == expected
+        assert multi_pow([(base, e1), (fresh, e2)]) == expected
     ValidatorSet.generate(1, seed="no-table-check")
     assert set(built) <= {G}
+
+
+# ----------------------------------------------------------------------
+# The libcrypto kernel: type safety and ownership
+# ----------------------------------------------------------------------
+def test_multi_pow_refuses_a_kept_table_of_plain_ints():
+    # ctypes would read the ints as addresses: only a key_table() is a table.
+    rng = random.Random(59)
+    base, exponent = pow(G, rng.getrandbits(64), P), rng.getrandbits(320)
+    powers = [pow(base, digit, P) for digit in range(1, 64, 2)]
+    with pytest.raises(TypeError, match="key_table"):
+        multi_pow([(base, exponent)], tables={base: powers})
+    kept = {base: fastexp.key_table(base)}
+    assert multi_pow([(base, exponent)], tables=kept) == pow(base, exponent, P)
+
+
+def test_a_collected_verify_cache_frees_its_key_tables():
+    import gc
+
+    items = []
+    for index in range(3):
+        private, public = generate_keypair(f"free-tables-{index}".encode())
+        items.append((public, b"m%d" % index, sign(private, b"m%d" % index)))
+    gc.collect()  # tables an earlier test left in a reference cycle
+    baseline = montgomery.live()
+    cache = VerifyCache()
+    assert batch_verify(items, cache)
+    assert len(cache.key_tables) == 3
+    assert montgomery.live() == baseline + 3 * (1 << (fastexp.KEY_WINDOW - 1))
+    del cache
+    gc.collect()
+    assert montgomery.live() == baseline
+    # A check without a cache leaves nothing allocated either.
+    assert batch_verify(items)
+    assert montgomery.live() == baseline
+
+
+def test_kernel_residues_stay_in_their_process():
+    import copy
+    import pickle
+
+    table = fastexp.key_table(pow(G, 61, P))
+    with pytest.raises(TypeError):
+        pickle.dumps(table)
+    with pytest.raises(TypeError):
+        copy.copy(table)
+    with pytest.raises(ImportError, match="BN_no_such_symbol"):
+        montgomery._bind("BN_no_such_symbol", None)

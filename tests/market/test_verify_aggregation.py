@@ -258,7 +258,8 @@ def test_a_check_without_a_store_keeps_no_table(monkeypatch):
     odd_powers = fastexp._odd_powers
     monkeypatch.setattr(
         fastexp, "_odd_powers",
-        lambda base, width, modulus: built.append(width) or odd_powers(base, width, modulus),
+        lambda base, powers: built.append(len(powers).bit_length())
+        or odd_powers(base, powers),
     )
     groups = []
     for index in range(3):
@@ -285,8 +286,7 @@ def test_a_second_same_seed_run_pays_for_its_own_checks(monkeypatch):
     multi_pow = schnorr.multi_pow
     monkeypatch.setattr(
         schnorr, "multi_pow",
-        lambda items, modulus, tables: pairs.append(len(items))
-        or multi_pow(items, modulus, tables),
+        lambda items, tables: pairs.append(len(items)) or multi_pow(items, tables),
     )
     runs = []
     for _ in range(2):

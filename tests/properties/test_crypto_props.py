@@ -133,7 +133,7 @@ def test_multi_pow_matches_builtin_product(pairs):
     expected = 1
     for base, exponent in pairs:
         expected = expected * pow(base, exponent, P) % P
-    assert multi_pow(pairs, P) == expected
+    assert multi_pow(pairs) == expected
 
 
 @given(
@@ -150,25 +150,34 @@ def test_multi_pow_duplicate_bases_merge_correctly(pairs, data):
     expected = 1
     for base, exponent in duplicated:
         expected = expected * pow(base, exponent, P) % P
-    assert multi_pow(duplicated, P) == expected
+    assert multi_pow(duplicated) == expected
+
+
+# Bases at and past the edges of [0, p): the kernel only ever holds
+# reduced residues, so everything here is reduced on the way in.
+edge_bases = st.one_of(
+    st.sampled_from([0, 1, 2, P - 1, P, P + 1, 2 * P - 1]),
+    st.integers(min_value=0, max_value=2**64),
+    st.integers(min_value=P, max_value=2**2100),
+    group_bases,
+)
 
 
 @given(
-    pairs=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=2**64), exponents),
-        min_size=0,
-        max_size=8,
-    ),
-    modulus=st.one_of(
-        st.just(1), st.integers(min_value=2, max_value=2**64), st.just(P)
-    ),
+    pairs=st.lists(st.tuples(edge_bases, exponents), min_size=0, max_size=8),
+    exponent=exponents,
 )
-@settings(max_examples=60, deadline=None)
-def test_multi_pow_arbitrary_moduli(pairs, modulus):
-    expected = 1 % modulus
-    for base, exponent in pairs:
-        expected = expected * pow(base, exponent, modulus) % modulus
-    assert multi_pow(pairs, modulus) == expected
+@settings(max_examples=80, deadline=None)
+def test_kernel_paths_match_builtin_pow_on_edge_bases(pairs, exponent):
+    """multi_pow, generator_pow (through its table and, past
+    GENERATOR_TABLE_BITS, its fallback) and base_pow against builtins.pow."""
+    expected = 1
+    for base, power in pairs:
+        expected = expected * pow(base, power, P) % P
+    assert multi_pow(pairs) == expected
+    assert generator_pow(exponent) == pow(G, exponent, P)
+    for base, _ in pairs:
+        assert base_pow(base, exponent) == pow(base, exponent, P)
 
 
 @given(base=group_bases, exponent=exponents)
@@ -188,7 +197,7 @@ def test_generator_pow_matches_builtin(exponent):
 # wall-clock steps, never a verdict
 # ----------------------------------------------------------------------
 from repro.chain.ledger import VerifyAggregator  # noqa: E402
-from repro.crypto import fastexp  # noqa: E402
+from repro.crypto import fastexp, montgomery  # noqa: E402
 from repro.crypto.fastexp import Q  # noqa: E402
 from repro.crypto.hashing import tagged_hash  # noqa: E402
 from repro.crypto.schnorr import (  # noqa: E402
@@ -346,7 +355,7 @@ def test_halving_isolation_gives_every_group_its_cold_verdict(pool, data, tables
         key: expected.get(key) for key in keys
     }
     if key_tables is not None:
-        assert all(len(powers) == 32 and powers[0] == base
+        assert all(len(powers) == 32 and montgomery.to_int(powers.pointers[0]) == base
                    for base, powers in key_tables.items())
         assert not {signature.commitment for _, _, signature in triples} & set(key_tables)
 
@@ -361,11 +370,17 @@ def test_multi_pow_reads_kept_tables_of_any_width(pairs, data):
     for base, _ in pairs:
         if data.draw(st.booleans()):
             width = data.draw(st.integers(min_value=1, max_value=8))
-            tables[base] = fastexp._odd_powers(base, width, P)
+            table = montgomery.Residues(1 << (width - 1))
+            montgomery.start()
+            try:
+                fastexp._odd_powers(base % P, table.pointers)
+            finally:
+                montgomery.end()
+            tables[base] = table
     expected = 1
     for base, exponent in pairs:
         expected = expected * pow(base, exponent, P) % P
-    assert multi_pow(pairs, P, tables) == expected
+    assert multi_pow(pairs, tables) == expected
 
 
 _filings = st.lists(
