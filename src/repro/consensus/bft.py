@@ -221,8 +221,8 @@ class CertifiedBlockchain:
         self._validators = validators
         self._initial_public_keys = validators.public_keys()
         self._handovers: list[HandoverCertificate] = []
-        # (submit_time, entry) pairs; signatures checked at production.
-        self._pending: list[tuple[float, LogEntry]] = []
+        # Signatures are checked at block production.
+        self._pending: list[LogEntry] = []
         self._blocks: list[CbcBlock] = []
         self._observers: list = []
         self._block_scheduled = False
@@ -318,19 +318,15 @@ class CertifiedBlockchain:
         schedules, so they join the one merged check of every chain due
         at the same instant (:class:`repro.chain.ledger.VerifyAggregator`),
         which certifies only signatures that verify.
-        Acceptance is only ever observable through the produced blocks,
-        so the deferral changes no behavior — a bad-signature entry is still
-        never recorded, and blocks exist at exactly the heights and
-        times the eager-checking implementation produced them
-        (:meth:`_produce_block` replays the eager scheduling rule,
-        including the corner where only invalid entries scheduled the
-        boundary).
+        A block holds every validly signed entry pending at its
+        boundary; a bad-signature entry is never recorded, and an
+        interval whose entries all fail mints no block.
         """
         if entry.deal_id in self.censored_deals:
             return
         if entry.signature is None:
             return
-        self._pending.append((self.simulator.now, entry))
+        self._pending.append(entry)
         self._ensure_block_scheduled()
 
     def _verify_pending(self, entries: list[LogEntry]) -> list[LogEntry]:
@@ -345,7 +341,7 @@ class CertifiedBlockchain:
         """One singleton claim per pending entry from a known party."""
         return [
             self._claim(entry)
-            for _, entry in self._pending
+            for entry in self._pending
             if self.wallet.knows(entry.party)
         ]
 
@@ -363,29 +359,11 @@ class CertifiedBlockchain:
 
     def _produce_block(self) -> None:
         self._block_scheduled = False
-        now = self.simulator.now
         self._verify.settle(self._pending_claims)
         pending, self._pending = self._pending, []
-        # Eager-scheduling replay: this block exists iff a validly
-        # signed entry arrived *before* the boundary (only such an
-        # entry would have scheduled it).  Boundary-instant arrivals
-        # ride along only when the block legitimately exists — under
-        # eager checking they joined an already-scheduled block's
-        # pending; without one they scheduled the *next* boundary.
-        before = [entry for at, entry in pending if at < now]
-        boundary = [entry for at, entry in pending if at >= now]
-        valid = self._verify_pending(before)
+        valid = self._verify_pending(pending)
         if not valid:
-            # Every pre-boundary entry was invalidly signed: the eager
-            # implementation never scheduled this block.  Re-queue the
-            # boundary-instant arrivals for the next one, exactly as
-            # their own eager _ensure_block_scheduled would have.
-            self._pending = [(now, entry) for entry in boundary]
-            if self._pending:
-                self._ensure_block_scheduled()
             return
-        if boundary:
-            valid.extend(self._verify_pending(boundary))
         accepted = [entry for entry in valid if self._apply(entry)]
         body = CbcBlock(
             height=self.height + 1,

@@ -8,15 +8,15 @@ The paper's protocols lean on three primitives:
 * *path signatures* (§5 of the paper): a vote forwarded along a chain
   of parties accumulates one signature per hop — provided by
   :mod:`repro.crypto.pathsig`;
-* hash commitments and Merkle inclusion proofs (HTLC baselines and
-  block structure) — provided by :mod:`repro.crypto.hashing` and
+* hash commitments and Merkle roots (HTLC baselines and block
+  structure) — provided by :mod:`repro.crypto.hashing` and
   :mod:`repro.crypto.merkle`.
 """
 
 from repro.crypto.fastexp import FixedBaseTable, base_pow, generator_pow, multi_pow
 from repro.crypto.hashing import sha256, sha256_hex, tagged_hash, hash_concat
 from repro.crypto.keys import Address, KeyPair, Wallet
-from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.crypto.merkle import MerkleTree
 from repro.crypto.pathsig import PathSignature, extend_path_signature, sign_vote
 from repro.crypto.schnorr import (
     PrivateKey,
@@ -35,7 +35,6 @@ __all__ = [
     "multi_pow",
     "Address",
     "KeyPair",
-    "MerkleProof",
     "MerkleTree",
     "PathSignature",
     "PrivateKey",

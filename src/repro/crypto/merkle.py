@@ -1,16 +1,15 @@
-"""Merkle trees and inclusion proofs.
+"""Merkle trees: the root a block commits its transactions to.
 
-Blocks commit to their transaction lists with a Merkle root so that
-cross-chain proofs (§6.2 of the paper) can show a particular entry is
-in a particular block without shipping the whole block.  The tree is
-the standard binary construction with duplicated last leaf on odd
-levels, and leaf/interior domain separation to rule out second-preimage
-tricks.
+Blocks commit to their transaction lists with a Merkle root, so a
+cross-chain proof (§6.2 of the paper) could show a particular entry is
+in a particular block with the entry's audit path instead of the whole
+block; the simulation checks whole blocks and keeps only the root.  The
+tree is the standard binary construction with duplicated last leaf on
+odd levels, and leaf/interior domain separation to rule out
+second-preimage tricks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.crypto.hashing import tagged_hash
 from repro.errors import CryptoError
@@ -27,67 +26,24 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
     return tagged_hash(_NODE_TAG, left + right)
 
 
-@dataclass(frozen=True)
-class MerkleProof:
-    """An inclusion proof: the leaf index and sibling hashes bottom-up."""
-
-    leaf_index: int
-    siblings: tuple[bytes, ...]
-
-    def verify(self, leaf_data: bytes, root: bytes) -> bool:
-        """Return True iff ``leaf_data`` is at ``leaf_index`` under ``root``."""
-        node = _leaf_hash(leaf_data)
-        index = self.leaf_index
-        if index < 0:
-            return False
-        for sibling in self.siblings:
-            if index % 2 == 0:
-                node = _node_hash(node, sibling)
-            else:
-                node = _node_hash(sibling, node)
-            index //= 2
-        return node == root
-
-
 class MerkleTree:
-    """A binary Merkle tree over a fixed list of byte-string leaves."""
+    """A binary Merkle tree over a fixed list of byte-string leaves.
+
+    ``root`` is the Merkle root committing to all leaves.
+    """
 
     def __init__(self, leaves: list[bytes]):
         if not leaves:
             raise CryptoError("Merkle tree requires at least one leaf")
-        self._leaves = list(leaves)
-        self._levels: list[list[bytes]] = [[_leaf_hash(leaf) for leaf in leaves]]
-        while len(self._levels[-1]) > 1:
-            current = self._levels[-1]
-            if len(current) % 2 == 1:
-                current = current + [current[-1]]
-            next_level = [
-                _node_hash(current[i], current[i + 1])
-                for i in range(0, len(current), 2)
+        self._count = len(leaves)
+        level = [_leaf_hash(leaf) for leaf in leaves]
+        while len(level) > 1:
+            if len(level) % 2 == 1:
+                level.append(level[-1])
+            level = [
+                _node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)
             ]
-            self._levels.append(next_level)
-
-    @property
-    def root(self) -> bytes:
-        """The Merkle root committing to all leaves."""
-        return self._levels[-1][0]
+        self.root = level[0]
 
     def __len__(self) -> int:
-        return len(self._leaves)
-
-    def proof(self, leaf_index: int) -> MerkleProof:
-        """Build an inclusion proof for the leaf at ``leaf_index``."""
-        if not 0 <= leaf_index < len(self._leaves):
-            raise CryptoError(f"leaf index {leaf_index} out of range")
-        siblings: list[bytes] = []
-        index = leaf_index
-        for level in self._levels[:-1]:
-            padded = level if len(level) % 2 == 0 else level + [level[-1]]
-            sibling_index = index + 1 if index % 2 == 0 else index - 1
-            siblings.append(padded[sibling_index])
-            index //= 2
-        return MerkleProof(leaf_index=leaf_index, siblings=tuple(siblings))
-
-    def verify_leaf(self, leaf_index: int, leaf_data: bytes) -> bool:
-        """Convenience: build and check a proof for ``leaf_data``."""
-        return self.proof(leaf_index).verify(leaf_data, self.root)
+        return self._count

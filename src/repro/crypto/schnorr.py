@@ -272,6 +272,7 @@ def _check_alone(
     """:func:`verify`'s equation on a cold cache; the verdict is stored."""
     e = _challenge(signature.commitment, public_key, message)
     lhs = generator_pow(signature.response)
+    # A lone product mod p stays on ints: the kernel would add two loads and a read-out.
     rhs = (signature.commitment * base_pow(public_key.point, e)) % P
     result = _equal_up_to_sign(lhs, rhs)
     verdicts[_cache_key(public_key, message, signature)] = result
@@ -353,6 +354,7 @@ def _isolate(terms, lhs: int, rhs: int, cache: VerifyCache) -> None:
             continue
         half = len(terms) // 2
         left_lhs, left_rhs = _combined_check(terms[:half], cache.key_tables)
+        # Lone products mod p stay on ints, as in _check_alone.
         for part in (
             (terms[:half], left_lhs, left_rhs),
             (terms[half:], lhs * left_rhs % P, rhs * left_lhs % P),

@@ -47,17 +47,15 @@ ABORTED = "aborted"
 class MarketCommitLog(Contract):
     """Registration, votes, and the single decision per deal.
 
-    ``shard``/``shards`` pin the log to its position in a sharded
-    market; the defaults (0 of 1) are the unsharded layout, where the
-    routing check degenerates to always-true and the contract behaves
-    byte-for-byte like the pre-sharding log.
+    ``shard``/``shards`` pin the log to its position in the market; an
+    unsharded market is shard 0 of 1.  The contract is named
+    ``market-commitlog-s{shard}``.
     """
 
     EXPORTS = ("register", "vote", "mark_abort")
 
-    def __init__(self, name: str, coordinator: Address,
-                 shard: int = 0, shards: int = 1):
-        super().__init__(name)
+    def __init__(self, coordinator: Address, shard: int, shards: int):
+        super().__init__(f"market-commitlog-s{shard}")
         self.coordinator = coordinator
         self.shard = shard
         self.shards = shards

@@ -35,10 +35,8 @@ never terminate (its abort would be priced out too); with it, fee
 pressure can only cost a deal its *commit*, never its refund — the
 "no safety violation under any fee schedule" half of the gate.
 
-The default policy is FIFO and is structurally absent:
-:func:`make_seal_policy` returns ``None`` for it, the mempool keeps
-its historical drain, and report bytes are identical to a build that
-never heard of fees (CI ``cmp``'s exactly that).
+:class:`FifoPolicy`, the default, seals in arrival order and charges
+and evicts nothing, so a FIFO run's report carries no fee rows.
 """
 
 from __future__ import annotations
@@ -121,6 +119,15 @@ class SealPolicy:
     def exempt(self, step) -> bool:
         """Settlement-plane steps always seal ahead of priced traffic."""
         return step.tx.phase in EXEMPT_PHASES
+
+
+class FifoPolicy(SealPolicy):
+    """Arrival order within the block cap; nothing is charged or evicted."""
+
+    name = "fifo"
+
+    def select(self, pending: list, cap: int) -> tuple[list, list, list]:
+        return pending[:cap], pending[cap:], []
 
 
 class FirstPricePolicy(SealPolicy):
@@ -219,18 +226,15 @@ class BaseFeePolicy(SealPolicy):
         return batch, waiting, evicted
 
 
-def make_seal_policy(config, fees: FeeLedger) -> SealPolicy | None:
+def make_seal_policy(config, fees: FeeLedger) -> SealPolicy:
     """Build one chain's sealing policy from a ``MarketConfig``.
 
-    Returns ``None`` for ``"fifo"`` — the mempool then keeps its
-    historical drain with zero fee machinery on the path, which is the
-    byte-neutrality contract CI's fees-off ``cmp`` gate enforces.
-    Every non-FIFO policy gets its own instance per call, so per-chain
-    state (the base fee) never leaks across chains.
+    Every call returns a fresh instance, so per-chain state (the base
+    fee) never leaks across chains.
     """
     policy = config.seal_policy
     if policy == "fifo":
-        return None
+        return FifoPolicy()
     if policy == "first_price":
         return FirstPricePolicy(fees)
     if policy == "base_fee":

@@ -34,16 +34,11 @@ re-verify the same order.
 
 A ``max_txs_per_block`` cap models bounded block space: overflow stays
 pending for the next seal (backpressure), and ``max_depth`` records
-the worst backlog for the E16 report.  The pending queue is a
-``deque`` drained from the left — under sustained backlog the
-historical list-slicing drain (``self._pending = self._pending[cap:]``)
-recopied the whole tail every seal, O(n²) across a burst; the deque
-drain is O(cap) per seal with identical batch contents.
+the worst backlog for the E16 report.
 
 Block space is sold by a pluggable sealing policy
-(:mod:`repro.market.fees`): the default FIFO policy is structurally
-absent (``policy is None`` keeps the historical drain, byte for
-byte), ``first_price`` seals highest-bid-first within the cap, and
+(:mod:`repro.market.fees`): ``fifo`` seals in arrival order,
+``first_price`` seals highest-bid-first within the cap, and
 ``base_fee`` runs EIP-1559-style per-chain congestion pricing,
 returning under-bidding steps to the queue and evicting the
 never-fundable ones (``on_step_evicted`` tells the coordinator, which
@@ -52,13 +47,13 @@ resolves the deal as fee-priced-out).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.chain.tx import Transaction
 from repro.consensus.validators import quorum_structure_ok
 from repro.errors import MarketError, ReproError
+from repro.market.fees import SealPolicy
 from repro.market.order import SignedDealOrder, order_message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -91,10 +86,10 @@ class StepMempool:
         wallet: "Wallet",
         ledger: OrderLedger,
         verify: Callable[[list, Callable[[list], None]], None],
+        policy: SealPolicy,
         max_txs_per_block: int = 512,
         on_order_rejected: Callable[[bytes], None] | None = None,
         telemetry=None,
-        policy=None,
         on_step_evicted: Callable[[bytes], None] | None = None,
     ):
         if max_txs_per_block <= 0:
@@ -121,13 +116,13 @@ class StepMempool:
         # mempool never polls a closed gate, so a dead shard costs no
         # simulator events.
         self.seal_gate: Callable[[], bool] | None = None
-        # Sealing policy (repro.market.fees.SealPolicy) or None for
-        # the historical FIFO drain.  Eviction (base-fee policy only)
-        # reports the step's deal to ``on_step_evicted`` so the
-        # coordinator can settle it as fee-priced-out.
+        # Sealing policy (repro.market.fees.SealPolicy).  Eviction
+        # (base-fee policy only) reports the step's deal to
+        # ``on_step_evicted`` so the coordinator can settle it as
+        # fee-priced-out.
         self.policy = policy
         self.on_step_evicted = on_step_evicted
-        self._pending: deque[_PendingStep] = deque()
+        self._pending: list[_PendingStep] = []
         self._seq = 0
         self._seal_scheduled = False
         self.stats = {
@@ -183,25 +178,16 @@ class StepMempool:
             if telemetry is not None:
                 telemetry.mempool_gated(self.chain.chain_id)
             return
-        cap = self.max_txs_per_block
-        if self.policy is None:
-            # FIFO: drain the left of the deque, O(cap) per seal
-            # whatever the backlog, batch identical to the historical
-            # list slice.
-            pending = self._pending
-            batch = [pending.popleft() for _ in range(min(cap, len(pending)))]
-        else:
-            batch, leftover, evicted = self.policy.select(
-                list(self._pending), cap
+        batch, self._pending, evicted = self.policy.select(
+            self._pending, self.max_txs_per_block
+        )
+        if evicted:
+            self.stats["fee_evicted"] = (
+                self.stats.get("fee_evicted", 0) + len(evicted)
             )
-            self._pending = deque(leftover)
-            if evicted:
-                self.stats["fee_evicted"] = (
-                    self.stats.get("fee_evicted", 0) + len(evicted)
-                )
-                if self.on_step_evicted is not None:
-                    for step in evicted:
-                        self.on_step_evicted(step.deal_id)
+            if self.on_step_evicted is not None:
+                for step in evicted:
+                    self.on_step_evicted(step.deal_id)
         self.stats["seals"] += 1
         if telemetry is not None:
             telemetry.mempool_seal(

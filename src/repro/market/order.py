@@ -38,18 +38,15 @@ from repro.errors import MarketError
 def order_message(deal_id: bytes, fee_bid: int = 0) -> bytes:
     """The manifest every party signs to authorize a deal.
 
-    A nonzero ``fee_bid`` is folded into the manifest *outside* the
-    deal id (the id is a pure content hash of the spec — see
+    The ``fee_bid`` is folded into the manifest *outside* the deal id
+    (the id is a pure content hash of the spec — see
     :class:`~repro.core.deal.DealSpec`), so the parties co-sign the
     price they are willing to pay for block space and a relayer cannot
-    tamper with it; a fee-less order signs the exact historical
-    manifest, byte for byte.
+    tamper with it.
     """
-    if fee_bid:
-        return hash_concat(
-            b"repro/market/order-fee", deal_id, fee_bid.to_bytes(8, "big")
-        )
-    return hash_concat(b"repro/market/order", deal_id)
+    return hash_concat(
+        b"repro/market/order-fee", deal_id, fee_bid.to_bytes(8, "big")
+    )
 
 
 def shard_of_deal(deal_id: bytes, shards: int) -> int:
@@ -59,11 +56,8 @@ def shard_of_deal(deal_id: bytes, shards: int) -> int:
     each shard's :class:`~repro.market.commitlog.MarketCommitLog`
     (which *enforces* the routing on-chain), tests — derives the home
     shard from the deal id the same way, so a deal can never be
-    claimed by two coordinators.  With one shard this is the constant
-    0 and the market degenerates to the pre-sharding layout.
+    claimed by two coordinators.
     """
-    if shards <= 1:
-        return 0
     digest = hash_concat(b"repro/market/shard", deal_id)
     return int.from_bytes(digest[:8], "big") % shards
 
@@ -81,9 +75,7 @@ class SignedDealOrder:
     stale_proof: frozenset = field(default_factory=frozenset)
     # Fee market (block-space economics): the deal's bid, in fee units
     # per sealed step, for priority under a non-FIFO sealing policy.
-    # Folded into the signed manifest but *not* into the deal id, so a
-    # fee-less order (the default) is byte-identical to the historical
-    # shape and FIFO markets never observe the field.
+    # Folded into the signed manifest but *not* into the deal id.
     fee_bid: int = 0
 
     @property

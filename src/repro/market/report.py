@@ -54,8 +54,7 @@ class MarketReport:
     verify_stats: tuple = ()
     # Sharding: how many coordinator shards the market ran with, and
     # how many deals straddled books owned by more than one shard.
-    # Rendered only when shards > 1, so unsharded reports stay
-    # byte-identical to the pre-sharding market.
+    # Rendered only when shards > 1.
     shards: int = 1
     cross_shard_deals: int = 0
     cross_shard_committed: int = 0

@@ -80,8 +80,6 @@ from repro.sim.network import ChaosBus, Envelope, LocalBus
 from repro.sim.simulator import Simulator
 from repro.telemetry.metrics import DealOutcome, tally
 
-COMMIT_LOG_CONTRACT = "market-commitlog"
-
 # Byzantine tolerance of each shard's CBC (3f+1 validators).
 _CBC_F = 1
 # Δ of the dedicated replication network (delta shipping + acks), and
@@ -122,11 +120,9 @@ class MarketConfig:
     # an all-zero plan) constructs the exact chaos-free objects.
     chaos: object | None = None
     # Block-space economics (repro.market.fees): how every mempool
-    # sells its block slots.  "fifo" keeps the historical drain with
-    # zero fee machinery constructed (make_seal_policy returns None),
-    # so default reports are byte-identical to a build without fees;
-    # "first_price" seals highest-bid-first; "base_fee" runs the
-    # EIP-1559-style per-chain controller.
+    # sells its block slots.  "fifo" seals in arrival order and charges
+    # nothing; "first_price" seals highest-bid-first; "base_fee" runs
+    # the EIP-1559-style per-chain controller.
     seal_policy: str = "fifo"
     # Heterogeneous block space: {shard: max_txs_per_block} overrides.
     # Chains of a listed shard seal at that cap; every other chain
@@ -175,9 +171,7 @@ class MarketCoordinator:
         self.nft_minted: dict[str, tuple] = {}  # chain_id -> ((tid, owner), ...)
         self.order_ledger = OrderLedger()
         # Fee market: bids posted at admission, charges and evictions
-        # recorded by the sealing policies.  Always constructed (it is
-        # a bare dict holder), but under "fifo" nothing ever touches it
-        # — the policy objects are never built.
+        # recorded by the sealing policies (FIFO charges nothing).
         self.fee_ledger = FeeLedger()
         self.runs: dict[bytes, _DealRun] = {}
         self._receipts_seen = 0
@@ -253,23 +247,16 @@ class MarketCoordinator:
             self.bus.register(shard_endpoint(shard), runtime.handle)
         # Chains are created in the workload's global order (not shard
         # by shard): chain construction seeds the simulator's event
-        # heap, and heap order is part of the byte-identity contract
-        # with the historical single-object scheduler.
+        # heap, so heap order does not depend on the shard count.
         for chain_id in workload.chain_ids:
             self.runtimes[self.chain_shard[chain_id]].add_chain(chain_id)
-        # One commit log per shard, on the shard's home chain.  Shard
-        # 0 keeps the historical contract name so an unsharded market
-        # is byte-identical to the pre-sharding layout.
+        # One commit log per shard, on the shard's home chain.
         self.commit_logs: dict[int, MarketCommitLog] = {}
         self._commitlog_shards: dict[str, int] = {}
         for shard in range(self.shards):
-            name = (
-                COMMIT_LOG_CONTRACT if shard == 0
-                else f"{COMMIT_LOG_CONTRACT}-s{shard}"
-            )
-            log = self.runtimes[shard].install_commit_log(name, self.shards)
+            log = self.runtimes[shard].install_commit_log()
             self.commit_logs[shard] = log
-            self._commitlog_shards[name] = shard
+            self._commitlog_shards[log.name] = shard
         self._fund_accounts()
         # Replication is strictly additive: the layer only exists when
         # asked for, and with no crash faults it adds no market-visible
@@ -479,20 +466,17 @@ class MarketCoordinator:
         Each shard's CBC has its own validator set and log; a proof
         extracted from one shard's CBC carries that shard's validator
         signatures and is rejected by every escrow bound to another
-        shard's keys (the wrong-shard replay defence).  Shard 0 keeps
-        the unsharded market's name and validator seed.
+        shard's keys (the wrong-shard replay defence).
         """
         cbc = self.cbcs.get(shard)
         if cbc is None:
-            suffix = "" if shard == 0 else f"-s{shard}"
+            name = f"market-cbc-s{shard}"
             validators = ValidatorSet.generate(
-                _CBC_F,
-                seed=f"market-cbc{suffix}/{self.workload.seed}",
+                _CBC_F, seed=f"{name}/{self.workload.seed}"
             )
             cbc = CertifiedBlockchain(
                 self.simulator, validators, self.wallet,
-                block_interval=self.config.block_interval,
-                name=f"market-cbc{suffix}",
+                block_interval=self.config.block_interval, name=name,
             )
             cbc.subscribe(
                 lambda _cbc, _block, shard=shard: self._on_cbc_block(shard)

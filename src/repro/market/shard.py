@@ -60,8 +60,7 @@ class ShardRuntime:
 
     # ------------------------------------------------------------------
     # Construction (driven by the coordinator, in global chain order so
-    # the simulator's event heap is byte-identical to the historical
-    # single-object layout)
+    # the simulator's event heap does not depend on the shard count)
     # ------------------------------------------------------------------
     def add_chain(self, chain_id: str) -> Chain:
         """Build one of this shard's chains and its market plumbing."""
@@ -87,7 +86,7 @@ class ShardRuntime:
         # Per-shard heterogeneous block space: a shard listed in
         # shard_block_caps seals all its chains at that cap.  The
         # sealing policy is per chain (base-fee state never leaks
-        # across chains); "fifo" yields None and the historical drain.
+        # across chains).
         # Signature batches go straight to the market's aggregator,
         # tagged with this shard as their owner.
         caps = config.shard_block_caps or {}
@@ -107,10 +106,10 @@ class ShardRuntime:
         chain.subscribe(self._on_block)
         return chain
 
-    def install_commit_log(self, name: str, shards: int) -> MarketCommitLog:
+    def install_commit_log(self) -> MarketCommitLog:
         """Publish this shard's commit log on its home chain."""
         log = MarketCommitLog(
-            name, self.market.coordinator.address, shard=self.shard, shards=shards
+            self.market.coordinator.address, self.shard, self.market.shards
         )
         self.chains[self.home_chain_id].publish(log)
         self.commit_log = log

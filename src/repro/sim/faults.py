@@ -1,7 +1,7 @@
-"""Fault injection: crashes, offline windows, partitions, DoS.
+"""Fault injection: crashes, offline windows, message storms, DoS.
 
 The paper's adversary crashes parties, drives them offline at the
-wrong moment (§5.3), delays the CBC (§9) or partitions the network;
+wrong moment (§5.3), delays the CBC (§9) or storms the network;
 the market adds replica crashes and verify-pool worker kills.  Every
 kind is a :class:`Fault`: a ``[start, end)`` window on a named
 ``target`` with declared counters and a *message effect* (a delivery
@@ -150,32 +150,6 @@ class OfflineWindow(Fault):
             self.delayed += 1
             return self.end - now
         return None
-
-
-@dataclass
-class Partition(Fault):
-    """Split endpoints into groups; cross-group messages drop in a window."""
-
-    groups: list[set[str]]
-    start: float
-    end: float
-    dropped: int = 0
-
-    COUNTERS = {"dropped": "dropped"}
-
-    @property
-    def target(self) -> str:
-        return "|".join(",".join(sorted(group)) for group in self.groups)
-
-    def _group_of(self, endpoint: str) -> int | None:
-        return next((i for i, group in enumerate(self.groups) if endpoint in group), None)
-
-    def effect(self, message: Message, now: float) -> None:
-        sender = self._group_of(message.sender)
-        recipient = self._group_of(message.recipient)
-        if None not in (sender, recipient) and sender != recipient:
-            self.dropped += 1
-            raise DropMessage
 
 
 @dataclass

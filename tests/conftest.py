@@ -7,6 +7,7 @@ import pytest
 from repro.chain.ledger import Chain
 from repro.chain.tokens import FungibleToken, NonFungibleToken
 from repro.chain.tx import Transaction
+from repro.crypto import merkle
 from repro.crypto.keys import KeyPair, Wallet
 from repro.sim.rng import DeterministicRng
 from repro.sim.simulator import Simulator
@@ -89,3 +90,43 @@ def call(chain: Chain, sender, contract: str, method: str, **args):
     return chain.execute_now(
         Transaction(sender=sender, contract=contract, method=method, args=args)
     )
+
+
+class MerkleAuditPath:
+    """A leaf's inclusion proof against a Merkle root, built from the
+    leaves alone — what a light client checks against a block's root.
+
+    The program commits blocks to the root only; the tests hold
+    :class:`~repro.crypto.merkle.MerkleTree` to this reference.
+    """
+
+    @staticmethod
+    def of(leaves: list[bytes], index: int) -> list[bytes]:
+        """The sibling hashes from leaf ``index`` up to the root."""
+        level = [merkle._leaf_hash(leaf) for leaf in leaves]
+        path = []
+        while len(level) > 1:
+            if len(level) % 2:
+                level = level + [level[-1]]
+            path.append(level[index ^ 1])
+            level = [
+                merkle._node_hash(level[i], level[i + 1])
+                for i in range(0, len(level), 2)
+            ]
+            index //= 2
+        return path
+
+    @staticmethod
+    def folds_to(root: bytes, leaf: bytes, index: int, path: list[bytes]) -> bool:
+        """Whether ``leaf`` at ``index`` hashes up ``path`` to ``root``."""
+        node = merkle._leaf_hash(leaf)
+        for sibling in path:
+            pair = (node, sibling) if index % 2 == 0 else (sibling, node)
+            node = merkle._node_hash(*pair)
+            index //= 2
+        return node == root
+
+
+@pytest.fixture(scope="session")
+def audit_path() -> type[MerkleAuditPath]:
+    return MerkleAuditPath

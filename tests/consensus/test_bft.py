@@ -284,8 +284,8 @@ def test_interval_with_only_bad_entries_produces_no_block(setup):
     before = len(cbc.blocks)
     cbc.submit(forged)
     sim.run()
-    # The eager-verifying implementation never scheduled a block for a
-    # bad entry; the deferred one must not mint an empty block either.
+    # A block holds only validly signed entries: an interval with none
+    # mints no block.
     assert len(cbc.blocks) == before
     assert cbc.definitive_start_hash(DEAL) is None
 
@@ -326,12 +326,11 @@ def test_entries_from_unregistered_parties_dropped_at_production(setup):
     assert cbc.deal_status(DEAL) is DealStatus.ACTIVE
 
 
-def test_invalid_only_boundary_does_not_capture_boundary_instant_votes(setup):
-    # The eager-checking implementation never scheduled a block for a
-    # forged-only interval, so a valid vote submitted at exactly that
-    # boundary (by an earlier-scheduled event) got its own block one
-    # interval later.  The deferred implementation must reproduce that
-    # schedule, not let the vote ride the phantom boundary early.
+def test_valid_vote_at_boundary_instant_rides_that_boundarys_block(setup):
+    # A forged entry schedules the next boundary; a valid vote
+    # submitted at exactly that instant (by an event that fires before
+    # the block event) is pending when the block is produced, so it
+    # rides that block — whatever else the interval held.
     sim, cbc, keys = setup
     plist, start_hash = start_deal(sim, cbc, keys)
     settled_height = cbc.height
@@ -356,4 +355,4 @@ def test_invalid_only_boundary_does_not_capture_boundary_instant_votes(setup):
         for e in block.entries
         if e.kind == "commit"
     ]
-    assert votes == [(settled_height + 1, boundary + 1.0)]
+    assert votes == [(settled_height + 1, boundary)]

@@ -1,16 +1,21 @@
-"""Unit tests for Merkle trees and inclusion proofs."""
+"""Unit tests for Merkle trees: the root every block commits to.
+
+Inclusion is checked against the root with the reference audit path
+of the ``audit_path`` fixture (``tests/conftest.py``).
+"""
 
 import pytest
 
-from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.crypto.merkle import MerkleTree
 from repro.errors import CryptoError
 
 
-def test_single_leaf_tree():
+def test_single_leaf_tree(audit_path):
     tree = MerkleTree([b"only"])
     assert len(tree) == 1
-    assert tree.verify_leaf(0, b"only")
-    assert not tree.verify_leaf(0, b"other")
+    assert audit_path.of([b"only"], 0) == []
+    assert audit_path.folds_to(tree.root, b"only", 0, [])
+    assert not audit_path.folds_to(tree.root, b"other", 0, [])
 
 
 def test_empty_tree_rejected():
@@ -19,46 +24,33 @@ def test_empty_tree_rejected():
 
 
 @pytest.mark.parametrize("count", [2, 3, 4, 5, 7, 8, 9, 16, 33])
-def test_all_leaves_provable(count):
+def test_all_leaves_provable(count, audit_path):
     leaves = [f"leaf-{i}".encode() for i in range(count)]
     tree = MerkleTree(leaves)
     for index, leaf in enumerate(leaves):
-        proof = tree.proof(index)
-        assert proof.verify(leaf, tree.root)
+        path = audit_path.of(leaves, index)
+        assert audit_path.folds_to(tree.root, leaf, index, path)
 
 
-def test_proof_fails_for_wrong_leaf():
+def test_proof_fails_for_wrong_leaf(audit_path):
     leaves = [f"leaf-{i}".encode() for i in range(8)]
     tree = MerkleTree(leaves)
-    proof = tree.proof(3)
-    assert not proof.verify(b"leaf-4", tree.root)
+    path = audit_path.of(leaves, 3)
+    assert not audit_path.folds_to(tree.root, b"leaf-4", 3, path)
 
 
-def test_proof_fails_for_wrong_root():
+def test_proof_fails_for_wrong_root(audit_path):
     leaves = [f"leaf-{i}".encode() for i in range(8)]
     other = MerkleTree([b"x", b"y"])
-    proof = MerkleTree(leaves).proof(0)
-    assert not proof.verify(b"leaf-0", other.root)
+    path = audit_path.of(leaves, 0)
+    assert not audit_path.folds_to(other.root, b"leaf-0", 0, path)
 
 
-def test_proof_fails_for_wrong_index():
+def test_proof_fails_for_wrong_index(audit_path):
     leaves = [f"leaf-{i}".encode() for i in range(8)]
     tree = MerkleTree(leaves)
-    proof = tree.proof(2)
-    moved = MerkleProof(leaf_index=3, siblings=proof.siblings)
-    assert not moved.verify(b"leaf-2", tree.root)
-
-
-def test_proof_rejects_negative_index():
-    tree = MerkleTree([b"a", b"b"])
-    bad = MerkleProof(leaf_index=-1, siblings=tree.proof(0).siblings)
-    assert not bad.verify(b"a", tree.root)
-
-
-def test_out_of_range_proof_request():
-    tree = MerkleTree([b"a", b"b"])
-    with pytest.raises(CryptoError):
-        tree.proof(2)
+    path = audit_path.of(leaves, 2)
+    assert not audit_path.folds_to(tree.root, b"leaf-2", 3, path)
 
 
 def test_roots_differ_when_leaves_differ():
@@ -73,8 +65,9 @@ def test_leaf_interior_domain_separation():
     assert inner.root != outer.root
 
 
-def test_odd_level_duplication_consistent():
-    # 3 leaves: last leaf duplicated; proofs still verify for all.
-    tree = MerkleTree([b"a", b"b", b"c"])
-    for index, leaf in enumerate([b"a", b"b", b"c"]):
-        assert tree.verify_leaf(index, leaf)
+def test_odd_level_duplication_consistent(audit_path):
+    # 3 leaves: last leaf duplicated; every leaf still folds to the root.
+    leaves = [b"a", b"b", b"c"]
+    tree = MerkleTree(leaves)
+    for index, leaf in enumerate(leaves):
+        assert audit_path.folds_to(tree.root, leaf, index, audit_path.of(leaves, index))

@@ -97,18 +97,24 @@ def test_wrong_shard_registration_reverts_on_chain():
     assert receipt.ok
 
 
-def test_shard_zero_log_keeps_unsharded_contract_shape():
-    # The unsharded market's log is literally the shards=1 special
-    # case: same contract name, always-true routing check.
+def test_every_shard_log_is_named_by_its_shard():
+    # Shard 0 of an unsharded market is named like every shard of a
+    # sharded one: market-commitlog-s{shard}, on the shard's home chain.
     def orders(wl):
         return [two_party_swap(wl, index=0, arrival=0.2)]
 
     scheduler, report = run_hand(orders)
     assert scheduler.shards == 1
-    assert isinstance(scheduler.commit_logs[0], MarketCommitLog)
-    assert scheduler.commit_logs[0].name == "market-commitlog"
+    log = scheduler.commit_logs[0]
+    assert isinstance(log, MarketCommitLog)
+    assert log.name == "market-commitlog-s0"
     assert report.committed == 1
     assert report.shards == 1 and report.cross_shard_deals == 0
+    sharded, _ = run_hand(orders, chains=3, shards=3)
+    for shard, log in sharded.commit_logs.items():
+        assert log.name == f"market-commitlog-s{shard}"
+        home = sharded.shard_home_chain[shard]
+        assert sharded.chains[home].contract(log.name) is log
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,9 @@ Covers the fee plane end to end: the co-signed fee manifest (folded
 outside the deal id), the :class:`~repro.market.fees.FeeLedger` and
 both priority policies as units, per-shard heterogeneous block caps,
 the adversarial congestion workload templates (spam homing, sniper
-shadowing, starvation rings), and the byte-neutrality contract — the
-default FIFO policy and fee-less profiles must reproduce the exact
-historical streams and report bytes.
+shadowing, starvation rings), and the byte-neutrality contract — an
+explicit FIFO config reports exactly what the default does, and
+fee-less profiles reproduce the default order streams.
 """
 
 from __future__ import annotations
@@ -26,7 +26,12 @@ from repro.market import (
     make_seal_policy,
     open_market,
 )
-from repro.market.fees import BASE_FEE_FLOOR, BaseFeePolicy, FirstPricePolicy
+from repro.market.fees import (
+    BASE_FEE_FLOOR,
+    BaseFeePolicy,
+    FifoPolicy,
+    FirstPricePolicy,
+)
 from repro.market.order import order_message, shard_of_deal
 from repro.workloads.market import MarketProfile, MarketWorkload
 
@@ -43,7 +48,7 @@ def test_fee_bid_signs_outside_the_deal_id():
     assert priced.fee_bid == 7 and plain.fee_bid == 0
     # The manifest differs with the bid, so a relayer cannot retag it…
     assert order_message(plain.deal_id, 7) != order_message(plain.deal_id)
-    # …and a fee-less order signs the exact historical bytes.
+    # …and a fee-less order signs the same manifest with a zero bid.
     assert order_message(plain.deal_id, 0) == order_message(plain.deal_id)
 
 
@@ -92,10 +97,25 @@ class _Step:
         self.seq = seq
 
 
-def test_make_seal_policy_fifo_is_structurally_absent():
+def test_make_seal_policy_fifo_charges_and_evicts_nothing():
     fees = FeeLedger()
-    assert make_seal_policy(MarketConfig(), fees) is None
-    assert make_seal_policy(MarketConfig(seal_policy="fifo"), fees) is None
+    fees.post(b"hi", 9)
+    fifo = make_seal_policy(MarketConfig(), fees)
+    assert isinstance(fifo, FifoPolicy)
+    assert isinstance(make_seal_policy(MarketConfig(seal_policy="fifo"), fees),
+                      FifoPolicy)
+    # Arrival order within the cap, whatever the bids; settlement
+    # steps get no precedence because nothing is priced.
+    pending = [
+        _Step(b"lo", seq=1),
+        _Step(b"hi", seq=2),
+        _Step(b"settle", seq=3, phase="market/refund"),
+    ]
+    batch, leftover, evicted = fifo.select(pending, cap=2)
+    assert [step.seq for step in batch] == [1, 2]
+    assert [step.seq for step in leftover] == [3]
+    assert evicted == []
+    assert fees.accrued == 0
     first = make_seal_policy(MarketConfig(seal_policy="first_price"), fees)
     assert isinstance(first, FirstPricePolicy)
     base_config = MarketConfig(seal_policy="base_fee")

@@ -60,10 +60,11 @@ def test_hash_concat_injective_on_structure(parts, data):
 
 @given(leaves=st.lists(small_bytes, min_size=1, max_size=40))
 @settings(max_examples=40, deadline=None)
-def test_merkle_every_leaf_provable(leaves):
+def test_merkle_every_leaf_provable(leaves, audit_path):
     tree = MerkleTree(leaves)
     for index, leaf in enumerate(leaves):
-        assert tree.proof(index).verify(leaf, tree.root)
+        path = audit_path.of(leaves, index)
+        assert audit_path.folds_to(tree.root, leaf, index, path)
 
 
 @given(
@@ -71,11 +72,12 @@ def test_merkle_every_leaf_provable(leaves):
     data=st.data(),
 )
 @settings(max_examples=40, deadline=None)
-def test_merkle_wrong_leaf_rejected(leaves, data):
+def test_merkle_wrong_leaf_rejected(leaves, data, audit_path):
     tree = MerkleTree(leaves)
     index = data.draw(st.integers(min_value=0, max_value=len(leaves) - 1))
     tampered = leaves[index] + b"!"
-    assert not tree.proof(index).verify(tampered, tree.root)
+    path = audit_path.of(leaves, index)
+    assert not audit_path.folds_to(tree.root, tampered, index, path)
 
 
 @given(

@@ -31,10 +31,11 @@ from repro.market import MarketConfig, MarketCoordinator
 from repro.sim.faults import (
     CrashFault,
     FaultPlan,
+    MessageStorm,
     OfflineWindow,
-    Partition,
     ReplicaCrash,
 )
+from repro.sim.chaos import ChaosPolicy
 from repro.sim.rng import DeterministicRng
 from repro.workloads.market import MarketProfile, MarketWorkload
 
@@ -161,23 +162,26 @@ def test_overlapping_offline_windows_on_replication_network():
 
 
 def test_partition_plus_crash_fault_still_converges():
-    # A partition splits shard 0's replicas while a CrashFault
-    # permanently silences one of shard 1's followers — the messiest
+    # A storm that drops every message touching one of shard 0's
+    # replicas cuts it off from its group (a partition) while a
+    # CrashFault silences one of shard 1's followers — the messiest
     # composition the message layer offers.  Anti-entropy at finish()
     # still brings every *live* replica to byte-identity.
     profile = replace(_MIX_PROFILE, shards=2, seed=13)
     plan = FaultPlan()
-    plan.add(Partition(
-        groups=[{replica_name(0, 0)}, {replica_name(0, 1)}],
+    split = MessageStorm(
+        policy=ChaosPolicy(drop_rate=1.0), endpoint=replica_name(0, 1),
         start=2.0, end=8.0,
-    ))
+    )
+    plan.add(split)
     plan.add(CrashFault(endpoint=replica_name(1, 1), at_time=3.0,
                         recover_at=10.0))
     scheduler, report = _run(profile, plan, factor=2)
     _assert_safe(scheduler, report, "partition+crash")
     assert report.availability == 1.0  # no process ever died
+    assert split.dropped > 0
     rows = plan.stats()
-    assert {row["kind"] for row in rows} == {"Partition", "CrashFault"}
+    assert {row["kind"] for row in rows} == {"MessageStorm", "CrashFault"}
 
 
 def test_fault_runs_are_deterministic():

@@ -5,7 +5,6 @@ from repro.sim.faults import (
     CrashFault,
     FaultPlan,
     OfflineWindow,
-    Partition,
     ReplicaCrash,
     ReplicaRecover,
     TargetedDelay,
@@ -57,39 +56,6 @@ def test_offline_window_covers():
     assert window.covers(9.9)
     assert not window.covers(10.0)
     assert not window.covers(4.9)
-
-
-def test_partition_blocks_cross_group_traffic():
-    sim, net = make_net()
-    received = []
-    for name in ("a", "b", "c"):
-        net.register(name, lambda message, name=name: received.append(name))
-    Partition(groups=[{"a", "b"}, {"c"}], start=0.0, end=100.0).install(net)
-    net.send("a", "b", "same-group")
-    net.send("a", "c", "cross-group")
-    sim.run()
-    assert received == ["b"]
-
-
-def test_partition_ignores_unlisted_endpoints():
-    sim, net = make_net()
-    received = []
-    net.register("x", lambda message: received.append("x"))
-    Partition(groups=[{"a"}, {"b"}], start=0.0, end=100.0).install(net)
-    net.send("a", "x", "to-unlisted")
-    sim.run()
-    assert received == ["x"]
-
-
-def test_partition_heals_after_window():
-    sim, net = make_net()
-    received = []
-    net.register("c", lambda message: received.append(sim.now))
-    Partition(groups=[{"a"}, {"c"}], start=0.0, end=5.0).install(net)
-    net.send("a", "c", "during")
-    sim.schedule(6.0, lambda: net.send("a", "c", "after"))
-    sim.run()
-    assert len(received) == 1 and received[0] >= 6.0
 
 
 def test_targeted_delay_slows_but_delivers():
@@ -192,27 +158,24 @@ def test_fault_plan_stats_rows_cover_every_kind():
     host = _FakeHost(sim)
     crash = CrashFault(endpoint="victim", at_time=0.0)
     window = OfflineWindow(endpoint="victim", start=0.0, end=50.0)
-    split = Partition(groups=[{"a"}, {"victim"}], start=0.0, end=50.0)
     slow = TargetedDelay(endpoint="victim", extra_delay=3.0)
     process = ReplicaCrash(replica="s0/r0", at_time=2.0, recover_at=4.0)
     plan = FaultPlan()
-    for fault in (crash, window, split, slow, process):
+    for fault in (crash, window, slow, process):
         plan.add(fault)
     plan.install(net, host)
     net.send("a", "victim", "x")  # eaten by the CrashFault filter
     sim.run()
     rows = plan.stats()
     assert [row["kind"] for row in rows] == [
-        "CrashFault", "OfflineWindow", "Partition", "TargetedDelay",
-        "ReplicaCrash",
+        "CrashFault", "OfflineWindow", "TargetedDelay", "ReplicaCrash",
     ]
     assert rows[0] == {"kind": "CrashFault", "target": "victim", "dropped": 1}
     assert rows[1]["target"] == "victim" and "delayed" in rows[1]
-    assert rows[2]["target"] == "a|victim"
-    assert rows[3] == {"kind": "TargetedDelay", "target": "victim",
+    assert rows[2] == {"kind": "TargetedDelay", "target": "victim",
                        "delayed": 0}
-    assert rows[4]["target"] == "s0/r0"
-    assert rows[4]["crashes"] == 1 and rows[4]["recoveries"] == 1
+    assert rows[3]["target"] == "s0/r0"
+    assert rows[3]["crashes"] == 1 and rows[3]["recoveries"] == 1
 
 
 # ----------------------------------------------------------------------
