@@ -112,9 +112,9 @@ def rate_sweep(
 # Shard sweep (cross-market sharding + aggregator merge evidence)
 # ----------------------------------------------------------------------
 # The shared VerifyAggregator's counters are absent from
-# MarketReport.render() by design, so toggling aggregation can never
-# change report bytes; this table is where they enter the experiment
-# report that run_all.py serializes.
+# MarketReport.render() by design (they say how signature checks were
+# batched, not what happened to any deal); this table is where they
+# enter the experiment report that run_all.py serializes.
 SHARD_COLUMNS = (
     Column("shards", "x"),
     Column("committed", "committed"),

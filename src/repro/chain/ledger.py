@@ -295,10 +295,6 @@ class Chain:
                 f"chain {self.chain_id!r} has no contract {name!r}"
             ) from None
 
-    def has_contract(self, name: str) -> bool:
-        """Whether a contract named ``name`` is published here."""
-        return name in self._contracts
-
     # ------------------------------------------------------------------
     # Block clock
     # ------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The market coordinator and its per-shard
 :class:`~repro.market.shard.ShardRuntime`\\ s communicate *only*
 through the frozen payload types below, wrapped in the uniform
-:class:`~repro.sim.network.Envelope` (sender, shard, tick, payload)
-and carried by a :class:`~repro.sim.network.LocalBus`.  Each type
-names one protocol edge:
+:class:`~repro.sim.network.Envelope` (sender, chain_id, tick,
+payload) and carried by a :class:`~repro.sim.network.LocalBus`.
+Every message rides the stream of the chain it concerns —
+``SubmitOrder`` its home chain's.  Each type names one protocol edge:
 
 * :class:`SubmitOrder` — coordinator → home shard: register a signed
   deal order on the shard's commit log (the runtime builds the
@@ -17,8 +18,9 @@ names one protocol edge:
   is this one edge — a book ``open``/``transfer``/claim, a per-deal
   escrow ``approve``/``deposit``/``refund``/proof-carrying claim, a
   commit-log vote or abort mark, a §5 path-signature vote — because
-  the shard does the same thing with all of them: wait until the
-  target contract exists, then ``mempool.submit``.
+  the shard does the same thing with all of them: ``mempool.submit``.
+  The target contract already exists: a per-deal escrow's
+  ``PublishEscrow`` went first down the same chain's stream.
 * :class:`BlockReceipts` — shard → coordinator: one sealed block's
   receipts, each of which the coordinator routes to its deal's
   :class:`~repro.market.protocols.DealDriver`.
@@ -31,12 +33,13 @@ names one protocol edge:
 
 **At-least-once delivery** is the transport's job, not the payloads':
 under a chaotic bus (:class:`~repro.sim.network.ChaosBus`) every
-envelope carries a per-(sender, recipient) ``msg_id``, is resent until
-a :class:`~repro.sim.network.BusAck` comes back, and is handed to its
-recipient exactly once.  Delta shipments use the same
-:class:`~repro.sim.network.Retransmitter`, with :class:`DeltaAck` as
-the acknowledgement and the follower's sequence-gated apply as the
-duplicate filter.  ``msg_id == 0`` (the plain bus) is exact transport.
+envelope carries a per-(sender, recipient, chain) ``msg_id``, is
+resent until a :class:`~repro.sim.network.BusAck` comes back, and is
+handed to its recipient exactly once and in its stream's order.
+Delta shipments use the same :class:`~repro.sim.network.Retransmitter`,
+with :class:`DeltaAck` as the acknowledgement and the follower's
+sequence-gated apply as the duplicate filter.  ``msg_id == 0`` (the
+plain bus) is exact transport.
 
 A sealed block's signature check is *not* on this list: it is contract
 work of the chain that seals the block (paper §7), so a mempool hands

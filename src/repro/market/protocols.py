@@ -316,7 +316,7 @@ class UnanimityDealDriver(DealDriver):
                 self.abort_retries += 1
                 self.abort_requested = False
                 self.scheduler.simulator.schedule(
-                    2 * self.scheduler.config.block_interval,
+                    2 * self.scheduler.chains[self.home_chain].block_interval,
                     lambda: self._request_abort(run.reason or "timeout"),
                     label="market/abort-retry",
                 )

@@ -47,10 +47,10 @@ class MarketReport:
     stale_proofs_rejected: int = 0
     timelock_refund_sweeps: int = 0
     # Sorted (name, count) rows from the market's VerifyAggregator —
-    # deterministic simulation counters, but deliberately outside
-    # render() and fingerprint() so toggling aggregation can never
-    # change report bytes.  The E16 benchmark surfaces them in its
-    # shard table and gates on the merge rate.
+    # deterministic simulation counters, but outside render() and
+    # fingerprint(): they say how signature checks were batched, not
+    # what happened to any deal.  The E16 benchmark surfaces them in
+    # its shard table and gates on the merge rate.
     verify_stats: tuple = ()
     # Sharding: how many coordinator shards the market ran with, and
     # how many deals straddled books owned by more than one shard.
@@ -226,17 +226,6 @@ class MarketReport:
                 ["chaos msgs reordered", bus["chaos_reordered"]],
                 ["at-least-once resends", bus["resends"]],
                 ["duplicates suppressed", bus["dup_suppressed"]],
-            ]
-        if "deferred" in bus or "defer_abandoned" in bus:
-            # Causal-deferral outcomes (reordering bus only): how many
-            # early-arriving steps were parked, and how many hit the
-            # retry cap and were abandoned to the patience timeout.
-            # The keys only exist once a runtime actually deferred, so
-            # in-order runs keep their exact bytes.
-            rows += [
-                ["escrow ops deferred (causal)", bus.get("deferred", 0)],
-                ["escrow ops abandoned (defer cap)",
-                 bus.get("defer_abandoned", 0)],
             ]
         if self.seal_policy != "fifo":
             fees = dict(self.fee_stats)

@@ -39,10 +39,11 @@ execution backend (:mod:`repro.market.backends`) may replace.
 config is handed whole to the two message planes: the bus becomes a
 :class:`~repro.sim.network.ChaosBus`, the replication layer storms its
 delta network, and both heal losses with the one
-:class:`~repro.sim.network.Retransmitter`.  Exactly-once is the
-transport's job — no handler ever sees a duplicate.  Chaos off
-constructs the plain bus and schedules nothing extra, so default runs
-stay byte-identical.
+:class:`~repro.sim.network.Retransmitter`.  Exactly-once, in-order
+delivery per chain is the transport's job — no handler ever sees a
+duplicate, or a step ahead of the contract or step it follows.  Chaos
+off constructs the plain bus and schedules nothing extra, so default
+runs stay byte-identical.
 
 The public entry point is :func:`repro.market.open_market`.
 """
@@ -82,6 +83,10 @@ from repro.telemetry.metrics import DealOutcome, tally
 
 # Byzantine tolerance of each shard's CBC (3f+1 validators).
 _CBC_F = 1
+# Every market chain and CBC seals one block per tick, and a run that
+# processes more simulator events than this raises (an event loop).
+_BLOCK_INTERVAL = 1.0
+_MAX_EVENTS = 20_000_000
 # Δ of the dedicated replication network (delta shipping + acks), and
 # the detection delay before a crashed leader's shard fails over.
 _REPLICATION_DELTA = 0.4
@@ -92,10 +97,8 @@ _FAILOVER_TIMEOUT = 2.0
 class MarketConfig:
     """Knobs of one market run (all times in simulator ticks)."""
 
-    block_interval: float = 1.0
     patience: float = 60.0
     max_txs_per_block: int = 512
-    max_events: int = 20_000_000
     # Re-check every conservation invariant after every block (O(state)
     # per block — for tests, not for 5000-deal runs).
     check_invariants_per_block: bool = False
@@ -249,7 +252,9 @@ class MarketCoordinator:
         # by shard): chain construction seeds the simulator's event
         # heap, so heap order does not depend on the shard count.
         for chain_id in workload.chain_ids:
-            self.runtimes[self.chain_shard[chain_id]].add_chain(chain_id)
+            self.runtimes[self.chain_shard[chain_id]].add_chain(
+                chain_id, _BLOCK_INTERVAL
+            )
         # One commit log per shard, on the shard's home chain.
         self.commit_logs: dict[int, MarketCommitLog] = {}
         self._commitlog_shards: dict[str, int] = {}
@@ -288,15 +293,18 @@ class MarketCoordinator:
     # ------------------------------------------------------------------
     # The message plane (coordinator side)
     # ------------------------------------------------------------------
-    def _post(self, shard: int, payload: object) -> None:
-        self.bus.post(COORDINATOR_ENDPOINT, shard_endpoint(shard), shard, payload)
+    def _post(self, chain_id: str, payload: object) -> None:
+        """Send ``payload`` down ``chain_id``'s stream to its shard."""
+        self.bus.post(
+            COORDINATOR_ENDPOINT,
+            shard_endpoint(self.chain_shard[chain_id]),
+            chain_id,
+            payload,
+        )
 
     def submit_step(self, chain_id: str, tx: Transaction, deal_id: bytes) -> None:
         """Route one deal step to the mempool of ``chain_id``'s shard."""
-        self._post(
-            self.chain_shard[chain_id],
-            SubmitStep(deal_id=deal_id, chain_id=chain_id, tx=tx),
-        )
+        self._post(chain_id, SubmitStep(deal_id=deal_id, chain_id=chain_id, tx=tx))
 
     def _on_envelope(self, envelope: Envelope) -> None:
         """Inbound shard traffic: sealed-block receipts."""
@@ -373,7 +381,7 @@ class MarketCoordinator:
                 lambda order=order: self._admit(order),
                 label="market/arrival",
             )
-        self.simulator.run(max_events=self.config.max_events)
+        self.simulator.run(max_events=_MAX_EVENTS)
         if self.replication is not None:
             self.replication.finish(self.simulator.now)
         if self.telemetry is not None:
@@ -416,7 +424,10 @@ class MarketCoordinator:
                 telemetry.deal_finished(run, run.finished_at)
             return
         run.driver = DRIVERS[spec.protocol](self, run)
-        self._post(run.home_shard, SubmitOrder(deal_id=deal_id, order=order))
+        self._post(
+            self.shard_home_chain[run.home_shard],
+            SubmitOrder(deal_id=deal_id, order=order),
+        )
         if run.driver.arms_patience:
             run.patience_handle = self.simulator.schedule(
                 self.config.patience,
@@ -453,10 +464,7 @@ class MarketCoordinator:
         self, chain_id: str, contract: Contract, deal_id: bytes, asset_id: str
     ) -> None:
         """Publish a per-deal escrow contract and index it for routing."""
-        self._post(
-            self.chain_shard[chain_id],
-            PublishEscrow(chain_id=chain_id, contract=contract),
-        )
+        self._post(chain_id, PublishEscrow(chain_id=chain_id, contract=contract))
         self._escrow_index[contract.name] = (deal_id, asset_id)
         self.deal_escrows[chain_id].append(contract)
 
@@ -476,7 +484,7 @@ class MarketCoordinator:
             )
             cbc = CertifiedBlockchain(
                 self.simulator, validators, self.wallet,
-                block_interval=self.config.block_interval, name=name,
+                block_interval=_BLOCK_INTERVAL, name=name,
             )
             cbc.subscribe(
                 lambda _cbc, _block, shard=shard: self._on_cbc_block(shard)

@@ -62,13 +62,13 @@ class ShardRuntime:
     # Construction (driven by the coordinator, in global chain order so
     # the simulator's event heap does not depend on the shard count)
     # ------------------------------------------------------------------
-    def add_chain(self, chain_id: str) -> Chain:
+    def add_chain(self, chain_id: str, block_interval: float) -> Chain:
         """Build one of this shard's chains and its market plumbing."""
         market = self.market
         workload, config = market.workload, market.config
         chain = Chain(
             chain_id, market.simulator, market.wallet,
-            block_interval=config.block_interval,
+            block_interval=block_interval,
         )
         self.chains[chain_id] = chain
         market.chains[chain_id] = chain
@@ -122,7 +122,7 @@ class ShardRuntime:
         self.market.bus.post(
             shard_endpoint(self.shard),
             COORDINATOR_ENDPOINT,
-            self.shard,
+            chain.chain_id,
             BlockReceipts(
                 chain_id=chain.chain_id,
                 height=block.height,
@@ -133,28 +133,17 @@ class ShardRuntime:
     # ------------------------------------------------------------------
     # Inbound: the coordinator's typed messages
     # ------------------------------------------------------------------
-    # Causal deferral: under a reordering bus, a step transaction can
-    # land before the per-deal escrow contract it targets has been
-    # published.  The runtime parks such messages and retries on a
-    # short cadence; a message that never becomes deliverable (its
-    # publish lost with the deal) is abandoned after the cap and the
-    # deal resolves through the ordinary patience timeout.
-    _DEFER_INTERVAL = 0.5
-    _DEFER_LIMIT = 200
-
     def handle(self, envelope: Envelope) -> None:
-        """Dispatch one coordinator envelope to the owning machinery."""
-        self._dispatch(envelope.payload, 0)
+        """Dispatch one coordinator envelope to the owning machinery.
 
-    def _dispatch(self, message, deferrals: int) -> None:
+        A step never arrives before the escrow contract it targets: its
+        ``PublishEscrow`` was posted first on the same chain's stream,
+        and the bus delivers each stream in order.
+        """
+        message = envelope.payload
         if isinstance(message, SubmitOrder):
             self._handle_submit_order(message)
         elif isinstance(message, SubmitStep):
-            if not self.chains[message.chain_id].has_contract(
-                message.tx.contract
-            ):
-                self._defer(message, deferrals)
-                return
             self.mempools[message.chain_id].submit(message.tx, message.deal_id)
         elif isinstance(message, PublishEscrow):
             self.chains[message.chain_id].publish(message.contract)
@@ -162,18 +151,6 @@ class ShardRuntime:
             raise MarketError(
                 f"shard {self.shard}: unknown message {type(message).__name__}"
             )
-
-    def _defer(self, message, deferrals: int) -> None:
-        stats = self.market.bus.stats
-        if deferrals >= self._DEFER_LIMIT:
-            stats["defer_abandoned"] = stats.get("defer_abandoned", 0) + 1
-            return
-        stats["deferred"] = stats.get("deferred", 0) + 1
-        self.market.simulator.schedule(
-            self._DEFER_INTERVAL,
-            lambda: self._dispatch(message, deferrals + 1),
-            label=f"shard{self.shard}/defer",
-        )
 
     def _handle_submit_order(self, message: SubmitOrder) -> None:
         order = message.order

@@ -20,8 +20,9 @@ delivers typed :class:`Envelope`\\ s synchronously, and
 and at-least-once delivery.  The two halves of that delivery are
 defined here and nowhere else: a sending :class:`Retransmitter`, which
 the replication plane (:mod:`repro.market.replication`) uses as well,
-and — because at-least-once means duplicates — a receiving
-:class:`DedupWindow`.
+and — because at-least-once means duplicates and chaos means
+reordering — a receiving :class:`ReceiveWindow` that hands each
+stream over once and in order.
 """
 
 from __future__ import annotations
@@ -51,22 +52,23 @@ class Envelope:
 
     The shard runtime messages (:mod:`repro.market.messages`) travel
     the bus (:class:`LocalBus`, :class:`ChaosBus`) as an ``Envelope``:
-    who sent it, which shard it concerns, the simulated tick it was
-    posted at, and a frozen payload a consumer can ``isinstance`` its
-    way through.  The bus has no filters; its hazards are the
-    :class:`~repro.sim.chaos.ChaosPolicy` rolls.  (Replication deltas
+    who sent it, the chain whose stream it rides, the simulated tick
+    it was posted at, and a frozen payload a consumer can
+    ``isinstance`` its way through.  The bus has no filters; its
+    hazards are the :class:`~repro.sim.chaos.ChaosPolicy` rolls.  (Replication deltas
     ride a :class:`Network` as bare payloads: its filter/drop/delay
     stats, and the fault injectors behind them, key on endpoint names.)
 
     ``msg_id`` is the at-least-once delivery tag: a per-(sender,
-    recipient) monotonic sequence number stamped by :class:`ChaosBus`.
-    ``msg_id == 0`` marks exact-transport traffic (the plain
-    :class:`LocalBus`, acks) that is neither acked nor deduplicated —
-    the trailing default keeps chaos-free construction byte-identical.
+    recipient, chain) monotonic sequence number stamped by
+    :class:`ChaosBus`.  ``msg_id == 0`` marks exact-transport traffic
+    (the plain :class:`LocalBus`, acks) that is neither acked nor
+    windowed — the trailing default keeps chaos-free construction
+    byte-identical.
     """
 
     sender: str
-    shard: int
+    chain_id: Hashable
     tick: float
     payload: object
     msg_id: int = 0
@@ -77,9 +79,10 @@ class BusAck:
     """Transport-level receipt for a reliable :class:`Envelope`.
 
     Emitted by :class:`ChaosBus` when a reliable envelope reaches its
-    handler; consumed inside the bus (never delivered to endpoint
+    recipient; consumed inside the bus (never delivered to endpoint
     handlers).  ``origin`` names the acking recipient, ``msg_id`` the
-    sequence number being acknowledged.  Acks themselves ride the
+    sequence number being acknowledged, and the ack's envelope carries
+    the acknowledged one's chain.  Acks themselves ride the
     chaotic channel: a lost ack is healed by the sender's resend, whose
     duplicate delivery is suppressed and re-acked.
     """
@@ -278,42 +281,43 @@ class Retransmitter:
         self._arm(key, entry)
 
 
-class DedupWindow:
-    """Admit each (sender, msg_id) once at one receiving endpoint.
+class ReceiveWindow:
+    """Release each stream to its recipient once, in ``msg_id`` order.
 
-    Tracks, per sender, a contiguous *floor* (every ``msg_id`` at or
-    below it has been admitted) plus the sparse set of admitted ids
-    above it.  Because :class:`ChaosBus` stamps ``msg_id`` per
-    (sender, recipient) pair, the ids arriving at one endpoint from
-    one sender are gap-free once delivery settles, so the floor
-    advances and the set stays small.  A *permanently*
-    missing low id (possible only if the transport gave up resending —
-    the ChaosBus never does) would pin the floor below the gap and let
-    ``_seen`` grow with one entry per later id until the gap fills;
-    that growth is bounded by the sender's in-flight window under
-    at-least-once delivery, and the regression tests document the
-    stuck-floor behaviour explicitly.  ``msg_id == 0`` marks
-    exact-transport traffic and is never a duplicate.
+    A stream is one (sender, recipient, chain) triple of
+    :class:`ChaosBus` traffic, numbered from ``msg_id`` 1.  Per stream
+    the window keeps a *floor* (every ``msg_id`` at or below it has
+    been released) and the envelopes that arrived above it.  A copy at
+    or below the floor, or already held, is a duplicate.  The window
+    is bounded by the sender's unacked envelopes, because the bus
+    never abandons a registered recipient: a stream's held envelopes
+    all sit behind one still unacked, whose resends close the gap.
     """
 
     def __init__(self):
-        self._floor: dict[str, int] = {}
-        self._seen: dict[str, set[int]] = {}
+        self._floor: dict[Hashable, int] = {}
+        self._held: defaultdict[Hashable, dict[int, Envelope]] = defaultdict(dict)
 
-    def duplicate(self, sender: str, msg_id: int) -> bool:
-        """Admit ``(sender, msg_id)`` once; True if already admitted."""
-        if not msg_id:
+    def admit(self, stream: Hashable, envelope: Envelope) -> bool:
+        """Hold ``envelope`` for release; False if it is a duplicate."""
+        held = self._held[stream]
+        msg_id = envelope.msg_id
+        if msg_id <= self._floor.get(stream, 0) or msg_id in held:
             return False
-        floor = self._floor.get(sender, 0)
-        seen = self._seen.setdefault(sender, set())
-        if msg_id <= floor or msg_id in seen:
-            return True
-        seen.add(msg_id)
-        while floor + 1 in seen:
-            floor += 1
-            seen.discard(floor)
-        self._floor[sender] = floor
-        return False
+        held[msg_id] = envelope
+        return True
+
+    def release(self, stream: Hashable):
+        """Yield the held run above the floor, advancing it one by one.
+
+        The floor moves before each envelope is yielded, so a handler
+        that causes a re-entrant delivery on the same stream releases
+        the rest of the run itself, still in order.
+        """
+        held = self._held[stream]
+        while (msg_id := self._floor.get(stream, 0) + 1) in held:
+            self._floor[stream] = msg_id
+            yield held.pop(msg_id)
 
 
 class LocalBus:
@@ -344,10 +348,13 @@ class LocalBus:
             raise NetworkError(f"endpoint {name!r} already registered")
         self._handlers[name] = handler
 
-    def post(self, sender: str, recipient: str, shard: int, payload: object) -> None:
+    def post(
+        self, sender: str, recipient: str, chain_id: Hashable, payload: object
+    ) -> None:
         """Deliver ``payload`` to ``recipient`` at this very instant."""
         envelope = Envelope(
-            sender=sender, shard=shard, tick=self.simulator.now, payload=payload
+            sender=sender, chain_id=chain_id, tick=self.simulator.now,
+            payload=payload,
         )
         self._deliver(recipient, envelope)
 
@@ -361,21 +368,22 @@ class LocalBus:
 
 
 class ChaosBus(LocalBus):
-    """A :class:`LocalBus` with seeded chaos and at-least-once delivery.
+    """A :class:`LocalBus` with seeded chaos and exactly-once, in-order
+    delivery per (sender, recipient, chain) stream.
 
-    Every ``post`` stamps the envelope with a per-(sender, recipient)
-    monotonic ``msg_id`` and sends it through the bus's
-    :class:`Retransmitter`.  Each physical
-    transmission rolls the plan's market policy on the dedicated
-    ``chaos/bus`` stream: drop (the copy vanishes), duplicate (a second
-    copy is dispatched), delay and reorder (the copy is held and
-    re-enters via the simulator, behind same-instant traffic).  A
-    delivered envelope is acked with a :class:`BusAck` that rides the
-    same chaotic channel and is intercepted by the bus.  One
-    :class:`DedupWindow` per recipient admits each
-    (sender, msg_id) once, so no handler sees a duplicate — a
-    suppressed copy is counted and *still* re-acked, which is what
-    heals a lost ack.
+    Every ``post`` stamps the envelope with its stream's next
+    ``msg_id`` and sends it through the bus's :class:`Retransmitter`.  Each physical transmission rolls the
+    plan's market policy on the dedicated ``chaos/bus`` stream: drop
+    (the copy vanishes), duplicate (a second copy is dispatched), delay
+    and reorder (the copy is held and re-enters via the simulator,
+    behind same-instant traffic).  An arriving envelope is acked with a
+    :class:`BusAck` that rides the same chaotic channel and is
+    intercepted by the bus.  One :class:`ReceiveWindow` releases each
+    stream to its handler in ``msg_id`` order, once — a duplicate is
+    counted and *still* re-acked, which is what heals a lost ack.
+    Streams are per chain, as each chain orders a party's
+    transactions, not per pair: a dropped envelope holds back only its
+    own chain's traffic.
 
     Determinism: a fixed number of draws per transmission from one
     labelled stream, so a (seed, policy, workload) triple replays the
@@ -390,8 +398,8 @@ class ChaosBus(LocalBus):
         self.policy = plan.market
         self._stream = DeterministicRng(f"chaos-bus/{seed}").stream("chaos/bus")
         self._resender = Retransmitter(simulator, plan.ack_timeout, plan.backoff_cap)
-        self._next_seq: dict[tuple[str, str], int] = {}
-        self._windows: defaultdict[str, DedupWindow] = defaultdict(DedupWindow)
+        self._next_seq: dict[tuple, int] = {}
+        self._window = ReceiveWindow()
         self.stats.update(
             {
                 "chaos_dropped": 0,
@@ -409,14 +417,16 @@ class ChaosBus(LocalBus):
         """Reliable envelopes posted but not yet acknowledged."""
         return len(self._resender)
 
-    def post(self, sender: str, recipient: str, shard: int, payload: object) -> None:
+    def post(
+        self, sender: str, recipient: str, chain_id: Hashable, payload: object
+    ) -> None:
         """Reliably deliver ``payload`` (at-least-once, acked)."""
-        pair = (sender, recipient)
-        seq = self._next_seq.get(pair, 0) + 1
-        self._next_seq[pair] = seq
+        stream = (sender, recipient, chain_id)
+        seq = self._next_seq.get(stream, 0) + 1
+        self._next_seq[stream] = seq
         envelope = Envelope(
             sender=sender,
-            shard=shard,
+            chain_id=chain_id,
             tick=self.simulator.now,
             payload=payload,
             msg_id=seq,
@@ -429,8 +439,7 @@ class ChaosBus(LocalBus):
 
         # The zero-chaos path is acked inside the first transmission,
         # so it arms no timer and schedules no events.
-        key = (sender, recipient, seq)
-        self._resender.send(key, transmit, f"bus-retry->{recipient}")
+        self._resender.send((*stream, seq), transmit, f"bus-retry->{recipient}")
 
     def _transmit(self, recipient: str, envelope: Envelope) -> None:
         """One physical transmission attempt: roll hazards, dispatch."""
@@ -463,27 +472,29 @@ class ChaosBus(LocalBus):
     def _deliver(self, recipient: str, envelope: Envelope) -> None:
         payload = envelope.payload
         if isinstance(payload, BusAck):
-            if self._resender.ack((recipient, payload.origin, payload.msg_id)):
+            key = (recipient, payload.origin, envelope.chain_id, payload.msg_id)
+            if self._resender.ack(key):
                 self.stats["acks_delivered"] += 1
             return
+        stream = (envelope.sender, recipient, envelope.chain_id)
         handler = self._handlers.get(recipient)
         if handler is None:
             self.stats["dropped"] += 1
-            self._resender.ack((envelope.sender, recipient, envelope.msg_id))
+            self._resender.ack((*stream, envelope.msg_id))
             return
         self.stats["delivered"] += 1
-        if self._windows[recipient].duplicate(envelope.sender, envelope.msg_id):
-            self.stats["dup_suppressed"] += 1
+        if self._window.admit(stream, envelope):
+            for ready in self._window.release(stream):
+                handler(ready)
         else:
-            handler(envelope)
-        if envelope.msg_id:
-            ack = Envelope(
-                sender=recipient,
-                shard=envelope.shard,
-                tick=self.simulator.now,
-                payload=BusAck(origin=recipient, msg_id=envelope.msg_id),
-            )
-            self._transmit(envelope.sender, ack)
+            self.stats["dup_suppressed"] += 1
+        ack = Envelope(
+            sender=recipient,
+            chain_id=envelope.chain_id,
+            tick=self.simulator.now,
+            payload=BusAck(origin=recipient, msg_id=envelope.msg_id),
+        )
+        self._transmit(envelope.sender, ack)
 
 
 class SynchronousNetwork(Network):

@@ -166,10 +166,12 @@ def test_local_bus_delivers_synchronously_with_stats():
     bus = LocalBus(simulator)
     seen = []
     bus.register("sink", seen.append)
-    bus.post("source", "sink", 3, payload="hello")
+    bus.post("source", "sink", "chain-3", payload="hello")
     envelope = seen[0]
     assert isinstance(envelope, Envelope)
-    assert (envelope.sender, envelope.shard, envelope.tick) == ("source", 3, 0.0)
+    assert (envelope.sender, envelope.chain_id, envelope.tick) == (
+        "source", "chain-3", 0.0
+    )
     assert envelope.payload == "hello"
     bus.post("source", "nobody", 0, payload="lost")
     assert bus.stats["delivered"] == 1

@@ -1,139 +1,91 @@
-"""Regression tests for the market's message plane bookkeeping.
+"""Regression tests for the receiving half of the market's message plane.
 
-The receiving half of at-least-once delivery is one
-:class:`~repro.sim.network.DedupWindow` per recipient inside
-:class:`~repro.sim.network.ChaosBus` (suppression is counted by the
-bus itself, next to the chaos counters — see ``tests/sim``).  Pinned
-here is the window's documented stuck-floor behaviour: a permanently
-missing low ``msg_id`` pins the floor and lets the sparse set grow one
-entry per later id — bounded by the sender's in-flight window — until
-the gap fills and the whole set collapses back into the floor.
-
-And a congestion-path bug fixed in the fee-market PR: the shard
-runtime counted ``defer_abandoned`` (a causally-deferred escrow op
-that hit the retry cap) but the report never rendered it, so
-abandonment was invisible in every E18 table.
+:class:`~repro.sim.network.ChaosBus` keeps one
+:class:`~repro.sim.network.ReceiveWindow`: it releases each (sender,
+recipient, chain) stream to its handler once and in ``msg_id`` order,
+holding whatever arrives ahead of a gap until the gap fills.
+Suppression is counted by the bus itself, next to the chaos counters
+(see ``tests/sim``).
 """
 
 from __future__ import annotations
 
-from market_test_utils import HandWorkload, two_party_swap
-from repro.market import MarketConfig, MarketCoordinator
-from repro.sim.network import DedupWindow
+from repro.sim.network import Envelope, ReceiveWindow
+
+STREAM = ("coord", "shard-0", "chain-0")
 
 
-def test_dedup_ignores_exact_transport_traffic():
-    window = DedupWindow()
-    # msg_id 0 marks exact-transport traffic: never deduplicated.
-    assert not window.duplicate("coord", 0)
-    assert not window.duplicate("coord", 0)
+def _envelope(msg_id: int) -> Envelope:
+    return Envelope(
+        sender="coord", chain_id="chain-0", tick=0.0, payload=msg_id,
+        msg_id=msg_id,
+    )
 
 
-def test_dedup_windows_are_per_sender():
-    window = DedupWindow()
-    assert not window.duplicate("a", 1)
-    assert not window.duplicate("b", 1)
-    assert window.duplicate("a", 1)
+def _offer(window: ReceiveWindow, msg_id: int, stream=STREAM) -> list[int] | None:
+    """Admit one copy: None for a duplicate, else the released ids."""
+    if not window.admit(stream, _envelope(msg_id)):
+        return None
+    return [envelope.msg_id for envelope in window.release(stream)]
 
 
 def test_dedup_floor_advances_and_absorbs_in_order_traffic():
-    window = DedupWindow()
+    window = ReceiveWindow()
     for msg_id in range(1, 11):
-        assert not window.duplicate("coord", msg_id)
-    # Gap-free delivery: the contiguous floor absorbs every id and the
-    # sparse set stays empty.
-    assert window._floor["coord"] == 10
-    assert window._seen["coord"] == set()
-    assert window.duplicate("coord", 3)  # below the floor
+        assert _offer(window, msg_id) == [msg_id]
+    # Gap-free delivery: the floor absorbs every id and nothing is held.
+    assert window._floor[STREAM] == 10
+    assert window._held[STREAM] == {}
 
 
 def test_dedup_stuck_floor_growth_is_bounded_and_heals():
-    window = DedupWindow()
-    # msg_id 1 never arrives: the floor pins at 0 and the sparse set
-    # grows one entry per admitted later id (the documented bound —
-    # the sender's in-flight window under at-least-once delivery).
+    window = ReceiveWindow()
+    # msg_id 1 is late: everything after it is held, not released.
     for msg_id in range(2, 50):
-        assert not window.duplicate("coord", msg_id)
-    assert window._floor["coord"] == 0
-    assert len(window._seen["coord"]) == 48
-    # Duplicates above the stuck floor are still suppressed.
-    assert window.duplicate("coord", 25)
-    # The straggler finally lands: the floor sweeps the whole set.
-    assert not window.duplicate("coord", 1)
-    assert window._floor["coord"] == 49
-    assert window._seen["coord"] == set()
+        assert _offer(window, msg_id) == []
+    assert window._floor.get(STREAM, 0) == 0
+    assert sorted(window._held[STREAM]) == list(range(2, 50))
+    # The straggler lands: the whole run goes out behind it, in order.
+    assert _offer(window, 1) == list(range(1, 50))
+    assert window._floor[STREAM] == 49
+    assert window._held[STREAM] == {}
 
 
-def test_defer_abandonment_is_counted_and_rendered():
-    workload = HandWorkload(lambda wl: [two_party_swap(wl)])
-    scheduler = MarketCoordinator(
-        workload, MarketConfig(patience=30.0)
-    )
-    runtime = scheduler.runtimes[0]
-    # Force one causal deferral past the retry cap: the runtime must
-    # count the abandonment (the deal then resolves via its patience
-    # timeout; here the message is synthetic so only the counter
-    # matters).
-    runtime._defer(object(), runtime._DEFER_LIMIT)
-    report = scheduler.run()
-    assert dict(report.bus_stats)["defer_abandoned"] == 1
-    rendered = report.render()
-    assert "escrow ops abandoned (defer cap)" in rendered
-    assert "escrow ops deferred (causal)" in rendered
+def test_dedup_suppresses_copies_below_and_above_the_floor():
+    window = ReceiveWindow()
+    assert _offer(window, 1) == [1]
+    assert _offer(window, 3) == []
+    assert _offer(window, 1) is None  # at the floor: released already
+    assert _offer(window, 3) is None  # above the floor: held already
+    assert _offer(window, 2) == [2, 3]
+    assert _offer(window, 3) is None
+    assert _offer(window, 4) == [4]
 
 
-def test_in_order_runs_render_no_defer_rows():
-    workload = HandWorkload(lambda wl: [two_party_swap(wl)])
-    scheduler = MarketCoordinator(workload, MarketConfig(patience=30.0))
-    report = scheduler.run()
-    # Byte-neutrality: the defer rows only appear once a runtime
-    # actually deferred, so in-order reports keep their exact bytes.
-    assert "defer_abandoned" not in dict(report.bus_stats)
-    assert "escrow ops" not in report.render()
+def test_dedup_streams_are_independent_per_sender_and_chain():
+    window = ReceiveWindow()
+    other_chain = ("coord", "shard-0", "chain-2")
+    other_sender = ("shard-1", "shard-0", "chain-0")
+    # A gap on one stream holds back nothing on another.
+    assert _offer(window, 2) == []
+    assert _offer(window, 1, other_chain) == [1]
+    assert _offer(window, 1, other_sender) == [1]
+    assert _offer(window, 1, other_chain) is None
+    assert _offer(window, 1) == [1, 2]
 
 
-def test_defer_cap_exhausts_for_a_never_published_contract():
-    from repro.chain.tx import Transaction
-    from repro.market.messages import SubmitStep
-    from repro.market.shard import COORDINATOR_ENDPOINT, shard_endpoint
-
-    workload = HandWorkload(lambda wl: [two_party_swap(wl)])
-    scheduler = MarketCoordinator(workload, MarketConfig(patience=30.0))
-    runtime = scheduler.runtimes[0]
-    simulator = scheduler.simulator
-    deferrals = []
-    schedule = simulator.schedule
-
-    def spy(delay, callback, label=""):
-        if label == "shard0/defer":
-            deferrals.append(simulator.now)
-        return schedule(delay, callback, label)
-
-    simulator.schedule = spy
-    # A step whose escrow contract is never published: the runtime
-    # parks and retries it until the cap, then gives up for good.
-    scheduler.bus.post(
-        COORDINATOR_ENDPOINT, shard_endpoint(0), 0,
-        SubmitStep(
-            deal_id=b"orphan",
-            chain_id=runtime.home_chain_id,
-            tx=Transaction(
-                sender=scheduler.coordinator.address,
-                contract="never-published",
-                method="transfer",
-                args={},
-                phase="market/escrow-open",
-            ),
-        ),
-    )
-    report = scheduler.run()
-    stats = dict(report.bus_stats)
-    assert stats["deferred"] == runtime._DEFER_LIMIT == 200
-    assert stats["defer_abandoned"] == 1
-    # One retry per cap slot, none after the abandonment, and the
-    # simulator drained.
-    assert len(deferrals) == 200
-    assert simulator.pending == 0
-    rows = [line for line in report.render().splitlines()
-            if "escrow ops abandoned (defer cap)" in line]
-    assert len(rows) == 1 and rows[0].split()[-1] == "1"
+def test_dedup_release_stays_ordered_under_reentrant_delivery():
+    window = ReceiveWindow()
+    for msg_id in (2, 3):
+        assert window.admit(STREAM, _envelope(msg_id))
+    assert window.admit(STREAM, _envelope(1))
+    seen = []
+    for envelope in window.release(STREAM):
+        seen.append(envelope.msg_id)
+        if envelope.msg_id == 1:
+            # A handler's side effect delivers the next id on the same
+            # stream: the nested release drains the run in order, and
+            # the outer one finds nothing left.
+            assert window.admit(STREAM, _envelope(4))
+            seen += [inner.msg_id for inner in window.release(STREAM)]
+    assert seen == [1, 2, 3, 4]

@@ -2,11 +2,14 @@
 
 The chaos plane's safety story rests on two replay guarantees:
 
-* **Handler idempotency** — the shard runtimes, the coordinator's
-  decision intake, and the verify service suppress duplicated
-  reliable envelopes with a :class:`~repro.market.messages.DedupWindow`,
-  so a market whose every message is delivered *twice* settles to the
-  byte-identical outcome log and chain state as a clean run;
+* **Handler idempotency** — the bus's
+  :class:`~repro.sim.network.ReceiveWindow` hands every handler each
+  reliable envelope once, so a market whose every message is
+  delivered *twice* settles to the byte-identical outcome log and
+  chain state as a clean run;
+* **Stream order** — the same window releases each (sender,
+  recipient, chain) stream in send order, so a market whose every
+  message is reordered settles every deal the way a clean run does;
 * **Delta idempotency** — :meth:`ShardReplicaGroup.apply_delta` is a
   sequence-gated intake: duplicated shipments no-op, gapped shipments
   heal from the group log, and any adversarial interleaving of the
@@ -69,8 +72,7 @@ def test_duplicate_only_chaos_is_outcome_invisible():
 def test_reordered_delivery_preserves_conservation_and_settles():
     # Reorder + delay + duplicate (no drops): nothing is lost, so
     # every deal must still settle — possibly on a different path
-    # (late votes abort) but never violating conservation, and never
-    # leaving a deferred escrow op abandoned.
+    # (late votes abort) but never violating conservation.
     profile = MarketProfile.sharded_smoke(seed=17)
     plan = ChaosPlan(
         market=ChaosPolicy(
@@ -85,7 +87,26 @@ def test_reordered_delivery_preserves_conservation_and_settles():
     assert report.invariant_violations == ()
     assert report.committed + report.aborted + report.rejected == report.deals
     assert scheduler.bus.in_flight == 0
-    assert stats.get("defer_abandoned", 0) == 0
+
+
+def _outcomes(report) -> list[tuple]:
+    return [(index, outcome, reason)
+            for index, _, outcome, reason, _ in report.outcome_log]
+
+
+def test_reorder_only_chaos_settles_every_deal_as_a_clean_run():
+    # Every transmission is held a random while, so envelopes overtake
+    # each other freely — but never within a chain's stream, so no
+    # deposit lands before its approve and no step before its escrow
+    # contract: each deal ends the way the chaos-free run ends it.
+    plan = ChaosPlan(market=ChaosPolicy(reorder_rate=1.0))
+    for seed in (13, 17, 23):
+        profile = MarketProfile.sharded_smoke(seed=seed)
+        _, clean = _run(profile)
+        scheduler, reordered = _run(profile, chaos=plan)
+        assert scheduler.bus.stats["chaos_reordered"] > 0, seed
+        assert _outcomes(reordered) == _outcomes(clean), seed
+        assert reordered.invariant_violations == (), seed
 
 
 def test_chaotic_market_is_seed_deterministic():

@@ -205,8 +205,9 @@ def test_chaos_bus_stamps_monotonic_msg_ids_per_pair():
     bus.post("a", "b", 0, "y")
     bus.post("z", "b", 0, "x")
     bus.post("a", "c", 0, "x")
-    # Sequences are per (sender, recipient) pair, starting at 1.
-    assert ids == [("a", 1), ("a", 2), ("z", 1), ("a", 1)]
+    bus.post("a", "b", 1, "x")
+    # Sequences are per (sender, recipient, chain) stream, from 1.
+    assert ids == [("a", 1), ("a", 2), ("z", 1), ("a", 1), ("a", 1)]
 
 
 def test_chaos_bus_drops_heal_via_resend():
@@ -218,10 +219,11 @@ def test_chaos_bus_drops_heal_via_resend():
     for index in range(30):
         bus.post("a", "b", 0, index)
     sim.run(until=500.0)
-    # At-least-once in, exactly-once out: every payload arrives despite
-    # 40% transmission loss, and a retransmission whose original (or
-    # whose ack) was merely late is suppressed by the bus.
-    assert sorted(received) == list(range(30))
+    # At-least-once in, exactly-once and in order out: every payload
+    # arrives despite 40% transmission loss, a retransmission whose
+    # original (or whose ack) was merely late is suppressed, and
+    # nothing overtakes a dropped predecessor.
+    assert received == list(range(30))
     assert bus.in_flight == 0
     assert bus.stats["chaos_dropped"] > 0
     assert bus.stats["resends"] > 0
@@ -252,7 +254,9 @@ def test_chaos_bus_delay_and_reorder_hold_messages():
         seed=5,
     )
     arrivals = []
-    bus.register("b", lambda envelope: arrivals.append(sim.now))
+    payloads = []
+    bus.register("b", lambda envelope: (
+        arrivals.append(sim.now), payloads.append(envelope.payload)))
     for index in range(12):
         bus.post("a", "b", 0, index)
     # Every copy held: nothing delivered synchronously.
@@ -260,6 +264,9 @@ def test_chaos_bus_delay_and_reorder_hold_messages():
     sim.run()
     assert len(arrivals) == 12
     assert all(t >= 0.2 for t in arrivals)
+    # Held copies overtake each other in flight, but the handler still
+    # sees the stream in send order.
+    assert payloads == list(range(12))
     assert bus.stats["chaos_delayed"] == bus.stats["chaos_reordered"] >= 12
     assert bus.in_flight == 0
 
