@@ -24,5 +24,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.11",
-    install_requires=["networkx"],
 )

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-
-import numpy as np
+import statistics
 
 from repro.core.config import ProtocolConfig, ProtocolKind
 from repro.core.executor import DealExecutor, DealResult, auto_config
@@ -155,18 +154,20 @@ def fit_power_law(xs, ys) -> float:
     pairs = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
     if len(pairs) < 2:
         return float("nan")
-    log_x = np.log([p[0] for p in pairs])
-    log_y = np.log([p[1] for p in pairs])
-    exponent, _intercept = np.polyfit(log_x, log_y, 1)
-    return float(exponent)
+    exponent, _intercept = statistics.linear_regression(
+        [math.log(x) for x, _ in pairs], [math.log(y) for _, y in pairs]
+    )
+    return exponent
 
 
 def fit_linear_slope(xs, ys) -> float:
     """Least-squares slope of ``y ~ a·x + b`` (for Δ-linear checks)."""
     if len(xs) < 2:
         return float("nan")
-    slope, _intercept = np.polyfit(np.asarray(xs, float), np.asarray(ys, float), 1)
-    return float(slope)
+    slope, _intercept = statistics.linear_regression(
+        [float(x) for x in xs], [float(y) for y in ys]
+    )
+    return slope
 
 
 def geometric_decay_rate(values) -> float:

@@ -41,6 +41,7 @@ timing benchmarks (Figure 7) measure it rather than assume it.
 from __future__ import annotations
 
 import weakref
+from operator import itemgetter
 from typing import Callable
 
 from repro.chain.block import Block
@@ -77,11 +78,14 @@ def digest_state(state: dict[str, dict[str, dict]]) -> bytes:
     for contract_name in sorted(state):
         storages = state[contract_name]
         for storage_name in sorted(storages):
-            data = storages[storage_name]
-            for key in sorted(data, key=repr):
-                lines.append(
-                    f"{contract_name}/{storage_name}/{key!r}={data[key]!r}"
-                )
+            prefix = f"{contract_name}/{storage_name}/"
+            # Each key's repr once; sorting on it alone keeps ties in
+            # insertion order, as ``sorted(data, key=repr)`` does.
+            keyed = sorted(
+                ((repr(key), value) for key, value in storages[storage_name].items()),
+                key=itemgetter(0),
+            )
+            lines.extend(f"{prefix}{key}={value!r}" for key, value in keyed)
     return tagged_hash("repro/state", "\n".join(lines).encode("utf-8"))
 
 

@@ -12,7 +12,8 @@ a deal as:
   steps on the same asset).
 
 The Figure 1 matrix and Figure 2 digraph are both derived views of the
-step list.  Well-formedness (§5.1) is strong connectivity of the
+step list; the digraph is a plain adjacency map, ``{party: {parties it
+transfers to}}``.  Well-formedness (§5.1) is strong connectivity of the
 digraph: a deal that is not strongly connected contains free riders.
 """
 
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import networkx as nx
 
 from repro.crypto.hashing import hash_concat
 from repro.crypto.keys import Address
@@ -258,10 +257,35 @@ class DealSpec:
 
     def is_well_formed(self) -> bool:
         """Strong connectivity of the deal digraph (§5.1)."""
-        graph = deal_digraph(self)
-        if graph.number_of_nodes() <= 1:
-            return True
-        return nx.is_strongly_connected(graph)
+        return is_strongly_connected(deal_digraph(self))
+
+
+def is_strongly_connected(graph: dict[Address, set[Address]]) -> bool:
+    """Whether every vertex of an adjacency map reaches every other.
+
+    True of a graph with at most one vertex; otherwise one vertex must
+    reach every vertex both along the arcs and along the reversed arcs.
+    """
+    if len(graph) <= 1:
+        return True
+    reverse: dict[Address, set[Address]] = {vertex: set() for vertex in graph}
+    for giver, receivers in graph.items():
+        for receiver in receivers:
+            reverse[receiver].add(giver)
+    start = next(iter(graph))
+    return _reaches_all(graph, start) and _reaches_all(reverse, start)
+
+
+def _reaches_all(graph: dict[Address, set[Address]], start: Address) -> bool:
+    """Whether every vertex of ``graph`` is reachable from ``start``."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for successor in graph[frontier.pop()]:
+            if successor not in seen:
+                seen.add(successor)
+                frontier.append(successor)
+    return len(seen) == len(graph)
 
 
 def _initial_holdings(assets: tuple[Asset, ...]) -> dict[str, dict[Address, object]]:
@@ -307,18 +331,17 @@ def _apply_step(
         per_asset[step.receiver] = set(receiver_have) | set(step.token_ids)
 
 
-def deal_digraph(spec: DealSpec) -> "nx.DiGraph":
-    """The Figure 2 digraph: a vertex per party, an arc per transfer."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(spec.parties)
+def deal_digraph(spec: DealSpec) -> dict[Address, set[Address]]:
+    """The Figure 2 digraph as ``{giver: {receivers}}``: an arc per
+    (giver, receiver) pair that some transfer step moves assets along.
+
+    A party that only receives maps to an empty set; parties with no
+    arcs at all are not part of the exchange and are omitted.
+    """
+    graph: dict[Address, set[Address]] = {}
     for step in spec.steps:
-        if graph.has_edge(step.giver, step.receiver):
-            graph[step.giver][step.receiver]["steps"].append(step)
-        else:
-            graph.add_edge(step.giver, step.receiver, steps=[step])
-    # Parties with no arcs at all are not part of the exchange.
-    isolated = [node for node in graph.nodes if graph.degree(node) == 0]
-    graph.remove_nodes_from(isolated)
+        graph.setdefault(step.giver, set()).add(step.receiver)
+        graph.setdefault(step.receiver, set())
     return graph
 
 

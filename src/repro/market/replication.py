@@ -488,19 +488,27 @@ class ReplicationLayer:
     # ------------------------------------------------------------------
     # Verification and reporting
     # ------------------------------------------------------------------
-    def _divergences(self, replica: Replica):
+    def _chain_digests(self, group: ShardReplicaGroup) -> dict[str, bytes]:
+        """Each of the group's authoritative chains' state digest."""
+        return {
+            chain_id: self.scheduler.chains[chain_id].state_hash()
+            for chain_id in group.chain_ids
+        }
+
+    @staticmethod
+    def _divergences(replica: Replica, expected: dict[str, bytes]):
         """Yield ``(chain_id, actual, expected)`` for each of the
-        replica's chains whose image digest differs from the chain's."""
-        for chain_id in self.groups[replica.shard].chain_ids:
-            expected = self.scheduler.chains[chain_id].state_hash()
+        replica's chains whose image digest differs from ``expected``."""
+        for chain_id, digest in expected.items():
             actual = digest_state(replica.image_of(chain_id))
-            if actual != expected:
-                yield chain_id, actual, expected
+            if actual != digest:
+                yield chain_id, actual, digest
 
     def _verify_replica(self, replica: Replica, context: str) -> None:
         """Digest-compare a replica against its authoritative chains."""
-        self.counters["hash_checks"] += len(self.groups[replica.shard].chain_ids)
-        mismatches = list(self._divergences(replica))
+        group = self.groups[replica.shard]
+        self.counters["hash_checks"] += len(group.chain_ids)
+        mismatches = list(self._divergences(replica, self._chain_digests(group)))
         self.counters["hash_mismatches"] += len(mismatches)
         for chain_id, actual, expected in mismatches:
             self.violations.append(
@@ -519,6 +527,7 @@ class ReplicationLayer:
         """
         found = list(self.violations)
         for group in self.groups.values():
+            expected = None  # digested once per group, when first needed
             for replica in group.alive_replicas():
                 caught_up = all(
                     replica.applied.get(chain_id, 0) == len(group.logs[chain_id])
@@ -531,11 +540,13 @@ class ReplicationLayer:
                             "quiescence"
                         )
                     continue
-                for chain_id, actual, expected in self._divergences(replica):
+                if expected is None:
+                    expected = self._chain_digests(group)
+                for chain_id, actual, digest in self._divergences(replica, expected):
                     found.append(
                         f"replication: {replica.name} diverges from "
                         f"{chain_id}: {actual.hex()[:16]} != "
-                        f"{expected.hex()[:16]}"
+                        f"{digest.hex()[:16]}"
                     )
         return found
 

@@ -31,6 +31,7 @@ replica-convergence sweep runs at every block of every scenario.
 from __future__ import annotations
 
 from market_test_utils import HandWorkload, on_shard, run_hand, two_party_swap
+from repro.chain.ledger import Chain
 from repro.chain.tx import Transaction
 from repro.consensus.bft import DealStatus, StatusCertificate
 from repro.core.proofs import StatusProof
@@ -150,6 +151,33 @@ def test_unreplicated_run_constructs_no_layer():
     assert report.replication_factor == 1
     assert report.replication_stats == ()
     assert report.availability == 1.0
+
+
+def test_invariant_sweep_digests_each_chain_once(monkeypatch):
+    # Three caught-up replicas per group compare against one digest of
+    # each authoritative chain, not one digest per replica.
+    def orders(wl):
+        return [
+            on_shard(lambda salt, i=i: two_party_swap(
+                wl, index=i, arrival=0.2 + 0.3 * i, a=i % 2, b=2 + (i % 2),
+                salt=salt), i % 2, 2)
+            for i in range(2)
+        ]
+
+    scheduler, _ = run_hand(
+        orders, shards=2, accounts=4, config=_config(replication_factor=3),
+    )
+    digests = []
+    state_hash = Chain.state_hash
+    monkeypatch.setattr(
+        Chain, "state_hash", lambda chain: digests.append(chain) or state_hash(chain)
+    )
+    assert scheduler.replication.check_invariants(strict=True) == []
+    groups = scheduler.replication.groups.values()
+    assert all(len(group.alive_replicas()) == 3 for group in groups)
+    assert sorted(chain.chain_id for chain in digests) == sorted(
+        chain_id for group in groups for chain_id in group.chain_ids
+    )
 
 
 # ----------------------------------------------------------------------

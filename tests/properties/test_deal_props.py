@@ -1,9 +1,10 @@
 """Property-based tests for deal-spec invariants."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.deal import deal_digraph, deal_matrix
+from repro.core.deal import Asset, DealSpec, TransferStep, deal_digraph, deal_matrix
+from repro.crypto.keys import KeyPair
 from repro.workloads.generators import (
     brokered_deal,
     clique_deal,
@@ -50,7 +51,9 @@ def test_matrix_and_digraph_agree(seed):
     spec, _ = random_well_formed_deal(seed=seed, n=5, extra_assets=2)
     matrix = deal_matrix(spec)
     graph = deal_digraph(spec)
-    assert set(matrix) == set(graph.edges())
+    arcs = {(giver, receiver) for giver, receivers in graph.items()
+            for receiver in receivers}
+    assert set(matrix) == arcs
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -89,3 +92,58 @@ def test_incoming_outgoing_consistency(seed):
             spec.outgoing(party).get(asset.asset_id, 0) for party in spec.parties
         )
         assert total_in == total_out
+
+
+def _closure_strongly_connected(vertices, arcs) -> bool:
+    """Oracle: strong connectivity from the transitive closure
+    (Floyd–Warshall reachability over the vertices that carry an arc)."""
+    reach = {(u, v): u == v or (u, v) in arcs for u in vertices for v in vertices}
+    for k in vertices:
+        for u in vertices:
+            for v in vertices:
+                reach[u, v] = reach[u, v] or (reach[u, k] and reach[k, v])
+    return all(reach.values())
+
+
+def _arc_deal(n_parties, arcs):
+    """A deal on ``n_parties`` whose digraph has exactly ``arcs``: every
+    party escrows coins and each arc moves one of the giver's coins."""
+    parties = tuple(KeyPair.from_label(f"p{i}").address for i in range(n_parties))
+    assets = tuple(
+        Asset(asset_id=f"a{i}", chain_id="c", token="coin", owner=party,
+              amount=n_parties)
+        for i, party in enumerate(parties)
+    )
+    steps = tuple(
+        TransferStep(asset_id=f"a{giver}", giver=parties[giver],
+                     receiver=parties[receiver], amount=1)
+        for giver, receiver in arcs
+    )
+    return DealSpec(parties=parties, assets=assets, steps=steps), parties
+
+
+@st.composite
+def arc_lists(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, arcs
+
+
+@given(case=arc_lists())
+@example(case=(1, []))
+@example(case=(4, [(0, 1), (1, 0)]))  # two isolated parties
+@example(case=(4, [(0, 1), (1, 2), (2, 3)]))  # one-way chain
+@example(case=(3, [(0, 1), (1, 2), (2, 0)]))  # ring
+@example(case=(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)]))  # two disjoint cycles
+@example(case=(6, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)]))  # cycles joined one way
+@settings(max_examples=200, deadline=None)
+def test_strong_connectivity_matches_transitive_closure(case):
+    n, arcs = case
+    spec, parties = _arc_deal(n, arcs)
+    graph = deal_digraph(spec)
+    named = {(parties[u], parties[v]) for u, v in arcs}
+    assert {(g, r) for g, receivers in graph.items() for r in receivers} == named
+    vertices = {party for arc in named for party in arc}
+    assert set(graph) == vertices
+    assert spec.is_well_formed() == _closure_strongly_connected(vertices, named)
