@@ -9,9 +9,7 @@ returns the least-squares exponent of ``y ~ x^e`` on log-log axes.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import statistics
 
 from repro.core.config import ProtocolConfig, ProtocolKind
 from repro.core.executor import DealExecutor, DealResult, auto_config
@@ -123,10 +121,15 @@ def sweep_parallel(values, make_record, jobs: int | None = None) -> list[dict]:
     if jobs is None or jobs <= 0:
         jobs = os.cpu_count() or 1
     jobs = min(jobs, len(values))
+    if jobs == 1:
+        return sweep(values, make_record)
+    # Imported only to fork: an inline run never loads the module.
+    import multiprocessing
+
     # Daemonic pool workers (e.g. inside ``run_all.py --jobs``) cannot
     # spawn children; nested fan-out degrades to the serial path, which
     # produces identical records by construction.
-    if jobs == 1 or multiprocessing.current_process().daemon:
+    if multiprocessing.current_process().daemon:
         return sweep(values, make_record)
     shards = [values[start::jobs] for start in range(jobs)]
     # fork (where available) lets workers inherit the generator table
@@ -154,6 +157,8 @@ def fit_power_law(xs, ys) -> float:
     pairs = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
     if len(pairs) < 2:
         return float("nan")
+    import statistics  # ~0.4 MiB of decimal and fractions; only fits use it
+
     exponent, _intercept = statistics.linear_regression(
         [math.log(x) for x, _ in pairs], [math.log(y) for _, y in pairs]
     )
@@ -164,6 +169,8 @@ def fit_linear_slope(xs, ys) -> float:
     """Least-squares slope of ``y ~ a·x + b`` (for Δ-linear checks)."""
     if len(xs) < 2:
         return float("nan")
+    import statistics
+
     slope, _intercept = statistics.linear_regression(
         [float(x) for x in xs], [float(y) for y in ys]
     )

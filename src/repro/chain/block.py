@@ -24,7 +24,7 @@ def _encode_receipt(receipt: Receipt) -> bytes:
     return hash_concat(*parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
     """The authenticated part of a block."""
 
@@ -46,7 +46,7 @@ class BlockHeader:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """A block: header plus the receipts of its transactions."""
 

@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A single log entry emitted by a contract."""
 

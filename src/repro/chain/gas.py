@@ -121,7 +121,7 @@ class GasMeter:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GasBreakdown:
     """Immutable gas counters attached to a receipt."""
 

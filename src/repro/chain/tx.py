@@ -28,7 +28,7 @@ class TxStatus(Enum):
     REVERTED = "reverted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A contract call request.
 
@@ -49,7 +49,7 @@ class Transaction:
         return f"tx#{self.tx_id} {self.sender} -> {self.contract}.{self.method}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Receipt:
     """The outcome of executing a transaction."""
 

@@ -16,7 +16,12 @@ multiplications.  The kernel needs OpenSSL's libcrypto as CPython's
 * the **generator** ``g`` — every sign computes ``g^k`` and every
   verify computes ``g^s``; the base never changes, so one process-wide
   fixed-base window table turns each exponentiation into ~``bits/w``
-  multiplications with **no squarings at all**;
+  multiplications with **no squarings at all**.  The table is sized to
+  the exponents it serves (:data:`GENERATOR_BANDS`): 7-bit windows
+  below bit 259, where the 256-bit signing and key exponents that make
+  84–93% of the calls live, and 5-bit windows up to bit 595 for the
+  few long fold and lone-check exponents — 6,807 residues (~2.3 MiB
+  of ``BIGNUM`` s), where 7-bit windows up to bit 640 took 11,684;
 * everything a batched check multiplies together — **public keys**
   ``y^{e·w}`` and **signature commitments** ``R^w`` — goes through one
   cold multi-exponentiation that shares a single squaring chain across
@@ -75,15 +80,26 @@ G = 4
 # (keys, nonces, challenges) is derived from a 256-bit hash, so a
 # response s = k + e·x is ~513 bits and never wraps mod q, and the
 # longest exponent g is ever raised to is a batch sum Σw·s of n
-# responses under 64-bit weights: 64 + 513 + log2(n) bits, under 600
-# for any batch that fits in memory.  The generator table is sized for
-# those real exponents — an out-of-range exponent (possible only in
-# forged inputs) transparently falls back to ``BN_mod_exp_mont``.
-GENERATOR_TABLE_BITS = 640
+# responses under 64-bit weights: 577 + log2(n) bits, under 595 for
+# any fold of fewer than 2^18 members (579 is the widest any benchmark
+# workload reaches; the 640-bit cap this replaced kept rows no run
+# read).  The generator table is sized for those real exponents — an
+# out-of-range exponent (possible only in forged inputs) transparently
+# falls back to ``BN_mod_exp_mont``.
+GENERATOR_TABLE_BITS = 595
 
-# The window trades table-build cost against per-exponentiation cost;
-# the table is built once per process, so it affords a wide one.
-GENERATOR_WINDOW = 7
+# The table's windows, lowest bits first, as ``(top bit, window)``
+# bands.  The table is built once per process, so it affords wide
+# windows where the traffic is: 84–93% of a run's ``generator_pow``
+# calls are signing nonces and key-generation scalars of at most 257
+# bits, read 7 bits at a time.  Only the two long exponents — a fold's
+# ``g^Σws`` and a lone check's ``g^s`` (≤ 514 bits), 54–208 calls a
+# run — reach the rows above bit 259, and there a 5-bit window keeps a
+# third of the residues per bit (31/5 against 127/7) for 14–19 more
+# multiplications per call: 6,807 residues where one 7-bit window up
+# to 640 bits took 11,684, and fewer generator multiplications, build
+# included, in every benchmark workload (BENCHMARKS.md, "Memory").
+GENERATOR_BANDS = ((259, 7), (GENERATOR_TABLE_BITS, 5))
 
 # The sliding-window width of a recurring public key's odd-power table
 # (:func:`key_table`), kept for the life of a simulator's verification
@@ -101,40 +117,57 @@ KEY_WINDOW = 6
 class FixedBaseTable:
     """Windowed fixed-base exponentiation: ``base^e mod p``.
 
-    Precomputes ``base^(d · 2^(w·i))`` for every window ``i`` and digit
-    ``d`` as kernel residues it owns; an exponentiation is then one
-    table lookup and one multiplication per non-zero window digit — no
-    squarings.
+    ``bands`` lists ``(top, window)`` pairs, lowest bits first: the
+    exponent's bits below the first ``top`` are read ``window`` bits at
+    a time, the bits from there up to the next ``top`` at that band's
+    window, and so on; the last ``top`` is the widest exponent the
+    table serves (``max_bits``).  Each window position ``i`` of width
+    ``w`` gets a row of ``base^(d · 2^i)`` for every digit
+    ``0 < d < 2^w``, as kernel residues the table owns; an
+    exponentiation is then one table lookup and one multiplication per
+    non-zero window digit — no squarings.
     """
 
-    __slots__ = ("base", "window", "max_bits", "_residues", "_rows", "_mask")
+    __slots__ = ("base", "max_bits", "_residues", "_rows")
 
-    def __init__(self, base: int, max_bits: int, window: int):
-        if not 1 <= window <= 16:
-            raise ValueError("window size out of range")
+    def __init__(self, base: int, bands: tuple[tuple[int, int], ...]):
+        # (window, row count) per band; a band's rows start where the
+        # band below ended, so they may run past its own top.
+        spans = []
+        bottom = 0
+        for top, window in bands:
+            if not 1 <= window <= 16:
+                raise ValueError("window size out of range")
+            if top <= bottom:
+                raise ValueError("band tops must rise")
+            count = -(-(top - bottom) // window)
+            spans.append((window, count))
+            bottom += count * window
         self.base = base % P
-        self.window = window
-        self.max_bits = max_bits
-        self._mask = (1 << window) - 1
-        radix = 1 << window
-        count = (max_bits + window - 1) // window
-        self._residues = kernel.Residues(count * (radix - 1))
+        self.max_bits = bands[-1][0]
+        self._residues = kernel.Residues(
+            sum(count * ((1 << window) - 1) for window, count in spans)
+        )
         pointers = self._residues.pointers
-        # Digit 0 is never looked up, so a row holds digits 1..radix-1.
-        rows = [
-            (None,) + pointers[index * (radix - 1):(index + 1) * (radix - 1)]
-            for index in range(count)
-        ]
+        # One (window, mask, row) per position; digit 0 is never looked
+        # up, so a row holds digits 1..mask.
+        rows = []
+        used = 0
+        for window, count in spans:
+            mask = (1 << window) - 1
+            for _ in range(count):
+                rows.append((window, mask, (None,) + pointers[used:used + mask]))
+                used += mask
         mul = kernel.mul
-        kernel.load(rows[0][1], self.base)
-        for index, row in enumerate(rows):
+        kernel.load(rows[0][2][1], self.base)
+        for index, (_, mask, row) in enumerate(rows):
             anchor = row[1]
-            for digit in range(2, radix):
+            for digit in range(2, mask + 1):
                 mul(row[digit], row[digit - 1], anchor)
-            # The next window's anchor is base^(2^(w·(i+1))) = anchor^radix.
-            if index + 1 < count:
-                mul(rows[index + 1][1], row[radix - 1], anchor)
-        self._rows = rows
+            # The next row's anchor is anchor^(2^window) = anchor^mask · anchor.
+            if index + 1 < len(rows):
+                mul(rows[index + 1][2][1], row[mask], anchor)
+        self._rows = tuple(rows)
 
     def pow(self, exponent: int) -> int:
         """Return ``base^exponent mod p`` (exponent >= 0)."""
@@ -143,27 +176,24 @@ class FixedBaseTable:
         if exponent.bit_length() > self.max_bits:
             return kernel.exp(self.base, exponent)
         mul = kernel.mul
-        rows = self._rows
-        mask = self._mask
-        window = self.window
         kernel.start()
         try:
             (acc,) = kernel.scratch(1)
             kernel.set_one(acc)
-            index = 0
-            while exponent:
+            for window, mask, row in self._rows:
+                if not exponent:
+                    break
                 digit = exponent & mask
                 if digit:
-                    mul(acc, acc, rows[index][digit])
+                    mul(acc, acc, row[digit])
                 exponent >>= window
-                index += 1
             return kernel.to_int(acc)
         finally:
             kernel.end()
 
 
 # ----------------------------------------------------------------------
-# Generator: one wide-window table per process, built lazily.
+# Generator: one table per process, built lazily.
 # ----------------------------------------------------------------------
 _generator_table: FixedBaseTable | None = None
 
@@ -172,7 +202,7 @@ def generator_table() -> FixedBaseTable:
     """The process-wide fixed-base table for ``g`` (built on first use)."""
     global _generator_table
     if _generator_table is None:
-        _generator_table = FixedBaseTable(G, GENERATOR_TABLE_BITS, GENERATOR_WINDOW)
+        _generator_table = FixedBaseTable(G, GENERATOR_BANDS)
     return _generator_table
 
 

@@ -151,7 +151,7 @@ def _public_point(scalar: int) -> int:
     return generator_pow(scalar)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicKey:
     """A Schnorr public key: a group element ``g^x mod p``."""
 
@@ -170,7 +170,7 @@ class PublicKey:
         return tagged_hash("repro/pubkey", self.to_bytes())[:20]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """A Schnorr signature ``(R, s)`` with ``g^s == ±R * pk^e``."""
 

@@ -14,7 +14,6 @@ outside this process and reports are byte-identical across backends.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 
@@ -86,6 +85,8 @@ class _VerifyPool:
     def __init__(self, workers: int, stats: dict, cache: VerifyCache):
         self.stats = stats
         self._cache = cache  # the plane's, for inline fallbacks
+        import multiprocessing
+
         context = multiprocessing.get_context("fork")
         self._workers: dict[int, tuple] = {}  # shard -> (pipe, process)
         for shard in range(workers):
@@ -189,6 +190,9 @@ class ProcessBackend(ExecutionBackend):
 
     @staticmethod
     def _can_fork() -> bool:
+        # Imported only here and by the pool: an inline run never loads it.
+        import multiprocessing
+
         return (
             "fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon

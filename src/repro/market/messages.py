@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubmitOrder:
     """Register a signed order on its home shard's commit log."""
 
@@ -73,7 +73,7 @@ class SubmitOrder:
     order: object  # SignedDealOrder
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublishEscrow:
     """Publish one per-deal escrow contract on an asset chain."""
 
@@ -81,7 +81,7 @@ class PublishEscrow:
     contract: object  # Contract
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubmitStep:
     """One ready-built transaction for one chain's mempool."""
 
@@ -90,7 +90,7 @@ class SubmitStep:
     tx: object  # Transaction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockReceipts:
     """One sealed block's receipts, for the coordinator's phase engine."""
 
@@ -99,7 +99,7 @@ class BlockReceipts:
     receipts: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaShipment:
     """A sealed block's write-set, shipped leader → follower."""
 
@@ -108,7 +108,7 @@ class DeltaShipment:
     delta: object  # repro.chain.ledger.StateDelta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaAck:
     """A follower's highest-applied sequence acknowledgement."""
 

@@ -36,7 +36,7 @@ from repro.sim.rng import DeterministicRng
 from repro.sim.simulator import Simulator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """An application message in flight between two endpoints."""
 
@@ -46,7 +46,7 @@ class Message:
     sent_at: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Envelope:
     """The typed wrapper of the market's shard bus.
 
@@ -74,7 +74,7 @@ class Envelope:
     msg_id: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BusAck:
     """Transport-level receipt for a reliable :class:`Envelope`.
 
@@ -292,23 +292,37 @@ class ReceiveWindow:
     is bounded by the sender's unacked envelopes, because the bus
     never abandons a registered recipient: a stream's held envelopes
     all sit behind one still unacked, whose resends close the gap.
+
+    ``stats`` counts the cost of that ordering: ``held``, the
+    envelopes admitted behind a gap in their stream, and
+    ``held_ticks``, the simulated time they waited there, summed from
+    each one's arrival to its release.
     """
 
-    def __init__(self):
+    def __init__(self, stats: dict):
+        self.stats = stats
+        stats["held"] = 0
+        stats["held_ticks"] = 0.0
         self._floor: dict[Hashable, int] = {}
-        self._held: defaultdict[Hashable, dict[int, Envelope]] = defaultdict(dict)
+        # stream -> msg_id -> (envelope, arrival tick)
+        self._held: defaultdict[Hashable, dict[int, tuple]] = defaultdict(dict)
 
-    def admit(self, stream: Hashable, envelope: Envelope) -> bool:
-        """Hold ``envelope`` for release; False if it is a duplicate."""
+    def admit(self, stream: Hashable, envelope: Envelope, now: float) -> bool:
+        """Hold ``envelope``, arrived at ``now``, for release; False if
+        it is a duplicate."""
         held = self._held[stream]
         msg_id = envelope.msg_id
-        if msg_id <= self._floor.get(stream, 0) or msg_id in held:
+        floor = self._floor.get(stream, 0)
+        if msg_id <= floor or msg_id in held:
             return False
-        held[msg_id] = envelope
+        if msg_id > floor + 1:
+            self.stats["held"] += 1
+        held[msg_id] = (envelope, now)
         return True
 
-    def release(self, stream: Hashable):
-        """Yield the held run above the floor, advancing it one by one.
+    def release(self, stream: Hashable, now: float):
+        """Yield the held run above the floor at ``now``, advancing the
+        floor one by one.
 
         The floor moves before each envelope is yielded, so a handler
         that causes a re-entrant delivery on the same stream releases
@@ -317,7 +331,9 @@ class ReceiveWindow:
         held = self._held[stream]
         while (msg_id := self._floor.get(stream, 0) + 1) in held:
             self._floor[stream] = msg_id
-            yield held.pop(msg_id)
+            envelope, arrived = held.pop(msg_id)
+            self.stats["held_ticks"] += now - arrived
+            yield envelope
 
 
 class LocalBus:
@@ -380,8 +396,9 @@ class ChaosBus(LocalBus):
     :class:`BusAck` that rides the same chaotic channel and is
     intercepted by the bus.  One :class:`ReceiveWindow` releases each
     stream to its handler in ``msg_id`` order, once — a duplicate is
-    counted and *still* re-acked, which is what heals a lost ack.
-    Streams are per chain, as each chain orders a party's
+    counted and *still* re-acked, which is what heals a lost ack; one
+    that waited behind a gap is counted in ``held``, and its wait in
+    ``held_ticks``.  Streams are per chain, as each chain orders a party's
     transactions, not per pair: a dropped envelope holds back only its
     own chain's traffic.
 
@@ -399,7 +416,7 @@ class ChaosBus(LocalBus):
         self._stream = DeterministicRng(f"chaos-bus/{seed}").stream("chaos/bus")
         self._resender = Retransmitter(simulator, plan.ack_timeout, plan.backoff_cap)
         self._next_seq: dict[tuple, int] = {}
-        self._window = ReceiveWindow()
+        self._window = ReceiveWindow(self.stats)
         self.stats.update(
             {
                 "chaos_dropped": 0,
@@ -483,8 +500,9 @@ class ChaosBus(LocalBus):
             self._resender.ack((*stream, envelope.msg_id))
             return
         self.stats["delivered"] += 1
-        if self._window.admit(stream, envelope):
-            for ready in self._window.release(stream):
+        now = self.simulator.now
+        if self._window.admit(stream, envelope, now):
+            for ready in self._window.release(stream, now):
                 handler(ready)
         else:
             self.stats["dup_suppressed"] += 1

@@ -40,14 +40,14 @@ from repro.crypto.schnorr import (
 # ----------------------------------------------------------------------
 def test_fixed_base_table_matches_pow():
     rng = random.Random(7)
-    table = FixedBaseTable(G, max_bits=512, window=5)
+    table = FixedBaseTable(G, ((512, 5),))
     for bits in (1, 8, 64, 256, 512):
         exponent = rng.getrandbits(bits)
         assert table.pow(exponent) == pow(G, exponent, P)
 
 
 def test_fixed_base_table_edge_exponents():
-    table = FixedBaseTable(G, max_bits=64, window=4)
+    table = FixedBaseTable(G, ((64, 4),))
     assert table.pow(0) == 1
     assert table.pow(1) == G
     # Beyond the table's capacity it falls back to BN_mod_exp_mont (kernel.exp).
@@ -56,9 +56,42 @@ def test_fixed_base_table_edge_exponents():
 
 
 def test_fixed_base_table_rejects_negative_exponent():
-    table = FixedBaseTable(G, max_bits=32, window=4)
+    table = FixedBaseTable(G, ((32, 4),))
     with pytest.raises(ValueError):
         table.pow(-1)
+
+
+def test_banded_table_matches_pow_at_every_length():
+    # A lower band whose top is not a multiple of its window: its last
+    # row runs past it, and the next band starts where that row ends.
+    table = FixedBaseTable(G, ((10, 3), (30, 2), (33, 1)))
+    rng = random.Random(5)
+    for bits in range(1, 36):
+        exponent = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert table.pow(exponent) == pow(G, exponent, P)
+    assert table.pow((1 << 33) - 1) == pow(G, (1 << 33) - 1, P)
+    with pytest.raises(ValueError):
+        FixedBaseTable(G, ((10, 3), (10, 2)))
+    with pytest.raises(ValueError):
+        FixedBaseTable(G, ((10, 17),))
+
+
+def test_generator_table_layout_is_pinned(monkeypatch):
+    # 37 rows of 7-bit windows (127 digits each) below bit 259 and 68
+    # rows of 5-bit windows (31 each) up to bit 595: one multiplication
+    # per residue but the first, which is loaded.  A layout change moves
+    # these on purpose, and with them every run's resident set.
+    assert fastexp.GENERATOR_BANDS == ((259, 7), (595, 5))
+    multiplications = []
+    kernel_mul = montgomery.mul
+    monkeypatch.setattr(
+        montgomery, "mul", lambda r, a, b: multiplications.append(r) or kernel_mul(r, a, b)
+    )
+    table = FixedBaseTable(G, fastexp.GENERATOR_BANDS)
+    assert len(table._residues) == 37 * 127 + 68 * 31 == 6807
+    assert len(multiplications) == 6806
+    assert table.max_bits == fastexp.GENERATOR_TABLE_BITS == 595
+    assert len(fastexp.generator_table()._residues) == 6807
 
 
 def test_generator_pow_matches_pow():

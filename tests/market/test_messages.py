@@ -22,15 +22,17 @@ def _envelope(msg_id: int) -> Envelope:
     )
 
 
-def _offer(window: ReceiveWindow, msg_id: int, stream=STREAM) -> list[int] | None:
-    """Admit one copy: None for a duplicate, else the released ids."""
-    if not window.admit(stream, _envelope(msg_id)):
+def _offer(
+    window: ReceiveWindow, msg_id: int, stream=STREAM, now: float = 0.0
+) -> list[int] | None:
+    """Admit one copy at ``now``: None for a duplicate, else the released ids."""
+    if not window.admit(stream, _envelope(msg_id), now):
         return None
-    return [envelope.msg_id for envelope in window.release(stream)]
+    return [envelope.msg_id for envelope in window.release(stream, now)]
 
 
 def test_dedup_floor_advances_and_absorbs_in_order_traffic():
-    window = ReceiveWindow()
+    window = ReceiveWindow({})
     for msg_id in range(1, 11):
         assert _offer(window, msg_id) == [msg_id]
     # Gap-free delivery: the floor absorbs every id and nothing is held.
@@ -39,20 +41,23 @@ def test_dedup_floor_advances_and_absorbs_in_order_traffic():
 
 
 def test_dedup_stuck_floor_growth_is_bounded_and_heals():
-    window = ReceiveWindow()
+    window = ReceiveWindow({})
     # msg_id 1 is late: everything after it is held, not released.
     for msg_id in range(2, 50):
         assert _offer(window, msg_id) == []
     assert window._floor.get(STREAM, 0) == 0
     assert sorted(window._held[STREAM]) == list(range(2, 50))
     # The straggler lands: the whole run goes out behind it, in order.
-    assert _offer(window, 1) == list(range(1, 50))
+    assert _offer(window, 1, now=1.5) == list(range(1, 50))
     assert window._floor[STREAM] == 49
     assert window._held[STREAM] == {}
+    # 48 envelopes waited behind the gap, 1.5 ticks each; the straggler
+    # itself was released on arrival.
+    assert window.stats == {"held": 48, "held_ticks": 48 * 1.5}
 
 
 def test_dedup_suppresses_copies_below_and_above_the_floor():
-    window = ReceiveWindow()
+    window = ReceiveWindow({})
     assert _offer(window, 1) == [1]
     assert _offer(window, 3) == []
     assert _offer(window, 1) is None  # at the floor: released already
@@ -63,7 +68,7 @@ def test_dedup_suppresses_copies_below_and_above_the_floor():
 
 
 def test_dedup_streams_are_independent_per_sender_and_chain():
-    window = ReceiveWindow()
+    window = ReceiveWindow({})
     other_chain = ("coord", "shard-0", "chain-2")
     other_sender = ("shard-1", "shard-0", "chain-0")
     # A gap on one stream holds back nothing on another.
@@ -75,17 +80,17 @@ def test_dedup_streams_are_independent_per_sender_and_chain():
 
 
 def test_dedup_release_stays_ordered_under_reentrant_delivery():
-    window = ReceiveWindow()
+    window = ReceiveWindow({})
     for msg_id in (2, 3):
-        assert window.admit(STREAM, _envelope(msg_id))
-    assert window.admit(STREAM, _envelope(1))
+        assert window.admit(STREAM, _envelope(msg_id), 0.0)
+    assert window.admit(STREAM, _envelope(1), 0.0)
     seen = []
-    for envelope in window.release(STREAM):
+    for envelope in window.release(STREAM, 0.0):
         seen.append(envelope.msg_id)
         if envelope.msg_id == 1:
             # A handler's side effect delivers the next id on the same
             # stream: the nested release drains the run in order, and
             # the outer one finds nothing left.
-            assert window.admit(STREAM, _envelope(4))
-            seen += [inner.msg_id for inner in window.release(STREAM)]
+            assert window.admit(STREAM, _envelope(4), 0.0)
+            seen += [inner.msg_id for inner in window.release(STREAM, 0.0)]
     assert seen == [1, 2, 3, 4]

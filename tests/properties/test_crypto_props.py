@@ -194,6 +194,54 @@ def test_generator_pow_matches_builtin(exponent):
     assert generator_pow(exponent) == pow(G, exponent, P)
 
 
+# The generator table's edges: the 7-bit band ends at bit 259, the
+# 5-bit band at GENERATOR_TABLE_BITS (595); one bit more falls back.
+_EDGE_BITS = (258, 259, 260, 594, 595, 596)
+
+
+def _counting_exp(monkeypatch) -> list:
+    """Record the exponent of every ``BN_mod_exp_mont`` fallback."""
+    from repro.crypto import montgomery
+
+    calls = []
+    kernel_exp = montgomery.exp
+    monkeypatch.setattr(
+        montgomery, "exp", lambda base, e: calls.append(e) or kernel_exp(base, e)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("bits", _EDGE_BITS)
+@given(low=st.integers(min_value=0))
+@settings(max_examples=15, deadline=None)
+def test_generator_pow_at_the_table_edges(bits, low):
+    exponent = 1 << (bits - 1) | low % (1 << (bits - 1))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fallbacks = _counting_exp(monkeypatch)
+        assert generator_pow(exponent) == pow(G, exponent, P)
+    assert fallbacks == ([exponent] if bits > GENERATOR_TABLE_BITS else [])
+
+
+@pytest.mark.parametrize("bits", _EDGE_BITS + (2050,))
+def test_combined_check_reduction_at_the_cap(monkeypatch, bits):
+    # A fold's g^Σws.  A sum of GENERATOR_TABLE_BITS or more bits (only
+    # forged responses reach one) is reduced mod q, which leaves g's
+    # power unchanged and changes the sum only past q; up to the cap
+    # it is read from the table, past the cap it takes the fallback.
+    from repro.crypto.fastexp import Q
+    from repro.crypto.schnorr import _combined_check
+
+    total = (1 << (bits - 1)) + 12345
+    terms = [(None, total - 345, ()), (None, 345, ())]
+    fallbacks = _counting_exp(monkeypatch)
+    assert _combined_check(terms, None) == (pow(G, total, P), 1)
+    reduced = total % Q
+    assert fallbacks == (
+        [reduced] if reduced.bit_length() > GENERATOR_TABLE_BITS else []
+    )
+    assert (reduced < total) == (bits > Q.bit_length())
+
+
 # ----------------------------------------------------------------------
 # The one batched check, and the same-instant plane built on it:
 # wall-clock steps, never a verdict

@@ -167,7 +167,7 @@ def test_filter_duplicate_delivers_twice_fifo_clamped():
 # ----------------------------------------------------------------------
 # ChaosBus: seeded hazards + at-least-once delivery
 # ----------------------------------------------------------------------
-from repro.sim.chaos import ChaosPlan, ChaosPolicy  # noqa: E402
+from repro.sim.chaos import ChaosPlan, ChaosPolicy, Hazards  # noqa: E402
 from repro.sim.network import ChaosBus, LocalBus  # noqa: E402
 
 
@@ -268,6 +268,39 @@ def test_chaos_bus_delay_and_reorder_hold_messages():
     # sees the stream in send order.
     assert payloads == list(range(12))
     assert bus.stats["chaos_delayed"] == bus.stats["chaos_reordered"] >= 12
+    assert bus.in_flight == 0
+
+
+class _DropFirstTransmission:
+    """A market policy whose only hazard drops the bus's first transmission."""
+
+    def __init__(self):
+        self.rolls = 0
+
+    def roll(self, stream) -> Hazards:
+        self.rolls += 1
+        return Hazards(
+            drop=self.rolls == 1, duplicate=False, delay=None, reorder=None,
+            twin_gap=0.0,
+        )
+
+
+def test_chaos_bus_counts_envelopes_held_behind_a_gap():
+    sim, bus = make_chaos(_DropFirstTransmission(), ack_timeout=0.5)
+    received = []
+    bus.register("b", lambda envelope: received.append((envelope.msg_id, sim.now)))
+    for index in range(3):
+        bus.post("a", "b", 0, index)
+    # msg 1 is dropped; 2 and 3 arrive at once and wait behind it.
+    assert received == []
+    assert bus.stats["held"] == 2
+    sim.run()
+    # The resend at t = 0.5 closes the gap and releases the run in order.
+    assert received == [(1, 0.5), (2, 0.5), (3, 0.5)]
+    assert bus.stats["chaos_dropped"] == 1
+    assert bus.stats["resends"] == 1
+    assert bus.stats["held"] == 2
+    assert bus.stats["held_ticks"] == 2 * 0.5
     assert bus.in_flight == 0
 
 

@@ -36,13 +36,45 @@ for name in sorted(loaded - set(sys.stdlib_module_names) - {{"repro"}}):
 """
 
 
-def test_runtime_imports_only_the_standard_library():
+# Runs a small inline market in a fresh interpreter and prints every
+# module of ``_ON_USE`` that the imports or the run loaded.
+_ON_USE = ("multiprocessing", "statistics")
+_INLINE_PROBE = f"""
+import sys
+at_startup = set(sys.modules)
+import repro, repro.market, repro.analysis.sweep
+from dataclasses import replace
+from repro.market import open_market
+from repro.workloads.market import MarketProfile, MarketWorkload
+profile = replace(MarketProfile.headline(3), deals=6)
+report = open_market(MarketWorkload(profile)).run()
+assert report.committed > 0, report.render()
+for name in {_ON_USE!r}:
+    if name in sys.modules and name not in at_startup:
+        print(name)
+"""
+
+
+def _probe(code: str) -> list[str]:
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, check=True,
     )
-    third_party = result.stdout.split()
+    return result.stdout.split()
+
+
+def test_runtime_imports_only_the_standard_library():
+    third_party = _probe(_PROBE)
     assert third_party == [], f"non-stdlib modules loaded: {', '.join(third_party)}"
+
+
+def test_an_inline_run_never_loads_the_pool_or_the_fits():
+    # multiprocessing is loaded only where a process is forked (the
+    # processes backend, a sweep with jobs > 1) and statistics only by
+    # analysis.sweep's two fits: an inline run's resident set holds
+    # neither (~1.4 MiB between them).
+    loaded = _probe(_INLINE_PROBE)
+    assert loaded == [], f"an inline run loaded: {', '.join(loaded)}"
